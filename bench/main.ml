@@ -22,34 +22,40 @@
                                     row: disk-bandwidth units, decompress
                                     slots (default 1,1 — full contention)
      bench/main.exe --exp diffcheck --mutate
-                                    plant an off-by-one in the cross-path
-                                    oracle; the campaign must report it
-                                    caught and print a shrunk reproducer
+                                    plant one fault per mutable oracle;
+                                    the campaign must report each caught
+                                    and print a shrunk reproducer
+     bench/main.exe --exp fleet --requests 1000000
+                                    simulated requests per fleet cell
 
    Each experiment also writes BENCH_<id>.json (schema 2: wall-clock
    seconds plus per-row boot-time distributions and per-phase
-   breakdowns) into the current directory. *)
+   breakdowns) into the current directory, and exits 1 on a failing
+   verdict. *)
+
+module H = Imk_harness
 
 let runs = ref 20
 let exps = ref []
 let functions = ref None
 let scale = ref 16
-let jobs = ref (Imk_util.Par.default_jobs ())
+let jobs = ref (Domain.recommended_domain_count ())
 let baseline_path = ref None
-let threshold = ref Imk_harness.Telemetry.default_threshold_pct
+let threshold = ref H.Telemetry.default_threshold_pct
 let trace_path = ref None
 let no_plan_cache = ref false
 let mutate = ref false
 let requests = ref None
-let contend = ref None
+let contend = ref H.Workspace.default_run.contend
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--exp <id>]... [--runs N] [--functions N] [--scale N] [--jobs N]\n\
+    ("usage: main.exe [--exp <id>]... [--runs N] [--functions N] [--scale N] [--jobs N]\n\
      \               [--baseline BENCH_<id>.json] [--threshold PCT] [--trace out.json]\n\
      \               [--no-plan-cache] [--mutate] [--requests N] [--contend D,S]\n\
-     experiments: table1 fig3 fig4 fig5 fig6 fig9 fig10 fig11 qemu throughput security faults resilience diffcheck fleet\n\
-     \             ablation-kallsyms ablation-orc ablation-page-sharing ablation-rerando ablation-zygote ablation-unikernel ablation-devices micro all";
+     experiments: "
+    ^ String.concat " " (List.map fst H.Experiments.registry)
+    ^ " micro all");
   exit 2
 
 let rec parse = function
@@ -89,15 +95,15 @@ let rec parse = function
       parse rest
   | "--contend" :: v :: rest ->
       (match String.split_on_char ',' v with
-      | [ d; s ] -> contend := Some (int_of_string d, int_of_string s)
+      | [ d; s ] -> contend := (int_of_string d, int_of_string s)
       | _ -> usage ());
       parse rest
   | _ -> usage ()
 
-let print_output (o : Imk_harness.Experiments.output) =
-  Printf.printf "\n=== %s ===\n" o.Imk_harness.Experiments.title;
-  Imk_util.Table.print o.Imk_harness.Experiments.table;
-  List.iter (fun n -> Printf.printf "  note: %s\n" n) o.Imk_harness.Experiments.notes;
+let print_output (o : H.Experiments.output) =
+  Printf.printf "\n=== %s ===\n" o.H.Experiments.title;
+  Imk_util.Table.print o.H.Experiments.table;
+  List.iter (fun n -> Printf.printf "  note: %s\n" n) o.H.Experiments.notes;
   flush stdout
 
 (* --baseline: read once up front so a missing or malformed file fails
@@ -106,8 +112,7 @@ let print_output (o : Imk_harness.Experiments.output) =
 let baseline =
   lazy
     (Option.map
-       (fun p ->
-         Imk_harness.Telemetry.of_json (Imk_harness.Telemetry.read_file p))
+       (fun p -> H.Telemetry.of_json (H.Telemetry.read_file p))
        !baseline_path)
 
 let gate_failed = ref false
@@ -115,15 +120,15 @@ let gate_failed = ref false
 (* Diff one experiment's fresh rows against the baseline file and print
    the per-label / per-phase p50 delta table. Only headline totals trip
    the gate; phase rows say where a regression lives. *)
-let check_baseline id (current : Imk_harness.Telemetry.file) =
+let check_baseline id (current : H.Telemetry.file) =
   match Lazy.force baseline with
   | None -> ()
-  | Some base when base.Imk_harness.Telemetry.experiment <> id ->
+  | Some base when base.H.Telemetry.experiment <> id ->
       Printf.printf
         "  baseline: file is for experiment %s, not %s — skipping the gate\n"
-        base.Imk_harness.Telemetry.experiment id
+        base.H.Telemetry.experiment id
   | Some base ->
-      let module T = Imk_harness.Telemetry in
+      let module T = H.Telemetry in
       let deltas = T.diff ~threshold_pct:!threshold ~baseline:base ~current () in
       let tbl =
         Imk_util.Table.create
@@ -162,69 +167,49 @@ let check_baseline id (current : Imk_harness.Telemetry.file) =
             (List.length rs) !threshold);
       flush stdout
 
-(* --trace: tap the first completed boot of the run via the ambient
-   Boot_runner sink. The sink fires on whatever domain booted (a worker
-   under --jobs), so the capture is mutex-guarded; only the first trace
-   across all requested experiments is kept. *)
+(* --trace: the workspace's tap keeps the first finished boot of the
+   invocation. It fires on whatever domain booted (a worker under
+   --jobs), so the capture is mutex-guarded; the trace is written after
+   the experiment that produced it. *)
+let captured = ref None
+let capture_lock = Mutex.create ()
 let trace_written = ref false
 
-let with_trace_capture id f =
-  match !trace_path with
-  | Some path when not !trace_written ->
-      let mu = Mutex.create () in
-      let captured = ref None in
-      Imk_harness.Boot_runner.trace_sink :=
-        Some
-          (fun tr ->
-            Mutex.lock mu;
-            (match !captured with
-            | None -> captured := Some tr
-            | Some _ -> ());
-            Mutex.unlock mu);
-      Fun.protect
-        ~finally:(fun () -> Imk_harness.Boot_runner.trace_sink := None)
-        (fun () ->
-          let r = f () in
-          (match !captured with
-          | Some tr ->
-              Imk_vclock.Trace_export.write_file tr ~path
-                ~process_name:(id ^ " boot");
-              trace_written := true;
-              Printf.printf "  trace: first %s boot -> %s\n" id path
-          | None ->
-              Printf.printf "  trace: %s booted nothing, no trace written\n" id);
-          r)
-  | _ -> f ()
+let capture tr =
+  Mutex.lock capture_lock;
+  if !captured = None then captured := Some tr;
+  Mutex.unlock capture_lock
+
+let write_trace id =
+  match (!trace_path, !captured) with
+  | Some _, _ when !trace_written -> ()
+  | Some path, Some tr ->
+      Imk_vclock.Trace_export.write_file tr ~path ~process_name:(id ^ " boot");
+      trace_written := true;
+      Printf.printf "  trace: first %s boot -> %s\n" id path
+  | Some _, None ->
+      Printf.printf "  trace: %s booted nothing, no trace written\n" id
+  | None, _ -> ()
 
 (* run one experiment under the wall clock and drop BENCH_<id>.json next
    to the invocation — the real-time cost of the simulation, as opposed
-   to the virtual boot times in the table itself *)
-let timed_experiment id
-    (f : ?runs:int -> Imk_harness.Workspace.t -> Imk_harness.Experiments.output)
+   to the virtual boot times in the table itself. A failing verdict
+   fails the invocation: CI runs the correctness campaigns as gates. *)
+let timed_experiment id (f : ?runs:int -> H.Workspace.t -> H.Experiments.output)
     ws =
   let t0 = Unix.gettimeofday () in
-  let o = with_trace_capture id (fun () -> f ~runs:!runs ws) in
+  let o = f ~runs:!runs ws in
   let wall = Unix.gettimeofday () -. t0 in
+  write_trace id;
   print_output o;
-  (* correctness campaigns (diffcheck, resilience) flag their failures in
-     notes with fixed markers; a flagged note must fail the invocation,
-     not just print — CI runs these as gates *)
-  let failing_note n =
-    let has_prefix p =
-      String.length n >= String.length p && String.sub n 0 (String.length p) = p
-    in
-    has_prefix "DIVERGENCE" || has_prefix "MUTATE NOT CAUGHT"
-    || has_prefix "SOUNDNESS VIOLATION" || has_prefix "UNRECOVERED"
-  in
-  if List.exists failing_note o.Imk_harness.Experiments.notes then begin
-    gate_failed := true;
-    Printf.printf "  gate: %s reported a failing note\n" id
-  end;
-  let rows = Imk_harness.Telemetry.rows o in
+  List.iter
+    (fun (v : H.Experiments.verdict) ->
+      gate_failed := true;
+      Printf.printf "  gate: %s failed verdict %S\n" id v.H.Experiments.name)
+    (H.Experiments.failures o);
+  let rows = H.Telemetry.rows o in
   (match
-     ( rows,
-       Imk_harness.Telemetry.value_column
-         (Imk_util.Table.headers o.Imk_harness.Experiments.table) )
+     (rows, H.Telemetry.value_column (Imk_util.Table.headers o.H.Experiments.table))
    with
   | [], Some _ ->
       Printf.printf
@@ -233,14 +218,14 @@ let timed_experiment id
         id
   | _ -> ());
   let json =
-    Imk_harness.Telemetry.to_json ~experiment:id ~runs:!runs ~jobs:!jobs
-      ~scale:!scale ~functions:!functions ~wall_clock_s:wall rows
+    H.Telemetry.to_json ~experiment:id ~runs:!runs ~jobs:!jobs ~scale:!scale
+      ~functions:!functions ~wall_clock_s:wall rows
   in
   let path = "BENCH_" ^ id ^ ".json" in
-  Imk_harness.Telemetry.write_file path json;
+  H.Telemetry.write_file path json;
   Printf.printf "  wall clock: %.2f s (jobs=%d) -> %s (schema %d)\n" wall !jobs
-    path Imk_harness.Telemetry.schema_version;
-  check_baseline id (Imk_harness.Telemetry.of_json json);
+    path H.Telemetry.schema_version;
+  check_baseline id (H.Telemetry.of_json json);
   flush stdout
 
 (* --- Bechamel micro-benchmarks: the primitive costs behind the cost
@@ -419,44 +404,30 @@ let micro () =
 let () =
   parse (List.tl (Array.to_list Sys.argv));
   jobs := max 1 !jobs;
-  Imk_harness.Boot_runner.default_jobs := !jobs;
-  (match !contend with
-  | None -> ()
-  | Some (d, s) ->
-      if d < 1 || s < 1 then usage ();
-      Imk_harness.Boot_runner.contend_capacities := (d, s));
+  if fst !contend < 1 || snd !contend < 1 then usage ();
   let requested = if !exps = [] then [ "all" ] else List.rev !exps in
+  let run =
+    {
+      H.Workspace.jobs = !jobs;
+      contend = !contend;
+      trace = Option.map (fun _ -> capture) !trace_path;
+      mutate = !mutate;
+      requests = !requests;
+    }
+  in
   let ws =
-    Imk_harness.Workspace.create ~scale:!scale ?functions_override:!functions
-      ~plan_cache:(not !no_plan_cache) ()
+    H.Workspace.create ~scale:!scale ?functions_override:!functions
+      ~plan_cache:(not !no_plan_cache) ~run ()
   in
   List.iter
     (fun id ->
       match id with
       | "all" ->
-          List.iter
-            (fun eid ->
-              match Imk_harness.Experiments.by_id eid with
-              | Some f -> timed_experiment eid f ws
-              | None -> assert false)
-            Imk_harness.Experiments.all_ids;
+          List.iter (fun (eid, f) -> timed_experiment eid f ws) H.Experiments.registry;
           micro ()
       | "micro" -> micro ()
-      (* --mutate only changes diffcheck, and only when asked: by_id keeps
-         the healthy catalogue for --exp all *)
-      | "diffcheck" when !mutate ->
-          timed_experiment "diffcheck"
-            (fun ?runs ws -> Imk_harness.Experiments.diffcheck ?runs ~mutate:true ws)
-            ws
-      (* --requests only applies to the fleet campaign; by_id keeps the
-         default for --exp all *)
-      | "fleet" when !requests <> None ->
-          timed_experiment "fleet"
-            (fun ?runs ws ->
-              Imk_harness.Experiments.fleet ?runs ?requests:!requests ws)
-            ws
       | id -> (
-          match Imk_harness.Experiments.by_id id with
+          match List.assoc_opt id H.Experiments.registry with
           | Some f -> timed_experiment id f ws
           | None ->
               Printf.eprintf "unknown experiment %s\n" id;

@@ -132,7 +132,7 @@ let functions =
 let jobs =
   Arg.(
     value
-    & opt int (Imk_util.Par.default_jobs ())
+    & opt int (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Worker domains for repeated boots (--runs). Results are \
               bit-identical for any N; defaults to the recommended domain \
@@ -196,21 +196,20 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
       ]
     end
   in
-  let make_vm ~seed =
+  let vm =
     Imk_monitor.Vm_config.make ?flavor ~profile ~rando:rando_mode
       ~relocs_path ~boot_args:cmdline ~devices
       ~kallsyms:
         (if deferred_kallsyms then Imk_monitor.Vm_config.Kallsyms_deferred
          else Imk_monitor.Vm_config.Kallsyms_eager)
       ~mem_bytes:(mem_mib * 1024 * 1024)
-      ~kernel_path ~kernel_config ~seed ()
+      ~kernel_path ~kernel_config ()
   in
   if not cold then Imk_harness.Workspace.warm_all ws;
   (* one verbose boot with the requested seed *)
   let trace, result =
     Imk_harness.Boot_runner.boot_once ~jitter:false ~seed:(Int64.of_int seed)
-      ~cache:(Imk_harness.Workspace.cache ws)
-      (make_vm ~seed:(Int64.of_int seed))
+      ~cache:(Imk_harness.Workspace.cache ws) vm
   in
   let p = result.Imk_monitor.Vmm.params in
   Printf.printf "booted %s via %s (%s)\n" kernel_config.Imk_kernel.Config.name
@@ -249,7 +248,7 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
     let stats =
       Imk_harness.Boot_runner.boot_many ~cold ~jobs
         ~arena:(Imk_harness.Workspace.arena ws) ~runs
-        ~cache:(Imk_harness.Workspace.cache ws) ~make_vm ()
+        ~cache:(Imk_harness.Workspace.cache ws) vm
     in
     let s = stats.Imk_harness.Boot_runner.total in
     let ms = Imk_util.Units.ns_float_to_ms in

@@ -10,26 +10,20 @@ type phase_stats = {
 
 let ms s = Imk_util.Units.ns_float_to_ms s.Imk_util.Stats.mean
 
-let default_jobs = ref 1
+let jitter_rng seed = Imk_entropy.Prng.create ~seed:(Int64.add seed 7919L)
 
-let trace_sink : (Trace.t -> unit) option ref = ref None
+let fresh_charge ?jitter_seed () =
+  let trace = Trace.create (Clock.create ()) in
+  let jitter = Option.map jitter_rng jitter_seed in
+  (trace, Charge.create ?jitter trace Cost_model.default)
 
-let emit_trace trace =
-  match !trace_sink with Some f -> f trace | None -> ()
-
-let boot_once ?(jitter = true) ?arena ?mem ?plans ~seed ~cache vm =
-  let clock = Clock.create () in
-  let trace = Trace.create clock in
-  let jitter_rng =
-    if jitter then Some (Imk_entropy.Prng.create ~seed:(Int64.add seed 7919L))
-    else None
-  in
-  let ch = Charge.create ?jitter:jitter_rng trace Cost_model.default in
+let boot_once ?(jitter = true) ?tap ?arena ?mem ?plans ~seed ~cache vm =
+  let trace, ch = fresh_charge ?jitter_seed:(if jitter then Some seed else None) () in
   let result =
     Imk_monitor.Vmm.boot ?arena ?mem ?plans ch cache
       { vm with Imk_monitor.Vm_config.seed }
   in
-  emit_trace trace;
+  (match tap with Some f -> f trace | None -> ());
   (trace, result)
 
 let warm_seed i = Int64.of_int (1000 + i)
@@ -47,183 +41,102 @@ let record_trace trace =
   in
   (breakdown, float_of_int (Trace.total trace))
 
-(* aggregation replays the sequential fold so summaries are identical
-   whatever the fan-out was: samples are prepended record by record *)
+let summarize = function
+  | [] -> Imk_util.Stats.empty
+  | samples -> Imk_util.Stats.summarize samples
+
+(* summaries over the records newest first — the sample order the
+   sequential fold has always produced, so float sums are identical
+   whatever the fan-out was *)
 let summarize_recorded recorded =
-  let phase_samples = Hashtbl.create 8 in
-  let totals = ref [] in
-  let record phase v =
-    let prev =
-      Option.value ~default:[] (Hashtbl.find_opt phase_samples phase)
-    in
-    Hashtbl.replace phase_samples phase (v :: prev)
-  in
-  Array.iter
-    (fun (breakdown, total) ->
-      List.iter (fun (phase, v) -> record phase v) breakdown;
-      totals := total :: !totals)
-    recorded;
-  let summary phase =
-    match Hashtbl.find_opt phase_samples phase with
-    | None | Some [] -> Imk_util.Stats.empty
-    | Some samples -> Imk_util.Stats.summarize samples
+  let newest_first = List.rev (Array.to_list recorded) in
+  let phase p =
+    summarize (List.filter_map (fun (b, _) -> List.assoc_opt p b) newest_first)
   in
   {
-    in_monitor = summary Trace.In_monitor;
-    bootstrap = summary Trace.Bootstrap_setup;
-    decompression = summary Trace.Decompression;
-    linux_boot = summary Trace.Linux_boot;
-    total =
-      (match !totals with
-      | [] -> Imk_util.Stats.empty
-      | samples -> Imk_util.Stats.summarize samples);
+    in_monitor = phase Trace.In_monitor;
+    bootstrap = phase Trace.Bootstrap_setup;
+    decompression = phase Trace.Decompression;
+    linux_boot = phase Trace.Linux_boot;
+    total = summarize (List.map snd newest_first);
   }
 
-let boot_many ?(warmups = 5) ?(cold = false) ?jobs ?arena ?plans ~runs ~cache
-    ~make_vm () =
-  let jobs = max 1 (Option.value ~default:!default_jobs jobs) in
-  (* one full boot: returns its phase breakdown (as floats, the exact
-     samples the sequential path has always recorded) and total, and
-     hands the guest memory back to the arena *)
-  let boot ~seed ~cache =
+let boot_many ?(warmups = 5) ?(cold = false) ?(jobs = 1) ?tap ?arena ?plans
+    ~runs ~cache vm =
+  (* one full boot: its phase breakdown (as floats, the exact samples
+     the sequential path has always recorded) and total; with an arena
+     the bracketed borrow hands the guest memory back even when the boot
+     raises *)
+  let boot ~cache ~seed =
     if cold then Imk_storage.Page_cache.drop_caches cache;
-    let vm = make_vm ~seed in
-    let record (trace, _result) = record_trace trace in
-    match arena with
-    | None -> record (boot_once ?plans ~seed ~cache vm)
-    | Some a ->
-        (* bracketed borrow: a boot that raises (fault-injection runs)
-           still hands its buffer back to the pool *)
-        Imk_memory.Arena.with_buffer a ~size:vm.Imk_monitor.Vm_config.mem_bytes
-          (fun mem -> record (boot_once ~mem ?plans ~seed ~cache vm))
+    let once ?mem () = fst (boot_once ?tap ?mem ?plans ~seed ~cache vm) in
+    record_trace
+      (match arena with
+      | None -> once ()
+      | Some a ->
+          Imk_memory.Arena.with_buffer a
+            ~size:vm.Imk_monitor.Vm_config.mem_bytes (fun mem -> once ~mem ()))
   in
-  (* recorded boots in run order (index i = run i+1, seed run_seed (i+1)) *)
+  (* warmups then runs, one task each; the first boot primes the cache *)
   let recorded =
-    if jobs = 1 then begin
-      for i = 1 to warmups do
-        ignore (boot ~seed:(warm_seed i) ~cache)
-      done;
-      Imk_util.Par.map_tasks ~tasks:runs (fun ~worker:_ i ->
-          boot ~seed:(run_seed (i + 1)) ~cache)
-    end
-    else begin
-      (* Parallel protocol, bit-identical to sequential: the first boot
-         (warmup 1, or run 1 when there are no warmups) runs on the
-         calling domain against the shared cache, priming it with every
-         file a boot of this configuration reads (the read set does not
-         depend on the seed) and building any lazy workspace artifacts.
-         Each worker then gets its own clone of the primed cache, so all
-         remaining boots observe exactly the cache state they would have
-         seen sequentially — and each boot's virtual clock, jitter and
-         entropy are functions of its per-run seed alone. *)
-      let first_is_warmup = warmups > 0 in
-      let first_run =
-        if first_is_warmup then begin
-          ignore (boot ~seed:(warm_seed 1) ~cache);
-          None
-        end
-        else if runs > 0 then Some (boot ~seed:(run_seed 1) ~cache)
-        else None
-      in
-      let rem_warm = if first_is_warmup then warmups - 1 else 0 in
-      let rem_runs = if first_is_warmup then runs else max 0 (runs - 1) in
-      let caches =
-        Array.init jobs (fun _ -> Imk_storage.Page_cache.clone cache)
-      in
-      let results =
-        Imk_util.Par.map_tasks ~jobs ~tasks:(rem_warm + rem_runs)
-          (fun ~worker t ->
-            let cache = caches.(worker) in
-            if t < rem_warm then begin
-              ignore (boot ~seed:(warm_seed (t + 2)) ~cache);
-              None
-            end
-            else
-              let run = t - rem_warm + (if first_is_warmup then 1 else 2) in
-              Some (boot ~seed:(run_seed run) ~cache))
-      in
-      let out = Array.make runs None in
-      (match first_run with Some r -> out.(0) <- Some r | None -> ());
-      Array.iteri
-        (fun t r ->
-          match r with
-          | None -> ()
-          | Some r ->
-              let i = t - rem_warm + (if first_is_warmup then 0 else 1) in
-              out.(i) <- Some r)
-        results;
-      Array.map (function Some r -> r | None -> assert false) out
-    end
+    Campaign.run ~jobs ~prime:1 ~cache ~tasks:(warmups + runs) (fun ~cache t ->
+        boot ~cache
+          ~seed:(if t < warmups then warm_seed (t + 1) else run_seed (t - warmups + 1)))
   in
-  summarize_recorded recorded
+  summarize_recorded (Array.sub recorded warmups runs)
 
 (* --- contended boots on the shared event timeline (DESIGN.md §10) --- *)
-
-let contend_capacities = ref (1, 1)
 
 type contended_stats = {
   per_boot : phase_stats;
   makespan : Imk_util.Stats.summary;
 }
 
-let boot_contended ?(warmups = 5) ?jobs ?plans ~n ~runs ~cache ~make_vm () =
+let boot_contended ?(warmups = 5) ?tap ?plans ~arena ~capacities ~n ~runs ~cache
+    vm =
   if n < 1 then invalid_arg "Boot_runner.boot_contended: n < 1";
   if runs < 0 then invalid_arg "Boot_runner.boot_contended: negative runs";
-  let jobs = max 1 (Option.value ~default:!default_jobs jobs) in
-  let disk_capacity, decompress_slots = !contend_capacities in
-  (* warm the shared cache (and plan cache / lazy image builds)
-     sequentially, exactly like [boot_many]: the boots' read set does not
-     depend on the seed, so afterwards the cache is a fixed point for
-     this configuration *)
-  for i = 1 to warmups do
-    ignore (boot_once ?plans ~seed:(warm_seed i) ~cache (make_vm ~seed:(warm_seed i)))
-  done;
-  (* one run = a fresh scheduler booting [n] guests concurrently against
-     a private clone of the warmed cache. Every input is a pure function
-     of the run index — seeds, jitter, cache state, and the scheduler's
-     event order (single-domain, seq-stamped) — so fanning the runs over
-     [jobs] workers preserves bit-identical telemetry. *)
-  let one_run r =
-    let cache = Imk_storage.Page_cache.clone cache in
-    let sched =
-      Imk_vclock.Sched.create ~disk_capacity ~decompress_slots ()
-    in
-    let boots =
+  let disk_capacity, decompress_slots = capacities in
+  (* one run = a fresh scheduler booting [n] guests concurrently; every
+     input is a pure function of the run index (seeds, jitter, the
+     scheduler's seq-stamped event order) *)
+  let one_run ~cache r =
+    let sched = Imk_vclock.Sched.create ~disk_capacity ~decompress_slots () in
+    let traces =
       Array.init n (fun s ->
           let tl = Imk_vclock.Sched.timeline sched in
           let trace = Trace.create (Imk_vclock.Sched.timeline_clock tl) in
           let seed = contend_seed ~run:r ~slot:s in
-          let jitter = Imk_entropy.Prng.create ~seed:(Int64.add seed 7919L) in
-          let ch = Charge.create ~jitter ~sched:tl trace Cost_model.default in
-          (tl, trace, ch, seed))
+          let ch =
+            Charge.create ~jitter:(jitter_rng seed) ~sched:tl trace
+              Cost_model.default
+          in
+          let vm = { vm with Imk_monitor.Vm_config.seed } in
+          Imk_vclock.Sched.spawn sched tl (fun () ->
+              Imk_memory.Arena.with_buffer arena
+                ~size:vm.Imk_monitor.Vm_config.mem_bytes (fun mem ->
+                  ignore (Imk_monitor.Vmm.boot ~mem ?plans ch cache vm)));
+          trace)
     in
-    Array.iter
-      (fun (tl, _trace, ch, seed) ->
-        Imk_vclock.Sched.spawn sched tl (fun () ->
-            let vm = { (make_vm ~seed) with Imk_monitor.Vm_config.seed = seed } in
-            ignore (Imk_monitor.Vmm.boot ?plans ch cache vm)))
-      boots;
     Imk_vclock.Sched.run sched;
-    let per_boot =
-      Array.map
-        (fun (_, trace, _, _) ->
-          emit_trace trace;
-          record_trace trace)
-        boots
-    in
-    (per_boot, float_of_int (Imk_vclock.Sched.now sched))
+    Option.iter (fun f -> Array.iter f traces) tap;
+    (Array.map record_trace traces, float_of_int (Imk_vclock.Sched.now sched))
   in
+  (* warmups prime the shared cache; each run then boots against a
+     private clone. One domain: a run holds [n] guests live at once *)
   let per_run =
-    Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ r -> one_run (r + 1))
+    Campaign.run ~jobs:1 ~prime:warmups ~cache ~tasks:(warmups + runs)
+      (fun ~cache t ->
+        if t < warmups then begin
+          ignore (boot_once ?tap ?plans ~seed:(warm_seed (t + 1)) ~cache vm);
+          ([||], 0.)
+        end
+        else one_run ~cache (t - warmups + 1))
   in
+  let per_run = Array.to_list (Array.sub per_run warmups runs) in
   {
-    per_boot =
-      summarize_recorded
-        (Array.concat (Array.to_list (Array.map fst per_run)));
-    makespan =
-      (match Array.to_list (Array.map snd per_run) with
-      | [] -> Imk_util.Stats.empty
-      | samples -> Imk_util.Stats.summarize samples);
+    per_boot = summarize_recorded (Array.concat (List.map fst per_run));
+    makespan = summarize (List.map snd per_run);
   }
 
 let spans_by_label trace =

@@ -16,64 +16,32 @@ val ms : Imk_util.Stats.summary -> float
     float mean directly — an earlier version truncated to whole ns first,
     biasing sub-ms phases downward. *)
 
-val default_jobs : int ref
-(** Ambient parallelism for [boot_many] calls that don't pass [~jobs] —
-    the bench/fcsim [--jobs] flag sets this once instead of threading a
-    parameter through every experiment. Default 1 (sequential). *)
-
-val trace_sink : (Imk_vclock.Trace.t -> unit) option ref
-(** Ambient trace tap: when set, every completed boot's full span trace
-    is offered to the sink — {!boot_once} (and therefore every
-    [boot_many] repetition) and each [Boot_supervisor] report feed it.
-    This is how [bench/main.exe --trace] captures a representative boot
-    of any experiment without threading a parameter through every
-    driver. The sink runs on whatever domain booted (under [--jobs] that
-    is a worker), so it must synchronize internally and must not raise.
-    Purely observational: installing a sink never changes virtual-clock
-    results. Default [None]. *)
-
-val emit_trace : Imk_vclock.Trace.t -> unit
-(** Offer a finished trace to {!trace_sink} (no-op when unset). Called
-    by the boot paths above; exposed for other harness entry points
-    (e.g. the supervisor) rather than for general use. *)
-
 val boot_many :
   ?warmups:int ->
   ?cold:bool ->
   ?jobs:int ->
+  ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?arena:Imk_memory.Arena.t ->
   ?plans:Imk_monitor.Plan_cache.t ->
   runs:int ->
   cache:Imk_storage.Page_cache.t ->
-  make_vm:(seed:int64 -> Imk_monitor.Vm_config.t) ->
-  unit ->
+  Imk_monitor.Vm_config.t ->
   phase_stats
-(** [boot_many ~runs ~cache ~make_vm ()] performs [warmups] (default 5)
-    unrecorded boots, then [runs] recorded ones, each with a fresh seed
-    and jittered costs. [cold] (default false) drops the page cache
-    before every boot, including warmups (which then serve only to
-    surface errors early). Raises whatever the boot raises — a failing
-    configuration should fail the experiment.
+(** [boot_many ~runs ~cache vm] performs [warmups] (default 5)
+    unrecorded boots, then [runs] recorded ones of [vm], each with its
+    own seed ({!warm_seed}, {!run_seed}) and jittered costs. [cold]
+    (default false) drops the page cache before every boot, including
+    warmups (which then serve only to surface errors early). Raises
+    whatever the boot raises — a failing configuration should fail the
+    experiment.
 
-    [arena] recycles guest memory across the boots (each boot's memory is
-    released back as soon as its trace is recorded). [jobs] (default
-    [!default_jobs]) fans the boots out over that many domains; every
-    seed is a pure function of the run index and workers get private
-    page-cache clones primed by one sequential first boot, so the
-    returned [phase_stats] are bit-identical for any [jobs] value.
+    The boots are one {!Campaign.run} (the first boot primes [cache]),
+    so the returned [phase_stats] are bit-identical for any [jobs]
+    (default 1). [arena] recycles guest memory across the boots; [plans]
+    shares a boot-plan cache — results are bit-identical with or without
+    either, only host wall clock changes. [tap] sees every boot's trace.
     Phases that never ran report [Imk_util.Stats.empty] (n = 0) rather
-    than a fabricated zero sample.
-
-    [plans] shares a boot-plan cache across all the boots (and worker
-    domains — the cache synchronizes internally). Results are
-    bit-identical with or without it; only host wall clock changes. *)
-
-val contend_capacities : (int * int) ref
-(** Ambient [(disk_capacity, decompress_slots)] for {!boot_contended}
-    callers that follow the bench [--contend D,S] flag — like
-    {!default_jobs}, set once by the CLI instead of threaded through
-    every experiment. Default [(1, 1)]: one disk-bandwidth unit and one
-    decompress slot, full contention. *)
+    than a fabricated zero sample. *)
 
 type contended_stats = {
   per_boot : phase_stats;
@@ -85,32 +53,32 @@ type contended_stats = {
 
 val boot_contended :
   ?warmups:int ->
-  ?jobs:int ->
+  ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?plans:Imk_monitor.Plan_cache.t ->
+  arena:Imk_memory.Arena.t ->
+  capacities:int * int ->
   n:int ->
   runs:int ->
   cache:Imk_storage.Page_cache.t ->
-  make_vm:(seed:int64 -> Imk_monitor.Vm_config.t) ->
-  unit ->
+  Imk_monitor.Vm_config.t ->
   contended_stats
-(** [boot_contended ~n ~runs ~cache ~make_vm ()] boots [n] guests
-    concurrently on one shared {!Imk_vclock.Sched} timeline per run,
-    with disk-read bandwidth and decompress slots capped at
-    [!contend_capacities] — queue waits stretch each boot's charged
-    spans (DESIGN.md §10). [warmups] (default 5) sequential boots prime
-    the shared cache first; each run then gets a private
-    [Page_cache.clone], a fresh scheduler and [contend_seed]-pure seeds,
-    so the returned stats are bit-identical for any [jobs] fan-out
-    (runs are fanned; each run's scheduler stays single-domain). *)
+(** [boot_contended ~arena ~capacities ~n ~runs ~cache vm] boots [n]
+    guests concurrently on one shared {!Imk_vclock.Sched} timeline per
+    run, with [capacities = (disk_capacity, decompress_slots)] — queue
+    waits stretch each boot's charged spans (DESIGN.md §10). [warmups]
+    (default 5) sequential boots prime the shared cache; each run then
+    gets a private [Page_cache.clone], a fresh scheduler and
+    {!contend_seed}-pure seeds. Runs go through {!Campaign.run} on one
+    domain: a run holds [n] guests live at once, each borrowed from
+    [arena] for the length of its boot. *)
 
 val warm_seed : int -> int64
 (** Seed of warmup boot [i] (1-based) — a pure function of the index,
     one leg of the [jobs]-invariance contract. *)
 
 val run_seed : int -> int64
-(** Seed of recorded run [i] (1-based). Shared with
-    [Boot_supervisor.supervise_many] so supervised and plain campaigns
-    agree on per-run seeds. *)
+(** Seed of recorded run [i] (1-based), shared by plain and supervised
+    campaigns so they agree on per-run seeds. *)
 
 val contend_seed : run:int -> slot:int -> int64
 (** Seed of guest [slot] (0-based) in contended run [run] (1-based) — a
@@ -119,6 +87,7 @@ val contend_seed : run:int -> slot:int -> int64
 
 val boot_once :
   ?jitter:bool ->
+  ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?arena:Imk_memory.Arena.t ->
   ?mem:Imk_memory.Guest_mem.t ->
   ?plans:Imk_monitor.Plan_cache.t ->
@@ -132,7 +101,13 @@ val boot_once :
     guest memory is borrowed from the pool; the caller releases it when
     done with the result. With [mem] (a caller-owned buffer, typically
     inside an [Imk_memory.Arena.with_buffer] bracket) the boot runs in
-    place and the caller keeps ownership either way. *)
+    place and the caller keeps ownership either way. [tap] is offered
+    the finished trace; it only observes. *)
+
+val fresh_charge :
+  ?jitter_seed:int64 -> unit -> Imk_vclock.Trace.t * Imk_vclock.Charge.t
+(** A fresh linear virtual clock with its trace and charge — jittered
+    from [jitter_seed] the way every seeded boot is, exact without it. *)
 
 val spans_by_label : Imk_vclock.Trace.t -> (string * int) list
 (** Aggregate span durations by label, for breakdowns finer than the

@@ -74,15 +74,6 @@ let breaker_state_name f =
   | Open 0 -> "half-open"
   | Open _ -> "open"
 
-let make_charge ~jitter ~seed =
-  let clock = Clock.create () in
-  let trace = Trace.create clock in
-  let jitter_rng =
-    if jitter then Some (Imk_entropy.Prng.create ~seed:(Int64.add seed 7919L))
-    else None
-  in
-  (trace, Charge.create ?jitter:jitter_rng trace Cost_model.default)
-
 let modeled (vm : Imk_monitor.Vm_config.t) n =
   Imk_kernel.Config.modeled_of_actual vm.Imk_monitor.Vm_config.kernel_config n
 
@@ -171,8 +162,8 @@ let breaker_note fleet ~probing (outcome : (_, Failure.t) result) =
    outside the supervisor's accounting, the report (and with it the
    faults/resilience telemetry) would silently drift from the --trace
    timeline, so a mismatch is a programming error, not a boot failure. *)
-let finish trace ~outcome ~attempts ~events ~recovery_rev ~success_ns =
-  Boot_runner.emit_trace trace;
+let finish ?tap trace ~outcome ~attempts ~events ~recovery_rev ~success_ns =
+  (match tap with Some f -> f trace | None -> ());
   let total_ns = Trace.total trace in
   let recovery = List.rev recovery_rev in
   let accounted =
@@ -197,11 +188,11 @@ let attempt_budget fleet =
   | Some { policy = { attempt_budget_ns = Some b; _ }; _ } -> Some b
   | _ -> None
 
-let reject_report ch trace failure =
+let reject_report ?tap ch trace failure =
   let clk = Charge.clock ch in
   let mark = Clock.now clk in
   Charge.pay_span ch Trace.In_monitor "breaker-short-circuit" short_circuit_ns;
-  finish trace ~outcome:(Error failure) ~attempts:0
+  finish ?tap trace ~outcome:(Error failure) ~attempts:0
     ~events:[ Failure.Breaker_short_circuit { failure } ]
     ~recovery_rev:[ ("breaker-short-circuit", Clock.elapsed_since clk mark) ]
     ~success_ns:0
@@ -314,32 +305,37 @@ let supervise_on ch ?arena ?fleet ~max_retries ~ctx
   let outcome = go max_retries in
   (outcome, !attempts, List.rev !events, !recovery, !success_ns)
 
-let supervise ?(jitter = true) ?arena ?fleet ?max_retries ~seed ~ctx vm =
+(* what both entry points share: a fresh clock for [seed], then the
+   breaker's verdict — a rejection is reported, an admission runs [k]
+   with the retries the policy allows (none for a half-open probe) *)
+let admitted ~jitter ?tap ?fleet ?max_retries ~seed vm k =
   let max_retries = resolve_retries max_retries fleet in
-  let trace, ch = make_charge ~jitter ~seed in
+  let trace, ch =
+    Boot_runner.fresh_charge ?jitter_seed:(if jitter then Some seed else None) ()
+  in
   let vm = { vm with Imk_monitor.Vm_config.seed } in
   match admit fleet with
-  | Reject failure -> reject_report ch trace failure
+  | Reject failure -> reject_report ?tap ch trace failure
   | (Admit | Probe) as adm ->
       let probing = adm = Probe in
-      let max_retries = if probing then 0 else max_retries in
+      k ch vm ~max_retries:(if probing then 0 else max_retries)
+        ~finish:(fun ~outcome ~attempts ~events ->
+          finish ?tap trace ~outcome ~attempts
+            ~events:(events @ breaker_note fleet ~probing outcome))
+
+let supervise ?(jitter = true) ?tap ?arena ?fleet ?max_retries ~seed ~ctx vm =
+  admitted ~jitter ?tap ?fleet ?max_retries ~seed vm
+    (fun ch vm ~max_retries ~finish ->
       let outcome, attempts, events, recovery_rev, success_ns =
         supervise_on ch ?arena ?fleet ~max_retries ~ctx vm
       in
-      let events = events @ breaker_note fleet ~probing outcome in
-      finish trace ~outcome ~attempts ~events ~recovery_rev ~success_ns
+      finish ~outcome ~attempts ~events ~recovery_rev ~success_ns)
 
-let supervise_snapshot ?(jitter = true) ?arena ?fleet ?max_retries ~seed ~ctx
-    ~snapshot_path ~working_set_pages vm =
-  let max_retries = resolve_retries max_retries fleet in
-  let trace, ch = make_charge ~jitter ~seed in
-  let clk = Charge.clock ch in
-  let vm = { vm with Imk_monitor.Vm_config.seed } in
-  match admit fleet with
-  | Reject failure -> reject_report ch trace failure
-  | (Admit | Probe) as adm -> (
-      let probing = adm = Probe in
-      let max_retries = if probing then 0 else max_retries in
+let supervise_snapshot ?(jitter = true) ?tap ?arena ?fleet ?max_retries ~seed
+    ~ctx ~snapshot_path ~working_set_pages vm =
+  admitted ~jitter ?tap ?fleet ?max_retries ~seed vm
+    (fun ch vm ~max_retries ~finish ->
+      let clk = Charge.clock ch in
       let restore_deadline =
         Option.map
           (fun b -> Deadline.arm clk ~label:"snapshot-restore" ~budget_ns:b)
@@ -364,9 +360,8 @@ let supervise_snapshot ?(jitter = true) ?arena ?fleet ?max_retries ~seed ~ctx
             Imk_monitor.Snapshot.restore ch snap ~working_set_pages)
       with
       | r ->
-          let outcome = Ok r.Imk_monitor.Vmm.stats in
-          let events = breaker_note fleet ~probing outcome in
-          finish trace ~outcome ~attempts:1 ~events ~recovery_rev:[]
+          finish ~outcome:(Ok r.Imk_monitor.Vmm.stats) ~attempts:1 ~events:[]
+            ~recovery_rev:[]
             ~success_ns:(Clock.elapsed_since clk restore_mark)
       | exception e -> (
           match Failure.classify e with
@@ -380,17 +375,7 @@ let supervise_snapshot ?(jitter = true) ?arena ?fleet ?max_retries ~seed ~ctx
               let outcome, attempts, events, recovery_rev, success_ns =
                 supervise_on ch ?arena ?fleet ~max_retries ~ctx vm
               in
-              let events = Failure.Fell_back_to_cold_boot f :: events in
-              let events = events @ breaker_note fleet ~probing outcome in
-              finish trace ~outcome ~attempts:(attempts + 1) ~events
+              finish ~outcome ~attempts:(attempts + 1)
+                ~events:(Failure.Fell_back_to_cold_boot f :: events)
                 ~recovery_rev:(recovery_rev @ [ ("failed-restore", restore_ns) ])
                 ~success_ns))
-
-let supervise_many ?(jitter = true) ?jobs ?max_retries ~runs ~ctx_for ~make_vm
-    () =
-  let jobs = max 1 (Option.value ~default:!Boot_runner.default_jobs jobs) in
-  Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ i ->
-      let run = i + 1 in
-      let seed = Boot_runner.run_seed run in
-      let ctx = ctx_for ~run in
-      supervise ~jitter ?max_retries ~seed ~ctx (make_vm ~seed))

@@ -25,8 +25,8 @@
     budget (once dry, transients fail fast instead of spinning through
     a storm). A fleet is deliberately sequential state: share one per
     cell of a campaign and run that cell's boots in order — parallelism
-    belongs {e between} cells, which is how the resilience experiment
-    stays bit-identical for any [--jobs].
+    belongs {e between} cells ({!Campaign.map}), which is how the
+    resilience experiment stays bit-identical for any [--jobs].
 
     None of the recovery work is free: backoff, re-derivation, fallback
     boots, short-circuits and probes are charged to the same virtual
@@ -34,10 +34,8 @@
     report carries the same intervals as [recovery], with the checked
     invariant that they sum to [total_ns] minus the successful attempt.
 
-    Every finished supervised boot offers its full trace — recovery
-    spans included — to {!Boot_runner.trace_sink}, so
-    [bench/main.exe --trace] can dump a supervised campaign's timeline
-    exactly like a plain one. *)
+    A [?tap] is offered every finished supervised boot's full trace,
+    recovery spans included, exactly like a plain boot's. *)
 
 type ctx = {
   cache : Imk_storage.Page_cache.t;  (** the run's (private) page cache *)
@@ -112,6 +110,7 @@ val breaker_state_name : fleet -> string
 
 val supervise :
   ?jitter:bool ->
+  ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?arena:Imk_memory.Arena.t ->
   ?fleet:fleet ->
   ?max_retries:int ->
@@ -132,6 +131,7 @@ val supervise :
 
 val supervise_snapshot :
   ?jitter:bool ->
+  ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?arena:Imk_memory.Arena.t ->
   ?fleet:fleet ->
   ?max_retries:int ->
@@ -148,22 +148,3 @@ val supervise_snapshot :
     recorded as a [Fell_back_to_cold_boot] event and the supervisor
     boots [vm] cold on the same clock — the report's [total_ns] is the
     price of the failed restore plus the fallback. *)
-
-val supervise_many :
-  ?jitter:bool ->
-  ?jobs:int ->
-  ?max_retries:int ->
-  runs:int ->
-  ctx_for:(run:int -> ctx) ->
-  make_vm:(seed:int64 -> Imk_monitor.Vm_config.t) ->
-  unit ->
-  report array
-(** [supervise_many ~runs ~ctx_for ~make_vm ()] fans [runs] supervised
-    boots over [?jobs] domains (default [Boot_runner.default_jobs]).
-    Run [i] (1-based) uses seed [Boot_runner.run_seed i] and a context
-    built by [ctx_for ~run:i] {e inside the worker} — [ctx_for] must
-    build run-private state (its own disk, cache and armed faults),
-    which is what makes the result array bit-identical for any [jobs]
-    value. Fleets are not offered here: breaker state is inherently
-    sequential, so fleet campaigns parallelize between cells instead
-    (see the resilience experiment). *)

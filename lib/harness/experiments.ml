@@ -7,30 +7,24 @@ type boot_row = {
   phases : (string * Imk_util.Stats.summary) list;
 }
 
+type verdict = { name : string; pass : bool; detail : string }
+
 type output = {
   id : string;
   title : string;
   table : Imk_util.Table.t;
   notes : string list;
   telemetry : boot_row list;
+  verdicts : verdict list;
 }
+
+let failures o = List.filter (fun v -> not v.pass) o.verdicts
 
 let presets = Config.all_presets
 let pname = Config.preset_name
 let msf = Boot_runner.ms
 let msv f = Printf.sprintf "%.1f" f
 let msn ns = msv (Imk_util.Units.ns_float_to_ms ns)
-
-(* the "min"/"max" cells of a boot_many table row, shared by every
-   experiment that renders them: the summary's raw float nanoseconds go
-   straight through [ns_float_to_ms] — an int_of_float round-trip here
-   (an old bug, copy-pasted three times) truncated toward zero and
-   re-lost the sub-ns precision the schema-2 telemetry work preserved *)
-let min_max_cells (s : Boot_runner.phase_stats) =
-  [
-    msn s.Boot_runner.total.Imk_util.Stats.min;
-    msn s.Boot_runner.total.Imk_util.Stats.max;
-  ]
 let pct a b = Imk_util.Stats.pct_change b a (* change of a relative to b *)
 
 (* the telemetry row for one boot_many campaign: the raw nanosecond
@@ -54,8 +48,60 @@ let boot_row label (s : Boot_runner.phase_stats) =
 (* a single measured quantity (already in ns) as a one-sample row *)
 let scalar_row label ns = { label; total = Imk_util.Stats.summarize [ ns ]; phases = [] }
 
+(* rendered columns of a boot_many summary. The "min"/"max" cells take
+   the summary's raw float nanoseconds straight through [ns_float_to_ms]:
+   an int_of_float round-trip would truncate toward zero *)
+let stat_cells (s : Boot_runner.phase_stats) cols =
+  List.concat_map
+    (function
+      | `In_monitor -> [ msv (msf s.Boot_runner.in_monitor) ]
+      | `Bootstrap -> [ msv (msf s.Boot_runner.bootstrap) ]
+      | `Decomp -> [ msv (msf s.Boot_runner.decompression) ]
+      | `Linux -> [ msv (msf s.Boot_runner.linux_boot) ]
+      | `Total -> [ msv (msf s.Boot_runner.total) ]
+      | `Min_max ->
+          [
+            msn s.Boot_runner.total.Imk_util.Stats.min;
+            msn s.Boot_runner.total.Imk_util.Stats.max;
+          ])
+    cols
+
+(* a table and its telemetry, filled together: a measured configuration
+   adds one table row (key cells, stat columns, extras) and one telemetry
+   row labelled by its key cells joined with "/", so a rendered row and
+   its JSON row can never disagree on the key *)
+type sheet = { table : Imk_util.Table.t; mutable rows : boot_row list }
+
+let sheet headers = { table = Imk_util.Table.create ~headers; rows = [] }
+
+let add sh ~key ?(extra = []) cols s =
+  sh.rows <- boot_row (String.concat "/" key) s :: sh.rows;
+  Imk_util.Table.add_row sh.table (key @ stat_cells s cols @ extra)
+
+let report ?(verdicts = []) sh ~id ~title notes =
+  { id; title; table = sh.table; notes; telemetry = List.rev sh.rows; verdicts }
+
+(* ---------- the workspace's run configuration and boot state ---------- *)
+
+let jobs ws = (Workspace.run_config ws).Workspace.jobs
+let tap ws = (Workspace.run_config ws).Workspace.trace
+
+let boot_once ?jitter ?mem ws ~seed vm =
+  Boot_runner.boot_once ?jitter ?tap:(tap ws) ?mem ?plans:(Workspace.plans ws)
+    ~seed ~cache:(Workspace.cache ws) vm
+
+(* the §5.1 protocol on the workspace: warm every registered image, then
+   five warmups and [runs] measured boots, fanned over the run's jobs *)
+let measure ?cold ?jobs:j ~runs ws vm =
+  Workspace.warm_all ws;
+  Boot_runner.boot_many ?cold ~jobs:(Option.value j ~default:(jobs ws)) ?tap:(tap ws)
+    ~arena:(Workspace.arena ws) ?plans:(Workspace.plans ws) ~runs
+    ~cache:(Workspace.cache ws) vm
+
+(* VM templates (boots overwrite the seed); building one registers its
+   images on the workspace disk *)
 let direct_vm ws preset variant ~rando ?(kallsyms = Vm_config.Kallsyms_eager)
-    ?(profile = Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () ~seed =
+    ?(profile = Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () =
   let need_relocs = rando <> Vm_config.Rando_off in
   Vm_config.make ~rando ~profile ~mem_bytes:mem ~kallsyms
     ~relocs_path:
@@ -63,15 +109,15 @@ let direct_vm ws preset variant ~rando ?(kallsyms = Vm_config.Kallsyms_eager)
        else None)
     ~kernel_path:(Workspace.vmlinux_path ws preset variant)
     ~kernel_config:(Workspace.config ws preset variant)
-    ~seed ()
+    ()
 
 let bz_vm ws preset variant ~codec ~bz ~rando ?(loader = Vm_config.Loader_stripped)
-    ?(profile = Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () ~seed =
+    ?(profile = Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () =
   let path = Workspace.bzimage_path ws preset variant ~codec ~bz in
   Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr ~rando ~profile
     ~mem_bytes:mem ~loader ~kernel_path:path
     ~kernel_config:(Workspace.config ws preset variant)
-    ~seed ()
+    ()
 
 let variant_of_rando = function
   | Vm_config.Rando_off -> Config.Nokaslr
@@ -83,9 +129,15 @@ let rando_name = function
   | Vm_config.Rando_kaslr -> "kaslr"
   | Vm_config.Rando_fgkaslr -> "fgkaslr"
 
+let all_randos = [ Vm_config.Rando_off; Vm_config.Rando_kaslr; Vm_config.Rando_fgkaslr ]
+
+let fg_kallsyms rando =
+  if rando = Vm_config.Rando_fgkaslr then Vm_config.Kallsyms_deferred
+  else Vm_config.Kallsyms_eager
+
 (* ---------- Table 1 ---------- *)
 
-let table1 ws =
+let table1 ?runs:_ ws =
   let table =
     Imk_util.Table.create
       ~headers:
@@ -118,500 +170,340 @@ let table1 ws =
             ])
         Config.all_variants)
     presets;
-  {
-    id = "table1";
-    title = "Table 1: kernel image sizes (modelled at paper scale)";
-    table;
-    notes =
-      [
-        "fgkaslr variants are larger than kaslr variants (function sections)";
-        "relocs grow: lupine < aws < ubuntu, and kaslr < fgkaslr";
-      ];
-    telemetry = [];
-  }
+  report { table; rows = [] } ~id:"table1"
+    ~title:"Table 1: kernel image sizes (modelled at paper scale)"
+    [
+      "fgkaslr variants are larger than kaslr variants (function sections)";
+      "relocs grow: lupine < aws < ubuntu, and kaslr < fgkaslr";
+    ]
 
 (* ---------- Figure 3: compression bakeoff ---------- *)
 
 let fig3 ?(runs = 20) ws =
-  let codecs = [ "gzip"; "bzip2"; "lzma"; "xz"; "lzo"; "lz4" ] in
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "codec"; "total ms"; "decompress ms"; "in-monitor ms"; "min"; "max" ]
+  let sh =
+    sheet [ "codec"; "total ms"; "decompress ms"; "in-monitor ms"; "min"; "max" ]
   in
   let totals =
     List.map
       (fun codec ->
-        let make_vm =
-          bz_vm ws Config.Aws Config.Nokaslr ~codec ~bz:Bzimage.Standard
-            ~rando:Vm_config.Rando_off ()
-        in
-        Workspace.warm_all ws;
         let s =
-          Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
+          measure ~runs ws
+            (bz_vm ws Config.Aws Config.Nokaslr ~codec ~bz:Bzimage.Standard
+               ~rando:Vm_config.Rando_off ())
         in
-        Imk_util.Table.add_row table
-          ([
-             codec;
-             msv (msf s.Boot_runner.total);
-             msv (msf s.Boot_runner.decompression);
-             msv (msf s.Boot_runner.in_monitor);
-           ]
-          @ min_max_cells s);
-        (codec, s))
-      codecs
+        add sh ~key:[ codec ] [ `Total; `Decomp; `In_monitor; `Min_max ] s;
+        (codec, msf s.Boot_runner.total))
+      [ "gzip"; "bzip2"; "lzma"; "xz"; "lzo"; "lz4" ]
   in
   let best =
     List.fold_left
-      (fun (bc, bv) (c, s) ->
-        let v = msf s.Boot_runner.total in
-        if v < bv then (c, v) else (bc, bv))
+      (fun (bc, bv) (c, v) -> if v < bv then (c, v) else (bc, bv))
       ("", infinity) totals
   in
-  {
-    id = "fig3";
-    title = "Figure 3: compression bakeoff (aws kernel bzImage boots, cached)";
-    table;
-    notes =
-      [
-        Printf.sprintf "fastest codec: %s (paper: LZ4)" (fst best);
-      ];
-    telemetry = List.map (fun (codec, s) -> boot_row codec s) totals;
-  }
+  report sh ~id:"fig3"
+    ~title:"Figure 3: compression bakeoff (aws kernel bzImage boots, cached)"
+    [ Printf.sprintf "fastest codec: %s (paper: LZ4)" (fst best) ]
 
 (* ---------- Figure 4: cache effects ---------- *)
 
 let fig4 ?(runs = 20) ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "kernel"; "method"; "cache"; "in-monitor"; "bootstrap"; "decomp"; "linux"; "total ms" ]
+  let sh =
+    sheet
+      [ "kernel"; "method"; "cache"; "in-monitor"; "bootstrap"; "decomp"; "linux"; "total ms" ]
   in
-  let notes = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun preset ->
-      let run ~cold ~method_name make_vm =
-        Workspace.warm_all ws;
-        let s =
-          Boot_runner.boot_many ~arena:(Workspace.arena ws) ~cold ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
+  let notes =
+    List.map
+      (fun preset ->
+        let run ~cold method_name vm =
+          let s = measure ~cold ~runs ws vm in
+          add sh
+            ~key:[ pname preset; method_name; (if cold then "cold" else "warm") ]
+            [ `In_monitor; `Bootstrap; `Decomp; `Linux; `Total ]
+            s;
+          msf s.Boot_runner.total
         in
-        rows :=
-          boot_row
-            (String.concat "/"
-               [ pname preset; method_name; (if cold then "cold" else "warm") ])
-            s
-          :: !rows;
-        Imk_util.Table.add_row table
-          [
-            pname preset;
-            method_name;
-            (if cold then "cold" else "warm");
-            msv (msf s.Boot_runner.in_monitor);
-            msv (msf s.Boot_runner.bootstrap);
-            msv (msf s.Boot_runner.decompression);
-            msv (msf s.Boot_runner.linux_boot);
-            msv (msf s.Boot_runner.total);
-          ];
-        msf s.Boot_runner.total
-      in
-      let bz_mk =
-        bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
-          ~rando:Vm_config.Rando_off ()
-      in
-      let direct_mk =
-        direct_vm ws preset Config.Nokaslr ~rando:Vm_config.Rando_off ()
-      in
-      let bz_cold = run ~cold:true ~method_name:"bzImage-lz4" bz_mk in
-      let dir_cold = run ~cold:true ~method_name:"direct" direct_mk in
-      let bz_warm = run ~cold:false ~method_name:"bzImage-lz4" bz_mk in
-      let dir_warm = run ~cold:false ~method_name:"direct" direct_mk in
-      notes :=
+        let bz =
+          bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+            ~rando:Vm_config.Rando_off ()
+        in
+        let direct =
+          direct_vm ws preset Config.Nokaslr ~rando:Vm_config.Rando_off ()
+        in
+        let bz_cold = run ~cold:true "bzImage-lz4" bz in
+        let dir_cold = run ~cold:true "direct" direct in
+        let bz_warm = run ~cold:false "bzImage-lz4" bz in
+        let dir_warm = run ~cold:false "direct" direct in
         Printf.sprintf
           "%s: cold — direct %+.0f%% vs bzImage (paper: direct slower); warm — direct %+.0f%% (paper: direct faster)"
-          (pname preset) (pct dir_cold bz_cold) (pct dir_warm bz_warm)
-        :: !notes)
-    presets;
-  {
-    id = "fig4";
-    title = "Figure 4: cache effects on bzImage vs direct boot";
-    table;
-    notes = List.rev !notes;
-    telemetry = List.rev !rows;
-  }
+          (pname preset) (pct dir_cold bz_cold) (pct dir_warm bz_warm))
+      presets
+  in
+  report sh ~id:"fig4" ~title:"Figure 4: cache effects on bzImage vs direct boot"
+    notes
 
 (* ---------- Figure 5: bootstrap breakdown ---------- *)
 
-let fig5 ?(runs = 10) ws =
-  ignore runs;
+let fig5 ?runs:_ ws =
   let table =
     Imk_util.Table.create
       ~headers:[ "kernel"; "setup ms"; "decompression ms"; "parse+load ms"; "decomp %" ]
   in
-  let notes = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun preset ->
-      Workspace.warm_all ws;
-      let vm =
-        bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
-          ~rando:Vm_config.Rando_off () ~seed:11L
-      in
-      let trace, _ = Boot_runner.boot_once ~jitter:false ~seed:11L ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) vm in
-      let spans = Boot_runner.spans_by_label trace in
-      let find label =
-        Option.value ~default:0 (List.assoc_opt label spans)
-      in
-      let setup = find "loader-setup" in
-      let decomp = find "decompress-lz4" in
-      let main = find "loader-main" in
-      let total_loader = setup + decomp + main in
-      let span_summary ns = Imk_util.Stats.summarize [ float_of_int ns ] in
-      rows :=
-        {
-          label = pname preset;
-          total = span_summary total_loader;
-          phases =
-            [
-              ("loader-setup", span_summary setup);
-              ("decompress-lz4", span_summary decomp);
-              ("loader-main", span_summary main);
-            ];
-        }
-        :: !rows;
-      let pct_decomp =
-        100. *. float_of_int decomp /. float_of_int (max 1 total_loader)
-      in
-      Imk_util.Table.add_row table
-        [
-          pname preset;
-          msv (Imk_util.Units.ns_to_ms setup);
-          msv (Imk_util.Units.ns_to_ms decomp);
-          msv (Imk_util.Units.ns_to_ms main);
-          Printf.sprintf "%.0f%%" pct_decomp;
-        ];
-      notes := Printf.sprintf "%s: decompression = %.0f%% of loader time (paper: up to 73%%)" (pname preset) pct_decomp :: !notes)
-    presets;
-  {
-    id = "fig5";
-    title = "Figure 5: bootstrap loader step breakdown (LZ4 bzImage)";
-    table;
-    notes = List.rev !notes;
-    telemetry = List.rev !rows;
-  }
+  let measured =
+    List.map
+      (fun preset ->
+        Workspace.warm_all ws;
+        let vm =
+          bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+            ~rando:Vm_config.Rando_off ()
+        in
+        let trace, _ = boot_once ~jitter:false ws ~seed:11L vm in
+        let spans = Boot_runner.spans_by_label trace in
+        let find label = Option.value ~default:0 (List.assoc_opt label spans) in
+        let setup = find "loader-setup" in
+        let decomp = find "decompress-lz4" in
+        let main = find "loader-main" in
+        let total_loader = setup + decomp + main in
+        let span_summary ns = Imk_util.Stats.summarize [ float_of_int ns ] in
+        let pct_decomp =
+          100. *. float_of_int decomp /. float_of_int (max 1 total_loader)
+        in
+        Imk_util.Table.add_row table
+          [
+            pname preset;
+            msv (Imk_util.Units.ns_to_ms setup);
+            msv (Imk_util.Units.ns_to_ms decomp);
+            msv (Imk_util.Units.ns_to_ms main);
+            Printf.sprintf "%.0f%%" pct_decomp;
+          ];
+        ( {
+            label = pname preset;
+            total = span_summary total_loader;
+            phases =
+              [
+                ("loader-setup", span_summary setup);
+                ("decompress-lz4", span_summary decomp);
+                ("loader-main", span_summary main);
+              ];
+          },
+          Printf.sprintf
+            "%s: decompression = %.0f%% of loader time (paper: up to 73%%)"
+            (pname preset) pct_decomp ))
+      presets
+  in
+  report { table; rows = List.rev_map fst measured } ~id:"fig5"
+    ~title:"Figure 5: bootstrap loader step breakdown (LZ4 bzImage)"
+    (List.map snd measured)
 
 (* ---------- Figure 6: bootstrap methods ---------- *)
 
 let fig6 ?(runs = 20) ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "method"; "in-monitor"; "bootstrap"; "decomp"; "total ms" ]
-  in
-  let rows = ref [] in
-  let measure method_name make_vm =
-    Workspace.warm_all ws;
-    let s = Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm () in
-    rows := boot_row method_name s :: !rows;
-    Imk_util.Table.add_row table
-      [
-        method_name;
-        msv (msf s.Boot_runner.in_monitor);
-        msv (msf s.Boot_runner.bootstrap);
-        msv (msf s.Boot_runner.decompression);
-        msv (msf s.Boot_runner.total);
-      ];
+  let sh = sheet [ "method"; "in-monitor"; "bootstrap"; "decomp"; "total ms" ] in
+  let measure_method method_name vm =
+    let s = measure ~runs ws vm in
+    add sh ~key:[ method_name ] [ `In_monitor; `Bootstrap; `Decomp; `Total ] s;
     (method_name, msf s.Boot_runner.total)
   in
   let p = Config.Aws and v = Config.Nokaslr in
   let r = Vm_config.Rando_off in
-  let results =
-    [
-      measure "compression-none"
-        (bz_vm ws p v ~codec:"none" ~bz:Bzimage.Standard ~rando:r ());
-      measure "lz4" (bz_vm ws p v ~codec:"lz4" ~bz:Bzimage.Standard ~rando:r ());
-      measure "none-optimized"
-        (bz_vm ws p v ~codec:"none" ~bz:Bzimage.None_optimized ~rando:r ());
-      measure "uncompressed(direct)" (direct_vm ws p v ~rando:r ());
-    ]
+  let direct = measure_method "uncompressed(direct)" (direct_vm ws p v ~rando:r ()) in
+  let nopt =
+    measure_method "none-optimized"
+      (bz_vm ws p v ~codec:"none" ~bz:Bzimage.None_optimized ~rando:r ())
+  in
+  let lz4 =
+    measure_method "lz4" (bz_vm ws p v ~codec:"lz4" ~bz:Bzimage.Standard ~rando:r ())
+  in
+  let none =
+    measure_method "compression-none"
+      (bz_vm ws p v ~codec:"none" ~bz:Bzimage.Standard ~rando:r ())
   in
   let ordered =
-    List.map fst (List.sort (fun (_, a) (_, b) -> compare b a) results)
+    List.map fst
+      (List.sort (fun (_, a) (_, b) -> compare b a) [ none; lz4; nopt; direct ])
   in
-  {
-    id = "fig6";
-    title = "Figure 6: bootstrap method comparison (aws kernel, cached)";
-    table;
-    notes =
-      [
-        "slowest→fastest: " ^ String.concat " > " ordered
-        ^ "  (paper: none > lz4 > none-optimized > uncompressed)";
-      ];
-    telemetry = List.rev !rows;
-  }
+  report sh ~id:"fig6"
+    ~title:"Figure 6: bootstrap method comparison (aws kernel, cached)"
+    [
+      "slowest→fastest: " ^ String.concat " > " ordered
+      ^ "  (paper: none > lz4 > none-optimized > uncompressed)";
+    ]
 
 (* ---------- Figure 9: main evaluation ---------- *)
 
-let fig9_cell ?jobs ws preset rando ~runs ~method_ =
-  let variant = variant_of_rando rando in
-  Workspace.warm_all ws;
-  let make_vm =
-    match method_ with
-    | `Direct ->
-        direct_vm ws preset variant ~rando
-          ~kallsyms:
-            (if rando = Vm_config.Rando_fgkaslr then Vm_config.Kallsyms_deferred
-             else Vm_config.Kallsyms_eager)
-          ()
-    | `None_opt ->
-        bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized ~rando ()
-    | `Lz4 -> bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando ()
-  in
-  Boot_runner.boot_many ?jobs ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
-
 let fig9 ?(runs = 20) ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [ "kernel"; "rando"; "method"; "in-monitor"; "bootstrap"; "decomp"; "linux"; "total ms"; "min"; "max" ]
+  let cols = [ `In_monitor; `Bootstrap; `Decomp; `Linux; `Total; `Min_max ] in
+  let sh =
+    sheet
+      [ "kernel"; "rando"; "method"; "in-monitor"; "bootstrap"; "decomp"; "linux"; "total ms"; "min"; "max" ]
   in
-  let notes = ref [] in
-  let cell = Hashtbl.create 32 in
-  (* the 27 (preset x rando x method) cells are independent experiments;
-     with an ambient --jobs > 1 they fan out over worker domains, each
-     with its own clone_fresh workspace (private disk/cache/builds), and
-     the inner boot_many stays sequential. Kernel builds and boot costs
-     are pure functions of the cell and its fixed seeds, so the table is
-     identical to the sequential one. *)
+  (* the 27 (preset x rando x method) cells are independent campaigns:
+     their images are built here, on the calling domain, then the cells
+     fan out over the run's jobs, each booting (sequentially) from its
+     own clone of the warmed cache *)
   let cells =
-    List.concat_map
-      (fun preset ->
-        List.concat_map
-          (fun rando ->
-            List.map
-              (fun (mname, m) -> (preset, rando, mname, m))
-              [
-                ("in-monitor/direct", `Direct);
-                ("none-optimized", `None_opt);
-                ("lz4", `Lz4);
-              ])
-          [ Vm_config.Rando_off; Vm_config.Rando_kaslr; Vm_config.Rando_fgkaslr ])
-      presets
+    Array.of_list
+      (List.concat_map
+         (fun preset ->
+           List.concat_map
+             (fun rando ->
+               let variant = variant_of_rando rando in
+               [
+                 ( preset, rando, "in-monitor/direct",
+                   direct_vm ws preset variant ~rando ~kallsyms:(fg_kallsyms rando) () );
+                 ( preset, rando, "none-optimized",
+                   bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized
+                     ~rando () );
+                 ( preset, rando, "lz4",
+                   bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando () );
+               ])
+             all_randos)
+         presets)
   in
-  let cells = Array.of_list cells in
-  let jobs = max 1 !Boot_runner.default_jobs in
+  Workspace.warm_all ws;
   let stats =
-    if jobs = 1 then
-      Array.map (fun (p, r, _, m) -> fig9_cell ws p r ~runs ~method_:m) cells
-    else begin
-      let workspaces = Array.make jobs None in
-      workspaces.(0) <- Some ws;
-      Imk_util.Par.map_tasks ~jobs ~tasks:(Array.length cells)
-        (fun ~worker i ->
-          let wws =
-            match workspaces.(worker) with
-            | Some w -> w
-            | None ->
-                let w = Workspace.clone_fresh ws in
-                workspaces.(worker) <- Some w;
-                w
-          in
-          let p, r, _, m = cells.(i) in
-          fig9_cell ~jobs:1 wws p r ~runs ~method_:m)
-    end
+    Campaign.run ~jobs:(jobs ws) ~cache:(Workspace.cache ws)
+      ~tasks:(Array.length cells) (fun ~cache i ->
+        let _, _, _, vm = cells.(i) in
+        Boot_runner.boot_many ?tap:(tap ws) ~arena:(Workspace.arena ws)
+          ?plans:(Workspace.plans ws) ~runs ~cache vm)
   in
-  let rows = ref [] in
-  let cell_p50 = Hashtbl.create 32 in
+  let cell = Hashtbl.create 32 in
   Array.iteri
     (fun i (preset, rando, mname, _) ->
       let s = stats.(i) in
-      Hashtbl.replace cell (preset, rando_name rando, mname)
-        (msf s.Boot_runner.total);
-      Hashtbl.replace cell_p50 (preset, rando_name rando, mname)
-        s.Boot_runner.total.Imk_util.Stats.p50;
-      rows :=
-        boot_row
-          (String.concat "/" [ pname preset; rando_name rando; mname ])
-          s
-        :: !rows;
-      Imk_util.Table.add_row table
-        ([
-           pname preset;
-           rando_name rando;
-           mname;
-           msv (msf s.Boot_runner.in_monitor);
-           msv (msf s.Boot_runner.bootstrap);
-           msv (msf s.Boot_runner.decompression);
-           msv (msf s.Boot_runner.linux_boot);
-           msv (msf s.Boot_runner.total);
-         ]
-        @ min_max_cells s))
+      Hashtbl.replace cell (preset, rando_name rando, mname) s.Boot_runner.total;
+      add sh ~key:[ pname preset; rando_name rando; mname ] cols s)
     cells;
   (* contention variant (DESIGN.md §10): [contend_n] kaslr/lz4 guests
-     share one event timeline per run under the ambient --contend
+     share one event timeline per run under the run's contend
      capacities, so each boot's spans absorb its queue waits behind the
      others' disk reads and decompressions. One row, on the lupine
      preset — the microVM-optimized kernel is the one fleets pack
      densely enough for the "Study of Firecracker" contention regime to
      apply. Runs after (and reads nothing from) the solo cells: solo
-     telemetry is byte-identical to a build without this block. *)
+     telemetry is byte-identical to a build without this block. A run
+     holds [contend_n] guests live at once, so they come from an arena
+     that pools that many: each run reuses the last run's guests instead
+     of leaving them to the GC (20 runs of 12 x 256 MiB otherwise
+     outgrow an 8 GiB host). *)
   let contend_n = 12 in
-  let disk_capacity, decompress_slots = !Boot_runner.contend_capacities in
+  let arena = Imk_memory.Arena.create ~max_per_size:contend_n () in
+  let capacities = (Workspace.run_config ws).Workspace.contend in
   let contend_method = Printf.sprintf "lz4-x%d-contended" contend_n in
   let contended =
     List.map
       (fun preset ->
+        let vm =
+          bz_vm ws preset Config.Kaslr ~codec:"lz4" ~bz:Bzimage.Standard
+            ~rando:Vm_config.Rando_kaslr ()
+        in
         Workspace.warm_all ws;
-        let make_vm =
-          bz_vm ws preset (variant_of_rando Vm_config.Rando_kaslr) ~codec:"lz4"
-            ~bz:Bzimage.Standard ~rando:Vm_config.Rando_kaslr ()
-        in
         let s =
-          Boot_runner.boot_contended ?plans:(Workspace.plans ws) ~n:contend_n
-            ~runs ~cache:(Workspace.cache ws) ~make_vm ()
+          Boot_runner.boot_contended ?tap:(tap ws) ~arena
+            ?plans:(Workspace.plans ws) ~capacities ~n:contend_n ~runs
+            ~cache:(Workspace.cache ws) vm
         in
-        let b = s.Boot_runner.per_boot in
-        rows :=
-          boot_row
-            (String.concat "/" [ pname preset; "kaslr"; contend_method ])
-            b
-          :: !rows;
-        Imk_util.Table.add_row table
-          ([
-             pname preset;
-             "kaslr";
-             contend_method;
-             msv (msf b.Boot_runner.in_monitor);
-             msv (msf b.Boot_runner.bootstrap);
-             msv (msf b.Boot_runner.decompression);
-             msv (msf b.Boot_runner.linux_boot);
-             msv (msf b.Boot_runner.total);
-           ]
-          @ min_max_cells b);
+        add sh ~key:[ pname preset; "kaslr"; contend_method ] cols
+          s.Boot_runner.per_boot;
         (preset, s))
       [ Config.Lupine ]
   in
-  let get p r m = Hashtbl.find cell (p, r, m) in
-  List.iter
-    (fun preset ->
-      let p = preset in
-      let baseline = get p "nokaslr" "in-monitor/direct" in
-      let imk = get p "kaslr" "in-monitor/direct" in
-      let nopt = get p "kaslr" "none-optimized" in
-      let lz4 = get p "kaslr" "lz4" in
-      let imfg = get p "fgkaslr" "in-monitor/direct" in
-      let noptfg = get p "fgkaslr" "none-optimized" in
-      notes :=
+  let get p r m = msf (Hashtbl.find cell (p, r, m)) in
+  let notes =
+    List.map
+      (fun p ->
+        let baseline = get p "nokaslr" "in-monitor/direct" in
+        let imk = get p "kaslr" "in-monitor/direct" in
+        let nopt = get p "kaslr" "none-optimized" in
+        let lz4 = get p "kaslr" "lz4" in
+        let imfg = get p "fgkaslr" "in-monitor/direct" in
+        let noptfg = get p "fgkaslr" "none-optimized" in
         Printf.sprintf
           "%s: in-monitor KASLR +%.1f ms (+%.1f%%) over baseline (paper avg: +4%%, 2 ms); \
            vs none-opt self-rando %.0f%% faster (paper: up to 22%%); vs lz4 %.0f%% faster; \
            FGKASLR %.2fx baseline (paper: 1.8–2.3x), vs none-opt self %.0f%% faster"
           (pname p) (imk -. baseline) (pct imk baseline)
           (pct nopt imk) (pct lz4 imk)
-          (imfg /. baseline) (pct noptfg imfg)
-        :: !notes)
-    presets;
-  List.iter
-    (fun (preset, (s : Boot_runner.contended_stats)) ->
-      let ms = Imk_util.Units.ns_float_to_ms in
-      let solo_p50 = Hashtbl.find cell_p50 (preset, "kaslr", "lz4") in
-      let cont_p50 = s.Boot_runner.per_boot.Boot_runner.total.Imk_util.Stats.p50 in
-      notes :=
+          (imfg /. baseline) (pct noptfg imfg))
+      presets
+  in
+  let contention_notes =
+    List.map
+      (fun (preset, (s : Boot_runner.contended_stats)) ->
+        let ms = Imk_util.Units.ns_float_to_ms in
+        let solo_p50 =
+          (Hashtbl.find cell (preset, "kaslr", "lz4")).Imk_util.Stats.p50
+        in
+        let cont_p50 = s.Boot_runner.per_boot.Boot_runner.total.Imk_util.Stats.p50 in
         Printf.sprintf
           "%s contention: %d kaslr/lz4 boots on one timeline (disk=%d, \
            decompress=%d) — per-boot p50 %.1f ms, %.2fx solo lz4 p50 \
            (%.1f ms); makespan p50 %.1f ms"
-          (pname preset) contend_n disk_capacity decompress_slots
+          (pname preset) contend_n (fst capacities) (snd capacities)
           (ms cont_p50) (cont_p50 /. solo_p50) (ms solo_p50)
-          (ms s.Boot_runner.makespan.Imk_util.Stats.p50)
-        :: !notes)
-    contended;
-  {
-    id = "fig9";
-    title = "Figure 9: boot time by randomization method (cached, 256 MiB)";
-    table;
-    notes = List.rev !notes;
-    telemetry = List.rev !rows;
-  }
+          (ms s.Boot_runner.makespan.Imk_util.Stats.p50))
+      contended
+  in
+  report sh ~id:"fig9"
+    ~title:"Figure 9: boot time by randomization method (cached, 256 MiB)"
+    (notes @ contention_notes)
 
 (* ---------- Figure 10: memory sweep ---------- *)
 
 let fig10 ?(runs = 5) ws =
   (* 2 GiB guests make these the most expensive boots to simulate; the
-     monitor-time-is-flat / linux-boot-is-linear shape needs few samples *)
+     monitor-time-is-flat / linux-boot-is-linear shape needs few samples.
+     They run on one domain: the arena keeps a scrubbed buffer of every
+     swept size, and a second live 2 GiB guest on top of those exhausts
+     an 8 GiB host *)
   let runs = min runs 8 in
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "kernel"; "rando"; "mem"; "in-monitor ms"; "linux ms"; "total ms" ]
+  let sh =
+    sheet [ "kernel"; "rando"; "mem"; "in-monitor ms"; "linux ms"; "total ms" ]
   in
-  let mems =
-    [ (256, 256 * 1024 * 1024); (512, 512 * 1024 * 1024); (1024, 1024 * 1024 * 1024); (2048, 2048 * 1024 * 1024) ]
+  let notes =
+    List.concat_map
+      (fun preset ->
+        List.map
+          (fun rando ->
+            let vals =
+              List.map
+                (fun mem_mib ->
+                  let s =
+                    measure ~jobs:1 ~runs ws
+                      (direct_vm ws preset (variant_of_rando rando) ~rando
+                         ~mem:(mem_mib * 1024 * 1024) ())
+                  in
+                  (* the memory size is a numeric key cell: it must stay
+                     in the label or the four sweep points collapse onto
+                     one row and silently shadow each other *)
+                  add sh
+                    ~key:[ pname preset; rando_name rando; Printf.sprintf "%dM" mem_mib ]
+                    [ `In_monitor; `Linux; `Total ] s;
+                  msf s.Boot_runner.in_monitor)
+                [ 256; 512; 1024; 2048 ]
+            in
+            let spread =
+              List.fold_left max neg_infinity vals
+              -. List.fold_left min infinity vals
+            in
+            Printf.sprintf
+              "%s/%s: in-monitor spread across memory sizes %.2f ms (paper: flat)"
+              (pname preset) (rando_name rando) spread)
+          all_randos)
+      presets
   in
-  let notes = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun preset ->
-      List.iter
-        (fun rando ->
-          let im_values = ref [] in
-          List.iter
-            (fun (label, mem) ->
-              Workspace.warm_all ws;
-              let make_vm =
-                direct_vm ws preset (variant_of_rando rando) ~rando ~mem ()
-              in
-              let s =
-                Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
-              in
-              (* the memory size is a numeric key cell: it must stay in
-                 the label or the four sweep points collapse onto one
-                 row and silently shadow each other *)
-              rows :=
-                boot_row
-                  (Printf.sprintf "%s/%s/%dM" (pname preset)
-                     (rando_name rando) label)
-                  s
-                :: !rows;
-              im_values := msf s.Boot_runner.in_monitor :: !im_values;
-              Imk_util.Table.add_row table
-                [
-                  pname preset;
-                  rando_name rando;
-                  Printf.sprintf "%dM" label;
-                  msv (msf s.Boot_runner.in_monitor);
-                  msv (msf s.Boot_runner.linux_boot);
-                  msv (msf s.Boot_runner.total);
-                ])
-            mems;
-          let vals = !im_values in
-          let spread =
-            List.fold_left max neg_infinity vals -. List.fold_left min infinity vals
-          in
-          notes :=
-            Printf.sprintf "%s/%s: in-monitor spread across memory sizes %.2f ms (paper: flat)"
-              (pname preset) (rando_name rando) spread
-            :: !notes)
-        [ Vm_config.Rando_off; Vm_config.Rando_kaslr; Vm_config.Rando_fgkaslr ])
-    presets;
-  {
-    id = "fig10";
-    title = "Figure 10: guest memory impact on boot time";
-    table;
-    notes = List.rev !notes;
-    telemetry = List.rev !rows;
-  }
+  report sh ~id:"fig10" ~title:"Figure 10: guest memory impact on boot time" notes
 
 (* ---------- Figure 11: LEBench ---------- *)
 
 let lebench_layout ws rando ~seed =
-  let variant = variant_of_rando rando in
   Workspace.warm_all ws;
-  let vm = direct_vm ws Config.Aws variant ~rando () ~seed in
-  let trace, result =
-    Boot_runner.boot_once ~jitter:false ~seed ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) vm
-  in
+  let vm = direct_vm ws Config.Aws (variant_of_rando rando) ~rando () in
+  let trace, result = boot_once ~jitter:false ws ~seed vm in
   let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
   Imk_lebench.Runner.layout_of_guest ch result.Vmm.mem result.Vmm.params
 
-let fig11 ?(runs = 1) ws =
-  ignore runs;
+let fig11 ?runs:_ ws =
   let base_layout = lebench_layout ws Vm_config.Rando_off ~seed:31L in
   let baseline = Imk_lebench.Runner.run ~fn_va:base_layout () in
   let table =
@@ -630,71 +522,43 @@ let fig11 ?(runs = 1) ws =
         [ name; Printf.sprintf "%.3f" kv; Printf.sprintf "%.3f" fv ])
     k f;
   let avg l = Imk_util.Stats.mean (List.map snd l) in
-  {
-    id = "fig11";
-    title = "Figure 11: LEBench normalized to aws-nokaslr";
-    table;
-    notes =
-      [
-        Printf.sprintf "KASLR average %.1f%% slower (paper: <1%%, within noise)"
-          ((avg k -. 1.) *. 100.);
-        Printf.sprintf "FGKASLR average %.1f%% slower (paper: ~7%%)"
-          ((avg f -. 1.) *. 100.);
-      ];
-    telemetry = [];
-  }
+  report { table; rows = [] } ~id:"fig11"
+    ~title:"Figure 11: LEBench normalized to aws-nokaslr"
+    [
+      Printf.sprintf "KASLR average %.1f%% slower (paper: <1%%, within noise)"
+        ((avg k -. 1.) *. 100.);
+      Printf.sprintf "FGKASLR average %.1f%% slower (paper: ~7%%)"
+        ((avg f -. 1.) *. 100.);
+    ]
 
 (* ---------- QEMU cross-check ---------- *)
 
 let qemu_check ?(runs = 10) ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "vmm"; "method"; "in-monitor"; "total ms" ]
-  in
-  let notes = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun profile ->
-      let totals =
-        List.map
-          (fun (mname, make_vm) ->
-            Workspace.warm_all ws;
-            let s =
-              Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
-            in
-            rows :=
-              boot_row (profile.Profiles.name ^ "/" ^ mname) s :: !rows;
-            Imk_util.Table.add_row table
-              [
-                profile.Profiles.name;
-                mname;
-                msv (msf s.Boot_runner.in_monitor);
-                msv (msf s.Boot_runner.total);
-              ];
-            (mname, msf s.Boot_runner.total))
-          [
-            ( "bzImage-lz4",
-              bz_vm ws Config.Aws Config.Nokaslr ~codec:"lz4"
-                ~bz:Bzimage.Standard ~rando:Vm_config.Rando_off ~profile () );
-            ( "direct",
-              direct_vm ws Config.Aws Config.Nokaslr ~rando:Vm_config.Rando_off
-                ~profile () );
-          ]
-      in
-      let bz = List.assoc "bzImage-lz4" totals in
-      let direct = List.assoc "direct" totals in
-      notes :=
+  let sh = sheet [ "vmm"; "method"; "in-monitor"; "total ms" ] in
+  let notes =
+    List.map
+      (fun profile ->
+        let total mname vm =
+          let s = measure ~runs ws vm in
+          add sh ~key:[ profile.Profiles.name; mname ] [ `In_monitor; `Total ] s;
+          msf s.Boot_runner.total
+        in
+        let bz =
+          total "bzImage-lz4"
+            (bz_vm ws Config.Aws Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+               ~rando:Vm_config.Rando_off ~profile ())
+        in
+        let direct =
+          total "direct"
+            (direct_vm ws Config.Aws Config.Nokaslr ~rando:Vm_config.Rando_off
+               ~profile ())
+        in
         Printf.sprintf "%s: direct %.0f%% faster than bzImage when cached"
-          profile.Profiles.name (pct bz direct)
-        :: !notes)
-    [ Profiles.firecracker; Profiles.qemu ];
-  {
-    id = "qemu";
-    title = "QEMU cross-check (§2.2): cached direct boot wins on both VMMs";
-    table;
-    notes = List.rev !notes;
-    telemetry = List.rev !rows;
-  }
+          profile.Profiles.name (pct bz direct))
+      [ Profiles.firecracker; Profiles.qemu ]
+  in
+  report sh ~id:"qemu"
+    ~title:"QEMU cross-check (§2.2): cached direct boot wins on both VMMs" notes
 
 (* ---------- VM instantiation throughput (§5.2) ---------- *)
 
@@ -711,103 +575,67 @@ let throughput ?(runs = 30) ws =
       ~headers:[ "scheme"; "mean boot ms"; "VMs/s (4 cores)"; "vs nokaslr" ]
   in
   let samples rando =
-    let variant = variant_of_rando rando in
     Workspace.warm_all ws;
-    let make_vm =
-      direct_vm ws Config.Aws variant ~rando
-        ~kallsyms:
-          (if rando = Vm_config.Rando_fgkaslr then Vm_config.Kallsyms_deferred
-           else Vm_config.Kallsyms_eager)
-        ()
+    let vm =
+      direct_vm ws Config.Aws (variant_of_rando rando) ~rando
+        ~kallsyms:(fg_kallsyms rando) ()
     in
-    let arena = Workspace.arena ws in
     let boots = ref [] in
     for i = 1 to runs do
       let seed = Int64.of_int (3000 + i) in
-      let vm = make_vm ~seed in
-      let total_ms =
-        Imk_memory.Arena.with_buffer arena ~size:vm.Vm_config.mem_bytes
-          (fun guest_mem ->
-            let trace, _ =
-              Boot_runner.boot_once ~mem:guest_mem ~seed
-                ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) vm
-            in
-            Imk_util.Units.ns_to_ms (Imk_vclock.Trace.total trace))
-      in
-      boots := total_ms :: !boots
+      Imk_memory.Arena.with_buffer (Workspace.arena ws)
+        ~size:vm.Vm_config.mem_bytes (fun mem ->
+          let trace, _ = boot_once ~mem ws ~seed vm in
+          boots := Imk_util.Units.ns_to_ms (Imk_vclock.Trace.total trace) :: !boots)
     done;
-    Array.of_list !boots
+    !boots
   in
   (* greedy multi-core schedule: each core boots back to back, drawing
      cyclically from the sampled distribution. The rate divides by the
      actual elapsed span (latest counted completion), not the full
      window — the old full-window division biased boots/sec low whenever
      the last boot finished before the window closed. *)
-  let rate samples =
-    Imk_fleet.Sim.instantiation_rate ~cores ~window_ms samples
-  in
-  let schemes =
-    [ Vm_config.Rando_off; Vm_config.Rando_kaslr; Vm_config.Rando_fgkaslr ]
-  in
   let rates =
     List.map
       (fun rando ->
         let s = samples rando in
-        let mean = Imk_util.Stats.mean (Array.to_list s) in
-        (rando, s, mean, rate s))
-      schemes
+        (rando, s, Imk_fleet.Sim.instantiation_rate ~cores ~window_ms (Array.of_list s)))
+      all_randos
   in
-  let base_rate =
-    match rates with (_, _, _, r) :: _ -> r | [] -> assert false
-  in
+  let rate r = List.assoc r (List.map (fun (r, _, x) -> (r, x)) rates) in
+  let base_rate = rate Vm_config.Rando_off in
+  let sh = { table; rows = [] } in
   List.iter
-    (fun (rando, _, mean, r) ->
+    (fun (rando, s, r) ->
+      sh.rows <-
+        {
+          label = rando_name rando;
+          total = Imk_util.Stats.summarize (List.map (fun ms -> ms *. 1e6) s);
+          phases = [];
+        }
+        :: sh.rows;
       Imk_util.Table.add_row table
         [
           rando_name rando;
-          msv mean;
+          msv (Imk_util.Stats.mean s);
           Printf.sprintf "%.1f" r;
           Printf.sprintf "%+.1f%%" (100. *. ((r /. base_rate) -. 1.));
         ])
     rates;
-  let kaslr_loss =
-    match rates with
-    | [ _; (_, _, _, rk); _ ] -> 100. *. (1. -. (rk /. base_rate))
-    | _ -> 0.
-  in
-  let fg_loss =
-    match rates with
-    | [ _; _; (_, _, _, rf) ] -> 100. *. (1. -. (rf /. base_rate))
-    | _ -> 0.
-  in
-  {
-    id = "throughput";
-    title = "VM instantiation throughput (§5.2, aws kernel, 4 host cores)";
-    table;
-    notes =
-      [
-        Printf.sprintf
-          "in-monitor KASLR costs %.1f%% of instantiation rate (paper: \
-           \"little effect\"); FGKASLR costs %.1f%% (paper: \"a larger \
-           tradeoff ... a decrease in throughput\")"
-          kaslr_loss fg_loss;
-      ];
-    telemetry =
-      List.map
-        (fun (rando, s, _, _) ->
-          {
-            label = rando_name rando;
-            total =
-              Imk_util.Stats.summarize
-                (List.map (fun ms -> ms *. 1e6) (Array.to_list s));
-            phases = [];
-          })
-        rates;
-  }
+  let loss r = 100. *. (1. -. (rate r /. base_rate)) in
+  report sh ~id:"throughput"
+    ~title:"VM instantiation throughput (§5.2, aws kernel, 4 host cores)"
+    [
+      Printf.sprintf
+        "in-monitor KASLR costs %.1f%% of instantiation rate (paper: \
+         \"little effect\"); FGKASLR costs %.1f%% (paper: \"a larger \
+         tradeoff ... a decrease in throughput\")"
+        (loss Vm_config.Rando_kaslr) (loss Vm_config.Rando_fgkaslr);
+    ]
 
 (* ---------- Security ---------- *)
 
-let security ws =
+let security ?runs:_ ws =
   let table =
     Imk_util.Table.create
       ~headers:
@@ -824,10 +652,8 @@ let security ws =
   let attack rando seed =
     Workspace.warm_all ws;
     let variant = variant_of_rando rando in
-    let vm = direct_vm ws Config.Aws variant ~rando () ~seed in
-    let _, result =
-      Boot_runner.boot_once ~jitter:false ~seed ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) vm
-    in
+    let vm = direct_vm ws Config.Aws variant ~rando () in
+    let _, result = boot_once ~jitter:false ws ~seed vm in
     let built = Workspace.built ws Config.Aws variant in
     let rng = Imk_entropy.Prng.create ~seed in
     let n = Array.length built.Image.fn_va in
@@ -869,57 +695,43 @@ let security ws =
     Imk_security.Uniformity.test_permutation_positions ~sections:512
       ~draws:50_000 ~seed:98L
   in
-  {
-    id = "security";
-    title = "Security: entropy and the value of a single leak (§3.1/§4.3)";
-    table;
-    notes =
-      [
-        "one leak exposes the whole kernel under nokaslr/kaslr, one function under fgkaslr";
-        Printf.sprintf
-          "offset uniformity: chi2 = %.0f vs 1%%-level threshold %.0f over %d \
-           slots x %d draws -> %s"
-          offsets.Imk_security.Uniformity.statistic
-          offsets.Imk_security.Uniformity.threshold
-          offsets.Imk_security.Uniformity.slots
-          offsets.Imk_security.Uniformity.draws
-          (if offsets.Imk_security.Uniformity.uniform then "uniform"
-           else "BIASED");
-        Printf.sprintf
-          "shuffle-position uniformity: chi2 = %.0f vs threshold %.0f -> %s"
-          perm.Imk_security.Uniformity.statistic
-          perm.Imk_security.Uniformity.threshold
-          (if perm.Imk_security.Uniformity.uniform then "uniform" else "BIASED");
-      ];
-    telemetry = [];
-  }
+  report { table; rows = [] } ~id:"security"
+    ~title:"Security: entropy and the value of a single leak (§3.1/§4.3)"
+    [
+      "one leak exposes the whole kernel under nokaslr/kaslr, one function under fgkaslr";
+      Printf.sprintf
+        "offset uniformity: chi2 = %.0f vs 1%%-level threshold %.0f over %d \
+         slots x %d draws -> %s"
+        offsets.Imk_security.Uniformity.statistic
+        offsets.Imk_security.Uniformity.threshold
+        offsets.Imk_security.Uniformity.slots
+        offsets.Imk_security.Uniformity.draws
+        (if offsets.Imk_security.Uniformity.uniform then "uniform"
+         else "BIASED");
+      Printf.sprintf
+        "shuffle-position uniformity: chi2 = %.0f vs threshold %.0f -> %s"
+        perm.Imk_security.Uniformity.statistic
+        perm.Imk_security.Uniformity.threshold
+        (if perm.Imk_security.Uniformity.uniform then "uniform" else "BIASED");
+    ]
 
 (* ---------- Ablations ---------- *)
 
 let ablation_kallsyms ?(runs = 20) ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "policy"; "boot ms"; "first-lookup ms"; "boot overhead vs deferred" ]
+  let sh =
+    sheet [ "policy"; "boot ms"; "first-lookup ms"; "boot overhead vs deferred" ]
   in
-  let boot policy =
-    Workspace.warm_all ws;
-    let make_vm =
-      direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr
-        ~kallsyms:policy ()
-    in
-    Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
+  let vm kallsyms =
+    direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr
+      ~kallsyms ()
   in
-  let eager = boot Vm_config.Kallsyms_eager in
-  let deferred = boot Vm_config.Kallsyms_deferred in
+  let eager = measure ~runs ws (vm Vm_config.Kallsyms_eager) in
+  let deferred = measure ~runs ws (vm Vm_config.Kallsyms_deferred) in
   (* time-to-first-lookup under the deferred policy *)
   let first_lookup_ms =
     Workspace.warm_all ws;
-    let vm =
-      direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr
-        ~kallsyms:Vm_config.Kallsyms_deferred () ~seed:61L
-    in
     let trace, result =
-      Boot_runner.boot_once ~jitter:false ~seed:61L ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) vm
+      boot_once ~jitter:false ws ~seed:61L (vm Vm_config.Kallsyms_deferred)
     in
     let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
     let before = Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) in
@@ -932,23 +744,19 @@ let ablation_kallsyms ?(runs = 20) ws =
       (Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) - before)
   in
   let e = msf eager.Boot_runner.total and d = msf deferred.Boot_runner.total in
-  Imk_util.Table.add_row table
-    [ "eager"; msv e; "0.0"; Printf.sprintf "+%.1f ms (+%.0f%%)" (e -. d) (pct e d) ];
-  Imk_util.Table.add_row table
-    [ "deferred"; msv d; msv first_lookup_ms; "baseline" ];
-  {
-    id = "ablation-kallsyms";
-    title = "Ablation: eager vs deferred kallsyms fixup (§4.3)";
-    table;
-    telemetry = [ boot_row "eager" eager; boot_row "deferred" deferred ];
-    notes =
-      [
-        Printf.sprintf
-          "eager fixup adds %.0f%% to fgkaslr boot (paper: kallsyms ≈ 22%% of boot); \
-           deferred pays %.1f ms at first /proc/kallsyms access"
-          (pct e d) first_lookup_ms;
-      ];
-  }
+  add sh ~key:[ "eager" ] [ `Total ]
+    ~extra:[ "0.0"; Printf.sprintf "+%.1f ms (+%.0f%%)" (e -. d) (pct e d) ]
+    eager;
+  add sh ~key:[ "deferred" ] [ `Total ] ~extra:[ msv first_lookup_ms; "baseline" ]
+    deferred;
+  report sh ~id:"ablation-kallsyms"
+    ~title:"Ablation: eager vs deferred kallsyms fixup (§4.3)"
+    [
+      Printf.sprintf
+        "eager fixup adds %.0f%% to fgkaslr boot (paper: kallsyms ≈ 22%% of boot); \
+         deferred pays %.1f ms at first /proc/kallsyms access"
+        (pct e d) first_lookup_ms;
+    ]
 
 let ablation_orc ?(runs = 20) ws =
   (* a special ORC-enabled fgkaslr build *)
@@ -959,15 +767,10 @@ let ablation_orc ?(runs = 20) ws =
   Imk_storage.Disk.add disk ~name:"aws-fgkaslr-orc.vmlinux" built.Image.vmlinux;
   Imk_storage.Disk.add disk ~name:"aws-fgkaslr-orc.relocs" built.Image.relocs_bytes;
   let boot orc =
-    Workspace.warm_all ws;
-    Imk_storage.Page_cache.warm (Workspace.cache ws) "aws-fgkaslr-orc.vmlinux";
-    Imk_storage.Page_cache.warm (Workspace.cache ws) "aws-fgkaslr-orc.relocs";
-    let make_vm ~seed =
-      Vm_config.make ~rando:Vm_config.Rando_fgkaslr
-        ~relocs_path:(Some "aws-fgkaslr-orc.relocs") ~orc
-        ~kernel_path:"aws-fgkaslr-orc.vmlinux" ~kernel_config:cfg ~seed ()
-    in
-    Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
+    measure ~runs ws
+      (Vm_config.make ~rando:Vm_config.Rando_fgkaslr
+         ~relocs_path:(Some "aws-fgkaslr-orc.relocs") ~orc
+         ~kernel_path:"aws-fgkaslr-orc.vmlinux" ~kernel_config:cfg ())
   in
   let skip = boot Vm_config.Orc_skip in
   let update = boot Vm_config.Orc_update in
@@ -975,24 +778,16 @@ let ablation_orc ?(runs = 20) ws =
   let table = Imk_util.Table.create ~headers:[ "orc policy"; "boot ms" ] in
   Imk_util.Table.add_row table [ "skip (paper's choice)"; msv s ];
   Imk_util.Table.add_row table [ "update"; msv u ];
-  {
-    id = "ablation-orc";
-    title = "Ablation: ORC unwind table update cost (§4.3)";
-    table;
-    notes =
-      [ Printf.sprintf "updating ORC would add %.1f ms (+%.1f%%)" (u -. s) (pct u s) ];
-    telemetry = [ boot_row "orc-skip" skip; boot_row "orc-update" update ];
-  }
+  report
+    { table; rows = [ boot_row "orc-update" update; boot_row "orc-skip" skip ] }
+    ~id:"ablation-orc" ~title:"Ablation: ORC unwind table update cost (§4.3)"
+    [ Printf.sprintf "updating ORC would add %.1f ms (+%.1f%%)" (u -. s) (pct u s) ]
 
-let ablation_page_sharing ws =
+let ablation_page_sharing ?runs:_ ws =
   let boot seed =
     Workspace.warm_all ws;
-    let vm =
-      direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr ()
-        ~seed
-    in
-    let _, r = Boot_runner.boot_once ~jitter:false ~seed ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) vm in
-    r
+    let vm = direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr () in
+    snd (boot_once ~jitter:false ws ~seed vm)
   in
   (* KSM-style content-based sharing over the pages that hold each
      guest's kernel image (location-independent, zero pages excluded by
@@ -1028,18 +823,13 @@ let ablation_page_sharing ws =
     [ "same seed (host-grouped VMs)"; Printf.sprintf "%.1f%%" (identical_pages a b) ];
   Imk_util.Table.add_row table
     [ "different seeds"; Printf.sprintf "%.1f%%" (identical_pages a c) ];
-  {
-    id = "ablation-page-sharing";
-    title = "Ablation: memory density under FGKASLR (§6)";
-    table;
-    notes =
-      [
-        "in-monitor randomization lets the host pick a shared seed for \
-         related VMs, restoring page-merging that fine-grained \
-         randomization otherwise nullifies";
-      ];
-    telemetry = [];
-  }
+  report { table; rows = [] } ~id:"ablation-page-sharing"
+    ~title:"Ablation: memory density under FGKASLR (§6)"
+    [
+      "in-monitor randomization lets the host pick a shared seed for \
+       related VMs, restoring page-merging that fine-grained \
+       randomization otherwise nullifies";
+    ]
 
 let ablation_rerando ?(runs = 20) ws =
   (* a 40 ms serverless function invocation under three platform
@@ -1047,28 +837,22 @@ let ablation_rerando ?(runs = 20) ws =
      reboot-per-invocation with in-monitor KASLR, and
      reboot-per-invocation with self-randomizing bzImage boot *)
   let invocation_ms = 40. in
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [ "policy"; "boot ms"; "invocations/s"; "layouts per 100 invocations" ]
+  let sh =
+    sheet [ "policy"; "boot ms"; "invocations/s"; "layouts per 100 invocations" ]
   in
-  let rows = ref [] in
-  let measure name make_vm ~reboot =
-    Workspace.warm_all ws;
-    let s = Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm () in
-    rows := boot_row name s :: !rows;
+  let rate name vm ~reboot =
+    let s = measure ~runs ws vm in
     let boot_ms = msf s.Boot_runner.total in
     let per_invocation =
       if reboot then boot_ms +. invocation_ms else invocation_ms
     in
-    let layouts = if reboot then 100 else 1 in
-    Imk_util.Table.add_row table
-      [
-        name;
-        msv boot_ms;
-        Printf.sprintf "%.1f" (1000. /. per_invocation);
-        string_of_int layouts;
-      ];
+    add sh ~key:[ name ] [ `Total ]
+      ~extra:
+        [
+          Printf.sprintf "%.1f" (1000. /. per_invocation);
+          string_of_int (if reboot then 100 else 1);
+        ]
+      s;
     1000. /. per_invocation
   in
   let in_monitor =
@@ -1078,24 +862,19 @@ let ablation_rerando ?(runs = 20) ws =
     bz_vm ws Config.Aws Config.Kaslr ~codec:"none" ~bz:Bzimage.None_optimized
       ~rando:Vm_config.Rando_kaslr ()
   in
-  let persistent = measure "persistent VM (SAND-style)" in_monitor ~reboot:false in
-  let inm = measure "reboot + in-monitor KASLR" in_monitor ~reboot:true in
-  let self = measure "reboot + self-rando bzImage" self_rando ~reboot:true in
-  {
-    id = "ablation-rerando";
-    title = "Ablation: re-randomization between invocations (§7)";
-    table;
-    notes =
-      [
-        Printf.sprintf
-          "fresh randomization every invocation costs %.0f%% of persistent-VM \
-           throughput with in-monitor KASLR (%.0f%% with self-rando) — the \
-           opportunity SAND-style reuse forgoes"
-          (100. *. (1. -. (inm /. persistent)))
-          (100. *. (1. -. (self /. persistent)));
-      ];
-    telemetry = List.rev !rows;
-  }
+  let persistent = rate "persistent VM (SAND-style)" in_monitor ~reboot:false in
+  let inm = rate "reboot + in-monitor KASLR" in_monitor ~reboot:true in
+  let self = rate "reboot + self-rando bzImage" self_rando ~reboot:true in
+  report sh ~id:"ablation-rerando"
+    ~title:"Ablation: re-randomization between invocations (§7)"
+    [
+      Printf.sprintf
+        "fresh randomization every invocation costs %.0f%% of persistent-VM \
+         throughput with in-monitor KASLR (%.0f%% with self-rando) — the \
+         opportunity SAND-style reuse forgoes"
+        (100. *. (1. -. (inm /. persistent)))
+        (100. *. (1. -. (self /. persistent)));
+    ]
 
 let ablation_devices ?(runs = 20) ws =
   (* a fuller microVM: serial console, rootfs block device, network —
@@ -1104,31 +883,18 @@ let ablation_devices ?(runs = 20) ws =
      a QEMU-style device model amplifies the monitor's share. *)
   let rootfs = Imk_kernel.Rootfs.make ~size:(512 * 1024) ~seed:77L in
   Imk_storage.Disk.add (Workspace.disk ws) ~name:"rootfs.img" rootfs;
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "vmm"; "devices"; "in-monitor"; "linux"; "total ms" ]
-  in
-  let rows = ref [] in
+  let sh = sheet [ "vmm"; "devices"; "in-monitor"; "linux"; "total ms" ] in
   let boot profile devices label =
-    Workspace.warm_all ws;
-    let make_vm ~seed =
-      Vm_config.make ~profile ~rando:Vm_config.Rando_kaslr
-        ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
-        ~devices
-        ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
-        ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
-        ~seed ()
+    let s =
+      measure ~runs ws
+        (Vm_config.make ~profile ~rando:Vm_config.Rando_kaslr
+           ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
+           ~devices
+           ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
+           ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
+           ())
     in
-    let s = Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm () in
-    rows := boot_row (profile.Profiles.name ^ "/" ^ label) s :: !rows;
-    Imk_util.Table.add_row table
-      [
-        profile.Profiles.name;
-        label;
-        msv (msf s.Boot_runner.in_monitor);
-        msv (msf s.Boot_runner.linux_boot);
-        msv (msf s.Boot_runner.total);
-      ];
+    add sh ~key:[ profile.Profiles.name; label ] [ `In_monitor; `Linux; `Total ] s;
     msf s.Boot_runner.total
   in
   let full =
@@ -1141,21 +907,16 @@ let ablation_devices ?(runs = 20) ws =
   let fc_none = boot Profiles.firecracker [] "none" in
   let fc_full = boot Profiles.firecracker full "serial+blk+net" in
   let _ = boot Profiles.qemu full "serial+blk+net" in
-  {
-    id = "ablation-devices";
-    title = "Ablation: the device model's share of a microVM boot";
-    table;
-    notes =
-      [
-        Printf.sprintf
-          "a Lambda-style device set adds %.1f ms on Firecracker's minimal \
-           device model (rootfs superblock read included); the same set \
-           under a QEMU-style model shows why lightweight monitors keep \
-           In-Monitor small (§2.1)"
-          (fc_full -. fc_none);
-      ];
-    telemetry = List.rev !rows;
-  }
+  report sh ~id:"ablation-devices"
+    ~title:"Ablation: the device model's share of a microVM boot"
+    [
+      Printf.sprintf
+        "a Lambda-style device set adds %.1f ms on Firecracker's minimal \
+         device model (rootfs superblock read included); the same set \
+         under a QEMU-style model shows why lightweight monitors keep \
+         In-Monitor small (§2.1)"
+        (fc_full -. fc_none);
+    ]
 
 let ablation_unikernel ?(runs = 20) ws =
   (* §6: unikernels cannot self-randomize (no bootstrap loader exists);
@@ -1171,37 +932,27 @@ let ablation_unikernel ?(runs = 20) ws =
     base
   in
   let plain = register (Unikernel.build ~aslr:false ()) in
-  let rando_build = Unikernel.build ~aslr:true () in
-  let rando = register rando_build in
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "configuration"; "boot ms"; "min"; "max"; "distinct layouts/20" ]
+  let rando = register (Unikernel.build ~aslr:true ()) in
+  let sh =
+    sheet [ "configuration"; "boot ms"; "min"; "max"; "distinct layouts/20" ]
   in
-  let rows = ref [] in
   let boot name ~kernel ~rando:mode ~relocs =
-    Workspace.warm_all ws;
-    let cfg = Unikernel.config ~aslr:(mode <> Vm_config.Rando_off) () in
-    let make_vm ~seed =
-      Vm_config.make ~profile:Profiles.solo5 ~rando:mode
-        ~relocs_path:relocs ~mem_bytes:(64 * 1024 * 1024)
-        ~kernel_path:kernel ~kernel_config:{ cfg with Config.name = cfg.Config.name }
-        ~seed ()
+    let vm =
+      Vm_config.make ~profile:Profiles.solo5 ~rando:mode ~relocs_path:relocs
+        ~mem_bytes:(64 * 1024 * 1024) ~kernel_path:kernel
+        ~kernel_config:(Unikernel.config ~aslr:(mode <> Vm_config.Rando_off) ())
+        ()
     in
-    let s = Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm () in
-    rows := boot_row name s :: !rows;
+    let s = measure ~runs ws vm in
     (* layout diversity across instances *)
     let bases = Hashtbl.create 32 in
     for i = 1 to 20 do
-      let _, r =
-        Boot_runner.boot_once ~jitter:false ~seed:(Int64.of_int (50 + i))
-          ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) (make_vm ~seed:(Int64.of_int (50 + i)))
-      in
+      let _, r = boot_once ~jitter:false ws ~seed:(Int64.of_int (50 + i)) vm in
       Hashtbl.replace bases r.Vmm.params.Imk_guest.Boot_params.virt_base ()
     done;
-    Imk_util.Table.add_row table
-      ([ name; msv (msf s.Boot_runner.total) ]
-      @ min_max_cells s
-      @ [ string_of_int (Hashtbl.length bases) ]);
+    add sh ~key:[ name ] [ `Total; `Min_max ]
+      ~extra:[ string_of_int (Hashtbl.length bases) ]
+      s;
     msf s.Boot_runner.total
   in
   let base_ms =
@@ -1213,23 +964,27 @@ let ablation_unikernel ?(runs = 20) ws =
       ~kernel:(rando ^ ".bin") ~rando:Vm_config.Rando_fgkaslr
       ~relocs:(Some (rando ^ ".relocs"))
   in
-  {
-    id = "ablation-unikernel";
-    title = "Ablation: in-monitor ASLR for unikernels (§6)";
-    table;
-    notes =
-      [
-        Printf.sprintf
-          "whole-system function-granular ASLR costs +%.2f ms on a %.1f ms \
-           unikernel boot; with no bootstrap loader, the monitor is the \
-           only principal that can randomize at all"
-          (aslr_ms -. base_ms) base_ms;
-      ];
-    telemetry = List.rev !rows;
-  }
+  report sh ~id:"ablation-unikernel"
+    ~title:"Ablation: in-monitor ASLR for unikernels (§6)"
+    [
+      Printf.sprintf
+        "whole-system function-granular ASLR costs +%.2f ms on a %.1f ms \
+         unikernel boot; with no bootstrap loader, the monitor is the \
+         only principal that can randomize at all"
+        (aslr_ms -. base_ms) base_ms;
+    ]
 
-let ablation_zygote ?(runs = 10) ws =
-  ignore runs;
+(* a fresh virtual clock, for one-off charges outside any boot *)
+let linear_charge () = snd (Boot_runner.fresh_charge ())
+
+(* the serialized snapshot of one boot of [vm] on the workspace cache *)
+let snapshot_blob ws vm =
+  Snapshot.serialize
+    (Snapshot.capture
+       (Vmm.boot ?plans:(Workspace.plans ws) (linear_charge ())
+          (Workspace.cache ws) { vm with Vm_config.seed = 404L }))
+
+let ablation_zygote ?runs:_ ws =
   (* instance-creation strategies for a serverless host (§7):
      fresh boot with in-monitor KASLR vs single-snapshot restore vs a
      Morula-style pool of pre-randomized zygotes *)
@@ -1239,34 +994,30 @@ let ablation_zygote ?(runs = 10) ws =
         [ "strategy"; "create ms"; "distinct layouts"; "resident memory" ]
   in
   Workspace.warm_all ws;
-  let make_vm ~seed =
+  let vm =
     direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr
-      ~mem:(64 * 1024 * 1024) () ~seed
+      ~mem:(64 * 1024 * 1024) ()
   in
   let working_set_pages = 2048 (* 8 MiB touched before first request *) in
   (* fresh boots *)
-  let fresh =
-    Boot_runner.boot_many ~arena:(Workspace.arena ws) ~runs:10 ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
-  in
+  let fresh = measure ~runs:10 ws vm in
   let fresh_ms = msf fresh.Boot_runner.total in
   Imk_util.Table.add_row table
     [ "fresh boot (in-monitor KASLR)"; msv fresh_ms; "per-instance"; "0" ];
   (* single snapshot *)
-  let charge () =
-    let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-    Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default
-  in
-  let ch = charge () in
   let base =
-    Vmm.boot ?plans:(Workspace.plans ws) ch (Workspace.cache ws)
-      (make_vm ~seed:404L)
+    Vmm.boot ?plans:(Workspace.plans ws) (linear_charge ()) (Workspace.cache ws)
+      { vm with Vm_config.seed = 404L }
   in
   let snap = Snapshot.capture base in
-  let restore_ms =
-    let ch = charge () in
+  let elapsed_ms f =
+    let ch = linear_charge () in
     let t0 = Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) in
-    let _ = Snapshot.restore ch snap ~working_set_pages in
+    f ch;
     Imk_util.Units.ns_to_ms (Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) - t0)
+  in
+  let restore_ms =
+    elapsed_ms (fun ch -> ignore (Snapshot.restore ch snap ~working_set_pages))
   in
   Imk_util.Table.add_row table
     [
@@ -1278,15 +1029,14 @@ let ablation_zygote ?(runs = 10) ws =
   (* Morula pool *)
   let pool_size = 8 in
   let pool =
-    Zygote.build (charge ()) (Workspace.cache ws) ~make_vm ~size:pool_size
+    Zygote.build (linear_charge ()) (Workspace.cache ws)
+      ~make_vm:(fun ~seed -> { vm with Vm_config.seed })
+      ~size:pool_size
   in
   let draw_ms =
-    let ch = charge () in
     let rng = Imk_entropy.Prng.create ~seed:11L in
-    let t0 = Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) in
-    let r = Zygote.draw ch pool ~rng ~working_set_pages in
-    ignore r.Vmm.stats;
-    Imk_util.Units.ns_to_ms (Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) - t0)
+    elapsed_ms (fun ch ->
+        ignore (Zygote.draw ch pool ~rng ~working_set_pages).Vmm.stats)
   in
   Imk_util.Table.add_row table
     [
@@ -1295,26 +1045,60 @@ let ablation_zygote ?(runs = 10) ws =
       string_of_int (Zygote.distinct_layouts pool);
       Imk_util.Units.bytes_to_string (Zygote.memory_bytes pool);
     ];
-  {
-    id = "ablation-zygote";
-    title = "Ablation: snapshots and zygote pools vs randomized boots (§7)";
-    table;
-    notes =
-      [
-        Printf.sprintf
-          "restores are %.0fx faster than boots but clone one layout; a \
-           Morula pool restores diversity at %s of resident memory — \
-           in-monitor KASLR shrinks the gap the pool exists to bridge"
-          (fresh_ms /. restore_ms)
-          (Imk_util.Units.bytes_to_string (Zygote.memory_bytes pool));
-      ];
-    telemetry =
-      [
-        boot_row "fresh-boot" fresh;
-        scalar_row "snapshot-restore" (restore_ms *. 1e6);
-        scalar_row "zygote-draw" (draw_ms *. 1e6);
-      ];
-  }
+  report
+    {
+      table;
+      rows =
+        [
+          scalar_row "zygote-draw" (draw_ms *. 1e6);
+          scalar_row "snapshot-restore" (restore_ms *. 1e6);
+          boot_row "fresh-boot" fresh;
+        ];
+    }
+    ~id:"ablation-zygote"
+    ~title:"Ablation: snapshots and zygote pools vs randomized boots (§7)"
+    [
+      Printf.sprintf
+        "restores are %.0fx faster than boots but clone one layout; a \
+         Morula pool restores diversity at %s of resident memory — \
+         in-monitor KASLR shrinks the gap the pool exists to bridge"
+        (fresh_ms /. restore_ms)
+        (Imk_util.Units.bytes_to_string (Zygote.memory_bytes pool));
+    ]
+
+(* ---------- supervised campaigns: shared plumbing ---------- *)
+
+let verdict name pass detail = { name; pass; detail }
+
+(* a workspace image's name and pristine bytes *)
+let file ws name = (name, Imk_storage.Disk.find (Workspace.disk ws) name)
+
+(* a supervised run's private context: its own disk holding copies of
+   [files] (an armed fault corrupts only this run's bytes), the
+   transient hook [arm] returns, and a page cache with [files] warm
+   unless [cold] *)
+let run_ctx ws ?(cold = false) ?(arm = fun _ -> None) files =
+  let disk = Imk_storage.Disk.create () in
+  List.iter (fun (name, b) -> Imk_storage.Disk.add disk ~name b) files;
+  let inject = arm disk in
+  let cache = Imk_storage.Page_cache.create disk in
+  if not cold then
+    List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
+  { Boot_supervisor.cache; inject; plans = Workspace.plans ws }
+
+let count p l = List.length (List.filter p l)
+
+(* [l] without repeats, in first-seen order *)
+let distinct l =
+  List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] l
+
+let is_ok (r : Boot_supervisor.report) = Result.is_ok r.Boot_supervisor.outcome
+
+(* every recovery event of [reports], in occurrence order *)
+let events reports =
+  List.concat_map (fun (r : Boot_supervisor.report) -> r.Boot_supervisor.events) reports
+
+let total_ns (r : Boot_supervisor.report) = float_of_int r.Boot_supervisor.total_ns
 
 (* ---------- Fault-injection campaign ---------- *)
 
@@ -1328,11 +1112,10 @@ let faults ?(runs = 20) ws =
   let module F = Imk_fault.Failure in
   let module I = Imk_fault.Inject in
   let module S = Boot_supervisor in
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [ "path"; "fault"; "runs"; "ok"; "recovered"; "failed"; "retries";
-          "silent"; "failure kinds"; "total ms" ]
+  let sh =
+    sheet
+      [ "path"; "fault"; "runs"; "ok"; "recovered"; "failed"; "retries";
+        "silent"; "failure kinds"; "total ms" ]
   in
   let mem = 64 * 1024 * 1024 in
   let preset = Config.Aws in
@@ -1345,108 +1128,79 @@ let faults ?(runs = 20) ws =
     Workspace.bzimage_path ws preset Config.Kaslr ~codec:"lz4"
       ~bz:Bzimage.Standard
   in
-  let file name = (name, Imk_storage.Disk.find (Workspace.disk ws) name) in
-  let direct_files = [ file direct_k; file direct_r ] in
-  let bz_files = [ file bz_k ] in
-  let direct_vmcfg ~seed =
+  let direct_files = [ file ws direct_k; file ws direct_r ] in
+  let bz_files = [ file ws bz_k ] in
+  let direct_vm =
     Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-      ~relocs_path:(Some direct_r) ~kernel_path:direct_k ~kernel_config:kcfg
-      ~seed ()
+      ~relocs_path:(Some direct_r) ~kernel_path:direct_k ~kernel_config:kcfg ()
   in
-  let bz_vmcfg ~seed =
+  let bz_vm =
     Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
       ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-      ~loader:Vm_config.Loader_stripped ~kernel_path:bz_k ~kernel_config:kcfg
-      ~seed ()
+      ~loader:Vm_config.Loader_stripped ~kernel_path:bz_k ~kernel_config:kcfg ()
   in
-  (* per-run context: private disk seeded with the pristine cell files,
-     then the fault armed against it with a run-pure seed *)
-  let ctx_for ~files ~kernel_path ?relocs_path kind ~run =
-    let disk = Imk_storage.Disk.create () in
-    List.iter (fun (name, b) -> Imk_storage.Disk.add disk ~name b) files;
-    let inject =
-      match kind with
-      | None -> None
-      | Some k ->
-          (I.arm k ~seed:(fault_seed run) ~disk ~kernel_path ?relocs_path ())
-            .I.inject
-    in
-    (* the plan cache is deliberately shared across runs and faults:
-       content addressing must keep corrupted images from ever resolving
-       to a pristine image's plan, and this campaign is the proof *)
-    { S.cache = Imk_storage.Page_cache.create disk;
-      inject;
-      plans = Workspace.plans ws }
-  in
+  (* one (path, fault) cell: [runs] supervised runs, run i+1's seed,
+     private disk and armed fault pure in the index. The plan cache is
+     deliberately shared across runs and faults: content addressing must
+     keep corrupted images from ever resolving to a pristine image's
+     plan, and this campaign is the proof *)
   let silent_total = ref 0 and fault_runs = ref 0 in
-  let rows = ref [] in
-  let add_row ~path ~fault_label ~fault_armed (reports : S.report array) =
-    if Array.length reports > 0 then
-      rows :=
-        {
-          label = path ^ "/" ^ fault_label;
-          total =
-            Imk_util.Stats.summarize
-              (Array.to_list
-                 (Array.map (fun (r : S.report) -> float_of_int r.S.total_ns)
-                    reports));
-          phases = [];
-        }
-        :: !rows;
-    let ok = ref 0 and recovered = ref 0 and failed = ref 0 in
-    let retries = ref 0 and silent = ref 0 in
-    let kinds = ref [] and total = ref 0. in
-    Array.iter
-      (fun (r : S.report) ->
-        (match r.S.outcome with
-        | Ok _ ->
-            incr ok;
-            if r.S.events <> [] then incr recovered
-            else if fault_armed then incr silent
-        | Error f ->
-            incr failed;
-            let k = F.kind_name f in
-            if not (List.mem k !kinds) then kinds := k :: !kinds);
-        List.iter
-          (function F.Retried _ -> incr retries | _ -> ())
-          r.S.events;
-        total := !total +. float_of_int r.S.total_ns)
-      reports;
-    let n = Array.length reports in
-    Imk_util.Table.add_row table
+  let cell ~path ~fault ~armed ~files ~arm supervise =
+    let rs =
+      Array.to_list
+        (Campaign.map ~jobs:(jobs ws) ~tasks:runs (fun i ->
+             let run = i + 1 in
+             supervise ~seed:(Boot_runner.run_seed run)
+               ~ctx:(run_ctx ws ~cold:true ~arm:(arm ~run) files)))
+    in
+    let n = List.length rs in
+    let oks, fails = List.partition is_ok rs in
+    let recovered = count (fun (r : S.report) -> r.S.events <> []) oks in
+    let silent = if armed then List.length oks - recovered else 0 in
+    let kinds =
+      distinct
+        (List.filter_map
+           (fun (r : S.report) ->
+             Result.fold ~ok:(fun _ -> None) ~error:(fun f -> Some (F.kind_name f))
+               r.S.outcome)
+           fails)
+    in
+    let totals = List.map total_ns rs in
+    if n > 0 then
+      sh.rows <-
+        { label = path ^ "/" ^ fault; total = Imk_util.Stats.summarize totals; phases = [] }
+        :: sh.rows;
+    Imk_util.Table.add_row sh.table
       [
-        path;
-        fault_label;
-        string_of_int n;
-        string_of_int !ok;
-        string_of_int !recovered;
-        string_of_int !failed;
-        string_of_int !retries;
-        string_of_int !silent;
-        (match List.rev !kinds with [] -> "-" | l -> String.concat "," l);
+        path; fault; string_of_int n; string_of_int (List.length oks);
+        string_of_int recovered; string_of_int (List.length fails);
+        string_of_int (count (function F.Retried _ -> true | _ -> false) (events rs));
+        string_of_int silent;
+        (match kinds with [] -> "-" | l -> String.concat "," l);
         msv
           (if n = 0 then 0.
-           else Imk_util.Units.ns_float_to_ms (!total /. float_of_int n));
+           else
+             Imk_util.Units.ns_float_to_ms
+               (List.fold_left ( +. ) 0. totals /. float_of_int n));
       ];
-    silent_total := !silent_total + !silent;
-    if fault_armed then fault_runs := !fault_runs + n
+    silent_total := !silent_total + silent;
+    if armed then fault_runs := !fault_runs + n
   in
-  let sweep ~path ~files ~kernel_path ?relocs_path ~make_vm kinds =
+  let sweep ~path ~files ~kernel_path ?relocs_path vm kinds =
     List.iter
       (fun kind ->
-        let reports =
-          S.supervise_many ~runs
-            ~ctx_for:(ctx_for ~files ~kernel_path ?relocs_path kind)
-            ~make_vm ()
-        in
-        let fault_label =
-          match kind with None -> "none" | Some k -> I.name k
-        in
-        add_row ~path ~fault_label ~fault_armed:(kind <> None) reports)
+        cell ~path
+          ~fault:(match kind with None -> "none" | Some k -> I.name k)
+          ~armed:(kind <> None) ~files
+          ~arm:(fun ~run disk ->
+            Option.bind kind (fun k ->
+                (I.arm k ~seed:(fault_seed run) ~disk ~kernel_path ?relocs_path ())
+                  .I.inject))
+          (fun ~seed ~ctx -> S.supervise ?tap:(tap ws) ~seed ~ctx vm))
       kinds
   in
   sweep ~path:"direct/kaslr" ~files:direct_files ~kernel_path:direct_k
-    ~relocs_path:direct_r ~make_vm:direct_vmcfg
+    ~relocs_path:direct_r direct_vm
     [
       None;
       Some I.Truncate_image;
@@ -1457,8 +1211,7 @@ let faults ?(runs = 20) ws =
       Some I.Read_fault_entry_magic;
       Some (I.Transient_init 1);
     ];
-  sweep ~path:"bz/lz4/kaslr" ~files:bz_files ~kernel_path:bz_k
-    ~make_vm:bz_vmcfg
+  sweep ~path:"bz/lz4/kaslr" ~files:bz_files ~kernel_path:bz_k bz_vm
     [
       None;
       Some I.Flip_image_magic;
@@ -1468,63 +1221,43 @@ let faults ?(runs = 20) ws =
     ];
   (* snapshot path: one base snapshot per campaign, corrupted per run;
      a failed restore must degrade to a verify-green cold boot *)
-  let snap_blob =
-    let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-    let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-    let base =
-      Vmm.boot ?plans:(Workspace.plans ws) ch (Workspace.cache ws)
-        (direct_vmcfg ~seed:404L)
-    in
-    Snapshot.serialize (Snapshot.capture base)
-  in
+  let snap_blob = snapshot_blob ws direct_vm in
   let snap_path = "base.snapshot" in
-  let jobs = max 1 !Boot_runner.default_jobs in
   List.iter
-    (fun (label, corrupt) ->
-      let reports =
-        Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ i ->
-            let run = i + 1 in
-            let seed = Boot_runner.run_seed run in
-            let disk = Imk_storage.Disk.create () in
-            List.iter
-              (fun (name, b) -> Imk_storage.Disk.add disk ~name b)
-              direct_files;
-            Imk_storage.Disk.add disk ~name:snap_path
-              (corrupt ~seed:(fault_seed run) snap_blob);
-            let ctx =
-              S.plain_ctx ?plans:(Workspace.plans ws)
-                (Imk_storage.Page_cache.create disk)
-            in
-            S.supervise_snapshot ~seed ~ctx ~snapshot_path:snap_path
-              ~working_set_pages:2048 (direct_vmcfg ~seed))
-      in
-      add_row ~path:"snapshot/kaslr" ~fault_label:label
-        ~fault_armed:(label <> "none") reports)
+    (fun (fault, corrupt) ->
+      cell ~path:"snapshot/kaslr" ~fault ~armed:(fault <> "none")
+        ~files:direct_files
+        ~arm:(fun ~run disk ->
+          Imk_storage.Disk.add disk ~name:snap_path
+            (corrupt ~seed:(fault_seed run) snap_blob);
+          None)
+        (fun ~seed ~ctx ->
+          S.supervise_snapshot ?tap:(tap ws) ~seed ~ctx ~snapshot_path:snap_path
+            ~working_set_pages:2048 direct_vm))
     [
       ("none", fun ~seed:_ b -> b);
       ("snapshot-bit-flip", fun ~seed b -> I.flip_one_bit ~seed b);
       ( "snapshot-truncate",
         fun ~seed b -> Bytes.sub b 0 (Bytes.length b - (1 + (seed mod 128))) );
     ];
-  {
-    id = "faults";
-    title = "Fault injection: typed detection and supervised recovery";
-    table;
-    notes =
-      [
-        Printf.sprintf
-          "soundness: %d silent successes across %d fault-injected runs%s"
-          !silent_total !fault_runs
-          (if !silent_total = 0 then
-             " — every armed fault was detected as a typed failure or \
-              recovered with a recorded event"
-           else " — SOUNDNESS VIOLATION: corrupted bytes booted green");
-        "recovery is never free: retry backoff, reloc re-derivation and \
-         cold-boot fallbacks are charged to the virtual clock in their own \
-         spans (retry-backoff, rederive-relocs, snapshot-load)";
-      ];
-    telemetry = List.rev !rows;
-  }
+  let soundness =
+    verdict "soundness" (!silent_total = 0)
+      (Printf.sprintf
+         "soundness: %d silent successes across %d fault-injected runs%s"
+         !silent_total !fault_runs
+         (if !silent_total = 0 then
+            " — every armed fault was detected as a typed failure or \
+             recovered with a recorded event"
+          else " — SOUNDNESS VIOLATION: corrupted bytes booted green"))
+  in
+  report sh ~verdicts:[ soundness ] ~id:"faults"
+    ~title:"Fault injection: typed detection and supervised recovery"
+    [
+      soundness.detail;
+      "recovery is never free: retry backoff, reloc re-derivation and \
+       cold-boot fallbacks are charged to the virtual clock in their own \
+       spans (retry-backoff, rederive-relocs, snapshot-load)";
+    ]
 
 (* ---------- Resilience campaign: weather x preset x boot path ---------- *)
 
@@ -1538,7 +1271,7 @@ type resilience_cell = {
   c_relocs : string option;
   c_seams : Imk_fault.Inject.kind list;
   c_snapshot : (string * bytes) option;
-  c_make : seed:int64 -> Vm_config.t;
+  c_vm : Vm_config.t;
   c_budget : int;
 }
 
@@ -1557,115 +1290,78 @@ let resilience ?(runs = 10) ws =
   let module W = Imk_fault.Weather in
   let module S = Boot_supervisor in
   let mem = 64 * 1024 * 1024 in
-  let plans = Workspace.plans ws in
   let ms = Imk_util.Units.ns_float_to_ms in
-  let file name = (name, Imk_storage.Disk.find (Workspace.disk ws) name) in
-  let calibrated ~files ~make_vm =
-    (* a clean warm boot of the cell's config, deterministic (no
-       jitter); the attempt budget is 1.5x that — generous against ~1%
-       jitter, tight enough that a cold-cache overload overruns it *)
-    let disk = Imk_storage.Disk.create () in
-    List.iter (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b) files;
-    let cache = Imk_storage.Page_cache.create disk in
-    List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
-    let ctx = S.plain_ctx ?plans cache in
-    let r = S.supervise ~jitter:false ~seed:1L ~ctx (make_vm ~seed:1L) in
+  (* a supervised boot of [vm], or a restore of [snapshot] falling back
+     to one *)
+  let supervise ?jitter ?fleet ~seed ~ctx ~snapshot vm =
+    match snapshot with
+    | None -> S.supervise ?jitter ?tap:(tap ws) ?fleet ~seed ~ctx vm
+    | Some (snapshot_path, _) ->
+        S.supervise_snapshot ?jitter ?tap:(tap ws) ?fleet ~seed ~ctx
+          ~snapshot_path ~working_set_pages:2048 vm
+  in
+  let calibrated ?snapshot ~files vm =
+    (* a clean warm boot (or restore) of the cell's config, deterministic
+       (no jitter); the attempt budget is 1.5x that — generous against
+       ~1% jitter, tight enough that a cold-cache overload overruns it *)
+    let ctx = run_ctx ws (files @ Option.to_list snapshot) in
+    let r = supervise ~jitter:false ~seed:1L ~ctx ~snapshot vm in
     match r.S.outcome with
     | Ok _ -> r.S.total_ns * 3 / 2
-    | Error f ->
-        invalid_arg ("resilience: calibration boot failed: " ^ F.describe f)
+    | Error f -> invalid_arg ("resilience: calibration failed: " ^ F.describe f)
+  in
+  let cell ~path ~kernel ?relocs ~seams vm =
+    let files = file ws kernel :: Option.to_list (Option.map (file ws) relocs) in
+    {
+      c_path = path;
+      c_files = files;
+      c_kernel = kernel;
+      c_relocs = relocs;
+      c_seams = seams;
+      c_snapshot = None;
+      c_vm = vm;
+      c_budget = calibrated ~files vm;
+    }
   in
   let direct_cell preset =
-    let variant = Config.Kaslr in
-    let k = Workspace.vmlinux_path ws preset variant in
-    let r = Workspace.relocs_path ws preset variant in
-    let kcfg = Workspace.config ws preset variant in
-    let files = [ file k; file r ] in
-    let make ~seed =
-      Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~relocs_path:(Some r) ~kernel_path:k ~kernel_config:kcfg ~seed ()
-    in
-    {
-      c_path = pname preset ^ "/direct/kaslr";
-      c_files = files;
-      c_kernel = k;
-      c_relocs = Some r;
-      c_seams =
+    let k = Workspace.vmlinux_path ws preset Config.Kaslr in
+    let r = Workspace.relocs_path ws preset Config.Kaslr in
+    cell ~path:(pname preset ^ "/direct/kaslr") ~kernel:k ~relocs:r
+      ~seams:
         [
           I.Truncate_image; I.Flip_image_magic; I.Flip_entry_magic;
           I.Truncate_relocs; I.Flip_relocs_magic; I.Read_fault_entry_magic;
-        ];
-      c_snapshot = None;
-      c_make = make;
-      c_budget = calibrated ~files ~make_vm:make;
-    }
+        ]
+      (Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
+         ~relocs_path:(Some r) ~kernel_path:k
+         ~kernel_config:(Workspace.config ws preset Config.Kaslr) ())
   in
   let bz_cell preset =
-    let variant = Config.Kaslr in
     let k =
-      Workspace.bzimage_path ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard
+      Workspace.bzimage_path ws preset Config.Kaslr ~codec:"lz4" ~bz:Bzimage.Standard
     in
-    let kcfg = Workspace.config ws preset variant in
-    let files = [ file k ] in
-    let make ~seed =
-      Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
-        ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~loader:Vm_config.Loader_stripped ~kernel_path:k ~kernel_config:kcfg
-        ~seed ()
-    in
-    {
-      c_path = pname preset ^ "/bz/lz4/kaslr";
-      c_files = files;
-      c_kernel = k;
-      c_relocs = None;
-      c_seams = [ I.Flip_image_magic; I.Truncate_bzimage; I.Flip_bz_payload_crc ];
-      c_snapshot = None;
-      c_make = make;
-      c_budget = calibrated ~files ~make_vm:make;
-    }
+    cell ~path:(pname preset ^ "/bz/lz4/kaslr") ~kernel:k
+      ~seams:[ I.Flip_image_magic; I.Truncate_bzimage; I.Flip_bz_payload_crc ]
+      (Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
+         ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
+         ~loader:Vm_config.Loader_stripped ~kernel_path:k
+         ~kernel_config:(Workspace.config ws preset Config.Kaslr) ())
   in
   let snapshot_cell preset =
     let d = direct_cell preset in
     (* one base snapshot per campaign; per-run corruption is a seed-pure
-       bit flip. The budget stays the cold-boot fallback's: a warm
-       restore fits easily under it, a cold one overruns and degrades. *)
-    let blob =
-      let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-      let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-      let base = Vmm.boot ?plans ch (Workspace.cache ws) (d.c_make ~seed:404L) in
-      Snapshot.serialize (Snapshot.capture base)
-    in
-    let snap_path = "base.snapshot" in
-    let restore_budget =
-      (* a clean warm restore, deterministic; the cell budget must admit
-         both it and the cold-boot fallback, so take the max with the
-         direct cell's. A cold blob read still overruns it. *)
-      let disk = Imk_storage.Disk.create () in
-      List.iter (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b) d.c_files;
-      Imk_storage.Disk.add disk ~name:snap_path blob;
-      let cache = Imk_storage.Page_cache.create disk in
-      List.iter
-        (fun n -> Imk_storage.Page_cache.warm cache n)
-        (snap_path :: List.map fst d.c_files);
-      let ctx = S.plain_ctx ?plans cache in
-      let r =
-        S.supervise_snapshot ~jitter:false ~seed:1L ~ctx
-          ~snapshot_path:snap_path ~working_set_pages:2048 (d.c_make ~seed:1L)
-      in
-      match r.S.outcome with
-      | Ok _ -> r.S.total_ns * 3 / 2
-      | Error f ->
-          invalid_arg
-            ("resilience: calibration restore failed: " ^ F.describe f)
-    in
+       bit flip *)
+    let snapshot = ("base.snapshot", snapshot_blob ws d.c_vm) in
     {
       d with
       c_path = pname preset ^ "/snapshot/kaslr";
       (* a stand-in seam so the forecast draws corruptions at the normal
          rate; the run loop maps every drawn fault to a blob bit flip *)
       c_seams = [ I.Flip_image_magic ];
-      c_snapshot = Some (snap_path, blob);
-      c_budget = max d.c_budget restore_budget;
+      c_snapshot = Some snapshot;
+      (* the budget must admit both a clean warm restore and the
+         cold-boot fallback; a cold blob read still overruns it *)
+      c_budget = max d.c_budget (calibrated ~snapshot ~files:d.c_files d.c_vm);
     }
   in
   let cells =
@@ -1684,10 +1380,8 @@ let resilience ?(runs = 10) ws =
          (fun profile -> List.map (fun c -> (profile, c)) cells)
          W.all_profiles)
   in
-  let jobs = max 1 !Boot_runner.default_jobs in
   let per_cell =
-    Imk_util.Par.map_tasks ~jobs ~tasks:(Array.length tasks_arr)
-      (fun ~worker:_ ti ->
+    Campaign.map ~jobs:(jobs ws) ~tasks:(Array.length tasks_arr) (fun ti ->
         let profile, cell = tasks_arr.(ti) in
         let weather = W.make profile ~seed:(1 + ti) in
         let fleet =
@@ -1697,21 +1391,14 @@ let resilience ?(runs = 10) ws =
         for run = 1 to runs do
           let seed = Boot_runner.run_seed run in
           let fc = W.forecast weather ~run ~seams:cell.c_seams in
-          let disk = Imk_storage.Disk.create () in
-          List.iter
-            (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b)
-            cell.c_files;
-          let inject, snap_names =
+          let ctx =
             match cell.c_snapshot with
             | None ->
-                ( (match fc.W.fault with
-                  | None -> None
-                  | Some kind ->
-                      (I.arm kind ~seed:(W.fault_seed weather ~run) ~disk
-                         ~kernel_path:cell.c_kernel
-                         ?relocs_path:cell.c_relocs ())
-                        .I.inject),
-                  [] )
+                run_ctx ws ~cold:fc.W.cold cell.c_files ~arm:(fun disk ->
+                    Option.bind fc.W.fault (fun kind ->
+                        (I.arm kind ~seed:(W.fault_seed weather ~run) ~disk
+                           ~kernel_path:cell.c_kernel ?relocs_path:cell.c_relocs ())
+                          .I.inject))
             | Some (snap_path, blob) ->
                 (* snapshot cells read weather as snapshot-blob
                    corruption: any drawn fault flips one bit of the
@@ -1722,167 +1409,132 @@ let resilience ?(runs = 10) ws =
                   | Some _ ->
                       I.flip_one_bit ~seed:(W.fault_seed weather ~run) blob
                 in
-                Imk_storage.Disk.add disk ~name:snap_path blob;
-                (None, [ snap_path ])
+                run_ctx ws ~cold:fc.W.cold (cell.c_files @ [ (snap_path, blob) ])
           in
-          let cache = Imk_storage.Page_cache.create disk in
-          if not fc.W.cold then
-            List.iter
-              (fun n -> Imk_storage.Page_cache.warm cache n)
-              (List.map fst cell.c_files @ snap_names);
-          let ctx = { S.cache; inject; plans } in
-          let report =
-            match cell.c_snapshot with
-            | None -> S.supervise ~fleet ~seed ~ctx (cell.c_make ~seed)
-            | Some (snap_path, _) ->
-                S.supervise_snapshot ~fleet ~seed ~ctx ~snapshot_path:snap_path
-                  ~working_set_pages:2048 (cell.c_make ~seed)
-          in
-          out := (report, fc) :: !out
+          out :=
+            (supervise ~fleet ~seed ~ctx ~snapshot:cell.c_snapshot cell.c_vm, fc)
+            :: !out
         done;
         (profile, cell, Array.of_list (List.rev !out), S.breaker_trips fleet))
   in
   (* sequential aggregation, in task order *)
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [
-          "profile"; "path"; "runs"; "ok"; "recovered"; "failed"; "short";
-          "silent"; "unrec"; "retries"; "aborts"; "fallbacks"; "trips";
-          "mttr ms"; "p50 ms"; "p99 ms";
-        ]
+  let sh =
+    sheet
+      [
+        "profile"; "path"; "runs"; "ok"; "recovered"; "failed"; "short";
+        "silent"; "unrec"; "retries"; "aborts"; "fallbacks"; "trips";
+        "mttr ms"; "p50 ms"; "p99 ms";
+      ]
   in
   let silent_total = ref 0 and unrecovered_total = ref 0 in
   let fault_runs = ref 0 in
   let calm_ns = ref [] and storm_ns = ref [] in
-  let rows = ref [] in
+  let sum_ns spans = float_of_int (List.fold_left (fun a (_, d) -> a + d) 0 spans) in
   Array.iter
     (fun (profile, cell, rf, trips) ->
-      let totals =
-        Array.to_list
-          (Array.map (fun ((r : S.report), _) -> float_of_int r.S.total_ns) rf)
-      in
+      let rf = Array.to_list rf in
+      let rs = List.map fst rf in
+      let totals = List.map total_ns rs in
       (match profile with
       | W.Calm -> calm_ns := totals @ !calm_ns
       | W.Storm -> storm_ns := totals @ !storm_ns
       | W.Flaky -> ());
-      let ok = ref 0 and recovered = ref 0 and failed = ref 0 in
-      let short = ref 0 and silent = ref 0 and unrec = ref 0 in
-      let retries = ref 0 and aborts = ref 0 and fallbacks = ref 0 in
-      let mttr_ns = ref [] in
-      Array.iter
-        (fun ((r : S.report), (fc : W.forecast)) ->
-          let armed = fc.W.fault <> None in
-          if armed then incr fault_runs;
-          let accounted_degradation =
-            List.exists
-              (function
-                | F.Retry_budget_exhausted _ | F.Breaker_short_circuit _ ->
-                    true
-                | F.Breaker_probe { succeeded = false } -> true
-                | _ -> false)
-              r.S.events
-          in
-          List.iter
-            (function
-              | F.Retried _ -> incr retries
-              | F.Deadline_aborted _ -> incr aborts
-              | F.Fell_back_to_cold_boot _ -> incr fallbacks
-              | F.Breaker_short_circuit _ -> incr short
-              | _ -> ())
-            r.S.events;
-          match r.S.outcome with
-          | Ok _ ->
-              incr ok;
-              if r.S.events <> [] then begin
-                incr recovered;
-                mttr_ns :=
-                  float_of_int
-                    (List.fold_left (fun a (_, d) -> a + d) 0 r.S.recovery)
-                  :: !mttr_ns
-              end
-              else if armed then incr silent
-          | Error f ->
-              incr failed;
-              let recoverable_here =
-                match f with
-                | F.Transient _ | F.Deadline_exceeded _ -> true
-                | F.Bad_reloc _ -> cell.c_relocs <> None
-                | F.Decode_error _ -> cell.c_snapshot <> None
-                | _ -> false
-              in
-              if recoverable_here && not accounted_degradation then incr unrec)
-        rf;
+      let armed (_, (fc : W.forecast)) = fc.W.fault <> None in
+      let oks = List.filter is_ok rs in
+      let recovered = List.filter (fun (r : S.report) -> r.S.events <> []) oks in
+      let silent =
+        count (fun (r, fc) -> is_ok r && r.S.events = [] && armed (r, fc)) rf
+      in
+      (* a recoverable fault must end recovered or as an accounted
+         degradation (retry budget dry, breaker open) *)
+      let unrecovered (r : S.report) =
+        match r.S.outcome with
+        | Ok _ -> false
+        | Error f ->
+            (match f with
+            | F.Transient _ | F.Deadline_exceeded _ -> true
+            | F.Bad_reloc _ -> cell.c_relocs <> None
+            | F.Decode_error _ -> cell.c_snapshot <> None
+            | _ -> false)
+            && not
+                 (List.exists
+                    (function
+                      | F.Retry_budget_exhausted _ | F.Breaker_short_circuit _
+                      | F.Breaker_probe { succeeded = false } ->
+                          true
+                      | _ -> false)
+                    r.S.events)
+      in
+      let unrec = count unrecovered rs in
+      let n_events p = string_of_int (count p (events rs)) in
       let s = Imk_util.Stats.summarize totals in
       let prof = W.profile_name profile in
-      Imk_util.Table.add_row table
+      Imk_util.Table.add_row sh.table
         [
-          prof; cell.c_path; string_of_int runs; string_of_int !ok;
-          string_of_int !recovered; string_of_int !failed;
-          string_of_int !short; string_of_int !silent; string_of_int !unrec;
-          string_of_int !retries; string_of_int !aborts;
-          string_of_int !fallbacks; string_of_int trips;
-          (match !mttr_ns with
+          prof; cell.c_path; string_of_int runs; string_of_int (List.length oks);
+          string_of_int (List.length recovered);
+          string_of_int (List.length rs - List.length oks);
+          n_events (function F.Breaker_short_circuit _ -> true | _ -> false);
+          string_of_int silent; string_of_int unrec;
+          n_events (function F.Retried _ -> true | _ -> false);
+          n_events (function F.Deadline_aborted _ -> true | _ -> false);
+          n_events (function F.Fell_back_to_cold_boot _ -> true | _ -> false);
+          string_of_int trips;
+          (match List.rev_map (fun (r : S.report) -> sum_ns r.S.recovery) recovered with
           | [] -> "-"
           | l -> msv (ms (Imk_util.Stats.mean l)));
           msv (ms s.Imk_util.Stats.p50);
           msv (ms s.Imk_util.Stats.p99);
         ];
-      silent_total := !silent_total + !silent;
-      unrecovered_total := !unrecovered_total + !unrec;
+      silent_total := !silent_total + silent;
+      unrecovered_total := !unrecovered_total + unrec;
+      fault_runs := !fault_runs + count armed rf;
       (* telemetry: the cell's total distribution plus per-recovery-label
          per-boot sums as phases (raw ns floats, never re-parsed) *)
       let labels =
-        Array.fold_left
-          (fun acc ((r : S.report), _) ->
-            List.fold_left
-              (fun acc (l, _) -> if List.mem l acc then acc else acc @ [ l ])
-              acc r.S.recovery)
-          [] rf
+        distinct (List.concat_map (fun (r : S.report) -> List.map fst r.S.recovery) rs)
       in
       let phase_sums label =
-        Array.to_list rf
-        |> List.filter_map (fun ((r : S.report), _) ->
-               match List.filter (fun (l, _) -> l = label) r.S.recovery with
-               | [] -> None
-               | spans ->
-                   Some
-                     (float_of_int
-                        (List.fold_left (fun a (_, d) -> a + d) 0 spans)))
+        List.filter_map
+          (fun (r : S.report) ->
+            match List.filter (fun (l, _) -> l = label) r.S.recovery with
+            | [] -> None
+            | spans -> Some (sum_ns spans))
+          rs
       in
-      rows :=
+      sh.rows <-
         {
           label = prof ^ "/" ^ cell.c_path;
           total = s;
           phases =
-            List.map
-              (fun l -> (l, Imk_util.Stats.summarize (phase_sums l)))
-              labels;
+            List.map (fun l -> (l, Imk_util.Stats.summarize (phase_sums l))) labels;
         }
-        :: !rows)
+        :: sh.rows)
     per_cell;
-  let soundness_note =
-    if !silent_total = 0 then
-      Printf.sprintf
-        "zero silent successes across %d fault-laden runs — every armed \
-         fault surfaced as a typed failure or a recovery event"
-        !fault_runs
-    else
-      Printf.sprintf
-        "SOUNDNESS VIOLATION: %d of %d fault-laden runs booted green with no \
-         recorded event"
-        !silent_total !fault_runs
+  let soundness =
+    verdict "soundness" (!silent_total = 0)
+      (if !silent_total = 0 then
+         Printf.sprintf
+           "zero silent successes across %d fault-laden runs — every armed \
+            fault surfaced as a typed failure or a recovery event"
+           !fault_runs
+       else
+         Printf.sprintf
+           "SOUNDNESS VIOLATION: %d of %d fault-laden runs booted green with no \
+            recorded event"
+           !silent_total !fault_runs)
   in
-  let unrec_note =
-    if !unrecovered_total = 0 then
-      "zero unrecovered recoverable faults: transients, deadline overruns, \
-       bad relocs and snapshot corruption all ended recovered or as an \
-       accounted degradation (retry budget dry, breaker open)"
-    else
-      Printf.sprintf
-        "UNRECOVERED: %d recoverable faults ended as failures with no \
-         accounted degradation — supervision policy bug"
-        !unrecovered_total
+  let recovery =
+    verdict "recovery" (!unrecovered_total = 0)
+      (if !unrecovered_total = 0 then
+         "zero unrecovered recoverable faults: transients, deadline overruns, \
+          bad relocs and snapshot corruption all ended recovered or as an \
+          accounted degradation (retry budget dry, breaker open)"
+       else
+         Printf.sprintf
+           "UNRECOVERED: %d recoverable faults ended as failures with no \
+            accounted degradation — supervision policy bug"
+           !unrecovered_total)
   in
   let weather_note =
     match (!calm_ns, !storm_ns) with
@@ -1900,30 +1552,28 @@ let resilience ?(runs = 10) ws =
             (ss.Imk_util.Stats.p99 /. cs.Imk_util.Stats.p99);
         ]
   in
-  {
-    id = "resilience";
-    title = "Resilience: weather x preset x boot path under fleet supervision";
-    table;
-    notes =
-      (soundness_note :: unrec_note :: weather_note)
-      @ [
-          "recovery is charged and itemized: every report's labelled \
-           recovery intervals sum to total_ns minus the successful attempt \
-           (checked at report construction)";
-        ];
-    telemetry = List.rev !rows;
-  }
+  report sh ~verdicts:[ soundness; recovery ] ~id:"resilience"
+    ~title:"Resilience: weather x preset x boot path under fleet supervision"
+    ((soundness.detail :: recovery.detail :: weather_note)
+    @ [
+        "recovery is charged and itemized: every report's labelled \
+         recovery intervals sum to total_ns minus the successful attempt \
+         (checked at report construction)";
+      ])
 
-let diffcheck ?(runs = 20) ?(mutate = false) ws =
+let diffcheck ?(runs = 20) ws =
   (* Differential-oracle campaign (DESIGN.md §8): sweep the kernel
      matrix through the Imk_check catalogue, one point per run with a
      run-pure seed, fanned over --jobs. Images are built once per
      template on the calling domain (Workspace.built's table is not
      thread-safe and diffcheck builds its own envs anyway); each
      comparison instantiates a private disk and cache, so the table and
-     telemetry are bit-identical for any --jobs value. *)
+     telemetry are bit-identical for any --jobs value. The run's
+     [mutate] plants one sensitivity fault per mutable oracle; each must
+     be caught. *)
   let module O = Imk_check.Oracle in
   let module P = Imk_check.Point in
+  let mutate = (Workspace.run_config ws).Workspace.mutate in
   let scale = Workspace.scale ws in
   let templates =
     List.map
@@ -1943,9 +1593,8 @@ let diffcheck ?(runs = 20) ?(mutate = false) ws =
         (tpl, Imk_check.Env.build ~scale tpl))
   in
   let oracles = O.catalogue ~mutate in
-  let jobs = max 1 !Boot_runner.default_jobs in
   let per_run =
-    Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ i ->
+    Campaign.map ~jobs:(jobs ws) ~tasks:runs (fun i ->
         let tpl, imgs = images.(i mod n_used) in
         let point = { tpl with P.seed = Boot_runner.run_seed (i + 1) } in
         List.map (fun (o : O.t) -> (o.O.id, point, o.O.run imgs point)) oracles)
@@ -1990,76 +1639,64 @@ let diffcheck ?(runs = 20) ?(mutate = false) ws =
       O.of_run
         (fun imgs point ~note:_ ->
           let env = Imk_check.Env.instantiate imgs in
-          let make_vm ~seed =
-            Imk_check.Env.direct_config env { point with P.seed = seed }
-          in
+          let vm = Imk_check.Env.direct_config env point in
           let stats_at jobs =
-            Boot_runner.boot_many ~warmups:2 ~jobs ~runs:5
-              ~cache:env.Imk_check.Env.cache ~make_vm ()
+            Boot_runner.boot_many ~warmups:2 ~jobs ?tap:(tap ws) ~runs:5
+              ~cache:env.Imk_check.Env.cache vm
           in
           O.compare_series (series (stats_at 1)) (series (stats_at fan)))
         imgs point
     in
     (point, report)
   in
-  (* aggregation, in run order *)
+  (* aggregation, in run order: each oracle's (point, report) list, the
+     jobs row last *)
+  let by_oracle =
+    List.map
+      (fun (o : O.t) ->
+        ( o.O.id,
+          List.concat_map
+            (List.filter_map (fun (id, p, r) ->
+                 if id = o.O.id then Some (p, r) else None))
+            (Array.to_list per_run) ))
+      oracles
+    @ [ (Printf.sprintf "jobs-1=%d" fan, [ (jobs_point, jobs_report) ]) ]
+  in
+  let diverged (_, (r : O.report)) =
+    match r.O.outcome with O.Pass -> false | O.Divergence _ -> true
+  in
   let table =
     Imk_util.Table.create
       ~headers:[ "oracle"; "comparisons"; "pass"; "divergent"; "first divergence" ]
   in
-  let truncate s =
-    if String.length s <= 72 then s else String.sub s 0 69 ^ "..."
-  in
-  let divergences = ref [] (* (oracle id, point, detail), reverse order *) in
-  let add_oracle_row id (reports : (P.t * O.report) list) =
-    let n = List.length reports in
-    let divergent =
-      List.filter
-        (fun (_, (r : O.report)) ->
-          match r.O.outcome with O.Pass -> false | O.Divergence _ -> true)
-        reports
-    in
-    (match divergent with
-    | (p, { O.outcome = O.Divergence d; _ }) :: _ ->
-        divergences := (id, p, d) :: !divergences
-    | _ -> ());
-    Imk_util.Table.add_row table
-      [
-        id;
-        string_of_int n;
-        string_of_int (n - List.length divergent);
-        string_of_int (List.length divergent);
-        (match divergent with
-        | (p, { O.outcome = O.Divergence d; _ }) :: _ ->
-            truncate (P.name p ^ ": " ^ d)
-        | _ -> "-");
-      ];
-    List.length divergent
-  in
-  let oracle_reports (o : O.t) =
-    Array.to_list per_run
-    |> List.concat_map
-         (List.filter_map (fun (id, p, r) ->
-              if id = o.O.id then Some (p, r) else None))
-  in
-  let divergent_total = ref 0 and comparisons = ref 0 in
   List.iter
-    (fun (o : O.t) ->
-      let reports = oracle_reports o in
-      comparisons := !comparisons + List.length reports;
-      divergent_total := !divergent_total + add_oracle_row o.O.id reports)
-    oracles;
-  incr comparisons;
-  divergent_total :=
-    !divergent_total
-    + add_oracle_row (Printf.sprintf "jobs-1=%d" fan)
-        [ (jobs_point, jobs_report) ];
+    (fun (id, reports) ->
+      let n = List.length reports and divergent = List.filter diverged reports in
+      Imk_util.Table.add_row table
+        [
+          id;
+          string_of_int n;
+          string_of_int (n - List.length divergent);
+          string_of_int (List.length divergent);
+          (match divergent with
+          | (p, { O.outcome = O.Divergence d; _ }) :: _ ->
+              let s = P.name p ^ ": " ^ d in
+              if String.length s <= 72 then s else String.sub s 0 69 ^ "..."
+          | _ -> "-");
+        ])
+    by_oracle;
+  let comparisons =
+    List.fold_left (fun a (_, rs) -> a + List.length rs) 0 by_oracle
+  in
+  let divergent_total =
+    List.fold_left (fun a (_, rs) -> a + count diverged rs) 0 by_oracle
+  in
   (* telemetry: per oracle, the virtual totals of every boot its
      comparisons ran — per-boot-label distributions as phases *)
   let telemetry =
     List.filter_map
       (fun (o : O.t) ->
-        let reports = oracle_reports o in
+        let reports = List.assoc o.O.id by_oracle in
         let all_ns =
           List.concat_map
             (fun (_, (r : O.report)) ->
@@ -2069,13 +1706,8 @@ let diffcheck ?(runs = 20) ?(mutate = false) ws =
         if all_ns = [] then None
         else
           let labels =
-            List.fold_left
-              (fun acc (_, (r : O.report)) ->
-                List.fold_left
-                  (fun acc (lbl, _) ->
-                    if List.mem lbl acc then acc else acc @ [ lbl ])
-                  acc r.O.boot_ns)
-              [] reports
+            distinct
+              (List.concat_map (fun (_, (r : O.report)) -> List.map fst r.O.boot_ns) reports)
           in
           Some
             {
@@ -2109,36 +1741,28 @@ let diffcheck ?(runs = 20) ?(mutate = false) ws =
         fun () -> O.event_core_solo ~mutate:true () );
     ]
   in
-  let mutate_notes =
+  let caught_verdicts =
     if not mutate then []
     else
-      List.concat_map
+      List.map
         (fun (oid, fault, mk) ->
-          let compared =
-            Array.to_list per_run
-            |> List.concat_map
-                 (List.filter_map (fun (id, p, (r : O.report)) ->
-                      if id = oid then Some (p, r.O.outcome) else None))
-          in
-          let caught =
-            List.filter
-              (fun (_, o) ->
-                match o with O.Divergence _ -> true | O.Pass -> false)
-              compared
-          in
-          if List.length caught < List.length compared then
-            [
-              Printf.sprintf
-                "MUTATE NOT CAUGHT: the planted %s passed %d/%d %s \
-                 comparisons — the oracle cannot fail and is not evidence"
-                fault
-                (List.length compared - List.length caught)
-                (List.length compared) oid;
-            ]
-          else
+          let compared = List.assoc oid by_oracle in
+          let caught = List.filter diverged compared in
+          let n_caught = List.length caught and n = List.length compared in
+          ( verdict ("caught: " ^ oid) (n_caught = n)
+              (if n_caught < n then
+                 Printf.sprintf
+                   "MUTATE NOT CAUGHT: the planted %s passed %d/%d %s \
+                    comparisons — the oracle cannot fail and is not evidence"
+                   fault (n - n_caught) n oid
+               else if n = 0 then
+                 Printf.sprintf "mutate: no %s comparisons ran" oid
+               else
+                 Printf.sprintf
+                   "mutate: planted %s caught in %d/%d %s comparisons" fault
+                   n_caught n oid),
             match caught with
-            | [] -> [ Printf.sprintf "mutate: no %s comparisons ran" oid ]
-            | (p0, _) :: _ ->
+            | (p0, _) :: _ when n_caught = n ->
                 let mutant : O.t = mk () in
                 let still_fails q =
                   match
@@ -2147,51 +1771,55 @@ let diffcheck ?(runs = 20) ?(mutate = false) ws =
                   | O.Divergence _ -> true
                   | O.Pass -> false
                 in
-                let minimal = Imk_check.Shrink.minimize still_fails p0 in
-                Printf.sprintf "mutate: planted %s caught in %d/%d %s \
-                                comparisons"
-                  fault (List.length caught) (List.length compared) oid
-                :: String.split_on_char '\n' (Imk_check.Shrink.report minimal))
+                String.split_on_char '\n'
+                  (Imk_check.Shrink.report (Imk_check.Shrink.minimize still_fails p0))
+            | _ -> [] ))
         mutants
   in
-  let verdict_note =
+  let agreement =
     if mutate then
       let mutant_ids = List.map (fun (oid, _, _) -> oid) mutants in
       let outside =
-        List.length
-          (List.filter
-             (fun (id, _, _) -> not (List.mem id mutant_ids))
-             !divergences)
+        count
+          (fun (id, rs) ->
+            (not (List.mem id mutant_ids)) && List.exists diverged rs)
+          by_oracle
       in
-      if outside > 0 then
-        Printf.sprintf
-          "DIVERGENCE: %d comparisons outside the mutated oracles disagreed \
-           under --mutate — see table"
-          outside
-      else
-        Printf.sprintf
-          "%d comparisons; zero divergences outside cross-path and \
-           event-core-solo (which are expected to diverge under --mutate)"
-          !comparisons
-    else if !divergent_total = 0 then
-      Printf.sprintf
-        "zero divergences across %d comparisons — monitor/loader layouts, \
-         event-core solo traces, plan-cache traces, snapshot clones, arena \
-         recycling and jobs fan-out all agree bit for bit"
-        !comparisons
+      verdict "no divergence outside the plants" (outside = 0)
+        (if outside > 0 then
+           Printf.sprintf
+             "DIVERGENCE: %d comparisons outside the mutated oracles disagreed \
+              under --mutate — see table"
+             outside
+         else
+           Printf.sprintf
+             "%d comparisons; zero divergences outside cross-path and \
+              event-core-solo (which are expected to diverge under --mutate)"
+             comparisons)
     else
-      Printf.sprintf "DIVERGENCE: %d of %d comparisons disagreed — see table"
-        !divergent_total !comparisons
+      verdict "no divergence" (divergent_total = 0)
+        (if divergent_total = 0 then
+           Printf.sprintf
+             "zero divergences across %d comparisons — monitor/loader layouts, \
+              event-core solo traces, plan-cache traces, snapshot clones, arena \
+              recycling and jobs fan-out all agree bit for bit"
+             comparisons
+         else
+           Printf.sprintf "DIVERGENCE: %d of %d comparisons disagreed — see table"
+             divergent_total comparisons)
   in
   {
     id = "diffcheck";
     title = "Differential boot oracles: cross-path equivalence campaign";
     table;
-    notes = (verdict_note :: mutate_notes);
+    notes =
+      agreement.detail
+      :: List.concat_map (fun (v, repro) -> v.detail :: repro) caught_verdicts;
     telemetry;
+    verdicts = agreement :: List.map fst caught_verdicts;
   }
 
-(* ---------- Fleet serving campaign (ROADMAP #1, §7 economics) ---------- *)
+(* ---------- Fleet serving campaign (§7 economics) ---------- *)
 
 (* the per-preset calibration behind the fleet simulator: real supervised
    boots, real snapshot restores and real fault-laden supervised boots,
@@ -2201,10 +1829,9 @@ type fleet_cal = {
   f_warm : int array;  (* supervised snapshot restores, total ns *)
   f_fault : int array;  (* supervised fault-laden boots, recovery included *)
   f_silent : int;  (* armed faults that booted green with no event *)
-  f_fault_runs : int;
 }
 
-let fleet ?(runs = 10) ?(requests = 50_000) ws =
+let fleet ?(runs = 10) ws =
   (* Sweep preset x arrival model x weather profile through the serving
      simulator (Imk_fleet): a virtual-time request stream scheduled onto
      a bounded warm pool with a bounded admission queue. Calibration
@@ -2219,68 +1846,46 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
   let module W = Imk_fault.Weather in
   let module S = Boot_supervisor in
   let module A = Imk_fleet.Arrival in
-  let plans = Workspace.plans ws in
+  let module Sim = Imk_fleet.Sim in
+  let requests =
+    Option.value ~default:50_000 (Workspace.run_config ws).Workspace.requests
+  in
   let arena = Workspace.arena ws in
+  let tap = tap ws in
   let mem = 64 * 1024 * 1024 in
   let cal_runs = max 4 runs in
   let seams = [ I.Transient_init 1; I.Truncate_relocs; I.Flip_relocs_magic ] in
-  let file name = (name, Imk_storage.Disk.find (Workspace.disk ws) name) in
   let calibrate preset =
     let variant = Config.Kaslr in
     let k = Workspace.vmlinux_path ws preset variant in
     let r = Workspace.relocs_path ws preset variant in
     let kcfg = Workspace.config ws preset variant in
-    let files = [ file k; file r ] in
-    let make ~seed =
+    let files = [ file ws k; file ws r ] in
+    let vm =
       Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~relocs_path:(Some r) ~kernel_path:k ~kernel_config:kcfg ~seed ()
+        ~relocs_path:(Some r) ~kernel_path:k ~kernel_config:kcfg ()
     in
-    (* run-private warmed disk/cache, like every supervised campaign *)
-    let warmed_cache extra =
-      let disk = Imk_storage.Disk.create () in
-      List.iter
-        (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b)
-        (files @ extra);
-      let cache = Imk_storage.Page_cache.create disk in
-      List.iter
-        (fun (n, _) -> Imk_storage.Page_cache.warm cache n)
-        (files @ extra);
-      cache
+    let ok what (rep : S.report) =
+      match rep.S.outcome with
+      | Ok _ -> rep.S.total_ns
+      | Error f ->
+          invalid_arg ("fleet: " ^ what ^ " calibration failed: " ^ F.describe f)
     in
     let cold =
       Array.init cal_runs (fun i ->
           let seed = Boot_runner.run_seed (i + 1) in
-          let ctx = S.plain_ctx ?plans (warmed_cache []) in
-          let rep = S.supervise ~arena ~seed ~ctx (make ~seed) in
-          match rep.S.outcome with
-          | Ok _ -> rep.S.total_ns
-          | Error f ->
-              invalid_arg
-                ("fleet: cold calibration boot failed: " ^ F.describe f))
+          ok "cold boot" (S.supervise ?tap ~arena ~seed ~ctx:(run_ctx ws files) vm))
     in
     (* the warm tier restores from one snapshot of this preset *)
     let snap_path = "fleet.snapshot" in
-    let blob =
-      let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-      let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-      let base =
-        Vmm.boot ?plans ch (Workspace.cache ws) (make ~seed:404L)
-      in
-      Snapshot.serialize (Snapshot.capture base)
-    in
+    let blob = snapshot_blob ws vm in
     let warm =
       Array.init cal_runs (fun i ->
           let seed = Boot_runner.run_seed (i + 1) in
-          let ctx = S.plain_ctx ?plans (warmed_cache [ (snap_path, blob) ]) in
-          let rep =
-            S.supervise_snapshot ~arena ~seed ~ctx ~snapshot_path:snap_path
-              ~working_set_pages:2048 (make ~seed)
-          in
-          match rep.S.outcome with
-          | Ok _ -> rep.S.total_ns
-          | Error f ->
-              invalid_arg
-                ("fleet: warm calibration restore failed: " ^ F.describe f))
+          ok "warm restore"
+            (S.supervise_snapshot ?tap ~arena ~seed
+               ~ctx:(run_ctx ws (files @ [ (snap_path, blob) ]))
+               ~snapshot_path:snap_path ~working_set_pages:2048 vm))
     in
     let silent = ref 0 in
     let fault =
@@ -2288,17 +1893,12 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
           let run = i + 1 in
           let seed = Boot_runner.run_seed run in
           let kind = List.nth seams (i mod List.length seams) in
-          let disk = Imk_storage.Disk.create () in
-          List.iter (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b) files;
-          let inject =
+          let arm disk =
             (I.arm kind ~seed:((131 * run) + 7) ~disk ~kernel_path:k
                ~relocs_path:r ())
               .I.inject
           in
-          let cache = Imk_storage.Page_cache.create disk in
-          List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
-          let ctx = { S.cache; inject; plans } in
-          let rep = S.supervise ~arena ~seed ~ctx (make ~seed) in
+          let rep = S.supervise ?tap ~arena ~seed ~ctx:(run_ctx ws ~arm files) vm in
           (* the soundness line every fault campaign holds: an armed
              fault must surface as a typed failure or a recovery event *)
           (match rep.S.outcome with
@@ -2311,7 +1911,6 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
       f_warm = warm;
       f_fault = fault;
       f_silent = !silent;
-      f_fault_runs = cal_runs;
     }
   in
   let cals = List.map (fun p -> (p, calibrate p)) presets in
@@ -2352,10 +1951,8 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
              (models cal))
          cals)
   in
-  let jobs = max 1 !Boot_runner.default_jobs in
   let reports =
-    Imk_util.Par.map_tasks ~jobs ~tasks:(Array.length cells)
-      (fun ~worker:_ ti ->
+    Campaign.map ~jobs:(jobs ws) ~tasks:(Array.length cells) (fun ti ->
         let _, cal, model, profile = cells.(ti) in
         (* calm cells carry no weather value at all: the calm forecast
            is constant (no faults, no cold), so skipping the draws is
@@ -2365,9 +1962,9 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
           | W.Calm -> None
           | W.Flaky | W.Storm -> Some (W.make profile ~seed:(1 + ti))
         in
-        Imk_fleet.Sim.run
+        Sim.run
           {
-            Imk_fleet.Sim.arrival = model;
+            Sim.arrival = model;
             seed = 7 * (ti + 1);
             requests;
             servers;
@@ -2381,93 +1978,89 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
           })
   in
   (* sequential aggregation, in cell order *)
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [
-          "kernel"; "arrival"; "weather"; "requests"; "served"; "dropped";
-          "hit %"; "cold p50 ms"; "cold p99"; "warm p50"; "warm p99";
-          "wait p99"; "depth p99"; "layouts";
-        ]
+  let sh =
+    sheet
+      [
+        "kernel"; "arrival"; "weather"; "requests"; "served"; "dropped";
+        "hit %"; "cold p50 ms"; "cold p99"; "warm p50"; "warm p99";
+        "wait p99"; "depth p99"; "layouts";
+      ]
   in
-  let rows = ref [] in
-  let pctl_cell (s : Imk_util.Stats.summary) v =
-    if s.Imk_util.Stats.n = 0 then "-" else msn v
+  let pctl (s : Imk_util.Stats.summary) f =
+    if s.Imk_util.Stats.n = 0 then "-" else f s
   in
+  let p50 s = msn s.Imk_util.Stats.p50 and p99 s = msn s.Imk_util.Stats.p99 in
   Array.iteri
     (fun ti (preset, _, model, profile) ->
       let r = reports.(ti) in
-      let label =
-        String.concat "/"
-          [ pname preset; A.model_name model; W.profile_name profile ]
-      in
-      Imk_util.Table.add_row table
-        [
-          pname preset;
-          A.model_name model;
-          W.profile_name profile;
-          string_of_int r.Imk_fleet.Sim.requests;
-          string_of_int r.Imk_fleet.Sim.completed;
-          string_of_int r.Imk_fleet.Sim.dropped;
-          Printf.sprintf "%.1f" (100. *. r.Imk_fleet.Sim.hit_rate);
-          pctl_cell r.Imk_fleet.Sim.cold_service
-            r.Imk_fleet.Sim.cold_service.Imk_util.Stats.p50;
-          pctl_cell r.Imk_fleet.Sim.cold_service
-            r.Imk_fleet.Sim.cold_service.Imk_util.Stats.p99;
-          pctl_cell r.Imk_fleet.Sim.warm_service
-            r.Imk_fleet.Sim.warm_service.Imk_util.Stats.p50;
-          pctl_cell r.Imk_fleet.Sim.warm_service
-            r.Imk_fleet.Sim.warm_service.Imk_util.Stats.p99;
-          pctl_cell r.Imk_fleet.Sim.queue_wait
-            r.Imk_fleet.Sim.queue_wait.Imk_util.Stats.p99;
-          (if r.Imk_fleet.Sim.queue_depth.Imk_util.Stats.n = 0 then "-"
-           else
-             Printf.sprintf "%.0f" r.Imk_fleet.Sim.queue_depth.Imk_util.Stats.p99);
-          string_of_int r.Imk_fleet.Sim.distinct_layouts;
-        ];
-      if r.Imk_fleet.Sim.completed > 0 then
-        rows :=
+      let key = [ pname preset; A.model_name model; W.profile_name profile ] in
+      Imk_util.Table.add_row sh.table
+        (key
+        @ [
+            string_of_int r.Sim.requests;
+            string_of_int r.Sim.completed;
+            string_of_int r.Sim.dropped;
+            Printf.sprintf "%.1f" (100. *. r.Sim.hit_rate);
+            pctl r.Sim.cold_service p50;
+            pctl r.Sim.cold_service p99;
+            pctl r.Sim.warm_service p50;
+            pctl r.Sim.warm_service p99;
+            pctl r.Sim.queue_wait p99;
+            pctl r.Sim.queue_depth (fun s ->
+                Printf.sprintf "%.0f" s.Imk_util.Stats.p99);
+            string_of_int r.Sim.distinct_layouts;
+          ]);
+      if r.Sim.completed > 0 then
+        sh.rows <-
           {
-            label;
-            total = r.Imk_fleet.Sim.sojourn;
+            label = String.concat "/" key;
+            total = r.Sim.sojourn;
             phases =
               List.filter
                 (fun (_, (s : Imk_util.Stats.summary)) -> s.Imk_util.Stats.n > 0)
                 [
-                  ("cold-start", r.Imk_fleet.Sim.cold_service);
-                  ("warm-start", r.Imk_fleet.Sim.warm_service);
-                  ("fault-start", r.Imk_fleet.Sim.fault_service);
-                  ("queue-wait", r.Imk_fleet.Sim.queue_wait);
+                  ("cold-start", r.Sim.cold_service);
+                  ("warm-start", r.Sim.warm_service);
+                  ("fault-start", r.Sim.fault_service);
+                  ("queue-wait", r.Sim.queue_wait);
                 ];
           }
-          :: !rows)
+          :: sh.rows)
     cells;
-  let silent_total =
-    List.fold_left (fun a (_, c) -> a + c.f_silent) 0 cals
+  let silent_total = List.fold_left (fun a (_, c) -> a + c.f_silent) 0 cals in
+  let fault_runs_total = cal_runs * List.length cals in
+  let soundness =
+    verdict "soundness" (silent_total = 0)
+      (if silent_total = 0 then
+         Printf.sprintf
+           "zero silent successes across %d fault-laden calibration boots — \
+            every fault-start cost in the simulator includes a typed, \
+            supervised recovery"
+           fault_runs_total
+       else
+         Printf.sprintf
+           "SOUNDNESS VIOLATION: %d of %d fault-laden calibration boots booted \
+            green with no recorded event"
+           silent_total fault_runs_total)
   in
-  let fault_runs_total =
-    List.fold_left (fun a (_, c) -> a + c.f_fault_runs) 0 cals
-  in
-  let soundness_note =
-    if silent_total = 0 then
-      Printf.sprintf
-        "zero silent successes across %d fault-laden calibration boots — \
-         every fault-start cost in the simulator includes a typed, \
-         supervised recovery"
-        fault_runs_total
-    else
-      Printf.sprintf
-        "SOUNDNESS VIOLATION: %d of %d fault-laden calibration boots booted \
-         green with no recorded event"
-        silent_total fault_runs_total
-  in
-  let agg f =
-    Array.to_list reports |> List.concat_map f
+  let reports = Array.to_list reports in
+  let p50s (pick : Sim.report -> Imk_util.Stats.summary) =
+    List.filter_map
+      (fun r ->
+        let s = pick r in
+        if s.Imk_util.Stats.n = 0 then None else Some s.Imk_util.Stats.p50)
+      reports
   in
   let economics_note =
-    let colds = agg (fun r -> if r.Imk_fleet.Sim.cold_service.Imk_util.Stats.n = 0 then [] else [ r.Imk_fleet.Sim.cold_service.Imk_util.Stats.p50 ]) in
-    let warms = agg (fun r -> if r.Imk_fleet.Sim.warm_service.Imk_util.Stats.n = 0 then [] else [ r.Imk_fleet.Sim.warm_service.Imk_util.Stats.p50 ]) in
-    let hits = agg (fun r -> if r.Imk_fleet.Sim.pool_hits + r.Imk_fleet.Sim.pool_misses = 0 then [] else [ r.Imk_fleet.Sim.hit_rate ]) in
+    let colds = p50s (fun r -> r.Sim.cold_service) in
+    let warms = p50s (fun r -> r.Sim.warm_service) in
+    let hits =
+      List.filter_map
+        (fun (r : Sim.report) ->
+          if r.Sim.pool_hits + r.Sim.pool_misses = 0 then None
+          else Some r.Sim.hit_rate)
+        reports
+    in
     match (colds, warms, hits) with
     | [], _, _ | _, [], _ | _, _, [] -> []
     | _ ->
@@ -2485,92 +2078,47 @@ let fleet ?(runs = 10) ?(requests = 50_000) ws =
             (100. *. Imk_util.Stats.mean hits);
         ]
   in
-  let weather_note =
-    let per p f =
-      Array.to_list cells
-      |> List.mapi (fun ti (_, _, _, profile) ->
-             if profile = p then f reports.(ti) else 0)
-      |> List.fold_left ( + ) 0
-    in
-    let drops p = per p (fun r -> r.Imk_fleet.Sim.dropped) in
-    let faults p = per p (fun r -> r.Imk_fleet.Sim.fault_starts) in
-    [
-      Printf.sprintf
-        "weather and the queue: drops calm/flaky/storm = %d/%d/%d, \
-         fault-laden starts %d/%d/%d — faults hold servers through \
-         recovery and forecast-forced cold starts bypass the warm pool, \
-         so weather shows in serving SLOs, not boot means"
-        (drops W.Calm) (drops W.Flaky) (drops W.Storm) (faults W.Calm)
-        (faults W.Flaky) (faults W.Storm);
-    ]
+  let sum f = List.fold_left (fun a r -> a + f r) 0 in
+  let per p f =
+    sum
+      (fun ((_, _, _, q), r) -> if q = p then f r else 0)
+      (List.combine (Array.to_list cells) reports)
   in
-  let layout_note =
-    let served =
-      Array.fold_left (fun a r -> a + r.Imk_fleet.Sim.completed) 0 reports
-    in
-    let layouts =
-      Array.fold_left (fun a r -> a + r.Imk_fleet.Sim.distinct_layouts) 0 reports
-    in
-    [
-      Printf.sprintf
-        "layout diversity: %d requests served from %d distinct layouts — \
-         warm reuse freezes a layout for its pool lifetime; only (cheap, \
-         in-monitor-randomized) cold boots re-diversify the fleet"
-        served layouts;
-    ]
-  in
-  {
-    id = "fleet";
-    title =
-      Printf.sprintf
-        "Fleet serving: %d requests/cell over warm pools (%d slots, pool %d, \
-         queue %d)"
-        requests servers pool_capacity queue_capacity;
-    table;
-    notes = (soundness_note :: economics_note) @ weather_note @ layout_note;
-    telemetry = List.rev !rows;
-  }
+  let drops p = per p (fun r -> r.Sim.dropped) in
+  let faults p = per p (fun r -> r.Sim.fault_starts) in
+  report sh ~verdicts:[ soundness ] ~id:"fleet"
+    ~title:
+      (Printf.sprintf
+         "Fleet serving: %d requests/cell over warm pools (%d slots, pool %d, \
+          queue %d)"
+         requests servers pool_capacity queue_capacity)
+    ((soundness.detail :: economics_note)
+    @ [
+        Printf.sprintf
+          "weather and the queue: drops calm/flaky/storm = %d/%d/%d, \
+           fault-laden starts %d/%d/%d — faults hold servers through \
+           recovery and forecast-forced cold starts bypass the warm pool, \
+           so weather shows in serving SLOs, not boot means"
+          (drops W.Calm) (drops W.Flaky) (drops W.Storm) (faults W.Calm)
+          (faults W.Flaky) (faults W.Storm);
+        Printf.sprintf
+          "layout diversity: %d requests served from %d distinct layouts — \
+           warm reuse freezes a layout for its pool lifetime; only (cheap, \
+           in-monitor-randomized) cold boots re-diversify the fleet"
+          (sum (fun r -> r.Sim.completed) reports)
+          (sum (fun r -> r.Sim.distinct_layouts) reports);
+      ])
 
-let all_ids =
+let registry =
   [
-    "table1"; "fig3"; "fig4"; "fig5"; "fig6"; "fig9"; "fig10"; "fig11";
-    "qemu"; "throughput"; "security"; "faults"; "resilience"; "diffcheck";
-    "fleet";
-    "ablation-kallsyms"; "ablation-orc"; "ablation-page-sharing";
-    "ablation-rerando"; "ablation-zygote"; "ablation-unikernel";
-    "ablation-devices";
+    ("table1", table1); ("fig3", fig3); ("fig4", fig4); ("fig5", fig5);
+    ("fig6", fig6); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11);
+    ("qemu", qemu_check); ("throughput", throughput); ("security", security);
+    ("faults", faults); ("resilience", resilience); ("diffcheck", diffcheck);
+    ("fleet", fleet);
+    ("ablation-kallsyms", ablation_kallsyms); ("ablation-orc", ablation_orc);
+    ("ablation-page-sharing", ablation_page_sharing);
+    ("ablation-rerando", ablation_rerando); ("ablation-zygote", ablation_zygote);
+    ("ablation-unikernel", ablation_unikernel);
+    ("ablation-devices", ablation_devices);
   ]
-
-let by_id = function
-  | "table1" -> Some (fun ?runs ws -> ignore runs; table1 ws)
-  | "fig3" -> Some (fun ?runs ws -> fig3 ?runs ws)
-  | "fig4" -> Some (fun ?runs ws -> fig4 ?runs ws)
-  | "fig5" -> Some (fun ?runs ws -> fig5 ?runs ws)
-  | "fig6" -> Some (fun ?runs ws -> fig6 ?runs ws)
-  | "fig9" -> Some (fun ?runs ws -> fig9 ?runs ws)
-  | "fig10" -> Some (fun ?runs ws -> fig10 ?runs ws)
-  | "fig11" -> Some (fun ?runs ws -> fig11 ?runs ws)
-  | "qemu" -> Some (fun ?runs ws -> qemu_check ?runs ws)
-  | "throughput" -> Some (fun ?runs ws -> throughput ?runs ws)
-  | "security" -> Some (fun ?runs ws -> ignore runs; security ws)
-  | "faults" -> Some (fun ?runs ws -> faults ?runs ws)
-  | "resilience" -> Some (fun ?runs ws -> resilience ?runs ws)
-  | "diffcheck" -> Some (fun ?runs ws -> diffcheck ?runs ws)
-  | "fleet" -> Some (fun ?runs ws -> fleet ?runs ws)
-  | "ablation-kallsyms" -> Some (fun ?runs ws -> ablation_kallsyms ?runs ws)
-  | "ablation-orc" -> Some (fun ?runs ws -> ablation_orc ?runs ws)
-  | "ablation-page-sharing" ->
-      Some (fun ?runs ws -> ignore runs; ablation_page_sharing ws)
-  | "ablation-rerando" -> Some (fun ?runs ws -> ablation_rerando ?runs ws)
-  | "ablation-zygote" -> Some (fun ?runs ws -> ablation_zygote ?runs ws)
-  | "ablation-unikernel" -> Some (fun ?runs ws -> ablation_unikernel ?runs ws)
-  | "ablation-devices" -> Some (fun ?runs ws -> ablation_devices ?runs ws)
-  | _ -> None
-
-let all ?runs ws =
-  List.map
-    (fun id ->
-      match by_id id with
-      | Some f -> f ?runs ws
-      | None -> assert false)
-    all_ids

@@ -104,9 +104,6 @@ let rows (o : Experiments.output) =
   check_duplicates ~what:"rows" rows;
   rows
 
-let boot_means o =
-  List.map (fun r -> (r.label, r.total.Imk_util.Stats.mean)) (rows o)
-
 let summary_json (s : Imk_util.Stats.summary) =
   Printf.sprintf
     "\"n\": %d, \"mean_ms\": %.6f, \"min_ms\": %.6f, \"max_ms\": %.6f, \

@@ -59,10 +59,6 @@ val rows : Experiments.output -> row list
     millisecond rows. Raises [Invalid_argument] on duplicate labels —
     two rows with the same label would silently shadow each other. *)
 
-val boot_means : Experiments.output -> (string * float) list
-(** [(label, mean total ms)] per telemetry row — the schema-1 view,
-    derived from the structured rows (same duplicate-label check). *)
-
 val value_column : string list -> int option
 (** Index of a rendered table's headline millisecond column: exactly
     ["total ms"], else ["boot ms"]/["create ms"], else the first header

@@ -1,5 +1,16 @@
 open Imk_kernel
 
+type run_config = {
+  jobs : int;
+  contend : int * int;
+  trace : (Imk_vclock.Trace.t -> unit) option;
+  mutate : bool;
+  requests : int option;
+}
+
+let default_run =
+  { jobs = 1; contend = (1, 1); trace = None; mutate = false; requests = None }
+
 type t = {
   disk : Imk_storage.Disk.t;
   cache : Imk_storage.Page_cache.t;
@@ -7,11 +18,13 @@ type t = {
   plans : Imk_monitor.Plan_cache.t option;
   scale : int;
   functions_override : int option;
+  run : run_config;
   builds : (string, Image.built) Hashtbl.t;
   bzimages : (string, unit) Hashtbl.t;
 }
 
-let create ?(scale = 16) ?functions_override ?(plan_cache = true) () =
+let create ?(scale = 16) ?functions_override ?(plan_cache = true)
+    ?(run = default_run) () =
   let disk = Imk_storage.Disk.create () in
   {
     disk;
@@ -20,25 +33,17 @@ let create ?(scale = 16) ?functions_override ?(plan_cache = true) () =
     plans = (if plan_cache then Some (Imk_monitor.Plan_cache.create ()) else None);
     scale;
     functions_override;
+    run;
     builds = Hashtbl.create 16;
     bzimages = Hashtbl.create 16;
   }
 
+let run_config t = t.run
 let disk t = t.disk
 let scale t = t.scale
 let cache t = t.cache
 let arena t = t.arena
 let plans t = t.plans
-
-let clone_fresh t =
-  (* same kernel matrix parameters, nothing built yet; the arena and the
-     plan cache are shared — both synchronize internally, pooled buffers
-     are interchangeable across workspaces of equal mem size, and plans
-     are content-addressed so a clone's independently built (byte-
-     identical) images resolve to the same immutable plans *)
-  { (create ~scale:t.scale ?functions_override:t.functions_override ()) with
-    arena = t.arena;
-    plans = t.plans }
 
 let config t preset variant =
   let base = Config.make ~scale:t.scale preset variant in

@@ -3,8 +3,6 @@
    chunked queue; results land in a per-task slot, so no ordering
    information is lost to scheduling. *)
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let sequential tasks f =
   if tasks = 0 then [||]
   else begin

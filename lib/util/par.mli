@@ -6,10 +6,8 @@
     queue, and every result is stored in its task's slot so the caller
     sees results in task order regardless of scheduling. Callers are
     responsible for giving each worker its own mutable state (caches,
-    workspaces): [f] receives the worker index for that purpose. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — the default for [--jobs]. *)
+    workspaces): [f] receives the worker index for that purpose. The
+    harness reaches it only through [Imk_harness.Campaign]. *)
 
 val map_tasks : ?jobs:int -> tasks:int -> (worker:int -> int -> 'a) -> 'a array
 (** [map_tasks ~jobs ~tasks f] computes [|f ~worker 0; ...; f ~worker

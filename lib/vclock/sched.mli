@@ -92,9 +92,10 @@ type rstats = {
 val resource_stats : t -> rclass -> rstats
 (** Conservation/FIFO counters for the test suites (DESIGN.md §10). *)
 
-(** The event heap, exposed for the qcheck ordering property: dequeue
-    order must equal a stable sort by [(key, seq)]. Parallel int arrays
-    (the [lib/fleet/sim.ml] pattern) — no per-event allocation. *)
+(** The event heap, shared with [Imk_fleet.Sim] (its in-flight boots)
+    and exposed for the qcheck ordering property: dequeue order must
+    equal a stable sort by [(key, seq)]. Parallel int arrays — no
+    per-event allocation. *)
 module Heap : sig
   type 'a t
 

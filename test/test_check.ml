@@ -131,31 +131,42 @@ let qcheck_cross_path_random_points =
 (* --- campaign rows must be bit-identical for any jobs fan-out, like
    every other experiment --- *)
 
+module H = Imk_harness
+
+let diffcheck ?(mutate = false) jobs =
+  let run = { H.Workspace.default_run with jobs; mutate } in
+  let ws = H.Workspace.create ~scale:4 ~functions_override:40 ~run () in
+  (List.assoc "diffcheck" H.Experiments.registry) ~runs:3 ws
+
 let diffcheck_jobs_invariant () =
-  let saved = !Imk_harness.Boot_runner.default_jobs in
-  let run jobs =
-    Imk_harness.Boot_runner.default_jobs := jobs;
-    let ws =
-      Imk_harness.Workspace.create ~scale:4 ~functions_override:40 ()
-    in
-    Imk_harness.Experiments.diffcheck ~runs:3 ws
+  let a = diffcheck 1 and b = diffcheck 4 in
+  check
+    Alcotest.(list (list string))
+    "table rows identical"
+    (Imk_util.Table.rows a.H.Experiments.table)
+    (Imk_util.Table.rows b.H.Experiments.table);
+  check Alcotest.(list string) "notes identical" a.H.Experiments.notes
+    b.H.Experiments.notes;
+  check Alcotest.bool "telemetry rows identical" true
+    (a.H.Experiments.telemetry = b.H.Experiments.telemetry);
+  check Alcotest.bool "zero divergences" true (H.Experiments.failures a = [])
+
+(* the planted faults reach the campaign through the run config, and
+   every plant comes back as a passing "caught" verdict *)
+let diffcheck_mutate_caught () =
+  let verdicts = (diffcheck ~mutate:true 1).H.Experiments.verdicts in
+  let caught =
+    List.filter
+      (fun (v : H.Experiments.verdict) ->
+        String.length v.H.Experiments.name > 7
+        && String.sub v.H.Experiments.name 0 7 = "caught:")
+      verdicts
   in
-  Fun.protect
-    ~finally:(fun () -> Imk_harness.Boot_runner.default_jobs := saved)
-    (fun () ->
-      let a = run 1 and b = run 4 in
-      check
-        Alcotest.(list (list string))
-        "table rows identical"
-        (Imk_util.Table.rows a.Imk_harness.Experiments.table)
-        (Imk_util.Table.rows b.Imk_harness.Experiments.table);
-      check
-        Alcotest.(list string)
-        "notes identical" a.Imk_harness.Experiments.notes
-        b.Imk_harness.Experiments.notes;
-      check Alcotest.bool "telemetry rows identical" true
-        (a.Imk_harness.Experiments.telemetry
-        = b.Imk_harness.Experiments.telemetry))
+  check Alcotest.int "one caught verdict per plant" 2 (List.length caught);
+  List.iter
+    (fun (v : H.Experiments.verdict) ->
+      check Alcotest.bool v.H.Experiments.detail true v.H.Experiments.pass)
+    verdicts
 
 let () =
   Alcotest.run "check"
@@ -175,5 +186,7 @@ let () =
           Testkit.to_alcotest qcheck_cross_path_random_points;
           Alcotest.test_case "diffcheck rows jobs-invariant" `Quick
             diffcheck_jobs_invariant;
+          Alcotest.test_case "diffcheck --mutate plants caught" `Quick
+            diffcheck_mutate_caught;
         ] );
     ]

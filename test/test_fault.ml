@@ -701,37 +701,23 @@ let qcheck_weathered_supervision_total =
 
 (* --- jobs-invariance with injected faults (satellite 4) --- *)
 
-let reports_with_jobs env vm ~jobs =
-  (* cycle the fault kinds over the runs so both orders exercise
-     corruption, recovery and clean boots *)
-  let kinds =
-    [|
-      None;
-      Some Inject.Truncate_image;
-      Some Inject.Flip_relocs_magic;
-      Some (Inject.Transient_init 1);
-      Some Inject.Flip_entry_magic;
-    |]
+let test_faults_campaign_jobs_invariant () =
+  (* the whole fault campaign — every seam, the snapshot corruptions and
+     their recoveries — renders the same rows for any fan-out *)
+  let faults jobs =
+    let run = { Workspace.default_run with jobs } in
+    (List.assoc "faults" Experiments.registry) ~runs:3
+      (Workspace.create ~scale:4 ~functions_override:50 ~run ())
   in
-  Boot_supervisor.supervise_many ~jobs ~runs:10
-    ~ctx_for:(fun ~run ->
-      match kinds.(run mod Array.length kinds) with
-      | None -> Boot_supervisor.plain_ctx (Imk_storage.Page_cache.create (make_disk env))
-      | Some kind -> armed_ctx env kind ~seed:(131 * run))
-    ~make_vm:(fun ~seed -> { vm with Vm_config.seed })
-    ()
-
-let test_supervise_many_jobs_invariant () =
-  let env, vm = supervise_env () in
-  let seq = reports_with_jobs env vm ~jobs:1 in
-  let par = reports_with_jobs env vm ~jobs:3 in
-  check int "same length" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun i (a : Boot_supervisor.report) ->
-      let b = par.(i) in
-      check Alcotest.bool (Printf.sprintf "run %d identical" (i + 1)) true
-        (a = b))
-    seq
+  let seq = faults 1 and par = faults 3 in
+  check
+    Alcotest.(list (list string))
+    "table rows identical"
+    (Imk_util.Table.rows seq.Experiments.table)
+    (Imk_util.Table.rows par.Experiments.table);
+  check Alcotest.bool "telemetry identical" true
+    (seq.Experiments.telemetry = par.Experiments.telemetry);
+  check Alcotest.bool "zero silent successes" true (Experiments.failures seq = [])
 
 (* --- soundness property: no armed fault ever yields a silent green
    boot, and nothing escapes the taxonomy --- *)
@@ -866,7 +852,7 @@ let () =
       ( "soundness",
         [
           Alcotest.test_case "jobs-invariant under faults" `Quick
-            test_supervise_many_jobs_invariant;
+            test_faults_campaign_jobs_invariant;
           Alcotest.test_case "weathered replay deterministic" `Quick
             test_weathered_replay_is_deterministic;
           Testkit.to_alcotest qcheck_no_silent_success;

@@ -268,28 +268,23 @@ let instantiation_rate_uses_elapsed_span () =
 (* --- campaign rows must be bit-identical for any jobs fan-out --- *)
 
 let fleet_jobs_invariant () =
-  let saved = !Imk_harness.Boot_runner.default_jobs in
+  let module H = Imk_harness in
   let run jobs =
-    Imk_harness.Boot_runner.default_jobs := jobs;
-    let ws = Imk_harness.Workspace.create ~scale:4 ~functions_override:50 () in
-    Imk_harness.Experiments.fleet ~runs:2 ~requests:1500 ws
+    let run = { H.Workspace.default_run with jobs; requests = Some 1500 } in
+    let ws = H.Workspace.create ~scale:4 ~functions_override:50 ~run () in
+    (List.assoc "fleet" H.Experiments.registry) ~runs:2 ws
   in
-  Fun.protect
-    ~finally:(fun () -> Imk_harness.Boot_runner.default_jobs := saved)
-    (fun () ->
-      let a = run 1 and b = run 4 in
-      check
-        Alcotest.(list (list string))
-        "table rows identical"
-        (Imk_util.Table.rows a.Imk_harness.Experiments.table)
-        (Imk_util.Table.rows b.Imk_harness.Experiments.table);
-      check
-        Alcotest.(list string)
-        "notes identical" a.Imk_harness.Experiments.notes
-        b.Imk_harness.Experiments.notes;
-      check Alcotest.bool "telemetry rows identical" true
-        (a.Imk_harness.Experiments.telemetry
-        = b.Imk_harness.Experiments.telemetry))
+  let a = run 1 and b = run 4 in
+  check
+    Alcotest.(list (list string))
+    "table rows identical"
+    (Imk_util.Table.rows a.H.Experiments.table)
+    (Imk_util.Table.rows b.H.Experiments.table);
+  check Alcotest.(list string) "notes identical" a.H.Experiments.notes
+    b.H.Experiments.notes;
+  check Alcotest.bool "telemetry rows identical" true
+    (a.H.Experiments.telemetry = b.H.Experiments.telemetry);
+  check Alcotest.bool "verdicts pass" true (H.Experiments.failures a = [])
 
 let () =
   Alcotest.run "fleet"

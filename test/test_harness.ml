@@ -8,7 +8,24 @@ open Imk_kernel
 let check = Alcotest.check
 let int = Alcotest.int
 
-let small_ws () = Workspace.create ~scale:4 ~functions_override:50 ()
+let small_ws ?run () = Workspace.create ~scale:4 ~functions_override:50 ?run ()
+
+let exp id = List.assoc id Experiments.registry
+
+let with_jobs jobs = { Workspace.default_run with Workspace.jobs }
+
+let vm ?(rando = Imk_monitor.Vm_config.Rando_kaslr) ws =
+  let variant =
+    if rando = Imk_monitor.Vm_config.Rando_off then Config.Nokaslr
+    else Config.Kaslr
+  in
+  Imk_monitor.Vm_config.make ~rando
+    ~relocs_path:
+      (if variant = Config.Nokaslr then None
+       else Some (Workspace.relocs_path ws Config.Aws variant))
+    ~kernel_path:(Workspace.vmlinux_path ws Config.Aws variant)
+    ~kernel_config:(Workspace.config ws Config.Aws variant)
+    ~mem_bytes:(64 * 1024 * 1024) ()
 
 let test_workspace_builds_once () =
   let ws = small_ws () in
@@ -47,16 +64,8 @@ let test_workspace_functions_override () =
 let test_boot_runner_stats () =
   let ws = small_ws () in
   Workspace.warm_all ws;
-  let make_vm ~seed =
-    Imk_monitor.Vm_config.make ~rando:Imk_monitor.Vm_config.Rando_kaslr
-      ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
-      ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
-      ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
-      ~mem_bytes:(64 * 1024 * 1024) ~seed ()
-  in
   let s =
-    Boot_runner.boot_many ~warmups:1 ~runs:8 ~cache:(Workspace.cache ws)
-      ~make_vm ()
+    Boot_runner.boot_many ~warmups:1 ~runs:8 ~cache:(Workspace.cache ws) (vm ws)
   in
   check int "8 samples" 8 s.Boot_runner.total.Imk_util.Stats.n;
   check Alcotest.bool "min <= mean <= max" true
@@ -79,52 +88,27 @@ let test_boot_runner_stats () =
 let test_boot_many_parallel_identical () =
   (* jobs must never change the numbers: same seeds, per-worker cache
      clones, order-preserving aggregation *)
-  let run jobs =
+  let run ~warmups ~runs jobs =
     let ws = small_ws () in
     Workspace.warm_all ws;
-    let make_vm ~seed =
-      Imk_monitor.Vm_config.make ~rando:Imk_monitor.Vm_config.Rando_kaslr
-        ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
-        ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
-        ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
-        ~mem_bytes:(64 * 1024 * 1024) ~seed ()
-    in
-    Boot_runner.boot_many ~warmups:2 ~jobs ~arena:(Workspace.arena ws) ~runs:6
-      ~cache:(Workspace.cache ws) ~make_vm ()
+    Boot_runner.boot_many ~warmups ~jobs ~arena:(Workspace.arena ws) ~runs
+      ~cache:(Workspace.cache ws) (vm ws)
   in
-  let seq = run 1 in
-  let par = run 4 in
-  check Alcotest.bool "phase_stats bit-identical" true (seq = par);
+  check Alcotest.bool "phase_stats bit-identical" true
+    (run ~warmups:2 ~runs:6 1 = run ~warmups:2 ~runs:6 4);
   (* and without warmups, where run 1 doubles as the priming boot *)
-  let run0 jobs =
-    let ws = small_ws () in
-    Workspace.warm_all ws;
-    let make_vm ~seed =
-      Imk_monitor.Vm_config.make ~rando:Imk_monitor.Vm_config.Rando_kaslr
-        ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
-        ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
-        ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
-        ~mem_bytes:(64 * 1024 * 1024) ~seed ()
-    in
-    Boot_runner.boot_many ~warmups:0 ~jobs ~arena:(Workspace.arena ws) ~runs:5
-      ~cache:(Workspace.cache ws) ~make_vm ()
-  in
-  check Alcotest.bool "warmups:0 bit-identical" true (run0 1 = run0 3)
+  check Alcotest.bool "warmups:0 bit-identical" true
+    (run ~warmups:0 ~runs:5 1 = run ~warmups:0 ~runs:5 3)
 
 let test_empty_phase_reports_zero_count () =
   (* a direct boot has no decompression phase; its summary must say
      n = 0, not fabricate a zero sample *)
   let ws = small_ws () in
   Workspace.warm_all ws;
-  let make_vm ~seed =
-    Imk_monitor.Vm_config.make ~rando:Imk_monitor.Vm_config.Rando_off
-      ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Nokaslr)
-      ~kernel_config:(Workspace.config ws Config.Aws Config.Nokaslr)
-      ~mem_bytes:(64 * 1024 * 1024) ~seed ()
-  in
   let s =
     Boot_runner.boot_many ~warmups:1 ~runs:3 ~arena:(Workspace.arena ws)
-      ~cache:(Workspace.cache ws) ~make_vm ()
+      ~cache:(Workspace.cache ws)
+      (vm ~rando:Imk_monitor.Vm_config.Rando_off ws)
   in
   check int "no decompression samples" 0
     s.Boot_runner.decompression.Imk_util.Stats.n;
@@ -145,12 +129,11 @@ let contains haystack needle =
   go 0
 
 let test_telemetry_json () =
-  let o = Experiments.fig6 ~runs:2 (small_ws ()) in
+  let o = exp "fig6" ~runs:2 (small_ws ()) in
   let rows = Telemetry.rows o in
   check int "one row per method" 4 (List.length rows);
-  let means = Telemetry.boot_means o in
-  check int "one mean per row" 4 (List.length means);
-  check Alcotest.bool "labelled" true (List.mem_assoc "lz4" means);
+  check Alcotest.bool "labelled" true
+    (List.exists (fun (r : Telemetry.row) -> r.Telemetry.label = "lz4") rows);
   let json =
     Telemetry.to_json ~experiment:"fig6" ~runs:2 ~jobs:1 ~scale:4
       ~functions:(Some 50) ~wall_clock_s:0.25 rows
@@ -190,7 +173,7 @@ let mk_row label samples phases =
 let test_schema2_roundtrip () =
   (* to_json -> of_json preserves every summary field to the emitted
      %.6f ms precision, phases included *)
-  let o = Experiments.fig6 ~runs:2 (small_ws ()) in
+  let o = exp "fig6" ~runs:2 (small_ws ()) in
   let rows = Telemetry.rows o in
   let f =
     Telemetry.of_json
@@ -338,37 +321,33 @@ let test_baseline_gate () =
   check (Alcotest.list Alcotest.string) "only in baseline" [ "c" ] only_base;
   check (Alcotest.list Alcotest.string) "only in current" [ "a"; "b" ] only_cur
 
-let test_trace_sink_fires () =
+let test_trace_tap_fires () =
   let ws = small_ws () in
   Workspace.warm_all ws;
-  let vm =
-    Imk_monitor.Vm_config.make ~rando:Imk_monitor.Vm_config.Rando_off
-      ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Nokaslr)
-      ~kernel_config:(Workspace.config ws Config.Aws Config.Nokaslr)
-      ~mem_bytes:(64 * 1024 * 1024) ()
-  in
+  let vm = vm ~rando:Imk_monitor.Vm_config.Rando_off ws in
   let count = ref 0 in
   let seen_total = ref 0 in
-  Boot_runner.trace_sink :=
-    Some
-      (fun tr ->
-        incr count;
-        seen_total := Imk_vclock.Trace.total tr);
-  Fun.protect
-    ~finally:(fun () -> Boot_runner.trace_sink := None)
-    (fun () ->
-      let trace, _ =
-        Boot_runner.boot_once ~jitter:false ~seed:1L
-          ~cache:(Workspace.cache ws) vm
-      in
-      check int "sink fired once" 1 !count;
-      check int "sink saw the finished trace" (Imk_vclock.Trace.total trace)
-        !seen_total);
-  (* uninstalling restores the no-op default *)
-  ignore
-    (Boot_runner.boot_once ~jitter:false ~seed:2L ~cache:(Workspace.cache ws)
-       vm);
-  check int "no sink, no fire" 1 !count
+  let tap tr =
+    incr count;
+    seen_total := Imk_vclock.Trace.total tr
+  in
+  let trace, _ =
+    Boot_runner.boot_once ~jitter:false ~tap ~seed:1L ~cache:(Workspace.cache ws)
+      vm
+  in
+  check int "tap fired once" 1 !count;
+  check int "tap saw the finished trace" (Imk_vclock.Trace.total trace)
+    !seen_total;
+  (* the workspace's run config carries the tap into every experiment
+     boot: fig6 boots 4 methods x (5 warmups + 1 run) *)
+  let count = Atomic.make 0 in
+  let run =
+    { (with_jobs 2) with Workspace.trace = Some (fun _ -> Atomic.incr count) }
+  in
+  ignore (exp "fig6" ~runs:1 (small_ws ~run ()));
+  check int "every fig6 boot tapped" 24 (Atomic.get count);
+  ignore (exp "fig6" ~runs:1 (small_ws ()));
+  check int "no tap, no fire" 24 (Atomic.get count)
 
 let test_boot_once_spans () =
   let ws = small_ws () in
@@ -403,7 +382,7 @@ let note_contains o needle =
     o.Experiments.notes
 
 let test_table1_smoke () =
-  let o = Experiments.table1 (small_ws ()) in
+  let o = exp "table1" (small_ws ()) in
   check Alcotest.string "id" "table1" o.Experiments.id;
   let rendered = Imk_util.Table.render o.Experiments.table in
   check Alcotest.bool "has all nine kernels" true
@@ -417,49 +396,98 @@ let test_table1_smoke () =
        [ "lupine-nokaslr"; "aws-fgkaslr"; "ubuntu-kaslr" ])
 
 let test_fig6_smoke () =
-  let o = Experiments.fig6 ~runs:2 (small_ws ()) in
+  let o = exp "fig6" ~runs:2 (small_ws ()) in
   check Alcotest.bool "direct fastest" true
     (note_contains o "> uncompressed(direct)")
 
 let test_fig3_smoke () =
-  let o = Experiments.fig3 ~runs:2 (small_ws ()) in
+  let o = exp "fig3" ~runs:2 (small_ws ()) in
   check Alcotest.bool "lz4 wins" true (note_contains o "fastest codec: lz4")
 
 let test_security_smoke () =
-  let o = Experiments.security (small_ws ()) in
+  let o = exp "security" (small_ws ()) in
   check Alcotest.string "id" "security" o.Experiments.id
 
-let test_by_id_lookup () =
-  check Alcotest.bool "fig9 known" true (Experiments.by_id "fig9" <> None);
-  check Alcotest.bool "unknown" true (Experiments.by_id "fig99" = None);
-  (* every advertised id resolves *)
-  List.iter
-    (fun id ->
-      check Alcotest.bool (id ^ " resolves") true (Experiments.by_id id <> None))
-    Experiments.all_ids
+let test_registry_lookup () =
+  let ids = List.map fst Experiments.registry in
+  check Alcotest.bool "fig9 known" true (List.mem "fig9" ids);
+  check Alcotest.bool "unknown" false (List.mem "fig99" ids);
+  check int "22 experiments" 22 (List.length ids);
+  check int "ids unique" 22 (List.length (List.sort_uniq compare ids))
+
+(* the gate bench/main.exe applies: any failing verdict fails the run *)
+let test_failing_verdict_fails_gate () =
+  let o =
+    {
+      Experiments.id = "x";
+      title = "x";
+      table = Imk_util.Table.create ~headers:[ "a" ];
+      notes = [];
+      telemetry = [];
+      verdicts = [];
+    }
+  in
+  let v name pass = { Experiments.name; pass; detail = name } in
+  check int "no verdicts pass" 0 (List.length (Experiments.failures o));
+  check int "passing verdicts pass" 0
+    (List.length
+       (Experiments.failures { o with verdicts = [ v "a" true; v "b" true ] }));
+  match
+    Experiments.failures
+      { o with verdicts = [ v "a" true; v "soundness" false; v "c" true ] }
+  with
+  | [ f ] -> check Alcotest.string "the failing verdict" "soundness" f.Experiments.name
+  | fs -> Alcotest.failf "expected 1 failure, got %d" (List.length fs)
+
+(* Campaign.run ≡ the sequential protocol for any fan-out: each task
+   records which files its cache held before it read one, so the result
+   exposes exactly the cache state every task saw *)
+let qcheck_campaign_sequential =
+  let names = Array.init 5 (Printf.sprintf "f%d") in
+  QCheck.Test.make ~count:40
+    ~name:"campaign: results = sequential Array.init, shared cache primed only"
+    QCheck.(triple (int_range 1 4) (int_bound 12) (int_bound 12))
+    (fun (jobs, tasks, prime) ->
+      let disk = Imk_storage.Disk.create () in
+      Array.iter (fun name -> Imk_storage.Disk.add disk ~name (Bytes.make 8 'x')) names;
+      let cache = Imk_storage.Page_cache.create disk in
+      let cached c =
+        List.filter (Imk_storage.Page_cache.is_cached c) (Array.to_list names)
+      in
+      let got =
+        Campaign.run ~jobs ~prime ~cache ~tasks (fun ~cache i ->
+            let before = cached cache in
+            ignore (Imk_storage.Page_cache.read cache names.((i * 3) mod 5));
+            (i, before))
+      in
+      let read_by n =
+        List.filter
+          (fun name ->
+            List.exists (fun j -> names.((j * 3) mod 5) = name) (List.init n Fun.id))
+          (Array.to_list names)
+      in
+      let prime = min prime tasks in
+      got = Array.init tasks (fun i -> (i, read_by (min i prime)))
+      && cached cache = read_by prime)
 
 let test_throughput_smoke () =
-  let o = Experiments.throughput ~runs:5 (small_ws ()) in
+  let o = exp "throughput" ~runs:5 (small_ws ()) in
   check Alcotest.string "id" "throughput" o.Experiments.id;
   (* the headline direction: fgkaslr costs more throughput than kaslr *)
   check Alcotest.bool "ordering note present" true
     (note_contains o "FGKASLR costs")
 
 let test_fig9_parallel_identical () =
-  (* cell-level fan-out with per-worker workspaces renders the exact
+  (* cell-level fan-out over private cache clones renders the exact
      table the sequential run does *)
   let render jobs =
-    Boot_runner.default_jobs := jobs;
-    Fun.protect
-      ~finally:(fun () -> Boot_runner.default_jobs := 1)
-      (fun () ->
-        let o = Experiments.fig9 ~runs:2 (small_ws ()) in
-        Imk_util.Table.render o.Experiments.table)
+    let o = exp "fig9" ~runs:2 (small_ws ~run:(with_jobs jobs) ()) in
+    Imk_util.Table.render o.Experiments.table
   in
   check Alcotest.string "fig9 table identical" (render 1) (render 3)
 
 let test_zygote_smoke () =
-  let o = Experiments.ablation_zygote ~runs:3 (small_ws ()) in
+  let o = exp "ablation-zygote" ~runs:3 (small_ws ()) in
   check Alcotest.bool "restores faster" true (note_contains o "faster than boots")
 
 let () =
@@ -483,8 +511,9 @@ let () =
           Alcotest.test_case "empty phase n=0" `Quick
             test_empty_phase_reports_zero_count;
           Alcotest.test_case "ms precision" `Quick test_ms_keeps_fractional_ns;
-          Alcotest.test_case "trace sink" `Quick test_trace_sink_fires;
+          Alcotest.test_case "trace tap" `Quick test_trace_tap_fires;
         ] );
+      ("campaign", [ Testkit.to_alcotest qcheck_campaign_sequential ]);
       ( "telemetry",
         [
           Alcotest.test_case "json" `Quick test_telemetry_json;
@@ -504,7 +533,9 @@ let () =
           Alcotest.test_case "fig3" `Slow test_fig3_smoke;
           Alcotest.test_case "fig6" `Quick test_fig6_smoke;
           Alcotest.test_case "security" `Quick test_security_smoke;
-          Alcotest.test_case "by_id" `Quick test_by_id_lookup;
+          Alcotest.test_case "registry" `Quick test_registry_lookup;
+          Alcotest.test_case "failing verdict fails the gate" `Quick
+            test_failing_verdict_fails_gate;
           Alcotest.test_case "throughput" `Slow test_throughput_smoke;
           Alcotest.test_case "fig9 parallel" `Slow test_fig9_parallel_identical;
           Alcotest.test_case "zygote" `Slow test_zygote_smoke;

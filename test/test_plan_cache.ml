@@ -153,15 +153,15 @@ let small_ws ?plan_cache () =
 let fig9_cell ws ~jobs =
   let module W = Imk_harness.Workspace in
   let module C = Imk_kernel.Config in
-  let make_vm ~seed =
+  let vm =
     Vm_config.make ~rando:Vm_config.Rando_kaslr
       ~relocs_path:(Some (W.relocs_path ws C.Aws C.Kaslr))
       ~kernel_path:(W.vmlinux_path ws C.Aws C.Kaslr)
       ~kernel_config:(W.config ws C.Aws C.Kaslr)
-      ~mem_bytes:(64 * 1024 * 1024) ~seed ()
+      ~mem_bytes:(64 * 1024 * 1024) ()
   in
   Imk_harness.Boot_runner.boot_many ~warmups:2 ~jobs ~arena:(W.arena ws)
-    ?plans:(W.plans ws) ~runs:6 ~cache:(W.cache ws) ~make_vm ()
+    ?plans:(W.plans ws) ~runs:6 ~cache:(W.cache ws) vm
 
 let test_boot_many_invariant_cache_and_jobs () =
   (* phase_stats must be bit-identical across {cache on, cache off} x
