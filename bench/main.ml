@@ -58,28 +58,33 @@ let usage () =
     ^ " micro all");
   exit 2
 
+(* an integer flag's value: anything unparsable or below [min] is a
+   usage error, never an uncaught exception or a degenerate run *)
+let int_flag ?(min = min_int) v =
+  match int_of_string_opt v with Some n when n >= min -> n | _ -> usage ()
+
 let rec parse = function
   | [] -> ()
   | "--exp" :: v :: rest ->
       exps := v :: !exps;
       parse rest
   | "--runs" :: v :: rest ->
-      runs := int_of_string v;
+      runs := int_flag ~min:1 v;
       parse rest
   | "--functions" :: v :: rest ->
-      functions := Some (int_of_string v);
+      functions := Some (int_flag ~min:1 v);
       parse rest
   | "--scale" :: v :: rest ->
-      scale := int_of_string v;
+      scale := int_flag ~min:1 v;
       parse rest
   | "--jobs" :: v :: rest ->
-      jobs := int_of_string v;
+      jobs := int_flag v;
       parse rest
   | "--baseline" :: v :: rest ->
       baseline_path := Some v;
       parse rest
   | "--threshold" :: v :: rest ->
-      threshold := float_of_string v;
+      threshold := (match float_of_string_opt v with Some f -> f | None -> usage ());
       parse rest
   | "--trace" :: v :: rest ->
       trace_path := Some v;
@@ -91,11 +96,11 @@ let rec parse = function
       mutate := true;
       parse rest
   | "--requests" :: v :: rest ->
-      requests := Some (int_of_string v);
+      requests := Some (int_flag ~min:1 v);
       parse rest
   | "--contend" :: v :: rest ->
       (match String.split_on_char ',' v with
-      | [ d; s ] -> contend := (int_of_string d, int_of_string s)
+      | [ d; s ] -> contend := (int_flag ~min:1 d, int_flag ~min:1 s)
       | _ -> usage ());
       parse rest
   | _ -> usage ()
@@ -404,7 +409,6 @@ let micro () =
 let () =
   parse (List.tl (Array.to_list Sys.argv));
   jobs := max 1 !jobs;
-  if fst !contend < 1 || snd !contend < 1 then usage ();
   let requested = if !exps = [] then [ "all" ] else List.rev !exps in
   let run =
     {

@@ -1066,25 +1066,168 @@ let ablation_zygote ?runs:_ ws =
         (Imk_util.Units.bytes_to_string (Zygote.memory_bytes pool));
     ]
 
-(* ---------- supervised campaigns: shared plumbing ---------- *)
+(* ---------- supervised campaigns: one target, one run, one tally ---------- *)
+
+(* faults, resilience and fleet's calibration are cell lists over one
+   supervised run: a cell is a target plus the conditions of each of its
+   runs, every campaign's cells fan out through [run_cells], and one
+   [tally] turns a cell's reports into ok/recovered/failed/silent counts
+   and the campaign's soundness verdict *)
+
+module F = Imk_fault.Failure
+module I = Imk_fault.Inject
+module S = Boot_supervisor
 
 let verdict name pass detail = { name; pass; detail }
 
 (* a workspace image's name and pristine bytes *)
 let file ws name = (name, Imk_storage.Disk.find (Workspace.disk ws) name)
 
-(* a supervised run's private context: its own disk holding copies of
-   [files] (an armed fault corrupts only this run's bytes), the
-   transient hook [arm] returns, and a page cache with [files] warm
-   unless [cold] *)
-let run_ctx ws ?(cold = false) ?(arm = fun _ -> None) files =
+(* a supervised boot path: its pristine files, the VM that boots them,
+   the snapshot it restores from (if any), and the seams a weather
+   forecast draws from — forecasts depend on the list's order and
+   length *)
+type target = {
+  preset : Config.preset;
+  path : string;  (* "direct/kaslr" *)
+  files : (string * bytes) list;
+  snapshot : (string * bytes) option;  (* disk name, serialized blob *)
+  vm : Vm_config.t;
+  seams : I.kind list;
+}
+
+let target_mem = 64 * 1024 * 1024
+
+let direct_target ws preset =
+  let vm =
+    direct_vm ws preset Config.Kaslr ~rando:Vm_config.Rando_kaslr ~mem:target_mem ()
+  in
+  {
+    preset;
+    path = "direct/kaslr";
+    files =
+      file ws vm.Vm_config.kernel_path
+      :: Option.to_list (Option.map (file ws) vm.Vm_config.relocs_path);
+    snapshot = None;
+    vm;
+    seams =
+      [
+        I.Truncate_image; I.Flip_image_magic; I.Flip_entry_magic;
+        I.Truncate_relocs; I.Flip_relocs_magic; I.Read_fault_entry_magic;
+      ];
+  }
+
+let bz_target ws preset =
+  let vm =
+    bz_vm ws preset Config.Kaslr ~codec:"lz4" ~bz:Bzimage.Standard
+      ~rando:Vm_config.Rando_kaslr ~mem:target_mem ()
+  in
+  {
+    preset;
+    path = "bz/lz4/kaslr";
+    files = [ file ws vm.Vm_config.kernel_path ];
+    snapshot = None;
+    vm;
+    seams = [ I.Flip_image_magic; I.Truncate_bzimage; I.Flip_bz_payload_crc ];
+  }
+
+(* restores from one base snapshot of the direct target; a failed
+   restore degrades to a cold boot of the direct VM. The one-element
+   seam list is a stand-in so the weather draws corruptions at the
+   normal rate *)
+let snapshot_target ws preset =
+  let d = direct_target ws preset in
+  {
+    d with
+    path = "snapshot/kaslr";
+    snapshot = Some ("base.snapshot", snapshot_blob ws d.vm);
+    seams = [ I.Flip_image_magic ];
+  }
+
+(* a fault a run may carry: an armed seam, or a corruption of the
+   target's snapshot blob *)
+type fault = Seam of I.kind | Blob_flip | Blob_truncate
+
+let fault_name = function
+  | None -> "none"
+  | Some (Seam k) -> I.name k
+  | Some Blob_flip -> "snapshot-bit-flip"
+  | Some Blob_truncate -> "snapshot-truncate"
+
+type conditions = { fault : fault option; fault_seed : int; cold : bool }
+
+let clean = { fault = None; fault_seed = 0; cold = false }
+
+(* the per-run fault seed of the deterministic sweeps *)
+let fault_seed run = (131 * run) + 7
+
+(* one supervised run of [t] under [c], fully private: its own disk
+   holding copies of the target's files (an armed fault or a corrupted
+   blob touches only this run's bytes), a page cache warm unless
+   [c.cold], and guest memory borrowed from the workspace arena. The
+   plan cache is deliberately shared across runs and faults: content
+   addressing must keep corrupted images from ever resolving to a
+   pristine image's plan, and the fault campaign is the proof *)
+let supervised ws ?fleet ?jitter t ~seed c =
+  let snapshot =
+    match (t.snapshot, c.fault) with
+    | Some (name, blob), Some Blob_flip ->
+        Some (name, I.flip_one_bit ~seed:c.fault_seed blob)
+    | Some (name, blob), Some Blob_truncate ->
+        Some (name, Bytes.sub blob 0 (Bytes.length blob - (1 + (c.fault_seed mod 128))))
+    | None, Some (Blob_flip | Blob_truncate) ->
+        invalid_arg ("supervised: snapshot fault on " ^ t.path)
+    | s, (None | Some (Seam _)) -> s
+  in
+  let files = t.files @ Option.to_list snapshot in
   let disk = Imk_storage.Disk.create () in
   List.iter (fun (name, b) -> Imk_storage.Disk.add disk ~name b) files;
-  let inject = arm disk in
+  let inject =
+    match c.fault with
+    | Some (Seam k) ->
+        (I.arm k ~seed:c.fault_seed ~disk ~kernel_path:t.vm.Vm_config.kernel_path
+           ?relocs_path:t.vm.Vm_config.relocs_path ())
+          .I.inject
+    | _ -> None
+  in
   let cache = Imk_storage.Page_cache.create disk in
-  if not cold then
+  if not c.cold then
     List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
-  { Boot_supervisor.cache; inject; plans = Workspace.plans ws }
+  let ctx = { S.cache; inject; plans = Workspace.plans ws } in
+  let tap = tap ws and arena = Workspace.arena ws in
+  match snapshot with
+  | None -> S.supervise ?jitter ?tap ~arena ?fleet ~seed ~ctx t.vm
+  | Some (snapshot_path, _) ->
+      S.supervise_snapshot ?jitter ?tap ~arena ?fleet ~seed ~ctx ~snapshot_path
+        ~working_set_pages:2048 t.vm
+
+(* a campaign cell: [runs] supervised runs of [target], run i's seed and
+   conditions pure in i, all through one fleet built from [policy] when
+   there is one *)
+type cell = {
+  target : target;
+  policy : S.policy option;
+  runs : int;
+  conditions : int -> conditions;
+}
+
+(* every cell's runs with their conditions, and its fleet's breaker
+   trips. Cells fan out over the run's jobs; a cell's runs stay in order
+   on one domain, so its fleet is sequential state and the result is
+   bit-identical for any --jobs value *)
+let run_cells ws cells =
+  let cells = Array.of_list cells in
+  Array.to_list
+    (Campaign.map ~jobs:(jobs ws) ~tasks:(Array.length cells) (fun i ->
+         let cell = cells.(i) in
+         let fleet = Option.map (fun policy -> S.fleet ~policy ()) cell.policy in
+         let runs =
+           List.init cell.runs (fun i ->
+               let run = i + 1 in
+               let c = cell.conditions run in
+               (c, supervised ws ?fleet cell.target ~seed:(Boot_runner.run_seed run) c))
+         in
+         (runs, Option.fold ~none:0 ~some:S.breaker_trips fleet)))
 
 let count p l = List.length (List.filter p l)
 
@@ -1092,163 +1235,126 @@ let count p l = List.length (List.filter p l)
 let distinct l =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] l
 
-let is_ok (r : Boot_supervisor.report) = Result.is_ok r.Boot_supervisor.outcome
+let is_ok (r : S.report) = Result.is_ok r.S.outcome
+let recovered (r : S.report) = is_ok r && r.S.events <> []
 
 (* every recovery event of [reports], in occurrence order *)
-let events reports =
-  List.concat_map (fun (r : Boot_supervisor.report) -> r.Boot_supervisor.events) reports
+let events reports = List.concat_map (fun (r : S.report) -> r.S.events) reports
 
-let total_ns (r : Boot_supervisor.report) = float_of_int r.Boot_supervisor.total_ns
+let total_ns (r : S.report) = float_of_int r.S.total_ns
+
+type tally = {
+  n : int;
+  ok : int;
+  n_recovered : int;
+  failed : int;
+  silent : int;  (* armed runs that booted green with no recorded event *)
+  armed : int;
+}
+
+let tally runs =
+  let reports = List.map snd runs in
+  let ok = count is_ok reports in
+  {
+    n = List.length runs;
+    ok;
+    n_recovered = count recovered reports;
+    failed = List.length runs - ok;
+    silent =
+      count (fun (c, r) -> c.fault <> None && is_ok r && r.S.events = []) runs;
+    armed = count (fun (c, _) -> c.fault <> None) runs;
+  }
+
+(* the line every supervised campaign holds: an armed fault must end as
+   a typed failure or as a recovery with a recorded event — a silently
+   green boot over corrupted bytes is a validator bug. [pass] is the
+   campaign's evidence when it holds *)
+let soundness t ~noun ~pass =
+  verdict "soundness" (t.silent = 0)
+    (if t.silent = 0 then pass
+     else
+       Printf.sprintf
+         "SOUNDNESS VIOLATION: %d of %d %s booted green with no recorded event"
+         t.silent t.armed noun)
 
 (* ---------- Fault-injection campaign ---------- *)
 
 let faults ?(runs = 20) ws =
-  (* Sweep fault kinds x boot paths x seeds under supervision and hold
-     the soundness line: an armed fault must end as a typed failure or
-     as a recovery with a recorded event — a silently green boot over
-     corrupted bytes is a validator bug. Every cell run is fully
-     private (own disk, cache, armed fault), so the table is
-     bit-identical for any --jobs value. *)
-  let module F = Imk_fault.Failure in
-  let module I = Imk_fault.Inject in
-  let module S = Boot_supervisor in
+  (* The deterministic per-kind sweep: every boot path under every fault
+     it can carry, [runs] cold supervised runs each. *)
+  let sweep =
+    List.concat_map
+      (fun t ->
+        let faults =
+          match t.snapshot with
+          | Some _ -> [ Blob_flip; Blob_truncate ]
+          | None -> List.map (fun k -> Seam k) (t.seams @ [ I.Transient_init 1 ])
+        in
+        List.map (fun f -> (t, f)) (None :: List.map Option.some faults))
+      (List.map
+         (fun target -> target ws Config.Aws)
+         [ direct_target; bz_target; snapshot_target ])
+  in
+  let results =
+    run_cells ws
+      (List.map
+         (fun (target, fault) ->
+           {
+             target;
+             policy = None;
+             runs;
+             conditions =
+               (fun run -> { fault; fault_seed = fault_seed run; cold = true });
+           })
+         sweep)
+  in
   let sh =
     sheet
       [ "path"; "fault"; "runs"; "ok"; "recovered"; "failed"; "retries";
         "silent"; "failure kinds"; "total ms" ]
   in
-  let mem = 64 * 1024 * 1024 in
-  let preset = Config.Aws in
-  let fault_seed run = (131 * run) + 7 in
-  let kcfg = Workspace.config ws preset Config.Kaslr in
-  (* build the cell inputs up front, on the calling domain *)
-  let direct_k = Workspace.vmlinux_path ws preset Config.Kaslr in
-  let direct_r = Workspace.relocs_path ws preset Config.Kaslr in
-  let bz_k =
-    Workspace.bzimage_path ws preset Config.Kaslr ~codec:"lz4"
-      ~bz:Bzimage.Standard
-  in
-  let direct_files = [ file ws direct_k; file ws direct_r ] in
-  let bz_files = [ file ws bz_k ] in
-  let direct_vm =
-    Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-      ~relocs_path:(Some direct_r) ~kernel_path:direct_k ~kernel_config:kcfg ()
-  in
-  let bz_vm =
-    Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
-      ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-      ~loader:Vm_config.Loader_stripped ~kernel_path:bz_k ~kernel_config:kcfg ()
-  in
-  (* one (path, fault) cell: [runs] supervised runs, run i+1's seed,
-     private disk and armed fault pure in the index. The plan cache is
-     deliberately shared across runs and faults: content addressing must
-     keep corrupted images from ever resolving to a pristine image's
-     plan, and this campaign is the proof *)
-  let silent_total = ref 0 and fault_runs = ref 0 in
-  let cell ~path ~fault ~armed ~files ~arm supervise =
-    let rs =
-      Array.to_list
-        (Campaign.map ~jobs:(jobs ws) ~tasks:runs (fun i ->
-             let run = i + 1 in
-             supervise ~seed:(Boot_runner.run_seed run)
-               ~ctx:(run_ctx ws ~cold:true ~arm:(arm ~run) files)))
-    in
-    let n = List.length rs in
-    let oks, fails = List.partition is_ok rs in
-    let recovered = count (fun (r : S.report) -> r.S.events <> []) oks in
-    let silent = if armed then List.length oks - recovered else 0 in
-    let kinds =
-      distinct
-        (List.filter_map
-           (fun (r : S.report) ->
-             Result.fold ~ok:(fun _ -> None) ~error:(fun f -> Some (F.kind_name f))
-               r.S.outcome)
-           fails)
-    in
-    let totals = List.map total_ns rs in
-    if n > 0 then
-      sh.rows <-
-        { label = path ^ "/" ^ fault; total = Imk_util.Stats.summarize totals; phases = [] }
-        :: sh.rows;
-    Imk_util.Table.add_row sh.table
-      [
-        path; fault; string_of_int n; string_of_int (List.length oks);
-        string_of_int recovered; string_of_int (List.length fails);
-        string_of_int (count (function F.Retried _ -> true | _ -> false) (events rs));
-        string_of_int silent;
-        (match kinds with [] -> "-" | l -> String.concat "," l);
-        msv
-          (if n = 0 then 0.
-           else
-             Imk_util.Units.ns_float_to_ms
-               (List.fold_left ( +. ) 0. totals /. float_of_int n));
-      ];
-    silent_total := !silent_total + silent;
-    if armed then fault_runs := !fault_runs + n
-  in
-  let sweep ~path ~files ~kernel_path ?relocs_path vm kinds =
-    List.iter
-      (fun kind ->
-        cell ~path
-          ~fault:(match kind with None -> "none" | Some k -> I.name k)
-          ~armed:(kind <> None) ~files
-          ~arm:(fun ~run disk ->
-            Option.bind kind (fun k ->
-                (I.arm k ~seed:(fault_seed run) ~disk ~kernel_path ?relocs_path ())
-                  .I.inject))
-          (fun ~seed ~ctx -> S.supervise ?tap:(tap ws) ~seed ~ctx vm))
-      kinds
-  in
-  sweep ~path:"direct/kaslr" ~files:direct_files ~kernel_path:direct_k
-    ~relocs_path:direct_r direct_vm
-    [
-      None;
-      Some I.Truncate_image;
-      Some I.Flip_image_magic;
-      Some I.Flip_entry_magic;
-      Some I.Truncate_relocs;
-      Some I.Flip_relocs_magic;
-      Some I.Read_fault_entry_magic;
-      Some (I.Transient_init 1);
-    ];
-  sweep ~path:"bz/lz4/kaslr" ~files:bz_files ~kernel_path:bz_k bz_vm
-    [
-      None;
-      Some I.Flip_image_magic;
-      Some I.Truncate_bzimage;
-      Some I.Flip_bz_payload_crc;
-      Some (I.Transient_init 1);
-    ];
-  (* snapshot path: one base snapshot per campaign, corrupted per run;
-     a failed restore must degrade to a verify-green cold boot *)
-  let snap_blob = snapshot_blob ws direct_vm in
-  let snap_path = "base.snapshot" in
-  List.iter
-    (fun (fault, corrupt) ->
-      cell ~path:"snapshot/kaslr" ~fault ~armed:(fault <> "none")
-        ~files:direct_files
-        ~arm:(fun ~run disk ->
-          Imk_storage.Disk.add disk ~name:snap_path
-            (corrupt ~seed:(fault_seed run) snap_blob);
-          None)
-        (fun ~seed ~ctx ->
-          S.supervise_snapshot ?tap:(tap ws) ~seed ~ctx ~snapshot_path:snap_path
-            ~working_set_pages:2048 direct_vm))
-    [
-      ("none", fun ~seed:_ b -> b);
-      ("snapshot-bit-flip", fun ~seed b -> I.flip_one_bit ~seed b);
-      ( "snapshot-truncate",
-        fun ~seed b -> Bytes.sub b 0 (Bytes.length b - (1 + (seed mod 128))) );
-    ];
+  List.iter2
+    (fun (target, fault) (rs, _) ->
+      let t = tally rs in
+      let reports = List.map snd rs in
+      let kinds =
+        distinct
+          (List.filter_map
+             (fun (r : S.report) ->
+               Result.fold ~ok:(fun _ -> None) ~error:(fun f -> Some (F.kind_name f))
+                 r.S.outcome)
+             reports)
+      in
+      let fault = fault_name fault in
+      let mean_ms =
+        match List.map total_ns reports with
+        | [] -> 0.
+        | totals ->
+            let total = Imk_util.Stats.summarize totals in
+            let label = target.path ^ "/" ^ fault in
+            sh.rows <- { label; total; phases = [] } :: sh.rows;
+            msf total
+      in
+      Imk_util.Table.add_row sh.table
+        [
+          target.path; fault; string_of_int t.n; string_of_int t.ok;
+          string_of_int t.n_recovered; string_of_int t.failed;
+          string_of_int
+            (count (function F.Retried _ -> true | _ -> false) (events reports));
+          string_of_int t.silent;
+          (match kinds with [] -> "-" | l -> String.concat "," l);
+          msv mean_ms;
+        ])
+    sweep results;
+  let t = tally (List.concat_map fst results) in
   let soundness =
-    verdict "soundness" (!silent_total = 0)
-      (Printf.sprintf
-         "soundness: %d silent successes across %d fault-injected runs%s"
-         !silent_total !fault_runs
-         (if !silent_total = 0 then
-            " — every armed fault was detected as a typed failure or \
-             recovered with a recorded event"
-          else " — SOUNDNESS VIOLATION: corrupted bytes booted green"))
+    soundness t ~noun:"fault-injected runs"
+      ~pass:
+        (Printf.sprintf
+           "soundness: 0 silent successes across %d fault-injected runs — every \
+            armed fault was detected as a typed failure or recovered with a \
+            recorded event"
+           t.armed)
   in
   report sh ~verdicts:[ soundness ] ~id:"faults"
     ~title:"Fault injection: typed detection and supervised recovery"
@@ -1261,112 +1367,36 @@ let faults ?(runs = 20) ws =
 
 (* ---------- Resilience campaign: weather x preset x boot path ---------- *)
 
-(* one swept (preset, boot-path) point, built up front on the calling
-   domain: pristine file bytes, injectable seams, and the calibrated
-   per-attempt virtual-time budget *)
-type resilience_cell = {
-  c_path : string;  (* "aws/direct/kaslr" *)
-  c_files : (string * bytes) list;
-  c_kernel : string;
-  c_relocs : string option;
-  c_seams : Imk_fault.Inject.kind list;
-  c_snapshot : (string * bytes) option;
-  c_vm : Vm_config.t;
-  c_budget : int;
-}
-
 let resilience ?(runs = 10) ws =
-  (* Sweep weather profile x preset x boot path under fleet supervision
-     (circuit breakers, per-attempt deadlines, a campaign retry budget)
-     and hold two lines: an armed fault must never boot silently green,
-     and a recoverable fault must end recovered or as an accounted
-     degradation (retry budget dry, breaker open). Weather, fault seeds
-     and per-run state are pure functions of the (cell, run) index and
-     each cell runs its boots sequentially against its own fleet, so the
-     table is bit-identical for any --jobs value — parallelism lives
-     between cells. *)
-  let module F = Imk_fault.Failure in
-  let module I = Imk_fault.Inject in
+  (* The weather sample: profile x preset x boot path under fleet
+     supervision (circuit breakers, per-attempt deadlines, a campaign
+     retry budget), holding two lines: an armed fault must never boot
+     silently green, and a recoverable fault must end recovered or as an
+     accounted degradation (retry budget dry, breaker open). Weather and
+     fault seeds are pure in the (cell, run) index. *)
   let module W = Imk_fault.Weather in
-  let module S = Boot_supervisor in
-  let mem = 64 * 1024 * 1024 in
   let ms = Imk_util.Units.ns_float_to_ms in
-  (* a supervised boot of [vm], or a restore of [snapshot] falling back
-     to one *)
-  let supervise ?jitter ?fleet ~seed ~ctx ~snapshot vm =
-    match snapshot with
-    | None -> S.supervise ?jitter ?tap:(tap ws) ?fleet ~seed ~ctx vm
-    | Some (snapshot_path, _) ->
-        S.supervise_snapshot ?jitter ?tap:(tap ws) ?fleet ~seed ~ctx
-          ~snapshot_path ~working_set_pages:2048 vm
-  in
-  let calibrated ?snapshot ~files vm =
-    (* a clean warm boot (or restore) of the cell's config, deterministic
-       (no jitter); the attempt budget is 1.5x that — generous against
-       ~1% jitter, tight enough that a cold-cache overload overruns it *)
-    let ctx = run_ctx ws (files @ Option.to_list snapshot) in
-    let r = supervise ~jitter:false ~seed:1L ~ctx ~snapshot vm in
-    match r.S.outcome with
-    | Ok _ -> r.S.total_ns * 3 / 2
-    | Error f -> invalid_arg ("resilience: calibration failed: " ^ F.describe f)
-  in
-  let cell ~path ~kernel ?relocs ~seams vm =
-    let files = file ws kernel :: Option.to_list (Option.map (file ws) relocs) in
-    {
-      c_path = path;
-      c_files = files;
-      c_kernel = kernel;
-      c_relocs = relocs;
-      c_seams = seams;
-      c_snapshot = None;
-      c_vm = vm;
-      c_budget = calibrated ~files vm;
-    }
-  in
-  let direct_cell preset =
-    let k = Workspace.vmlinux_path ws preset Config.Kaslr in
-    let r = Workspace.relocs_path ws preset Config.Kaslr in
-    cell ~path:(pname preset ^ "/direct/kaslr") ~kernel:k ~relocs:r
-      ~seams:
-        [
-          I.Truncate_image; I.Flip_image_magic; I.Flip_entry_magic;
-          I.Truncate_relocs; I.Flip_relocs_magic; I.Read_fault_entry_magic;
-        ]
-      (Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-         ~relocs_path:(Some r) ~kernel_path:k
-         ~kernel_config:(Workspace.config ws preset Config.Kaslr) ())
-  in
-  let bz_cell preset =
-    let k =
-      Workspace.bzimage_path ws preset Config.Kaslr ~codec:"lz4" ~bz:Bzimage.Standard
+  (* a target's per-attempt virtual-time budget: 1.5x a clean warm boot
+     (or restore) without jitter — generous against ~1% jitter, tight
+     enough that a cold-cache overload overruns it. A snapshot target's
+     budget must admit both a clean restore and the cold-boot fallback;
+     a cold blob read still overruns it *)
+  let budget t =
+    let calibrated t =
+      let r = supervised ws ~jitter:false t ~seed:1L clean in
+      match r.S.outcome with
+      | Ok _ -> r.S.total_ns * 3 / 2
+      | Error f -> invalid_arg ("resilience: calibration failed: " ^ F.describe f)
     in
-    cell ~path:(pname preset ^ "/bz/lz4/kaslr") ~kernel:k
-      ~seams:[ I.Flip_image_magic; I.Truncate_bzimage; I.Flip_bz_payload_crc ]
-      (Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
-         ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-         ~loader:Vm_config.Loader_stripped ~kernel_path:k
-         ~kernel_config:(Workspace.config ws preset Config.Kaslr) ())
+    match t.snapshot with
+    | None -> calibrated t
+    | Some _ -> max (calibrated { t with snapshot = None }) (calibrated t)
   in
-  let snapshot_cell preset =
-    let d = direct_cell preset in
-    (* one base snapshot per campaign; per-run corruption is a seed-pure
-       bit flip *)
-    let snapshot = ("base.snapshot", snapshot_blob ws d.c_vm) in
-    {
-      d with
-      c_path = pname preset ^ "/snapshot/kaslr";
-      (* a stand-in seam so the forecast draws corruptions at the normal
-         rate; the run loop maps every drawn fault to a blob bit flip *)
-      c_seams = [ I.Flip_image_magic ];
-      c_snapshot = Some snapshot;
-      (* the budget must admit both a clean warm restore and the
-         cold-boot fallback; a cold blob read still overruns it *)
-      c_budget = max d.c_budget (calibrated ~snapshot ~files:d.c_files d.c_vm);
-    }
-  in
-  let cells =
-    List.map direct_cell presets
-    @ [ bz_cell Config.Aws; snapshot_cell Config.Aws ]
+  let targets =
+    List.map
+      (fun t -> (t, budget t))
+      (List.map (direct_target ws) presets
+      @ [ bz_target ws Config.Aws; snapshot_target ws Config.Aws ])
   in
   let policy_for profile ~budget =
     let base = { S.default_policy with S.attempt_budget_ns = Some budget } in
@@ -1374,48 +1404,35 @@ let resilience ?(runs = 10) ws =
     | W.Calm | W.Flaky -> base
     | W.Storm -> { base with S.retry_budget = max 3 (runs / 2) }
   in
-  let tasks_arr =
-    Array.of_list
-      (List.concat_map
-         (fun profile -> List.map (fun c -> (profile, c)) cells)
-         W.all_profiles)
+  let sweep =
+    List.concat_map
+      (fun profile -> List.map (fun t -> (profile, t)) targets)
+      W.all_profiles
   in
-  let per_cell =
-    Campaign.map ~jobs:(jobs ws) ~tasks:(Array.length tasks_arr) (fun ti ->
-        let profile, cell = tasks_arr.(ti) in
-        let weather = W.make profile ~seed:(1 + ti) in
-        let fleet =
-          S.fleet ~policy:(policy_for profile ~budget:cell.c_budget) ()
-        in
-        let out = ref [] in
-        for run = 1 to runs do
-          let seed = Boot_runner.run_seed run in
-          let fc = W.forecast weather ~run ~seams:cell.c_seams in
-          let ctx =
-            match cell.c_snapshot with
-            | None ->
-                run_ctx ws ~cold:fc.W.cold cell.c_files ~arm:(fun disk ->
-                    Option.bind fc.W.fault (fun kind ->
-                        (I.arm kind ~seed:(W.fault_seed weather ~run) ~disk
-                           ~kernel_path:cell.c_kernel ?relocs_path:cell.c_relocs ())
-                          .I.inject))
-            | Some (snap_path, blob) ->
-                (* snapshot cells read weather as snapshot-blob
-                   corruption: any drawn fault flips one bit of the
-                   CRC-framed blob, detectable by construction *)
-                let blob =
-                  match fc.W.fault with
-                  | None -> blob
-                  | Some _ ->
-                      I.flip_one_bit ~seed:(W.fault_seed weather ~run) blob
-                in
-                run_ctx ws ~cold:fc.W.cold (cell.c_files @ [ (snap_path, blob) ])
-          in
-          out :=
-            (supervise ~fleet ~seed ~ctx ~snapshot:cell.c_snapshot cell.c_vm, fc)
-            :: !out
-        done;
-        (profile, cell, Array.of_list (List.rev !out), S.breaker_trips fleet))
+  let results =
+    run_cells ws
+      (List.mapi
+         (fun ti (profile, (target, budget)) ->
+           let weather = W.make profile ~seed:(1 + ti) in
+           {
+             target;
+             policy = Some (policy_for profile ~budget);
+             runs;
+             conditions =
+               (fun run ->
+                 let fc = W.forecast weather ~run ~seams:target.seams in
+                 {
+                   (* a snapshot target reads a drawn seam as a bit flip
+                      of its CRC-framed blob, detectable by construction *)
+                   fault =
+                     Option.map
+                       (fun k -> if target.snapshot = None then Seam k else Blob_flip)
+                       fc.W.fault;
+                   fault_seed = W.fault_seed weather ~run;
+                   cold = fc.W.cold;
+                 });
+           })
+         sweep)
   in
   (* sequential aggregation, in task order *)
   let sh =
@@ -1426,25 +1443,18 @@ let resilience ?(runs = 10) ws =
         "mttr ms"; "p50 ms"; "p99 ms";
       ]
   in
-  let silent_total = ref 0 and unrecovered_total = ref 0 in
-  let fault_runs = ref 0 in
+  let unrecovered_total = ref 0 in
   let calm_ns = ref [] and storm_ns = ref [] in
   let sum_ns spans = float_of_int (List.fold_left (fun a (_, d) -> a + d) 0 spans) in
-  Array.iter
-    (fun (profile, cell, rf, trips) ->
-      let rf = Array.to_list rf in
-      let rs = List.map fst rf in
+  List.iter2
+    (fun (profile, (target, _)) (rf, trips) ->
+      let t = tally rf in
+      let rs = List.map snd rf in
       let totals = List.map total_ns rs in
       (match profile with
       | W.Calm -> calm_ns := totals @ !calm_ns
       | W.Storm -> storm_ns := totals @ !storm_ns
       | W.Flaky -> ());
-      let armed (_, (fc : W.forecast)) = fc.W.fault <> None in
-      let oks = List.filter is_ok rs in
-      let recovered = List.filter (fun (r : S.report) -> r.S.events <> []) oks in
-      let silent =
-        count (fun (r, fc) -> is_ok r && r.S.events = [] && armed (r, fc)) rf
-      in
       (* a recoverable fault must end recovered or as an accounted
          degradation (retry budget dry, breaker open) *)
       let unrecovered (r : S.report) =
@@ -1453,8 +1463,8 @@ let resilience ?(runs = 10) ws =
         | Error f ->
             (match f with
             | F.Transient _ | F.Deadline_exceeded _ -> true
-            | F.Bad_reloc _ -> cell.c_relocs <> None
-            | F.Decode_error _ -> cell.c_snapshot <> None
+            | F.Bad_reloc _ -> target.vm.Vm_config.relocs_path <> None
+            | F.Decode_error _ -> target.snapshot <> None
             | _ -> false)
             && not
                  (List.exists
@@ -1469,26 +1479,28 @@ let resilience ?(runs = 10) ws =
       let n_events p = string_of_int (count p (events rs)) in
       let s = Imk_util.Stats.summarize totals in
       let prof = W.profile_name profile in
+      let path = pname target.preset ^ "/" ^ target.path in
       Imk_util.Table.add_row sh.table
         [
-          prof; cell.c_path; string_of_int runs; string_of_int (List.length oks);
-          string_of_int (List.length recovered);
-          string_of_int (List.length rs - List.length oks);
+          prof; path; string_of_int runs; string_of_int t.ok;
+          string_of_int t.n_recovered; string_of_int t.failed;
           n_events (function F.Breaker_short_circuit _ -> true | _ -> false);
-          string_of_int silent; string_of_int unrec;
+          string_of_int t.silent; string_of_int unrec;
           n_events (function F.Retried _ -> true | _ -> false);
           n_events (function F.Deadline_aborted _ -> true | _ -> false);
           n_events (function F.Fell_back_to_cold_boot _ -> true | _ -> false);
           string_of_int trips;
-          (match List.rev_map (fun (r : S.report) -> sum_ns r.S.recovery) recovered with
+          (match
+             List.rev_map
+               (fun (r : S.report) -> sum_ns r.S.recovery)
+               (List.filter recovered rs)
+           with
           | [] -> "-"
           | l -> msv (ms (Imk_util.Stats.mean l)));
           msv (ms s.Imk_util.Stats.p50);
           msv (ms s.Imk_util.Stats.p99);
         ];
-      silent_total := !silent_total + silent;
       unrecovered_total := !unrecovered_total + unrec;
-      fault_runs := !fault_runs + count armed rf;
       (* telemetry: the cell's total distribution plus per-recovery-label
          per-boot sums as phases (raw ns floats, never re-parsed) *)
       let labels =
@@ -1504,25 +1516,21 @@ let resilience ?(runs = 10) ws =
       in
       sh.rows <-
         {
-          label = prof ^ "/" ^ cell.c_path;
+          label = prof ^ "/" ^ path;
           total = s;
           phases =
             List.map (fun l -> (l, Imk_util.Stats.summarize (phase_sums l))) labels;
         }
         :: sh.rows)
-    per_cell;
+    sweep results;
+  let t = tally (List.concat_map fst results) in
   let soundness =
-    verdict "soundness" (!silent_total = 0)
-      (if !silent_total = 0 then
-         Printf.sprintf
+    soundness t ~noun:"fault-laden runs"
+      ~pass:
+        (Printf.sprintf
            "zero silent successes across %d fault-laden runs — every armed \
             fault surfaced as a typed failure or a recovery event"
-           !fault_runs
-       else
-         Printf.sprintf
-           "SOUNDNESS VIOLATION: %d of %d fault-laden runs booted green with no \
-            recorded event"
-           !silent_total !fault_runs)
+           t.armed)
   in
   let recovery =
     verdict "recovery" (!unrecovered_total = 0)
@@ -1828,92 +1836,65 @@ type fleet_cal = {
   f_cold : int array;  (* supervised cold boots, total ns *)
   f_warm : int array;  (* supervised snapshot restores, total ns *)
   f_fault : int array;  (* supervised fault-laden boots, recovery included *)
-  f_silent : int;  (* armed faults that booted green with no event *)
 }
 
 let fleet ?(runs = 10) ws =
   (* Sweep preset x arrival model x weather profile through the serving
      simulator (Imk_fleet): a virtual-time request stream scheduled onto
-     a bounded warm pool with a bounded admission queue. Calibration
-     boots run sequentially on the calling domain (supervised boots,
-     snapshot restores and fault-laden boots, guest memory recycled
-     through the workspace arena); every cell's simulation is then a
-     pure function of its calibration arrays, the cell index and the
-     request count, so the table and telemetry are bit-identical for any
-     --jobs value — parallelism lives between cells. *)
-  let module F = Imk_fault.Failure in
-  let module I = Imk_fault.Inject in
+     a bounded warm pool with a bounded admission queue. Calibration is
+     three supervised cells per preset (boots, snapshot restores and
+     fault-laden boots) fanned out like every supervised campaign; every
+     serving cell's simulation is then a pure function of its
+     calibration arrays, the cell index and the request count, so the
+     table and telemetry are bit-identical for any --jobs value —
+     parallelism lives between cells. *)
   let module W = Imk_fault.Weather in
-  let module S = Boot_supervisor in
   let module A = Imk_fleet.Arrival in
   let module Sim = Imk_fleet.Sim in
   let requests =
     Option.value ~default:50_000 (Workspace.run_config ws).Workspace.requests
   in
-  let arena = Workspace.arena ws in
-  let tap = tap ws in
-  let mem = 64 * 1024 * 1024 in
   let cal_runs = max 4 runs in
   let seams = [ I.Transient_init 1; I.Truncate_relocs; I.Flip_relocs_magic ] in
-  let calibrate preset =
-    let variant = Config.Kaslr in
-    let k = Workspace.vmlinux_path ws preset variant in
-    let r = Workspace.relocs_path ws preset variant in
-    let kcfg = Workspace.config ws preset variant in
-    let files = [ file ws k; file ws r ] in
-    let vm =
-      Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~relocs_path:(Some r) ~kernel_path:k ~kernel_config:kcfg ()
+  let cal_cells preset =
+    let direct = direct_target ws preset in
+    let cell target conditions =
+      { target; policy = None; runs = cal_runs; conditions }
     in
-    let ok what (rep : S.report) =
-      match rep.S.outcome with
-      | Ok _ -> rep.S.total_ns
-      | Error f ->
-          invalid_arg ("fleet: " ^ what ^ " calibration failed: " ^ F.describe f)
-    in
-    let cold =
-      Array.init cal_runs (fun i ->
-          let seed = Boot_runner.run_seed (i + 1) in
-          ok "cold boot" (S.supervise ?tap ~arena ~seed ~ctx:(run_ctx ws files) vm))
-    in
-    (* the warm tier restores from one snapshot of this preset *)
-    let snap_path = "fleet.snapshot" in
-    let blob = snapshot_blob ws vm in
-    let warm =
-      Array.init cal_runs (fun i ->
-          let seed = Boot_runner.run_seed (i + 1) in
-          ok "warm restore"
-            (S.supervise_snapshot ?tap ~arena ~seed
-               ~ctx:(run_ctx ws (files @ [ (snap_path, blob) ]))
-               ~snapshot_path:snap_path ~working_set_pages:2048 vm))
-    in
-    let silent = ref 0 in
-    let fault =
-      Array.init cal_runs (fun i ->
-          let run = i + 1 in
-          let seed = Boot_runner.run_seed run in
-          let kind = List.nth seams (i mod List.length seams) in
-          let arm disk =
-            (I.arm kind ~seed:((131 * run) + 7) ~disk ~kernel_path:k
-               ~relocs_path:r ())
-              .I.inject
-          in
-          let rep = S.supervise ?tap ~arena ~seed ~ctx:(run_ctx ws ~arm files) vm in
-          (* the soundness line every fault campaign holds: an armed
-             fault must surface as a typed failure or a recovery event *)
-          (match rep.S.outcome with
-          | Ok _ when rep.S.events = [] -> incr silent
-          | _ -> ());
-          rep.S.total_ns)
-    in
-    {
-      f_cold = cold;
-      f_warm = warm;
-      f_fault = fault;
-      f_silent = !silent;
-    }
+    [
+      cell direct (fun _ -> clean);
+      (* the warm tier restores from one snapshot of this preset *)
+      cell (snapshot_target ws preset) (fun _ -> clean);
+      cell direct (fun run ->
+          {
+            fault = Some (Seam (List.nth seams ((run - 1) mod List.length seams)));
+            fault_seed = fault_seed run;
+            cold = false;
+          });
+    ]
   in
-  let cals = List.map (fun p -> (p, calibrate p)) presets in
+  let cal = run_cells ws (List.concat_map cal_cells presets) in
+  let costs ?what rs =
+    Array.of_list
+      (List.map
+         (fun (_, (r : S.report)) ->
+           match (what, r.S.outcome) with
+           | Some what, Error f ->
+               invalid_arg ("fleet: " ^ what ^ " calibration failed: " ^ F.describe f)
+           | _ -> r.S.total_ns)
+         rs)
+  in
+  let rec per_preset = function
+    | (cold, _) :: (warm, _) :: (fault, _) :: rest ->
+        {
+          f_cold = costs ~what:"cold boot" cold;
+          f_warm = costs ~what:"warm restore" warm;
+          f_fault = costs fault;
+        }
+        :: per_preset rest
+    | _ -> []
+  in
+  let cals = List.combine presets (per_preset cal) in
   (* a warm pool smaller than the server count: under concurrency some
      admissions always miss, so the hit rate, eviction count and layout
      churn stay live signals instead of saturating at 100% *)
@@ -2027,21 +2008,15 @@ let fleet ?(runs = 10) ws =
           }
           :: sh.rows)
     cells;
-  let silent_total = List.fold_left (fun a (_, c) -> a + c.f_silent) 0 cals in
-  let fault_runs_total = cal_runs * List.length cals in
+  let t = tally (List.concat_map fst cal) in
   let soundness =
-    verdict "soundness" (silent_total = 0)
-      (if silent_total = 0 then
-         Printf.sprintf
+    soundness t ~noun:"fault-laden calibration boots"
+      ~pass:
+        (Printf.sprintf
            "zero silent successes across %d fault-laden calibration boots — \
             every fault-start cost in the simulator includes a typed, \
             supervised recovery"
-           fault_runs_total
-       else
-         Printf.sprintf
-           "SOUNDNESS VIOLATION: %d of %d fault-laden calibration boots booted \
-            green with no recorded event"
-           silent_total fault_runs_total)
+           t.armed)
   in
   let reports = Array.to_list reports in
   let p50s (pick : Sim.report -> Imk_util.Stats.summary) =

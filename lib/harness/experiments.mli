@@ -7,7 +7,16 @@
     [bench/main.exe --runs 100] reproduces that. Everything else a
     driver needs from the invocation — jobs, contention capacities, the
     trace tap, diffcheck's plants, fleet requests — comes from the
-    workspace's {!Workspace.run_config}. *)
+    workspace's {!Workspace.run_config}.
+
+    The supervised campaigns share one runner: [faults] (the
+    deterministic per-kind sweep: every fault each boot path can carry),
+    [resilience] (a weather sample under fleet supervision) and [fleet]'s
+    calibration cells are each a list of cells — a boot path plus per-run
+    fault, fault seed and cold-cache conditions — run through one
+    supervised-run function with guest memory from the workspace arena,
+    fanned out through one {!Campaign.map}, and judged by one
+    ok/recovered/failed/silent tally and [soundness] verdict. *)
 
 type boot_row = {
   label : string;

@@ -702,22 +702,30 @@ let qcheck_weathered_supervision_total =
 (* --- jobs-invariance with injected faults (satellite 4) --- *)
 
 let test_faults_campaign_jobs_invariant () =
-  (* the whole fault campaign — every seam, the snapshot corruptions and
-     their recoveries — renders the same rows for any fan-out *)
-  let faults jobs =
-    let run = { Workspace.default_run with jobs } in
-    (List.assoc "faults" Experiments.registry) ~runs:3
-      (Workspace.create ~scale:4 ~functions_override:50 ~run ())
-  in
-  let seq = faults 1 and par = faults 3 in
-  check
-    Alcotest.(list (list string))
-    "table rows identical"
-    (Imk_util.Table.rows seq.Experiments.table)
-    (Imk_util.Table.rows par.Experiments.table);
-  check Alcotest.bool "telemetry identical" true
-    (seq.Experiments.telemetry = par.Experiments.telemetry);
-  check Alcotest.bool "zero silent successes" true (Experiments.failures seq = [])
+  (* both supervised fault campaigns — the per-kind sweep (every seam,
+     the snapshot corruptions and their recoveries) and the weather
+     sample under fleet supervision — render the same rows, telemetry
+     and verdicts for any fan-out *)
+  List.iter
+    (fun id ->
+      let campaign jobs =
+        let run = { Workspace.default_run with jobs } in
+        (List.assoc id Experiments.registry) ~runs:3
+          (Workspace.create ~scale:4 ~functions_override:50 ~run ())
+      in
+      let seq = campaign 1 and par = campaign 3 in
+      check
+        Alcotest.(list (list string))
+        (id ^ ": table rows identical")
+        (Imk_util.Table.rows seq.Experiments.table)
+        (Imk_util.Table.rows par.Experiments.table);
+      check Alcotest.bool (id ^ ": telemetry identical") true
+        (seq.Experiments.telemetry = par.Experiments.telemetry);
+      check Alcotest.bool (id ^ ": verdicts identical") true
+        (seq.Experiments.verdicts = par.Experiments.verdicts);
+      check Alcotest.bool (id ^ ": every verdict passes") true
+        (Experiments.failures seq = []))
+    [ "faults"; "resilience" ]
 
 (* --- soundness property: no armed fault ever yields a silent green
    boot, and nothing escapes the taxonomy --- *)

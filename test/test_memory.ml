@@ -307,8 +307,9 @@ let qcheck_arena_recycled_like_fresh =
 let qcheck_arena_fresh_after_supervised_failures =
   (* the fresh-equivalence promise must survive the supervisor's failure
      paths too: a deadline-aborted attempt, a corrupt image, a guest
-     panic mid-boot and a transient storm that exhausts its retries all
-     release their guest memory through the with_buffer bracket *)
+     panic mid-boot, a transient storm that exhausts its retries and a
+     bit-flipped snapshot's cold-boot fallback all release their guest
+     memory through the with_buffer bracket *)
   let module S = Imk_harness.Boot_supervisor in
   let module Inject = Imk_fault.Inject in
   let module Vm_config = Imk_monitor.Vm_config in
@@ -322,13 +323,14 @@ let qcheck_arena_fresh_after_supervised_failures =
            ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg
            ~seed:0L ()
        in
-       (env, vm))
+       let _, booted = Testkit.boot env ~seed:404L in
+       (env, vm, Imk_monitor.Snapshot.serialize (Imk_monitor.Snapshot.capture booted)))
   in
-  QCheck.Test.make ~count:20
+  QCheck.Test.make ~count:30
     ~name:"arena: deadline-aborted and storm-failed boots leave it fresh"
-    QCheck.(pair (int_bound 3) (int_bound 9_999))
+    QCheck.(pair (int_bound 4) (int_bound 9_999))
     (fun (scenario, seed) ->
-      let env, vm = Lazy.force shared in
+      let env, vm, blob = Lazy.force shared in
       let arena = Arena.create () in
       let armed kind =
         let disk = Testkit.pristine_disk env in
@@ -357,21 +359,33 @@ let qcheck_arena_fresh_after_supervised_failures =
             S.supervise ~arena ~fleet ~seed:seed64 ~ctx vm
         | 1 -> S.supervise ~arena ~seed:seed64 ~ctx:(armed Inject.Flip_image_magic) vm
         | 2 -> S.supervise ~arena ~seed:seed64 ~ctx:(armed Inject.Flip_entry_magic) vm
-        | _ ->
+        | 3 ->
             S.supervise ~arena ~max_retries:1 ~seed:seed64
               ~ctx:(armed (Inject.Transient_init 99))
               vm
+        | _ ->
+            (* the restore fails its CRC before touching the arena; the
+               cold-boot fallback borrows and releases one buffer *)
+            let disk = Testkit.pristine_disk env in
+            Imk_storage.Disk.add disk ~name:"base.snapshot"
+              (Inject.flip_one_bit ~seed blob);
+            S.supervise_snapshot ~arena ~seed:seed64
+              ~ctx:(S.plain_ctx (Imk_storage.Page_cache.create disk))
+              ~snapshot_path:"base.snapshot" ~working_set_pages:64 vm
       in
-      (match (scenario, report.S.outcome) with
-      | 0, Error (Imk_fault.Failure.Deadline_exceeded _)
-      | 1, Error (Imk_fault.Failure.Corrupt_image _)
-      | 2, Error (Imk_fault.Failure.Guest_panic _)
-      | _, Error (Imk_fault.Failure.Transient _) ->
+      (match (scenario, report.S.outcome, report.S.events) with
+      | 0, Error (Imk_fault.Failure.Deadline_exceeded _), _
+      | 1, Error (Imk_fault.Failure.Corrupt_image _), _
+      | 2, Error (Imk_fault.Failure.Guest_panic _), _
+      | 3, Error (Imk_fault.Failure.Transient _), _
+      | 4, Ok _, Imk_fault.Failure.Fell_back_to_cold_boot _ :: _ ->
           ()
-      | _, Error f ->
+      | _, Error f, _ ->
           QCheck.Test.fail_reportf "wrong failure kind: %s"
             (Imk_fault.Failure.describe f)
-      | _, Ok _ -> QCheck.Test.fail_report "expected a failed supervised boot");
+      | _, Ok _, _ ->
+          QCheck.Test.fail_report
+            "expected a failed supervised boot or a cold-boot fallback");
       let size = vm.Vm_config.mem_bytes in
       Arena.pooled_bytes arena = size
       &&
