@@ -377,13 +377,67 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Imk_monitor.Snapshot.restore ch snap ~working_set_pages:64)))
   in
+  (* the fleet's per-request host costs: one bounded PRNG draw, one
+     storm forecast (two stream generators, four draws), and a whole
+     20k-request storm cell on fixed aws-like service costs — the
+     simulator's own time, not a calibrated serving result *)
+  let prng_test =
+    let rng = Imk_entropy.Prng.create ~seed:11L in
+    Test.make ~name:"prng-next-int"
+      (Staged.stage (fun () -> ignore (Imk_entropy.Prng.next_int rng 1000)))
+  in
+  let storm_seams =
+    Imk_fault.Inject.[ Transient_init 1; Truncate_relocs; Flip_relocs_magic ]
+  in
+  let forecast_test =
+    let w = Imk_fault.Weather.make Imk_fault.Weather.Storm ~seed:5 in
+    let run = ref 0 in
+    Test.make ~name:"weather-forecast-storm"
+      (Staged.stage (fun () ->
+           incr run;
+           ignore (Imk_fault.Weather.forecast w ~run:!run ~seams:storm_seams)))
+  in
+  let fleet_test =
+    let ms x = int_of_float (x *. 1e6) in
+    let cold_ns = [| ms 53.3; ms 52.8; ms 53.6 |]
+    and warm_ns = [| ms 3.9; ms 4.0; ms 3.8 |]
+    and fault_ns = [| ms 97.2; ms 120.5; ms 60.1 |] in
+    (* 85% of four servers at an 80%-warm mix, bursts at 2.5x, as in
+       the fleet campaign *)
+    let lambda = 0.85 *. 4. /. (((0.8 *. 3.9) +. (0.2 *. 53.3)) /. 1e3) in
+    let cfg =
+      {
+        Imk_fleet.Sim.arrival =
+          Imk_fleet.Arrival.Bursty
+            {
+              base_per_s = lambda *. 0.5;
+              burst_per_s = lambda *. 2.5;
+              burst_len = 64;
+              period = 256;
+            };
+        seed = 7;
+        requests = 20_000;
+        servers = 4;
+        pool_capacity = 2;
+        queue_capacity = 16;
+        cold_ns;
+        warm_ns;
+        fault_ns;
+        weather = Some (Imk_fault.Weather.make Imk_fault.Weather.Storm ~seed:9);
+        seams = storm_seams;
+      }
+    in
+    Test.make ~name:"fleet-sim-storm-20k"
+      (Staged.stage (fun () -> ignore (Imk_fleet.Sim.run cfg)))
+  in
   let tests =
     Test.make_grouped ~name:"primitives" ~fmt:"%s/%s"
       (codec_tests
       @ [
           reloc_test; shuffle_test; elf_test; relocs_decode_test; inflate_test;
           crc32_test; crc32_ref_test; gzip_into_test; reloc_apply_test;
-          snapshot_capture_test; snapshot_restore_test;
+          snapshot_capture_test; snapshot_restore_test; prng_test;
+          forecast_test; fleet_test;
         ])
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in

@@ -1,58 +1,73 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The 256-bit xoshiro256** state lives in one 32-byte buffer, words s0..s3
+   at byte offsets 0, 8, 16 and 24, read and written through the
+   bounds-checked 64-bit primitives. Each step works on local unboxed
+   lets, so a draw that ends in an [int] or a [float] allocates nothing;
+   boxed [int64] fields would mint a block per word per step. *)
+type t = Bytes.t
 
-(* SplitMix64: expands a single 64-bit seed into well-mixed state words. *)
-let splitmix64 state =
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* SplitMix64's output mix; the state walk is the golden-ratio
+   increment, so the k-th output mixes [seed + k * golden]. *)
+let golden = 0x9e3779b97f4a7c15L
+
+let[@inline] mix z =
   let open Int64 in
-  state := add !state 0x9e3779b97f4a7c15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
 let create ~seed =
-  let state = ref seed in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.make 32 '\000' in
+  for k = 0 to 3 do
+    let x = Int64.add seed (Int64.mul golden (Int64.of_int (k + 1))) in
+    set64 t (8 * k) (mix x)
+  done;
+  t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
   result
 
 let split t = create ~seed:(next_int64 t)
+
+(* the top 62 bits of the next output, as a non-negative int *)
+let[@inline] next_bits62 t =
+  Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let next_int t bound =
   if bound <= 0 then invalid_arg "Prng.next_int: bound must be positive";
   (* Rejection sampling on the top 62 bits keeps the draw exactly uniform. *)
   let mask = 0x3fff_ffff_ffff_ffff in
   let limit = mask - (mask mod bound) in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  let v = ref (next_bits62 t) in
+  while !v >= limit do
+    v := next_bits62 t
+  done;
+  !v mod bound
 
-let next_float t =
+let[@inline] next_float t =
   (* 53 bits of mantissa from the top of the stream. *)
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992. (* 2^53 *)
-
-let next_in_range t ~lo ~hi =
-  if hi < lo then invalid_arg "Prng.next_in_range: hi < lo";
-  lo + next_int t (hi - lo + 1)
 
 let next_aligned t ~lo ~hi ~align =
   if align <= 0 then invalid_arg "Prng.next_aligned: align must be positive";
@@ -62,10 +77,10 @@ let next_aligned t ~lo ~hi ~align =
   first + (next_int t slots * align)
 
 let gaussian t ~mean ~stddev =
-  let rec nonzero () =
-    let u = next_float t in
-    if u = 0. then nonzero () else u
-  in
-  let u1 = nonzero () and u2 = next_float t in
-  let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
+  let u1 = ref (next_float t) in
+  while !u1 = 0. do
+    u1 := next_float t
+  done;
+  let u2 = next_float t in
+  let z = sqrt (-2. *. log !u1) *. cos (2. *. Float.pi *. u2) in
   mean +. (stddev *. z)

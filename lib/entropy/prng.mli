@@ -25,14 +25,13 @@ val next_int64 : t -> int64
 val next_int : t -> int -> int
 (** [next_int t bound] is a uniform integer in [0, bound). Raises
     [Invalid_argument] if [bound <= 0]. Uses rejection sampling, so the
-    distribution is exactly uniform. *)
+    distribution is exactly uniform. Allocates nothing: the state is a
+    byte buffer stepped in unboxed locals, so hot paths (per-request
+    weather forecasts, per-charge jitter, FGKASLR shuffles) may draw
+    freely. *)
 
 val next_float : t -> float
 (** [next_float t] is a uniform float in [0, 1). *)
-
-val next_in_range : t -> lo:int -> hi:int -> int
-(** [next_in_range t ~lo ~hi] is uniform in the inclusive range
-    [lo, hi]. Raises [Invalid_argument] if [hi < lo]. *)
 
 val next_aligned : t -> lo:int -> hi:int -> align:int -> int
 (** [next_aligned t ~lo ~hi ~align] is a uniform multiple of [align] in

@@ -248,7 +248,13 @@ let run cfg =
     if len = 0 then Stats.empty
     else begin
       let sorted = radix_sort ~scratch ~counts a len in
-      Stats.summarize_sorted (Array.init len (fun i -> float_of_int sorted.(i)))
+      (* a flat float array filled in a loop: [Array.init] would box
+         every sample through its closure before storing it *)
+      let xs = Array.create_float len in
+      for i = 0 to len - 1 do
+        xs.(i) <- float_of_int sorted.(i)
+      done;
+      Stats.summarize_sorted xs
     end
   in
   {

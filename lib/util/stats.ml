@@ -21,35 +21,51 @@ let percentile sorted p =
     let frac = rank -. float_of_int lo in
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
 
-let summarize_array xs =
+(* mean and population stddev in [for] loops over a [float array] the
+   compiler knows is flat: the loads, the refs and [d *. d] stay
+   unboxed, so a summary allocates a constant handful of words however
+   many samples it reads. Non-finite samples are refused first — NaN
+   poisons every moment and breaks the sort's total order, infinities
+   make mean/stddev meaningless; a non-finite sample is a measurement
+   bug upstream. Sums run in input order, so [summarize_array] still
+   sums its unsorted input. *)
+let moments (xs : float array) =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: no samples";
-  (* NaN poisons every moment and breaks the sort's total order;
-     infinities make mean/stddev meaningless. A non-finite sample is a
-     measurement bug upstream — refuse it rather than average it. *)
-  Array.iter
-    (fun x ->
-      if not (Float.is_finite x) then
-        invalid_arg "Stats.summarize: non-finite sample")
-    xs;
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let sum = Array.fold_left ( +. ) 0. xs in
-  let mean = sum /. float_of_int n in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. xs
-    /. float_of_int n
-  in
+  for i = 0 to n - 1 do
+    if not (Float.is_finite xs.(i)) then
+      invalid_arg "Stats.summarize: non-finite sample"
+  done;
+  let sum = ref 0. in
+  for i = 0 to n - 1 do
+    sum := !sum +. xs.(i)
+  done;
+  let mean = !sum /. float_of_int n in
+  let sq = ref 0. in
+  for i = 0 to n - 1 do
+    let d = xs.(i) -. mean in
+    sq := !sq +. (d *. d)
+  done;
+  (mean, sqrt (!sq /. float_of_int n))
+
+let of_sorted sorted ~mean ~stddev =
+  let n = Array.length sorted in
   {
     n;
     mean;
     min = sorted.(0);
     max = sorted.(n - 1);
-    stddev = sqrt var;
+    stddev;
     p50 = percentile sorted 50.;
     p90 = percentile sorted 90.;
     p99 = percentile sorted 99.;
   }
+
+let summarize_array xs =
+  let mean, stddev = moments xs in
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  of_sorted sorted ~mean ~stddev
 
 let summarize xs = summarize_array (Array.of_list xs)
 
@@ -59,33 +75,12 @@ let summarize xs = summarize_array (Array.of_list xs)
    per comparison and dominates entire fleet cells. Order is verified —
    a misordered input would silently corrupt every quantile. *)
 let summarize_sorted xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.summarize: no samples";
-  Array.iter
-    (fun x ->
-      if not (Float.is_finite x) then
-        invalid_arg "Stats.summarize: non-finite sample")
-    xs;
-  for i = 1 to n - 1 do
+  let mean, stddev = moments xs in
+  for i = 1 to Array.length xs - 1 do
     if xs.(i - 1) > xs.(i) then
       invalid_arg "Stats.summarize_sorted: samples not ascending"
   done;
-  let sum = Array.fold_left ( +. ) 0. xs in
-  let mean = sum /. float_of_int n in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. xs
-    /. float_of_int n
-  in
-  {
-    n;
-    mean;
-    min = xs.(0);
-    max = xs.(n - 1);
-    stddev = sqrt var;
-    p50 = percentile xs 50.;
-    p90 = percentile xs 90.;
-    p99 = percentile xs 99.;
-  }
+  of_sorted xs ~mean ~stddev
 
 let empty =
   { n = 0; mean = 0.; min = 0.; max = 0.; stddev = 0.; p50 = 0.; p90 = 0.; p99 = 0. }

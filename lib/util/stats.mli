@@ -33,7 +33,8 @@ val summarize_sorted : float array -> summary
     (e.g. fleet SLO telemetry) use this to avoid paying
     [Array.sort Float.compare]'s closure-per-comparison cost twice.
     Raises [Invalid_argument] if [xs] is empty, contains a non-finite
-    sample, or is not ascending. (Moments are accumulated in array
+    sample, or is not ascending. Allocates a constant number of words
+    whatever the sample count. (Moments are accumulated in array
     order, so the result can differ from [summarize_array] on the
     unsorted array by float-rounding in [mean]/[stddev] only.) *)
 

@@ -77,6 +77,138 @@ let test_gaussian_moments () =
   let mean = Array.fold_left ( +. ) 0. samples /. float_of_int n in
   check Alcotest.bool "mean near 10" true (abs_float (mean -. 10.) < 0.1)
 
+(* --- the allocation-free generator against its boxed reference --- *)
+
+(* the first four outputs of three seeds, captured from the boxed
+   four-field generator that [Prng_ref] preserves *)
+let known_answers =
+  [
+    ( 0L,
+      [
+        0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+        0x6aa594f1262d2d2cL;
+      ] );
+    ( 42L,
+      [
+        0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+        0xecb8ad4703b360a1L;
+      ] );
+    ( -1L,
+      [
+        0x8f5520d52a7ead08L; 0xc476a018caa1802dL; 0x81de31c0d260469eL;
+        0xbf658d7e065f3c2fL;
+      ] );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      let t = Prng.create ~seed and r = Prng_ref.create ~seed in
+      List.iter
+        (fun want ->
+          let name = Printf.sprintf "seed %Ld" seed in
+          check Alcotest.int64 name want (Prng.next_int64 t);
+          check Alcotest.int64 (name ^ " (reference)") want
+            (Prng_ref.next_int64 r))
+        expected)
+    known_answers
+
+type op =
+  | Int64
+  | Int of int
+  | Float
+  | Aligned of { lo : int; hi : int; align : int }
+  | Gaussian of { mean : float; stddev : float }
+  | Split
+
+let print_op = function
+  | Int64 -> "next_int64"
+  | Int b -> Printf.sprintf "next_int %d" b
+  | Float -> "next_float"
+  | Aligned { lo; hi; align } ->
+      Printf.sprintf "next_aligned ~lo:%d ~hi:%d ~align:%d" lo hi align
+  | Gaussian { mean; stddev } ->
+      Printf.sprintf "gaussian ~mean:%h ~stddev:%h" mean stddev
+  | Split -> "split"
+
+let gen_op =
+  let open QCheck.Gen in
+  (* bounds across the whole range: tiny ones, any, and those just above
+     half or just below max_int, where rejection sampling loops most *)
+  let bound =
+    oneof
+      [
+        int_range 1 64;
+        int_range 1 max_int;
+        map (fun k -> (max_int / 2) + k) (int_range 1 1000);
+        map (fun k -> max_int - k) (int_range 0 1000);
+      ]
+  in
+  let aligned =
+    map3
+      (fun lo k slots ->
+        let align = 1 lsl k in
+        Aligned { lo; hi = lo + (align * slots); align })
+      (int_range 0 (1 lsl 30))
+      (int_range 0 21) (int_range 1 1000)
+  in
+  let gaussian =
+    map2
+      (fun mean stddev -> Gaussian { mean; stddev })
+      (float_range (-1e3) 1e3) (float_range 0. 1e3)
+  in
+  frequency
+    [
+      (3, return Int64); (4, map (fun b -> Int b) bound); (2, return Float);
+      (2, aligned); (2, gaussian); (1, return Split);
+    ]
+
+let arb_program =
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %LdL: %s" seed
+        (String.concat "; " (List.map print_op ops)))
+    ~shrink:QCheck.Shrink.(pair nil (fun ops -> list ops))
+    QCheck.Gen.(pair ui64 (list_size (0 -- 60) gen_op))
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let qcheck_prng_matches_ref =
+  QCheck.Test.make ~name:"Prng ≡ boxed reference on any seed and op sequence"
+    ~count:500 arb_program (fun (seed, ops) ->
+      let t = Prng.create ~seed and r = Prng_ref.create ~seed in
+      List.for_all
+        (function
+          | Int64 -> Prng.next_int64 t = Prng_ref.next_int64 r
+          | Int b -> Prng.next_int t b = Prng_ref.next_int r b
+          | Float -> same_float (Prng.next_float t) (Prng_ref.next_float r)
+          | Aligned { lo; hi; align } ->
+              Prng.next_aligned t ~lo ~hi ~align
+              = Prng_ref.next_aligned r ~lo ~hi ~align
+          | Gaussian { mean; stddev } ->
+              same_float
+                (Prng.gaussian t ~mean ~stddev)
+                (Prng_ref.gaussian r ~mean ~stddev)
+          | Split ->
+              (* the children must match, and so must the parents' onward
+                 streams, which the following ops read *)
+              let c = Prng.split t and cr = Prng_ref.split r in
+              List.for_all
+                (fun () -> Prng.next_int64 c = Prng_ref.next_int64 cr)
+                [ (); (); () ])
+        ops)
+
+let test_next_int_allocation_free () =
+  Testkit.skip_unless_native ();
+  let rng = Prng.create ~seed:5L in
+  let words =
+    Testkit.minor_words (fun () ->
+        for _ = 1 to 100_000 do
+          ignore (Sys.opaque_identity (Prng.next_int rng 1000))
+        done)
+  in
+  check (Alcotest.float 0.) "minor words for 100k next_int" 0. words
+
 let test_pool_sources () =
   let host = Pool.create Pool.Host_pool ~seed:1L in
   let guest = Pool.create Pool.Guest_rdrand ~seed:1L in
@@ -155,6 +287,10 @@ let () =
             test_next_aligned_single_slot;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
           Testkit.to_alcotest qcheck_aligned_always_aligned;
+          Alcotest.test_case "known answers" `Quick test_known_answers;
+          Alcotest.test_case "next_int allocates nothing" `Quick
+            test_next_int_allocation_free;
+          Testkit.to_alcotest qcheck_prng_matches_ref;
         ] );
       ( "pool",
         [ Alcotest.test_case "source costs" `Quick test_pool_sources ] );

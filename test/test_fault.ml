@@ -392,6 +392,23 @@ let test_weather_flaky_rates () =
     (!transients > 0 && !faults > !transients);
   check Alcotest.bool "some cold starts" true (!cold > 0 && !cold < runs / 2)
 
+let test_weather_forecast_allocation () =
+  (* a storm fleet cell forecasts every started request: two stream
+     generators, the forecast and its fault, and nothing per draw *)
+  Testkit.skip_unless_native ();
+  let w = Weather.make Weather.Storm ~seed:4 in
+  let worst = ref 0. in
+  for run = 1 to 2_000 do
+    let words =
+      Testkit.minor_words (fun () ->
+          ignore (Sys.opaque_identity (Weather.forecast w ~run ~seams:direct_seams)))
+    in
+    if words > !worst then worst := words
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "storm forecast allocates <= 32 words (worst %.0f)" !worst)
+    true (!worst <= 32.)
+
 (* --- fleet supervision: circuit breaker, deadlines, retry budget --- *)
 
 let clean_ctx env =
@@ -815,6 +832,8 @@ let () =
           Alcotest.test_case "storm bursts windowed" `Quick
             test_weather_storm_bursts_are_windowed;
           Alcotest.test_case "flaky rates sane" `Quick test_weather_flaky_rates;
+          Alcotest.test_case "storm forecast allocation" `Quick
+            test_weather_forecast_allocation;
         ] );
       ( "inject",
         [

@@ -266,6 +266,46 @@ let qcheck_stats_percentiles_ordered =
       | exception Invalid_argument _ ->
           List.exists (fun x -> not (Float.is_finite x)) xs)
 
+let same_summary (a : Stats.summary) (b : Stats.summary) =
+  let bits = Int64.bits_of_float in
+  a.Stats.n = b.Stats.n
+  && List.for_all2
+       (fun x y -> bits x = bits y)
+       [ a.mean; a.min; a.max; a.stddev; a.p50; a.p90; a.p99 ]
+       [ b.mean; b.min; b.max; b.stddev; b.p50; b.p90; b.p99 ]
+
+let qcheck_stats_sorted_matches_array =
+  (* one moments pass serves both: on input that is already sorted the
+     two summaries read the same samples in the same order, so every
+     field agrees to the bit *)
+  QCheck.Test.make ~name:"summarize_sorted ≡ summarize_array on sorted input"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list float)
+       QCheck.Gen.(
+         list_size (1 -- 200)
+           (oneof
+              [
+                float_range (-1e6) 1e6;
+                map float_of_int (int_range 0 1_000_000_000);
+                float_range (-1e-3) 1e-3;
+              ])))
+    (fun xs ->
+      let a = Array.of_list (List.sort Float.compare xs) in
+      same_summary (Stats.summarize_sorted a) (Stats.summarize_array a))
+
+let test_summarize_sorted_allocation () =
+  Testkit.skip_unless_native ();
+  let words n =
+    let xs = Array.init n float_of_int in
+    Testkit.minor_words (fun () ->
+        ignore (Sys.opaque_identity (Stats.summarize_sorted xs)))
+  in
+  let small = words 1_000 and large = words 100_000 in
+  check (Alcotest.float 0.) "same words for 1k and 100k samples" small large;
+  check Alcotest.bool "a handful of words, not one per sample" true
+    (large < 100.)
+
 let () =
   Alcotest.run "imk_util"
     [
@@ -305,6 +345,9 @@ let () =
             test_percentile_interpolates;
           Testkit.to_alcotest qcheck_stats_bounds;
           Testkit.to_alcotest qcheck_stats_percentiles_ordered;
+          Testkit.to_alcotest qcheck_stats_sorted_matches_array;
+          Alcotest.test_case "summarize_sorted allocation" `Quick
+            test_summarize_sorted_allocation;
         ] );
       ( "minjson",
         [

@@ -163,3 +163,16 @@ let to_alcotest ?speed_level test =
           name seed seed
           (Filename.basename Sys.executable_name);
         raise e )
+
+(* --- allocation guards: minor words a thunk allocates. They hold for
+   native code only — bytecode boxes every int64 and float — so a guard
+   test calls [skip_unless_native] first. The thunk's closure is built
+   before the first reading, so only what it allocates is counted. --- *)
+
+let skip_unless_native () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ()
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
