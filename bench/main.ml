@@ -9,8 +9,8 @@
      bench/main.exe --functions 400 smaller synthetic kernels (smoke)
      bench/main.exe --jobs 4        fan boots out over 4 domains
      bench/main.exe --exp fig9 --baseline BENCH_fig9.json
-                                    diff against a saved run; exit 1 on
-                                    p50 regressions (--threshold PCT)
+                                    compare against a saved run exactly;
+                                    exit 1 on any difference
      bench/main.exe --exp fig5 --trace boot.json
                                     dump one boot's span timeline in
                                     Chrome tracing format
@@ -31,7 +31,7 @@
    Each experiment also writes BENCH_<id>.json (schema 2: wall-clock
    seconds plus per-row boot-time distributions and per-phase
    breakdowns) into the current directory, and exits 1 on a failing
-   verdict. *)
+   verdict or on any difference from the --baseline file. *)
 
 module H = Imk_harness
 
@@ -41,7 +41,6 @@ let functions = ref None
 let scale = ref 16
 let jobs = ref (Domain.recommended_domain_count ())
 let baseline_path = ref None
-let threshold = ref H.Telemetry.default_threshold_pct
 let trace_path = ref None
 let no_plan_cache = ref false
 let mutate = ref false
@@ -51,7 +50,7 @@ let contend = ref H.Workspace.default_run.contend
 let usage () =
   prerr_endline
     ("usage: main.exe [--exp <id>]... [--runs N] [--functions N] [--scale N] [--jobs N]\n\
-     \               [--baseline BENCH_<id>.json] [--threshold PCT] [--trace out.json]\n\
+     \               [--baseline BENCH_<id>.json] [--trace out.json]\n\
      \               [--no-plan-cache] [--mutate] [--requests N] [--contend D,S]\n\
      experiments: "
     ^ String.concat " " (List.map fst H.Experiments.registry)
@@ -78,13 +77,10 @@ let rec parse = function
       scale := int_flag ~min:1 v;
       parse rest
   | "--jobs" :: v :: rest ->
-      jobs := int_flag v;
+      jobs := int_flag ~min:1 v;
       parse rest
   | "--baseline" :: v :: rest ->
       baseline_path := Some v;
-      parse rest
-  | "--threshold" :: v :: rest ->
-      threshold := (match float_of_string_opt v with Some f -> f | None -> usage ());
       parse rest
   | "--trace" :: v :: rest ->
       trace_path := Some v;
@@ -111,66 +107,49 @@ let print_output (o : H.Experiments.output) =
   List.iter (fun n -> Printf.printf "  note: %s\n" n) o.H.Experiments.notes;
   flush stdout
 
-(* --baseline: read once up front so a missing or malformed file fails
-   before any experiment burns wall-clock time. Any parse failure must
-   fail the gate, not pass it — so no handler here. *)
-let baseline =
-  lazy
-    (Option.map
-       (fun p -> H.Telemetry.of_json (H.Telemetry.read_file p))
-       !baseline_path)
+(* --baseline: read before the first experiment runs, so a missing or
+   malformed file fails before any output and before the run rewrites
+   BENCH_<id>.json — the very file a baseline usually is. A baseline
+   for an experiment not requested is a usage error, never a skipped
+   gate. *)
+let read_baseline requested =
+  Option.map
+    (fun path ->
+      let base =
+        match H.Telemetry.of_json (H.Telemetry.read_file path) with
+        | f -> f
+        | exception
+            ( Sys_error msg
+            | Invalid_argument msg
+            | Imk_util.Minjson.Malformed msg ) ->
+            Printf.eprintf "baseline %s: %s\n" path msg;
+            exit 2
+      in
+      let exp = base.H.Telemetry.experiment in
+      if not (List.mem exp requested) then (
+        Printf.eprintf "baseline %s is for experiment %s, which is not requested\n"
+          path exp;
+        usage ());
+      (path, base))
+    !baseline_path
 
 let gate_failed = ref false
 
-(* Diff one experiment's fresh rows against the baseline file and print
-   the per-label / per-phase p50 delta table. Only headline totals trip
-   the gate; phase rows say where a regression lives. *)
-let check_baseline id (current : H.Telemetry.file) =
-  match Lazy.force baseline with
-  | None -> ()
-  | Some base when base.H.Telemetry.experiment <> id ->
-      Printf.printf
-        "  baseline: file is for experiment %s, not %s — skipping the gate\n"
-        base.H.Telemetry.experiment id
-  | Some base ->
-      let module T = H.Telemetry in
-      let deltas = T.diff ~threshold_pct:!threshold ~baseline:base ~current () in
-      let tbl =
-        Imk_util.Table.create
-          ~headers:
-            [ "label"; "phase"; "base p50 ms"; "cur p50 ms"; "delta %"; "gate" ]
-      in
-      List.iter
-        (fun (d : T.delta) ->
-          Imk_util.Table.add_row tbl
-            [
-              d.T.d_label;
-              Option.value ~default:"total" d.T.d_phase;
-              Printf.sprintf "%.4f" d.T.baseline_p50;
-              Printf.sprintf "%.4f" d.T.current_p50;
-              Printf.sprintf "%+.2f" d.T.change_pct;
-              (if d.T.regression then "REGRESSION"
-               else if d.T.degenerate then "n<2"
-               else "ok");
-            ])
-        deltas;
-      Printf.printf "\n  --- baseline diff (%s, threshold %+.1f%% on total p50) ---\n"
-        id !threshold;
-      Imk_util.Table.print tbl;
-      let only_base, only_cur = T.missing_labels ~baseline:base ~current in
-      List.iter
-        (fun l -> Printf.printf "  note: label %S only in baseline\n" l)
-        only_base;
-      List.iter
-        (fun l -> Printf.printf "  note: label %S only in current run\n" l)
-        only_cur;
-      (match T.regressions deltas with
-      | [] -> Printf.printf "  baseline: no regressions\n"
-      | rs ->
+(* virtual telemetry is deterministic, so the gate has no tolerance:
+   one line on a match, else every difference and exit 1 *)
+let check_baseline baseline id (current : H.Telemetry.file) =
+  match baseline with
+  | Some (path, base) when base.H.Telemetry.experiment = id -> (
+      match H.Telemetry.diff ~baseline:base ~current with
+      | [] ->
+          Printf.printf "  baseline: identical to %s (%d rows)\n" path
+            (List.length current.H.Telemetry.rows)
+      | ds ->
           gate_failed := true;
-          Printf.printf "  baseline: %d regression(s) beyond %+.1f%%\n"
-            (List.length rs) !threshold);
-      flush stdout
+          Printf.printf "  baseline: %d difference(s) from %s (summaries in ns)\n"
+            (List.length ds) path;
+          List.iter (Printf.printf "  baseline:   %s\n") ds)
+  | _ -> ()
 
 (* --trace: the workspace's tap keeps the first finished boot of the
    invocation. It fires on whatever domain booted (a worker under
@@ -200,8 +179,8 @@ let write_trace id =
    to the invocation — the real-time cost of the simulation, as opposed
    to the virtual boot times in the table itself. A failing verdict
    fails the invocation: CI runs the correctness campaigns as gates. *)
-let timed_experiment id (f : ?runs:int -> H.Workspace.t -> H.Experiments.output)
-    ws =
+let timed_experiment ~baseline id
+    (f : ?runs:int -> H.Workspace.t -> H.Experiments.output) ws =
   let t0 = Unix.gettimeofday () in
   let o = f ~runs:!runs ws in
   let wall = Unix.gettimeofday () -. t0 in
@@ -212,7 +191,7 @@ let timed_experiment id (f : ?runs:int -> H.Workspace.t -> H.Experiments.output)
       gate_failed := true;
       Printf.printf "  gate: %s failed verdict %S\n" id v.H.Experiments.name)
     (H.Experiments.failures o);
-  let rows = H.Telemetry.rows o in
+  let rows = o.H.Experiments.telemetry in
   (match
      (rows, H.Telemetry.value_column (Imk_util.Table.headers o.H.Experiments.table))
    with
@@ -230,7 +209,7 @@ let timed_experiment id (f : ?runs:int -> H.Workspace.t -> H.Experiments.output)
   H.Telemetry.write_file path json;
   Printf.printf "  wall clock: %.2f s (jobs=%d) -> %s (schema %d)\n" wall !jobs
     path H.Telemetry.schema_version;
-  check_baseline id (H.Telemetry.of_json json);
+  check_baseline baseline id (H.Telemetry.of_json json);
   flush stdout
 
 (* --- Bechamel micro-benchmarks: the primitive costs behind the cost
@@ -462,8 +441,13 @@ let micro () =
 
 let () =
   parse (List.tl (Array.to_list Sys.argv));
-  jobs := max 1 !jobs;
   let requested = if !exps = [] then [ "all" ] else List.rev !exps in
+  let baseline =
+    read_baseline
+      (List.concat_map
+         (function "all" -> List.map fst H.Experiments.registry | id -> [ id ])
+         requested)
+  in
   let run =
     {
       H.Workspace.jobs = !jobs;
@@ -481,12 +465,14 @@ let () =
     (fun id ->
       match id with
       | "all" ->
-          List.iter (fun (eid, f) -> timed_experiment eid f ws) H.Experiments.registry;
+          List.iter
+            (fun (eid, f) -> timed_experiment ~baseline eid f ws)
+            H.Experiments.registry;
           micro ()
       | "micro" -> micro ()
       | id -> (
           match List.assoc_opt id H.Experiments.registry with
-          | Some f -> timed_experiment id f ws
+          | Some f -> timed_experiment ~baseline id f ws
           | None ->
               Printf.eprintf "unknown experiment %s\n" id;
               usage ()))

@@ -69,11 +69,6 @@ val arena_fresh : t
 val catalogue : mutate:bool -> t list
 (** The full catalogue, cross-path first. *)
 
-val compare_series : (string * float) list -> (string * float) list -> outcome
-(** Exact equality of two labelled telemetry series — the jobs-1 ≡ jobs-N
-    comparator driven from the harness (which owns [boot_many]); floats
-    compare bit-for-bit, never within a tolerance. *)
-
 val of_run :
   (Env.images ->
   Point.t ->

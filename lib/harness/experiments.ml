@@ -1,12 +1,6 @@
 open Imk_kernel
 open Imk_monitor
 
-type boot_row = {
-  label : string;
-  total : Imk_util.Stats.summary;
-  phases : (string * Imk_util.Stats.summary) list;
-}
-
 type verdict = { name : string; pass : bool; detail : string }
 
 type output = {
@@ -14,7 +8,7 @@ type output = {
   title : string;
   table : Imk_util.Table.t;
   notes : string list;
-  telemetry : boot_row list;
+  telemetry : Telemetry.row list;
   verdicts : verdict list;
 }
 
@@ -30,9 +24,9 @@ let pct a b = Imk_util.Stats.pct_change b a (* change of a relative to b *)
 (* the telemetry row for one boot_many campaign: the raw nanosecond
    summaries, phases that never ran (n = 0) dropped rather than padded
    with fabricated zeros *)
-let boot_row label (s : Boot_runner.phase_stats) =
+let stats_row label (s : Boot_runner.phase_stats) =
   {
-    label;
+    Telemetry.label;
     total = s.Boot_runner.total;
     phases =
       List.filter
@@ -46,7 +40,8 @@ let boot_row label (s : Boot_runner.phase_stats) =
   }
 
 (* a single measured quantity (already in ns) as a one-sample row *)
-let scalar_row label ns = { label; total = Imk_util.Stats.summarize [ ns ]; phases = [] }
+let scalar_row label ns =
+  { Telemetry.label; total = Imk_util.Stats.summarize [ ns ]; phases = [] }
 
 (* rendered columns of a boot_many summary. The "min"/"max" cells take
    the summary's raw float nanoseconds straight through [ns_float_to_ms]:
@@ -70,12 +65,12 @@ let stat_cells (s : Boot_runner.phase_stats) cols =
    adds one table row (key cells, stat columns, extras) and one telemetry
    row labelled by its key cells joined with "/", so a rendered row and
    its JSON row can never disagree on the key *)
-type sheet = { table : Imk_util.Table.t; mutable rows : boot_row list }
+type sheet = { table : Imk_util.Table.t; mutable rows : Telemetry.row list }
 
 let sheet headers = { table = Imk_util.Table.create ~headers; rows = [] }
 
 let add sh ~key ?(extra = []) cols s =
-  sh.rows <- boot_row (String.concat "/" key) s :: sh.rows;
+  sh.rows <- stats_row (String.concat "/" key) s :: sh.rows;
   Imk_util.Table.add_row sh.table (key @ stat_cells s cols @ extra)
 
 let report ?(verdicts = []) sh ~id ~title notes =
@@ -276,7 +271,7 @@ let fig5 ?runs:_ ws =
             Printf.sprintf "%.0f%%" pct_decomp;
           ];
         ( {
-            label = pname preset;
+            Telemetry.label = pname preset;
             total = span_summary total_loader;
             phases =
               [
@@ -609,7 +604,7 @@ let throughput ?(runs = 30) ws =
     (fun (rando, s, r) ->
       sh.rows <-
         {
-          label = rando_name rando;
+          Telemetry.label = rando_name rando;
           total = Imk_util.Stats.summarize (List.map (fun ms -> ms *. 1e6) s);
           phases = [];
         }
@@ -779,7 +774,7 @@ let ablation_orc ?(runs = 20) ws =
   Imk_util.Table.add_row table [ "skip (paper's choice)"; msv s ];
   Imk_util.Table.add_row table [ "update"; msv u ];
   report
-    { table; rows = [ boot_row "orc-update" update; boot_row "orc-skip" skip ] }
+    { table; rows = [ stats_row "orc-update" update; stats_row "orc-skip" skip ] }
     ~id:"ablation-orc" ~title:"Ablation: ORC unwind table update cost (§4.3)"
     [ Printf.sprintf "updating ORC would add %.1f ms (+%.1f%%)" (u -. s) (pct u s) ]
 
@@ -1052,7 +1047,7 @@ let ablation_zygote ?runs:_ ws =
         [
           scalar_row "zygote-draw" (draw_ms *. 1e6);
           scalar_row "snapshot-restore" (restore_ms *. 1e6);
-          boot_row "fresh-boot" fresh;
+          stats_row "fresh-boot" fresh;
         ];
     }
     ~id:"ablation-zygote"
@@ -1332,7 +1327,7 @@ let faults ?(runs = 20) ws =
         | totals ->
             let total = Imk_util.Stats.summarize totals in
             let label = target.path ^ "/" ^ fault in
-            sh.rows <- { label; total; phases = [] } :: sh.rows;
+            sh.rows <- { Telemetry.label; total; phases = [] } :: sh.rows;
             msf total
       in
       Imk_util.Table.add_row sh.table
@@ -1516,7 +1511,7 @@ let resilience ?(runs = 10) ws =
       in
       sh.rows <-
         {
-          label = prof ^ "/" ^ path;
+          Telemetry.label = prof ^ "/" ^ path;
           total = s;
           phases =
             List.map (fun l -> (l, Imk_util.Stats.summarize (phase_sums l))) labels;
@@ -1609,7 +1604,8 @@ let diffcheck ?(runs = 20) ws =
   in
   (* jobs-1 ≡ jobs-N: boot_many's rows must be bit-identical for any
      fan-out. Runs on the calling domain — boot_many does its own
-     fan-out — and compares every field of every phase summary. *)
+     fan-out — and compares the two telemetry rows exactly, with the
+     same comparator as bench's --baseline gate. *)
   let fan = 4 in
   let jobs_point, jobs_report =
     let tpl, imgs =
@@ -1622,27 +1618,6 @@ let diffcheck ?(runs = 20) ws =
       | None -> images.(0)
     in
     let point = { tpl with P.seed = Boot_runner.run_seed 1 } in
-    let series (s : Boot_runner.phase_stats) =
-      List.concat_map
-        (fun (name, (sum : Imk_util.Stats.summary)) ->
-          [
-            (name ^ ".n", float_of_int sum.Imk_util.Stats.n);
-            (name ^ ".mean", sum.Imk_util.Stats.mean);
-            (name ^ ".min", sum.Imk_util.Stats.min);
-            (name ^ ".max", sum.Imk_util.Stats.max);
-            (name ^ ".stddev", sum.Imk_util.Stats.stddev);
-            (name ^ ".p50", sum.Imk_util.Stats.p50);
-            (name ^ ".p90", sum.Imk_util.Stats.p90);
-            (name ^ ".p99", sum.Imk_util.Stats.p99);
-          ])
-        [
-          ("in-monitor", s.Boot_runner.in_monitor);
-          ("bootstrap", s.Boot_runner.bootstrap);
-          ("decompression", s.Boot_runner.decompression);
-          ("linux-boot", s.Boot_runner.linux_boot);
-          ("total", s.Boot_runner.total);
-        ]
-    in
     let report =
       O.of_run
         (fun imgs point ~note:_ ->
@@ -1652,7 +1627,10 @@ let diffcheck ?(runs = 20) ws =
             Boot_runner.boot_many ~warmups:2 ~jobs ?tap:(tap ws) ~runs:5
               ~cache:env.Imk_check.Env.cache vm
           in
-          O.compare_series (series (stats_at 1)) (series (stats_at fan)))
+          let row jobs = [ stats_row "boot_many" (stats_at jobs) ] in
+          match Telemetry.diff_rows ~baseline:(row 1) ~current:(row fan) with
+          | [] -> O.Pass
+          | d :: _ -> O.Divergence d)
         imgs point
     in
     (point, report)
@@ -1719,7 +1697,7 @@ let diffcheck ?(runs = 20) ws =
           in
           Some
             {
-              label = o.O.id;
+              Telemetry.label = o.O.id;
               total = Imk_util.Stats.summarize all_ns;
               phases =
                 List.map
@@ -1994,7 +1972,7 @@ let fleet ?(runs = 10) ws =
       if r.Sim.completed > 0 then
         sh.rows <-
           {
-            label = String.concat "/" key;
+            Telemetry.label = String.concat "/" key;
             total = r.Sim.sojourn;
             phases =
               List.filter

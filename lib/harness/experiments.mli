@@ -18,22 +18,6 @@
     fanned out through one {!Campaign.map}, and judged by one
     ok/recovered/failed/silent tally and [soundness] verdict. *)
 
-type boot_row = {
-  label : string;
-      (** stable row key: every key cell of the table row, numeric ones
-          included, joined with ["/"] — e.g. ["aws/kaslr/lz4"],
-          ["aws/kaslr/256M"]. Dropping numeric key cells (an old bug)
-          made sweep points collapse onto one label and silently shadow
-          each other in the JSON. *)
-  total : Imk_util.Stats.summary;  (** nanoseconds, across the runs *)
-  phases : (string * Imk_util.Stats.summary) list;
-      (** per-phase nanosecond summaries ("in-monitor", "bootstrap",
-          "decompression", "linux-boot" — or finer span labels for
-          span-level experiments like fig5). Phases the boot path never
-          entered are absent, not zero-padded; the present phases' means
-          sum to [total.mean] up to per-run phase dropout. *)
-}
-
 type verdict = {
   name : string;  (** what is checked, e.g. ["soundness"], ["caught: cross-path"] *)
   pass : bool;
@@ -45,10 +29,10 @@ type output = {
   title : string;
   table : Imk_util.Table.t;
   notes : string list;  (** derived claims, paper-vs-measured *)
-  telemetry : boot_row list;
-      (** the raw per-label distributions behind the table, fed to
-          {!Telemetry} as floats — never re-parsed from the rendered
-          cells. Empty for experiments without boot-time rows (table1,
+  telemetry : Telemetry.row list;
+      (** the raw per-label nanosecond distributions behind the table,
+          fed to {!Telemetry} as floats — never re-parsed from the
+          rendered cells. Empty for experiments without boot-time rows (table1,
           fig11, security, page-sharing). *)
   verdicts : verdict list;
       (** pass/fail gates: faults, resilience and fleet hold zero silent

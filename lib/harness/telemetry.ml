@@ -61,19 +61,6 @@ let value_column headers =
       | Some i -> Some i
       | None -> index_of ms_token)
 
-let summary_to_ms (s : Imk_util.Stats.summary) =
-  let ms = Imk_util.Units.ns_float_to_ms in
-  {
-    s with
-    Imk_util.Stats.mean = ms s.Imk_util.Stats.mean;
-    min = ms s.Imk_util.Stats.min;
-    max = ms s.Imk_util.Stats.max;
-    stddev = ms s.Imk_util.Stats.stddev;
-    p50 = ms s.Imk_util.Stats.p50;
-    p90 = ms s.Imk_util.Stats.p90;
-    p99 = ms s.Imk_util.Stats.p99;
-  }
-
 let check_duplicates ~what rows =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -87,30 +74,17 @@ let check_duplicates ~what rows =
       Hashtbl.add seen r.label ())
     rows
 
-let rows (o : Experiments.output) =
-  let rows =
-    List.map
-      (fun (r : Experiments.boot_row) ->
-        {
-          label = r.Experiments.label;
-          total = summary_to_ms r.Experiments.total;
-          phases =
-            List.map
-              (fun (p, s) -> (p, summary_to_ms s))
-              r.Experiments.phases;
-        })
-      o.Experiments.telemetry
-  in
-  check_duplicates ~what:"rows" rows;
-  rows
-
+(* rows hold nanoseconds; the file holds milliseconds, converted here
+   as the row renders *)
 let summary_json (s : Imk_util.Stats.summary) =
+  let ms = Imk_util.Units.ns_float_to_ms in
   Printf.sprintf
     "\"n\": %d, \"mean_ms\": %.6f, \"min_ms\": %.6f, \"max_ms\": %.6f, \
      \"stddev_ms\": %.6f, \"p50_ms\": %.6f, \"p90_ms\": %.6f, \"p99_ms\": %.6f"
-    s.Imk_util.Stats.n s.Imk_util.Stats.mean s.Imk_util.Stats.min
-    s.Imk_util.Stats.max s.Imk_util.Stats.stddev s.Imk_util.Stats.p50
-    s.Imk_util.Stats.p90 s.Imk_util.Stats.p99
+    s.Imk_util.Stats.n (ms s.Imk_util.Stats.mean) (ms s.Imk_util.Stats.min)
+    (ms s.Imk_util.Stats.max) (ms s.Imk_util.Stats.stddev)
+    (ms s.Imk_util.Stats.p50) (ms s.Imk_util.Stats.p90)
+    (ms s.Imk_util.Stats.p99)
 
 let to_json ~experiment ~runs ~jobs ~scale ~functions ~wall_clock_s rows =
   check_duplicates ~what:"to_json" rows;
@@ -135,7 +109,8 @@ let to_json ~experiment ~runs ~jobs ~scale ~functions ~wall_clock_s rows =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "\n    { \"label\": \"%s\",\n      \"mean_ms\": %.6f,\n"
-           (json_escape r.label) r.total.Imk_util.Stats.mean);
+           (json_escape r.label)
+           (Imk_util.Units.ns_float_to_ms r.total.Imk_util.Stats.mean));
       Buffer.add_string buf
         (Printf.sprintf "      \"total\": { %s },\n" (summary_json r.total));
       Buffer.add_string buf "      \"phases\": [";
@@ -157,8 +132,10 @@ let to_json ~experiment ~runs ~jobs ~scale ~functions ~wall_clock_s rows =
 
 module J = Imk_util.Minjson
 
+(* milliseconds back to nanoseconds: deterministic, so two files that
+   render the same bytes read back to the same floats *)
 let summary_of_json j =
-  let f k = J.to_float (J.member_exn k j) in
+  let f k = J.to_float (J.member_exn k j) *. 1_000_000. in
   {
     Imk_util.Stats.n = J.to_int (J.member_exn "n" j);
     mean = f "mean_ms";
@@ -208,73 +185,75 @@ let of_json s =
     rows;
   }
 
-(* ---------- regression gate ---------- *)
+(* ---------- exact comparison ---------- *)
 
-type delta = {
-  d_label : string;
-  d_phase : string option;  (* None = the headline total *)
-  baseline_p50 : float;
-  current_p50 : float;
-  change_pct : float;
-  degenerate : bool;
-  regression : bool;
-}
+(* virtual time is deterministic per seed, so any bit of difference is
+   drift: floats compare by their bits, never within a tolerance *)
+let summary_diff ~where (b : Imk_util.Stats.summary)
+    (c : Imk_util.Stats.summary) =
+  let fields (s : Imk_util.Stats.summary) =
+    Imk_util.Stats.
+      [
+        ("n", float_of_int s.n); ("mean", s.mean); ("min", s.min);
+        ("max", s.max); ("stddev", s.stddev); ("p50", s.p50); ("p90", s.p90);
+        ("p99", s.p99);
+      ]
+  in
+  List.filter_map
+    (fun ((field, vb), (_, vc)) ->
+      if Int64.bits_of_float vb = Int64.bits_of_float vc then None
+      else
+        Some
+          (Printf.sprintf "%s %s: baseline %.17g, current %.17g" where field
+             vb vc))
+    (List.combine (fields b) (fields c))
 
-let default_threshold_pct = 5.0
-
-let diff ?(threshold_pct = default_threshold_pct) ~baseline ~current () =
+let diff_rows ~baseline ~current =
+  let find rows l = List.find_opt (fun r -> r.label = l) rows in
+  let row_diff b c =
+    let names r = List.map fst r.phases in
+    if names b <> names c then
+      [
+        Printf.sprintf "%s: phases [%s] in baseline, [%s] in current run"
+          c.label
+          (String.concat "; " (names b))
+          (String.concat "; " (names c));
+      ]
+    else
+      summary_diff ~where:(c.label ^ " total") b.total c.total
+      @ List.concat
+          (List.map2
+             (fun (p, bs) (_, cs) ->
+               summary_diff ~where:(c.label ^ " " ^ p) bs cs)
+             b.phases c.phases)
+  in
   List.concat_map
-    (fun cur ->
-      match
-        List.find_opt (fun b -> b.label = cur.label) baseline.rows
-      with
-      | None -> []
-      | Some base ->
-          let mk d_phase (bs : Imk_util.Stats.summary)
-              (cs : Imk_util.Stats.summary) =
-            let change_pct =
-              if bs.Imk_util.Stats.p50 = 0. then 0.
-              else
-                (cs.Imk_util.Stats.p50 -. bs.Imk_util.Stats.p50)
-                /. bs.Imk_util.Stats.p50 *. 100.
-            in
-            (* a single-sample side has no distribution: its p90/p99
-               alias its p50 and its "p50" is one draw — a delta built
-               on one cannot be evidence of a regression *)
-            let degenerate =
-              bs.Imk_util.Stats.n < 2 || cs.Imk_util.Stats.n < 2
-            in
-            {
-              d_label = cur.label;
-              d_phase;
-              baseline_p50 = bs.Imk_util.Stats.p50;
-              current_p50 = cs.Imk_util.Stats.p50;
-              change_pct;
-              degenerate;
-              (* only the headline total trips the gate; per-phase rows
-                 are diagnostic (they tell you where a regression
-                 lives, but phase shifts that cancel are not one) *)
-              regression =
-                d_phase = None && (not degenerate)
-                && change_pct > threshold_pct;
-            }
-          in
-          mk None base.total cur.total
-          :: List.filter_map
-               (fun (p, cs) ->
-                 Option.map
-                   (fun bs -> mk (Some p) bs cs)
-                   (List.assoc_opt p base.phases))
-               cur.phases)
-    current.rows
+    (fun c ->
+      match find baseline c.label with
+      | Some b -> row_diff b c
+      | None -> [ Printf.sprintf "%s: only in current run" c.label ])
+    current
+  @ List.filter_map
+      (fun b ->
+        match find current b.label with
+        | Some _ -> None
+        | None -> Some (Printf.sprintf "%s: only in baseline" b.label))
+      baseline
 
-let regressions deltas = List.filter (fun d -> d.regression) deltas
-
-let missing_labels ~baseline ~current =
-  let labels f = List.map (fun r -> r.label) f.rows in
-  let not_in l r = List.filter (fun x -> not (List.mem x l)) r in
-  ( not_in (labels current) (labels baseline),
-    not_in (labels baseline) (labels current) )
+let diff ~baseline ~current =
+  let show = function None -> "null" | Some n -> string_of_int n in
+  List.filter_map
+    (fun (name, get) ->
+      let b = get baseline and c = get current in
+      if b = c then None
+      else
+        Some (Printf.sprintf "%s: baseline %s, current %s" name (show b) (show c)))
+    [
+      ("runs", fun f -> Some f.runs);
+      ("scale", fun f -> Some f.scale);
+      ("functions", fun f -> f.functions);
+    ]
+  @ diff_rows ~baseline:baseline.rows ~current:current.rows
 
 let write_file path contents =
   let oc = open_out path in

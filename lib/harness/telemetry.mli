@@ -1,10 +1,9 @@
-(** Wall-clock bench telemetry, schema 2.
+(** Bench telemetry, schema 2, and its exact comparator.
 
     The virtual clock measures the {e simulated} boots; this module
     records what they measured — full distributions, not bare means —
-    so harness perf work has before/after numbers and a regression
-    gate. [bench/main.exe] writes one [BENCH_<exp>.json] per
-    experiment:
+    and compares two such records exactly. [bench/main.exe] writes one
+    [BENCH_<exp>.json] per experiment:
 
     {v
     { "schema": 2,
@@ -23,15 +22,19 @@
             { "phase": "linux-boot", ... } ] } ] }
     v}
 
-    Rows come straight from {!Experiments.output.telemetry} as raw
-    floats — never re-parsed out of the rendered table (lint.sh bans
-    [float_of_string] in [lib/harness/] to keep that bug class dead).
-    All summaries are milliseconds; the per-row phase means sum to the
-    headline [total] mean (up to runs in which a phase did not fire).
-    Phases a boot path never enters are absent, not zero-filled.
-    [functions] is [null] unless [--functions] shrank the kernels.
-    Written by hand and read back with {!Imk_util.Minjson} — no JSON
-    dependency. *)
+    Rows are the experiments' own {!Experiments.output.telemetry}, in
+    nanoseconds as raw floats — never re-parsed out of the rendered
+    table (lint.sh bans [float_of_string] in [lib/harness/] to keep that
+    bug class dead). {!to_json} renders them as milliseconds; the
+    per-row phase means sum to the headline [total] mean (up to runs in
+    which a phase did not fire). Phases a boot path never enters are
+    absent, not zero-filled. [functions] is [null] unless [--functions]
+    shrank the kernels. Written by hand and read back with
+    {!Imk_util.Minjson} — no JSON dependency.
+
+    Virtual time is deterministic per seed and bit-identical for any
+    [--jobs], so {!diff} has no tolerance: every bit of difference is
+    reported. *)
 
 val schema_version : int
 (** 2. Schema 1 carried only a [mean_ms] per label; {!of_json} refuses
@@ -39,8 +42,18 @@ val schema_version : int
 
 type row = {
   label : string;
-  total : Imk_util.Stats.summary;  (** milliseconds *)
-  phases : (string * Imk_util.Stats.summary) list;  (** milliseconds *)
+      (** stable row key: every key cell of the table row, numeric ones
+          included, joined with ["/"] — e.g. ["aws/kaslr/lz4"],
+          ["aws/kaslr/256M"]. Dropping numeric key cells (an old bug)
+          made sweep points collapse onto one label and silently shadow
+          each other in the JSON. *)
+  total : Imk_util.Stats.summary;  (** nanoseconds, across the runs *)
+  phases : (string * Imk_util.Stats.summary) list;
+      (** per-phase nanosecond summaries ("in-monitor", "bootstrap",
+          "decompression", "linux-boot" — or finer span labels for
+          span-level experiments like fig5). Phases the boot path never
+          entered are absent, not zero-padded; the present phases' means
+          sum to [total.mean] up to per-run phase dropout. *)
 }
 
 type file = {
@@ -53,11 +66,6 @@ type file = {
   wall_clock_s : float;
   rows : row list;
 }
-
-val rows : Experiments.output -> row list
-(** [rows o] converts the experiment's raw nanosecond telemetry to
-    millisecond rows. Raises [Invalid_argument] on duplicate labels —
-    two rows with the same label would silently shadow each other. *)
 
 val value_column : string list -> int option
 (** Index of a rendered table's headline millisecond column: exactly
@@ -78,47 +86,32 @@ val to_json :
   wall_clock_s:float ->
   row list ->
   string
-(** Render a schema-2 file. Raises [Invalid_argument] on duplicate
-    labels. *)
+(** Render a schema-2 file, converting the nanosecond rows to
+    milliseconds. Raises [Invalid_argument] on duplicate labels — two
+    rows with the same label would silently shadow each other. *)
 
 val of_json : string -> file
-(** Parse a [BENCH_<exp>.json] written by {!to_json}. Raises
-    [Invalid_argument] on any schema other than {!schema_version} and
+(** Parse a [BENCH_<exp>.json] written by {!to_json}, reading the
+    milliseconds back as nanoseconds. The rendering rounds to 1e-6 ms,
+    so compare a read-back file with another read-back file, never with
+    the rows it was rendered from. Raises [Invalid_argument] on any
+    schema other than {!schema_version} and
     {!Imk_util.Minjson.Malformed} on malformed input — a baseline that
     cannot be read faithfully must fail the gate, not pass it. *)
 
-type delta = {
-  d_label : string;
-  d_phase : string option;  (** [None] = the headline total *)
-  baseline_p50 : float;
-  current_p50 : float;
-  change_pct : float;  (** p50 change relative to baseline, percent *)
-  degenerate : bool;
-      (** either side has [n < 2]: the quantiles alias the single
-          sample, so the delta is reported but can never be a
-          [regression] *)
-  regression : bool;
-}
+val diff_rows : baseline:row list -> current:row list -> string list
+(** Every difference between two row lists, one line each: a label on
+    only one side, a row whose phase list changed, or a summary field
+    ([n], [mean], [min], [max], [stddev], [p50], [p90], [p99]) whose
+    float differs in its bits ({!Int64.bits_of_float}) — a faster value
+    is as much a difference as a slower one. [[]] means identical. *)
 
-val default_threshold_pct : float
-(** 5.0 — the default p50 regression threshold. *)
-
-val diff :
-  ?threshold_pct:float -> baseline:file -> current:file -> unit -> delta list
-(** Per-label/per-phase p50 deltas for every label present in both
-    files. Only headline-total deltas beyond [threshold_pct] are marked
-    [regression]; per-phase rows are diagnostic, and [degenerate]
-    deltas (either side a single sample) never trip the gate — one
-    draw is not a distribution. Labels present in only one file
-    produce no delta — report them via {!missing_labels}. *)
-
-val regressions : delta list -> delta list
-(** The deltas that trip the gate. *)
-
-val missing_labels :
-  baseline:file -> current:file -> string list * string list
-(** [(only_in_baseline, only_in_current)] — label drift the p50 gate
-    cannot see (a vanished row is not a regression, but it is news). *)
+val diff : baseline:file -> current:file -> string list
+(** {!diff_rows} on the files' rows, preceded by a line for each of
+    [runs], [scale] and [functions] that differs. [jobs] and
+    [wall_clock_s] are never compared: rows are bit-identical for any
+    [--jobs], and wall clock is host time. The caller pairs files of the
+    same experiment. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents] (re)writes [path] atomically enough for a
