@@ -1,12 +1,13 @@
-let map ~jobs ~tasks f =
-  Imk_util.Par.map_tasks ~jobs:(max 1 jobs) ~tasks (fun ~worker:_ i -> f i)
-
-let run ~jobs ?(prime = 0) ~cache ~tasks f =
-  if tasks < 0 then invalid_arg "Campaign.run: negative task count";
+let map ~jobs ?(prime = 0) ~tasks f =
+  if tasks < 0 then invalid_arg "Campaign.map: negative task count";
   let prime = max 0 (min prime tasks) in
-  let primed = map ~jobs:1 ~tasks:prime (fun i -> f ~cache i) in
+  let primed = Imk_util.Par.map_tasks ~tasks:prime f in
   let rest =
-    map ~jobs ~tasks:(tasks - prime) (fun i ->
-        f ~cache:(Imk_storage.Page_cache.clone cache) (prime + i))
+    Imk_util.Par.map_tasks ~jobs:(max 1 jobs) ~tasks:(tasks - prime) (fun i ->
+        f (prime + i))
   in
   Array.append primed rest
+
+let run ~jobs ?(prime = 0) ~cache ~tasks f =
+  map ~jobs ~prime ~tasks (fun i ->
+      f ~cache:(if i < prime then cache else Imk_storage.Page_cache.clone cache) i)

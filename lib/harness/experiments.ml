@@ -21,23 +21,22 @@ let msv f = Printf.sprintf "%.1f" f
 let msn ns = msv (Imk_util.Units.ns_float_to_ms ns)
 let pct a b = Imk_util.Stats.pct_change b a (* change of a relative to b *)
 
-(* the telemetry row for one boot_many campaign: the raw nanosecond
-   summaries, phases that never ran (n = 0) dropped rather than padded
-   with fabricated zeros *)
+(* the phases of one boot_many campaign as raw nanosecond summaries,
+   phases that never ran (n = 0) dropped rather than padded with
+   fabricated zeros *)
+let stats_phases (s : Boot_runner.phase_stats) =
+  List.filter
+    (fun (_, sum) -> sum.Imk_util.Stats.n > 0)
+    [
+      ("in-monitor", s.Boot_runner.in_monitor);
+      ("bootstrap", s.Boot_runner.bootstrap);
+      ("decompression", s.Boot_runner.decompression);
+      ("linux-boot", s.Boot_runner.linux_boot);
+    ]
+
+(* a boot_many campaign's telemetry row under an explicit label *)
 let stats_row label (s : Boot_runner.phase_stats) =
-  {
-    Telemetry.label;
-    total = s.Boot_runner.total;
-    phases =
-      List.filter
-        (fun (_, sum) -> sum.Imk_util.Stats.n > 0)
-        [
-          ("in-monitor", s.Boot_runner.in_monitor);
-          ("bootstrap", s.Boot_runner.bootstrap);
-          ("decompression", s.Boot_runner.decompression);
-          ("linux-boot", s.Boot_runner.linux_boot);
-        ];
-  }
+  { Telemetry.label; total = s.Boot_runner.total; phases = stats_phases s }
 
 (* a single measured quantity (already in ns) as a one-sample row *)
 let scalar_row label ns =
@@ -61,17 +60,26 @@ let stat_cells (s : Boot_runner.phase_stats) cols =
           ])
     cols
 
-(* a table and its telemetry, filled together: a measured configuration
-   adds one table row (key cells, stat columns, extras) and one telemetry
-   row labelled by its key cells joined with "/", so a rendered row and
-   its JSON row can never disagree on the key *)
+(* a table and its telemetry, filled together by one primitive: [row]
+   adds one table row (key cells, then the rendered cells) and, given a
+   nanosecond [total], one telemetry row labelled by the key cells joined
+   with "/", so a rendered row and its JSON row can never disagree on the
+   key *)
 type sheet = { table : Imk_util.Table.t; mutable rows : Telemetry.row list }
 
 let sheet headers = { table = Imk_util.Table.create ~headers; rows = [] }
 
+let row sh ~key ?total ?(phases = []) cells =
+  Option.iter
+    (fun total ->
+      sh.rows <- { Telemetry.label = String.concat "/" key; total; phases } :: sh.rows)
+    total;
+  Imk_util.Table.add_row sh.table (key @ cells)
+
+(* a boot_many campaign's row: its stat columns, then [extra] *)
 let add sh ~key ?(extra = []) cols s =
-  sh.rows <- stats_row (String.concat "/" key) s :: sh.rows;
-  Imk_util.Table.add_row sh.table (key @ stat_cells s cols @ extra)
+  row sh ~key ~total:s.Boot_runner.total ~phases:(stats_phases s)
+    (stat_cells s cols @ extra)
 
 let report ?(verdicts = []) sh ~id ~title notes =
   { id; title; table = sh.table; notes; telemetry = List.rev sh.rows; verdicts }
@@ -84,14 +92,6 @@ let tap ws = (Workspace.run_config ws).Workspace.trace
 let boot_once ?jitter ?mem ws ~seed vm =
   Boot_runner.boot_once ?jitter ?tap:(tap ws) ?mem ?plans:(Workspace.plans ws)
     ~seed ~cache:(Workspace.cache ws) vm
-
-(* the §5.1 protocol on the workspace: warm every registered image, then
-   five warmups and [runs] measured boots, fanned over the run's jobs *)
-let measure ?cold ?jobs:j ~runs ws vm =
-  Workspace.warm_all ws;
-  Boot_runner.boot_many ?cold ~jobs:(Option.value j ~default:(jobs ws)) ?tap:(tap ws)
-    ~arena:(Workspace.arena ws) ?plans:(Workspace.plans ws) ~runs
-    ~cache:(Workspace.cache ws) vm
 
 (* VM templates (boots overwrite the seed); building one registers its
    images on the workspace disk *)
@@ -130,13 +130,47 @@ let fg_kallsyms rando =
   if rando = Vm_config.Rando_fgkaslr then Vm_config.Kallsyms_deferred
   else Vm_config.Kallsyms_eager
 
+(* ---------- a figure is a list of cells, run by one grid ---------- *)
+
+(* a figure cell: its key cells, the §5.1 cache protocol (warm, or the
+   caches dropped before every boot) and the VM template it boots *)
+type boot_cell = { key : string list; cold : bool; vm : Vm_config.t }
+
+let boot_cell ?(cold = false) key vm = { key; cold; vm }
+
+(* the §5.1 protocol over a figure's cells, each five warmups and [runs]
+   measured boots. The workspace is warmed once, after every template
+   (and so every image) exists. Cell 0 boots on the calling domain
+   against the shared cache; every later cell boots in order on its own
+   clone of it, the cells fanned over the run's jobs — so the trace tap
+   sees cell 0's first boot first at any jobs. A cold cell 0 leaves the
+   shared cache dropped and later cells clone an empty one; their first
+   warmup reads what they need, and a boot's read set does not depend
+   on its seed, so their measured boots see the cache a sequential run
+   would. Each cell's stats come back under its key, in cell order *)
+let grid ?jobs:j ~runs ws cells =
+  Workspace.warm_all ws;
+  let cells = Array.of_list cells in
+  let stats =
+    Campaign.run ~jobs:(Option.value j ~default:(jobs ws)) ~prime:1
+      ~cache:(Workspace.cache ws) ~tasks:(Array.length cells) (fun ~cache i ->
+        Boot_runner.boot_many ~cold:cells.(i).cold ?tap:(tap ws)
+          ~arena:(Workspace.arena ws) ?plans:(Workspace.plans ws) ~runs ~cache
+          cells.(i).vm)
+  in
+  Array.to_list (Array.map2 (fun c s -> (c.key, s)) cells stats)
+
+(* the mean total of the grid cell keyed [key], in ms *)
+let total_ms stats key = msf (List.assoc key stats).Boot_runner.total
+
+(* one sheet row per grid cell, in cell order *)
+let add_all sh cols stats = List.iter (fun (key, s) -> add sh ~key cols s) stats
+
 (* ---------- Table 1 ---------- *)
 
 let table1 ?runs:_ ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [ "kernel"; "vmlinux"; "bzImage(None)"; "bzImage(LZ4)"; "relocs"; "sections" ]
+  let sh =
+    sheet [ "kernel"; "vmlinux"; "bzImage(None)"; "bzImage(LZ4)"; "relocs"; "sections" ]
   in
   List.iter
     (fun preset ->
@@ -152,9 +186,8 @@ let table1 ?runs:_ ws =
               (Imk_storage.Disk.size (Workspace.disk ws) path)
           in
           let bytes = Imk_util.Units.bytes_to_string in
-          Imk_util.Table.add_row table
+          row sh ~key:[ b.Image.config.Config.name ]
             [
-              b.Image.config.Config.name;
               bytes (Image.modeled_vmlinux_bytes b);
               bytes (bz "none");
               bytes (bz "lz4");
@@ -165,7 +198,7 @@ let table1 ?runs:_ ws =
             ])
         Config.all_variants)
     presets;
-  report { table; rows = [] } ~id:"table1"
+  report sh ~id:"table1"
     ~title:"Table 1: kernel image sizes (modelled at paper scale)"
     [
       "fgkaslr variants are larger than kaslr variants (function sections)";
@@ -178,22 +211,23 @@ let fig3 ?(runs = 20) ws =
   let sh =
     sheet [ "codec"; "total ms"; "decompress ms"; "in-monitor ms"; "min"; "max" ]
   in
-  let totals =
-    List.map
-      (fun codec ->
-        let s =
-          measure ~runs ws
-            (bz_vm ws Config.Aws Config.Nokaslr ~codec ~bz:Bzimage.Standard
-               ~rando:Vm_config.Rando_off ())
-        in
-        add sh ~key:[ codec ] [ `Total; `Decomp; `In_monitor; `Min_max ] s;
-        (codec, msf s.Boot_runner.total))
-      [ "gzip"; "bzip2"; "lzma"; "xz"; "lzo"; "lz4" ]
+  let codecs = [ "gzip"; "bzip2"; "lzma"; "xz"; "lzo"; "lz4" ] in
+  let stats =
+    grid ~runs ws
+      (List.map
+         (fun codec ->
+           boot_cell [ codec ]
+             (bz_vm ws Config.Aws Config.Nokaslr ~codec ~bz:Bzimage.Standard
+                ~rando:Vm_config.Rando_off ()))
+         codecs)
   in
+  add_all sh [ `Total; `Decomp; `In_monitor; `Min_max ] stats;
   let best =
     List.fold_left
-      (fun (bc, bv) (c, v) -> if v < bv then (c, v) else (bc, bv))
-      ("", infinity) totals
+      (fun (bc, bv) c ->
+        let v = total_ms stats [ c ] in
+        if v < bv then (c, v) else (bc, bv))
+      ("", infinity) codecs
   in
   report sh ~id:"fig3"
     ~title:"Figure 3: compression bakeoff (aws kernel bzImage boots, cached)"
@@ -206,31 +240,37 @@ let fig4 ?(runs = 20) ws =
     sheet
       [ "kernel"; "method"; "cache"; "in-monitor"; "bootstrap"; "decomp"; "linux"; "total ms" ]
   in
+  let cache cold = if cold then "cold" else "warm" in
+  let methods preset =
+    [
+      ( "bzImage-lz4",
+        bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+          ~rando:Vm_config.Rando_off () );
+      ("direct", direct_vm ws preset Config.Nokaslr ~rando:Vm_config.Rando_off ());
+    ]
+  in
+  let stats =
+    grid ~runs ws
+      (List.concat_map
+         (fun preset ->
+           List.concat_map
+             (fun cold ->
+               List.map
+                 (fun (m, vm) -> boot_cell ~cold [ pname preset; m; cache cold ] vm)
+                 (methods preset))
+             [ true; false ])
+         presets)
+  in
+  add_all sh [ `In_monitor; `Bootstrap; `Decomp; `Linux; `Total ] stats;
   let notes =
     List.map
       (fun preset ->
-        let run ~cold method_name vm =
-          let s = measure ~cold ~runs ws vm in
-          add sh
-            ~key:[ pname preset; method_name; (if cold then "cold" else "warm") ]
-            [ `In_monitor; `Bootstrap; `Decomp; `Linux; `Total ]
-            s;
-          msf s.Boot_runner.total
-        in
-        let bz =
-          bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
-            ~rando:Vm_config.Rando_off ()
-        in
-        let direct =
-          direct_vm ws preset Config.Nokaslr ~rando:Vm_config.Rando_off ()
-        in
-        let bz_cold = run ~cold:true "bzImage-lz4" bz in
-        let dir_cold = run ~cold:true "direct" direct in
-        let bz_warm = run ~cold:false "bzImage-lz4" bz in
-        let dir_warm = run ~cold:false "direct" direct in
+        let t m cold = total_ms stats [ pname preset; m; cache cold ] in
         Printf.sprintf
           "%s: cold — direct %+.0f%% vs bzImage (paper: direct slower); warm — direct %+.0f%% (paper: direct faster)"
-          (pname preset) (pct dir_cold bz_cold) (pct dir_warm bz_warm))
+          (pname preset)
+          (pct (t "direct" true) (t "bzImage-lz4" true))
+          (pct (t "direct" false) (t "bzImage-lz4" false)))
       presets
   in
   report sh ~id:"fig4" ~title:"Figure 4: cache effects on bzImage vs direct boot"
@@ -239,11 +279,10 @@ let fig4 ?(runs = 20) ws =
 (* ---------- Figure 5: bootstrap breakdown ---------- *)
 
 let fig5 ?runs:_ ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "kernel"; "setup ms"; "decompression ms"; "parse+load ms"; "decomp %" ]
+  let sh =
+    sheet [ "kernel"; "setup ms"; "decompression ms"; "parse+load ms"; "decomp %" ]
   in
-  let measured =
+  let notes =
     List.map
       (fun preset ->
         Workspace.warm_all ws;
@@ -262,59 +301,49 @@ let fig5 ?runs:_ ws =
         let pct_decomp =
           100. *. float_of_int decomp /. float_of_int (max 1 total_loader)
         in
-        Imk_util.Table.add_row table
+        row sh ~key:[ pname preset ] ~total:(span_summary total_loader)
+          ~phases:
+            [
+              ("loader-setup", span_summary setup);
+              ("decompress-lz4", span_summary decomp);
+              ("loader-main", span_summary main);
+            ]
           [
-            pname preset;
             msv (Imk_util.Units.ns_to_ms setup);
             msv (Imk_util.Units.ns_to_ms decomp);
             msv (Imk_util.Units.ns_to_ms main);
             Printf.sprintf "%.0f%%" pct_decomp;
           ];
-        ( {
-            Telemetry.label = pname preset;
-            total = span_summary total_loader;
-            phases =
-              [
-                ("loader-setup", span_summary setup);
-                ("decompress-lz4", span_summary decomp);
-                ("loader-main", span_summary main);
-              ];
-          },
-          Printf.sprintf
-            "%s: decompression = %.0f%% of loader time (paper: up to 73%%)"
-            (pname preset) pct_decomp ))
+        Printf.sprintf
+          "%s: decompression = %.0f%% of loader time (paper: up to 73%%)"
+          (pname preset) pct_decomp)
       presets
   in
-  report { table; rows = List.rev_map fst measured } ~id:"fig5"
-    ~title:"Figure 5: bootstrap loader step breakdown (LZ4 bzImage)"
-    (List.map snd measured)
+  report sh ~id:"fig5"
+    ~title:"Figure 5: bootstrap loader step breakdown (LZ4 bzImage)" notes
 
 (* ---------- Figure 6: bootstrap methods ---------- *)
 
 let fig6 ?(runs = 20) ws =
   let sh = sheet [ "method"; "in-monitor"; "bootstrap"; "decomp"; "total ms" ] in
-  let measure_method method_name vm =
-    let s = measure ~runs ws vm in
-    add sh ~key:[ method_name ] [ `In_monitor; `Bootstrap; `Decomp; `Total ] s;
-    (method_name, msf s.Boot_runner.total)
-  in
   let p = Config.Aws and v = Config.Nokaslr in
   let r = Vm_config.Rando_off in
-  let direct = measure_method "uncompressed(direct)" (direct_vm ws p v ~rando:r ()) in
-  let nopt =
-    measure_method "none-optimized"
-      (bz_vm ws p v ~codec:"none" ~bz:Bzimage.None_optimized ~rando:r ())
+  let stats =
+    grid ~runs ws
+      [
+        boot_cell [ "uncompressed(direct)" ] (direct_vm ws p v ~rando:r ());
+        boot_cell [ "none-optimized" ]
+          (bz_vm ws p v ~codec:"none" ~bz:Bzimage.None_optimized ~rando:r ());
+        boot_cell [ "lz4" ] (bz_vm ws p v ~codec:"lz4" ~bz:Bzimage.Standard ~rando:r ());
+        boot_cell [ "compression-none" ]
+          (bz_vm ws p v ~codec:"none" ~bz:Bzimage.Standard ~rando:r ());
+      ]
   in
-  let lz4 =
-    measure_method "lz4" (bz_vm ws p v ~codec:"lz4" ~bz:Bzimage.Standard ~rando:r ())
-  in
-  let none =
-    measure_method "compression-none"
-      (bz_vm ws p v ~codec:"none" ~bz:Bzimage.Standard ~rando:r ())
-  in
+  add_all sh [ `In_monitor; `Bootstrap; `Decomp; `Total ] stats;
   let ordered =
-    List.map fst
-      (List.sort (fun (_, a) (_, b) -> compare b a) [ none; lz4; nopt; direct ])
+    List.sort
+      (fun a b -> compare (total_ms stats [ b ]) (total_ms stats [ a ]))
+      [ "compression-none"; "lz4"; "none-optimized"; "uncompressed(direct)" ]
   in
   report sh ~id:"fig6"
     ~title:"Figure 6: bootstrap method comparison (aws kernel, cached)"
@@ -331,44 +360,28 @@ let fig9 ?(runs = 20) ws =
     sheet
       [ "kernel"; "rando"; "method"; "in-monitor"; "bootstrap"; "decomp"; "linux"; "total ms"; "min"; "max" ]
   in
-  (* the 27 (preset x rando x method) cells are independent campaigns:
-     their images are built here, on the calling domain, then the cells
-     fan out over the run's jobs, each booting (sequentially) from its
-     own clone of the warmed cache *)
-  let cells =
-    Array.of_list
+  (* the 27 (preset x rando x method) cells *)
+  let stats =
+    grid ~runs ws
       (List.concat_map
          (fun preset ->
            List.concat_map
              (fun rando ->
                let variant = variant_of_rando rando in
+               let cell m = boot_cell [ pname preset; rando_name rando; m ] in
                [
-                 ( preset, rando, "in-monitor/direct",
-                   direct_vm ws preset variant ~rando ~kallsyms:(fg_kallsyms rando) () );
-                 ( preset, rando, "none-optimized",
-                   bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized
-                     ~rando () );
-                 ( preset, rando, "lz4",
-                   bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando () );
+                 cell "in-monitor/direct"
+                   (direct_vm ws preset variant ~rando ~kallsyms:(fg_kallsyms rando) ());
+                 cell "none-optimized"
+                   (bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized
+                      ~rando ());
+                 cell "lz4"
+                   (bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando ());
                ])
              all_randos)
          presets)
   in
-  Workspace.warm_all ws;
-  let stats =
-    Campaign.run ~jobs:(jobs ws) ~cache:(Workspace.cache ws)
-      ~tasks:(Array.length cells) (fun ~cache i ->
-        let _, _, _, vm = cells.(i) in
-        Boot_runner.boot_many ?tap:(tap ws) ~arena:(Workspace.arena ws)
-          ?plans:(Workspace.plans ws) ~runs ~cache vm)
-  in
-  let cell = Hashtbl.create 32 in
-  Array.iteri
-    (fun i (preset, rando, mname, _) ->
-      let s = stats.(i) in
-      Hashtbl.replace cell (preset, rando_name rando, mname) s.Boot_runner.total;
-      add sh ~key:[ pname preset; rando_name rando; mname ] cols s)
-    cells;
+  add_all sh cols stats;
   (* contention variant (DESIGN.md §10): [contend_n] kaslr/lz4 guests
      share one event timeline per run under the run's contend
      capacities, so each boot's spans absorb its queue waits behind the
@@ -403,16 +416,16 @@ let fig9 ?(runs = 20) ws =
         (preset, s))
       [ Config.Lupine ]
   in
-  let get p r m = msf (Hashtbl.find cell (p, r, m)) in
   let notes =
     List.map
       (fun p ->
-        let baseline = get p "nokaslr" "in-monitor/direct" in
-        let imk = get p "kaslr" "in-monitor/direct" in
-        let nopt = get p "kaslr" "none-optimized" in
-        let lz4 = get p "kaslr" "lz4" in
-        let imfg = get p "fgkaslr" "in-monitor/direct" in
-        let noptfg = get p "fgkaslr" "none-optimized" in
+        let get r m = total_ms stats [ pname p; r; m ] in
+        let baseline = get "nokaslr" "in-monitor/direct" in
+        let imk = get "kaslr" "in-monitor/direct" in
+        let nopt = get "kaslr" "none-optimized" in
+        let lz4 = get "kaslr" "lz4" in
+        let imfg = get "fgkaslr" "in-monitor/direct" in
+        let noptfg = get "fgkaslr" "none-optimized" in
         Printf.sprintf
           "%s: in-monitor KASLR +%.1f ms (+%.1f%%) over baseline (paper avg: +4%%, 2 ms); \
            vs none-opt self-rando %.0f%% faster (paper: up to 22%%); vs lz4 %.0f%% faster; \
@@ -427,7 +440,8 @@ let fig9 ?(runs = 20) ws =
       (fun (preset, (s : Boot_runner.contended_stats)) ->
         let ms = Imk_util.Units.ns_float_to_ms in
         let solo_p50 =
-          (Hashtbl.find cell (preset, "kaslr", "lz4")).Imk_util.Stats.p50
+          (List.assoc [ pname preset; "kaslr"; "lz4" ] stats).Boot_runner.total
+            .Imk_util.Stats.p50
         in
         let cont_p50 = s.Boot_runner.per_boot.Boot_runner.total.Imk_util.Stats.p50 in
         Printf.sprintf
@@ -455,37 +469,44 @@ let fig10 ?(runs = 5) ws =
   let sh =
     sheet [ "kernel"; "rando"; "mem"; "in-monitor ms"; "linux ms"; "total ms" ]
   in
+  let mems = [ 256; 512; 1024; 2048 ] in
+  (* the memory size is a numeric key cell: it must stay in the label or
+     the four sweep points collapse onto one row and silently shadow each
+     other *)
+  let key preset rando mem_mib =
+    [ pname preset; rando_name rando; Printf.sprintf "%dM" mem_mib ]
+  in
+  let sweeps =
+    List.concat_map (fun preset -> List.map (fun r -> (preset, r)) all_randos) presets
+  in
+  let stats =
+    grid ~jobs:1 ~runs ws
+      (List.concat_map
+         (fun (preset, rando) ->
+           List.map
+             (fun mem_mib ->
+               boot_cell (key preset rando mem_mib)
+                 (direct_vm ws preset (variant_of_rando rando) ~rando
+                    ~mem:(mem_mib * 1024 * 1024) ()))
+             mems)
+         sweeps)
+  in
+  add_all sh [ `In_monitor; `Linux; `Total ] stats;
   let notes =
-    List.concat_map
-      (fun preset ->
-        List.map
-          (fun rando ->
-            let vals =
-              List.map
-                (fun mem_mib ->
-                  let s =
-                    measure ~jobs:1 ~runs ws
-                      (direct_vm ws preset (variant_of_rando rando) ~rando
-                         ~mem:(mem_mib * 1024 * 1024) ())
-                  in
-                  (* the memory size is a numeric key cell: it must stay
-                     in the label or the four sweep points collapse onto
-                     one row and silently shadow each other *)
-                  add sh
-                    ~key:[ pname preset; rando_name rando; Printf.sprintf "%dM" mem_mib ]
-                    [ `In_monitor; `Linux; `Total ] s;
-                  msf s.Boot_runner.in_monitor)
-                [ 256; 512; 1024; 2048 ]
-            in
-            let spread =
-              List.fold_left max neg_infinity vals
-              -. List.fold_left min infinity vals
-            in
-            Printf.sprintf
-              "%s/%s: in-monitor spread across memory sizes %.2f ms (paper: flat)"
-              (pname preset) (rando_name rando) spread)
-          all_randos)
-      presets
+    List.map
+      (fun (preset, rando) ->
+        let vals =
+          List.map
+            (fun m -> msf (List.assoc (key preset rando m) stats).Boot_runner.in_monitor)
+            mems
+        in
+        let spread =
+          List.fold_left max neg_infinity vals -. List.fold_left min infinity vals
+        in
+        Printf.sprintf
+          "%s/%s: in-monitor spread across memory sizes %.2f ms (paper: flat)"
+          (pname preset) (rando_name rando) spread)
+      sweeps
   in
   report sh ~id:"fig10" ~title:"Figure 10: guest memory impact on boot time" notes
 
@@ -501,9 +522,7 @@ let lebench_layout ws rando ~seed =
 let fig11 ?runs:_ ws =
   let base_layout = lebench_layout ws Vm_config.Rando_off ~seed:31L in
   let baseline = Imk_lebench.Runner.run ~fn_va:base_layout () in
-  let table =
-    Imk_util.Table.create ~headers:[ "test"; "kaslr (norm)"; "fgkaslr (norm)" ]
-  in
+  let sh = sheet [ "test"; "kaslr (norm)"; "fgkaslr (norm)" ] in
   let norm rando seed =
     let layout = lebench_layout ws rando ~seed in
     Imk_lebench.Runner.normalize ~baseline
@@ -513,11 +532,10 @@ let fig11 ?runs:_ ws =
   let f = norm Vm_config.Rando_fgkaslr 33L in
   List.iter2
     (fun (name, kv) (_, fv) ->
-      Imk_util.Table.add_row table
-        [ name; Printf.sprintf "%.3f" kv; Printf.sprintf "%.3f" fv ])
+      row sh ~key:[ name ] [ Printf.sprintf "%.3f" kv; Printf.sprintf "%.3f" fv ])
     k f;
   let avg l = Imk_util.Stats.mean (List.map snd l) in
-  report { table; rows = [] } ~id:"fig11"
+  report sh ~id:"fig11"
     ~title:"Figure 11: LEBench normalized to aws-nokaslr"
     [
       Printf.sprintf "KASLR average %.1f%% slower (paper: <1%%, within noise)"
@@ -530,27 +548,30 @@ let fig11 ?runs:_ ws =
 
 let qemu_check ?(runs = 10) ws =
   let sh = sheet [ "vmm"; "method"; "in-monitor"; "total ms" ] in
+  let profiles = [ Profiles.firecracker; Profiles.qemu ] in
+  let stats =
+    grid ~runs ws
+      (List.concat_map
+         (fun profile ->
+           let cell m = boot_cell [ profile.Profiles.name; m ] in
+           [
+             cell "bzImage-lz4"
+               (bz_vm ws Config.Aws Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+                  ~rando:Vm_config.Rando_off ~profile ());
+             cell "direct"
+               (direct_vm ws Config.Aws Config.Nokaslr ~rando:Vm_config.Rando_off
+                  ~profile ());
+           ])
+         profiles)
+  in
+  add_all sh [ `In_monitor; `Total ] stats;
   let notes =
     List.map
       (fun profile ->
-        let total mname vm =
-          let s = measure ~runs ws vm in
-          add sh ~key:[ profile.Profiles.name; mname ] [ `In_monitor; `Total ] s;
-          msf s.Boot_runner.total
-        in
-        let bz =
-          total "bzImage-lz4"
-            (bz_vm ws Config.Aws Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
-               ~rando:Vm_config.Rando_off ~profile ())
-        in
-        let direct =
-          total "direct"
-            (direct_vm ws Config.Aws Config.Nokaslr ~rando:Vm_config.Rando_off
-               ~profile ())
-        in
+        let t m = total_ms stats [ profile.Profiles.name; m ] in
         Printf.sprintf "%s: direct %.0f%% faster than bzImage when cached"
-          profile.Profiles.name (pct bz direct))
-      [ Profiles.firecracker; Profiles.qemu ]
+          profile.Profiles.name (pct (t "bzImage-lz4") (t "direct")))
+      profiles
   in
   report sh ~id:"qemu"
     ~title:"QEMU cross-check (§2.2): cached direct boot wins on both VMMs" notes
@@ -565,10 +586,7 @@ let throughput ?(runs = 30) ws =
      sampled boot-time distributions *)
   let cores = 4 in
   let window_ms = 10_000. in
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "scheme"; "mean boot ms"; "VMs/s (4 cores)"; "vs nokaslr" ]
-  in
+  let sh = sheet [ "scheme"; "mean boot ms"; "VMs/s (4 cores)"; "vs nokaslr" ] in
   let samples rando =
     Workspace.warm_all ws;
     let vm =
@@ -599,19 +617,11 @@ let throughput ?(runs = 30) ws =
   in
   let rate r = List.assoc r (List.map (fun (r, _, x) -> (r, x)) rates) in
   let base_rate = rate Vm_config.Rando_off in
-  let sh = { table; rows = [] } in
   List.iter
     (fun (rando, s, r) ->
-      sh.rows <-
-        {
-          Telemetry.label = rando_name rando;
-          total = Imk_util.Stats.summarize (List.map (fun ms -> ms *. 1e6) s);
-          phases = [];
-        }
-        :: sh.rows;
-      Imk_util.Table.add_row table
+      row sh ~key:[ rando_name rando ]
+        ~total:(Imk_util.Stats.summarize (List.map (fun ms -> ms *. 1e6) s))
         [
-          rando_name rando;
           msv (Imk_util.Stats.mean s);
           Printf.sprintf "%.1f" r;
           Printf.sprintf "%+.1f%%" (100. *. ((r /. base_rate) -. 1.));
@@ -631,11 +641,7 @@ let throughput ?(runs = 30) ws =
 (* ---------- Security ---------- *)
 
 let security ?runs:_ ws =
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [ "scheme"; "base slots"; "base bits"; "perm bits"; "leak exposes" ]
-  in
+  let sh = sheet [ "scheme"; "base slots"; "base bits"; "perm bits"; "leak exposes" ] in
   let b = Workspace.built ws Config.Aws Config.Kaslr in
   let memsz =
     Config.modeled_of_actual b.Image.config
@@ -662,21 +668,21 @@ let security ?runs:_ ws =
     in
     Imk_util.Stats.mean fracs
   in
-  let row report frac =
-    Imk_util.Table.add_row table
+  let scheme r frac =
+    let module E = Imk_security.Entropy_analysis in
+    row sh ~key:[ r.E.scheme ]
       [
-        report.Imk_security.Entropy_analysis.scheme;
-        string_of_int report.Imk_security.Entropy_analysis.base_slots;
-        Printf.sprintf "%.1f" report.Imk_security.Entropy_analysis.base_bits;
-        Printf.sprintf "%.0f" report.Imk_security.Entropy_analysis.permutation_bits;
+        string_of_int r.E.base_slots;
+        Printf.sprintf "%.1f" r.E.base_bits;
+        Printf.sprintf "%.0f" r.E.permutation_bits;
         Printf.sprintf "%.1f%% of functions" (frac *. 100.);
       ]
   in
-  row Imk_security.Entropy_analysis.nokaslr (attack Vm_config.Rando_off 51L);
-  row
+  scheme Imk_security.Entropy_analysis.nokaslr (attack Vm_config.Rando_off 51L);
+  scheme
     (Imk_security.Entropy_analysis.kaslr ~image_memsz:memsz)
     (attack Vm_config.Rando_kaslr 52L);
-  row
+  scheme
     (Imk_security.Entropy_analysis.fgkaslr ~image_memsz:memsz
        ~functions:modeled_fns)
     (attack Vm_config.Rando_fgkaslr 53L);
@@ -690,7 +696,7 @@ let security ?runs:_ ws =
     Imk_security.Uniformity.test_permutation_positions ~sections:512
       ~draws:50_000 ~seed:98L
   in
-  report { table; rows = [] } ~id:"security"
+  report sh ~id:"security"
     ~title:"Security: entropy and the value of a single leak (§3.1/§4.3)"
     [
       "one leak exposes the whole kernel under nokaslr/kaslr, one function under fgkaslr";
@@ -720,8 +726,13 @@ let ablation_kallsyms ?(runs = 20) ws =
     direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr
       ~kallsyms ()
   in
-  let eager = measure ~runs ws (vm Vm_config.Kallsyms_eager) in
-  let deferred = measure ~runs ws (vm Vm_config.Kallsyms_deferred) in
+  let stats =
+    grid ~runs ws
+      [
+        boot_cell [ "eager" ] (vm Vm_config.Kallsyms_eager);
+        boot_cell [ "deferred" ] (vm Vm_config.Kallsyms_deferred);
+      ]
+  in
   (* time-to-first-lookup under the deferred policy *)
   let first_lookup_ms =
     Workspace.warm_all ws;
@@ -738,12 +749,12 @@ let ablation_kallsyms ?(runs = 20) ws =
     Imk_util.Units.ns_to_ms
       (Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) - before)
   in
-  let e = msf eager.Boot_runner.total and d = msf deferred.Boot_runner.total in
+  let e = total_ms stats [ "eager" ] and d = total_ms stats [ "deferred" ] in
   add sh ~key:[ "eager" ] [ `Total ]
     ~extra:[ "0.0"; Printf.sprintf "+%.1f ms (+%.0f%%)" (e -. d) (pct e d) ]
-    eager;
+    (List.assoc [ "eager" ] stats);
   add sh ~key:[ "deferred" ] [ `Total ] ~extra:[ msv first_lookup_ms; "baseline" ]
-    deferred;
+    (List.assoc [ "deferred" ] stats);
   report sh ~id:"ablation-kallsyms"
     ~title:"Ablation: eager vs deferred kallsyms fixup (§4.3)"
     [
@@ -761,14 +772,16 @@ let ablation_orc ?(runs = 20) ws =
   let disk = Workspace.disk ws in
   Imk_storage.Disk.add disk ~name:"aws-fgkaslr-orc.vmlinux" built.Image.vmlinux;
   Imk_storage.Disk.add disk ~name:"aws-fgkaslr-orc.relocs" built.Image.relocs_bytes;
-  let boot orc =
-    measure ~runs ws
+  let cell name orc =
+    boot_cell [ name ]
       (Vm_config.make ~rando:Vm_config.Rando_fgkaslr
          ~relocs_path:(Some "aws-fgkaslr-orc.relocs") ~orc
          ~kernel_path:"aws-fgkaslr-orc.vmlinux" ~kernel_config:cfg ())
   in
-  let skip = boot Vm_config.Orc_skip in
-  let update = boot Vm_config.Orc_update in
+  let stats =
+    grid ~runs ws [ cell "skip" Vm_config.Orc_skip; cell "update" Vm_config.Orc_update ]
+  in
+  let skip = List.assoc [ "skip" ] stats and update = List.assoc [ "update" ] stats in
   let s = msf skip.Boot_runner.total and u = msf update.Boot_runner.total in
   let table = Imk_util.Table.create ~headers:[ "orc policy"; "boot ms" ] in
   Imk_util.Table.add_row table [ "skip (paper's choice)"; msv s ];
@@ -811,14 +824,11 @@ let ablation_page_sharing ?runs:_ ws =
     float_of_int shared /. float_of_int (max 1 (List.length ha)) *. 100.
   in
   let a = boot 71L and b = boot 71L and c = boot 72L in
-  let table =
-    Imk_util.Table.create ~headers:[ "pairing"; "identical guest pages" ]
-  in
-  Imk_util.Table.add_row table
-    [ "same seed (host-grouped VMs)"; Printf.sprintf "%.1f%%" (identical_pages a b) ];
-  Imk_util.Table.add_row table
-    [ "different seeds"; Printf.sprintf "%.1f%%" (identical_pages a c) ];
-  report { table; rows = [] } ~id:"ablation-page-sharing"
+  let sh = sheet [ "pairing"; "identical guest pages" ] in
+  row sh ~key:[ "same seed (host-grouped VMs)" ]
+    [ Printf.sprintf "%.1f%%" (identical_pages a b) ];
+  row sh ~key:[ "different seeds" ] [ Printf.sprintf "%.1f%%" (identical_pages a c) ];
+  report sh ~id:"ablation-page-sharing"
     ~title:"Ablation: memory density under FGKASLR (§6)"
     [
       "in-monitor randomization lets the host pick a shared seed for \
@@ -835,21 +845,6 @@ let ablation_rerando ?(runs = 20) ws =
   let sh =
     sheet [ "policy"; "boot ms"; "invocations/s"; "layouts per 100 invocations" ]
   in
-  let rate name vm ~reboot =
-    let s = measure ~runs ws vm in
-    let boot_ms = msf s.Boot_runner.total in
-    let per_invocation =
-      if reboot then boot_ms +. invocation_ms else invocation_ms
-    in
-    add sh ~key:[ name ] [ `Total ]
-      ~extra:
-        [
-          Printf.sprintf "%.1f" (1000. /. per_invocation);
-          string_of_int (if reboot then 100 else 1);
-        ]
-      s;
-    1000. /. per_invocation
-  in
   let in_monitor =
     direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr ()
   in
@@ -857,9 +852,24 @@ let ablation_rerando ?(runs = 20) ws =
     bz_vm ws Config.Aws Config.Kaslr ~codec:"none" ~bz:Bzimage.None_optimized
       ~rando:Vm_config.Rando_kaslr ()
   in
-  let persistent = rate "persistent VM (SAND-style)" in_monitor ~reboot:false in
-  let inm = rate "reboot + in-monitor KASLR" in_monitor ~reboot:true in
-  let self = rate "reboot + self-rando bzImage" self_rando ~reboot:true in
+  let persistent = ("persistent VM (SAND-style)", in_monitor, false)
+  and inm = ("reboot + in-monitor KASLR", in_monitor, true)
+  and self = ("reboot + self-rando bzImage", self_rando, true) in
+  let policies = [ persistent; inm; self ] in
+  let stats =
+    grid ~runs ws (List.map (fun (name, vm, _) -> boot_cell [ name ] vm) policies)
+  in
+  let rate (name, _, reboot) =
+    let boot_ms = total_ms stats [ name ] in
+    1000. /. (if reboot then boot_ms +. invocation_ms else invocation_ms)
+  in
+  List.iter
+    (fun ((name, _, reboot) as p) ->
+      add sh ~key:[ name ] [ `Total ]
+        ~extra:
+          [ Printf.sprintf "%.1f" (rate p); string_of_int (if reboot then 100 else 1) ]
+        (List.assoc [ name ] stats))
+    policies;
   report sh ~id:"ablation-rerando"
     ~title:"Ablation: re-randomization between invocations (§7)"
     [
@@ -867,8 +877,8 @@ let ablation_rerando ?(runs = 20) ws =
         "fresh randomization every invocation costs %.0f%% of persistent-VM \
          throughput with in-monitor KASLR (%.0f%% with self-rando) — the \
          opportunity SAND-style reuse forgoes"
-        (100. *. (1. -. (inm /. persistent)))
-        (100. *. (1. -. (self /. persistent)));
+        (100. *. (1. -. (rate inm /. rate persistent)))
+        (100. *. (1. -. (rate self /. rate persistent)));
     ]
 
 let ablation_devices ?(runs = 20) ws =
@@ -879,18 +889,14 @@ let ablation_devices ?(runs = 20) ws =
   let rootfs = Imk_kernel.Rootfs.make ~size:(512 * 1024) ~seed:77L in
   Imk_storage.Disk.add (Workspace.disk ws) ~name:"rootfs.img" rootfs;
   let sh = sheet [ "vmm"; "devices"; "in-monitor"; "linux"; "total ms" ] in
-  let boot profile devices label =
-    let s =
-      measure ~runs ws
-        (Vm_config.make ~profile ~rando:Vm_config.Rando_kaslr
-           ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
-           ~devices
-           ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
-           ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
-           ())
-    in
-    add sh ~key:[ profile.Profiles.name; label ] [ `In_monitor; `Linux; `Total ] s;
-    msf s.Boot_runner.total
+  let cell profile devices label =
+    boot_cell [ profile.Profiles.name; label ]
+      (Vm_config.make ~profile ~rando:Vm_config.Rando_kaslr
+         ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
+         ~devices
+         ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
+         ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
+         ())
   in
   let full =
     [
@@ -899,9 +905,16 @@ let ablation_devices ?(runs = 20) ws =
       Devices.Virtio_net;
     ]
   in
-  let fc_none = boot Profiles.firecracker [] "none" in
-  let fc_full = boot Profiles.firecracker full "serial+blk+net" in
-  let _ = boot Profiles.qemu full "serial+blk+net" in
+  let fc = Profiles.firecracker in
+  let stats =
+    grid ~runs ws
+      [
+        cell fc [] "none";
+        cell fc full "serial+blk+net";
+        cell Profiles.qemu full "serial+blk+net";
+      ]
+  in
+  add_all sh [ `In_monitor; `Linux; `Total ] stats;
   report sh ~id:"ablation-devices"
     ~title:"Ablation: the device model's share of a microVM boot"
     [
@@ -910,7 +923,8 @@ let ablation_devices ?(runs = 20) ws =
          device model (rootfs superblock read included); the same set \
          under a QEMU-style model shows why lightweight monitors keep \
          In-Monitor small (§2.1)"
-        (fc_full -. fc_none);
+        (total_ms stats [ fc.Profiles.name; "serial+blk+net" ]
+        -. total_ms stats [ fc.Profiles.name; "none" ]);
     ]
 
 let ablation_unikernel ?(runs = 20) ws =
@@ -931,34 +945,36 @@ let ablation_unikernel ?(runs = 20) ws =
   let sh =
     sheet [ "configuration"; "boot ms"; "min"; "max"; "distinct layouts/20" ]
   in
-  let boot name ~kernel ~rando:mode ~relocs =
-    let vm =
-      Vm_config.make ~profile:Profiles.solo5 ~rando:mode ~relocs_path:relocs
-        ~mem_bytes:(64 * 1024 * 1024) ~kernel_path:kernel
-        ~kernel_config:(Unikernel.config ~aslr:(mode <> Vm_config.Rando_off) ())
-        ()
-    in
-    let s = measure ~runs ws vm in
-    (* layout diversity across instances *)
-    let bases = Hashtbl.create 32 in
-    for i = 1 to 20 do
-      let _, r = boot_once ~jitter:false ws ~seed:(Int64.of_int (50 + i)) vm in
-      Hashtbl.replace bases r.Vmm.params.Imk_guest.Boot_params.virt_base ()
-    done;
-    add sh ~key:[ name ] [ `Total; `Min_max ]
-      ~extra:[ string_of_int (Hashtbl.length bases) ]
-      s;
-    msf s.Boot_runner.total
+  let base_key = [ "unikernel, no ASLR (today)" ]
+  and aslr_key = [ "unikernel + in-monitor whole-system FGASLR" ] in
+  let cell key ~kernel ~rando:mode ~relocs =
+    boot_cell key
+      (Vm_config.make ~profile:Profiles.solo5 ~rando:mode ~relocs_path:relocs
+         ~mem_bytes:(64 * 1024 * 1024) ~kernel_path:kernel
+         ~kernel_config:(Unikernel.config ~aslr:(mode <> Vm_config.Rando_off) ())
+         ())
   in
-  let base_ms =
-    boot "unikernel, no ASLR (today)" ~kernel:(plain ^ ".bin")
-      ~rando:Vm_config.Rando_off ~relocs:None
+  let cells =
+    [
+      cell base_key ~kernel:(plain ^ ".bin") ~rando:Vm_config.Rando_off ~relocs:None;
+      cell aslr_key ~kernel:(rando ^ ".bin") ~rando:Vm_config.Rando_fgkaslr
+        ~relocs:(Some (rando ^ ".relocs"));
+    ]
   in
-  let aslr_ms =
-    boot "unikernel + in-monitor whole-system FGASLR"
-      ~kernel:(rando ^ ".bin") ~rando:Vm_config.Rando_fgkaslr
-      ~relocs:(Some (rando ^ ".relocs"))
-  in
+  let stats = grid ~runs ws cells in
+  List.iter
+    (fun c ->
+      (* layout diversity across instances *)
+      let bases = Hashtbl.create 32 in
+      for i = 1 to 20 do
+        let _, r = boot_once ~jitter:false ws ~seed:(Int64.of_int (50 + i)) c.vm in
+        Hashtbl.replace bases r.Vmm.params.Imk_guest.Boot_params.virt_base ()
+      done;
+      add sh ~key:c.key [ `Total; `Min_max ]
+        ~extra:[ string_of_int (Hashtbl.length bases) ]
+        (List.assoc c.key stats))
+    cells;
+  let base_ms = total_ms stats base_key and aslr_ms = total_ms stats aslr_key in
   report sh ~id:"ablation-unikernel"
     ~title:"Ablation: in-monitor ASLR for unikernels (§6)"
     [
@@ -988,14 +1004,13 @@ let ablation_zygote ?runs:_ ws =
       ~headers:
         [ "strategy"; "create ms"; "distinct layouts"; "resident memory" ]
   in
-  Workspace.warm_all ws;
   let vm =
     direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr
       ~mem:(64 * 1024 * 1024) ()
   in
   let working_set_pages = 2048 (* 8 MiB touched before first request *) in
   (* fresh boots *)
-  let fresh = measure ~runs:10 ws vm in
+  let fresh = List.assoc [ "fresh" ] (grid ~runs:10 ws [ boot_cell [ "fresh" ] vm ]) in
   let fresh_ms = msf fresh.Boot_runner.total in
   Imk_util.Table.add_row table
     [ "fresh boot (in-monitor KASLR)"; msv fresh_ms; "per-instance"; "0" ];
@@ -1207,13 +1222,15 @@ type cell = {
 }
 
 (* every cell's runs with their conditions, and its fleet's breaker
-   trips. Cells fan out over the run's jobs; a cell's runs stay in order
-   on one domain, so its fleet is sequential state and the result is
-   bit-identical for any --jobs value *)
+   trips. Cell 0 runs first on the calling domain, so the trace tap sees
+   its first run first at any jobs; the other cells fan out over the
+   run's jobs. A cell's runs stay in order on one domain, so its fleet is
+   sequential state and the result is bit-identical for any --jobs
+   value *)
 let run_cells ws cells =
   let cells = Array.of_list cells in
   Array.to_list
-    (Campaign.map ~jobs:(jobs ws) ~tasks:(Array.length cells) (fun i ->
+    (Campaign.map ~jobs:(jobs ws) ~prime:1 ~tasks:(Array.length cells) (fun i ->
          let cell = cells.(i) in
          let fleet = Option.map (fun policy -> S.fleet ~policy ()) cell.policy in
          let runs =
@@ -1320,25 +1337,20 @@ let faults ?(runs = 20) ws =
                  r.S.outcome)
              reports)
       in
-      let fault = fault_name fault in
-      let mean_ms =
+      let total =
         match List.map total_ns reports with
-        | [] -> 0.
-        | totals ->
-            let total = Imk_util.Stats.summarize totals in
-            let label = target.path ^ "/" ^ fault in
-            sh.rows <- { Telemetry.label; total; phases = [] } :: sh.rows;
-            msf total
+        | [] -> None
+        | totals -> Some (Imk_util.Stats.summarize totals)
       in
-      Imk_util.Table.add_row sh.table
+      row sh ~key:[ target.path; fault_name fault ] ?total
         [
-          target.path; fault; string_of_int t.n; string_of_int t.ok;
+          string_of_int t.n; string_of_int t.ok;
           string_of_int t.n_recovered; string_of_int t.failed;
           string_of_int
             (count (function F.Retried _ -> true | _ -> false) (events reports));
           string_of_int t.silent;
           (match kinds with [] -> "-" | l -> String.concat "," l);
-          msv mean_ms;
+          msv (Option.fold ~none:0. ~some:msf total);
         ])
     sweep results;
   let t = tally (List.concat_map fst results) in
@@ -1473,11 +1485,25 @@ let resilience ?(runs = 10) ws =
       let unrec = count unrecovered rs in
       let n_events p = string_of_int (count p (events rs)) in
       let s = Imk_util.Stats.summarize totals in
-      let prof = W.profile_name profile in
-      let path = pname target.preset ^ "/" ^ target.path in
-      Imk_util.Table.add_row sh.table
+      (* telemetry: the cell's total distribution plus per-recovery-label
+         per-boot sums as phases (raw ns floats, never re-parsed) *)
+      let labels =
+        distinct (List.concat_map (fun (r : S.report) -> List.map fst r.S.recovery) rs)
+      in
+      let phase_sums label =
+        List.filter_map
+          (fun (r : S.report) ->
+            match List.filter (fun (l, _) -> l = label) r.S.recovery with
+            | [] -> None
+            | spans -> Some (sum_ns spans))
+          rs
+      in
+      row sh
+        ~key:[ W.profile_name profile; pname target.preset ^ "/" ^ target.path ]
+        ~total:s
+        ~phases:(List.map (fun l -> (l, Imk_util.Stats.summarize (phase_sums l))) labels)
         [
-          prof; path; string_of_int runs; string_of_int t.ok;
+          string_of_int runs; string_of_int t.ok;
           string_of_int t.n_recovered; string_of_int t.failed;
           n_events (function F.Breaker_short_circuit _ -> true | _ -> false);
           string_of_int t.silent; string_of_int unrec;
@@ -1495,28 +1521,7 @@ let resilience ?(runs = 10) ws =
           msv (ms s.Imk_util.Stats.p50);
           msv (ms s.Imk_util.Stats.p99);
         ];
-      unrecovered_total := !unrecovered_total + unrec;
-      (* telemetry: the cell's total distribution plus per-recovery-label
-         per-boot sums as phases (raw ns floats, never re-parsed) *)
-      let labels =
-        distinct (List.concat_map (fun (r : S.report) -> List.map fst r.S.recovery) rs)
-      in
-      let phase_sums label =
-        List.filter_map
-          (fun (r : S.report) ->
-            match List.filter (fun (l, _) -> l = label) r.S.recovery with
-            | [] -> None
-            | spans -> Some (sum_ns spans))
-          rs
-      in
-      sh.rows <-
-        {
-          Telemetry.label = prof ^ "/" ^ path;
-          total = s;
-          phases =
-            List.map (fun l -> (l, Imk_util.Stats.summarize (phase_sums l))) labels;
-        }
-        :: sh.rows)
+      unrecovered_total := !unrecovered_total + unrec)
     sweep results;
   let t = tally (List.concat_map fst results) in
   let soundness =
@@ -1627,8 +1632,8 @@ let diffcheck ?(runs = 20) ws =
             Boot_runner.boot_many ~warmups:2 ~jobs ?tap:(tap ws) ~runs:5
               ~cache:env.Imk_check.Env.cache vm
           in
-          let row jobs = [ stats_row "boot_many" (stats_at jobs) ] in
-          match Telemetry.diff_rows ~baseline:(row 1) ~current:(row fan) with
+          let rows jobs = [ stats_row "boot_many" (stats_at jobs) ] in
+          match Telemetry.diff_rows ~baseline:(rows 1) ~current:(rows fan) with
           | [] -> O.Pass
           | d :: _ -> O.Divergence d)
         imgs point
@@ -1651,16 +1656,27 @@ let diffcheck ?(runs = 20) ws =
   let diverged (_, (r : O.report)) =
     match r.O.outcome with O.Pass -> false | O.Divergence _ -> true
   in
-  let table =
-    Imk_util.Table.create
-      ~headers:[ "oracle"; "comparisons"; "pass"; "divergent"; "first divergence" ]
+  (* a row per oracle, the jobs row last; its telemetry is the virtual
+     totals of every boot the oracle's comparisons ran, with per-boot-label
+     distributions as phases (the jobs row's comparison notes no boots) *)
+  let sh =
+    sheet [ "oracle"; "comparisons"; "pass"; "divergent"; "first divergence" ]
   in
   List.iter
     (fun (id, reports) ->
       let n = List.length reports and divergent = List.filter diverged reports in
-      Imk_util.Table.add_row table
+      let boots = List.concat_map (fun (_, (r : O.report)) -> r.O.boot_ns) reports in
+      let summarize ns = Imk_util.Stats.summarize (List.map float_of_int ns) in
+      let boots_of lbl =
+        List.filter_map (fun (l, ns) -> if l = lbl then Some ns else None) boots
+      in
+      row sh ~key:[ id ]
+        ?total:(if boots = [] then None else Some (summarize (List.map snd boots)))
+        ~phases:
+          (List.map
+             (fun lbl -> (lbl, summarize (boots_of lbl)))
+             (distinct (List.map fst boots)))
         [
-          id;
           string_of_int n;
           string_of_int (n - List.length divergent);
           string_of_int (List.length divergent);
@@ -1676,45 +1692,6 @@ let diffcheck ?(runs = 20) ws =
   in
   let divergent_total =
     List.fold_left (fun a (_, rs) -> a + count diverged rs) 0 by_oracle
-  in
-  (* telemetry: per oracle, the virtual totals of every boot its
-     comparisons ran — per-boot-label distributions as phases *)
-  let telemetry =
-    List.filter_map
-      (fun (o : O.t) ->
-        let reports = List.assoc o.O.id by_oracle in
-        let all_ns =
-          List.concat_map
-            (fun (_, (r : O.report)) ->
-              List.map (fun (_, ns) -> float_of_int ns) r.O.boot_ns)
-            reports
-        in
-        if all_ns = [] then None
-        else
-          let labels =
-            distinct
-              (List.concat_map (fun (_, (r : O.report)) -> List.map fst r.O.boot_ns) reports)
-          in
-          Some
-            {
-              Telemetry.label = o.O.id;
-              total = Imk_util.Stats.summarize all_ns;
-              phases =
-                List.map
-                  (fun lbl ->
-                    ( lbl,
-                      Imk_util.Stats.summarize
-                        (List.concat_map
-                           (fun (_, (r : O.report)) ->
-                             List.filter_map
-                               (fun (l, ns) ->
-                                 if l = lbl then Some (float_of_int ns)
-                                 else None)
-                               r.O.boot_ns)
-                           reports) ))
-                  labels;
-            })
-      oracles
   in
   (* the planted-fault protocol: --mutate must be CAUGHT by every
      mutating oracle, and each one's first caught point shrinks to a
@@ -1794,16 +1771,11 @@ let diffcheck ?(runs = 20) ws =
            Printf.sprintf "DIVERGENCE: %d of %d comparisons disagreed — see table"
              divergent_total comparisons)
   in
-  {
-    id = "diffcheck";
-    title = "Differential boot oracles: cross-path equivalence campaign";
-    table;
-    notes =
-      agreement.detail
-      :: List.concat_map (fun (v, repro) -> v.detail :: repro) caught_verdicts;
-    telemetry;
-    verdicts = agreement :: List.map fst caught_verdicts;
-  }
+  report sh
+    ~verdicts:(agreement :: List.map fst caught_verdicts)
+    ~id:"diffcheck" ~title:"Differential boot oracles: cross-path equivalence campaign"
+    (agreement.detail
+    :: List.concat_map (fun (v, repro) -> v.detail :: repro) caught_verdicts)
 
 (* ---------- Fleet serving campaign (§7 economics) ---------- *)
 
@@ -1952,39 +1924,33 @@ let fleet ?(runs = 10) ws =
   Array.iteri
     (fun ti (preset, _, model, profile) ->
       let r = reports.(ti) in
-      let key = [ pname preset; A.model_name model; W.profile_name profile ] in
-      Imk_util.Table.add_row sh.table
-        (key
-        @ [
-            string_of_int r.Sim.requests;
-            string_of_int r.Sim.completed;
-            string_of_int r.Sim.dropped;
-            Printf.sprintf "%.1f" (100. *. r.Sim.hit_rate);
-            pctl r.Sim.cold_service p50;
-            pctl r.Sim.cold_service p99;
-            pctl r.Sim.warm_service p50;
-            pctl r.Sim.warm_service p99;
-            pctl r.Sim.queue_wait p99;
-            pctl r.Sim.queue_depth (fun s ->
-                Printf.sprintf "%.0f" s.Imk_util.Stats.p99);
-            string_of_int r.Sim.distinct_layouts;
-          ]);
-      if r.Sim.completed > 0 then
-        sh.rows <-
-          {
-            Telemetry.label = String.concat "/" key;
-            total = r.Sim.sojourn;
-            phases =
-              List.filter
-                (fun (_, (s : Imk_util.Stats.summary)) -> s.Imk_util.Stats.n > 0)
-                [
-                  ("cold-start", r.Sim.cold_service);
-                  ("warm-start", r.Sim.warm_service);
-                  ("fault-start", r.Sim.fault_service);
-                  ("queue-wait", r.Sim.queue_wait);
-                ];
-          }
-          :: sh.rows)
+      (* no sojourn summary when nothing completed *)
+      let total = if r.Sim.completed > 0 then Some r.Sim.sojourn else None in
+      row sh
+        ~key:[ pname preset; A.model_name model; W.profile_name profile ]
+        ?total
+        ~phases:
+          (List.filter
+             (fun (_, (s : Imk_util.Stats.summary)) -> s.Imk_util.Stats.n > 0)
+             [
+               ("cold-start", r.Sim.cold_service);
+               ("warm-start", r.Sim.warm_service);
+               ("fault-start", r.Sim.fault_service);
+               ("queue-wait", r.Sim.queue_wait);
+             ])
+        [
+          string_of_int r.Sim.requests;
+          string_of_int r.Sim.completed;
+          string_of_int r.Sim.dropped;
+          Printf.sprintf "%.1f" (100. *. r.Sim.hit_rate);
+          pctl r.Sim.cold_service p50;
+          pctl r.Sim.cold_service p99;
+          pctl r.Sim.warm_service p50;
+          pctl r.Sim.warm_service p99;
+          pctl r.Sim.queue_wait p99;
+          pctl r.Sim.queue_depth (fun s -> Printf.sprintf "%.0f" s.Imk_util.Stats.p99);
+          string_of_int r.Sim.distinct_layouts;
+        ])
     cells;
   let t = tally (List.concat_map fst cal) in
   let soundness =

@@ -9,6 +9,18 @@
     trace tap, diffcheck's plants, fleet requests — comes from the
     workspace's {!Workspace.run_config}.
 
+    A boot figure (fig3, fig4, fig6, fig9's 27 solo cells, fig10, qemu and
+    the kallsyms, orc, rerando, devices, unikernel and zygote ablations)
+    is a list of cells — its key cells, cold or warm, and a VM template —
+    run by one grid: the workspace is warmed once, then each cell gets
+    the paper's five warmups and [runs] measured boots through
+    {!Campaign.run} [~prime:1], so cell 0 boots first on the calling
+    domain and every later cell on its own clone of the cache. Notes look
+    a cell's stats up by key. Every table row and its telemetry row come
+    from one sheet primitive, which labels the telemetry row with the key
+    cells joined by ["/"]; only ablation-orc and ablation-zygote keep
+    explicit labels that differ from their rendered keys.
+
     The supervised campaigns share one runner: [faults] (the
     deterministic per-kind sweep: every fault each boot path can carry),
     [resilience] (a weather sample under fleet supervision) and [fleet]'s

@@ -8,10 +8,10 @@ let sequential tasks f =
   else begin
     (* explicit loop: Array.init's evaluation order is unspecified, and
        callers rely on task order for deterministic side effects *)
-    let first = f ~worker:0 0 in
+    let first = f 0 in
     let out = Array.make tasks first in
     for i = 1 to tasks - 1 do
-      out.(i) <- f ~worker:0 i
+      out.(i) <- f i
     done;
     out
   end
@@ -54,14 +54,14 @@ let map_tasks ?(jobs = 1) ~tasks f =
       if Option.is_none !failed then failed := Some (exn, bt);
       Mutex.unlock queue
     in
-    let worker w =
+    let worker () =
       let rec loop () =
         match take () with
         | None -> ()
         | Some (lo, hi) ->
             (try
                for i = lo to hi - 1 do
-                 results.(i) <- Some (f ~worker:w i)
+                 results.(i) <- Some (f i)
                done
              with exn -> fail exn (Printexc.get_raw_backtrace ()));
             loop ()
@@ -69,7 +69,7 @@ let map_tasks ?(jobs = 1) ~tasks f =
       loop ()
     in
     let domains =
-      Array.init jobs (fun w -> Domain.spawn (fun () -> worker w))
+      Array.init jobs (fun _ -> Domain.spawn worker)
     in
     Array.iter Domain.join domains;
     (match !failed with

@@ -476,12 +476,53 @@ let test_throughput_smoke () =
 
 let test_fig9_parallel_identical () =
   (* cell-level fan-out over private cache clones renders the exact
-     table the sequential run does *)
-  let render jobs =
-    let o = exp "fig9" ~runs:2 (small_ws ~run:(with_jobs jobs) ()) in
-    Imk_util.Table.render o.Experiments.table
+     table and telemetry the sequential run does — fig4 too, whose cold
+     first cell leaves a dropped cache for every later cell to clone *)
+  List.iter
+    (fun id ->
+      let run jobs =
+        let o = exp id ~runs:2 (small_ws ~run:(with_jobs jobs) ()) in
+        (Imk_util.Table.render o.Experiments.table, o.Experiments.telemetry)
+      in
+      let table1, rows1 = run 1 in
+      let table3, rows3 = run 3 in
+      check Alcotest.string (id ^ " table identical") table1 table3;
+      check
+        Alcotest.(list string)
+        (id ^ " telemetry identical") []
+        (Telemetry.diff_rows ~baseline:rows1 ~current:rows3))
+    [ "fig9"; "fig4" ]
+
+(* --trace keeps the first boot the tap sees: a primed first cell makes
+   that cell 0's first boot, booted on the calling domain, at any jobs —
+   for a figure's grid and for a supervised campaign's cells alike. The
+   domain check fails deterministically without the priming (a fanned-out
+   cell 0 boots on a worker); the span check is what --trace writes *)
+let test_first_trace_jobs_invariant () =
+  let first_spans id jobs =
+    let seen = Atomic.make None in
+    let tap tr = ignore (Atomic.compare_and_set seen None (Some (Domain.self (), tr))) in
+    let run = { (with_jobs jobs) with Workspace.trace = Some tap } in
+    ignore (exp id ~runs:1 (small_ws ~run ()));
+    match Atomic.get seen with
+    | Some (domain, tr) ->
+        check Alcotest.bool
+          (Printf.sprintf "%s jobs %d: first boot on the calling domain" id jobs)
+          true
+          (domain = Domain.self ());
+        List.map
+          (fun (s : Imk_vclock.Trace.span) ->
+            Printf.sprintf "%s %d-%d" s.label s.start_ns s.stop_ns)
+          (Imk_vclock.Trace.spans tr)
+    | None -> Alcotest.failf "%s tapped no boot" id
   in
-  check Alcotest.string "fig9 table identical" (render 1) (render 3)
+  List.iter
+    (fun id ->
+      check
+        Alcotest.(list string)
+        (id ^ " first trace, jobs 1 = jobs 3")
+        (first_spans id 1) (first_spans id 3))
+    [ "fig9"; "faults" ]
 
 let test_zygote_smoke () =
   let o = exp "ablation-zygote" ~runs:3 (small_ws ()) in
@@ -535,6 +576,8 @@ let () =
             test_failing_verdict_fails_gate;
           Alcotest.test_case "throughput" `Slow test_throughput_smoke;
           Alcotest.test_case "fig9 parallel" `Slow test_fig9_parallel_identical;
+          Alcotest.test_case "first trace at any jobs" `Slow
+            test_first_trace_jobs_invariant;
           Alcotest.test_case "zygote" `Slow test_zygote_smoke;
         ] );
     ]
