@@ -163,11 +163,11 @@ let run cfg =
   (* begin serving request [index] at [now_ns]; the caller holds a free
      server. Latencies are recorded here — the finish time is already
      determined — and only the pool release waits for the completion
-     event. The interval identities are Imk_vclock.Timeline's, inlined:
-     wait = start - arrival, service = finish - start (the start-class
-     cost), sojourn = wait + service; allocating a stamp per request is
-     pure minor-GC pressure at fleet scale, and test_fleet pins the
-     Timeline accessors to these identities. *)
+     event. The interval identities are inlined: wait = start - arrival,
+     service = finish - start (the start-class cost), sojourn = wait +
+     service; allocating a stamp per request is pure minor-GC pressure at
+     fleet scale. test_fleet pins the resulting waits and sojourns to a
+     naive list-based FIFO queue. *)
   let start ~index ~arrival_ns ~now_ns =
     let cls, inst, cost =
       match classify index with

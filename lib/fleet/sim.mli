@@ -4,8 +4,8 @@
     ({!Arrival}) scheduled onto [servers] concurrent boot slots with a
     bounded warm pool ({!Pool}) and a bounded FIFO admission queue.
     Requests that find every server busy wait in the queue; requests
-    that find the queue full are dropped. Every request is stamped on
-    the virtual clock ({!Imk_vclock.Timeline}) and the report carries
+    that find the queue full are dropped. Every request's arrival, start
+    and finish fall on the virtual clock, and the report carries
     the SLO distributions: cold vs warm sojourn, queue wait, queue
     depth, pool hit rate, drop count.
 

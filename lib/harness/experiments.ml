@@ -13,6 +13,7 @@ type output = {
 }
 
 let failures o = List.filter (fun v -> not v.pass) o.verdicts
+let verdict name pass detail = { name; pass; detail }
 
 let presets = Config.all_presets
 let pname = Config.preset_name
@@ -668,52 +669,73 @@ let security ?runs:_ ws =
     in
     Imk_util.Stats.mean fracs
   in
-  let scheme r frac =
-    let module E = Imk_security.Entropy_analysis in
-    row sh ~key:[ r.E.scheme ]
+  let module E = Imk_security.Entropy_analysis in
+  let exposed =
+    List.map
+      (fun (r, rando, seed) ->
+        let frac = attack rando seed in
+        row sh ~key:[ r.E.scheme ]
+          [
+            string_of_int r.E.base_slots;
+            Printf.sprintf "%.1f" r.E.base_bits;
+            Printf.sprintf "%.0f" r.E.permutation_bits;
+            Printf.sprintf "%.1f%% of functions" (frac *. 100.);
+          ];
+        (r.E.scheme, frac))
       [
-        string_of_int r.E.base_slots;
-        Printf.sprintf "%.1f" r.E.base_bits;
-        Printf.sprintf "%.0f" r.E.permutation_bits;
-        Printf.sprintf "%.1f%% of functions" (frac *. 100.);
+        (E.nokaslr, Vm_config.Rando_off, 51L);
+        (E.kaslr ~image_memsz:memsz, Vm_config.Rando_kaslr, 52L);
+        ( E.fgkaslr ~image_memsz:memsz ~functions:modeled_fns,
+          Vm_config.Rando_fgkaslr,
+          53L );
       ]
   in
-  scheme Imk_security.Entropy_analysis.nokaslr (attack Vm_config.Rando_off 51L);
-  scheme
-    (Imk_security.Entropy_analysis.kaslr ~image_memsz:memsz)
-    (attack Vm_config.Rando_kaslr 52L);
-  scheme
-    (Imk_security.Entropy_analysis.fgkaslr ~image_memsz:memsz
-       ~functions:modeled_fns)
-    (attack Vm_config.Rando_fgkaslr 53L);
   (* §4.3 entropy equivalence needs equiprobable slots: chi-square over
      many draws *)
+  let module U = Imk_security.Uniformity in
   let offsets =
-    Imk_security.Uniformity.test_virtual_offsets ~image_memsz:memsz
-      ~draws:50_000 ~seed:99L
+    U.test_virtual_offsets ~image_memsz:memsz ~draws:50_000 ~seed:99L
   in
   let perm =
-    Imk_security.Uniformity.test_permutation_positions ~sections:512
-      ~draws:50_000 ~seed:98L
+    U.test_permutation_positions ~sections:512 ~draws:50_000 ~seed:98L
+  in
+  (* each chi-square note is its verdict's detail *)
+  let uniform name (u : U.verdict) evidence =
+    verdict name u.U.uniform
+      (Printf.sprintf "%s: %s -> %s" name evidence
+         (if u.U.uniform then "uniform" else "BIASED"))
+  in
+  let offset_uniform =
+    uniform "offset uniformity" offsets
+      (Printf.sprintf
+         "chi2 = %.0f vs 1%%-level threshold %.0f over %d slots x %d draws"
+         offsets.U.statistic offsets.U.threshold offsets.U.slots
+         offsets.U.draws)
+  in
+  let perm_uniform =
+    uniform "shuffle-position uniformity" perm
+      (Printf.sprintf "chi2 = %.0f vs threshold %.0f" perm.U.statistic
+         perm.U.threshold)
+  in
+  (* §3.1: one leaked pointer locates every function under nokaslr and
+     KASLR, almost none under FGKASLR (the bound test_security holds) *)
+  let leak =
+    let frac s = List.assoc s exposed in
+    verdict "leak-and-locate exposure"
+      (frac "nokaslr" = 1. && frac "kaslr" = 1. && frac "fgkaslr" < 0.05)
+      (Printf.sprintf
+         "one leak exposes %s of functions (nokaslr, kaslr, fgkaslr; need \
+          100%%, 100%%, < 5%%)"
+         (String.concat ", "
+            (List.map (fun (_, f) -> Printf.sprintf "%.1f%%" (f *. 100.)) exposed)))
   in
   report sh ~id:"security"
+    ~verdicts:[ offset_uniform; perm_uniform; leak ]
     ~title:"Security: entropy and the value of a single leak (§3.1/§4.3)"
     [
       "one leak exposes the whole kernel under nokaslr/kaslr, one function under fgkaslr";
-      Printf.sprintf
-        "offset uniformity: chi2 = %.0f vs 1%%-level threshold %.0f over %d \
-         slots x %d draws -> %s"
-        offsets.Imk_security.Uniformity.statistic
-        offsets.Imk_security.Uniformity.threshold
-        offsets.Imk_security.Uniformity.slots
-        offsets.Imk_security.Uniformity.draws
-        (if offsets.Imk_security.Uniformity.uniform then "uniform"
-         else "BIASED");
-      Printf.sprintf
-        "shuffle-position uniformity: chi2 = %.0f vs threshold %.0f -> %s"
-        perm.Imk_security.Uniformity.statistic
-        perm.Imk_security.Uniformity.threshold
-        (if perm.Imk_security.Uniformity.uniform then "uniform" else "BIASED");
+      offset_uniform.detail;
+      perm_uniform.detail;
     ]
 
 (* ---------- Ablations ---------- *)
@@ -1087,8 +1109,6 @@ let ablation_zygote ?runs:_ ws =
 module F = Imk_fault.Failure
 module I = Imk_fault.Inject
 module S = Boot_supervisor
-
-let verdict name pass detail = { name; pass; detail }
 
 (* a workspace image's name and pristine bytes *)
 let file ws name = (name, Imk_storage.Disk.find (Workspace.disk ws) name)

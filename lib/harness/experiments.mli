@@ -33,7 +33,7 @@
 type verdict = {
   name : string;  (** what is checked, e.g. ["soundness"], ["caught: cross-path"] *)
   pass : bool;
-  detail : string;  (** the measured evidence, also printed as a note *)
+  detail : string;  (** the measured evidence, usually also printed as a note *)
 }
 
 type output = {
@@ -49,7 +49,10 @@ type output = {
   verdicts : verdict list;
       (** pass/fail gates: faults, resilience and fleet hold zero silent
           successes (resilience also zero unrecovered faults); diffcheck
-          holds zero divergences, or under [mutate] every plant caught *)
+          holds zero divergences, or under [mutate] every plant caught;
+          security holds uniform offsets and shuffle positions, and a
+          single leak exposing all functions under nokaslr and KASLR but
+          under 5% under FGKASLR *)
 }
 
 val failures : output -> verdict list

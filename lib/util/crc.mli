@@ -17,8 +17,8 @@ val crc32 : ?init:int -> bytes -> int -> int -> int
 val crc32_ref : ?init:int -> bytes -> int -> int -> int
 (** The byte-at-a-time reference implementation of {!crc32} — the checked
     loop the slice-by-8 fast path must match symbol-for-symbol. Exposed
-    for the differential suite and the [crc32-ref-256k] micro-benchmark
-    row. *)
+    for the differential suite; it is on no production path, so nothing
+    times it. *)
 
 val crc32_string : string -> int
 (** [crc32_string s] is the CRC-32 of all of [s]. *)

@@ -12,7 +12,6 @@
 module Arrival = Imk_fleet.Arrival
 module Pool = Imk_fleet.Pool
 module Sim = Imk_fleet.Sim
-module Timeline = Imk_vclock.Timeline
 module W = Imk_fault.Weather
 module Inject = Imk_fault.Inject
 
@@ -23,22 +22,6 @@ let expect_invalid what f =
   match f () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s: expected Invalid_argument" what
-
-(* --- virtual-time request stamps --- *)
-
-let timeline_accessors () =
-  let st = Timeline.stamp ~arrival_ns:10 ~start_ns:25 ~finish_ns:100 in
-  check int "queue wait" 15 (Timeline.queue_wait_ns st);
-  check int "service" 75 (Timeline.service_ns st);
-  check int "sojourn" 90 (Timeline.sojourn_ns st)
-
-let timeline_rejects_disorder () =
-  expect_invalid "start before arrival" (fun () ->
-      Timeline.stamp ~arrival_ns:10 ~start_ns:5 ~finish_ns:20);
-  expect_invalid "finish before start" (fun () ->
-      Timeline.stamp ~arrival_ns:0 ~start_ns:5 ~finish_ns:4);
-  expect_invalid "negative arrival" (fun () ->
-      Timeline.stamp ~arrival_ns:(-1) ~start_ns:0 ~finish_ns:0)
 
 (* --- arrival models --- *)
 
@@ -248,6 +231,91 @@ let sim_rejects_malformed () =
   expect_invalid "weather without fault samples" (fun () ->
       Sim.run (sim_cfg ~weather:(W.make W.Storm ~seed:1) ~fault:[||] ()))
 
+(* --- the simulator against a naive FIFO queue: with one cost array
+   for cold, warm and fault starts a request's cost is pure in its
+   index, so the pool and the weather cannot move the schedule, and
+   Queue_ref's list-based admission must reproduce it exactly --- *)
+
+let arb_fifo_cell =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let rate = map float_of_int (int_range 20 400) in
+    let arrival =
+      oneof
+        [
+          map (fun r -> Arrival.Poisson { rate_per_s = r }) rate;
+          ( int_range 1 64 >>= fun period ->
+            int_range 0 period >>= fun burst_len ->
+            map2
+              (fun base_per_s k ->
+                Arrival.Bursty
+                  {
+                    base_per_s;
+                    burst_per_s = base_per_s *. float_of_int k;
+                    burst_len;
+                    period;
+                  })
+              rate (int_range 1 8) );
+        ]
+    in
+    let costs =
+      array_size (int_range 1 4) (map (fun ms -> ms * 1_000_000) (int_range 1 50))
+    in
+    arrival >>= fun arrival ->
+    costs >>= fun costs ->
+    int_range 1 4 >>= fun servers ->
+    int_range 0 4 >>= fun queue_capacity ->
+    int_range 0 3 >>= fun pool_capacity ->
+    int_range 1 300 >>= fun requests ->
+    int_bound 1_000_000 >>= fun seed ->
+    map
+      (fun storm ->
+        let weather = if storm then Some (W.make W.Storm ~seed) else None in
+        sim_cfg ~arrival ~seed ~requests ~servers ~pool_capacity
+          ~queue_capacity ~cold:costs ~warm:costs ~fault:costs ?weather ())
+      bool
+  in
+  let print (c : Sim.config) =
+    Printf.sprintf
+      "%s seed=%d requests=%d servers=%d queue=%d pool=%d costs=[%s] weather=%b"
+      (Arrival.model_name c.Sim.arrival)
+      c.Sim.seed c.Sim.requests c.Sim.servers c.Sim.queue_capacity
+      c.Sim.pool_capacity
+      (String.concat ";" (Array.to_list (Array.map string_of_int c.Sim.cold_ns)))
+      (c.Sim.weather <> None)
+  in
+  make ~print gen
+
+let qcheck_sim_matches_fifo_ref =
+  QCheck.Test.make ~count:200
+    ~name:"fleet: Sim queueing = naive FIFO reference (completed, dropped, waits, sojourns)"
+    arb_fifo_cell
+    (fun cfg ->
+      let r = Sim.run cfg in
+      let q =
+        Queue_ref.run ~arrival:cfg.Sim.arrival ~seed:cfg.Sim.seed
+          ~requests:cfg.Sim.requests ~servers:cfg.Sim.servers
+          ~queue_capacity:cfg.Sim.queue_capacity ~costs:cfg.Sim.cold_ns
+      in
+      let summary (s : Imk_util.Stats.summary) =
+        Printf.sprintf "n=%d mean=%.17g p50=%.17g p99=%.17g" s.n s.mean s.p50 s.p99
+      in
+      r.Sim.completed = q.Queue_ref.completed
+      && r.Sim.dropped = q.Queue_ref.dropped
+      && r.Sim.queue_wait = q.Queue_ref.queue_wait
+      && r.Sim.sojourn = q.Queue_ref.sojourn
+      && r.Sim.queue_depth = q.Queue_ref.queue_depth
+      || QCheck.Test.fail_reportf
+           "sim: completed=%d dropped=%d wait %s sojourn %s depth %s\n\
+            ref: completed=%d dropped=%d wait %s sojourn %s depth %s"
+           r.Sim.completed r.Sim.dropped (summary r.Sim.queue_wait)
+           (summary r.Sim.sojourn) (summary r.Sim.queue_depth)
+           q.Queue_ref.completed q.Queue_ref.dropped
+           (summary q.Queue_ref.queue_wait)
+           (summary q.Queue_ref.sojourn)
+           (summary q.Queue_ref.queue_depth))
+
 (* --- the corrected throughput metric (satellite of this PR): rate
    divides by the actual elapsed span, not the full window --- *)
 
@@ -289,12 +357,6 @@ let fleet_jobs_invariant () =
 let () =
   Alcotest.run "fleet"
     [
-      ( "timeline",
-        [
-          Alcotest.test_case "stamp accessors" `Quick timeline_accessors;
-          Alcotest.test_case "rejects disordered stamps" `Quick
-            timeline_rejects_disorder;
-        ] );
       ( "arrival",
         [
           Testkit.to_alcotest qcheck_gap_pure;
@@ -317,6 +379,7 @@ let () =
             sim_drops_when_queue_full;
           Alcotest.test_case "weather faults accounted" `Quick
             sim_weather_faults_served_apart;
+          Testkit.to_alcotest qcheck_sim_matches_fifo_ref;
           Alcotest.test_case "rejects malformed configs" `Quick
             sim_rejects_malformed;
           Alcotest.test_case "instantiation rate uses elapsed span" `Quick

@@ -403,7 +403,15 @@ let test_fig3_smoke () =
 
 let test_security_smoke () =
   let o = exp "security" (small_ws ()) in
-  check Alcotest.string "id" "security" o.Experiments.id
+  check Alcotest.string "id" "security" o.Experiments.id;
+  check
+    Alcotest.(list string)
+    "typed verdicts"
+    [ "offset uniformity"; "shuffle-position uniformity"; "leak-and-locate exposure" ]
+    (List.map (fun v -> v.Experiments.name) o.Experiments.verdicts);
+  List.iter
+    (fun v -> Alcotest.failf "%s failed: %s" v.Experiments.name v.Experiments.detail)
+    (Experiments.failures o)
 
 let test_registry_lookup () =
   let ids = List.map fst Experiments.registry in

@@ -39,6 +39,31 @@ let test_entropy_grows_with_smaller_image () =
     (small.Imk_security.Entropy_analysis.base_slots
     > large.Imk_security.Entropy_analysis.base_slots)
 
+(* Linux's own slot count (arch/x86/boot/compressed/kaslr.c,
+   find_random_virt_addr), with its literals rather than Addr's:
+   KERNEL_IMAGE_SIZE = 1 GiB, minimum = CONFIG_PHYSICAL_START = 16 MiB,
+   CONFIG_PHYSICAL_ALIGN = 2 MiB *)
+let linux_virt_slots image_size =
+  1 + ((0x40000000 - 0x1000000 - image_size) / 0x200000)
+
+let qcheck_kaslr_slots_match_linux =
+  let largest = 0x40000000 - 0x1000000 in
+  let sizes =
+    QCheck.make ~print:(Printf.sprintf "image_size=%#x")
+      QCheck.Gen.(
+        oneof [ int_range 1 largest; oneofl [ 1; 0x200000; largest - 1; largest ] ])
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"kaslr: base slots = Linux's find_random_virt_addr count, < 505"
+    sizes
+    (fun image_memsz ->
+      let linux = linux_virt_slots image_memsz in
+      Imk_randomize.Kaslr.virtual_slots ~image_memsz = linux
+      && (Imk_security.Entropy_analysis.kaslr ~image_memsz)
+           .Imk_security.Entropy_analysis.base_slots
+         = linux
+      && linux < 505)
+
 let attack_fraction variant rando ~seed =
   let env = Testkit.make_env ~functions:120 ~variant () in
   let _, r = Testkit.boot env ~rando ~seed in
@@ -219,6 +244,7 @@ let () =
           Alcotest.test_case "fgkaslr" `Quick test_entropy_fgkaslr;
           Alcotest.test_case "image size effect" `Quick
             test_entropy_grows_with_smaller_image;
+          Testkit.to_alcotest qcheck_kaslr_slots_match_linux;
         ] );
       ( "attack",
         [

@@ -140,41 +140,6 @@ let test_charge_span_enforces_deadline_at_boundary () =
   Charge.set_deadline ch None;
   Charge.span ch Trace.In_monitor "unchecked" (fun () -> Clock.advance c 1_000)
 
-(* Timeline stamps were pinned only indirectly (test_fleet's inlined
-   queueing identities) before the Sched refactor; these pin the
-   accessors directly so the event core can't silently drift them. *)
-
-let test_timeline_accessors () =
-  let s = Timeline.stamp ~arrival_ns:10 ~start_ns:25 ~finish_ns:100 in
-  check int "queue wait" 15 (Timeline.queue_wait_ns s);
-  check int "service" 75 (Timeline.service_ns s);
-  check int "sojourn" 90 (Timeline.sojourn_ns s);
-  check int "sojourn = wait + service"
-    (Timeline.queue_wait_ns s + Timeline.service_ns s)
-    (Timeline.sojourn_ns s)
-
-let test_timeline_degenerate_stamp () =
-  (* arrival = start = finish: served instantly with no wait — every
-     accessor must report exactly zero, including at time 0 *)
-  List.iter
-    (fun t ->
-      let s = Timeline.stamp ~arrival_ns:t ~start_ns:t ~finish_ns:t in
-      check int "zero wait" 0 (Timeline.queue_wait_ns s);
-      check int "zero service" 0 (Timeline.service_ns s);
-      check int "zero sojourn" 0 (Timeline.sojourn_ns s))
-    [ 0; 7; max_int ]
-
-let test_timeline_rejects_misordered () =
-  (match Timeline.stamp ~arrival_ns:(-1) ~start_ns:0 ~finish_ns:0 with
-  | (_ : Timeline.stamp) -> Alcotest.fail "negative arrival accepted"
-  | exception Invalid_argument _ -> ());
-  (match Timeline.stamp ~arrival_ns:5 ~start_ns:4 ~finish_ns:9 with
-  | (_ : Timeline.stamp) -> Alcotest.fail "start before arrival accepted"
-  | exception Invalid_argument _ -> ());
-  match Timeline.stamp ~arrival_ns:5 ~start_ns:6 ~finish_ns:5 with
-  | (_ : Timeline.stamp) -> Alcotest.fail "finish before start accepted"
-  | exception Invalid_argument _ -> ()
-
 let cm = Cost_model.default
 
 let test_read_cost_monotone () =
@@ -318,14 +283,5 @@ let () =
           Alcotest.test_case "unknown codec" `Quick test_decompress_unknown;
           Alcotest.test_case "jitter" `Quick test_jitter_positive_and_near;
           Testkit.to_alcotest qcheck_costs_nonnegative;
-        ] );
-      ( "timeline",
-        [
-          Alcotest.test_case "accessor identities" `Quick
-            test_timeline_accessors;
-          Alcotest.test_case "degenerate stamp" `Quick
-            test_timeline_degenerate_stamp;
-          Alcotest.test_case "rejects misordered stamps" `Quick
-            test_timeline_rejects_misordered;
         ] );
     ]
