@@ -50,8 +50,7 @@ let bytes_at_early_rate cm bytes =
    4 KiB-page identity tables. The FGKASLR heap must hold a copy of the
    whole text, up to 8x the KASLR heap (§5.2) — [modeled_heap_bytes] is
    the full-scale volume to zero. *)
-let charge_setup ch config ~modeled_heap_bytes =
-  ignore config;
+let charge_setup ch ~modeled_heap_bytes =
   let cm = Charge.model ch in
   Charge.pay ch (int_of_float cm.Cost_model.loader_fixed_ns);
   (* the loader's own fixed structures (not kernel-size dependent) *)
@@ -70,11 +69,78 @@ let charge_setup ch config ~modeled_heap_bytes =
     (int_of_float
        (cm.Cost_model.pte_write_ns *. float_of_int (Page_table.entries pt)))
 
-let section_actual_count mem ~pa ~what =
-  match Guest_mem.get_u32 mem ~pa with
-  | count when count >= 0 && count < 10_000_000 -> count
-  | _ -> fail "implausible %s count" what
-  | exception Guest_mem.Fault m -> fail "%s header unreadable: %s" what m
+(* everything after offset selection, for both principals (§4.2–4.3):
+   the monitor runs it before VM entry, this loader inside the guest *)
+let relocate ch mem (elf : Imk_elf.Types.t) ~config ~in_guest ~relocs
+    ~phys_load ~delta ~plan ~policy ~kernel =
+  let cm = Charge.model ch in
+  let per_entry ns n =
+    Charge.pay ch (int_of_float (ns *. float_of_int (modeled config n)))
+  in
+  let displace va =
+    match plan with Some p -> Imk_randomize.Fgkaslr.displace p va | None -> va
+  in
+  (match relocs with
+  | None -> ()
+  | Some relocs ->
+      let site_pa va = displace va - Addr.link_base + phys_load in
+      let new_va_of va =
+        Imk_randomize.Kaslr.delta_new_va ~delta (displace va)
+      in
+      Imk_randomize.Kaslr.apply ~mem ~relocs ~site_pa ~new_va_of;
+      let entries = modeled config (Imk_elf.Relocation.entry_count relocs) in
+      Charge.pay ch
+        (match plan with
+        | None -> Cost_model.reloc_cost cm ~in_guest ~entries
+        | Some p ->
+            Cost_model.fg_reloc_cost cm ~in_guest ~entries
+              ~sections:(modeled config p.Imk_randomize.Fgkaslr.count)));
+  (* table fixups (FGKASLR only; plain KASLR leaves relative tables
+     valid). Entry counts come from the headers the fixups validated. *)
+  (match plan with
+  | None -> ()
+  | Some p ->
+      let sec name =
+        match Imk_elf.Types.section_by_name elf name with
+        | Some s -> (s.addr - Addr.link_base + phys_load, s.addr)
+        | None -> fail "kernel has no %s section" name
+      in
+      let extab_pa, extab_va = sec ".extab" in
+      Imk_randomize.Fgkaslr.fixup_extab mem ~pa:extab_pa ~extab_va p;
+      per_entry cm.Cost_model.extab_fixup_ns
+        (Guest_mem.get_u32 mem ~pa:extab_pa);
+      (* Linux fixes up the ELF symtab as part of FGKASLR *)
+      per_entry cm.Cost_model.symbol_fixup_ns (Array.length elf.symbols);
+      if policy.kallsyms_fixup then begin
+        let kallsyms_pa, _ = sec ".kallsyms" in
+        Imk_randomize.Fgkaslr.fixup_kallsyms mem ~pa:kallsyms_pa p;
+        per_entry cm.Cost_model.kallsyms_ns_per_sym
+          config.Imk_kernel.Config.functions
+      end;
+      if policy.write_setup_data then
+        Guest_mem.write_bytes mem ~pa:setup_data_pa
+          (Imk_guest.Boot_params.setup_data_encode
+             (Imk_randomize.Fgkaslr.displacement_pairs p));
+      if policy.orc_fixup then
+        match Imk_elf.Types.section_by_name elf ".orc_unwind" with
+        | None -> ()
+        | Some s ->
+            let pa = s.addr - Addr.link_base + phys_load in
+            Imk_randomize.Fgkaslr.fixup_orc mem ~pa ~orc_va:s.addr p;
+            per_entry cm.Cost_model.extab_fixup_ns (Guest_mem.get_u32 mem ~pa));
+  let kernel = kernel () in
+  let moved = plan <> None in
+  {
+    Imk_guest.Boot_params.phys_load;
+    virt_base = Addr.link_base + delta;
+    entry_va = displace elf.entry + delta;
+    mem_bytes = Guest_mem.size mem;
+    kernel;
+    kallsyms_fixed = (not moved) || policy.kallsyms_fixup;
+    orc_fixed = (not moved) || policy.orc_fixup;
+    setup_data_pa =
+      (if moved && policy.write_setup_data then Some setup_data_pa else None);
+  }
 
 let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
     ~rando ~policy ~rng =
@@ -82,16 +148,7 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
   (* a pinned entropy schedule (differential oracles) replaces only where
      the random decisions come from; every cost charge and every byte of
      data transformation below is unchanged *)
-  let virtual_rng () =
-    match choices with
-    | Some c -> Imk_randomize.Choices.virtual_rng c
-    | None -> rng
-  in
-  let shuffle_rng () =
-    match choices with
-    | Some c -> Imk_randomize.Choices.shuffle_rng c
-    | None -> rng
-  in
+  let rng_for decision = Option.fold ~none:rng ~some:decision choices in
   let cm = Charge.model ch in
   let open Imk_kernel in
   let payload_len = Bytes.length bzimage.Bzimage.payload in
@@ -117,7 +174,7 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
     else base_heap_bytes
   in
   Charge.span ch Trace.Bootstrap_setup "loader-setup" (fun () ->
-      charge_setup ch config ~modeled_heap_bytes;
+      charge_setup ch ~modeled_heap_bytes;
       (* standard boot: move the compressed (or merely concatenated, for
          compression-none) kernel out of the way of in-place
          decompression — step 2 of §3.3, eliminated by None_optimized *)
@@ -172,10 +229,10 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
         (Cost_model.elf_parse_cost cm
            ~sections:(modeled config (Array.length elf.Imk_elf.Types.sections)));
       let relocs =
-        if rando = Loader_off then Imk_elf.Relocation.empty
+        if rando = Loader_off then None
         else if Bytes.length relocs_bytes = 0 then
           fail "randomization requested but the image carries no relocations"
-        else hooks.decode_relocs relocs_bytes
+        else Some (hooks.decode_relocs relocs_bytes)
       in
       let phys_load = Addr.default_phys_load in
       let image_memsz = Imk_randomize.Loadelf.image_memsz elf in
@@ -191,7 +248,9 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
         | Loader_off -> 0
         | Loader_kaslr | Loader_fgkaslr ->
             Charge.pay ch (entropy_cost 2);
-            Imk_randomize.Kaslr.choose_virtual (virtual_rng ()) ~image_memsz
+            Imk_randomize.Kaslr.choose_virtual
+              (rng_for Imk_randomize.Choices.virtual_rng)
+              ~image_memsz
             - Addr.link_base
       in
       let plan =
@@ -209,8 +268,9 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
                (cm.Cost_model.section_shuffle_ns
                *. float_of_int (modeled config (Array.length sections))));
           Some
-            (Imk_randomize.Fgkaslr.make_plan (shuffle_rng ()) ~sections
-               ~text_base:Addr.link_base)
+            (Imk_randomize.Fgkaslr.make_plan
+               (rng_for Imk_randomize.Choices.shuffle_rng)
+               ~sections ~text_base:Addr.link_base)
         end
       in
       (* segment placement: always a real data operation so the loaded
@@ -218,88 +278,10 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
          copies were charged as decompression output above, and the
          optimized link runs in place (§3.3) *)
       Imk_randomize.Loadelf.place mem elf ~phys_load ~plan;
-      (* relocation handling *)
-      let displace va =
-        match plan with Some p -> Imk_randomize.Fgkaslr.displace p va | None -> va
+      let params =
+        relocate ch mem elf ~config ~in_guest:true ~relocs ~phys_load ~delta
+          ~plan ~policy ~kernel:(fun () -> hooks.kernel_info elf config)
       in
-      if rando <> Loader_off then begin
-        let site_pa va = displace va - Addr.link_base + phys_load in
-        let new_va_of va =
-          Imk_randomize.Kaslr.delta_new_va ~delta (displace va)
-        in
-        Imk_randomize.Kaslr.apply ~mem ~relocs ~site_pa ~new_va_of;
-        let entries = modeled config (Imk_elf.Relocation.entry_count relocs) in
-        let cost =
-          match plan with
-          | None -> Cost_model.reloc_cost cm ~in_guest:true ~entries
-          | Some p ->
-              Cost_model.fg_reloc_cost cm ~in_guest:true ~entries
-                ~sections:(modeled config p.Imk_randomize.Fgkaslr.count)
-        in
-        Charge.pay ch cost
-      end;
-      (* table fixups (FGKASLR only; plain KASLR leaves relative tables
-         valid) *)
-      (match plan with
-      | None -> ()
-      | Some p ->
-          let sec_pa name =
-            match Imk_elf.Types.section_by_name elf name with
-            | Some s -> (s.addr - Addr.link_base + phys_load, s.addr)
-            | None -> fail "kernel has no %s section" name
-          in
-          let extab_pa, extab_va = sec_pa ".extab" in
-          Imk_randomize.Fgkaslr.fixup_extab mem ~pa:extab_pa ~extab_va p;
-          let extab_count = section_actual_count mem ~pa:extab_pa ~what:"extab" in
-          Charge.pay ch
-            (int_of_float
-               (cm.Cost_model.extab_fixup_ns
-               *. float_of_int (modeled config extab_count)));
-          (* symbol-table adjustment cost (Linux fixes up the ELF symtab
-             as part of FGKASLR) *)
-          Charge.pay ch
-            (int_of_float
-               (cm.Cost_model.symbol_fixup_ns
-               *. float_of_int (modeled config (Array.length elf.Imk_elf.Types.symbols))));
-          if policy.kallsyms_fixup then begin
-            let kallsyms_pa, _ = sec_pa ".kallsyms" in
-            Imk_randomize.Fgkaslr.fixup_kallsyms mem ~pa:kallsyms_pa p;
-            Charge.pay ch
-              (int_of_float
-                 (cm.Cost_model.kallsyms_ns_per_sym
-                 *. float_of_int (modeled config config.Config.functions)))
-          end;
-          if policy.orc_fixup then
-            (match Imk_elf.Types.section_by_name elf ".orc_unwind" with
-            | None -> ()
-            | Some s ->
-                let pa = s.addr - Addr.link_base + phys_load in
-                Imk_randomize.Fgkaslr.fixup_orc mem ~pa ~orc_va:s.addr p;
-                let count = section_actual_count mem ~pa ~what:"orc" in
-                Charge.pay ch
-                  (int_of_float
-                     (cm.Cost_model.extab_fixup_ns *. float_of_int (modeled config count))));
-          if policy.write_setup_data then begin
-            let blob =
-              Imk_guest.Boot_params.setup_data_encode
-                (Imk_randomize.Fgkaslr.displacement_pairs p)
-            in
-            Guest_mem.write_bytes mem ~pa:setup_data_pa blob
-          end);
       (* the jump to startup_64 *)
       Trace.tracepoint (Charge.trace ch) Trace.Bootstrap_setup "jump-to-kernel";
-      let kernel_info = hooks.kernel_info elf config in
-      let kallsyms_fixed =
-        (not fg) || policy.kallsyms_fixup
-      in
-      {
-        Imk_guest.Boot_params.phys_load;
-        virt_base = Addr.link_base + delta;
-        entry_va = displace elf.Imk_elf.Types.entry + delta;
-        mem_bytes = Guest_mem.size mem;
-        kernel = kernel_info;
-        kallsyms_fixed;
-        orc_fixed = (not fg) || policy.orc_fixup;
-        setup_data_pa =
-          (if policy.write_setup_data && fg then Some setup_data_pa else None);
-      })
+      params)

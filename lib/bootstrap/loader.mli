@@ -22,8 +22,12 @@
     be real) but costs nothing — the paper's point is precisely that the
     linker trick makes those copies free.
 
-    All randomization work reuses {!Imk_randomize} — the same algorithm
-    the monitor uses, with guest-side cost accounting (§4.3). *)
+    Everything after offset selection is {!relocate}, the one routine
+    the monitor's direct boot calls too: the two principals differ only
+    in their entropy streams, the monitor's physical-base draw, this
+    loader's text copies for the FGKASLR heap, decompression, and how
+    the ELF is parsed — and they pay guest rather than host costs
+    (§4.3). *)
 
 exception Loader_error of string
 
@@ -34,9 +38,14 @@ type policy = {
       (** eager kallsyms rewrite (stock Linux loader) vs skipping it (the
           paper's stripped loader used for fair comparison, §4.3) *)
   orc_fixup : bool;
+      (** update the ORC unwind table too. Both presets leave it off, as
+          Linux's loader does; the monitor's direct boot sets it from
+          [Vm_config.orc] (§4.3 ablation) *)
   write_setup_data : bool;
       (** stash the displacement blob for deferred fixups *)
 }
+(** What {!relocate} does after relocating an FGKASLR kernel — one
+    record for both principals. *)
 
 val default_policy : policy
 (** Eager kallsyms, no ORC, no setup data — the stock loader. *)
@@ -47,6 +56,35 @@ val stripped_policy : policy
 val setup_data_pa : int
 (** Fixed guest-physical address of the setup-data blob (the real-mode
     data area at 0x90000). *)
+
+val relocate :
+  Imk_vclock.Charge.t ->
+  Imk_memory.Guest_mem.t ->
+  Imk_elf.Types.t ->
+  config:Imk_kernel.Config.t ->
+  in_guest:bool ->
+  relocs:Imk_elf.Relocation.table option ->
+  phys_load:int ->
+  delta:int ->
+  plan:Imk_randomize.Fgkaslr.plan option ->
+  policy:policy ->
+  kernel:(unit -> Imk_guest.Boot_params.kernel_info) ->
+  Imk_guest.Boot_params.t
+(** Everything after offset selection, for both principals: the monitor's
+    direct boot calls it before VM entry, {!run} from inside the guest.
+    With the kernel's segments already placed at [phys_load] (shuffled by
+    [plan]), it applies [relocs] for the virtual offset [delta] (skipped
+    when [None], i.e. randomization off) and charges
+    [Cost_model.reloc_cost] or [fg_reloc_cost] at the rate [in_guest]
+    picks. With a [plan] it then fixes up the extab and symbol table,
+    applies [policy] to kallsyms (fix up now, or write the setup-data
+    blob at {!setup_data_pa} for a deferred fix-up) and to ORC. It
+    returns the boot parameters the kernel is entered with, carrying
+    [kernel ()], which is derived last, after the fixups.
+
+    Raises {!Loader_error} for a kernel missing a table section and
+    [Imk_randomize.Kaslr.Reloc_error] for a relocation or table that does
+    not fit the image. *)
 
 type hooks = {
   parse_vmlinux : bytes -> Imk_elf.Types.t;

@@ -11,11 +11,11 @@ type t = {
   run : Env.images -> Point.t -> report;
 }
 
-let boot ?plans ?choices ?arena ?mem cache vm =
+let boot ?plans ?choices ?mem cache vm =
   let clock = Imk_vclock.Clock.create () in
   let trace = Imk_vclock.Trace.create clock in
   let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-  let r = Imk_monitor.Vmm.boot ?plans ?choices ?arena ?mem ch cache vm in
+  let r = Imk_monitor.Vmm.boot ?plans ?choices ?mem ch cache vm in
   (trace, r)
 
 (* invariants phrased as "telemetry is bit-identical" are checked at span
@@ -221,15 +221,15 @@ let arena_fresh =
             { vm with
               Imk_monitor.Vm_config.seed = Int64.add point.Point.seed 7L }
           in
-          let _, rd = boot ~arena env.Env.cache dirty_vm in
-          Imk_memory.Arena.release arena rd.Imk_monitor.Vmm.mem;
-          let t_rec, r_rec = boot ~arena env.Env.cache vm in
+          let size = vm.Imk_monitor.Vm_config.mem_bytes in
+          let dirty = Imk_memory.Arena.borrow arena ~size in
+          ignore (boot ~mem:dirty env.Env.cache dirty_vm);
+          Imk_memory.Arena.release arena dirty;
+          let recycled = Imk_memory.Arena.borrow arena ~size in
+          let t_rec, r_rec = boot ~mem:recycled env.Env.cache vm in
           note "recycled" t_rec;
           let l_rec = Layout.of_result r_rec in
-          let fresh =
-            Imk_memory.Guest_mem.create
-              ~size:vm.Imk_monitor.Vm_config.mem_bytes
-          in
+          let fresh = Imk_memory.Guest_mem.create ~size in
           let t_fresh, r_fresh = boot ~mem:fresh env.Env.cache vm in
           note "fresh" t_fresh;
           let hits, _ = Imk_memory.Arena.stats arena in

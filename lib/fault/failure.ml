@@ -28,6 +28,8 @@ let classify = function
   (* one shared exception for every Imk_elf decoder (Parser, Note) *)
   | Imk_elf.Types.Malformed m -> Some (Corrupt_image m)
   | Imk_elf.Relocation.Bad_table m -> Some (Bad_reloc m)
+  (* a well-formed table that belongs to another build of the kernel *)
+  | Imk_randomize.Kaslr.Reloc_error m -> Some (Bad_reloc m)
   | Imk_kernel.Bzimage.Malformed m -> Some (Corrupt_image m)
   | Imk_kernel.Relocs_tool.Unsupported m -> Some (Bad_reloc m)
   | Imk_kernel.Rootfs.Corrupt m -> Some (Decode_error m)

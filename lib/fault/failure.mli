@@ -14,7 +14,8 @@ type t =
           bad magic, truncated tables, out-of-range offsets. *)
   | Bad_reloc of string
       (** The relocation table is unusable: bad magic, truncated
-          entries, or an extraction path that cannot serve the image. *)
+          entries, sites outside the kernel window (a table from another
+          build), or an extraction path that cannot serve the image. *)
   | Decode_error of string
       (** A framed payload failed its own integrity check: codec CRC,
           snapshot CRC, rootfs/initrd archive corruption. *)

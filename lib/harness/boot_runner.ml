@@ -17,10 +17,10 @@ let fresh_charge ?jitter_seed () =
   let jitter = Option.map jitter_rng jitter_seed in
   (trace, Charge.create ?jitter trace Cost_model.default)
 
-let boot_once ?(jitter = true) ?tap ?arena ?mem ?plans ~seed ~cache vm =
+let boot_once ?(jitter = true) ?tap ?mem ?plans ~seed ~cache vm =
   let trace, ch = fresh_charge ?jitter_seed:(if jitter then Some seed else None) () in
   let result =
-    Imk_monitor.Vmm.boot ?arena ?mem ?plans ch cache
+    Imk_monitor.Vmm.boot ?mem ?plans ch cache
       { vm with Imk_monitor.Vm_config.seed }
   in
   (match tap with Some f -> f trace | None -> ());

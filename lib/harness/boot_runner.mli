@@ -88,7 +88,6 @@ val contend_seed : run:int -> slot:int -> int64
 val boot_once :
   ?jitter:bool ->
   ?tap:(Imk_vclock.Trace.t -> unit) ->
-  ?arena:Imk_memory.Arena.t ->
   ?mem:Imk_memory.Guest_mem.t ->
   ?plans:Imk_monitor.Plan_cache.t ->
   seed:int64 ->
@@ -97,12 +96,11 @@ val boot_once :
   Imk_vclock.Trace.t * Imk_monitor.Vmm.boot_result
 (** One instrumented boot, returning the full trace (for span-level
     analyses like Figure 5) and the result (for layout-dependent
-    analyses like LEBench and the attack simulation). With [arena] the
-    guest memory is borrowed from the pool; the caller releases it when
-    done with the result. With [mem] (a caller-owned buffer, typically
-    inside an [Imk_memory.Arena.with_buffer] bracket) the boot runs in
-    place and the caller keeps ownership either way. [tap] is offered
-    the finished trace; it only observes. *)
+    analyses like LEBench and the attack simulation). With [mem] (a
+    caller-owned buffer, typically inside an
+    [Imk_memory.Arena.with_buffer] bracket) the boot runs in place and
+    the caller keeps ownership either way. [tap] is offered the finished
+    trace; it only observes. *)
 
 val fresh_charge :
   ?jitter_seed:int64 -> unit -> Imk_vclock.Trace.t * Imk_vclock.Charge.t

@@ -146,7 +146,7 @@ let direct_boot ?plans ?choices ch cache (config : Vm_config.t) kernel_bytes mem
   let rando = config.rando in
   let relocs =
     match rando with
-    | Vm_config.Rando_off -> Imk_elf.Relocation.empty
+    | Vm_config.Rando_off -> None
     | Vm_config.Rando_kaslr | Vm_config.Rando_fgkaslr -> (
         match config.relocs_path with
         | None ->
@@ -166,39 +166,28 @@ let direct_boot ?plans ?choices ch cache (config : Vm_config.t) kernel_bytes mem
             | t when Imk_elf.Relocation.entry_count t = 0 ->
                 fail "relocs file %s is empty — kernel built without \
                       CONFIG_RELOCATABLE?" path
-            | t -> t))
+            | t -> Some t))
   in
   (* host entropy pool: cheap, well-seeded randomness (§4.3). A pinned
      [choices] schedule (differential oracles) only replaces where the
      random decisions come from; every charge below is unchanged *)
   let pool = Imk_entropy.Pool.create Imk_entropy.Pool.Host_pool ~seed:config.seed in
   let rng = Imk_entropy.Pool.prng pool in
-  let physical_rng () =
-    match choices with
-    | Some c -> Imk_randomize.Choices.physical_rng c
-    | None -> rng
-  in
-  let virtual_rng () =
-    match choices with
-    | Some c -> Imk_randomize.Choices.virtual_rng c
-    | None -> rng
-  in
-  let shuffle_rng () =
-    match choices with
-    | Some c -> Imk_randomize.Choices.shuffle_rng c
-    | None -> rng
-  in
+  let rng_for decision = Option.fold ~none:rng ~some:decision choices in
   let phys_load, delta =
     match rando with
     | Vm_config.Rando_off -> (Addr.default_phys_load, 0)
     | _ ->
         Charge.pay ch (2 * Imk_entropy.Pool.draw_cost_ns pool);
         let phys =
-          Imk_randomize.Kaslr.choose_physical (physical_rng ()) ~image_memsz
-            ~mem_bytes:phys_limit
+          Imk_randomize.Kaslr.choose_physical
+            (rng_for Imk_randomize.Choices.physical_rng)
+            ~image_memsz ~mem_bytes:phys_limit
         in
         let virt =
-          Imk_randomize.Kaslr.choose_virtual (virtual_rng ()) ~image_memsz
+          Imk_randomize.Kaslr.choose_virtual
+            (rng_for Imk_randomize.Choices.virtual_rng)
+            ~image_memsz
         in
         (phys, virt - Addr.link_base)
   in
@@ -215,102 +204,33 @@ let direct_boot ?plans ?choices ch cache (config : Vm_config.t) kernel_bytes mem
              (cm.Cost_model.section_shuffle_ns
              *. float_of_int (modeled config (Array.length sections))));
         Some
-          (Imk_randomize.Fgkaslr.make_plan (shuffle_rng ()) ~sections
-             ~text_base:Addr.link_base)
+          (Imk_randomize.Fgkaslr.make_plan
+             (rng_for Imk_randomize.Choices.shuffle_rng)
+             ~sections ~text_base:Addr.link_base)
     | _ -> None
   in
   (* one-pass placement: segments land at their final (displaced)
      location directly — no self-relocation copies (§5.2) *)
   Imk_randomize.Loadelf.place_list mem bplan.Plan_cache.alloc ~phys_load ~plan;
-  let displace va =
-    match plan with Some p -> Imk_randomize.Fgkaslr.displace p va | None -> va
+  (* everything after offset selection is the bootstrap loader's own
+     routine, charged at host rates *)
+  let policy =
+    {
+      Imk_bootstrap.Loader.kallsyms_fixup =
+        config.kallsyms = Vm_config.Kallsyms_eager;
+      write_setup_data = config.kallsyms = Vm_config.Kallsyms_deferred;
+      orc_fixup = config.orc = Vm_config.Orc_update;
+    }
   in
-  if rando <> Vm_config.Rando_off then begin
-    let site_pa va = displace va - Addr.link_base + phys_load in
-    let new_va_of va = Imk_randomize.Kaslr.delta_new_va ~delta (displace va) in
-    Imk_randomize.Kaslr.apply ~mem ~relocs ~site_pa ~new_va_of;
-    let entries = modeled config (Imk_elf.Relocation.entry_count relocs) in
-    Charge.pay ch
-      (match plan with
-      | None -> Cost_model.reloc_cost cm ~in_guest:false ~entries
-      | Some p ->
-          Cost_model.fg_reloc_cost cm ~in_guest:false ~entries
-            ~sections:(modeled config p.Imk_randomize.Fgkaslr.count))
-  end;
-  (* FGKASLR table fixups in the monitor *)
-  let kallsyms_fixed = ref true and setup_written = ref false in
-  (match plan with
-  | None -> ()
-  | Some p ->
-      let sec name =
-        match Imk_elf.Types.section_by_name elf name with
-        | Some s -> (s.Imk_elf.Types.addr - Addr.link_base + phys_load, s.Imk_elf.Types.addr, s.Imk_elf.Types.size)
-        | None -> fail "kernel has no %s section" name
-      in
-      let extab_pa, extab_va, extab_size = sec ".extab" in
-      Imk_randomize.Fgkaslr.fixup_extab mem ~pa:extab_pa ~extab_va p;
-      let extab_count =
-        (extab_size - Imk_kernel.Image.extab_header_bytes)
-        / Imk_kernel.Image.extab_entry_bytes
-      in
-      Charge.pay ch
-        (int_of_float
-           (cm.Cost_model.extab_fixup_ns *. float_of_int (modeled config extab_count)));
-      Charge.pay ch
-        (int_of_float
-           (cm.Cost_model.symbol_fixup_ns
-           *. float_of_int (modeled config (Array.length elf.Imk_elf.Types.symbols))));
-      (match config.kallsyms with
-      | Vm_config.Kallsyms_eager ->
-          let kallsyms_pa, _, _ = sec ".kallsyms" in
-          Imk_randomize.Fgkaslr.fixup_kallsyms mem ~pa:kallsyms_pa p;
-          Charge.pay ch
-            (int_of_float
-               (cm.Cost_model.kallsyms_ns_per_sym
-               *. float_of_int (modeled config config.kernel_config.Imk_kernel.Config.functions)))
-      | Vm_config.Kallsyms_deferred ->
-          kallsyms_fixed := false;
-          let blob =
-            Imk_guest.Boot_params.setup_data_encode
-              (Imk_randomize.Fgkaslr.displacement_pairs p)
-          in
-          Guest_mem.write_bytes mem ~pa:Imk_guest.Boot_params.default_setup_data_pa blob;
-          setup_written := true);
-      (match config.orc with
-      | Vm_config.Orc_update -> (
-          match Imk_elf.Types.section_by_name elf ".orc_unwind" with
-          | None -> ()
-          | Some s ->
-              let pa = s.Imk_elf.Types.addr - Addr.link_base + phys_load in
-              Imk_randomize.Fgkaslr.fixup_orc mem ~pa ~orc_va:s.Imk_elf.Types.addr p;
-              let count =
-                (s.Imk_elf.Types.size - Imk_kernel.Image.orc_header_bytes)
-                / Imk_kernel.Image.orc_entry_bytes
-              in
-              Charge.pay ch
-                (int_of_float
-                   (cm.Cost_model.extab_fixup_ns *. float_of_int (modeled config count))))
-      | Vm_config.Orc_skip -> ()));
+  let params =
+    Imk_bootstrap.Loader.relocate ch mem elf ~config:config.kernel_config
+      ~in_guest:false ~relocs ~phys_load ~delta ~plan ~policy
+      ~kernel:(fun () ->
+        Plan_cache.kernel_info plans bplan config.kernel_config)
+  in
   charge_page_tables ch;
   Charge.pay ch (int_of_float cm.Cost_model.vmm_entry_ns);
-  let orc_fixed =
-    match (plan, config.orc) with
-    | None, _ -> true
-    | Some _, Vm_config.Orc_update -> true
-    | Some _, Vm_config.Orc_skip -> false
-  in
-  {
-    Imk_guest.Boot_params.phys_load;
-    virt_base = Addr.link_base + delta;
-    entry_va = displace elf.Imk_elf.Types.entry + delta;
-    mem_bytes = Guest_mem.size mem;
-    kernel = Plan_cache.kernel_info plans bplan config.kernel_config;
-    kallsyms_fixed = !kallsyms_fixed;
-    orc_fixed;
-    setup_data_pa =
-      (if !setup_written then Some Imk_guest.Boot_params.default_setup_data_pa
-       else None);
-  }
+  params
 
 (* --- bzImage boot --- *)
 
@@ -417,28 +337,16 @@ let boot_on ?(inject = fun (_ : string) -> ()) ?plans ?choices ch cache
   let stats = Imk_guest.Linux_boot.run ch config.kernel_config mem params in
   { config; params; stats; mem }
 
-let boot ?arena ?mem ?inject ?plans ?choices ch cache (config : Vm_config.t) =
+let boot ?mem ?inject ?plans ?choices ch cache (config : Vm_config.t) =
   if config.mem_bytes < 32 * 1024 * 1024 then
     fail "guest memory too small (%d bytes)" config.mem_bytes;
-  match mem with
-  | Some m ->
-      (* caller-owned buffer (e.g. an [Arena.with_buffer] bracket): the
-         caller's bracket handles the failure path, we use it as-is *)
-      if Guest_mem.size m <> config.mem_bytes then
-        fail "provided guest memory is %d bytes, config wants %d"
-          (Guest_mem.size m) config.mem_bytes;
-      boot_on ?inject ?plans ?choices ch cache config m
-  | None -> (
-      match arena with
-      | None ->
-          boot_on ?inject ?plans ?choices ch cache config
-            (Guest_mem.create ~size:config.mem_bytes)
-      | Some a ->
-          (* success hands [mem] to the caller (who releases it); a boot
-             that raises must return the borrowed buffer itself or the
-             arena leaks one buffer per injected fault *)
-          let m = Arena.borrow a ~size:config.mem_bytes in
-          (try boot_on ?inject ?plans ?choices ch cache config m
-           with e ->
-             Arena.release a m;
-             raise e))
+  let mem =
+    match mem with
+    | Some m ->
+        if Guest_mem.size m <> config.mem_bytes then
+          fail "provided guest memory is %d bytes, config wants %d"
+            (Guest_mem.size m) config.mem_bytes;
+        m
+    | None -> Guest_mem.create ~size:config.mem_bytes
+  in
+  boot_on ?inject ?plans ?choices ch cache config mem

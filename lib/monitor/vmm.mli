@@ -7,9 +7,11 @@
     - {b Direct boot} (uncompressed vmlinux): the monitor reads the
       kernel one segment at a time directly into guest memory at its
       final location, and — with the paper's modification — parses the
-      ELF, shuffles function sections (FGKASLR), chooses a random virtual
-      offset from the {e host} entropy pool, handles relocations and
-      updates the address-ordered tables, all before VM entry (§4.2).
+      ELF, shuffles function sections (FGKASLR) and chooses a random
+      virtual offset from the {e host} entropy pool, then hands the rest
+      — relocations and the address-ordered tables — to
+      {!Imk_bootstrap.Loader.relocate}, the routine the bootstrap loader
+      runs too, charged at host rates; all before VM entry (§4.2).
       The kernel needs no modification; relocation info arrives as the
       extra [relocs_path] argument (Figure 8).
     - {b bzImage boot} (with the bzImage-support patch): the monitor
@@ -26,7 +28,10 @@ exception Boot_error of string
     it does not implement (e.g. stock Firecracker given a bzImage),
     randomization without relocation info, an image too large for guest
     memory, or an fgkaslr request against a kernel without function
-    sections. *)
+    sections. A kernel missing a table section fails inside the shared
+    {!Imk_bootstrap.Loader.relocate} instead, with its
+    [Imk_bootstrap.Loader.Loader_error]; both classify as a corrupt
+    image. *)
 
 exception Transient of string
 (** A transient monitor-side failure (the simulation analogue of an EINTR
@@ -49,7 +54,6 @@ val staging_pa : int
     runs (4 MiB, below the kernel's 16 MiB load address). *)
 
 val boot :
-  ?arena:Imk_memory.Arena.t ->
   ?mem:Imk_memory.Guest_mem.t ->
   ?inject:(string -> unit) ->
   ?plans:Plan_cache.t ->
@@ -63,19 +67,12 @@ val boot :
     Reads images through [cache], so cold-vs-warm behaviour follows the
     cache state the experiment set up.
 
-    [arena] makes the monitor borrow the guest's memory from a recycling
-    pool instead of allocating it — the real-allocation analogue of
-    Firecracker reusing microVM resources. Virtual-clock charges are
-    identical either way. On success, the caller that drops the returned
-    [mem] is responsible for [Imk_memory.Arena.release]-ing it; results
-    that escape for analysis (LEBench, attacks) should simply never be
-    released. If the boot {e raises}, the borrowed buffer is released
-    back to the arena here — a failed boot never leaks it.
-
-    [mem] instead supplies a caller-owned all-zero buffer of exactly
-    [config.mem_bytes] (typically inside an [Arena.with_buffer] bracket);
-    the caller keeps ownership on both the success and failure paths.
-    [mem] takes precedence over [arena].
+    [mem] supplies a caller-owned all-zero buffer of exactly
+    [config.mem_bytes] instead of a fresh allocation — typically inside
+    an [Imk_memory.Arena.with_buffer] bracket, the real-allocation
+    analogue of Firecracker reusing microVM resources. Virtual-clock
+    charges are identical either way, and the caller keeps ownership on
+    both the success and failure paths.
 
     [inject] is a fault-injection hook called at named phase points
     (currently ["vmm-init"], at the top of the In-Monitor span). It may

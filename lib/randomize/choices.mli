@@ -12,10 +12,13 @@
     {e decision} (physical base, virtual base, section shuffle), all
     derived from a single seed. A boot given a schedule makes the same
     virtual-base and shuffle decisions whether the monitor or the loader
-    executes it, so everything downstream — placement, relocation
-    application, table fixups — is the code under test, byte for byte.
-    The cross-path oracle (`Imk_check`, DESIGN.md §8) boots both paths on
-    one schedule and asserts layout equality.
+    executes it. Everything after offset selection — relocation
+    application and table fixups — is one routine both principals call
+    ([Imk_bootstrap.Loader.relocate]), so the cross-path oracle
+    (`Imk_check`, DESIGN.md §8), which boots both paths on one schedule
+    and asserts layout equality, checks what still differs: the entropy
+    streams, placement, decompression, how each path parses the ELF, and
+    how a [Vm_config] maps onto the loader's policy.
 
     Production boots never construct one: without a schedule both
     principals keep their historical per-principal streams, bit for

@@ -83,21 +83,16 @@ let displacement_pairs plan =
 
 (* --- table fixups --- *)
 
-let table_count mem ~pa ~entry_bytes ~header_bytes ~what =
+let table_count mem ~pa ~what =
   let count = Guest_mem.get_u32 mem ~pa in
   if count < 0 || count > 10_000_000 then
     raise (Kaslr.Reloc_error (what ^ ": implausible entry count"));
-  ignore entry_bytes;
-  ignore header_bytes;
   count
 
 let fixup_kallsyms mem ~pa plan =
   let header = Imk_kernel.Image.kallsyms_header_bytes in
   let entry = Imk_kernel.Image.kallsyms_entry_bytes in
-  let count =
-    table_count mem ~pa:(pa + 8) ~entry_bytes:entry ~header_bytes:header
-      ~what:"kallsyms"
-  in
+  let count = table_count mem ~pa:(pa + 8) ~what:"kallsyms" in
   (* Offsets are relative to the kallsyms base, which is the kmap base at
      link time; the global delta moves the base itself (via its ordinary
      relocation) and cancels out of the offsets, so the fixup only applies
@@ -128,9 +123,7 @@ let fixup_kallsyms mem ~pa plan =
 let fixup_extab mem ~pa ~extab_va plan =
   let header = Imk_kernel.Image.extab_header_bytes in
   let entry = Imk_kernel.Image.extab_entry_bytes in
-  let count =
-    table_count mem ~pa ~entry_bytes:entry ~header_bytes:header ~what:"extab"
-  in
+  let count = table_count mem ~pa ~what:"extab" in
   let entries =
     Array.init count (fun k ->
         let off = header + (k * entry) in
@@ -176,9 +169,7 @@ let fixup_extab mem ~pa ~extab_va plan =
 let fixup_orc mem ~pa ~orc_va plan =
   let header = Imk_kernel.Image.orc_header_bytes in
   let entry = Imk_kernel.Image.orc_entry_bytes in
-  let count =
-    table_count mem ~pa ~entry_bytes:entry ~header_bytes:header ~what:"orc"
-  in
+  let count = table_count mem ~pa ~what:"orc" in
   let entries =
     Array.init count (fun k ->
         let off = header + (k * entry) in

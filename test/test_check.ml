@@ -43,6 +43,60 @@ let catalogue_cases =
         ])
     (Oracle.catalogue ~mutate:false)
 
+(* --- deferred kallsyms across paths: Env pins eager kallsyms, so the
+   setup-data policy mapping gets its own comparison. Both principals
+   must leave kallsyms stale, publish the same blob at the same address
+   and otherwise produce the same layout --- *)
+
+let deferred_kallsyms_cross_path preset () =
+  let p = point ~preset ~variant:Imk_kernel.Config.Fgkaslr () in
+  let env = Env.instantiate (Env.build p) in
+  let choices = Imk_randomize.Choices.of_seed p.Point.seed in
+  let boot vm =
+    let vm =
+      { vm with
+        Imk_monitor.Vm_config.kallsyms =
+          Imk_monitor.Vm_config.Kallsyms_deferred }
+    in
+    let _, ch = Testkit.charge () in
+    Imk_monitor.Vmm.boot ~choices ch env.Env.cache vm
+  in
+  let a = boot (Env.direct_config env p) and b = boot (Env.bz_config env p) in
+  (match Layout.diff (Layout.of_result a) (Layout.of_result b) with
+  | None -> ()
+  | Some d -> Alcotest.failf "layouts diverge: %s" d);
+  let params (r : Imk_monitor.Vmm.boot_result) = r.Imk_monitor.Vmm.params in
+  check Alcotest.bool "kallsyms left stale" false
+    (params a).Imk_guest.Boot_params.kallsyms_fixed;
+  let pa = Imk_guest.Boot_params.default_setup_data_pa in
+  check
+    Alcotest.(option int)
+    "blob published" (Some pa) (params a).Imk_guest.Boot_params.setup_data_pa;
+  check
+    Alcotest.(option int)
+    "same setup_data_pa" (params a).Imk_guest.Boot_params.setup_data_pa
+    (params b).Imk_guest.Boot_params.setup_data_pa;
+  let blob (r : Imk_monitor.Vmm.boot_result) =
+    let mem = r.Imk_monitor.Vmm.mem in
+    let len =
+      Bytes.length
+        (Imk_guest.Boot_params.setup_data_encode
+           (Imk_guest.Boot_params.setup_data_read mem ~pa))
+    in
+    Imk_memory.Guest_mem.read_bytes mem ~pa ~len
+  in
+  check Alcotest.bool "setup-data blobs byte-equal" true
+    (Bytes.equal (blob a) (blob b))
+
+let deferred_kallsyms_cases =
+  List.map
+    (fun preset ->
+      Alcotest.test_case
+        (Imk_kernel.Config.preset_name preset ^ "-fgkaslr")
+        `Quick
+        (deferred_kallsyms_cross_path preset))
+    Imk_kernel.Config.all_presets
+
 (* --- sensitivity: the planted off-by-one must be reported caught --- *)
 
 let mutate_caught () =
@@ -172,6 +226,7 @@ let () =
   Alcotest.run "check"
     [
       ("oracle-catalogue", catalogue_cases);
+      ("defer-kallsyms", deferred_kallsyms_cases);
       ( "sensitivity",
         [ Alcotest.test_case "mutate caught" `Quick mutate_caught ] );
       ( "shrink",

@@ -217,6 +217,39 @@ let test_bad_relocs_rederived () =
       | _ -> Alcotest.fail "expected exactly one Rederived_relocs event")
     [ Inject.Truncate_relocs; Inject.Flip_relocs_magic ]
 
+(* a well-formed relocation table from another build of the same config
+   decodes fine but points outside this kernel: the typed Reloc_error
+   must reach the same re-derivation recovery as a corrupt table *)
+let test_foreign_relocs_rederived () =
+  let env = Testkit.make_env ~functions:50 ~seed:1L () in
+  let foreign =
+    (Imk_kernel.Image.build (Testkit.small_config ~functions:50 ~seed:2L ()))
+      .Imk_kernel.Image.relocs_bytes
+  in
+  let vm =
+    Vm_config.make ~rando:Vm_config.Rando_kaslr
+      ~relocs_path:(Some (Testkit.relocs_path env))
+      ~mem_bytes:(64 * 1024 * 1024)
+      ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg
+      ~seed:0L ()
+  in
+  for seed = 1 to 5 do
+    let disk = make_disk env in
+    Imk_storage.Disk.add disk ~name:(Testkit.relocs_path env) foreign;
+    let ctx = Boot_supervisor.plain_ctx (Imk_storage.Page_cache.create disk) in
+    let r = Boot_supervisor.supervise ~seed:(Int64.of_int seed) ~ctx vm in
+    (match r.Boot_supervisor.outcome with
+    | Ok stats ->
+        check int "verifies after re-derivation" 50
+          stats.Imk_guest.Runtime.functions_visited
+    | Error f -> Alcotest.failf "rederive failed: %s" (Failure.describe f));
+    (match r.Boot_supervisor.events with
+    | [ Failure.Rederived_relocs (Failure.Bad_reloc _) ] -> ()
+    | _ -> Alcotest.fail "expected exactly one Rederived_relocs event");
+    check Alcotest.bool "rederive-relocs interval recorded" true
+      (List.mem_assoc "rederive-relocs" r.Boot_supervisor.recovery)
+  done
+
 let test_failed_attempts_do_not_poison_arena () =
   let env, vm = supervise_env () in
   let arena = Imk_memory.Arena.create () in
@@ -854,6 +887,8 @@ let () =
             test_corrupt_image_is_typed_failure;
           Alcotest.test_case "bad relocs re-derived" `Quick
             test_bad_relocs_rederived;
+          Alcotest.test_case "foreign relocs re-derived" `Quick
+            test_foreign_relocs_rederived;
           Alcotest.test_case "arena survives failed attempts" `Quick
             test_failed_attempts_do_not_poison_arena;
           Alcotest.test_case "snapshot falls back to cold boot" `Quick
