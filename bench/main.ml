@@ -20,10 +20,6 @@
      bench/main.exe --contend 2,4   capacities for the fig9 contention
                                     row: disk-bandwidth units, decompress
                                     slots (default 1,1 — full contention)
-     bench/main.exe --exp diffcheck --mutate
-                                    plant one fault per mutable oracle;
-                                    the campaign must report each caught
-                                    and print a shrunk reproducer
      bench/main.exe --exp fleet --requests 1000000
                                     simulated requests per fleet cell
 
@@ -42,7 +38,6 @@ let jobs = ref (Domain.recommended_domain_count ())
 let baseline_path = ref None
 let trace_path = ref None
 let no_plan_cache = ref false
-let mutate = ref false
 let requests = ref None
 let contend = ref H.Workspace.default_run.contend
 
@@ -50,7 +45,7 @@ let usage () =
   prerr_endline
     ("usage: main.exe [--exp <id>]... [--runs N] [--functions N] [--scale N] [--jobs N]\n\
      \               [--baseline BENCH_<id>.json] [--trace out.json]\n\
-     \               [--no-plan-cache] [--mutate] [--requests N] [--contend D,S]\n\
+     \               [--no-plan-cache] [--requests N] [--contend D,S]\n\
      experiments: "
     ^ String.concat " " (List.map fst H.Experiments.registry)
     ^ " all");
@@ -86,9 +81,6 @@ let rec parse = function
       parse rest
   | "--no-plan-cache" :: rest ->
       no_plan_cache := true;
-      parse rest
-  | "--mutate" :: rest ->
-      mutate := true;
       parse rest
   | "--requests" :: v :: rest ->
       requests := Some (int_flag ~min:1 v);
@@ -234,7 +226,6 @@ let () =
       H.Workspace.jobs = !jobs;
       contend = !contend;
       trace = Option.map (fun _ -> capture) !trace_path;
-      mutate = !mutate;
       requests = !requests;
     }
   in

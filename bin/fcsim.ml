@@ -54,18 +54,20 @@ let rando =
         ~doc:"Randomization: off, kaslr or fgkaslr. In-monitor for direct \
               boots, self-randomization for bzImage methods.")
 
+(* the method names are the campaign points' codecs, so every printed
+   reproducer (Imk_check.Point.fcsim_commands) parses here *)
 let method_ =
   Arg.(
     value
     & opt
         (enum
-           [ ("direct", `Direct); ("lz4", `Lz4); ("gzip", `Gzip);
-             ("none", `None); ("none-opt", `None_opt) ])
-        `Direct
+           (("direct", None)
+           :: List.map (fun c -> (c, Some c)) Imk_check.Point.codecs))
+        None
     & info [ "method"; "m" ] ~docv:"METHOD"
-        ~doc:"Boot method: direct (uncompressed vmlinux), lz4 or gzip \
-              (bzImage), none (unoptimized compression-none bzImage), \
-              none-opt (optimized compression-none bzImage).")
+        ~doc:"Boot method: direct (uncompressed vmlinux), or a bzImage: lz4 \
+              or gzip, none (unoptimized compression-none), none-opt \
+              (optimized compression-none).")
 
 let mem_mib =
   Arg.(
@@ -151,29 +153,14 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
   in
   let kernel_path, relocs_path, flavor =
     match method_ with
-    | `Direct ->
+    | None ->
         ( Imk_harness.Workspace.vmlinux_path ws preset variant,
           (if rando_mode = Imk_monitor.Vm_config.Rando_off then None
            else Some (Imk_harness.Workspace.relocs_path ws preset variant)),
           None )
-    | `Lz4 ->
-        ( Imk_harness.Workspace.bzimage_path ws preset variant ~codec:"lz4"
-            ~bz:Imk_kernel.Bzimage.Standard,
-          None,
-          Some Imk_monitor.Vm_config.In_monitor_fgkaslr )
-    | `Gzip ->
-        ( Imk_harness.Workspace.bzimage_path ws preset variant ~codec:"gzip"
-            ~bz:Imk_kernel.Bzimage.Standard,
-          None,
-          Some Imk_monitor.Vm_config.In_monitor_fgkaslr )
-    | `None ->
-        ( Imk_harness.Workspace.bzimage_path ws preset variant ~codec:"none"
-            ~bz:Imk_kernel.Bzimage.Standard,
-          None,
-          Some Imk_monitor.Vm_config.In_monitor_fgkaslr )
-    | `None_opt ->
-        ( Imk_harness.Workspace.bzimage_path ws preset variant ~codec:"none"
-            ~bz:Imk_kernel.Bzimage.None_optimized,
+    | Some m ->
+        let codec, bz = Imk_check.Point.bz_link m in
+        ( Imk_harness.Workspace.bzimage_path ws preset variant ~codec ~bz,
           None,
           Some Imk_monitor.Vm_config.In_monitor_fgkaslr )
   in
@@ -213,12 +200,7 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
   in
   let p = result.Imk_monitor.Vmm.params in
   Printf.printf "booted %s via %s (%s)\n" kernel_config.Imk_kernel.Config.name
-    (match method_ with
-    | `Direct -> "direct boot"
-    | `Lz4 -> "bzImage/lz4"
-    | `Gzip -> "bzImage/gzip"
-    | `None -> "bzImage/compression-none"
-    | `None_opt -> "bzImage/none-optimized")
+    (match method_ with None -> "direct boot" | Some m -> "bzImage/" ^ m)
     profile.Imk_monitor.Profiles.name;
   Printf.printf "  virt base    %#x (offset %#x)\n"
     p.Imk_guest.Boot_params.virt_base

@@ -12,11 +12,7 @@ let build ?(scale = 4) (point : Point.t) =
       Imk_kernel.Config.functions = point.Point.functions }
   in
   let built = Imk_kernel.Image.build cfg in
-  let codec, bz_variant =
-    match point.Point.codec with
-    | "none-opt" -> ("none", Imk_kernel.Bzimage.None_optimized)
-    | c -> (c, Imk_kernel.Bzimage.Standard)
-  in
+  let codec, bz_variant = Point.bz_link point.Point.codec in
   let bz = Imk_kernel.Bzimage.link built ~codec ~variant:bz_variant in
   let bz_name =
     Printf.sprintf "%s.bz-%s" cfg.Imk_kernel.Config.name point.Point.codec

@@ -7,15 +7,20 @@
     bit-identical". An oracle returns the {e first} divergence as text; a
     campaign counts and a shrinker minimizes them.
 
-    An oracle that cannot fail is not evidence: {!cross_path} takes a
-    [mutate] switch that plants an off-by-one in one side's extracted
-    image, and the campaign's [--mutate] mode checks the catalogue
-    reports it caught. *)
+    An oracle that cannot fail is not evidence: {!cross_path} and
+    {!event_core_solo} each carry a planted fault, compared on every run
+    from the same two boots as the clean comparison (the plant only
+    changes what the comparison reads), and the campaign checks that
+    every plant is caught. *)
 
 type outcome = Pass | Divergence of string
 
 type report = {
   outcome : outcome;
+  planted : outcome option;
+      (** the same comparison with the oracle's plant applied to one
+          side; [None] for oracles without a plant. A side that raised
+          makes both outcomes the [raised: …] divergence. *)
   boot_ns : (string * int) list;
       (** virtual-clock total of each boot the comparison ran, in the
           order run — deterministic, so campaign telemetry built from it
@@ -26,27 +31,31 @@ type report = {
 type t = {
   id : string;  (** stable row id, e.g. "cross-path" *)
   doc : string;  (** the invariant under test, one line *)
+  plant : string option;
+      (** the planted fault's name, e.g. "off-by-one"; [None] for
+          oracles without a plant *)
   run : Env.images -> Point.t -> report;
 }
 
-val cross_path : ?mutate:bool -> unit -> t
+val cross_path : t
 (** Monitor ≡ bootstrap loader: boots the point's vmlinux through
     in-monitor randomization and its bzImage through the self-
     bootstrapping loader, on one pinned {!Imk_randomize.Choices}
     schedule, and asserts byte-level layout equivalence (modulo the
-    physical base, which only the monitor randomizes). [mutate] plants
-    the sensitivity fault described above. *)
+    physical base, which only the monitor randomizes). Its plant, the
+    "off-by-one", adds one to a middle byte of the loader side's
+    image. *)
 
-val event_core_solo : ?mutate:bool -> unit -> t
+val event_core_solo : t
 (** Linear clock ≡ event core (solo): the point's bzImage booted once on
     the plain linear clock and once as a single {!Imk_vclock.Sched}
     fiber must charge exactly the same spans — labels, phases, order and
     instants — and produce the same layout bytes. The bz path routes the
     point's codec through the scheduler's decompress slot and every
     image read through its disk-bandwidth unit, so all scheduled-mode
-    charge classes are exercised. [mutate] plants a one-event
-    reordering (two adjacent spans swapped) on the event-core side,
-    which the exact comparison must report. *)
+    charge classes are exercised. Its plant, the "event reordering",
+    swaps two adjacent spans on the event-core side, which the exact
+    comparison must report. *)
 
 val plan_cache : t
 (** Cache-on ≡ cache-off: the second boot of an image through a shared
@@ -66,7 +75,7 @@ val arena_fresh : t
     same point into a fresh [Guest_mem.create] — spans and layout.
     Divergent if the arena never actually recycled. *)
 
-val catalogue : mutate:bool -> t list
+val catalogue : t list
 (** The full catalogue, cross-path first. *)
 
 val of_run :
@@ -82,4 +91,4 @@ val of_run :
     boot's virtual total, and a body that raises becomes a [Divergence]
     carrying the exception text instead of killing the campaign. For
     harness-side oracles (e.g. the jobs-fanout row) that cannot live
-    below [boot_many]. *)
+    below [boot_many]; such an oracle has no plant. *)

@@ -24,6 +24,10 @@ let name t =
    seed and the comparison *)
 let codecs = [ "none-opt"; "none"; "lz4"; "gzip" ]
 
+let bz_link = function
+  | "none-opt" -> ("none", Imk_kernel.Bzimage.None_optimized)
+  | c -> (c, Imk_kernel.Bzimage.Standard)
+
 let default_functions preset variant =
   (Imk_kernel.Config.make preset variant).Imk_kernel.Config.functions
 

@@ -30,6 +30,10 @@ val codecs : string list
 (** Valid [codec] values, simplest first ("none-opt", "none", "lz4",
     "gzip") — the shrinker walks this order. *)
 
+val bz_link : string -> string * Imk_kernel.Bzimage.variant
+(** The codec and bzImage variant a {!codecs} name links ("none-opt" is
+    "none", [None_optimized]); {!Env.build} and [fcsim --method] share it. *)
+
 val matrix : seed:int64 -> functions:int option -> t list
 (** The campaign catalogue for one seed: presets × variants × a
     representative codec spread, mirroring the boot-matrix suites.

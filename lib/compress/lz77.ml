@@ -133,18 +133,8 @@ let into_output ~dst ~dst_off ~orig_len produce =
   produce ~lit ~cpy;
   if !w <> orig_len then raise (Codec.Corrupt "lz77: short token stream")
 
-let with_output ~orig_len produce =
-  let out = Bytes.create orig_len in
-  into_output ~dst:out ~dst_off:0 ~orig_len produce;
-  out
-
 let apply_tokens_into ~dst ~dst_off ~orig_len produce =
   into_output ~dst ~dst_off ~orig_len (fun ~lit ~cpy ->
       produce (function
         | Literal c -> lit c
         | Match { dist; len } -> cpy ~dist ~len))
-
-let apply_tokens ~orig_len produce =
-  let out = Bytes.create orig_len in
-  apply_tokens_into ~dst:out ~dst_off:0 ~orig_len produce;
-  out

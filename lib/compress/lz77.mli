@@ -62,14 +62,6 @@ val into_output :
     hot decode path for gzip; LZ4/LZO reach it through
     {!apply_tokens_into}. *)
 
-val with_output :
-  orig_len:int ->
-  (lit:(char -> unit) -> cpy:(dist:int -> len:int -> unit) -> unit) ->
-  bytes
-(** [with_output ~orig_len produce] is {!into_output} into a fresh
-    buffer of exactly [orig_len] bytes — the allocating copy-decode
-    path. *)
-
 val apply_tokens_into :
   dst:bytes ->
   dst_off:int ->
@@ -80,7 +72,3 @@ val apply_tokens_into :
     {!into_output} for a producer that emits {!token} values. Raises
     [Codec.Corrupt] if tokens overflow the window or a match reaches
     before the start. *)
-
-val apply_tokens : orig_len:int -> (((token -> unit) -> unit)) -> bytes
-(** [apply_tokens ~orig_len produce] is {!apply_tokens_into} into a
-    fresh buffer of exactly [orig_len] bytes. *)

@@ -76,14 +76,3 @@ let section_index t name =
 
 let is_function_section s =
   String.length s.name > 6 && String.sub s.name 0 6 = ".text."
-
-let pp_section ppf s =
-  Format.fprintf ppf "%-24s type=%d flags=%#x addr=%#x off=%#x size=%d align=%d"
-    s.name s.sh_type s.flags s.addr s.offset s.size s.addralign
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>entry=%#x@,%d sections, %d segments, %d symbols@,"
-    t.entry (Array.length t.sections) (Array.length t.segments)
-    (Array.length t.symbols);
-  Array.iter (fun s -> Format.fprintf ppf "%a@," pp_section s) t.sections;
-  Format.fprintf ppf "@]"

@@ -103,6 +103,3 @@ val section_index : t -> string -> int option
 val is_function_section : section -> bool
 (** [is_function_section s] recognizes the [.text.<fn>] sections produced
     by -ffunction-sections builds — the randomization unit of FGKASLR. *)
-
-val pp_section : Format.formatter -> section -> unit
-val pp : Format.formatter -> t -> unit

@@ -67,23 +67,3 @@ let event_name = function
   | Breaker_opened _ -> "breaker-opened"
   | Breaker_short_circuit _ -> "breaker-short-circuit"
   | Breaker_probe _ -> "breaker-probe"
-
-let describe_event = function
-  | Retried { attempt; failure; backoff_ns } ->
-      Printf.sprintf "retried (attempt %d, backoff %d ns) after %s" attempt
-        backoff_ns (describe failure)
-  | Fell_back_to_cold_boot f -> "cold-boot fallback after " ^ describe f
-  | Rederived_relocs f -> "re-derived relocs from the ELF after " ^ describe f
-  | Deadline_aborted { failure; fresh_budget_ns } ->
-      Printf.sprintf "aborted attempt on %s; fresh budget %d ns"
-        (describe failure) fresh_budget_ns
-  | Retry_budget_exhausted f ->
-      "campaign retry budget exhausted; failing fast on " ^ describe f
-  | Breaker_opened { failure; consecutive } ->
-      Printf.sprintf "breaker opened after %d consecutive persistent failures (last: %s)"
-        consecutive (describe failure)
-  | Breaker_short_circuit { failure } ->
-      "breaker open: boot short-circuited (last: " ^ describe failure ^ ")"
-  | Breaker_probe { succeeded } ->
-      if succeeded then "half-open probe boot succeeded: breaker closed"
-      else "half-open probe boot failed: breaker re-opened"

@@ -91,5 +91,3 @@ val event_name : event -> string
 (** Stable short tag ("retried", "cold-boot-fallback",
     "rederived-relocs", "deadline-aborted", "retry-budget-exhausted",
     "breaker-opened", "breaker-short-circuit", "breaker-probe"). *)
-
-val describe_event : event -> string

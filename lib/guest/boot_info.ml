@@ -3,10 +3,6 @@ open Imk_memory
 
 type protocol = Proto_linux64 | Proto_pvh
 
-let protocol_name = function
-  | Proto_linux64 -> "linux64"
-  | Proto_pvh -> "pvh"
-
 type e820_entry = { base : int; size : int; usable : bool }
 
 let e820_of_mem ~mem_bytes =

@@ -14,8 +14,6 @@
 
 type protocol = Proto_linux64 | Proto_pvh
 
-val protocol_name : protocol -> string
-
 type e820_entry = {
   base : int;
   size : int;

@@ -1596,12 +1596,11 @@ let diffcheck ?(runs = 20) ws =
      template on the calling domain (Workspace.built's table is not
      thread-safe and diffcheck builds its own envs anyway); each
      comparison instantiates a private disk and cache, so the table and
-     telemetry are bit-identical for any --jobs value. The run's
-     [mutate] plants one sensitivity fault per mutable oracle; each must
-     be caught. *)
+     telemetry are bit-identical for any --jobs value. Every comparison
+     also reads its oracle's planted fault off the same boots; each plant
+     must be caught in every comparison. *)
   let module O = Imk_check.Oracle in
   let module P = Imk_check.Point in
-  let mutate = (Workspace.run_config ws).Workspace.mutate in
   let scale = Workspace.scale ws in
   let templates =
     List.map
@@ -1620,12 +1619,12 @@ let diffcheck ?(runs = 20) ws =
         let tpl = List.nth templates i in
         (tpl, Imk_check.Env.build ~scale tpl))
   in
-  let oracles = O.catalogue ~mutate in
+  let oracles = O.catalogue in
   let per_run =
     Campaign.map ~jobs:(jobs ws) ~tasks:runs (fun i ->
         let tpl, imgs = images.(i mod n_used) in
         let point = { tpl with P.seed = Boot_runner.run_seed (i + 1) } in
-        List.map (fun (o : O.t) -> (o.O.id, point, o.O.run imgs point)) oracles)
+        List.map (fun (o : O.t) -> (point, o.O.run imgs point)) oracles)
   in
   (* jobs-1 ≡ jobs-N: boot_many's rows must be bit-identical for any
      fan-out. Runs on the calling domain — boot_many does its own
@@ -1663,24 +1662,24 @@ let diffcheck ?(runs = 20) ws =
   (* aggregation, in run order: each oracle's (point, report) list, the
      jobs row last *)
   let by_oracle =
-    List.map
-      (fun (o : O.t) ->
-        ( o.O.id,
-          List.concat_map
-            (List.filter_map (fun (id, p, r) ->
-                 if id = o.O.id then Some (p, r) else None))
-            (Array.to_list per_run) ))
+    List.mapi
+      (fun k (o : O.t) ->
+        (o.O.id, Array.to_list (Array.map (fun rs -> List.nth rs k) per_run)))
       oracles
     @ [ (Printf.sprintf "jobs-1=%d" fan, [ (jobs_point, jobs_report) ]) ]
   in
-  let diverged (_, (r : O.report)) =
-    match r.O.outcome with O.Pass -> false | O.Divergence _ -> true
-  in
+  let is_divergence = function O.Pass -> false | O.Divergence _ -> true in
+  let diverged (_, (r : O.report)) = is_divergence r.O.outcome in
+  let caught (_, (r : O.report)) = Option.map is_divergence r.O.planted in
   (* a row per oracle, the jobs row last; its telemetry is the virtual
      totals of every boot the oracle's comparisons ran, with per-boot-label
      distributions as phases (the jobs row's comparison notes no boots) *)
   let sh =
-    sheet [ "oracle"; "comparisons"; "pass"; "divergent"; "first divergence" ]
+    sheet
+      [
+        "oracle"; "comparisons"; "pass"; "divergent"; "plant caught";
+        "first divergence";
+      ]
   in
   List.iter
     (fun (id, reports) ->
@@ -1700,6 +1699,9 @@ let diffcheck ?(runs = 20) ws =
           string_of_int n;
           string_of_int (n - List.length divergent);
           string_of_int (List.length divergent);
+          (match List.filter_map caught reports with
+          | [] -> "-"
+          | cs -> Printf.sprintf "%d/%d" (count Fun.id cs) (List.length cs));
           (match divergent with
           | (p, { O.outcome = O.Divergence d; _ }) :: _ ->
               let s = P.name p ^ ": " ^ d in
@@ -1707,89 +1709,50 @@ let diffcheck ?(runs = 20) ws =
           | _ -> "-");
         ])
     by_oracle;
-  let comparisons =
-    List.fold_left (fun a (_, rs) -> a + List.length rs) 0 by_oracle
-  in
-  let divergent_total =
-    List.fold_left (fun a (_, rs) -> a + count diverged rs) 0 by_oracle
-  in
-  (* the planted-fault protocol: --mutate must be CAUGHT by every
-     mutating oracle, and each one's first caught point shrinks to a
-     ready-to-paste reproducer *)
-  let mutants =
-    [
-      ("cross-path", "off-by-one", fun () -> O.cross_path ~mutate:true ());
-      ( "event-core-solo",
-        "event reordering",
-        fun () -> O.event_core_solo ~mutate:true () );
-    ]
-  in
-  let caught_verdicts =
-    if not mutate then []
-    else
-      List.map
-        (fun (oid, fault, mk) ->
-          let compared = List.assoc oid by_oracle in
-          let caught = List.filter diverged compared in
-          let n_caught = List.length caught and n = List.length compared in
-          ( verdict ("caught: " ^ oid) (n_caught = n)
-              (if n_caught < n then
-                 Printf.sprintf
-                   "MUTATE NOT CAUGHT: the planted %s passed %d/%d %s \
-                    comparisons — the oracle cannot fail and is not evidence"
-                   fault (n - n_caught) n oid
-               else if n = 0 then
-                 Printf.sprintf "mutate: no %s comparisons ran" oid
-               else
-                 Printf.sprintf
-                   "mutate: planted %s caught in %d/%d %s comparisons" fault
-                   n_caught n oid),
-            match caught with
-            | (p0, _) :: _ when n_caught = n ->
-                let mutant : O.t = mk () in
-                let still_fails q =
-                  match
-                    (mutant.O.run (Imk_check.Env.build ~scale q) q).O.outcome
-                  with
-                  | O.Divergence _ -> true
-                  | O.Pass -> false
-                in
-                String.split_on_char '\n'
-                  (Imk_check.Shrink.report (Imk_check.Shrink.minimize still_fails p0))
-            | _ -> [] ))
-        mutants
-  in
+  let all = List.concat_map snd by_oracle in
+  let comparisons = List.length all and divergent_total = count diverged all in
   let agreement =
-    if mutate then
-      let mutant_ids = List.map (fun (oid, _, _) -> oid) mutants in
-      let outside =
-        count
-          (fun (id, rs) ->
-            (not (List.mem id mutant_ids)) && List.exists diverged rs)
-          by_oracle
-      in
-      verdict "no divergence outside the plants" (outside = 0)
-        (if outside > 0 then
-           Printf.sprintf
-             "DIVERGENCE: %d comparisons outside the mutated oracles disagreed \
-              under --mutate — see table"
-             outside
-         else
-           Printf.sprintf
-             "%d comparisons; zero divergences outside cross-path and \
-              event-core-solo (which are expected to diverge under --mutate)"
-             comparisons)
-    else
-      verdict "no divergence" (divergent_total = 0)
-        (if divergent_total = 0 then
-           Printf.sprintf
-             "zero divergences across %d comparisons — monitor/loader layouts, \
-              event-core solo traces, plan-cache traces, snapshot clones, arena \
-              recycling and jobs fan-out all agree bit for bit"
-             comparisons
-         else
-           Printf.sprintf "DIVERGENCE: %d of %d comparisons disagreed — see table"
-             divergent_total comparisons)
+    verdict "no divergence" (divergent_total = 0)
+      (if divergent_total = 0 then
+         Printf.sprintf
+           "zero divergences across %d comparisons — monitor/loader layouts, \
+            event-core solo traces, plan-cache traces, snapshot clones, arena \
+            recycling and jobs fan-out all agree bit for bit"
+           comparisons
+       else
+         Printf.sprintf "DIVERGENCE: %d of %d comparisons disagreed — see table"
+           divergent_total comparisons)
+  in
+  (* the planted-fault protocol: every plant must be CAUGHT in every
+     comparison, and each one's first caught point shrinks (in order, on
+     the calling domain) to a ready-to-paste reproducer *)
+  let caught_verdicts =
+    List.filter_map
+      (fun (o : O.t) ->
+        Option.map
+          (fun fault ->
+            let compared = List.assoc o.O.id by_oracle in
+            let n = List.length compared
+            and n_caught = count (fun r -> caught r = Some true) compared in
+            let pass = n > 0 && n_caught = n in
+            ( verdict ("caught: " ^ o.O.id) pass
+                (Printf.sprintf "%splanted %s caught in %d/%d %s comparisons%s"
+                   (if pass then "" else "PLANT NOT CAUGHT: ")
+                   fault n_caught n o.O.id
+                   (if pass then ""
+                    else " — the oracle cannot fail and is not evidence")),
+              match compared with
+              | (p0, _) :: _ when pass ->
+                  let still_fails q =
+                    caught (q, o.O.run (Imk_check.Env.build ~scale q) q)
+                    = Some true
+                  in
+                  String.split_on_char '\n'
+                    (Imk_check.Shrink.report
+                       (Imk_check.Shrink.minimize still_fails p0))
+              | _ -> [] ))
+          o.O.plant)
+      oracles
   in
   report sh
     ~verdicts:(agreement :: List.map fst caught_verdicts)

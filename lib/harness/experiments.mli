@@ -6,7 +6,7 @@
     per configuration for most drivers; the paper used 100, and
     [bench/main.exe --runs 100] reproduces that. Everything else a
     driver needs from the invocation — jobs, contention capacities, the
-    trace tap, diffcheck's plants, fleet requests — comes from the
+    trace tap, fleet requests — comes from the
     workspace's {!Workspace.run_config}.
 
     A boot figure (fig3, fig4, fig6, fig9's 27 solo cells, fig10, qemu and
@@ -49,7 +49,7 @@ type output = {
   verdicts : verdict list;
       (** pass/fail gates: faults, resilience and fleet hold zero silent
           successes (resilience also zero unrecovered faults); diffcheck
-          holds zero divergences, or under [mutate] every plant caught;
+          holds zero divergences and every plant caught;
           security holds uniform offsets and shuffle positions, and a
           single leak exposing all functions under nokaslr and KASLR but
           under 5% under FGKASLR *)

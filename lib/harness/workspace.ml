@@ -4,12 +4,11 @@ type run_config = {
   jobs : int;
   contend : int * int;
   trace : (Imk_vclock.Trace.t -> unit) option;
-  mutate : bool;
   requests : int option;
 }
 
 let default_run =
-  { jobs = 1; contend = (1, 1); trace = None; mutate = false; requests = None }
+  { jobs = 1; contend = (1, 1); trace = None; requests = None }
 
 type t = {
   disk : Imk_storage.Disk.t;

@@ -17,14 +17,13 @@ type run_config = {
       (** tap offered every finished boot's span trace (plain, contended
           and supervised). It may run on a worker domain, so it must
           synchronize internally and must not raise; it only observes *)
-  mutate : bool;  (** diffcheck plants its sensitivity faults *)
   requests : int option;
       (** fleet requests per cell; [None] keeps the experiment default *)
 }
 
 val default_run : run_config
-(** Sequential, full contention [(1, 1)], no tap, no plants, default
-    request count. *)
+(** Sequential, full contention [(1, 1)], no tap, default request
+    count. *)
 
 type t
 

@@ -134,11 +134,3 @@ let unpack_payload_into t ~dst ~dst_off =
   in
   if written <> t.vmlinux_len + t.relocs_len then
     raise (Malformed "payload length does not match header")
-
-let unpack_payload t =
-  let codec_impl = Imk_compress.Registry.find t.codec in
-  let raw = codec_impl.Imk_compress.Codec.decompress t.payload in
-  if Bytes.length raw <> t.vmlinux_len + t.relocs_len then
-    raise (Malformed "payload length does not match header");
-  ( Bytes.sub raw 0 t.vmlinux_len,
-    Bytes.sub raw t.vmlinux_len t.relocs_len )

@@ -52,18 +52,13 @@ val payload_file_offset : t -> int
     image — what a monitor needs to place the embedded kernel at an
     aligned physical address for the optimized variant. *)
 
-val unpack_payload : t -> bytes * bytes
-(** [unpack_payload t] decompresses (when applicable) and splits the
-    payload into [(vmlinux, relocs)]. This is the {e data} transformation;
-    decompression {e time} is charged by the bootstrap loader simulation.
-    Raises [Imk_compress.Codec.Corrupt] on a damaged payload. *)
-
 val unpack_payload_into : t -> dst:bytes -> dst_off:int -> unit
 (** [unpack_payload_into t ~dst ~dst_off] decompresses the payload
     straight into [dst] at [dst_off] — exactly
     [vmlinux_len + relocs_len] bytes (vmlinux then relocs, as
-    concatenated at link time) with no intermediate allocation; the
-    zero-copy form of {!unpack_payload} the bootstrap loader uses.
+    concatenated at link time) with no intermediate allocation. This is
+    the {e data} transformation; the bootstrap loader simulation charges
+    decompression {e time}.
     Raises [Imk_compress.Codec.Corrupt] on a damaged payload and
     {!Malformed} if the decoded length contradicts the image header.
     On failure [dst] may hold a partial decode inside the window and

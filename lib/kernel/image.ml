@@ -311,8 +311,5 @@ let modeled_vmlinux_bytes b =
 let modeled_reloc_bytes b =
   Config.modeled_of_actual b.config (Bytes.length b.relocs_bytes)
 
-let modeled_reloc_entries b =
-  Config.modeled_of_actual b.config (Imk_elf.Relocation.entry_count b.relocs)
-
 let modeled_sections b =
   Config.modeled_of_actual b.config (Array.length b.elf.Imk_elf.Types.sections)

@@ -67,7 +67,6 @@ val modeled_vmlinux_bytes : built -> int
 (** actual ELF size × scale — the Table 1 "vmlinux size" figure. *)
 
 val modeled_reloc_bytes : built -> int
-val modeled_reloc_entries : built -> int
 val modeled_sections : built -> int
 (** actual section count × scale: the section-header parsing work a
     full-size kernel of this configuration would present. *)

@@ -6,9 +6,3 @@ let firecracker =
 let qemu = { name = "qemu"; vmm_init_ns = 52_000_000; io_setup_ns = 3_000_000 }
 
 let solo5 = { name = "solo5"; vmm_init_ns = 650_000; io_setup_ns = 50_000 }
-
-let by_name = function
-  | "firecracker" -> Some firecracker
-  | "qemu" -> Some qemu
-  | "solo5" -> Some solo5
-  | _ -> None

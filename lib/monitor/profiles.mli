@@ -20,5 +20,3 @@ val qemu : t
 val solo5 : t
 (** A ukvm-style unikernel monitor (§6/§7): almost no device model and a
     sub-millisecond path to VM entry. *)
-
-val by_name : string -> t option

@@ -18,7 +18,6 @@ let find t name =
       | Some f -> f (Bytes.copy b))
 
 let set_fault t ~name f = Hashtbl.replace t.faults name f
-let clear_fault t ~name = Hashtbl.remove t.faults name
 
 let mem t name = Hashtbl.mem t.files name
 let size t name = Bytes.length (find t name)

@@ -27,9 +27,6 @@ val set_fault : t -> name:string -> (bytes -> bytes) -> unit
     bit-identical across [--jobs] values. Replaces any previous fault on
     [name]. *)
 
-val clear_fault : t -> name:string -> unit
-(** Remove the read fault on [name], if any. *)
-
 val mem : t -> string -> bool
 val size : t -> string -> int
 val names : t -> string list

@@ -96,7 +96,3 @@ let ratio a b =
 let pct_change base v =
   if base = 0. then invalid_arg "Stats.pct_change: zero base"
   else (v -. base) /. base *. 100.
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f p50=%.3f" s.n
-    s.mean s.min s.max s.stddev s.p50

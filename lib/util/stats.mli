@@ -57,6 +57,3 @@ val ratio : float -> float -> float
 val pct_change : float -> float -> float
 (** [pct_change base v] is the percentage change of [v] relative to [base],
     e.g. [pct_change 100. 104. = 4.]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Pretty-printer used in experiment reports. *)

@@ -1,6 +1,7 @@
-type row = Cells of string list | Rule
-
-type t = { headers : string list; mutable rows : row list (* reversed *) }
+type t = {
+  headers : string list;
+  mutable rows : string list list; (* reversed *)
+}
 
 let create ~headers = { headers; rows = [] }
 
@@ -11,14 +12,11 @@ let add_row t cells =
   let padded =
     if k = n then cells else cells @ List.init (n - k) (fun _ -> "")
   in
-  t.rows <- Cells padded :: t.rows
+  t.rows <- padded :: t.rows
 
-let add_rule t = t.rows <- Rule :: t.rows
 let headers t = t.headers
 
-let rows t =
-  List.rev
-    (List.filter_map (function Cells c -> Some c | Rule -> None) t.rows)
+let rows t = List.rev t.rows
 
 let render t =
   let rows = List.rev t.rows in
@@ -30,7 +28,7 @@ let render t =
       cells
   in
   measure t.headers;
-  List.iter (function Cells c -> measure c | Rule -> ()) rows;
+  List.iter measure rows;
   let buf = Buffer.create 1024 in
   let pad_left s w = String.make (w - String.length s) ' ' ^ s in
   let pad_right s w = s ^ String.make (w - String.length s) ' ' in
@@ -53,7 +51,7 @@ let render t =
   in
   emit_cells t.headers;
   emit_rule ();
-  List.iter (function Cells c -> emit_cells c | Rule -> emit_rule ()) rows;
+  List.iter emit_cells rows;
   Buffer.contents buf
 
 let print t = print_string (render t)

@@ -14,15 +14,12 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row. Rows shorter than the header are
     padded with empty cells; longer rows raise [Invalid_argument]. *)
 
-val add_rule : t -> unit
-(** [add_rule t] appends a horizontal separator row. *)
-
 val headers : t -> string list
 (** [headers t] returns the column headers, for consumers that export the
     table (e.g. the bench telemetry JSON) rather than render it. *)
 
 val rows : t -> string list list
-(** [rows t] returns the data rows in insertion order, rules excluded.
+(** [rows t] returns the data rows in insertion order.
     Each row has exactly as many cells as there are headers. *)
 
 val render : t -> string

@@ -14,6 +14,5 @@ let bytes_to_string n = Format.asprintf "%a" pp_bytes n
 let ns_to_ms ns = float_of_int ns /. 1_000_000.
 let ns_float_to_ms ns = ns /. 1_000_000.
 let ms_to_ns ms = int_of_float (Float.round (ms *. 1_000_000.))
-let us_to_ns us = int_of_float (Float.round (us *. 1_000.))
 let pp_ms ppf ns = Format.fprintf ppf "%.2f ms" (ns_to_ms ns)
 let ms_string ns = Format.asprintf "%a" pp_ms ns

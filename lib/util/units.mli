@@ -29,9 +29,6 @@ val ns_float_to_ms : float -> float
 val ms_to_ns : float -> int
 (** [ms_to_ns ms] converts milliseconds to nanoseconds (rounded). *)
 
-val us_to_ns : float -> int
-(** [us_to_ns us] converts microseconds to nanoseconds (rounded). *)
-
 val pp_ms : Format.formatter -> int -> unit
 (** [pp_ms ppf ns] prints a nanosecond duration as milliseconds with two
     decimals, e.g. ["28.10 ms"]. *)

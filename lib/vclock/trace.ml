@@ -70,11 +70,3 @@ let reset t =
   t.recorded <- [];
   List.iter (fun (_, d) -> d := 0) t.depth_by_phase;
   Clock.reset t.clk
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (p, ns) ->
-      Format.fprintf ppf "%-16s %a@," (phase_name p) Imk_util.Units.pp_ms ns)
-    (breakdown t);
-  Format.fprintf ppf "%-16s %a@]" "Total" Imk_util.Units.pp_ms (total t)

@@ -57,6 +57,3 @@ val total : t -> int
 
 val reset : t -> unit
 (** [reset t] clears the spans and resets the underlying clock. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render the breakdown for debugging / CLI output. *)

@@ -19,7 +19,6 @@ lib/compress/bzip2.ml
 lib/compress/codec.ml
 lib/compress/gzip.ml
 lib/compress/lz4.ml
-lib/compress/lz77.ml
 lib/compress/lzma.ml
 lib/compress/lzo.ml
 lib/compress/mtf.ml

@@ -41,7 +41,7 @@ let catalogue_cases =
           point ~preset:Imk_kernel.Config.Lupine
             ~variant:Imk_kernel.Config.Nokaslr ~codec:"none" ~seed:3L ();
         ])
-    (Oracle.catalogue ~mutate:false)
+    Oracle.catalogue
 
 (* --- deferred kallsyms across paths: Env pins eager kallsyms, so the
    setup-data policy mapping gets its own comparison. Both principals
@@ -99,14 +99,54 @@ let deferred_kallsyms_cases =
 
 (* --- sensitivity: the planted off-by-one must be reported caught --- *)
 
+let run_planted (o : Oracle.t) p = (o.Oracle.run (Env.build p) p).Oracle.planted
+
 let mutate_caught () =
   let p = point () in
-  match run_oracle (Oracle.cross_path ~mutate:true ()) p with
-  | Oracle.Divergence d ->
+  match run_planted Oracle.cross_path p with
+  | Some (Oracle.Divergence d) ->
       check Alcotest.bool "divergence names an image byte" true
         (String.length d > 0)
-  | Oracle.Pass ->
+  | Some Oracle.Pass | None ->
       Alcotest.fail "planted off-by-one not caught: the oracle cannot fail"
+
+(* every plant is read off the clean comparison's own boots: a healthy
+   point passes clean, diverges planted, and notes exactly the clean
+   comparison's boot labels — the plant costs no boot *)
+let plants_reuse_clean_boots () =
+  let p = point () in
+  let images = Env.build p in
+  let expected =
+    [
+      ("cross-path", (true, [ "direct"; "bz" ]));
+      ("event-core-solo", (true, [ "linear"; "event-core" ]));
+      ("plan-cache", (false, [ "cached"; "uncached" ]));
+      ("snapshot-cold", (false, [ "cold"; "restore" ]));
+      ("arena-fresh", (false, [ "recycled"; "fresh" ]));
+    ]
+  in
+  check
+    Alcotest.(list string)
+    "every catalogue oracle covered" (List.map fst expected)
+    (List.map (fun (o : Oracle.t) -> o.Oracle.id) Oracle.catalogue);
+  List.iter
+    (fun (o : Oracle.t) ->
+      let planted, labels = List.assoc o.Oracle.id expected in
+      let r = o.Oracle.run images p in
+      check Alcotest.bool (o.Oracle.id ^ " clean pass") true
+        (r.Oracle.outcome = Oracle.Pass);
+      check
+        Alcotest.(option bool)
+        (o.Oracle.id ^ " planted diverges")
+        (if planted then Some true else None)
+        (Option.map (( <> ) Oracle.Pass) r.Oracle.planted);
+      check Alcotest.bool (o.Oracle.id ^ " plant named") planted
+        (o.Oracle.plant <> None);
+      check
+        Alcotest.(list string)
+        (o.Oracle.id ^ " boots") labels
+        (List.map fst r.Oracle.boot_ns))
+    Oracle.catalogue
 
 (* --- shrinking: candidates are strictly simpler; a planted failure
    converges to a small reproducer --- *)
@@ -144,13 +184,12 @@ let candidates_strictly_simpler () =
     (Shrink.candidates p)
 
 let shrink_converges () =
-  let mutant = Oracle.cross_path ~mutate:true () in
   let boots = ref 0 in
   let still_fails p =
     incr boots;
-    match run_oracle mutant p with
-    | Oracle.Divergence _ -> true
-    | Oracle.Pass -> false
+    match run_planted Oracle.cross_path p with
+    | Some (Oracle.Divergence _) -> true
+    | Some Oracle.Pass | None -> false
   in
   let start =
     point ~preset:Imk_kernel.Config.Aws ~variant:Imk_kernel.Config.Fgkaslr
@@ -178,7 +217,7 @@ let qcheck_cross_path_random_points =
   QCheck.Test.make ~count:5
     ~name:"check: cross-path passes on generated points" Testkit.arb_point
     (fun p ->
-      match run_oracle (Oracle.cross_path ()) p with
+      match run_oracle Oracle.cross_path p with
       | Oracle.Pass -> true
       | Oracle.Divergence _ -> false)
 
@@ -187,13 +226,15 @@ let qcheck_cross_path_random_points =
 
 module H = Imk_harness
 
-let diffcheck ?(mutate = false) jobs =
-  let run = { H.Workspace.default_run with jobs; mutate } in
+let diffcheck jobs =
+  let run = { H.Workspace.default_run with jobs } in
   let ws = H.Workspace.create ~scale:4 ~functions_override:40 ~run () in
   (List.assoc "diffcheck" H.Experiments.registry) ~runs:3 ws
 
+let diffcheck_1 = lazy (diffcheck 1)
+
 let diffcheck_jobs_invariant () =
-  let a = diffcheck 1 and b = diffcheck 4 in
+  let a = Lazy.force diffcheck_1 and b = diffcheck 4 in
   check
     Alcotest.(list (list string))
     "table rows identical"
@@ -205,10 +246,10 @@ let diffcheck_jobs_invariant () =
     (a.H.Experiments.telemetry = b.H.Experiments.telemetry);
   check Alcotest.bool "zero divergences" true (H.Experiments.failures a = [])
 
-(* the planted faults reach the campaign through the run config, and
-   every plant comes back as a passing "caught" verdict *)
+(* every run of the campaign checks every plant: each comes back as a
+   passing "caught" verdict *)
 let diffcheck_mutate_caught () =
-  let verdicts = (diffcheck ~mutate:true 1).H.Experiments.verdicts in
+  let verdicts = (Lazy.force diffcheck_1).H.Experiments.verdicts in
   let caught =
     List.filter
       (fun (v : H.Experiments.verdict) ->
@@ -228,7 +269,11 @@ let () =
       ("oracle-catalogue", catalogue_cases);
       ("defer-kallsyms", deferred_kallsyms_cases);
       ( "sensitivity",
-        [ Alcotest.test_case "mutate caught" `Quick mutate_caught ] );
+        [
+          Alcotest.test_case "mutate caught" `Quick mutate_caught;
+          Alcotest.test_case "plants reuse the clean boots" `Quick
+            plants_reuse_clean_boots;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "candidates strictly simpler" `Quick
