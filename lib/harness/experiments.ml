@@ -149,11 +149,11 @@ let boot_cell ?(cold = false) key vm = { key; cold; vm }
    warmup reads what they need, and a boot's read set does not depend
    on its seed, so their measured boots see the cache a sequential run
    would. Each cell's stats come back under its key, in cell order *)
-let grid ?jobs:j ~runs ws cells =
+let grid ~runs ws cells =
   Workspace.warm_all ws;
   let cells = Array.of_list cells in
   let stats =
-    Campaign.run ~jobs:(Option.value j ~default:(jobs ws)) ~prime:1
+    Campaign.run ~jobs:(jobs ws) ~prime:1
       ~cache:(Workspace.cache ws) ~tasks:(Array.length cells) (fun ~cache i ->
         Boot_runner.boot_many ~cold:cells.(i).cold ?tap:(tap ws)
           ~arena:(Workspace.arena ws) ?plans:(Workspace.plans ws) ~runs ~cache
@@ -390,11 +390,9 @@ let fig9 ?(runs = 20) ws =
      preset — the microVM-optimized kernel is the one fleets pack
      densely enough for the "Study of Firecracker" contention regime to
      apply. Runs after (and reads nothing from) the solo cells: solo
-     telemetry is byte-identical to a build without this block. A run
-     holds [contend_n] guests live at once, so they come from an arena
-     that pools that many: each run reuses the last run's guests instead
-     of leaving them to the GC (20 runs of 12 x 256 MiB otherwise
-     outgrow an 8 GiB host). *)
+     telemetry is byte-identical to a build without this block. A run's
+     [contend_n] guests come from an arena that pools that many, so each
+     run reuses the last run's guests. *)
   let contend_n = 12 in
   let arena = Imk_memory.Arena.create ~max_per_size:contend_n () in
   let capacities = (Workspace.run_config ws).Workspace.contend in
@@ -461,11 +459,8 @@ let fig9 ?(runs = 20) ws =
 (* ---------- Figure 10: memory sweep ---------- *)
 
 let fig10 ?(runs = 5) ws =
-  (* 2 GiB guests make these the most expensive boots to simulate; the
-     monitor-time-is-flat / linux-boot-is-linear shape needs few samples.
-     They run on one domain: the arena keeps a scrubbed buffer of every
-     swept size, and a second live 2 GiB guest on top of those exhausts
-     an 8 GiB host *)
+  (* the monitor-time-is-flat / linux-boot-is-linear shape needs few
+     samples *)
   let runs = min runs 8 in
   let sh =
     sheet [ "kernel"; "rando"; "mem"; "in-monitor ms"; "linux ms"; "total ms" ]
@@ -481,7 +476,7 @@ let fig10 ?(runs = 5) ws =
     List.concat_map (fun preset -> List.map (fun r -> (preset, r)) all_randos) presets
   in
   let stats =
-    grid ~jobs:1 ~runs ws
+    grid ~runs ws
       (List.concat_map
          (fun (preset, rando) ->
            List.map

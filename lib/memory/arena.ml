@@ -1,8 +1,9 @@
 (* Guest-memory arena: recycle Guest_mem buffers across boots.
 
-   Allocating and page-fault-zeroing a fresh 256 MiB guest for every boot
-   dominates the harness's wall clock (the virtual clock charges for
-   zeroing stay with the boot path — this pool only removes the *real*
+   Guest memory is sparse, so a fresh guest is cheap; a recycled one also
+   brings the 2 MiB chunks its last scrub parked on its spare list, so a
+   boot into it allocates no guest memory (the virtual clock charges for
+   zeroing stay with the boot path — this pool only removes *real*
    allocation work, per the "virtual time, real work" rule). Buffers are
    scrubbed on release, so a borrowed buffer is indistinguishable from a
    fresh [Guest_mem.create]: all-zero, empty dirty extent, no bytes from

@@ -1,14 +1,17 @@
 (** A pool that recycles {!Guest_mem} buffers across boots.
 
-    The repeated-boot harness allocates one guest memory per boot;
-    faulting in a fresh zeroed 256 MiB buffer each time costs far more
-    real time than the boot's actual data movement. The arena keeps
-    released buffers and scrubs only their dirty extent (the bytes the
-    previous boot wrote), so a recycled buffer is observably identical to
-    a fresh [Guest_mem.create ~size]: all-zero and with an empty dirty
-    extent. This is also a security property of the simulator — no bytes
-    of a previous guest may survive into the next one — and is enforced
-    by a qcheck property in [test/test_memory.ml].
+    The repeated-boot harness needs one guest memory per boot. Guest
+    memory is sparse, so a fresh [Guest_mem.create] is cheap; what a
+    recycled guest still saves is its chunks and its tracker. A boot
+    allocates a 2 MiB chunk on each first write; a recycled guest takes
+    those from the spare list its last {!Guest_mem.scrub} filled, so
+    after warm-up a boot allocates no guest memory at all. The arena
+    scrubs only the released guest's dirty ranges (the bytes the previous
+    boot wrote), so a recycled buffer is observably identical to a fresh
+    [Guest_mem.create ~size]: all-zero and with an empty dirty extent.
+    This is also a security property of the simulator — no bytes of a
+    previous guest may survive into the next one — and is enforced by a
+    qcheck property in [test/test_memory.ml].
 
     Virtual-clock accounting is unaffected: boots charge zeroing costs
     through [Imk_vclock.Charge] exactly as before; only real allocation
@@ -24,7 +27,8 @@ val create : ?max_per_size:int -> ?max_bytes:int -> unit -> t
     are retained per distinct size (default
     [max 2 (Domain.recommended_domain_count ())] — enough for every
     worker of a default-size domain pool), and at most [max_bytes] in
-    total (default 8 GiB); releases beyond either bound simply drop the
+    total (default 8 GiB, counting each guest at its full size, a bound
+    on what its chunks hold); releases beyond either bound simply drop the
     buffer for the GC, so the arena degrades to today's
     allocate-per-boot behaviour rather than hoarding memory. *)
 
@@ -37,8 +41,7 @@ val release : t -> Guest_mem.t -> unit
 (** [release t mem] scrubs [mem] (zeroing its dirty extent) and returns
     it to the pool. The caller must not use [mem] afterwards. Buffers
     borrowed elsewhere may also be released here, as long as every write
-    to them went through the [Guest_mem] API ([Guest_mem.raw] marks the
-    whole guest dirty, so even that is safe — just slow to scrub). *)
+    to them went through the [Guest_mem] API. *)
 
 val with_buffer : t -> size:int -> (Guest_mem.t -> 'a) -> 'a
 (** [with_buffer t ~size f] brackets {!borrow} and {!release}: [f] runs

@@ -1,3 +1,18 @@
+(* Guest memory is a table of fixed 2 MiB chunks (Linux's
+   CONFIG_PHYSICAL_ALIGN), each allocated on its first write. A boot
+   writes a few MiB of a 256 MiB guest, so allocating and zeroing the
+   whole guest up front costs ~100x the data the boot moves.
+
+   An absent chunk is [zero_chunk], one shared all-zero chunk that no
+   write path ever hands out: every mutator goes through [writable],
+   which materializes a private chunk first. Reads therefore never branch
+   on presence. Only the last chunk may be short (sub-chunk test guests);
+   an absent short chunk is still [zero_chunk], read only up to [size]. *)
+let chunk_bits = 21
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let zero_chunk = Bytes.make chunk_size '\000'
+
 (* Dirty bytes are tracked as a small bounded set of disjoint-ish ranges
    rather than one envelope: a KASLR boot writes bootinfo pages low in the
    guest and the relocated image wherever entropy placed it, and a single
@@ -7,7 +22,9 @@
 let max_ranges = 8
 
 type t = {
-  data : bytes;
+  size : int;
+  chunks : bytes array;  (* [zero_chunk], physically, where absent *)
+  mutable spare : bytes list;  (* all-zero full chunks released by [scrub] *)
   range_lo : int array;  (* [max_ranges] slots; first [nranges] are live *)
   range_hi : int array;  (* one past the highest byte of each range *)
   mutable nranges : int;
@@ -20,18 +37,70 @@ let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 let create ~size =
   if size <= 0 then invalid_arg "Guest_mem.create: non-positive size";
   {
-    data = Bytes.make size '\000';
+    size;
+    chunks = Array.make ((size + chunk_mask) lsr chunk_bits) zero_chunk;
+    spare = [];
     range_lo = Array.make max_ranges 0;
     range_hi = Array.make max_ranges 0;
     nranges = 0;
   }
 
-let size t = Bytes.length t.data
+let size t = t.size
 
 let check t pa len what =
-  if pa < 0 || len < 0 || pa + len > Bytes.length t.data then
-    fault "%s at %#x+%d outside guest memory of %d bytes" what pa len
-      (Bytes.length t.data)
+  if pa < 0 || len < 0 || pa + len > t.size then
+    fault "%s at %#x+%d outside guest memory of %d bytes" what pa len t.size
+
+(* chunk [i]'s private store, materialized on the first write: a spare
+   chunk (zeroed by [scrub]) if one is there, else a fresh zeroed one *)
+let writable t i =
+  let c = t.chunks.(i) in
+  if c != zero_chunk then c
+  else begin
+    let len = Int.min chunk_size (t.size - (i lsl chunk_bits)) in
+    let c =
+      match t.spare with
+      | c :: rest when len = chunk_size ->
+          t.spare <- rest;
+          c
+      | _ -> Bytes.make len '\000'
+    in
+    t.chunks.(i) <- c;
+    c
+  end
+
+(* [pieces pa len f] calls [f chunk off pos n] for each chunk-local piece
+   [\[pa+pos, pa+pos+n)] of a range, in address order; a range inside one
+   chunk is one call *)
+let pieces pa len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = pa + !pos in
+    let off = a land chunk_mask in
+    let n = Int.min (len - !pos) (chunk_size - off) in
+    f (a lsr chunk_bits) off !pos n;
+    pos := !pos + n
+  done
+
+(* [one_chunk pa len]: a non-empty range inside one chunk — the fast
+   path of every bulk op, which allocates no closure (an empty range may
+   sit one past the last chunk, so it takes the loop) *)
+let one_chunk pa len = len > 0 && (pa land chunk_mask) + len <= chunk_size
+
+(* unchecked, untracked copies between a range and a buffer *)
+let blit_in t pa src src_off len =
+  if one_chunk pa len then
+    Bytes.blit src src_off (writable t (pa lsr chunk_bits)) (pa land chunk_mask) len
+  else
+    pieces pa len (fun i off pos n ->
+        Bytes.blit src (src_off + pos) (writable t i) off n)
+
+let blit_out t pa dst dst_off len =
+  if one_chunk pa len then
+    Bytes.blit t.chunks.(pa lsr chunk_bits) (pa land chunk_mask) dst dst_off len
+  else
+    pieces pa len (fun i off pos n ->
+        Bytes.blit t.chunks.(i) off dst (dst_off + pos) n)
 
 (* every mutation lands in some dirty range; scrubbing only has to erase
    the bytes a boot actually touched, not the whole guest *)
@@ -90,86 +159,180 @@ let dirty_extent t =
     Some (!lo, !hi)
   end
 
+(* zeroing an absent chunk is a no-op: it is all zero already *)
+let fill_chunk t i off n =
+  let c = t.chunks.(i) in
+  if c != zero_chunk then Bytes.fill c off n '\000'
+
+let fill_zero t pa len =
+  if one_chunk pa len then
+    fill_chunk t (pa lsr chunk_bits) (pa land chunk_mask) len
+  else pieces pa len (fun i off _ n -> fill_chunk t i off n)
+
 let scrub t =
   for j = 0 to t.nranges - 1 do
-    Bytes.fill t.data t.range_lo.(j) (t.range_hi.(j) - t.range_lo.(j)) '\000'
+    fill_zero t t.range_lo.(j) (t.range_hi.(j) - t.range_lo.(j))
   done;
-  t.nranges <- 0
+  t.nranges <- 0;
+  (* every written byte was in a dirty range, so every chunk is zero
+     again: park the full ones for the next writes, wherever they land. A
+     short last chunk stays put; no other chunk has its length. *)
+  Array.iteri
+    (fun i c ->
+      if c != zero_chunk && Bytes.length c = chunk_size then begin
+        t.spare <- c :: t.spare;
+        t.chunks.(i) <- zero_chunk
+      end)
+    t.chunks
 
 let write_bytes t ~pa b =
   check t pa (Bytes.length b) "write";
   touch t pa (Bytes.length b);
-  Bytes.blit b 0 t.data pa (Bytes.length b)
+  blit_in t pa b 0 (Bytes.length b)
 
 let write_sub t ~pa ~src ~src_off ~len =
   check t pa len "write";
   if src_off < 0 || src_off + len > Bytes.length src then
     invalid_arg "Guest_mem.write_sub: source range";
   touch t pa len;
-  Bytes.blit src src_off t.data pa len
+  blit_in t pa src src_off len
 
 let read_bytes t ~pa ~len =
   check t pa len "read";
-  Bytes.sub t.data pa len
+  if one_chunk pa len then
+    Bytes.sub t.chunks.(pa lsr chunk_bits) (pa land chunk_mask) len
+  else begin
+    let b = Bytes.make len '\000' in
+    blit_out t pa b 0 len;
+    b
+  end
+
+(* moves [\[src+pos, src+pos+n)] to [dst+pos], both inside one chunk; the
+   destination is materialized before the source is fetched, so a chunk
+   that is both is one store and [Bytes.blit] is overlap-safe in it *)
+let copy_piece t ~src ~dst pos n =
+  let d = writable t ((dst + pos) lsr chunk_bits) in
+  Bytes.blit
+    t.chunks.((src + pos) lsr chunk_bits)
+    ((src + pos) land chunk_mask)
+    d
+    ((dst + pos) land chunk_mask)
+    n
 
 let copy_within t ~src ~dst ~len =
   check t src len "copy source";
   check t dst len "copy destination";
   touch t dst len;
-  Bytes.blit t.data src t.data dst len
+  if one_chunk src len && one_chunk dst len then copy_piece t ~src ~dst 0 len
+  else if dst <= src then begin
+    (* pieces inside one source and one destination chunk each, walking
+       away from the overlap as memmove does *)
+    let pos = ref 0 in
+    while !pos < len do
+      let n =
+        Int.min (len - !pos)
+          (Int.min
+             (chunk_size - ((src + !pos) land chunk_mask))
+             (chunk_size - ((dst + !pos) land chunk_mask)))
+      in
+      copy_piece t ~src ~dst !pos n;
+      pos := !pos + n
+    done
+  end
+  else begin
+    let fin = ref len in
+    while !fin > 0 do
+      let n =
+        Int.min !fin
+          (Int.min
+             (((src + !fin - 1) land chunk_mask) + 1)
+             (((dst + !fin - 1) land chunk_mask) + 1))
+      in
+      copy_piece t ~src ~dst (!fin - n) n;
+      fin := !fin - n
+    done
+  end
 
 let zero t ~pa ~len =
   check t pa len "zero";
   touch t pa len;
-  Bytes.fill t.data pa len '\000'
+  fill_zero t pa len
 
-let valid t ~pa ~len = pa >= 0 && len >= 0 && pa + len <= Bytes.length t.data
+let crosses_chunk pa len =
+  len > 0 && pa lsr chunk_bits <> (pa + len - 1) lsr chunk_bits
+
+let valid t ~pa ~len =
+  pa >= 0 && len >= 0 && pa + len <= t.size && not (crosses_chunk pa len)
 
 let with_validated_range t ~pa ~len f =
   check t pa len "validated run";
+  if crosses_chunk pa len then
+    fault "validated run at %#x+%d crosses a %d-byte chunk edge" pa len
+      chunk_size;
   touch t pa len;
-  f t.data
+  (* an empty run at the very end of the guest names the last chunk *)
+  let i = Int.min (pa lsr chunk_bits) (Array.length t.chunks - 1) in
+  f (writable t i) (i lsl chunk_bits)
+
+(* --- scalar accessors: one chunk lookup when the value lies inside one
+   chunk (always, for aligned values); a value straddling a chunk edge
+   goes through a small bounce buffer --- *)
+
+let inside pa width = pa land chunk_mask <= chunk_size - width
 
 let get_u8 t ~pa =
   check t pa 1 "read u8";
-  Imk_util.Byteio.get_u8 t.data pa
+  Imk_util.Byteio.get_u8 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
 
 let get_u32 t ~pa =
   check t pa 4 "read u32";
-  Imk_util.Byteio.get_u32 t.data pa
+  if inside pa 4 then
+    Imk_util.Byteio.get_u32 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
+  else Imk_util.Byteio.get_u32 (read_bytes t ~pa ~len:4) 0
 
 let set_u32 t ~pa v =
   check t pa 4 "write u32";
   touch t pa 4;
-  Imk_util.Byteio.set_u32 t.data pa v
+  if inside pa 4 then
+    Imk_util.Byteio.set_u32 (writable t (pa lsr chunk_bits)) (pa land chunk_mask) v
+  else begin
+    let b = Bytes.make 4 '\000' in
+    Imk_util.Byteio.set_u32 b 0 v;
+    blit_in t pa b 0 4
+  end
 
 let get_u32_signed t ~pa =
   check t pa 4 "read u32";
-  Imk_util.Byteio.get_u32_signed t.data pa
+  if inside pa 4 then
+    Imk_util.Byteio.get_u32_signed t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
+  else Imk_util.Byteio.get_u32_signed (read_bytes t ~pa ~len:4) 0
 
 let get_addr t ~pa =
   check t pa 8 "read u64";
-  Imk_util.Byteio.get_addr t.data pa
+  if inside pa 8 then
+    Imk_util.Byteio.get_addr t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
+  else Imk_util.Byteio.get_addr (read_bytes t ~pa ~len:8) 0
 
 let set_addr t ~pa v =
   check t pa 8 "write u64";
   touch t pa 8;
-  Imk_util.Byteio.set_addr t.data pa v
+  if inside pa 8 then
+    Imk_util.Byteio.set_addr (writable t (pa lsr chunk_bits)) (pa land chunk_mask) v
+  else begin
+    let b = Bytes.make 8 '\000' in
+    Imk_util.Byteio.set_addr b 0 v;
+    blit_in t pa b 0 8
+  end
 
 let get_i64 t ~pa =
   check t pa 8 "read i64";
-  Imk_util.Byteio.get_i64 t.data pa
-
-let raw t =
-  (* the backing store escapes the write-tracking API: assume the whole
-     guest is dirty so arena recycling can never leak stale bytes *)
-  touch t 0 (Bytes.length t.data);
-  t.data
+  if inside pa 8 then
+    Imk_util.Byteio.get_i64 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
+  else Imk_util.Byteio.get_i64 (read_bytes t ~pa ~len:8) 0
 
 (* --- read-only bulk accessors: none of these touch the dirty tracker,
    which is the point — snapshot capture and page hashing must observe a
-   guest without inflating the next arena scrub into a whole-guest
-   re-zero (the failure mode of going through [raw]) --- *)
+   guest without inflating the next arena scrub --- *)
 
 let fold_dirty_ranges t ~init ~f =
   let n = t.nranges in
@@ -199,8 +362,16 @@ let blit_to_bytes t ~pa ~dst ~dst_off ~len =
   check t pa len "read blit";
   if dst_off < 0 || len > Bytes.length dst - dst_off then
     invalid_arg "Guest_mem.blit_to_bytes: destination range";
-  Bytes.blit t.data pa dst dst_off len
+  blit_out t pa dst dst_off len
 
 let crc32_range t ~pa ~len =
   check t pa len "crc probe";
-  Imk_util.Crc.crc32 t.data pa len
+  (* chained per chunk: crc32 ~init:(crc32 a) b = crc32 (a ^ b) *)
+  if one_chunk pa len then
+    Imk_util.Crc.crc32 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask) len
+  else begin
+    let crc = ref 0 in
+    pieces pa len (fun i off _ n ->
+        crc := Imk_util.Crc.crc32 ~init:!crc t.chunks.(i) off n);
+    !crc
+  end

@@ -1,18 +1,35 @@
 (** Guest physical memory.
 
-    A flat byte array addressed by guest-physical address starting at 0 —
-    the memory a VMM allocates for a microVM. All accesses are
-    bounds-checked: an out-of-range access is a guest triple-fault in real
-    life and a typed error here. The module is pure data movement; boot
-    paths charge virtual-clock costs separately (DESIGN.md §4.1). *)
+    The memory a VMM allocates for a microVM, addressed by guest-physical
+    address starting at 0. It is stored as a table of fixed
+    {!chunk_size} (2 MiB, Linux's CONFIG_PHYSICAL_ALIGN) chunks, each
+    allocated on its first write: a boot writes a few MiB of a 256 MiB
+    guest, so {!create} allocates only the table. An absent chunk is one
+    shared, read-only, all-zero chunk, so reads never ask whether a chunk
+    is there; only writes materialize one (and {!zero} on an absent chunk
+    allocates nothing). {!scrub} moves every materialized chunk to the
+    guest's spare list, from which the next first writes take their
+    chunks, so a recycled guest stops allocating after warm-up wherever
+    the next boot's writes land. Only the last chunk may be short, so
+    guests smaller than a chunk work too.
+
+    All accesses are bounds-checked: an out-of-range access is a guest
+    triple-fault in real life and a typed error here. The module is pure
+    data movement; boot paths charge virtual-clock costs separately
+    (DESIGN.md §4.1), so chunking changes no virtual time. *)
 
 type t
+
+val chunk_size : int
+(** 2 MiB: the unit of allocation, and the span no {!with_validated_range}
+    run may cross. *)
 
 exception Fault of string
 (** Raised on out-of-bounds access, with a description of the access. *)
 
 val create : size:int -> t
-(** [create ~size] allocates zeroed guest memory. *)
+(** [create ~size] is all-zero guest memory of [size] bytes; no chunk is
+    allocated until it is written. *)
 
 val size : t -> int
 
@@ -22,15 +39,16 @@ val dirty_extent : t -> (int * int) option
     if nothing was written. Internally writes are tracked as a small
     bounded set of ranges (so a boot that dirties bootinfo pages low in
     the guest and a randomized image high in it does not dirty the gap);
-    this returns their envelope. Taking {!raw} conservatively dirties the
-    whole guest, since writes through it are invisible to the tracker. *)
+    this returns their envelope. *)
 
 val scrub : t -> unit
 (** [scrub t] zeroes every dirty range and resets the tracker, restoring
     the all-zero state of a fresh [create] while touching only the bytes
     a previous user actually wrote — the cheap half of recycling guest
-    memory through {!Arena}. Real work only; virtual-clock zeroing
-    charges are the boot path's business, exactly as for [create]. *)
+    memory through {!Arena}. It then moves every materialized full chunk
+    to the spare list, so the next writes reuse them instead of
+    allocating. Real work only; virtual-clock zeroing charges are the
+    boot path's business, exactly as for [create]. *)
 
 val write_bytes : t -> pa:int -> bytes -> unit
 (** [write_bytes t ~pa b] copies all of [b] to physical address [pa]. *)
@@ -48,21 +66,25 @@ val zero : t -> pa:int -> len:int -> unit
 
 val valid : t -> pa:int -> len:int -> bool
 (** [valid t ~pa ~len] is true when [\[pa, pa+len)] lies inside guest
-    memory — the test a batch caller runs before committing to
-    {!with_validated_range}, falling back to per-site checked accessors
-    (and their per-site error messages) when it fails. *)
+    memory and inside one chunk — the test a batch caller runs before
+    committing to {!with_validated_range}, falling back to per-site
+    checked accessors (and their per-site error messages) when it
+    fails. *)
 
-val with_validated_range : t -> pa:int -> len:int -> (bytes -> 'a) -> 'a
+val with_validated_range :
+  t -> pa:int -> len:int -> (bytes -> int -> 'a) -> 'a
 (** [with_validated_range t ~pa ~len f] bounds-checks and dirties
-    [\[pa, pa+len)] once, then passes the backing store to [f] for
-    direct [Imk_util.Byteio] access — one check + one dirty-tracker
-    update for a whole run of nearby sites instead of one per access.
-    The contract is the audited unsafe-after-validation pattern
-    (DESIGN.md §4): [f] must confine every write to the validated range,
-    or the dirty-extent tracker goes dishonest and recycled arenas leak
-    stale bytes. Raises {!Fault} if the range is out of bounds. Reads
-    outside the range are harmless to the tracker but get no bounds
-    protection beyond the byte array's own. *)
+    [\[pa, pa+len)] once, then calls [f store base] with the store of the
+    one chunk holding the range and that chunk's guest-physical base
+    address, for direct [Imk_util.Byteio] access at [pa - base] — one
+    check + one dirty-tracker update for a whole run of nearby sites
+    instead of one per access. The contract is the audited
+    unsafe-after-validation pattern (DESIGN.md §4): [f] must confine
+    every write to the validated range, or the dirty-extent tracker goes
+    dishonest and scrubbed chunks come back with stale bytes. Raises
+    {!Fault} if the range is out of bounds or crosses a chunk edge.
+    Reads outside the range are harmless to the tracker but get no
+    bounds protection beyond the chunk's own. *)
 
 val get_u8 : t -> pa:int -> int
 val get_u32 : t -> pa:int -> int
@@ -76,15 +98,6 @@ val get_i64 : t -> pa:int -> int64
     of {!get_addr} — for probing memory that may hold arbitrary data
     (e.g. an attacker guessing at function magics). *)
 
-val raw : t -> bytes
-(** [raw t] exposes the backing store for read-mostly bulk operations
-    (e.g. byte-equality checks in tests). Because writes through the
-    escaped buffer are invisible to the tracker, taking [raw]
-    conservatively dirties the whole guest — which turns the next
-    {!Arena} scrub into a full re-zero. Production code must use the
-    read-only accessors below instead ([lint.sh] bans new [raw] call
-    sites outside an explicit allowlist). *)
-
 val fold_dirty_ranges :
   t -> init:'a -> f:('a -> lo:int -> hi:int -> 'a) -> 'a
 (** [fold_dirty_ranges t ~init ~f] folds [f] over the dirty ranges as
@@ -95,13 +108,13 @@ val fold_dirty_ranges :
 
 val blit_to_bytes : t -> pa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 (** [blit_to_bytes t ~pa ~dst ~dst_off ~len] copies [len] bytes starting
-    at physical address [pa] into [dst] at [dst_off] without going
-    through {!raw} — a read, so the dirty tracker is untouched. Raises
+    at physical address [pa] into [dst] at [dst_off] — a read, so the
+    dirty tracker is untouched. Raises
     {!Fault} if the source range is outside guest memory and
     [Invalid_argument] if the destination range is out of bounds. *)
 
 val crc32_range : t -> pa:int -> len:int -> int
 (** [crc32_range t ~pa ~len] is the CRC-32 of the given physical range,
-    computed on the backing store without copying and without touching
-    the dirty tracker — the page-hashing / layout-probe primitive.
+    computed on the chunks (chained across chunk edges) without copying
+    and without touching the dirty tracker — the page-hashing / layout-probe primitive.
     Raises {!Fault} if the range is out of bounds. *)

@@ -38,9 +38,11 @@ let delta_new_va ~delta va =
    to monotone stretches of guest-physical addresses. Each stretch pays
    one Guest_mem bounds check + dirty-tracker update via
    [with_validated_range] and then patches through Imk_util.Byteio on
-   the validated run — instead of a checked read, a checked write and a
-   tracker walk per site. A stretch that fails validation (a site
-   outside the loaded image — the corrupt-relocs case) is replayed
+   the store of the one guest-memory chunk holding it — instead of a
+   checked read, a checked write and a tracker walk per site, so a
+   stretch also ends at a 2 MiB chunk edge. A stretch that fails
+   validation (a site outside the loaded image — the corrupt-relocs
+   case, or one straddling a chunk edge) is replayed
    site-by-site through the checked accessors so the per-site error
    messages are exactly those of the unbatched path. *)
 
@@ -126,34 +128,41 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
     let n = Array.length sites in
     if n > 0 then begin
       let pas = Array.map site_pa sites in
-      let i = ref 0 in
-      while !i < n do
-        let start = !i in
-        let lo = pas.(start) in
-        let j = ref start in
+      (* the current run is sites [!first, !last]; one closure patches
+         every run, so a run allocates nothing *)
+      let first = ref 0 and last = ref 0 in
+      let patch_run data base =
+        for k = !first to !last do
+          patch_in kind data (pas.(k) - base) sites.(k)
+        done
+      in
+      while !first < n do
+        let lo = pas.(!first) in
+        let limit =
+          Int.min (lo + run_span_max) ((lo lor (Guest_mem.chunk_size - 1)) + 1)
+        in
+        last := !first;
         (* extend while the physical addresses stay strictly forward and
-           non-overlapping and the run stays within the span cap *)
+           non-overlapping and the run stays within the span cap and
+           inside [lo]'s chunk *)
         while
-          !j + 1 < n
-          && pas.(!j + 1) >= pas.(!j) + width
-          && pas.(!j + 1) + width - lo <= run_span_max
+          !last + 1 < n
+          && pas.(!last + 1) >= pas.(!last) + width
+          && pas.(!last + 1) + width <= limit
         do
-          incr j
+          incr last
         done;
-        let len = pas.(!j) + width - lo in
+        let len = pas.(!last) + width - lo in
         if Guest_mem.valid mem ~pa:lo ~len then
-          Guest_mem.with_validated_range mem ~pa:lo ~len (fun data ->
-              for k = start to !j do
-                patch_in kind data pas.(k) sites.(k)
-              done)
+          Guest_mem.with_validated_range mem ~pa:lo ~len patch_run
         else
-          for k = start to !j do
+          for k = !first to !last do
             try patch kind sites.(k)
             with Guest_mem.Fault m ->
               fail "relocation site %#x outside the loaded image: %s" sites.(k)
                 m
           done;
-        i := !j + 1
+        first := !last + 1
       done
     end
   in

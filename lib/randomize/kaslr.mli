@@ -47,8 +47,9 @@ val apply :
     32-bit add with range check, 32-bit inverse subtract.
 
     Sites are patched in table order, batched into monotone physical
-    runs that pay one {!Imk_memory.Guest_mem.with_validated_range}
-    bounds check + dirty-tracker update each instead of one per site;
+    runs (each inside one 2 MiB guest-memory chunk) that pay one
+    {!Imk_memory.Guest_mem.with_validated_range} bounds check +
+    dirty-tracker update each instead of one per site;
     values written, patch order, raised errors and their messages are
     identical to the per-site path (runs that fail validation are
     replayed site-by-site through the checked accessors). *)

@@ -118,29 +118,6 @@ $f
   fi
 done
 
-# Guest_mem.raw escapes the backing store from the write tracker, so it
-# conservatively dirties the whole guest — one call turns the next Arena
-# scrub into a whole-guest re-zero and (for Snapshot.capture's old
-# full-image path) copies 100x more bytes than a boot wrote. Production
-# code observes guests through the read-only accessors instead
-# (fold_dirty_ranges / blit_to_bytes / crc32_range). No production file
-# is currently allowlisted; tests may use raw for byte-equality and
-# backing-store identity assertions (the scan skips test/).
-raw_allowlist='
-'
-
-for f in $(find lib bin bench examples -name '*.ml' 2>/dev/null | sort); do
-  case "$raw_allowlist" in
-  *"
-$f
-"*) continue ;;
-  esac
-  if grep -n 'Guest_mem\.raw' "$f"; then
-    echo "lint: $f calls Guest_mem.raw (whole-guest dirty); use the read-only accessors" >&2
-    status=1
-  fi
-done
-
 # Polymorphic compare in the hot sorts of the randomization and ELF
 # layers costs a C call per comparison and (worse) silently "works" on
 # any type, hiding a key change. The layout/relocation sorts run on

@@ -106,8 +106,8 @@ let test_valid_and_validated_range () =
     (Guest_mem.dirty_extent m = None);
   (* writes inside a validated run are tracked: scrubbing restores the
      fresh all-zero state, same as for the checked mutators *)
-  Guest_mem.with_validated_range m ~pa:16 ~len:8 (fun data ->
-      Imk_util.Byteio.set_addr data 16 0x1122334455667788);
+  Guest_mem.with_validated_range m ~pa:16 ~len:8 (fun data base ->
+      Imk_util.Byteio.set_addr data (16 - base) 0x1122334455667788);
   (match Guest_mem.dirty_extent m with
   | Some (lo, hi) ->
       check Alcotest.bool "run covered by dirty extent" true
@@ -118,7 +118,9 @@ let test_valid_and_validated_range () =
   Guest_mem.scrub m;
   check Alcotest.bool "scrubbed back to fresh" true
     (Guest_mem.dirty_extent m = None
-    && Bytes.equal (Guest_mem.raw m) (Bytes.make 256 '\000'))
+    && Bytes.equal
+         (Guest_mem.read_bytes m ~pa:0 ~len:(Guest_mem.size m))
+         (Bytes.make 256 '\000'))
 
 let test_get_i64_raw () =
   let m = Guest_mem.create ~size:16 in
@@ -179,6 +181,272 @@ let qcheck_guest_mem_rw =
         Bytes.equal b (Guest_mem.read_bytes m ~pa ~len:(Bytes.length b))
       end)
 
+(* --- sparse chunks --- *)
+
+let chunk = Guest_mem.chunk_size
+
+let test_sparse_chunks () =
+  let allocated f =
+    let a = Gc.allocated_bytes () in
+    let v = f () in
+    (v, Gc.allocated_bytes () -. a)
+  in
+  let below what limit (v, bytes) =
+    check Alcotest.bool what true (bytes < float_of_int limit);
+    v
+  in
+  let m =
+    below "create allocates the chunk table only" chunk
+      (allocated (fun () -> Guest_mem.create ~size:(128 * chunk)))
+  in
+  below "reads of an absent chunk allocate nothing" 1024
+    (allocated (fun () -> Guest_mem.get_addr m ~pa:(100 * chunk)))
+  |> check int "absent chunks read zero" 0;
+  below "zero on absent chunks allocates nothing" chunk
+    (allocated (fun () -> Guest_mem.zero m ~pa:chunk ~len:(4 * chunk)));
+  check Alcotest.(option (pair int int)) "zero still tracked"
+    (Some (chunk, 5 * chunk)) (Guest_mem.dirty_extent m);
+  let write_three base =
+    List.iter
+      (fun i -> Guest_mem.set_u32 m ~pa:((base + i) * chunk) 0xfeed)
+      [ 0; 1; 2 ]
+  in
+  let (), first = allocated (fun () -> write_three 10) in
+  check Alcotest.bool "first writes materialize chunks" true
+    (first >= float_of_int (3 * chunk));
+  Guest_mem.scrub m;
+  below "writes after scrub reuse the spare chunks" chunk
+    (allocated (fun () -> write_three 90));
+  check int "a reused chunk comes back zeroed" 0
+    (Guest_mem.get_u32 m ~pa:((90 * chunk) + 4));
+  check int "a scrubbed chunk reads zero" 0
+    (Guest_mem.get_u32 m ~pa:(10 * chunk));
+  (* validated runs are chunk-local *)
+  check Alcotest.bool "run inside a chunk" true
+    (Guest_mem.valid m ~pa:(chunk - 8) ~len:8);
+  check Alcotest.bool "run across a chunk edge" false
+    (Guest_mem.valid m ~pa:(chunk - 4) ~len:8);
+  check Alcotest.bool "crossing run faults" true
+    (try
+       Guest_mem.with_validated_range m ~pa:(chunk - 4) ~len:8 (fun _ _ ->
+           Alcotest.fail "callback ran across a chunk edge")
+     with Guest_mem.Fault _ -> true);
+  Guest_mem.with_validated_range m ~pa:((2 * chunk) + 16) ~len:8
+    (fun data base ->
+      check int "run hands its chunk's base" (2 * chunk) base;
+      Imk_util.Byteio.set_addr data ((2 * chunk) + 16 - base) 0x1234);
+  check int "run write lands at its address" 0x1234
+    (Guest_mem.get_addr m ~pa:((2 * chunk) + 16));
+  (* scalars straddling a chunk edge *)
+  Guest_mem.set_addr m ~pa:((3 * chunk) - 3) 0x0102030405060708;
+  check int "straddling addr" 0x0102030405060708
+    (Guest_mem.get_addr m ~pa:((3 * chunk) - 3));
+  check int "its high half" 0x01020304 (Guest_mem.get_u32 m ~pa:((3 * chunk) + 1))
+
+(* a guest a little over three chunks long, the last one short, against
+   a flat [Bytes] model. Ops straddle chunk edges, land in absent chunks
+   and span whole chunks; a scrub in the middle must hand back all-zero
+   memory whose spare chunks the second half then reuses. *)
+type mem_op =
+  | Write of int * int * int  (** pa, len, pattern *)
+  | Write_sub of int * int * int  (** pa, src_off, len *)
+  | Set_u32 of int * int
+  | Set_addr of int * int
+  | Zero of int * int
+  | Copy of int * int * int  (** src, dst, len *)
+
+let model_size = (3 * chunk) + 12_345
+
+let show_op = function
+  | Write (pa, len, p) -> Printf.sprintf "write %#x+%d /%d" pa len p
+  | Write_sub (pa, o, len) -> Printf.sprintf "write_sub %#x+%d from %d" pa len o
+  | Set_u32 (pa, v) -> Printf.sprintf "set_u32 %#x %#x" pa v
+  | Set_addr (pa, v) -> Printf.sprintf "set_addr %#x %#x" pa v
+  | Zero (pa, len) -> Printf.sprintf "zero %#x+%d" pa len
+  | Copy (src, dst, len) -> Printf.sprintf "copy %#x -> %#x +%d" src dst len
+
+let gen_op =
+  let open QCheck.Gen in
+  (* mostly near a chunk edge, else anywhere — which is mostly absent *)
+  let pa =
+    frequency
+      [
+        (3, map2 (fun e d -> (e * chunk) + d) (int_range 1 3) (int_range (-40) 40));
+        (1, int_bound (model_size - 1));
+      ]
+  in
+  let len = frequency [ (4, int_range 1 96); (1, int_range 1 (chunk + 4096)) ] in
+  frequency
+    [
+      (2, map3 (fun a l p -> Write (a, l, p)) pa len (int_range 1 255));
+      (1, map3 (fun a o l -> Write_sub (a, o, l)) pa (int_bound 4096) len);
+      (2, map2 (fun a v -> Set_u32 (a, v)) pa (int_bound 0xffffffff));
+      (2, map2 (fun a v -> Set_addr (a, v)) pa (int_bound (1 lsl 60)));
+      (1, map2 (fun a l -> Zero (a, l)) pa len);
+      (2, map3 (fun s d l -> Copy (s, d, l)) pa pa len);
+    ]
+
+let sub_src = Bytes.init (chunk + 8192) (fun i -> Char.chr (((i * 131) + 7) land 255))
+
+(* the tracker's documented rule, restated: a write widens the first slot
+   it overlaps or abuts, else takes one of 8 slots, else widens the
+   nearest slot (the first of equals) *)
+let track slots (lo, hi) =
+  let rec widen = function
+    | [] -> None
+    | (l, h) :: rest when lo <= h && hi >= l ->
+        Some ((Int.min l lo, Int.max h hi) :: rest)
+    | s :: rest -> Option.map (fun r -> s :: r) (widen rest)
+  in
+  match widen slots with
+  | Some slots -> slots
+  | None when List.length slots < 8 -> slots @ [ (lo, hi) ]
+  | None ->
+      let gap (l, h) = if lo > h then lo - h else if hi < l then l - hi else 0 in
+      let best, _ =
+        List.fold_left
+          (fun (b, i) s -> ((if gap s < gap (List.nth slots b) then i else b), i + 1))
+          (0, 0) slots
+      in
+      List.mapi
+        (fun i (l, h) -> if i = best then (Int.min l lo, Int.max h hi) else (l, h))
+        slots
+
+let merged slots =
+  List.fold_left
+    (fun acc (l, h) ->
+      match acc with
+      | (pl, ph) :: rest when l <= ph -> (pl, Int.max ph h) :: rest
+      | _ -> (l, h) :: acc)
+    []
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) slots)
+  |> List.rev
+
+(* runs one op on both stores; an op clipped to nothing is skipped *)
+let step m model slots op =
+  let fits pa len = pa >= 0 && len > 0 && pa + len <= model_size in
+  let clip pa len = Int.min len (model_size - pa) in
+  let touched pa len = track slots (pa, pa + len) in
+  match op with
+  | Write (pa, len, p) ->
+      let len = clip pa len in
+      if not (fits pa len) then slots
+      else begin
+        let b = Bytes.init len (fun i -> Char.chr ((p + (i * 37)) land 255)) in
+        Guest_mem.write_bytes m ~pa b;
+        Bytes.blit b 0 model pa len;
+        touched pa len
+      end
+  | Write_sub (pa, off, len) ->
+      let len = Int.min (clip pa len) (Bytes.length sub_src - off) in
+      if not (fits pa len) then slots
+      else begin
+        Guest_mem.write_sub m ~pa ~src:sub_src ~src_off:off ~len;
+        Bytes.blit sub_src off model pa len;
+        touched pa len
+      end
+  | Set_u32 (pa, v) ->
+      if not (fits pa 4) then slots
+      else begin
+        Guest_mem.set_u32 m ~pa v;
+        Imk_util.Byteio.set_u32 model pa v;
+        touched pa 4
+      end
+  | Set_addr (pa, v) ->
+      if not (fits pa 8) then slots
+      else begin
+        Guest_mem.set_addr m ~pa v;
+        Imk_util.Byteio.set_addr model pa v;
+        touched pa 8
+      end
+  | Zero (pa, len) ->
+      let len = clip pa len in
+      if not (fits pa len) then slots
+      else begin
+        Guest_mem.zero m ~pa ~len;
+        Bytes.fill model pa len '\000';
+        touched pa len
+      end
+  | Copy (src, dst, len) ->
+      let len = Int.min (clip src len) (clip dst len) in
+      if not (fits src len && fits dst len) then slots
+      else begin
+        Guest_mem.copy_within m ~src ~dst ~len;
+        Bytes.blit model src model dst len;
+        touched dst len
+      end
+
+(* every read accessor at every probe, the whole guest, its CRC and the
+   dirty ranges must equal the model's *)
+let agrees m model slots =
+  let module B = Imk_util.Byteio in
+  let result f = try Ok (f ()) with Invalid_argument _ -> Error () in
+  let probes =
+    List.concat_map
+      (fun e -> List.init 21 (fun d -> (e * chunk) + d - 10))
+      [ 0; 1; 2; 3 ]
+    @ [ model_size - 9; model_size - 1 ]
+    |> List.filter (fun pa -> pa >= 0 && pa < model_size)
+  in
+  let at pa width = pa + width <= model_size in
+  let scalar pa =
+    Guest_mem.get_u8 m ~pa = B.get_u8 model pa
+    && ((not (at pa 4))
+       || Guest_mem.get_u32 m ~pa = B.get_u32 model pa
+          && Guest_mem.get_u32_signed m ~pa = B.get_u32_signed model pa)
+    && ((not (at pa 8))
+       || Guest_mem.get_i64 m ~pa = B.get_i64 model pa
+          && result (fun () -> Guest_mem.get_addr m ~pa)
+             = result (fun () -> B.get_addr model pa))
+  in
+  let ranges pa =
+    let len = Int.min 19 (model_size - pa) in
+    let dst = Bytes.make (len + 3) '\xee' and want = Bytes.make (len + 3) '\xee' in
+    Guest_mem.blit_to_bytes m ~pa ~dst ~dst_off:3 ~len;
+    Bytes.blit model pa want 3 len;
+    Bytes.equal dst want
+    && Bytes.equal (Guest_mem.read_bytes m ~pa ~len) (Bytes.sub model pa len)
+    && Guest_mem.crc32_range m ~pa ~len = Imk_util.Crc.crc32 model pa len
+  in
+  let dirty =
+    List.rev
+      (Guest_mem.fold_dirty_ranges m ~init:[] ~f:(fun acc ~lo ~hi -> (lo, hi) :: acc))
+  in
+  List.for_all scalar probes && List.for_all ranges probes
+  && Bytes.equal (Guest_mem.read_bytes m ~pa:0 ~len:model_size) model
+  && Guest_mem.crc32_range m ~pa:0 ~len:model_size
+     = Imk_util.Crc.crc32 model 0 model_size
+  && dirty = merged slots
+  && Guest_mem.dirty_extent m
+     =
+     match merged slots with
+     | [] -> None
+     | (lo, _) :: _ as rs -> Some (lo, snd (List.nth rs (List.length rs - 1)))
+
+let qcheck_chunked_matches_flat_model =
+  QCheck.Test.make ~count:40
+    ~name:"guest_mem: chunked store = flat Bytes model across scrub"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list show_op) (list show_op))
+       QCheck.Gen.(pair (list_size (1 -- 12) gen_op) (list_size (1 -- 12) gen_op)))
+    (fun (before, after) ->
+      let m = Guest_mem.create ~size:model_size in
+      let model = Bytes.make model_size '\000' in
+      let run ops = List.fold_left (fun slots op -> step m model slots op) [] ops in
+      let slots = run before in
+      agrees m model slots
+      && begin
+           Guest_mem.scrub m;
+           Bytes.fill model 0 model_size '\000';
+           Guest_mem.dirty_extent m = None && agrees m model []
+         end
+      && agrees m model (run after)
+      && begin
+           Guest_mem.scrub m;
+           Bytes.fill model 0 model_size '\000';
+           agrees m model []
+         end)
+
 (* --- arena: recycled guest memory must be indistinguishable from a
    fresh create --- *)
 
@@ -211,9 +479,8 @@ let test_arena_recycles_same_buffer () =
     (Bytes.equal
        (Guest_mem.read_bytes m2 ~pa:0 ~len:8192)
        (Bytes.make 8192 '\000'));
-  (* physically the same backing store, recycled rather than reallocated *)
-  check Alcotest.bool "same backing store" true
-    (Guest_mem.raw m2 == Guest_mem.raw m1);
+  (* physically the same guest, recycled rather than reallocated *)
+  check Alcotest.bool "same backing store" true (m2 == m1);
   let hits, misses = Arena.stats a in
   check int "one hit" 1 hits;
   check int "one miss" 1 misses;
@@ -226,23 +493,22 @@ exception Boom
 let test_with_buffer_releases_on_raise () =
   let a = Arena.create () in
   (* normal path: buffer comes back to the pool *)
-  let raw1 =
+  let m1 =
     Arena.with_buffer a ~size:8192 (fun m ->
         Guest_mem.write_bytes m ~pa:64 (Bytes.make 32 '\xaa');
-        Guest_mem.raw m)
+        m)
   in
   check int "pooled after return" 8192 (Arena.pooled_bytes a);
   (* raising path: same guarantee *)
   (try
      Arena.with_buffer a ~size:8192 (fun m ->
          check Alcotest.bool "recycled on the raising path" true
-           (Guest_mem.raw m == raw1);
+           (m == m1);
          Guest_mem.write_bytes m ~pa:4000 (Bytes.make 100 '\xff');
          raise Boom)
    with Boom -> ());
   check int "pooled after raise" 8192 (Arena.pooled_bytes a);
-  (* the buffer the raising user dirtied is scrubbed, not poisoned
-     (check before touching [raw], which marks the guest dirty) *)
+  (* the buffer the raising user dirtied is scrubbed, not poisoned *)
   Arena.with_buffer a ~size:8192 (fun m ->
       check Alcotest.bool "fresh-indistinguishable after raise" true
         (Guest_mem.dirty_extent m = None
@@ -250,7 +516,7 @@ let test_with_buffer_releases_on_raise () =
              (Guest_mem.read_bytes m ~pa:0 ~len:8192)
              (Bytes.make 8192 '\000'));
       check Alcotest.bool "still the same backing store" true
-        (Guest_mem.raw m == raw1))
+        (m == m1))
 
 let qcheck_with_buffer_exception_safe =
   QCheck.Test.make ~count:100
@@ -429,6 +695,8 @@ let () =
             test_valid_and_validated_range;
           Alcotest.test_case "get_i64 raw" `Quick test_get_i64_raw;
           Testkit.to_alcotest qcheck_guest_mem_rw;
+          Alcotest.test_case "sparse chunks" `Quick test_sparse_chunks;
+          Testkit.to_alcotest qcheck_chunked_matches_flat_model;
         ] );
       ( "arena",
         [

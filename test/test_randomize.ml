@@ -229,7 +229,9 @@ let qcheck_batched_apply_matches_reference =
             None
           with Kaslr.Reloc_error m -> Some m
         in
-        (outcome, Bytes.to_string (Guest_mem.raw mem))
+        ( outcome,
+          Bytes.to_string
+            (Guest_mem.read_bytes mem ~pa:0 ~len:(Guest_mem.size mem)) )
       in
       run Kaslr.apply = run reference_apply)
 
@@ -265,7 +267,9 @@ let test_batched_fallback_matches_reference () =
         None
       with Kaslr.Reloc_error m -> Some m
     in
-    (outcome, Bytes.to_string (Guest_mem.raw mem))
+    ( outcome,
+      Bytes.to_string
+        (Guest_mem.read_bytes mem ~pa:0 ~len:(Guest_mem.size mem)) )
   in
   let (out_b, bytes_b) = run Kaslr.apply in
   let (out_r, bytes_r) = run reference_apply in
@@ -280,6 +284,54 @@ let test_batched_fallback_matches_reference () =
     | Some m -> contains m "outside the loaded image"
     | None -> false);
   check Alcotest.bool "same bytes" true (String.equal bytes_b bytes_r)
+
+let test_chunk_edge_matches_reference () =
+  (* runs must end at a 2 MiB chunk edge: each kind has sites on both
+     sides of its own edge and one site straddling it (its run fails
+     validation and takes the per-site path); all patch byte-identically
+     to the reference, and the abs64 sites left of their edge still
+     patch as one validated run *)
+  let chunk = Guest_mem.chunk_size in
+  let size = (3 * chunk) + 65536 in
+  let around e = List.map (fun d -> (e * chunk) + d) in
+  let o64 = around 1 [ -40; -16; -4; 8; 16 ] in
+  let o32 = around 2 [ -12; -8; -2; 4; 8 ] in
+  let oi32 = around 3 [ -12; -8; -1; 4; 32 ] in
+  let target i = Addr.link_base + 0x10000 + (i * 64) in
+  let mk () =
+    let mem = Guest_mem.create ~size in
+    List.iteri (fun i pa -> Guest_mem.set_addr mem ~pa (target i)) o64;
+    List.iteri
+      (fun i pa -> Guest_mem.set_u32 mem ~pa (Addr.low32 (target i)))
+      o32;
+    List.iteri
+      (fun i pa ->
+        Guest_mem.set_u32 mem ~pa (Addr.low32 (Addr.inverse_base - target i)))
+      oi32;
+    mem
+  in
+  let vas offs = Array.of_list (List.map (fun o -> Addr.link_base + o) offs) in
+  let relocs =
+    { Imk_elf.Relocation.abs64 = vas o64; abs32 = vas o32; inv32 = vas oi32 }
+  in
+  let run apply_fn =
+    let mem = mk () in
+    apply_fn ~mem ~relocs
+      ~site_pa:(fun va -> va - Addr.link_base)
+      ~new_va_of:(Kaslr.delta_new_va ~delta:(3 * Addr.kernel_align));
+    mem
+  in
+  let whole mem = Guest_mem.read_bytes mem ~pa:0 ~len:size in
+  let batched = run Kaslr.apply in
+  check Alcotest.bool "sites moved" false
+    (Bytes.equal (whole batched) (whole (mk ())));
+  check Alcotest.bool "same bytes" true
+    (Bytes.equal (whole batched) (whole (run reference_apply)));
+  (* a validated run dirties the gap between its sites; per-site
+     patching would leave [chunk-32, chunk-16) clean *)
+  check Alcotest.bool "left run batched" true
+    (Guest_mem.fold_dirty_ranges batched ~init:false ~f:(fun acc ~lo ~hi ->
+         acc || (lo <= chunk - 40 && hi >= chunk - 8)))
 
 (* --- FGKASLR plans --- *)
 
@@ -409,6 +461,8 @@ let () =
             test_apply_rejects_out_of_window_target;
           Alcotest.test_case "fallback = reference" `Quick
             test_batched_fallback_matches_reference;
+          Alcotest.test_case "chunk edge = reference" `Quick
+            test_chunk_edge_matches_reference;
           Testkit.to_alcotest qcheck_apply_then_verify_consistency;
           Testkit.to_alcotest qcheck_batched_apply_matches_reference;
         ] );

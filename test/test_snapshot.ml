@@ -39,7 +39,7 @@ let dirty_ranges m =
          (lo, hi) :: acc))
 
 let test_capture_leaves_tracker_untouched () =
-  (* the old full-image capture went through [Guest_mem.raw], which
+  (* the old full-image capture took the whole backing store, which
      conservatively dirtied the whole guest — a snapshotted boot's next
      arena scrub became a whole-guest re-zero. Capture (and the layout
      probe) must be invisible to the tracker. *)
