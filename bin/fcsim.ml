@@ -228,8 +228,7 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
       Printf.printf "trace written to %s\n" path);
   if runs > 1 then begin
     let stats =
-      Imk_harness.Boot_runner.boot_many ~cold ~jobs
-        ~arena:(Imk_harness.Workspace.arena ws) ~runs
+      Imk_harness.Boot_runner.boot_many ~cold ~jobs ~runs
         ~cache:(Imk_harness.Workspace.cache ws) vm
     in
     let s = stats.Imk_harness.Boot_runner.total in

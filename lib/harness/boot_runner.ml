@@ -26,7 +26,9 @@ let boot_once ?(jitter = true) ?tap ?mem ?plans ~seed ~cache vm =
   (match tap with Some f -> f trace | None -> ());
   (trace, result)
 
-let warm_seed i = Int64.of_int (1000 + i)
+(* every campaign's priming boot uses this seed, so the first boot (and
+   the --trace file) is the same at any jobs *)
+let warm_seed = 1001L
 let run_seed i = Int64.of_int (2000 + i)
 let contend_seed ~run ~slot = Int64.of_int (3000 + (run * 256) + slot)
 
@@ -61,29 +63,19 @@ let summarize_recorded recorded =
     total = summarize (List.map snd newest_first);
   }
 
-let boot_many ?(warmups = 5) ?(cold = false) ?(jobs = 1) ?tap ?arena ?plans
-    ~runs ~cache vm =
+let boot_many ?(cold = false) ?(jobs = 1) ?tap ?plans ~runs ~cache vm =
   (* one full boot: its phase breakdown (as floats, the exact samples
-     the sequential path has always recorded) and total; with an arena
-     the bracketed borrow hands the guest memory back even when the boot
-     raises *)
+     the sequential path has always recorded) and total *)
   let boot ~cache ~seed =
     if cold then Imk_storage.Page_cache.drop_caches cache;
-    let once ?mem () = fst (boot_once ?tap ?mem ?plans ~seed ~cache vm) in
-    record_trace
-      (match arena with
-      | None -> once ()
-      | Some a ->
-          Imk_memory.Arena.with_buffer a
-            ~size:vm.Imk_monitor.Vm_config.mem_bytes (fun mem -> once ~mem ()))
+    record_trace (fst (boot_once ?tap ?plans ~seed ~cache vm))
   in
-  (* warmups then runs, one task each; the first boot primes the cache *)
+  (* the priming boot then the runs, one task each *)
   let recorded =
-    Campaign.run ~jobs ~prime:1 ~cache ~tasks:(warmups + runs) (fun ~cache t ->
-        boot ~cache
-          ~seed:(if t < warmups then warm_seed (t + 1) else run_seed (t - warmups + 1)))
+    Campaign.run ~jobs ~cache ~tasks:(1 + runs) (fun ~cache t ->
+        boot ~cache ~seed:(if t = 0 then warm_seed else run_seed t))
   in
-  summarize_recorded (Array.sub recorded warmups runs)
+  summarize_recorded (Array.sub recorded 1 runs)
 
 (* --- contended boots on the shared event timeline (DESIGN.md §10) --- *)
 
@@ -92,8 +84,7 @@ type contended_stats = {
   makespan : Imk_util.Stats.summary;
 }
 
-let boot_contended ?(warmups = 5) ?tap ?plans ~arena ~capacities ~n ~runs ~cache
-    vm =
+let boot_contended ?(jobs = 1) ?tap ?plans ~capacities ~n ~runs ~cache vm =
   if n < 1 then invalid_arg "Boot_runner.boot_contended: n < 1";
   if runs < 0 then invalid_arg "Boot_runner.boot_contended: negative runs";
   let disk_capacity, decompress_slots = capacities in
@@ -113,27 +104,24 @@ let boot_contended ?(warmups = 5) ?tap ?plans ~arena ~capacities ~n ~runs ~cache
           in
           let vm = { vm with Imk_monitor.Vm_config.seed } in
           Imk_vclock.Sched.spawn sched tl (fun () ->
-              Imk_memory.Arena.with_buffer arena
-                ~size:vm.Imk_monitor.Vm_config.mem_bytes (fun mem ->
-                  ignore (Imk_monitor.Vmm.boot ~mem ?plans ch cache vm)));
+              ignore (Imk_monitor.Vmm.boot ?plans ch cache vm));
           trace)
     in
     Imk_vclock.Sched.run sched;
     Option.iter (fun f -> Array.iter f traces) tap;
     (Array.map record_trace traces, float_of_int (Imk_vclock.Sched.now sched))
   in
-  (* warmups prime the shared cache; each run then boots against a
-     private clone. One domain: a run holds [n] guests live at once *)
+  (* one solo boot primes the shared cache; each run then boots against
+     a private clone *)
   let per_run =
-    Campaign.run ~jobs:1 ~prime:warmups ~cache ~tasks:(warmups + runs)
-      (fun ~cache t ->
-        if t < warmups then begin
-          ignore (boot_once ?tap ?plans ~seed:(warm_seed (t + 1)) ~cache vm);
+    Campaign.run ~jobs ~cache ~tasks:(1 + runs) (fun ~cache t ->
+        if t = 0 then begin
+          ignore (boot_once ?tap ?plans ~seed:warm_seed ~cache vm);
           ([||], 0.)
         end
-        else one_run ~cache (t - warmups + 1))
+        else one_run ~cache t)
   in
-  let per_run = Array.to_list (Array.sub per_run warmups runs) in
+  let per_run = Array.to_list (Array.sub per_run 1 runs) in
   {
     per_boot = summarize_recorded (Array.concat (List.map fst per_run));
     makespan = summarize (List.map snd per_run);

@@ -1,7 +1,14 @@
 (** Repeated-boot measurement, following the paper's methodology (§5.1):
-    warm the cache with five boots, then measure N boots, reporting the
-    average with min/max. Cold-cache runs drop the caches before every
-    measured boot instead. *)
+    warm the cache, then measure N boots, reporting the average with
+    min/max. Cold-cache runs drop the caches before every measured boot
+    instead.
+
+    The paper warms with five boots. Here one boot reaches the same state:
+    the simulated page cache is the set of files read, a boot's read set
+    does not depend on its seed, and the boot-plan cache and guest memory
+    leave no trace in any result (both are bit-identical without them).
+    So every campaign below runs one unrecorded priming boot, then its
+    measured boots. *)
 
 type phase_stats = {
   in_monitor : Imk_util.Stats.summary;
@@ -17,31 +24,28 @@ val ms : Imk_util.Stats.summary -> float
     biasing sub-ms phases downward. *)
 
 val boot_many :
-  ?warmups:int ->
   ?cold:bool ->
   ?jobs:int ->
   ?tap:(Imk_vclock.Trace.t -> unit) ->
-  ?arena:Imk_memory.Arena.t ->
   ?plans:Imk_monitor.Plan_cache.t ->
   runs:int ->
   cache:Imk_storage.Page_cache.t ->
   Imk_monitor.Vm_config.t ->
   phase_stats
-(** [boot_many ~runs ~cache vm] performs [warmups] (default 5)
-    unrecorded boots, then [runs] recorded ones of [vm], each with its
-    own seed ({!warm_seed}, {!run_seed}) and jittered costs. [cold]
-    (default false) drops the page cache before every boot, including
-    warmups (which then serve only to surface errors early). Raises
-    whatever the boot raises — a failing configuration should fail the
-    experiment.
+(** [boot_many ~runs ~cache vm] performs one unrecorded priming boot,
+    then [runs] recorded ones of [vm], each with its own seed ({!run_seed})
+    and jittered costs. [cold] (default false) drops the page cache before
+    every boot, the priming one included (which then serves only to
+    surface errors early). Raises whatever the boot raises — a failing
+    configuration should fail the experiment.
 
-    The boots are one {!Campaign.run} (the first boot primes [cache]),
+    The boots are one {!Campaign.run} (the priming boot primes [cache]),
     so the returned [phase_stats] are bit-identical for any [jobs]
-    (default 1). [arena] recycles guest memory across the boots; [plans]
-    shares a boot-plan cache — results are bit-identical with or without
-    either, only host wall clock changes. [tap] sees every boot's trace.
-    Phases that never ran report [Imk_util.Stats.empty] (n = 0) rather
-    than a fabricated zero sample. *)
+    (default 1). Each boot gets a fresh sparse guest; [plans] shares a
+    boot-plan cache — results are bit-identical with or without it, only
+    host wall clock changes. [tap] sees every boot's trace, the priming
+    boot first. Phases that never ran report [Imk_util.Stats.empty]
+    (n = 0) rather than a fabricated zero sample. *)
 
 type contended_stats = {
   per_boot : phase_stats;
@@ -52,29 +56,24 @@ type contended_stats = {
 }
 
 val boot_contended :
-  ?warmups:int ->
+  ?jobs:int ->
   ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?plans:Imk_monitor.Plan_cache.t ->
-  arena:Imk_memory.Arena.t ->
   capacities:int * int ->
   n:int ->
   runs:int ->
   cache:Imk_storage.Page_cache.t ->
   Imk_monitor.Vm_config.t ->
   contended_stats
-(** [boot_contended ~arena ~capacities ~n ~runs ~cache vm] boots [n]
-    guests concurrently on one shared {!Imk_vclock.Sched} timeline per
-    run, with [capacities = (disk_capacity, decompress_slots)] — queue
-    waits stretch each boot's charged spans (DESIGN.md §10). [warmups]
-    (default 5) sequential boots prime the shared cache; each run then
-    gets a private [Page_cache.clone], a fresh scheduler and
-    {!contend_seed}-pure seeds. Runs go through {!Campaign.run} on one
-    domain: a run holds [n] guests live at once, each borrowed from
-    [arena] for the length of its boot. *)
-
-val warm_seed : int -> int64
-(** Seed of warmup boot [i] (1-based) — a pure function of the index,
-    one leg of the [jobs]-invariance contract. *)
+(** [boot_contended ~capacities ~n ~runs ~cache vm] boots [n] guests
+    concurrently on one shared {!Imk_vclock.Sched} timeline per run, with
+    [capacities = (disk_capacity, decompress_slots)] — queue waits
+    stretch each boot's charged spans (DESIGN.md §10). One solo priming
+    boot primes the shared cache; each run then gets a private
+    [Page_cache.clone], a fresh scheduler, fresh sparse guests and
+    {!contend_seed}-pure seeds. The runs are one {!Campaign.run} fanned
+    out over [jobs] (default 1) domains, so the result is bit-identical
+    for any [jobs]. *)
 
 val run_seed : int -> int64
 (** Seed of recorded run [i] (1-based), shared by plain and supervised

@@ -1,13 +1,12 @@
-let map ~jobs ?(prime = 0) ~tasks f =
+let map ~jobs ~tasks f =
   if tasks < 0 then invalid_arg "Campaign.map: negative task count";
-  let prime = max 0 (min prime tasks) in
-  let primed = Imk_util.Par.map_tasks ~tasks:prime f in
-  let rest =
-    Imk_util.Par.map_tasks ~jobs:(max 1 jobs) ~tasks:(tasks - prime) (fun i ->
-        f (prime + i))
-  in
-  Array.append primed rest
+  if tasks = 0 then [||]
+  else
+    let first = f 0 in
+    Array.append [| first |]
+      (Imk_util.Par.map_tasks ~jobs:(max 1 jobs) ~tasks:(tasks - 1) (fun i ->
+           f (i + 1)))
 
-let run ~jobs ?(prime = 0) ~cache ~tasks f =
-  map ~jobs ~prime ~tasks (fun i ->
-      f ~cache:(if i < prime then cache else Imk_storage.Page_cache.clone cache) i)
+let run ~jobs ~cache ~tasks f =
+  map ~jobs ~tasks (fun i ->
+      f ~cache:(if i = 0 then cache else Imk_storage.Page_cache.clone cache) i)

@@ -90,8 +90,8 @@ let report ?(verdicts = []) sh ~id ~title notes =
 let jobs ws = (Workspace.run_config ws).Workspace.jobs
 let tap ws = (Workspace.run_config ws).Workspace.trace
 
-let boot_once ?jitter ?mem ws ~seed vm =
-  Boot_runner.boot_once ?jitter ?tap:(tap ws) ?mem ?plans:(Workspace.plans ws)
+let boot_once ?jitter ws ~seed vm =
+  Boot_runner.boot_once ?jitter ?tap:(tap ws) ?plans:(Workspace.plans ws)
     ~seed ~cache:(Workspace.cache ws) vm
 
 (* VM templates (boots overwrite the seed); building one registers its
@@ -139,25 +139,24 @@ type boot_cell = { key : string list; cold : bool; vm : Vm_config.t }
 
 let boot_cell ?(cold = false) key vm = { key; cold; vm }
 
-(* the §5.1 protocol over a figure's cells, each five warmups and [runs]
-   measured boots. The workspace is warmed once, after every template
-   (and so every image) exists. Cell 0 boots on the calling domain
-   against the shared cache; every later cell boots in order on its own
-   clone of it, the cells fanned over the run's jobs — so the trace tap
-   sees cell 0's first boot first at any jobs. A cold cell 0 leaves the
-   shared cache dropped and later cells clone an empty one; their first
-   warmup reads what they need, and a boot's read set does not depend
-   on its seed, so their measured boots see the cache a sequential run
-   would. Each cell's stats come back under its key, in cell order *)
+(* the §5.1 protocol over a figure's cells, each one priming boot and
+   [runs] measured boots. The workspace is warmed once, after every
+   template (and so every image) exists. Cell 0 boots on the calling
+   domain against the shared cache; every later cell boots in order on
+   its own clone of it, the cells fanned over the run's jobs — so the
+   trace tap sees cell 0's first boot first at any jobs. A cold cell 0
+   leaves the shared cache dropped and later cells clone an empty one;
+   their priming boot reads what they need, and a boot's read set does
+   not depend on its seed, so their measured boots see the cache a
+   sequential run would. Each cell's stats come back under its key, in cell order *)
 let grid ~runs ws cells =
   Workspace.warm_all ws;
   let cells = Array.of_list cells in
   let stats =
-    Campaign.run ~jobs:(jobs ws) ~prime:1
-      ~cache:(Workspace.cache ws) ~tasks:(Array.length cells) (fun ~cache i ->
+    Campaign.run ~jobs:(jobs ws) ~cache:(Workspace.cache ws)
+      ~tasks:(Array.length cells) (fun ~cache i ->
         Boot_runner.boot_many ~cold:cells.(i).cold ?tap:(tap ws)
-          ~arena:(Workspace.arena ws) ?plans:(Workspace.plans ws) ~runs ~cache
-          cells.(i).vm)
+          ?plans:(Workspace.plans ws) ~runs ~cache cells.(i).vm)
   in
   Array.to_list (Array.map2 (fun c s -> (c.key, s)) cells stats)
 
@@ -390,11 +389,8 @@ let fig9 ?(runs = 20) ws =
      preset — the microVM-optimized kernel is the one fleets pack
      densely enough for the "Study of Firecracker" contention regime to
      apply. Runs after (and reads nothing from) the solo cells: solo
-     telemetry is byte-identical to a build without this block. A run's
-     [contend_n] guests come from an arena that pools that many, so each
-     run reuses the last run's guests. *)
+     telemetry is byte-identical to a build without this block. *)
   let contend_n = 12 in
-  let arena = Imk_memory.Arena.create ~max_per_size:contend_n () in
   let capacities = (Workspace.run_config ws).Workspace.contend in
   let contend_method = Printf.sprintf "lz4-x%d-contended" contend_n in
   let contended =
@@ -406,7 +402,7 @@ let fig9 ?(runs = 20) ws =
         in
         Workspace.warm_all ws;
         let s =
-          Boot_runner.boot_contended ?tap:(tap ws) ~arena
+          Boot_runner.boot_contended ~jobs:(jobs ws) ?tap:(tap ws)
             ?plans:(Workspace.plans ws) ~capacities ~n:contend_n ~runs
             ~cache:(Workspace.cache ws) vm
         in
@@ -592,10 +588,8 @@ let throughput ?(runs = 30) ws =
     let boots = ref [] in
     for i = 1 to runs do
       let seed = Int64.of_int (3000 + i) in
-      Imk_memory.Arena.with_buffer (Workspace.arena ws)
-        ~size:vm.Vm_config.mem_bytes (fun mem ->
-          let trace, _ = boot_once ~mem ws ~seed vm in
-          boots := Imk_util.Units.ns_to_ms (Imk_vclock.Trace.total trace) :: !boots)
+      let trace, _ = boot_once ws ~seed vm in
+      boots := Imk_util.Units.ns_to_ms (Imk_vclock.Trace.total trace) :: !boots
     done;
     !boots
   in
@@ -1245,7 +1239,7 @@ type cell = {
 let run_cells ws cells =
   let cells = Array.of_list cells in
   Array.to_list
-    (Campaign.map ~jobs:(jobs ws) ~prime:1 ~tasks:(Array.length cells) (fun i ->
+    (Campaign.map ~jobs:(jobs ws) ~tasks:(Array.length cells) (fun i ->
          let cell = cells.(i) in
          let fleet = Option.map (fun policy -> S.fleet ~policy ()) cell.policy in
          let runs =
@@ -1643,7 +1637,7 @@ let diffcheck ?(runs = 20) ws =
           let env = Imk_check.Env.instantiate imgs in
           let vm = Imk_check.Env.direct_config env point in
           let stats_at jobs =
-            Boot_runner.boot_many ~warmups:2 ~jobs ?tap:(tap ws) ~runs:5
+            Boot_runner.boot_many ~jobs ?tap:(tap ws) ~runs:5
               ~cache:env.Imk_check.Env.cache vm
           in
           let rows jobs = [ stats_row "boot_many" (stats_at jobs) ] in

@@ -13,9 +13,10 @@
     the kallsyms, orc, rerando, devices, unikernel and zygote ablations)
     is a list of cells — its key cells, cold or warm, and a VM template —
     run by one grid: the workspace is warmed once, then each cell gets
-    the paper's five warmups and [runs] measured boots through
-    {!Campaign.run} [~prime:1], so cell 0 boots first on the calling
-    domain and every later cell on its own clone of the cache. Notes look
+    one priming boot (standing in for the paper's five warm-ups; see
+    {!Boot_runner}) and [runs] measured boots through {!Campaign.run}, so
+    cell 0 boots first on the calling domain and every later cell on its
+    own clone of the cache. Notes look
     a cell's stats up by key. Every table row and its telemetry row come
     from one sheet primitive, which labels the telemetry row with the key
     cells joined by ["/"]; only ablation-orc and ablation-zygote keep

@@ -78,4 +78,5 @@ val bzimage_path :
 (** Link (or fetch) the bzImage variant and return its disk name. *)
 
 val warm_all : t -> unit
-(** Mark every registered image cached (the five warm-up boots). *)
+(** Mark every registered image cached: the state a priming boot (or
+    §5.1's warm-up boots) leaves for the files it reads. *)

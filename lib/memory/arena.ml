@@ -17,26 +17,20 @@
 type t = {
   lock : Mutex.t;
   free : (int, Guest_mem.t list) Hashtbl.t;  (* size -> scrubbed buffers *)
-  max_per_size : int;
-  max_bytes : int;
   mutable pooled_bytes : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?max_per_size ?(max_bytes = 8 * 1024 * 1024 * 1024) () =
-  let max_per_size =
-    match max_per_size with
-    | Some n ->
-        if n < 0 then invalid_arg "Arena.create: negative max_per_size";
-        n
-    | None -> max 2 (Domain.recommended_domain_count ())
-  in
+(* free buffers kept per distinct size (one per worker of a default-size
+   domain pool) and in total (each guest counted at its full size) *)
+let max_per_size = max 2 (Domain.recommended_domain_count ())
+let max_bytes = 8 * 1024 * 1024 * 1024
+
+let create () =
   {
     lock = Mutex.create ();
     free = Hashtbl.create 4;
-    max_per_size;
-    max_bytes;
     pooled_bytes = 0;
     hits = 0;
     misses = 0;
@@ -67,8 +61,8 @@ let release t mem =
   Mutex.lock t.lock;
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.free size) in
   if
-    List.length existing < t.max_per_size
-    && t.pooled_bytes + size <= t.max_bytes
+    List.length existing < max_per_size
+    && t.pooled_bytes + size <= max_bytes
   then begin
     Hashtbl.replace t.free size (mem :: existing);
     t.pooled_bytes <- t.pooled_bytes + size

@@ -1,8 +1,11 @@
 (** A pool that recycles {!Guest_mem} buffers across boots.
 
-    The repeated-boot harness needs one guest memory per boot. Guest
-    memory is sparse, so a fresh [Guest_mem.create] is cheap; what a
-    recycled guest still saves is its chunks and its tracker. A boot
+    Supervised boots (fault-injected attempts, snapshot restores),
+    diffcheck's arena-fresh oracle and the host-time workloads in [perf/]
+    borrow their guest memory here; the plain repeated-boot runners give
+    each boot a fresh guest instead. Guest memory is sparse, so a fresh
+    [Guest_mem.create] is cheap; what a recycled guest still saves is its
+    chunks and its tracker. A boot
     allocates a 2 MiB chunk on each first write; a recycled guest takes
     those from the spare list its last {!Guest_mem.scrub} filled, so
     after warm-up a boot allocates no guest memory at all. The arena
@@ -22,14 +25,13 @@
 
 type t
 
-val create : ?max_per_size:int -> ?max_bytes:int -> unit -> t
-(** [create ()] makes an empty arena. At most [max_per_size] free buffers
-    are retained per distinct size (default
-    [max 2 (Domain.recommended_domain_count ())] — enough for every
-    worker of a default-size domain pool), and at most [max_bytes] in
-    total (default 8 GiB, counting each guest at its full size, a bound
-    on what its chunks hold); releases beyond either bound simply drop the
-    buffer for the GC, so the arena degrades to today's
+val create : unit -> t
+(** [create ()] makes an empty arena. At most
+    [max 2 (Domain.recommended_domain_count ())] free buffers are retained
+    per distinct size — enough for every worker of a default-size domain
+    pool — and at most 8 GiB in total, counting each guest at its full
+    size (a bound on what its chunks hold); releases beyond either bound
+    simply drop the buffer for the GC, so the arena degrades to
     allocate-per-boot behaviour rather than hoarding memory. *)
 
 val borrow : t -> size:int -> Guest_mem.t

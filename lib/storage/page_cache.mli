@@ -22,7 +22,7 @@ val read : t -> string -> bytes * bool
     cached. Raises [Not_found] for unknown files. *)
 
 val warm : t -> string -> unit
-(** [warm t name] pre-populates the cache (the five warm-up boots). *)
+(** [warm t name] pre-populates the cache (the state a warm-up boot leaves). *)
 
 val drop_caches : t -> unit
 (** [drop_caches t] empties the cache — the cold-cache protocol. *)

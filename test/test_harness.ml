@@ -65,7 +65,7 @@ let test_boot_runner_stats () =
   let ws = small_ws () in
   Workspace.warm_all ws;
   let s =
-    Boot_runner.boot_many ~warmups:1 ~runs:8 ~cache:(Workspace.cache ws) (vm ws)
+    Boot_runner.boot_many ~runs:8 ~cache:(Workspace.cache ws) (vm ws)
   in
   check int "8 samples" 8 s.Boot_runner.total.Imk_util.Stats.n;
   check Alcotest.bool "min <= mean <= max" true
@@ -88,17 +88,38 @@ let test_boot_runner_stats () =
 let test_boot_many_parallel_identical () =
   (* jobs must never change the numbers: same seeds, per-worker cache
      clones, order-preserving aggregation *)
-  let run ~warmups ~runs jobs =
+  let run jobs =
     let ws = small_ws () in
     Workspace.warm_all ws;
-    Boot_runner.boot_many ~warmups ~jobs ~arena:(Workspace.arena ws) ~runs
-      ~cache:(Workspace.cache ws) (vm ws)
+    Boot_runner.boot_many ~jobs ~runs:6 ~cache:(Workspace.cache ws) (vm ws)
   in
-  check Alcotest.bool "phase_stats bit-identical" true
-    (run ~warmups:2 ~runs:6 1 = run ~warmups:2 ~runs:6 4);
-  (* and without warmups, where run 1 doubles as the priming boot *)
-  check Alcotest.bool "warmups:0 bit-identical" true
-    (run ~warmups:0 ~runs:5 1 = run ~warmups:0 ~runs:5 3)
+  check Alcotest.bool "phase_stats bit-identical" true (run 1 = run 4)
+
+let test_boot_contended_parallel_identical () =
+  (* contended runs fan out over jobs: each run has its own scheduler,
+     cache clone and contend_seed seeds, so the stats are the sequential
+     ones *)
+  let run jobs =
+    let ws = small_ws () in
+    let vm =
+      Imk_monitor.Vm_config.make ~flavor:Imk_monitor.Vm_config.In_monitor_fgkaslr
+        ~rando:Imk_monitor.Vm_config.Rando_kaslr
+        ~loader:Imk_monitor.Vm_config.Loader_stripped
+        ~kernel_path:
+          (Workspace.bzimage_path ws Config.Aws Config.Kaslr ~codec:"lz4"
+             ~bz:Bzimage.Standard)
+        ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
+        ~mem_bytes:(64 * 1024 * 1024) ()
+    in
+    Workspace.warm_all ws;
+    Boot_runner.boot_contended ~jobs ~capacities:(1, 1) ~n:3 ~runs:4
+      ~cache:(Workspace.cache ws) vm
+  in
+  let s = run 1 in
+  check Alcotest.bool "contended_stats bit-identical" true (s = run 3);
+  check int "every boot of every run" 12
+    s.Boot_runner.per_boot.Boot_runner.total.Imk_util.Stats.n;
+  check int "one makespan per run" 4 s.Boot_runner.makespan.Imk_util.Stats.n
 
 let test_empty_phase_reports_zero_count () =
   (* a direct boot has no decompression phase; its summary must say
@@ -106,8 +127,7 @@ let test_empty_phase_reports_zero_count () =
   let ws = small_ws () in
   Workspace.warm_all ws;
   let s =
-    Boot_runner.boot_many ~warmups:1 ~runs:3 ~arena:(Workspace.arena ws)
-      ~cache:(Workspace.cache ws)
+    Boot_runner.boot_many ~runs:3 ~cache:(Workspace.cache ws)
       (vm ~rando:Imk_monitor.Vm_config.Rando_off ws)
   in
   check int "no decompression samples" 0
@@ -336,15 +356,15 @@ let test_trace_tap_fires () =
   check int "tap saw the finished trace" (Imk_vclock.Trace.total trace)
     !seen_total;
   (* the workspace's run config carries the tap into every experiment
-     boot: fig6 boots 4 methods x (5 warmups + 1 run) *)
+     boot: fig6 boots 4 methods x (1 priming boot + 1 run) *)
   let count = Atomic.make 0 in
   let run =
     { (with_jobs 2) with Workspace.trace = Some (fun _ -> Atomic.incr count) }
   in
   ignore (exp "fig6" ~runs:1 (small_ws ~run ()));
-  check int "every fig6 boot tapped" 24 (Atomic.get count);
+  check int "every fig6 boot tapped" 8 (Atomic.get count);
   ignore (exp "fig6" ~runs:1 (small_ws ()));
-  check int "no tap, no fire" 24 (Atomic.get count)
+  check int "no tap, no fire" 8 (Atomic.get count)
 
 let test_boot_once_spans () =
   let ws = small_ws () in
@@ -451,8 +471,8 @@ let qcheck_campaign_sequential =
   let names = Array.init 5 (Printf.sprintf "f%d") in
   QCheck.Test.make ~count:40
     ~name:"campaign: results = sequential Array.init, shared cache primed only"
-    QCheck.(triple (int_range 1 4) (int_bound 12) (int_bound 12))
-    (fun (jobs, tasks, prime) ->
+    QCheck.(pair (int_range 1 4) (int_bound 12))
+    (fun (jobs, tasks) ->
       let disk = Imk_storage.Disk.create () in
       Array.iter (fun name -> Imk_storage.Disk.add disk ~name (Bytes.make 8 'x')) names;
       let cache = Imk_storage.Page_cache.create disk in
@@ -460,7 +480,7 @@ let qcheck_campaign_sequential =
         List.filter (Imk_storage.Page_cache.is_cached c) (Array.to_list names)
       in
       let got =
-        Campaign.run ~jobs ~prime ~cache ~tasks (fun ~cache i ->
+        Campaign.run ~jobs ~cache ~tasks (fun ~cache i ->
             let before = cached cache in
             ignore (Imk_storage.Page_cache.read cache names.((i * 3) mod 5));
             (i, before))
@@ -471,7 +491,8 @@ let qcheck_campaign_sequential =
             List.exists (fun j -> names.((j * 3) mod 5) = name) (List.init n Fun.id))
           (Array.to_list names)
       in
-      let prime = min prime tasks in
+      (* task 0 is the only primed task *)
+      let prime = min 1 tasks in
       got = Array.init tasks (fun i -> (i, read_by (min i prime)))
       && cached cache = read_by prime)
 
@@ -554,6 +575,8 @@ let () =
           Alcotest.test_case "span labels" `Quick test_boot_once_spans;
           Alcotest.test_case "parallel identical" `Quick
             test_boot_many_parallel_identical;
+          Alcotest.test_case "contended parallel identical" `Quick
+            test_boot_contended_parallel_identical;
           Alcotest.test_case "empty phase n=0" `Quick
             test_empty_phase_reports_zero_count;
           Alcotest.test_case "ms precision" `Quick test_ms_keeps_fractional_ns;

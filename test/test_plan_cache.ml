@@ -160,8 +160,8 @@ let fig9_cell ws ~jobs =
       ~kernel_config:(W.config ws C.Aws C.Kaslr)
       ~mem_bytes:(64 * 1024 * 1024) ()
   in
-  Imk_harness.Boot_runner.boot_many ~warmups:2 ~jobs ~arena:(W.arena ws)
-    ?plans:(W.plans ws) ~runs:6 ~cache:(W.cache ws) vm
+  Imk_harness.Boot_runner.boot_many ~jobs ?plans:(W.plans ws) ~runs:6
+    ~cache:(W.cache ws) vm
 
 let test_boot_many_invariant_cache_and_jobs () =
   (* phase_stats must be bit-identical across {cache on, cache off} x
