@@ -14,11 +14,18 @@ type verify_stats = {
   orc_verified : int;
 }
 
-(* The walk reads tens of thousands of small records per boot; each goes
-   through Guest_mem's bounds-checked scalar accessors directly instead
-   of materializing a fresh [bytes] per record — verification is not on
-   the virtual clock, so this is pure host-time savings with identical
-   panic behavior (any access off the guest's memory still faults). *)
+(* The walk reads tens of thousands of small records per boot and is
+   not on the virtual clock, so its host cost is pure overhead. Each
+   header, site or table record is bounds-checked once against the
+   guest's size ([fits]) and its fields are then read without a [try] or
+   a tuple, so the walk allocates nothing per record. A record that
+   fails the check goes to the per-field readers below
+   ([read_fn_header], [read_site], [read_*_entry]): the reference
+   semantics, which fault on the first field off the guest and so keep
+   every panic message exactly what it was. test/verify_ref.ml keeps the
+   whole per-field walk, and test_guest pins this one to it. *)
+
+let fits mem pa len = pa >= 0 && pa <= Guest_mem.size mem - len
 
 (* Some records are wider than the fields read from them; touching the
    last byte keeps the old whole-record bounds semantics of read_bytes. *)
@@ -41,25 +48,39 @@ let read_fn_header mem params ~va =
     panic "bad function magic at va %#x (claims id %d)" va id;
   (id, n_sites, size)
 
+(* [fn_magic id] is below 2^62, so the stored 64-bit magic equals it iff
+   its two 32-bit halves do: compared as ints, nothing is boxed *)
+let magic_at mem ~pa id =
+  let m = Function_graph.fn_magic id in
+  Guest_mem.get_u32 mem ~pa = m land 0xffffffff
+  && Guest_mem.get_u32 mem ~pa:(pa + 4) = m lsr 32
+
+(* the id of the function whose header is at [va], checked against its
+   magic; panics exactly as [read_fn_header] does *)
+let header_id mem params ~va =
+  let pa = Boot_params.va_to_pa params va in
+  if fits mem pa Function_graph.fn_header_bytes then begin
+    let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
+    if not (magic_at mem ~pa id) then
+      panic "bad function magic at va %#x (claims id %d)" va id;
+    id
+  end
+  else
+    let id, _, _ = read_fn_header mem params ~va in
+    id
+
 let fn_at mem params ~va =
   let pa = Boot_params.va_to_pa params va in
-  match
-    probe_end mem ~pa ~len:Function_graph.fn_header_bytes;
-    let magic = Guest_mem.get_i64 mem ~pa in
+  if fits mem pa Function_graph.fn_header_bytes then begin
     let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-    (magic, id)
-  with
-  | exception Guest_mem.Fault _ -> None
-  | magic, id ->
-      if magic = Int64.of_int (Function_graph.fn_magic id) then Some id
-      else None
+    if magic_at mem ~pa id then Some id else None
+  end
+  else None
 
-(* [what] is built lazily: it is hot-loop metadata that only matters on
-   the panic path *)
 let check_fn mem params ~va ~expect_id ~what =
-  let id, _, _ = read_fn_header mem params ~va in
+  let id = header_id mem params ~va in
   if id <> expect_id then
-    panic "%s: va %#x holds function %d, expected %d" (what ()) va id expect_id
+    panic "%s: va %#x holds function %d, expected %d" what va id expect_id
 
 let target_va_of_site kind value =
   match kind with
@@ -69,82 +90,142 @@ let target_va_of_site kind value =
       with Invalid_argument _ -> panic "abs32 site holds non-kernel value %#x" value)
   | Imk_elf.Relocation.Inv32 -> Addr.inverse_base - value
 
+(* the walk's state: [queue.(head .. tail-1)] are the ids still to walk.
+   A function is marked [visited] and queued when first reached, so each
+   is queued at most once and [queue] needs [n] slots. *)
+type walk = {
+  visited : bool array;
+  fn_va : int array;
+  queue : int array;
+  mutable head : int;
+  mutable tail : int;
+  mutable sites : int;
+}
+
+let reach w ~id ~va =
+  w.visited.(id) <- true;
+  w.fn_va.(id) <- va;
+  w.queue.(w.tail) <- id;
+  w.tail <- w.tail + 1
+
+let read_site mem ~site_va ~site_pa =
+  try
+    let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
+    let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
+    let value =
+      match kind with
+      | Imk_elf.Relocation.Abs64 -> Guest_mem.get_addr mem ~pa:(site_pa + 8)
+      | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
+          Guest_mem.get_u32 mem ~pa:(site_pa + 8)
+    in
+    (kind, target_id, value)
+  with Guest_mem.Fault m -> panic "call site at va %#x: %s" site_va m
+
+let follow_site mem params w ~from ~kind ~target_id ~value =
+  let target_va = target_va_of_site kind value in
+  let id = header_id mem params ~va:target_va in
+  if id <> target_id then
+    panic "call from fn %d via %s: va %#x holds function %d, expected %d" from
+      (Imk_elf.Relocation.kind_name kind)
+      target_va id target_id;
+  w.sites <- w.sites + 1;
+  if target_id >= 0 && target_id < Array.length w.visited
+     && not w.visited.(target_id)
+  then reach w ~id:target_id ~va:target_va
+
+let walk_site mem params w ~from ~site_va =
+  let site_pa = Boot_params.va_to_pa params site_va in
+  if fits mem site_pa Function_graph.site_bytes then begin
+    let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
+    let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
+    let value =
+      match kind with
+      | Imk_elf.Relocation.Abs64 -> Guest_mem.get_addr mem ~pa:(site_pa + 8)
+      | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
+          Guest_mem.get_u32 mem ~pa:(site_pa + 8)
+    in
+    follow_site mem params w ~from ~kind ~target_id ~value
+  end
+  else
+    let kind, target_id, value = read_site mem ~site_va ~site_pa in
+    follow_site mem params w ~from ~kind ~target_id ~value
+
 let walk_functions mem params =
   let n = params.Boot_params.kernel.Boot_params.n_functions in
-  let visited = Array.make n false in
-  let fn_va = Array.make n (-1) in
-  let queue = Queue.create () in
-  let sites = ref 0 in
-  Queue.add params.Boot_params.entry_va queue;
-  while not (Queue.is_empty queue) do
-    let va = Queue.pop queue in
-    let id, n_sites, _size = read_fn_header mem params ~va in
-    if id < 0 || id >= n then panic "function id %d out of range at %#x" id va;
-    if not visited.(id) then begin
-      visited.(id) <- true;
-      fn_va.(id) <- va;
-      for k = 0 to n_sites - 1 do
-        let site_va =
-          va + Function_graph.fn_header_bytes + (k * Function_graph.site_bytes)
-        in
-        let site_pa = Boot_params.va_to_pa params site_va in
-        let kind, target_id, value =
-          try
-            let kind =
-              Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa)
-            in
-            let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
-            let value =
-              match kind with
-              | Imk_elf.Relocation.Abs64 ->
-                  Guest_mem.get_addr mem ~pa:(site_pa + 8)
-              | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
-                  Guest_mem.get_u32 mem ~pa:(site_pa + 8)
-            in
-            (kind, target_id, value)
-          with Guest_mem.Fault m -> panic "call site at va %#x: %s" site_va m
-        in
-        let target_va = target_va_of_site kind value in
-        check_fn mem params ~va:target_va ~expect_id:target_id
-          ~what:(fun () ->
-            Printf.sprintf "call from fn %d via %s" id
-              (Imk_elf.Relocation.kind_name kind));
-        incr sites;
-        if target_id >= 0 && target_id < n && not visited.(target_id) then
-          Queue.add target_va queue
-      done
-    end
+  let w =
+    {
+      visited = Array.make n false;
+      fn_va = Array.make n (-1);
+      queue = Array.make n 0;
+      head = 0;
+      tail = 0;
+      sites = 0;
+    }
+  in
+  let entry = params.Boot_params.entry_va in
+  let id = header_id mem params ~va:entry in
+  if id < 0 || id >= n then panic "function id %d out of range at %#x" id entry;
+  reach w ~id ~va:entry;
+  while w.head < w.tail do
+    let id = w.queue.(w.head) in
+    w.head <- w.head + 1;
+    let va = w.fn_va.(id) in
+    (* the header was read in full when [id] was reached *)
+    let n_sites =
+      Guest_mem.get_u32 mem ~pa:(Boot_params.va_to_pa params va + 12)
+    in
+    for k = 0 to n_sites - 1 do
+      walk_site mem params w ~from:id
+        ~site_va:
+          (va + Function_graph.fn_header_bytes + (k * Function_graph.site_bytes))
+    done
   done;
-  let count = Array.fold_left (fun acc v -> if v then acc + 1 else acc) 0 visited in
-  if count <> n then
-    panic "only %d of %d functions reachable after boot" count n;
-  (count, !sites, fn_va)
+  if w.tail <> n then
+    panic "only %d of %d functions reachable after boot" w.tail n;
+  (w.tail, w.sites, w.fn_va)
+
+(* a table's element count, from the header at [va] *)
+let table_count mem params ~va ~header ~what =
+  let pa = Boot_params.va_to_pa params va in
+  try
+    probe_end mem ~pa ~len:header;
+    Guest_mem.get_u32 mem ~pa
+  with Guest_mem.Fault m -> panic "%s at va %#x: %s" what va m
+
+let read_rodata_entry mem ~entry_va ~entry_pa =
+  try
+    probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
+    let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
+    let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
+    (ptr, id)
+  with Guest_mem.Fault m -> panic "rodata entry at va %#x: %s" entry_va m
 
 let verify_rodata mem params =
   let info = params.Boot_params.kernel in
-  let delta = Boot_params.delta params in
-  let va = info.Boot_params.link_rodata_va + delta in
-  let pa = Boot_params.va_to_pa params va in
+  let va = info.Boot_params.link_rodata_va + Boot_params.delta params in
   let count =
-    try
-      probe_end mem ~pa ~len:Image.rodata_header_bytes;
-      Guest_mem.get_u32 mem ~pa
-    with Guest_mem.Fault m -> panic "rodata at va %#x: %s" va m
+    table_count mem params ~va ~header:Image.rodata_header_bytes ~what:"rodata"
   in
   for k = 0 to count - 1 do
     let entry_va = va + Image.rodata_header_bytes + (k * Image.rodata_entry_bytes) in
     let entry_pa = Boot_params.va_to_pa params entry_va in
-    let ptr, id =
-      try
-        probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
-        let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
-        let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-        (ptr, id)
-      with Guest_mem.Fault m -> panic "rodata entry at va %#x: %s" entry_va m
-    in
-    check_fn mem params ~va:ptr ~expect_id:id ~what:(fun () -> "rodata pointer")
+    if fits mem entry_pa Image.rodata_entry_bytes then
+      check_fn mem params
+        ~va:(Guest_mem.get_addr mem ~pa:entry_pa)
+        ~expect_id:(Guest_mem.get_u32 mem ~pa:(entry_pa + 8))
+        ~what:"rodata pointer"
+    else
+      let ptr, id = read_rodata_entry mem ~entry_va ~entry_pa in
+      check_fn mem params ~va:ptr ~expect_id:id ~what:"rodata pointer"
   done;
   count
+
+let read_kallsyms_entry mem ~entry_va ~entry_pa =
+  try
+    let off = Guest_mem.get_u32 mem ~pa:entry_pa in
+    let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
+    (off, id)
+  with Guest_mem.Fault m -> panic "kallsyms entry at va %#x: %s" entry_va m
 
 let verify_kallsyms mem params =
   let info = params.Boot_params.kernel in
@@ -163,58 +244,70 @@ let verify_kallsyms mem params =
     panic "kallsyms base %#x not relocated (expected %#x)" base
       (Addr.kmap_base + delta);
   let prev = ref (-1) in
+  let check_symbol k off id =
+    if off <= !prev then panic "kallsyms not sorted at entry %d" k;
+    prev := off;
+    check_fn mem params ~va:(base + off) ~expect_id:id ~what:"kallsyms symbol"
+  in
   for k = 0 to count - 1 do
     let entry_va = va + Image.kallsyms_header_bytes + (k * Image.kallsyms_entry_bytes) in
     let entry_pa = Boot_params.va_to_pa params entry_va in
-    let off, id =
-      try
-        let off = Guest_mem.get_u32 mem ~pa:entry_pa in
-        let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
-        (off, id)
-      with Guest_mem.Fault m -> panic "kallsyms entry at va %#x: %s" entry_va m
-    in
-    if off <= !prev then panic "kallsyms not sorted at entry %d" k;
-    prev := off;
-    check_fn mem params ~va:(base + off) ~expect_id:id
-      ~what:(fun () -> "kallsyms symbol")
+    if fits mem entry_pa Image.kallsyms_entry_bytes then
+      check_symbol k
+        (Guest_mem.get_u32 mem ~pa:entry_pa)
+        (Guest_mem.get_u32 mem ~pa:(entry_pa + 4))
+    else
+      let off, id = read_kallsyms_entry mem ~entry_va ~entry_pa in
+      check_symbol k off id
   done;
   count
 
+let read_extab_entry mem ~entry_va ~entry_pa =
+  try
+    probe_end mem ~pa:entry_pa ~len:Image.extab_entry_bytes;
+    let fault_disp = Guest_mem.get_u32_signed mem ~pa:entry_pa in
+    let handler_disp = Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4) in
+    let fault_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
+    let handler_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 12) in
+    let fault_off = Guest_mem.get_u32 mem ~pa:(entry_pa + 16) in
+    (fault_disp, handler_disp, fault_fn, handler_fn, fault_off)
+  with Guest_mem.Fault m -> panic "extab entry at va %#x: %s" entry_va m
+
 let verify_extab mem params =
   let info = params.Boot_params.kernel in
-  let delta = Boot_params.delta params in
-  let va = info.Boot_params.link_extab_va + delta in
-  let pa = Boot_params.va_to_pa params va in
+  let va = info.Boot_params.link_extab_va + Boot_params.delta params in
   let count =
-    try
-      probe_end mem ~pa ~len:Image.extab_header_bytes;
-      Guest_mem.get_u32 mem ~pa
-    with Guest_mem.Fault m -> panic "extab at va %#x: %s" va m
+    table_count mem params ~va ~header:Image.extab_header_bytes ~what:"extab"
   in
   let prev = ref min_int in
-  for k = 0 to count - 1 do
-    let entry_va = va + Image.extab_header_bytes + (k * Image.extab_entry_bytes) in
-    let entry_pa = Boot_params.va_to_pa params entry_va in
-    let fault_disp, handler_disp, fault_fn, handler_fn, fault_off =
-      try
-        probe_end mem ~pa:entry_pa ~len:Image.extab_entry_bytes;
-        let fault_disp = Guest_mem.get_u32_signed mem ~pa:entry_pa in
-        let handler_disp = Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4) in
-        let fault_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-        let handler_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 12) in
-        let fault_off = Guest_mem.get_u32 mem ~pa:(entry_pa + 16) in
-        (fault_disp, handler_disp, fault_fn, handler_fn, fault_off)
-      with Guest_mem.Fault m -> panic "extab entry at va %#x: %s" entry_va m
-    in
+  let check_entry k entry_va fault_disp handler_disp fault_fn handler_fn
+      fault_off =
     let fault_va = entry_va + fault_disp in
     let handler_va = entry_va + 4 + handler_disp in
     (* non-strict: distinct entries may share a fault address *)
     if fault_va < !prev then panic "extab not sorted at entry %d" k;
     prev := fault_va;
     check_fn mem params ~va:(fault_va - fault_off) ~expect_id:fault_fn
-      ~what:(fun () -> "extab fault site");
+      ~what:"extab fault site";
     check_fn mem params ~va:handler_va ~expect_id:handler_fn
-      ~what:(fun () -> "extab handler")
+      ~what:"extab handler"
+  in
+  for k = 0 to count - 1 do
+    let entry_va = va + Image.extab_header_bytes + (k * Image.extab_entry_bytes) in
+    let entry_pa = Boot_params.va_to_pa params entry_va in
+    if fits mem entry_pa Image.extab_entry_bytes then
+      check_entry k entry_va
+        (Guest_mem.get_u32_signed mem ~pa:entry_pa)
+        (Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4))
+        (Guest_mem.get_u32 mem ~pa:(entry_pa + 8))
+        (Guest_mem.get_u32 mem ~pa:(entry_pa + 12))
+        (Guest_mem.get_u32 mem ~pa:(entry_pa + 16))
+    else
+      let fault_disp, handler_disp, fault_fn, handler_fn, fault_off =
+        read_extab_entry mem ~entry_va ~entry_pa
+      in
+      check_entry k entry_va fault_disp handler_disp fault_fn handler_fn
+        fault_off
   done;
   count
 
@@ -224,14 +317,9 @@ let verify_orc mem params =
   | Some link_va ->
       if not params.Boot_params.orc_fixed then 0
       else begin
-        let delta = Boot_params.delta params in
-        let va = link_va + delta in
-        let pa = Boot_params.va_to_pa params va in
+        let va = link_va + Boot_params.delta params in
         let count =
-          try
-            probe_end mem ~pa ~len:Image.orc_header_bytes;
-            Guest_mem.get_u32 mem ~pa
-          with Guest_mem.Fault m -> panic "orc at va %#x: %s" va m
+          table_count mem params ~va ~header:Image.orc_header_bytes ~what:"orc"
         in
         let prev = ref min_int in
         for k = 0 to count - 1 do

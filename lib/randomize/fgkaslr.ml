@@ -1,13 +1,47 @@
 open Imk_memory
 
+(* Sections are kept in link order, so [old_va] is non-decreasing and the
+   section holding a VA is the greatest rank whose [old_va] is <= it.
+   [index] buckets [old_va.(0), old_va.(count - 1)] into at most
+   2 x [count] power-of-two-wide slots; [bucket.(b)] is the greatest rank
+   whose [old_va] is <= the slot's start, so a lookup reads one slot and
+   looks only between it and the next one. *)
+type index = { shift : int; bucket : int array }
+
 type plan = {
   count : int;
   order : int array;
   old_va : int array;
   size : int array;
   new_va : int array;
-  sorted_old : int array;
+  index : index;
 }
+
+let build_index old_va =
+  let n = Array.length old_va in
+  if n = 0 then { shift = 0; bucket = [||] }
+  else begin
+    let lo = old_va.(0) in
+    let span = old_va.(n - 1) - lo in
+    (* a span that overflows (VAs of both signs; no decoder yields them)
+       gets one slot: every lookup then searches the whole plan *)
+    let shift = ref 0 in
+    if span >= 0 then
+      while span lsr !shift >= 2 * n do
+        incr shift
+      done;
+    let slots = if span >= 0 then (span lsr !shift) + 1 else 1 in
+    let bucket = Array.make slots 0 in
+    let r = ref 0 in
+    for b = 0 to slots - 1 do
+      let start = lo + (b lsl !shift) in
+      while !r + 1 < n && old_va.(!r + 1) <= start do
+        incr r
+      done;
+      bucket.(b) <- !r
+    done;
+    { shift = !shift; bucket }
+  end
 
 let validate_sections sections =
   let n = Array.length sections in
@@ -18,6 +52,7 @@ let validate_sections sections =
       invalid_arg "Fgkaslr.make_plan: overlapping or unsorted sections"
   done
 
+(* [sections] are validated, hence in link order already *)
 let layout ~order ~sections ~text_base =
   let n = Array.length sections in
   let old_va = Array.map fst sections in
@@ -30,9 +65,7 @@ let layout ~order ~sections ~text_base =
       new_va.(original) <- va;
       cursor := va + size.(original))
     order;
-  let sorted_old = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare old_va.(a) old_va.(b)) sorted_old;
-  { count = n; order; old_va; size; new_va; sorted_old }
+  { count = n; order; old_va; size; new_va; index = build_index old_va }
 
 let make_plan rng ~sections ~text_base =
   validate_sections sections;
@@ -40,38 +73,57 @@ let make_plan rng ~sections ~text_base =
   Imk_entropy.Shuffle.shuffle_in_place rng order;
   layout ~order ~sections ~text_base
 
+(* the blob need not be in link order: sort its pairs once, and point
+   [order] back at them so {!displacement_pairs} returns the blob as
+   given *)
 let plan_of_pairs pairs =
   let n = Array.length pairs in
-  let order = Array.init n (fun i -> i) in
-  let old_va = Array.map (fun (o, _, _) -> o) pairs in
-  let new_va = Array.map (fun (_, nv, _) -> nv) pairs in
-  let size = Array.map (fun (_, _, s) -> s) pairs in
-  let sorted_old = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare old_va.(a) old_va.(b)) sorted_old;
-  { count = n; order; old_va; size; new_va; sorted_old }
+  let key k =
+    let o, _, _ = pairs.(k) in
+    o
+  in
+  let rank = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> Int.compare (key a) (key b)) rank;
+  let order = Array.make n 0 in
+  Array.iteri (fun r k -> order.(k) <- r) rank;
+  let field f = Array.map (fun k -> f pairs.(k)) rank in
+  let old_va = field (fun (o, _, _) -> o) in
+  let new_va = field (fun (_, nv, _) -> nv) in
+  let size = field (fun (_, _, s) -> s) in
+  { count = n; order; old_va; size; new_va; index = build_index old_va }
 
 let identity_plan ~sections ~text_base =
   validate_sections sections;
   let order = Array.init (Array.length sections) (fun i -> i) in
   layout ~order ~sections ~text_base
 
-(* binary search: greatest section whose old_va <= va; displacement
-   applies only if va falls inside that section *)
+(* greatest rank in [lo, hi] whose [old_va] is <= [va], given that
+   [old_va.(lo)] is. Adjacent slots are at most a step or two apart on
+   a plan whose sections spread evenly, so the search is O(1) there, and
+   O(log n) on a skewed plan (a corrupt setup-data blob, say) *)
+let rank_in old_va va lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if old_va.(mid) <= va then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* the section holding [va] is the greatest one starting at or below it;
+   the displacement applies only if [va] falls inside that section *)
 let displace plan va =
-  if plan.count = 0 then va
+  if plan.count = 0 || va < plan.old_va.(0) then va
   else begin
-    let lo = ref 0 and hi = ref (plan.count - 1) and found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let idx = plan.sorted_old.(mid) in
-      if plan.old_va.(idx) <= va then begin
-        found := idx;
-        lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    if !found >= 0 && va < plan.old_va.(!found) + plan.size.(!found) then
-      va + (plan.new_va.(!found) - plan.old_va.(!found))
+    let ix = plan.index in
+    let slots = Array.length ix.bucket in
+    (* [d] is negative only if [va - old_va.(0)] overflowed, past every
+       slot like a VA beyond the last section *)
+    let d = va - plan.old_va.(0) in
+    let b = if d >= 0 then Int.min (d lsr ix.shift) (slots - 1) else slots - 1 in
+    let hi = if b + 1 < slots then ix.bucket.(b + 1) else plan.count - 1 in
+    let r = rank_in plan.old_va va ix.bucket.(b) hi in
+    if va < plan.old_va.(r) + plan.size.(r) then
+      va + (plan.new_va.(r) - plan.old_va.(r))
     else va
   end
 

@@ -3,24 +3,33 @@
 
     Follows the in-kernel FGKASLR implementation the paper adapts (§3.2,
     §4.3): function sections are shuffled and re-laid-out contiguously,
-    every relocation consults a binary search over the moved sections to
-    displace values that point into them, and the address-ordered tables
-    (kallsyms, the exception table, optionally the ORC unwind table) are
-    rewritten and re-sorted. The {!plan} is the shared data structure; the
-    monitor and the bootstrap loader differ only in how they move the
-    bytes and what they charge for it. *)
+    every relocation looks up the moved section its value points into
+    and displaces it, and the address-ordered tables (kallsyms, the
+    exception table, optionally the ORC unwind table) are rewritten and
+    re-sorted. Linux finds the section by a binary search per entry, and
+    the virtual clock still charges that search
+    ({!Imk_vclock.Cost_model.fg_reloc_cost}); on the host the lookup is
+    a bucket index over the sections' link addresses, O(1) per entry.
+    The {!plan} is the shared data structure; the monitor and the
+    bootstrap loader differ only in how they move the bytes and what
+    they charge for it. *)
+
+type index
+(** The lookup structure {!displace} reads: at most 2 x [count] buckets
+    over the sections' link addresses, each naming the last section
+    starting at or below the bucket's start. *)
 
 type plan = {
   count : int;
   order : int array;
-      (** shuffled permutation: [order.(k)] is the original index of the
-          section placed k-th *)
-  old_va : int array;  (** per original index *)
-  size : int array;  (** per original index *)
-  new_va : int array;  (** per original index *)
-  sorted_old : int array;
-      (** original indices sorted by [old_va] — the binary-search key the
-          relocation fixup walks *)
+      (** shuffled permutation: [order.(k)] is the rank of the section
+          placed k-th *)
+  old_va : int array;
+      (** per rank; sections are ranked in link order, so this is
+          non-decreasing *)
+  size : int array;  (** per rank *)
+  new_va : int array;  (** per rank *)
+  index : index;
 }
 
 val make_plan :
@@ -32,9 +41,13 @@ val make_plan :
 
 val displace : plan -> int -> int
 (** [displace plan va] maps a link-time VA to its post-shuffle VA: VAs
-    inside a moved section get that section's displacement (found by
-    binary search); all other VAs are unchanged. The global KASLR delta is
-    {e not} included — compose with {!Kaslr.delta_new_va}. *)
+    inside a moved section get that section's displacement; all other
+    VAs are unchanged. The section is the last one starting at or below
+    [va], found by a binary search between the entries of [va]'s bucket
+    and the next one, so a lookup allocates nothing and costs O(1) on a
+    plan whose sections spread evenly (O(log n) on a skewed one). The
+    global KASLR delta is {e not} included — compose with
+    {!Kaslr.delta_new_va}. *)
 
 val displacement_pairs : plan -> (int * int * int) array
 (** [displacement_pairs plan] lists [(old_va, new_va, size)] per section
@@ -44,7 +57,9 @@ val displacement_pairs : plan -> (int * int * int) array
 val plan_of_pairs : (int * int * int) array -> plan
 (** [plan_of_pairs pairs] reconstructs a plan from
     {!displacement_pairs} output — how the guest's deferred kallsyms
-    fixup rebuilds the displacement map from the setup-data blob. *)
+    fixup rebuilds the displacement map from the setup-data blob. The
+    pairs are ranked by [old_va] and [order] points back at them, so
+    [displacement_pairs (plan_of_pairs p)] is [p]. *)
 
 val identity_plan : sections:(int * int) array -> text_base:int -> plan
 (** [identity_plan] builds a no-shuffle plan (every displacement zero) —

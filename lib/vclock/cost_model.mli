@@ -39,7 +39,10 @@ type t = {
       (** same work in the bootstrap loader; cold caches/TLB, ~16 ns. *)
   reloc_search_step_ns : float;
       (** one step of the FGKASLR binary search over shuffled sections
-          (paper §3.2), ~4 ns per comparison. *)
+          (paper §3.2), ~4 ns per comparison. This models Linux's
+          per-entry search; the simulator's own lookup
+          ([Imk_randomize.Fgkaslr.displace]) is a bucket index that the
+          virtual clock never sees. *)
   section_shuffle_ns : float;
       (** per-section bookkeeping when shuffling and re-laying-out
           function sections — header rewrite, address assignment,
@@ -81,7 +84,10 @@ val reloc_cost : t -> in_guest:bool -> entries:int -> int
 val fg_reloc_cost : t -> in_guest:bool -> entries:int -> sections:int -> int
 (** [fg_reloc_cost t ~in_guest ~entries ~sections] adds the per-entry
     binary search over [sections] shuffled function sections to
-    {!reloc_cost} (paper §3.2). *)
+    {!reloc_cost} (paper §3.2). The charge models Linux's bsearch, so
+    Fig 9's super-linear FGKASLR cost holds whatever the host does: the
+    simulator finds each entry's section through an O(1) bucket index,
+    and this charge does not change with it. *)
 
 val elf_parse_cost : t -> sections:int -> int
 (** [elf_parse_cost t ~sections] is parsing an ELF with that many section

@@ -54,41 +54,71 @@ let test_verify_counts () =
   check Alcotest.bool "extab verified" true (s.Imk_guest.Runtime.extab_verified > 0);
   check int "kallsyms all" 60 s.Imk_guest.Runtime.kallsyms_verified
 
-(* corruption detection: flip bytes in guest memory post-boot and re-run
-   the verifier; the walk must panic *)
-let corrupt_and_verify ~corrupt =
+(* corruption detection: damage guest memory post-boot and re-run the
+   verifier; the walk must panic, with exactly the message pinned here
+   (a failed boot carries it as [Failure.Guest_panic]). [corrupt]
+   damages the booted guest and returns the params to verify. *)
+let panic_of corrupt =
   let env = Testkit.make_env ~functions:40 () in
   let _, r = Testkit.boot env in
-  corrupt r;
-  try
-    ignore (Imk_guest.Runtime.verify_boot r.Vmm.mem r.Vmm.params);
-    false
-  with Imk_guest.Runtime.Panic _ -> true
+  let params = corrupt r in
+  match Imk_guest.Runtime.verify_boot r.Vmm.mem params with
+  | _ -> "no panic"
+  | exception Imk_guest.Runtime.Panic m -> m
+
+let check_panic expect corrupt =
+  check Alcotest.string "panic" expect (panic_of corrupt)
+
+(* damage memory only; verify with the boot's own params *)
+let in_place f r =
+  f r;
+  r.Vmm.params
+
+let entry_pa r =
+  let p = r.Vmm.params in
+  Imk_guest.Boot_params.va_to_pa p p.Imk_guest.Boot_params.entry_va
+
+let first_site_pa r = entry_pa r + Imk_kernel.Function_graph.fn_header_bytes
+
+(* the boot's params with the entry point [back] bytes before the end of
+   the guest *)
+let entry_near_end ~back r =
+  let p = r.Vmm.params in
+  let pa = Imk_memory.Guest_mem.size r.Vmm.mem - back in
+  { p with
+    Imk_guest.Boot_params.entry_va =
+      pa - p.Imk_guest.Boot_params.phys_load
+      + p.Imk_guest.Boot_params.virt_base }
+
+(* a header for function [id] with [n_sites] sites at [pa], magic
+   included *)
+let write_header r ~pa ~id ~n_sites =
+  let mem = r.Vmm.mem in
+  Imk_memory.Guest_mem.set_addr mem ~pa (Imk_kernel.Function_graph.fn_magic id);
+  Imk_memory.Guest_mem.set_u32 mem ~pa:(pa + 8) id;
+  Imk_memory.Guest_mem.set_u32 mem ~pa:(pa + 12) n_sites;
+  Imk_memory.Guest_mem.set_u32 mem ~pa:(pa + 16) 64
 
 let test_detects_corrupted_site () =
-  check Alcotest.bool "panics" true
-    (corrupt_and_verify ~corrupt:(fun r ->
+  check_panic
+    "function header at va 0x3fffffff81777000: read u8 at \
+     0x7ffffffff6377017+1 outside guest memory of 67108864 bytes"
+    (in_place (fun r ->
          (* smash the first call-site value of the entry function *)
-         let p = r.Vmm.params in
-         let entry_pa =
-           Imk_guest.Boot_params.va_to_pa p p.Imk_guest.Boot_params.entry_va
-         in
-         let site_pa = entry_pa + Imk_kernel.Function_graph.fn_header_bytes + 8 in
-         Imk_memory.Guest_mem.set_addr r.Vmm.mem ~pa:site_pa
+         Imk_memory.Guest_mem.set_addr r.Vmm.mem ~pa:(first_site_pa r + 8)
            (Imk_memory.Addr.link_base + 0x777000)))
 
 let test_detects_corrupted_magic () =
-  check Alcotest.bool "panics" true
-    (corrupt_and_verify ~corrupt:(fun r ->
-         let p = r.Vmm.params in
-         let entry_pa =
-           Imk_guest.Boot_params.va_to_pa p p.Imk_guest.Boot_params.entry_va
-         in
-         Imk_memory.Guest_mem.set_addr r.Vmm.mem ~pa:entry_pa 0x1234567))
+  check_panic "bad function magic at va 0x3fffffff8de00000 (claims id 0)"
+    (in_place (fun r ->
+         Imk_memory.Guest_mem.set_addr r.Vmm.mem ~pa:(entry_pa r) 0x1234567))
 
 let test_detects_unsorted_kallsyms () =
-  check Alcotest.bool "panics" true
-    (corrupt_and_verify ~corrupt:(fun r ->
+  (* the first entry's symbol check runs before the order check, so the
+     swap shows as a misplaced symbol *)
+  check_panic
+    "kallsyms symbol: va 0x3fffffff8de002a0 holds function 1, expected 0"
+    (in_place (fun r ->
          let p = r.Vmm.params in
          let info = p.Imk_guest.Boot_params.kernel in
          let pa =
@@ -103,6 +133,120 @@ let test_detects_unsorted_kallsyms () =
          let o2 = Imk_memory.Guest_mem.get_u32 r.Vmm.mem ~pa:(pa + h + e) in
          Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + h) o2;
          Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + h + e) o1))
+
+let test_detects_header_at_end () =
+  (* the entry's 24-byte header would run 8 bytes past the guest *)
+  check_panic
+    "function header at va 0x3fffffff8f3ffff0: read u8 at 0x4000007+1 \
+     outside guest memory of 67108864 bytes"
+    (entry_near_end ~back:16)
+
+let test_detects_site_straddling_end () =
+  (* a valid header whose one abs64 site starts 8 bytes before the end:
+     its kind and target id fit, its value does not *)
+  let back = Imk_kernel.Function_graph.fn_header_bytes + 8 in
+  check_panic
+    "call site at va 0x3fffffff8f3ffff8: read u64 at 0x4000000+8 outside \
+     guest memory of 67108864 bytes"
+    (fun r ->
+      let pa = Imk_memory.Guest_mem.size r.Vmm.mem - back in
+      write_header r ~pa ~id:0 ~n_sites:1;
+      Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + 24) 0;
+      Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + 28) 1;
+      entry_near_end ~back r)
+
+let test_detects_target_id_mismatch () =
+  check_panic
+    "call from fn 0 via abs32: va 0x3fffffff8de002a0 holds function 1, \
+     expected 2"
+    (in_place (fun r ->
+         let pa = first_site_pa r + 4 in
+         let id = Imk_memory.Guest_mem.get_u32 r.Vmm.mem ~pa in
+         Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa ((id + 1) mod 40)))
+
+let test_detects_id_out_of_range () =
+  (* a well-formed header, magic included, for a function the kernel
+     does not have *)
+  check_panic "function id 40 out of range at 0x3fffffff8de00000"
+    (in_place (fun r -> write_header r ~pa:(entry_pa r) ~id:40 ~n_sites:0))
+
+(* the production walk against Verify_ref, the per-field walk it replaced:
+   the same stats and layout, or the same exception with the same
+   message, after one random byte of the placed kernel is damaged. The
+   damage lands in a function's header or sites, at the start of a
+   verified table, or anywhere the boot wrote. *)
+let walk_envs =
+  lazy
+    [|
+      (Testkit.make_env ~functions:40 (), Vm_config.Rando_kaslr);
+      ( Testkit.make_env ~functions:40 ~variant:Imk_kernel.Config.Fgkaslr (),
+        Vm_config.Rando_fgkaslr );
+    |]
+
+let outcome f =
+  match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let corrupt_pa r ~region ~pick =
+  let p = r.Vmm.params in
+  let info = p.Imk_guest.Boot_params.kernel in
+  let table_va link_va = link_va + Imk_guest.Boot_params.delta p in
+  match region with
+  | 0 ->
+      let layout = Imk_guest.Runtime.fn_layout r.Vmm.mem p in
+      let va = layout.(pick mod Array.length layout) in
+      Imk_guest.Boot_params.va_to_pa p va + (pick / 7 mod 96)
+  | 1 ->
+      let tables =
+        [|
+          info.Imk_guest.Boot_params.link_rodata_va;
+          info.Imk_guest.Boot_params.link_extab_va;
+          info.Imk_guest.Boot_params.link_kallsyms_va;
+        |]
+      in
+      Imk_guest.Boot_params.va_to_pa p (table_va tables.(pick mod 3))
+      + (pick / 3 mod 64)
+  | _ -> (
+      match Imk_memory.Guest_mem.dirty_extent r.Vmm.mem with
+      | Some (lo, hi) -> lo + (pick mod (hi - lo))
+      | None -> 0)
+
+let qcheck_walk_matches_reference =
+  QCheck.Test.make ~name:"runtime: verify walk = per-field reference"
+    ~count:150
+    QCheck.(
+      quad (int_bound 1_000_000) (int_bound 2) (int_bound 1_000_000)
+        (pair bool (int_range 1 255)))
+    (fun (seed, region, pick, (fg, flip)) ->
+      let env, rando = (Lazy.force walk_envs).(if fg then 1 else 0) in
+      let orc = if fg then Vm_config.Orc_update else Vm_config.Orc_skip in
+      let _, r = Testkit.boot env ~rando ~orc ~seed:(Int64.of_int seed) in
+      let mem = r.Vmm.mem and p = r.Vmm.params in
+      let pa = corrupt_pa r ~region ~pick in
+      Imk_memory.Guest_mem.write_bytes mem ~pa
+        (Bytes.make 1 (Char.chr (Imk_memory.Guest_mem.get_u8 mem ~pa lxor flip)));
+      outcome (fun () -> Imk_guest.Runtime.verify_boot mem p)
+      = outcome (fun () -> Verify_ref.verify_boot mem p)
+      && outcome (fun () -> Imk_guest.Runtime.fn_layout mem p)
+         = outcome (fun () -> Verify_ref.fn_layout mem p))
+
+(* the walk reads every record without allocating: what a verify costs
+   in minor words is its few per-walk values, far below one per site
+   (the per-field walk took ~17 per site) *)
+let test_verify_allocation () =
+  Testkit.skip_unless_native ();
+  let env = Testkit.make_env ~functions:400 () in
+  let _, r = Testkit.boot env in
+  let sites = ref 0 in
+  let verify () =
+    let s = Imk_guest.Runtime.verify_boot r.Vmm.mem r.Vmm.params in
+    sites := s.Imk_guest.Runtime.sites_verified
+  in
+  verify ();
+  let words = Testkit.minor_words verify in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words < %d sites" words !sites)
+    true
+    (words < float_of_int !sites)
 
 let test_fn_at_probe () =
   let env = Testkit.make_env ~functions:30 () in
@@ -269,7 +413,17 @@ let () =
             test_detects_corrupted_magic;
           Alcotest.test_case "detects unsorted kallsyms" `Quick
             test_detects_unsorted_kallsyms;
+          Alcotest.test_case "detects header at guest end" `Quick
+            test_detects_header_at_end;
+          Alcotest.test_case "detects site straddling guest end" `Quick
+            test_detects_site_straddling_end;
+          Alcotest.test_case "detects target id mismatch" `Quick
+            test_detects_target_id_mismatch;
+          Alcotest.test_case "detects id out of range" `Quick
+            test_detects_id_out_of_range;
+          Alcotest.test_case "verify allocation" `Quick test_verify_allocation;
           Alcotest.test_case "fn_at probe" `Quick test_fn_at_probe;
+          Testkit.to_alcotest qcheck_walk_matches_reference;
           Testkit.to_alcotest qcheck_boot_verifies_for_random_seeds;
         ] );
       ( "kallsyms",

@@ -417,6 +417,82 @@ let qcheck_displace_preserves_offsets =
           Fgkaslr.displace plan (old_va + size - 1) = old_va + size - 1 + d)
         secs)
 
+(* sections of random sizes (>= 1) with random gaps: adjacent about a
+   third of the time, and now and then a gap of up to 4 MiB, which
+   crowds the other sections into a few of the index's buckets *)
+let random_sections r n =
+  let va = ref Addr.link_base in
+  Array.init n (fun _ ->
+      let gap =
+        match Imk_entropy.Prng.next_int r 100 with
+        | 0 -> Imk_entropy.Prng.next_int r (1 lsl 22)
+        | k when k < 33 -> 0
+        | _ -> Imk_entropy.Prng.next_int r 5000
+      in
+      let size = 1 + Imk_entropy.Prng.next_int r 4096 in
+      let s = (!va + gap, size) in
+      va := !va + gap + size;
+      s)
+
+(* each section's first byte, last byte and one past its end (a gap or
+   the next section), each gap's middle, and VAs below the first section
+   and above the last *)
+let probes secs =
+  let n = Array.length secs in
+  let first = fst secs.(0) in
+  let last_end = fst secs.(n - 1) + snd secs.(n - 1) in
+  let own =
+    Array.to_list secs
+    |> List.concat_map (fun (va, size) -> [ va; va + size - 1; va + size ])
+  in
+  let gaps =
+    List.init (n - 1) (fun i ->
+        let a = fst secs.(i) + snd secs.(i) in
+        (a + fst secs.(i + 1)) / 2)
+  in
+  [ min_int; 0; first - 1; last_end + 1; last_end + 123_457; max_int ]
+  @ own @ gaps
+
+let qcheck_displace_matches_reference =
+  QCheck.Test.make ~name:"fgkaslr: indexed displace = binary-search reference"
+    ~count:150
+    QCheck.(triple int64 (int_range 1 6000) (int_bound 2))
+    (fun (seed, n, kind) ->
+      let r = Imk_entropy.Prng.create ~seed in
+      let secs = random_sections r n in
+      let shuffled = Fgkaslr.make_plan r ~sections:secs ~text_base:Addr.link_base in
+      let plan, pairs =
+        match kind with
+        | 0 -> (shuffled, Fgkaslr.displacement_pairs shuffled)
+        | 1 ->
+            let p = Fgkaslr.identity_plan ~sections:secs ~text_base:Addr.link_base in
+            (p, Fgkaslr.displacement_pairs p)
+        | _ ->
+            let pairs = Fgkaslr.displacement_pairs shuffled in
+            Imk_entropy.Shuffle.shuffle_in_place r pairs;
+            (Fgkaslr.plan_of_pairs pairs, pairs)
+      in
+      let reference = Displace_ref.of_pairs pairs in
+      Fgkaslr.displacement_pairs plan = pairs
+      && List.for_all
+           (fun va -> Fgkaslr.displace plan va = Displace_ref.displace reference va)
+           (probes secs))
+
+let test_displace_allocation () =
+  Testkit.skip_unless_native ();
+  let secs = random_sections (rng ()) 5600 in
+  let plan = Fgkaslr.make_plan (rng ()) ~sections:secs ~text_base:Addr.link_base in
+  let span = fst secs.(5599) - Addr.link_base in
+  let lookups () =
+    let acc = ref 0 in
+    for i = 0 to 9_999 do
+      acc := !acc lxor Fgkaslr.displace plan (Addr.link_base + (i * 7919 mod span))
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  check (Alcotest.float 0.) "10,000 lookups, 0 minor words" 0.
+    (Testkit.minor_words lookups)
+
 let qcheck_apply_then_verify_consistency =
   (* applying with delta then with -delta returns the original bytes *)
   QCheck.Test.make ~name:"kaslr: apply delta then -delta = id" ~count:50
@@ -476,5 +552,8 @@ let () =
           Alcotest.test_case "rejects overlap" `Quick test_plan_rejects_overlap;
           Alcotest.test_case "plan_of_pairs" `Quick test_plan_of_pairs_roundtrip;
           Testkit.to_alcotest qcheck_displace_preserves_offsets;
+          Testkit.to_alcotest qcheck_displace_matches_reference;
+          Alcotest.test_case "displace allocation" `Quick
+            test_displace_allocation;
         ] );
     ]
