@@ -16,14 +16,14 @@ type verify_stats = {
 
 (* The walk reads tens of thousands of small records per boot and is
    not on the virtual clock, so its host cost is pure overhead. Each
-   header, site or table record is bounds-checked once against the
-   guest's size ([fits]) and its fields are then read without a [try] or
-   a tuple, so the walk allocates nothing per record. A record that
-   fails the check goes to the per-field readers below
-   ([read_fn_header], [read_site], [read_*_entry]): the reference
-   semantics, which fault on the first field off the guest and so keep
-   every panic message exactly what it was. test/verify_ref.ml keeps the
-   whole per-field walk, and test_guest pins this one to it. *)
+   site or table record is read and checked inside one [try], so the
+   walk allocates nothing per record, and its fields are read in the
+   order test/verify_ref.ml reads them, so a record off the guest
+   faults at the same field with the same message. Function headers are
+   bounds-checked once against the guest's size ([fits]) and their
+   64-bit magic is compared without boxing; a header that fails the
+   check goes to [read_fn_header], whose fault comes from its 64-bit
+   read first. test_guest pins this walk to test/verify_ref.ml. *)
 
 let fits mem pa len = pa >= 0 && pa <= Guest_mem.size mem - len
 
@@ -108,19 +108,6 @@ let reach w ~id ~va =
   w.queue.(w.tail) <- id;
   w.tail <- w.tail + 1
 
-let read_site mem ~site_va ~site_pa =
-  try
-    let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
-    let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
-    let value =
-      match kind with
-      | Imk_elf.Relocation.Abs64 -> Guest_mem.get_addr mem ~pa:(site_pa + 8)
-      | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
-          Guest_mem.get_u32 mem ~pa:(site_pa + 8)
-    in
-    (kind, target_id, value)
-  with Guest_mem.Fault m -> panic "call site at va %#x: %s" site_va m
-
 let follow_site mem params w ~from ~kind ~target_id ~value =
   let target_va = target_va_of_site kind value in
   let id = header_id mem params ~va:target_va in
@@ -133,9 +120,11 @@ let follow_site mem params w ~from ~kind ~target_id ~value =
      && not w.visited.(target_id)
   then reach w ~id:target_id ~va:target_va
 
+(* [follow_site] raises no [Fault]: [header_id] reads only after [fits]
+   or through [read_fn_header], which turns a fault into a [Panic] *)
 let walk_site mem params w ~from ~site_va =
   let site_pa = Boot_params.va_to_pa params site_va in
-  if fits mem site_pa Function_graph.site_bytes then begin
+  try
     let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
     let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
     let value =
@@ -145,10 +134,7 @@ let walk_site mem params w ~from ~site_va =
           Guest_mem.get_u32 mem ~pa:(site_pa + 8)
     in
     follow_site mem params w ~from ~kind ~target_id ~value
-  end
-  else
-    let kind, target_id, value = read_site mem ~site_va ~site_pa in
-    follow_site mem params w ~from ~kind ~target_id ~value
+  with Guest_mem.Fault m -> panic "call site at va %#x: %s" site_va m
 
 let walk_functions mem params =
   let n = params.Boot_params.kernel.Boot_params.n_functions in
@@ -192,14 +178,6 @@ let table_count mem params ~va ~header ~what =
     Guest_mem.get_u32 mem ~pa
   with Guest_mem.Fault m -> panic "%s at va %#x: %s" what va m
 
-let read_rodata_entry mem ~entry_va ~entry_pa =
-  try
-    probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
-    let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
-    let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-    (ptr, id)
-  with Guest_mem.Fault m -> panic "rodata entry at va %#x: %s" entry_va m
-
 let verify_rodata mem params =
   let info = params.Boot_params.kernel in
   let va = info.Boot_params.link_rodata_va + Boot_params.delta params in
@@ -209,23 +187,14 @@ let verify_rodata mem params =
   for k = 0 to count - 1 do
     let entry_va = va + Image.rodata_header_bytes + (k * Image.rodata_entry_bytes) in
     let entry_pa = Boot_params.va_to_pa params entry_va in
-    if fits mem entry_pa Image.rodata_entry_bytes then
-      check_fn mem params
-        ~va:(Guest_mem.get_addr mem ~pa:entry_pa)
-        ~expect_id:(Guest_mem.get_u32 mem ~pa:(entry_pa + 8))
-        ~what:"rodata pointer"
-    else
-      let ptr, id = read_rodata_entry mem ~entry_va ~entry_pa in
+    try
+      probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
+      let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
+      let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
       check_fn mem params ~va:ptr ~expect_id:id ~what:"rodata pointer"
+    with Guest_mem.Fault m -> panic "rodata entry at va %#x: %s" entry_va m
   done;
   count
-
-let read_kallsyms_entry mem ~entry_va ~entry_pa =
-  try
-    let off = Guest_mem.get_u32 mem ~pa:entry_pa in
-    let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
-    (off, id)
-  with Guest_mem.Fault m -> panic "kallsyms entry at va %#x: %s" entry_va m
 
 let verify_kallsyms mem params =
   let info = params.Boot_params.kernel in
@@ -244,34 +213,18 @@ let verify_kallsyms mem params =
     panic "kallsyms base %#x not relocated (expected %#x)" base
       (Addr.kmap_base + delta);
   let prev = ref (-1) in
-  let check_symbol k off id =
-    if off <= !prev then panic "kallsyms not sorted at entry %d" k;
-    prev := off;
-    check_fn mem params ~va:(base + off) ~expect_id:id ~what:"kallsyms symbol"
-  in
   for k = 0 to count - 1 do
     let entry_va = va + Image.kallsyms_header_bytes + (k * Image.kallsyms_entry_bytes) in
     let entry_pa = Boot_params.va_to_pa params entry_va in
-    if fits mem entry_pa Image.kallsyms_entry_bytes then
-      check_symbol k
-        (Guest_mem.get_u32 mem ~pa:entry_pa)
-        (Guest_mem.get_u32 mem ~pa:(entry_pa + 4))
-    else
-      let off, id = read_kallsyms_entry mem ~entry_va ~entry_pa in
-      check_symbol k off id
+    try
+      let off = Guest_mem.get_u32 mem ~pa:entry_pa in
+      let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
+      if off <= !prev then panic "kallsyms not sorted at entry %d" k;
+      prev := off;
+      check_fn mem params ~va:(base + off) ~expect_id:id ~what:"kallsyms symbol"
+    with Guest_mem.Fault m -> panic "kallsyms entry at va %#x: %s" entry_va m
   done;
   count
-
-let read_extab_entry mem ~entry_va ~entry_pa =
-  try
-    probe_end mem ~pa:entry_pa ~len:Image.extab_entry_bytes;
-    let fault_disp = Guest_mem.get_u32_signed mem ~pa:entry_pa in
-    let handler_disp = Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4) in
-    let fault_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-    let handler_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 12) in
-    let fault_off = Guest_mem.get_u32 mem ~pa:(entry_pa + 16) in
-    (fault_disp, handler_disp, fault_fn, handler_fn, fault_off)
-  with Guest_mem.Fault m -> panic "extab entry at va %#x: %s" entry_va m
 
 let verify_extab mem params =
   let info = params.Boot_params.kernel in
@@ -280,34 +233,26 @@ let verify_extab mem params =
     table_count mem params ~va ~header:Image.extab_header_bytes ~what:"extab"
   in
   let prev = ref min_int in
-  let check_entry k entry_va fault_disp handler_disp fault_fn handler_fn
-      fault_off =
-    let fault_va = entry_va + fault_disp in
-    let handler_va = entry_va + 4 + handler_disp in
-    (* non-strict: distinct entries may share a fault address *)
-    if fault_va < !prev then panic "extab not sorted at entry %d" k;
-    prev := fault_va;
-    check_fn mem params ~va:(fault_va - fault_off) ~expect_id:fault_fn
-      ~what:"extab fault site";
-    check_fn mem params ~va:handler_va ~expect_id:handler_fn
-      ~what:"extab handler"
-  in
   for k = 0 to count - 1 do
     let entry_va = va + Image.extab_header_bytes + (k * Image.extab_entry_bytes) in
     let entry_pa = Boot_params.va_to_pa params entry_va in
-    if fits mem entry_pa Image.extab_entry_bytes then
-      check_entry k entry_va
-        (Guest_mem.get_u32_signed mem ~pa:entry_pa)
-        (Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4))
-        (Guest_mem.get_u32 mem ~pa:(entry_pa + 8))
-        (Guest_mem.get_u32 mem ~pa:(entry_pa + 12))
-        (Guest_mem.get_u32 mem ~pa:(entry_pa + 16))
-    else
-      let fault_disp, handler_disp, fault_fn, handler_fn, fault_off =
-        read_extab_entry mem ~entry_va ~entry_pa
-      in
-      check_entry k entry_va fault_disp handler_disp fault_fn handler_fn
-        fault_off
+    try
+      probe_end mem ~pa:entry_pa ~len:Image.extab_entry_bytes;
+      let fault_disp = Guest_mem.get_u32_signed mem ~pa:entry_pa in
+      let handler_disp = Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4) in
+      let fault_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
+      let handler_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 12) in
+      let fault_off = Guest_mem.get_u32 mem ~pa:(entry_pa + 16) in
+      let fault_va = entry_va + fault_disp in
+      let handler_va = entry_va + 4 + handler_disp in
+      (* non-strict: distinct entries may share a fault address *)
+      if fault_va < !prev then panic "extab not sorted at entry %d" k;
+      prev := fault_va;
+      check_fn mem params ~va:(fault_va - fault_off) ~expect_id:fault_fn
+        ~what:"extab fault site";
+      check_fn mem params ~va:handler_va ~expect_id:handler_fn
+        ~what:"extab handler"
+    with Guest_mem.Fault m -> panic "extab entry at va %#x: %s" entry_va m
   done;
   count
 

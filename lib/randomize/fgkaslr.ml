@@ -75,15 +75,17 @@ let make_plan rng ~sections ~text_base =
 
 (* the blob need not be in link order: sort its pairs once, and point
    [order] back at them so {!displacement_pairs} returns the blob as
-   given *)
+   given. Pairs sharing an [old_va] rank by size, then by blob position,
+   as {!Loadelf.fn_sections} ranks sections: in a valid table only the
+   last of them can be non-empty *)
 let plan_of_pairs pairs =
   let n = Array.length pairs in
-  let key k =
-    let o, _, _ = pairs.(k) in
-    o
-  in
   let rank = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare (key a) (key b)) rank;
+  Array.stable_sort
+    (fun a b ->
+      let oa, _, sa = pairs.(a) and ob, _, sb = pairs.(b) in
+      match Int.compare oa ob with 0 -> Int.compare sa sb | c -> c)
+    rank;
   let order = Array.make n 0 in
   Array.iteri (fun r k -> order.(k) <- r) rank;
   let field f = Array.map (fun k -> f pairs.(k)) rank in
@@ -109,8 +111,9 @@ let rank_in old_va va lo hi =
   done;
   !lo
 
-(* the section holding [va] is the greatest one starting at or below it;
-   the displacement applies only if [va] falls inside that section *)
+(* the section holding [va] is the greatest rank starting at or below it
+   (of sections sharing a start, the last in link order); the
+   displacement applies only if [va] falls inside that section *)
 let displace plan va =
   if plan.count = 0 || va < plan.old_va.(0) then va
   else begin

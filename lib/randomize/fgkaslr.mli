@@ -42,8 +42,10 @@ val make_plan :
 val displace : plan -> int -> int
 (** [displace plan va] maps a link-time VA to its post-shuffle VA: VAs
     inside a moved section get that section's displacement; all other
-    VAs are unchanged. The section is the last one starting at or below
-    [va], found by a binary search between the entries of [va]'s bucket
+    VAs are unchanged. The section is the last one in link order
+    starting at or below [va] — of sections sharing a start, a valid
+    table lets only the last be non-empty, so the empty ones never
+    claim a VA — found by a binary search between the entries of [va]'s bucket
     and the next one, so a lookup allocates nothing and costs O(1) on a
     plan whose sections spread evenly (O(log n) on a skewed one). The
     global KASLR delta is {e not} included — compose with
@@ -58,8 +60,10 @@ val plan_of_pairs : (int * int * int) array -> plan
 (** [plan_of_pairs pairs] reconstructs a plan from
     {!displacement_pairs} output — how the guest's deferred kallsyms
     fixup rebuilds the displacement map from the setup-data blob. The
-    pairs are ranked by [old_va] and [order] points back at them, so
-    [displacement_pairs (plan_of_pairs p)] is [p]. *)
+    pairs are ranked by [old_va], then by size, then by their position in
+    [pairs] (the link order {!Loadelf.fn_sections} gives), and [order]
+    points back at them, so [displacement_pairs (plan_of_pairs p)] is
+    [p]. *)
 
 val identity_plan : sections:(int * int) array -> text_base:int -> plan
 (** [identity_plan] builds a no-shuffle plan (every displacement zero) —

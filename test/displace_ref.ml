@@ -9,21 +9,21 @@ type t = {
   old_va : int array;
   new_va : int array;
   size : int array;
-  sorted_old : int array;  (* indices sorted by [old_va] *)
+  sorted_old : int array;  (* indices in link order *)
 }
 
 (* [of_pairs pairs] takes [(old_va, new_va, size)] per section, in any
-   order — the shape of [Fgkaslr.displacement_pairs] *)
+   order — the shape of [Fgkaslr.displacement_pairs] — and ranks them in
+   link order: by [old_va], then size (empty sections before the one they
+   share a start with, as Loadelf.fn_sections sorts them), then position *)
 let of_pairs pairs =
   let old_va = Array.map (fun (o, _, _) -> o) pairs in
+  let size = Array.map (fun (_, _, s) -> s) pairs in
   let sorted_old = Array.init (Array.length pairs) (fun i -> i) in
-  Array.sort (fun a b -> Int.compare old_va.(a) old_va.(b)) sorted_old;
-  {
-    old_va;
-    new_va = Array.map (fun (_, nv, _) -> nv) pairs;
-    size = Array.map (fun (_, _, s) -> s) pairs;
+  Array.stable_sort
+    (fun a b -> compare (old_va.(a), size.(a)) (old_va.(b), size.(b)))
     sorted_old;
-  }
+  { old_va; new_va = Array.map (fun (_, nv, _) -> nv) pairs; size; sorted_old }
 
 (* greatest section whose old_va <= va; the displacement applies only if
    va falls inside that section *)

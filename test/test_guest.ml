@@ -170,7 +170,8 @@ let test_detects_id_out_of_range () =
   check_panic "function id 40 out of range at 0x3fffffff8de00000"
     (in_place (fun r -> write_header r ~pa:(entry_pa r) ~id:40 ~n_sites:0))
 
-(* the production walk against Verify_ref, the per-field walk it replaced:
+(* the production walk against Verify_ref, the tuple-per-record walk it
+   replaced:
    the same stats and layout, or the same exception with the same
    message, after one random byte of the placed kernel is damaged. The
    damage lands in a function's header or sites, at the start of a
@@ -231,7 +232,7 @@ let qcheck_walk_matches_reference =
 
 (* the walk reads every record without allocating: what a verify costs
    in minor words is its few per-walk values, far below one per site
-   (the per-field walk took ~17 per site) *)
+   (the tuple-per-record walk took ~17 per site) *)
 let test_verify_allocation () =
   Testkit.skip_unless_native ();
   let env = Testkit.make_env ~functions:400 () in

@@ -417,9 +417,11 @@ let qcheck_displace_preserves_offsets =
           Fgkaslr.displace plan (old_va + size - 1) = old_va + size - 1 + d)
         secs)
 
-(* sections of random sizes (>= 1) with random gaps: adjacent about a
-   third of the time, and now and then a gap of up to 4 MiB, which
-   crowds the other sections into a few of the index's buckets *)
+(* sections of random sizes with random gaps: adjacent about a third of
+   the time, and now and then a gap of up to 4 MiB, which crowds the
+   other sections into a few of the index's buckets. One in twenty is
+   empty, so an empty section often shares its start with the next one:
+   the tie {!Fgkaslr.displace} resolves to the last in link order *)
 let random_sections r n =
   let va = ref Addr.link_base in
   Array.init n (fun _ ->
@@ -429,7 +431,10 @@ let random_sections r n =
         | k when k < 33 -> 0
         | _ -> Imk_entropy.Prng.next_int r 5000
       in
-      let size = 1 + Imk_entropy.Prng.next_int r 4096 in
+      let size =
+        if Imk_entropy.Prng.next_int r 20 = 0 then 0
+        else 1 + Imk_entropy.Prng.next_int r 4096
+      in
       let s = (!va + gap, size) in
       va := !va + gap + size;
       s)

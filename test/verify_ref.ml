@@ -2,9 +2,10 @@
    straightforward version that reads every field of a record through its
    own bounds-checked accessor inside a [try], returns tuples, builds a
    [what] closure per check and queues function VAs in a [Queue.t],
-   skipping duplicates when they are popped. The production walk checks
-   each record's bounds once, reads it without allocating and marks a
-   function when it is queued; test_guest's differential property pins
+   skipping duplicates when they are popped. The production walk reads
+   each record and runs its check inside one [try], so it builds no
+   tuple, compares function magics without boxing and marks a function
+   when it is queued; test_guest's differential property pins
    its stats, layouts, exceptions and panic messages to this one, like
    Crc.crc32 to crc32_ref. *)
 
