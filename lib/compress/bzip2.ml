@@ -136,10 +136,5 @@ let decode_payload_into b ~src_off ~dst ~dst_off ~orig_len =
   done;
   if !w <> orig_len then raise (Codec.Corrupt "bzip2: stream length mismatch")
 
-let decode_payload b ~orig_len =
-  let out = Bytes.create orig_len in
-  decode_payload_into b ~src_off:0 ~dst:out ~dst_off:0 ~orig_len;
-  out
-
 let codec =
   Codec.make ~name:"bzip2" ~encode:encode_payload ~decode_into:decode_payload_into

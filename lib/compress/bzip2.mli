@@ -10,7 +10,6 @@
 val codec : Codec.t
 
 val encode_payload : bytes -> bytes
-val decode_payload : bytes -> orig_len:int -> bytes
 
 val rle2_encode : int array -> int array
 (** MTF output → RUNA/RUNB symbol stream (exposed for unit tests):

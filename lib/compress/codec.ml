@@ -25,9 +25,8 @@ let max_orig_len = 1 lsl 30
 (* kernels are well under 1 GiB; anything larger in a header is corruption
    and must not drive decoder allocations *)
 
-(* header validation without touching the payload: [unframe] adds the
-   payload copy for the allocating path, [decompress_into] decodes from
-   the frame in place at offset [header_len] *)
+(* the one frame parser: validates the header without touching the
+   payload, which [decompress_into] decodes in place at [header_len] *)
 let parse_header ~name b =
   if Bytes.length b < header_len then raise (Corrupt "frame: truncated header");
   if Imk_util.Byteio.get_u32 b 0 <> magic then raise (Corrupt "frame: bad magic");
@@ -42,32 +41,8 @@ let parse_header ~name b =
   let crc = Imk_util.Byteio.get_u32 b 16 in
   (orig_len, crc)
 
-let unframe ~name b =
-  let orig_len, crc = parse_header ~name b in
-  (orig_len, crc, Bytes.sub b header_len (Bytes.length b - header_len))
-
-let check_crc ~orig_crc data =
-  if Imk_util.Crc.crc32 data 0 (Bytes.length data) <> orig_crc then
-    raise (Corrupt "frame: CRC mismatch after decompression")
-
 let make ~name ~encode ~decode_into =
   let compress input = frame ~name ~orig:input ~payload:(encode input) in
-  let run_decode b ~src_off ~dst ~dst_off ~orig_len =
-    (* malformed payloads surface as low-level exceptions from the
-       bit readers and range coders; all of them mean one thing here *)
-    try decode_into b ~src_off ~dst ~dst_off ~orig_len with
-    | Corrupt _ as e -> raise e
-    | Bitio.Reader.Truncated -> raise (Corrupt (name ^ ": truncated bitstream"))
-    | Invalid_argument m -> raise (Corrupt (name ^ ": malformed stream: " ^ m))
-    | Failure m -> raise (Corrupt (name ^ ": malformed stream: " ^ m))
-  in
-  let decompress framed =
-    let orig_len, crc, payload = unframe ~name framed in
-    let out = Bytes.create orig_len in
-    run_decode payload ~src_off:0 ~dst:out ~dst_off:0 ~orig_len;
-    check_crc ~orig_crc:crc out;
-    out
-  in
   let decompress_into framed ~dst ~dst_off =
     if dst_off < 0 || dst_off > Bytes.length dst then
       invalid_arg "Codec.decompress_into: dst_off";
@@ -76,9 +51,23 @@ let make ~name ~encode ~decode_into =
        does not fit is corruption, never a caller bug *)
     if orig_len > Bytes.length dst - dst_off then
       raise (Corrupt "frame: output exceeds destination");
-    run_decode framed ~src_off:header_len ~dst ~dst_off ~orig_len;
+    (* malformed payloads surface as low-level exceptions from the
+       bit readers and range coders; all of them mean one thing here *)
+    (try decode_into framed ~src_off:header_len ~dst ~dst_off ~orig_len with
+    | Corrupt _ as e -> raise e
+    | Bitio.Reader.Truncated -> raise (Corrupt (name ^ ": truncated bitstream"))
+    | Invalid_argument m -> raise (Corrupt (name ^ ": malformed stream: " ^ m))
+    | Failure m -> raise (Corrupt (name ^ ": malformed stream: " ^ m)));
     if Imk_util.Crc.crc32 dst dst_off orig_len <> crc then
       raise (Corrupt "frame: CRC mismatch after decompression");
     orig_len
+  in
+  (* every byte of the exact-size buffer is written by a successful
+     decode, and a failed one never returns it *)
+  let decompress framed =
+    let orig_len, _ = parse_header ~name framed in
+    let out = Bytes.create orig_len in
+    ignore (decompress_into framed ~dst:out ~dst_off:0 : int);
+    out
   in
   { name; compress; decompress; decompress_into }

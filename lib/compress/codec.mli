@@ -4,8 +4,10 @@
     and back. The frame carries the codec id, the uncompressed length and
     a CRC-32 of the original data, so decompression validates integrity —
     the same job the per-format trailers (gzip CRC, xz check, ...) do for
-    real kernels. Frames are produced by {!frame} and consumed by
-    {!unframe}; the raw codecs under this interface only see payloads.
+    real kernels. Frames are produced by {!frame} and consumed by one
+    header parser and one decoder per codec, behind both [decompress]
+    and [decompress_into]; the raw codecs under this interface only see
+    payloads.
 
     The six registered codecs mirror the six kernel compression schemes the
     paper's Figure 3 compares. Decompression *rates* for the virtual clock
@@ -20,8 +22,8 @@ type t = {
   name : string;  (** "none", "lz4", "lzo", "gzip", "bzip2", "xz", "lzma" *)
   compress : bytes -> bytes;
   decompress : bytes -> bytes;
-      (** The allocating copy-decode path: extracts the payload and
-          returns a fresh buffer of the original data. *)
+      (** [decompress framed] is [decompress_into] on a fresh buffer of
+          exactly the frame's original length, returned. *)
   decompress_into : bytes -> dst:bytes -> dst_off:int -> int;
       (** [decompress_into framed ~dst ~dst_off] decodes straight from
           the frame into the caller-owned window starting at [dst_off],
@@ -41,15 +43,6 @@ val frame : name:string -> orig:bytes -> payload:bytes -> bytes
 (** [frame ~name ~orig ~payload] wraps [payload] with the standard header:
     magic, codec-name hash, original length, CRC-32 of [orig]. *)
 
-val unframe : name:string -> bytes -> int * int * bytes
-(** [unframe ~name b] validates the header and returns
-    [(orig_len, crc, payload)]. Raises {!Corrupt} on bad magic, codec
-    mismatch or truncation. *)
-
-val check_crc : orig_crc:int -> bytes -> unit
-(** [check_crc ~orig_crc data] raises {!Corrupt} if the CRC-32 of [data]
-    differs from [orig_crc]. *)
-
 val make :
   name:string ->
   encode:(bytes -> bytes) ->
@@ -61,5 +54,5 @@ val make :
     [decode_into b ~src_off ~dst ~dst_off ~orig_len] must decode the
     payload found at [src_off] (extending to the end of [b]) into
     exactly [orig_len] bytes at [dst_off], confining every write to that
-    window; both [decompress] (via a fresh output buffer) and
-    [decompress_into] (in place on the frame) are derived from it. *)
+    window. [decompress_into] runs it in place on the frame, and
+    [decompress] runs [decompress_into]. *)

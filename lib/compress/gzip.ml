@@ -107,10 +107,5 @@ let decode_payload_into b ~src_off ~dst ~dst_off ~orig_len =
       in
       go ())
 
-let decode_payload b ~orig_len =
-  let out = Bytes.create orig_len in
-  decode_payload_into b ~src_off:0 ~dst:out ~dst_off:0 ~orig_len;
-  out
-
 let codec =
   Codec.make ~name:"gzip" ~encode:encode_payload ~decode_into:decode_payload_into

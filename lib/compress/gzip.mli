@@ -10,7 +10,6 @@
 val codec : Codec.t
 
 val encode_payload : bytes -> bytes
-val decode_payload : bytes -> orig_len:int -> bytes
 
 val length_code : int -> int * int * int
 (** [length_code len] is [(symbol, extra_bits, extra_value)] for a match

@@ -92,10 +92,5 @@ let decode_payload_into b ~src_off ~dst ~dst_off ~orig_len =
   if orig_len > 0 || n > src_off then sequence ();
   if !w <> orig_len then raise (Codec.Corrupt "lz4: short stream")
 
-let decode_payload b ~orig_len =
-  let out = Bytes.create orig_len in
-  decode_payload_into b ~src_off:0 ~dst:out ~dst_off:0 ~orig_len;
-  out
-
 let codec =
   Codec.make ~name:"lz4" ~encode:encode_payload ~decode_into:decode_payload_into

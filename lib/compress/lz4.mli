@@ -12,6 +12,9 @@ val encode_payload : bytes -> bytes
 (** [encode_payload input] is the raw block encoding without the standard
     frame; exposed for the format-level unit tests. *)
 
-val decode_payload : bytes -> orig_len:int -> bytes
-(** [decode_payload b ~orig_len] inverts {!encode_payload}. Raises
-    [Codec.Corrupt] on malformed input. *)
+val decode_payload_into :
+  bytes -> src_off:int -> dst:bytes -> dst_off:int -> orig_len:int -> unit
+(** [decode_payload_into b ~src_off ~dst ~dst_off ~orig_len] inverts
+    {!encode_payload}: it decodes the block at [src_off] into
+    [\[dst_off, dst_off + orig_len)] of [dst], writing nothing outside
+    that window. Raises [Codec.Corrupt] on malformed input. *)

@@ -10,11 +10,9 @@
 val codec : Codec.t
 
 val encode_payload : bytes -> bytes
-val decode_payload : bytes -> orig_len:int -> bytes
-
 val decode_payload_into :
   bytes -> src_off:int -> dst:bytes -> dst_off:int -> orig_len:int -> unit
-(** Sink form of {!decode_payload}: decodes the payload starting at
+(** Inverts {!encode_payload}: decodes the payload starting at
     [src_off] into [\[dst_off, dst_off + orig_len)] of [dst], confining
     every write to that window. The Xz container decodes through this
     after its own integrity check. *)

@@ -9,4 +9,3 @@
 val codec : Codec.t
 
 val encode_payload : bytes -> bytes
-val decode_payload : bytes -> orig_len:int -> bytes

@@ -19,7 +19,11 @@ type verify_stats = {
    site or table record is read and checked inside one [try], so the
    walk allocates nothing per record, and its fields are read in the
    order test/verify_ref.ml reads them, so a record off the guest
-   faults at the same field with the same message. Function headers are
+   faults at the same field with the same message. Guest bytes that do
+   not decode, a site-kind byte naming no kind or a 64-bit pointer of
+   2^62 or more, raise [Invalid_argument] from the decoder; they are
+   guest damage like a read off the guest, so the record's handler turns
+   both into its [Panic]. Function headers are
    bounds-checked once against the guest's size ([fits]) and their
    64-bit magic is compared without boxing; a header that fails the
    check goes to [read_fn_header], whose fault comes from its 64-bit
@@ -120,8 +124,10 @@ let follow_site mem params w ~from ~kind ~target_id ~value =
      && not w.visited.(target_id)
   then reach w ~id:target_id ~va:target_va
 
-(* [follow_site] raises no [Fault]: [header_id] reads only after [fits]
-   or through [read_fn_header], which turns a fault into a [Panic] *)
+(* [follow_site] raises neither [Fault] nor [Invalid_argument]:
+   [header_id] reads only after [fits] or through [read_fn_header],
+   which turns a fault into a [Panic], and [target_va_of_site] turns a
+   bad abs32 value into one *)
 let walk_site mem params w ~from ~site_va =
   let site_pa = Boot_params.va_to_pa params site_va in
   try
@@ -134,7 +140,8 @@ let walk_site mem params w ~from ~site_va =
           Guest_mem.get_u32 mem ~pa:(site_pa + 8)
     in
     follow_site mem params w ~from ~kind ~target_id ~value
-  with Guest_mem.Fault m -> panic "call site at va %#x: %s" site_va m
+  with Guest_mem.Fault m | Invalid_argument m ->
+    panic "call site at va %#x: %s" site_va m
 
 let walk_functions mem params =
   let n = params.Boot_params.kernel.Boot_params.n_functions in
@@ -192,7 +199,8 @@ let verify_rodata mem params =
       let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
       let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
       check_fn mem params ~va:ptr ~expect_id:id ~what:"rodata pointer"
-    with Guest_mem.Fault m -> panic "rodata entry at va %#x: %s" entry_va m
+    with Guest_mem.Fault m | Invalid_argument m ->
+      panic "rodata entry at va %#x: %s" entry_va m
   done;
   count
 
@@ -207,7 +215,8 @@ let verify_kallsyms mem params =
       let base = Guest_mem.get_addr mem ~pa in
       let count = Guest_mem.get_u32 mem ~pa:(pa + 8) in
       (base, count)
-    with Guest_mem.Fault m -> panic "kallsyms at va %#x: %s" va m
+    with Guest_mem.Fault m | Invalid_argument m ->
+      panic "kallsyms at va %#x: %s" va m
   in
   if base <> Addr.kmap_base + delta then
     panic "kallsyms base %#x not relocated (expected %#x)" base

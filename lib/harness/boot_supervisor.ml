@@ -17,8 +17,6 @@ type report = {
   recovery : (string * int) list;
 }
 
-let default_max_retries = 3
-
 let backoff_base_ns = 200_000
 (* first retry waits ~0.2 ms of virtual time, doubling per retry — small
    against a multi-ms boot but visible in the trace *)
@@ -37,7 +35,7 @@ type policy = {
 
 let default_policy =
   {
-    max_retries = default_max_retries;
+    max_retries = 3;
     attempt_budget_ns = None;
     breaker_threshold = 3;
     breaker_cooldown = 2;
@@ -177,12 +175,6 @@ let finish ?tap trace ~outcome ~attempts ~events ~recovery_rev ~success_ns =
          (accounted - success_ns) success_ns total_ns);
   { outcome; attempts; events; total_ns; recovery }
 
-let resolve_retries max_retries fleet =
-  match (max_retries, fleet) with
-  | Some m, _ -> m
-  | None, Some f -> f.policy.max_retries
-  | None, None -> default_max_retries
-
 let attempt_budget fleet =
   match fleet with
   | Some { policy = { attempt_budget_ns = Some b; _ }; _ } -> Some b
@@ -308,8 +300,10 @@ let supervise_on ch ?arena ?fleet ~max_retries ~ctx
 (* what both entry points share: a fresh clock for [seed], then the
    breaker's verdict — a rejection is reported, an admission runs [k]
    with the retries the policy allows (none for a half-open probe) *)
-let admitted ~jitter ?tap ?fleet ?max_retries ~seed vm k =
-  let max_retries = resolve_retries max_retries fleet in
+let admitted ~jitter ?tap ?fleet ~seed vm k =
+  let { max_retries; _ } =
+    match fleet with Some f -> f.policy | None -> default_policy
+  in
   let trace, ch =
     Boot_runner.fresh_charge ?jitter_seed:(if jitter then Some seed else None) ()
   in
@@ -323,17 +317,17 @@ let admitted ~jitter ?tap ?fleet ?max_retries ~seed vm k =
           finish ?tap trace ~outcome ~attempts
             ~events:(events @ breaker_note fleet ~probing outcome))
 
-let supervise ?(jitter = true) ?tap ?arena ?fleet ?max_retries ~seed ~ctx vm =
-  admitted ~jitter ?tap ?fleet ?max_retries ~seed vm
+let supervise ?(jitter = true) ?tap ?arena ?fleet ~seed ~ctx vm =
+  admitted ~jitter ?tap ?fleet ~seed vm
     (fun ch vm ~max_retries ~finish ->
       let outcome, attempts, events, recovery_rev, success_ns =
         supervise_on ch ?arena ?fleet ~max_retries ~ctx vm
       in
       finish ~outcome ~attempts ~events ~recovery_rev ~success_ns)
 
-let supervise_snapshot ?(jitter = true) ?tap ?arena ?fleet ?max_retries ~seed
-    ~ctx ~snapshot_path ~working_set_pages vm =
-  admitted ~jitter ?tap ?fleet ?max_retries ~seed vm
+let supervise_snapshot ?(jitter = true) ?tap ?arena ?fleet ~seed ~ctx
+    ~snapshot_path ~working_set_pages vm =
+  admitted ~jitter ?tap ?fleet ~seed vm
     (fun ch vm ~max_retries ~finish ->
       let clk = Charge.clock ch in
       let restore_deadline =

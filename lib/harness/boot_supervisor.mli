@@ -67,8 +67,6 @@ type report = {
           report can never drift from the [--trace] timeline. *)
 }
 
-val default_max_retries : int
-
 val backoff_base_ns : int
 (** First retry's backoff; each further retry doubles it. *)
 
@@ -89,8 +87,8 @@ type policy = {
 }
 
 val default_policy : policy
-(** [max_retries = default_max_retries], no deadline, threshold 3,
-    cooldown 2, unbounded retry budget. *)
+(** [max_retries = 3], no deadline, threshold 3, cooldown 2, unbounded
+    retry budget. A boot without a fleet runs under this policy. *)
 
 type fleet
 (** Mutable campaign state for one kernel config: the circuit breaker
@@ -113,7 +111,6 @@ val supervise :
   ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?arena:Imk_memory.Arena.t ->
   ?fleet:fleet ->
-  ?max_retries:int ->
   seed:int64 ->
   ctx:ctx ->
   Imk_monitor.Vm_config.t ->
@@ -123,18 +120,19 @@ val supervise :
     exactly like [Boot_runner.boot_once]). With [?arena], every attempt
     runs inside an {!Imk_memory.Arena.with_buffer} bracket, so failed
     and deadline-aborted attempts hand their guest memory straight back
-    to the pool, scrubbed. With [?fleet], the boot passes through the
+    to the pool, scrubbed; without it, each attempt boots a fresh sparse
+    guest. With [?fleet], the boot passes through the
     cell's circuit breaker (it may be short-circuited or run as the
-    half-open probe), draws per-attempt deadlines from the fleet's
-    policy, and consumes the campaign retry budget; [?max_retries]
-    defaults to the fleet's policy when one is given. *)
+    half-open probe), takes its per-boot retries and per-attempt
+    deadlines from the fleet's policy and consumes the campaign retry
+    budget. Without a fleet it runs under {!default_policy}: a policy is
+    the one place to set retries. *)
 
 val supervise_snapshot :
   ?jitter:bool ->
   ?tap:(Imk_vclock.Trace.t -> unit) ->
   ?arena:Imk_memory.Arena.t ->
   ?fleet:fleet ->
-  ?max_retries:int ->
   seed:int64 ->
   ctx:ctx ->
   snapshot_path:string ->

@@ -10,8 +10,7 @@
 
     - a task is an index, and everything it does must be a pure function
       of that index (seeds, armed faults, weather) plus read-only shared
-      inputs (built images, the content-addressed plan cache, the
-      scrubbing arena);
+      inputs (built images, the content-addressed plan cache);
     - task 0 runs first, on the calling domain; a campaign that boots
       against a page cache primes it there, and every later task receives
       its own [Page_cache.clone] of the primed cache as an argument;

@@ -1183,7 +1183,7 @@ let fault_seed run = (131 * run) + 7
 (* one supervised run of [t] under [c], fully private: its own disk
    holding copies of the target's files (an armed fault or a corrupted
    blob touches only this run's bytes), a page cache warm unless
-   [c.cold], and guest memory borrowed from the workspace arena. The
+   [c.cold], and a fresh sparse guest for every boot attempt. The
    plan cache is deliberately shared across runs and faults: content
    addressing must keep corrupted images from ever resolving to a
    pristine image's plan, and the fault campaign is the proof *)
@@ -1213,11 +1213,11 @@ let supervised ws ?fleet ?jitter t ~seed c =
   if not c.cold then
     List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
   let ctx = { S.cache; inject; plans = Workspace.plans ws } in
-  let tap = tap ws and arena = Workspace.arena ws in
+  let tap = tap ws in
   match snapshot with
-  | None -> S.supervise ?jitter ?tap ~arena ?fleet ~seed ~ctx t.vm
+  | None -> S.supervise ?jitter ?tap ?fleet ~seed ~ctx t.vm
   | Some (snapshot_path, _) ->
-      S.supervise_snapshot ?jitter ?tap ~arena ?fleet ~seed ~ctx ~snapshot_path
+      S.supervise_snapshot ?jitter ?tap ?fleet ~seed ~ctx ~snapshot_path
         ~working_set_pages:2048 t.vm
 
 (* a campaign cell: [runs] supervised runs of [target], run i's seed and

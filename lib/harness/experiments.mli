@@ -27,7 +27,7 @@
     [resilience] (a weather sample under fleet supervision) and [fleet]'s
     calibration cells are each a list of cells — a boot path plus per-run
     fault, fault seed and cold-cache conditions — run through one
-    supervised-run function with guest memory from the workspace arena,
+    supervised-run function that boots a fresh sparse guest per attempt,
     fanned out through one {!Campaign.map}, and judged by one
     ok/recovered/failed/silent tally and [soundness] verdict. *)
 

@@ -52,7 +52,9 @@ val scale : t -> int
 val cache : t -> Imk_storage.Page_cache.t
 
 val arena : t -> Imk_memory.Arena.t
-(** The workspace's guest-memory recycling pool. *)
+(** The workspace's guest-memory recycling pool. No experiment borrows
+    from it (every boot gets a fresh sparse guest); perf/'s arena
+    workloads do. *)
 
 val plans : t -> Imk_monitor.Plan_cache.t option
 (** The workspace's shared boot-plan cache (None under [--no-plan-cache]). *)

@@ -110,9 +110,15 @@ let decode b =
   let stub_len = Byteio.get_u32 b 20 in
   let payload_off = Byteio.get_u32 b 24 in
   let payload_len = Byteio.get_u32 b 28 in
-  let vmlinux_len = Byteio.get_addr b 32 in
-  let relocs_len = Byteio.get_addr b 40 in
-  let entry = Byteio.get_addr b 48 in
+  (* a 64-bit field of 2^62 or more is damage, not a caller bug *)
+  let addr field off =
+    try Byteio.get_addr b off
+    with Invalid_argument _ ->
+      raise (Malformed (field ^ " does not fit in a native int"))
+  in
+  let vmlinux_len = addr "vmlinux_len" 32 in
+  let relocs_len = addr "relocs_len" 40 in
+  let entry = addr "entry" 48 in
   let kernel_name = cstr b 56 32 in
   if stub_off + stub_len > Bytes.length b || payload_off + payload_len > Bytes.length b
   then raise (Malformed "sections escape the image");

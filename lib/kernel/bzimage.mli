@@ -45,7 +45,7 @@ val encode : t -> bytes
 
 val decode : bytes -> t
 (** [decode b] parses {!encode}'s output; raises {!Malformed} on bad
-    magic or truncation. *)
+    magic, truncation, or a 64-bit header field of 2^62 or more. *)
 
 val payload_file_offset : t -> int
 (** [payload_file_offset t] is where the payload starts in the encoded

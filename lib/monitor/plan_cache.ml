@@ -3,7 +3,6 @@ type elf_plan = {
   alloc : Imk_elf.Types.section list;
   fn_sections : (int * int) array;
   image_memsz : int;
-  text_bytes : int;
   mutable kinfo :
     (Imk_kernel.Config.t * Imk_guest.Boot_params.kernel_info) option;
 }
@@ -26,7 +25,6 @@ let build_elf_plan bytes =
     alloc = Imk_randomize.Loadelf.alloc_sections elf;
     fn_sections = Imk_randomize.Loadelf.fn_sections elf;
     image_memsz = Imk_randomize.Loadelf.image_memsz elf;
-    text_bytes = Imk_randomize.Loadelf.text_bytes elf;
     kinfo = None;
   }
 
@@ -126,52 +124,55 @@ let store t ~path ~len ~crc ~bytes payload =
       Hashtbl.replace t.entries path { len; crc; known = [ bytes ]; payload };
       t.builds <- t.builds + 1)
 
-let elf_plan t ~path bytes =
-  match
-    lookup t ~path ~bytes ~select:(function Pelf p -> Some p | _ -> None)
-  with
+(* the table entries' form of the memo protocol below: look up under
+   the lock, build a miss outside it, store under the lock *)
+let cached t ~path bytes ~select ~wrap ~build =
+  match lookup t ~path ~bytes ~select with
   | Hit p -> p
   | Miss (len, crc) ->
-      let p = build_elf_plan bytes in
-      store t ~path ~len ~crc ~bytes (Pelf p);
+      let p = build bytes in
+      store t ~path ~len ~crc ~bytes (wrap p);
       p
+
+let elf_plan t ~path bytes =
+  cached t ~path bytes ~build:build_elf_plan
+    ~select:(function Pelf p -> Some p | _ -> None)
+    ~wrap:(fun p -> Pelf p)
 
 let bz_plan t ~path bytes =
-  match
-    lookup t ~path ~bytes ~select:(function Pbz p -> Some p | _ -> None)
-  with
-  | Hit p -> p
-  | Miss (len, crc) ->
-      let p = build_bz_plan bytes in
-      store t ~path ~len ~crc ~bytes (Pbz p);
-      p
+  cached t ~path bytes ~build:build_bz_plan
+    ~select:(function Pbz p -> Some p | _ -> None)
+    ~wrap:(fun p -> Pbz p)
 
 let relocs t ~path bytes =
-  match
-    lookup t ~path ~bytes ~select:(function Prelocs r -> Some r | _ -> None)
-  with
-  | Hit r -> r
-  | Miss (len, crc) ->
-      let r = Imk_elf.Relocation.decode bytes in
-      store t ~path ~len ~crc ~bytes (Prelocs r);
-      r
+  cached t ~path bytes ~build:Imk_elf.Relocation.decode
+    ~select:(function Prelocs r -> Some r | _ -> None)
+    ~wrap:(fun r -> Prelocs r)
+
+(* The one memo protocol behind every slot: read the slot under the
+   lock, build outside it (a build can be long, and a failed build must
+   store nothing), store under the lock. Racing builders of one slot
+   compute interchangeable values from the same immutable input, so the
+   last store wins. *)
+let memo t ~get ~set ~build =
+  match with_mu t get with
+  | Some v -> v
+  | None ->
+      let v = build () in
+      with_mu t (fun () -> set v);
+      v
 
 let kernel_info t_opt (p : elf_plan) config =
+  let build () = Imk_guest.Boot_params.kernel_info_of_elf p.elf config in
   match t_opt with
-  | None -> Imk_guest.Boot_params.kernel_info_of_elf p.elf config
-  | Some t -> (
-      let memo =
-        with_mu t (fun () ->
-            match p.kinfo with
-            | Some (c0, ki) when c0 = config -> Some ki
-            | _ -> None)
-      in
-      match memo with
-      | Some ki -> ki
-      | None ->
-          let ki = Imk_guest.Boot_params.kernel_info_of_elf p.elf config in
-          with_mu t (fun () -> p.kinfo <- Some (config, ki));
-          ki)
+  | None -> build ()
+  | Some t ->
+      memo t ~build
+        ~get:(fun () ->
+          match p.kinfo with
+          | Some (c0, ki) when c0 = config -> Some ki
+          | _ -> None)
+        ~set:(fun ki -> p.kinfo <- Some (config, ki))
 
 let loader_hooks t_opt (p : bz_plan) =
   match t_opt with
@@ -189,61 +190,42 @@ let loader_hooks t_opt (p : bz_plan) =
         Imk_bootstrap.Loader.parse_vmlinux =
           (fun v ->
             let n = Bytes.length v in
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_elf with
-                  | Some (n0, e) when n0 = n -> Some e
-                  | _ -> None)
-            in
-            match memo with
-            | Some e -> e
-            | None ->
-                let e = Imk_elf.Parser.parse v in
-                with_mu t (fun () -> p.l_elf <- Some (n, e));
-                e);
+            memo t
+              ~build:(fun () -> Imk_elf.Parser.parse v)
+              ~get:(fun () ->
+                match p.l_elf with
+                | Some (n0, e) when n0 = n -> Some e
+                | _ -> None)
+              ~set:(fun e -> p.l_elf <- Some (n, e)));
         decode_relocs =
           (fun r ->
             let n = Bytes.length r in
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_relocs with
-                  | Some (n0, tbl) when n0 = n -> Some tbl
-                  | _ -> None)
-            in
-            match memo with
-            | Some tbl -> tbl
-            | None ->
-                let tbl = Imk_elf.Relocation.decode r in
-                with_mu t (fun () -> p.l_relocs <- Some (n, tbl));
-                tbl);
+            memo t
+              ~build:(fun () -> Imk_elf.Relocation.decode r)
+              ~get:(fun () ->
+                match p.l_relocs with
+                | Some (n0, tbl) when n0 = n -> Some tbl
+                | _ -> None)
+              ~set:(fun tbl -> p.l_relocs <- Some (n, tbl)));
         fn_sections =
           (fun elf ->
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_fns with
-                  | Some (e0, f) when e0 == elf -> Some f
-                  | _ -> None)
-            in
-            match memo with
-            | Some f -> f
-            | None ->
-                let f = Imk_randomize.Loadelf.fn_sections elf in
-                with_mu t (fun () -> p.l_fns <- Some (elf, f));
-                f);
+            memo t
+              ~build:(fun () -> Imk_randomize.Loadelf.fn_sections elf)
+              ~get:(fun () ->
+                match p.l_fns with
+                | Some (e0, f) when e0 == elf -> Some f
+                | _ -> None)
+              ~set:(fun f -> p.l_fns <- Some (elf, f)));
         kernel_info =
           (fun elf config ->
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_kinfo with
-                  | Some (e0, c0, ki) when e0 == elf && c0 = config -> Some ki
-                  | _ -> None)
-            in
-            match memo with
-            | Some ki -> ki
-            | None ->
-                let ki = Imk_guest.Boot_params.kernel_info_of_elf elf config in
-                with_mu t (fun () -> p.l_kinfo <- Some (elf, config, ki));
-                ki);
+            memo t
+              ~build:(fun () ->
+                Imk_guest.Boot_params.kernel_info_of_elf elf config)
+              ~get:(fun () ->
+                match p.l_kinfo with
+                | Some (e0, c0, ki) when e0 == elf && c0 = config -> Some ki
+                | _ -> None)
+              ~set:(fun ki -> p.l_kinfo <- Some (elf, config, ki)));
       }
 
 let stats t = with_mu t (fun () -> (t.hits, t.builds))

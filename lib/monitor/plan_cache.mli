@@ -24,7 +24,10 @@
     all telemetry, failures and [verify_boot] outcomes are bit-identical
     with the cache on or off, for any [--jobs] fan-out. A single mutex
     guards the table and the memo fields, so one instance may be shared
-    across worker domains. *)
+    across worker domains. Every memo field follows one protocol: it is
+    read under the lock, a miss is built outside it (a failed build
+    stores nothing), and the result is stored under the lock; racing
+    builders store interchangeable values, and the last store wins. *)
 
 type elf_plan = {
   elf : Imk_elf.Types.t;
@@ -33,7 +36,6 @@ type elf_plan = {
   fn_sections : (int * int) array;
       (** function sections as (addr, size), sorted — FGKASLR input *)
   image_memsz : int;
-  text_bytes : int;
   mutable kinfo :
     (Imk_kernel.Config.t * Imk_guest.Boot_params.kernel_info) option;
       (** memoized [Boot_params.kernel_info_of_elf] keyed by the kernel

@@ -15,12 +15,7 @@ cd "$(dirname "$0")"
 allowlist='
 lib/bootstrap/loader.ml
 lib/compress/bwt.ml
-lib/compress/bzip2.ml
 lib/compress/codec.ml
-lib/compress/gzip.ml
-lib/compress/lz4.ml
-lib/compress/lzma.ml
-lib/compress/lzo.ml
 lib/compress/mtf.ml
 lib/compress/xz.ml
 lib/elf/note.ml
@@ -35,6 +30,19 @@ bin/relocs.ml
 '
 
 status=0
+
+# An allowlist entry is an audit of the file as it was: once the file
+# no longer contains the pattern, the entry must go, or a later use
+# would inherit an audit nobody made.
+stale() {
+  for f in $2; do
+    if ! grep -q "$1" "$f" 2>/dev/null; then
+      echo "lint: $f is allowlisted for $1 but does not use it; drop it from lint.sh" >&2
+      status=1
+    fi
+  done
+}
+
 for f in $(find lib bin bench examples -name '*.ml' 2>/dev/null | sort); do
   case "$allowlist" in
   *"
@@ -130,5 +138,8 @@ for f in $(find lib/randomize lib/elf -name '*.ml' 2>/dev/null | sort); do
     status=1
   fi
 done
+
+stale 'Bytes\.create' "$allowlist"
+stale '\(Bytes\|Array\)\.unsafe_\(get\|set\)' "$unsafe_allowlist"
 
 exit "$status"

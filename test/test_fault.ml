@@ -173,13 +173,52 @@ let test_transient_retried_with_paid_backoff () =
 let test_transient_exhausts_retries () =
   let env, vm = supervise_env () in
   let ctx = armed_ctx env (Inject.Transient_init 99) ~seed:3 in
-  let r = Boot_supervisor.supervise ~max_retries:2 ~seed:5L ~ctx vm in
+  let fleet =
+    Boot_supervisor.fleet
+      ~policy:{ Boot_supervisor.default_policy with max_retries = 2 }
+      ()
+  in
+  let r = Boot_supervisor.supervise ~fleet ~seed:5L ~ctx vm in
   (match r.Boot_supervisor.outcome with
   | Error (Failure.Transient _) -> ()
   | Ok _ -> Alcotest.fail "persistent transient must not end green"
   | Error f -> Alcotest.failf "wrong kind: %s" (Failure.describe f));
   check int "initial + 2 retries" 3 r.Boot_supervisor.attempts;
   check int "two Retried events" 2 (List.length r.Boot_supervisor.events)
+
+(* a bzImage header whose 64-bit length or entry field reads 2^62 or
+   more is a malformed image: [Bzimage.decode] says which field, and a
+   supervised boot of it ends as a typed [Corrupt_image] *)
+let test_bzimage_header_past_2_62_is_typed () =
+  let env, _ = supervise_env () in
+  let bz =
+    Imk_kernel.Bzimage.encode
+      (Imk_kernel.Bzimage.link env.Testkit.built ~codec:"lz4"
+         ~variant:Imk_kernel.Bzimage.Standard)
+  in
+  List.iter
+    (fun (field, off) ->
+      let damaged = Bytes.copy bz in
+      Bytes.set_int64_le damaged off 0x4000_0000_0000_0000L;
+      Alcotest.check_raises field
+        (Imk_kernel.Bzimage.Malformed (field ^ " does not fit in a native int"))
+        (fun () -> ignore (Imk_kernel.Bzimage.decode damaged));
+      let disk = make_disk env in
+      Imk_storage.Disk.add disk ~name:"damaged.bz" damaged;
+      let vm =
+        Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
+          ~rando:Vm_config.Rando_kaslr ~relocs_path:None
+          ~mem_bytes:(64 * 1024 * 1024) ~kernel_path:"damaged.bz"
+          ~kernel_config:env.Testkit.cfg ~seed:0L ()
+      in
+      let ctx =
+        Boot_supervisor.plain_ctx (Imk_storage.Page_cache.create disk)
+      in
+      let r = Boot_supervisor.supervise ~seed:5L ~ctx vm in
+      match r.Boot_supervisor.outcome with
+      | Error f -> check string field "corrupt-image" (Failure.kind_name f)
+      | Ok _ -> Alcotest.failf "%s past 2^62 booted green" field)
+    [ ("vmlinux_len", 32); ("relocs_len", 40); ("entry", 48) ]
 
 let test_corrupt_image_is_typed_failure () =
   let env, vm = supervise_env () in
@@ -885,6 +924,8 @@ let () =
             test_transient_exhausts_retries;
           Alcotest.test_case "corruption is typed" `Quick
             test_corrupt_image_is_typed_failure;
+          Alcotest.test_case "bzImage header past 2^62 is typed" `Quick
+            test_bzimage_header_past_2_62_is_typed;
           Alcotest.test_case "bad relocs re-derived" `Quick
             test_bad_relocs_rederived;
           Alcotest.test_case "foreign relocs re-derived" `Quick

@@ -164,6 +164,57 @@ let test_detects_target_id_mismatch () =
          let id = Imk_memory.Guest_mem.get_u32 r.Vmm.mem ~pa in
          Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa ((id + 1) mod 40)))
 
+(* guest bytes that do not decode panic naming their record, as a read
+   off the guest does: an [Invalid_argument] would pass
+   [Failure.classify] and reach the supervisor as a programming error *)
+
+(* the 64-bit value 2^62 at [pa]: the smallest one [get_addr] rejects *)
+let set_2_62 r ~pa =
+  let b = Bytes.make 8 '\000' in
+  Bytes.set_int64_le b 0 0x4000_0000_0000_0000L;
+  Imk_memory.Guest_mem.write_bytes r.Vmm.mem ~pa b
+
+(* the guest address of the table linked at [link_va] *)
+let table_pa r link_va =
+  let p = r.Vmm.params in
+  Imk_guest.Boot_params.va_to_pa p (link_va + Imk_guest.Boot_params.delta p)
+
+let test_detects_bad_site_kind () =
+  check_panic "call site at va 0x3fffffff8de00018: Image: bad site kind code 7"
+    (in_place (fun r ->
+         Imk_memory.Guest_mem.write_bytes r.Vmm.mem ~pa:(first_site_pa r)
+           (Bytes.make 1 '\007')))
+
+let test_detects_abs64_past_2_62 () =
+  check_panic
+    "call site at va 0x3fffffff8de00018: Byteio.get_addr: value does not \
+     fit in a native int"
+    (in_place (fun r ->
+         let pa = first_site_pa r in
+         Imk_memory.Guest_mem.write_bytes r.Vmm.mem ~pa
+           (Bytes.make 1 '\000' (* abs64 *));
+         set_2_62 r ~pa:(pa + 8)))
+
+let test_detects_rodata_pointer_past_2_62 () =
+  check_panic
+    "rodata entry at va 0x3fffffff8de07008: Byteio.get_addr: value does \
+     not fit in a native int"
+    (in_place (fun r ->
+         let info = r.Vmm.params.Imk_guest.Boot_params.kernel in
+         set_2_62 r
+           ~pa:
+             (table_pa r info.Imk_guest.Boot_params.link_rodata_va
+             + Imk_kernel.Image.rodata_header_bytes)))
+
+let test_detects_kallsyms_base_past_2_62 () =
+  check_panic
+    "kallsyms at va 0x3fffffff8de0a880: Byteio.get_addr: value does not \
+     fit in a native int"
+    (in_place (fun r ->
+         let info = r.Vmm.params.Imk_guest.Boot_params.kernel in
+         set_2_62 r
+           ~pa:(table_pa r info.Imk_guest.Boot_params.link_kallsyms_va)))
+
 let test_detects_id_out_of_range () =
   (* a well-formed header, magic included, for a function the kernel
      does not have *)
@@ -172,8 +223,8 @@ let test_detects_id_out_of_range () =
 
 (* the production walk against Verify_ref, the tuple-per-record walk it
    replaced:
-   the same stats and layout, or the same exception with the same
-   message, after one random byte of the placed kernel is damaged. The
+   the same stats and layout, or the same panic with the same message,
+   after one random byte of the placed kernel is damaged. The
    damage lands in a function's header or sites, at the start of a
    verified table, or anywhere the boot wrote. *)
 let walk_envs =
@@ -184,8 +235,17 @@ let walk_envs =
         Vm_config.Rando_fgkaslr );
     |]
 
+type 'a outcome = Verified of 'a | Panicked of string | Raised of string
+
 let outcome f =
-  match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+  match f () with
+  | v -> Verified v
+  | exception Imk_guest.Runtime.Panic m -> Panicked m
+  | exception e -> Raised (Printexc.to_string e)
+
+(* damaged guest memory may only panic: any other exception would reach
+   the supervisor unclassified *)
+let guest_outcome = function Verified _ | Panicked _ -> true | Raised _ -> false
 
 let corrupt_pa r ~region ~pick =
   let p = r.Vmm.params in
@@ -225,10 +285,11 @@ let qcheck_walk_matches_reference =
       let pa = corrupt_pa r ~region ~pick in
       Imk_memory.Guest_mem.write_bytes mem ~pa
         (Bytes.make 1 (Char.chr (Imk_memory.Guest_mem.get_u8 mem ~pa lxor flip)));
-      outcome (fun () -> Imk_guest.Runtime.verify_boot mem p)
-      = outcome (fun () -> Verify_ref.verify_boot mem p)
-      && outcome (fun () -> Imk_guest.Runtime.fn_layout mem p)
-         = outcome (fun () -> Verify_ref.fn_layout mem p))
+      let walk = outcome (fun () -> Imk_guest.Runtime.verify_boot mem p) in
+      let layout = outcome (fun () -> Imk_guest.Runtime.fn_layout mem p) in
+      walk = outcome (fun () -> Verify_ref.verify_boot mem p)
+      && layout = outcome (fun () -> Verify_ref.fn_layout mem p)
+      && guest_outcome walk && guest_outcome layout)
 
 (* the walk reads every record without allocating: what a verify costs
    in minor words is its few per-walk values, far below one per site
@@ -422,6 +483,14 @@ let () =
             test_detects_target_id_mismatch;
           Alcotest.test_case "detects id out of range" `Quick
             test_detects_id_out_of_range;
+          Alcotest.test_case "detects bad site kind" `Quick
+            test_detects_bad_site_kind;
+          Alcotest.test_case "detects abs64 site past 2^62" `Quick
+            test_detects_abs64_past_2_62;
+          Alcotest.test_case "detects rodata pointer past 2^62" `Quick
+            test_detects_rodata_pointer_past_2_62;
+          Alcotest.test_case "detects kallsyms base past 2^62" `Quick
+            test_detects_kallsyms_base_past_2_62;
           Alcotest.test_case "verify allocation" `Quick test_verify_allocation;
           Alcotest.test_case "fn_at probe" `Quick test_fn_at_probe;
           Testkit.to_alcotest qcheck_walk_matches_reference;

@@ -626,7 +626,10 @@ let qcheck_arena_fresh_after_supervised_failures =
         | 1 -> S.supervise ~arena ~seed:seed64 ~ctx:(armed Inject.Flip_image_magic) vm
         | 2 -> S.supervise ~arena ~seed:seed64 ~ctx:(armed Inject.Flip_entry_magic) vm
         | 3 ->
-            S.supervise ~arena ~max_retries:1 ~seed:seed64
+            let fleet =
+              S.fleet ~policy:{ S.default_policy with S.max_retries = 1 } ()
+            in
+            S.supervise ~arena ~fleet ~seed:seed64
               ~ctx:(armed (Inject.Transient_init 99))
               vm
         | _ ->

@@ -7,7 +7,8 @@
    tuple, compares function magics without boxing and marks a function
    when it is queued; test_guest's differential property pins
    its stats, layouts, exceptions and panic messages to this one, like
-   Crc.crc32 to crc32_ref. *)
+   Crc.crc32 to crc32_ref. A record whose read faults, or whose bytes do
+   not decode ([Invalid_argument]), panics with a message naming it. *)
 
 open Imk_memory
 open Imk_kernel
@@ -85,7 +86,8 @@ let walk_functions mem params =
                   Guest_mem.get_u32 mem ~pa:(site_pa + 8)
             in
             (kind, target_id, value)
-          with Guest_mem.Fault m -> panic "call site at va %#x: %s" site_va m
+          with Guest_mem.Fault m | Invalid_argument m ->
+            panic "call site at va %#x: %s" site_va m
         in
         let target_va = target_va_of_site kind value in
         check_fn mem params ~va:target_va ~expect_id:target_id
@@ -123,7 +125,8 @@ let verify_rodata mem params =
         let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
         let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
         (ptr, id)
-      with Guest_mem.Fault m -> panic "rodata entry at va %#x: %s" entry_va m
+      with Guest_mem.Fault m | Invalid_argument m ->
+        panic "rodata entry at va %#x: %s" entry_va m
     in
     check_fn mem params ~va:ptr ~expect_id:id ~what:(fun () -> "rodata pointer")
   done;
@@ -140,7 +143,8 @@ let verify_kallsyms mem params =
       let base = Guest_mem.get_addr mem ~pa in
       let count = Guest_mem.get_u32 mem ~pa:(pa + 8) in
       (base, count)
-    with Guest_mem.Fault m -> panic "kallsyms at va %#x: %s" va m
+    with Guest_mem.Fault m | Invalid_argument m ->
+      panic "kallsyms at va %#x: %s" va m
   in
   if base <> Addr.kmap_base + delta then
     panic "kallsyms base %#x not relocated (expected %#x)" base
