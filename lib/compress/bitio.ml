@@ -99,4 +99,6 @@ module Reader = struct
   let align_byte r = r.nbits <- r.nbits - (r.nbits land 7)
 
   let byte_pos r = r.pos - (r.nbits lsr 3)
+
+  let window r = (r.pos, r.acc, r.nbits)
 end

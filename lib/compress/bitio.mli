@@ -62,4 +62,12 @@ module Reader : sig
 
   val byte_pos : t -> int
   (** [byte_pos r] is the offset of the next unread byte once aligned. *)
+
+  val window : t -> int * int * int
+  (** [window r] is [(pos, acc, nbits)]: the offset of the next byte
+      the reader would refill from, and the accumulator whose low
+      [nbits] bits are buffered, next bit on top (higher bits are
+      garbage). A decoder that takes the stream over from here, as
+      gzip's inflate loop does after the length tables, continues from
+      these three values; [r] itself is left as it was. *)
 end

@@ -80,32 +80,127 @@ let encode_payload input =
   Huffman.encode lit_enc w eob;
   Bitio.Writer.contents w
 
+(* Every DEFLATE token reads at most 50 bits: a 15-bit length code, 7
+   extra bits (the folded 285 entry), a 15-bit distance code and 13
+   extra bits. *)
+let token_bits = 50
+
+(* One table lookup, [Huffman.decode] inlined on the loop's own bit
+   window: the result is [(sym lsl 5) lor bits] for a code of [bits]
+   bits, root and subtable bits together. The checks, their order and
+   their exceptions are [Huffman.decode]'s: a 0 entry (which an empty
+   table's one slot is) raises Corrupt, fewer than the claimed bits
+   raises Truncated, and a link consumes the root bits before the
+   subtable is read. Past the end of the stream the window is padded
+   with zero bits on the right, as [Bitio.Reader.peek_bits] does. *)
+let[@inline] lookup table root acc nbits =
+  let k = nbits - root in
+  (* index proof: the index is masked to [root] bits, and the root
+     table is [1 lsl root] slots long *)
+  let e =
+    Array.unsafe_get table
+      ((if k >= 0 then acc lsr k else acc lsl -k) land ((1 lsl root) - 1))
+  in
+  if e > 0 then begin
+    if nbits < e land 0x1f then raise Bitio.Reader.Truncated;
+    e
+  end
+  else if e < 0 then begin
+    if k < 0 then raise Bitio.Reader.Truncated;
+    let link = -e in
+    let sub = link land 0x1f in
+    let k2 = k - sub in
+    (* index proof: a link names a subtable of [1 lsl sub] slots at
+       [link lsr 5], and the index is masked to [sub] bits *)
+    let e2 =
+      Array.unsafe_get table
+        ((link lsr 5)
+        + ((if k2 >= 0 then acc lsr k2 else acc lsl -k2) land ((1 lsl sub) - 1)))
+    in
+    if e2 <= 0 then raise (Codec.Corrupt "huffman: invalid code");
+    if k < e2 land 0x1f then raise Bitio.Reader.Truncated;
+    e2 + root
+  end
+  else raise (Codec.Corrupt "huffman: invalid code")
+
+(* The inflate loop: bit window, input position and write cursor live
+   in locals, the window is refilled once per token, and literals and
+   copies land straight in [dst]. The checks and messages are those of
+   the closure decoder kept as the reference model in
+   test/inflate_ref.ml, in the same order, so every
+   [Codec.decompress_into] outcome matches it. *)
 let decode_payload_into b ~src_off ~dst ~dst_off ~orig_len =
   let r = Bitio.Reader.create b ~pos:src_off in
   let lit_lens = Huffman.read_lengths r n_litlen in
   let dist_lens = Huffman.read_lengths r n_dist in
   let lit_dec = Huffman.decoder_of_lengths lit_lens in
   let dist_dec = Huffman.decoder_of_lengths dist_lens in
-  Lz77.into_output ~dst ~dst_off ~orig_len (fun ~lit ~cpy ->
-      let rec go () =
-        let sym = Huffman.decode lit_dec r in
-        if sym < 256 then begin
-          lit (Char.unsafe_chr sym);
-          go ()
-        end
-        else if sym = eob then ()
-        else begin
-          let i = sym - 257 in
-          if i >= Array.length length_base then
-            raise (Codec.Corrupt "gzip: bad length symbol");
-          let len = length_base.(i) + Bitio.Reader.get_bits r length_extra.(i) in
-          let ds = Huffman.decode dist_dec r in
-          let dist = dist_base.(ds) + Bitio.Reader.get_bits r dist_extra.(ds) in
-          cpy ~dist ~len;
-          go ()
-        end
-      in
-      go ())
+  (* write confinement (DESIGN.md §4.7): this check, plus the literal
+     and match checks below, proves every store stays in
+     [dst_off, dst_off + orig_len). The message is the reference's;
+     Codec.make checks the window first, so only a direct caller can
+     see it. *)
+  if dst_off < 0 || orig_len < 0 || dst_off > Bytes.length dst - orig_len then
+    invalid_arg "Lz77.into_output: destination range";
+  let lt = Huffman.table lit_dec and lroot = Huffman.root_bits lit_dec in
+  let dt = Huffman.table dist_dec and droot = Huffman.root_bits dist_dec in
+  let src_len = Bytes.length b in
+  let pos0, acc0, nbits0 = Bitio.Reader.window r in
+  let pos = ref pos0 and acc = ref acc0 and nbits = ref nbits0 in
+  let w = ref dst_off and stop = dst_off + orig_len in
+  let eob_seen = ref false in
+  while not !eob_seen do
+    (* input proof: the loop guard bounds the read; the window holds at
+       most token_bits + 7 = 57 live bits, so no shift loses one *)
+    while !nbits < token_bits && !pos < src_len do
+      acc := (!acc lsl 8) lor Char.code (Bytes.unsafe_get b !pos);
+      incr pos;
+      nbits := !nbits + 8
+    done;
+    let e = lookup lt lroot !acc !nbits in
+    nbits := !nbits - (e land 0x1f);
+    let sym = e lsr 5 in
+    if sym < 256 then begin
+      if !w >= stop then raise (Codec.Corrupt "lz77: literal overflow");
+      (* store proof: dst_off <= w < stop *)
+      Bytes.unsafe_set dst !w (Char.unsafe_chr sym);
+      incr w
+    end
+    else if sym = eob then eob_seen := true
+    else begin
+      let i = sym - 257 in
+      if i >= Array.length length_base then
+        raise (Codec.Corrupt "gzip: bad length symbol");
+      let lx = length_extra.(i) in
+      if !nbits < lx then raise Bitio.Reader.Truncated;
+      nbits := !nbits - lx;
+      let len = length_base.(i) + ((!acc lsr !nbits) land ((1 lsl lx) - 1)) in
+      let e = lookup dt droot !acc !nbits in
+      nbits := !nbits - (e land 0x1f);
+      let ds = e lsr 5 in
+      let dx = dist_extra.(ds) in
+      if !nbits < dx then raise Bitio.Reader.Truncated;
+      nbits := !nbits - dx;
+      let dist = dist_base.(ds) + ((!acc lsr !nbits) land ((1 lsl dx) - 1)) in
+      let produced = !w - dst_off in
+      if dist <= 0 || dist > produced then
+        raise (Codec.Corrupt "lz77: bad distance");
+      if len < 0 || !w + len > stop then
+        raise (Codec.Corrupt "lz77: match overflow");
+      let src = !w - dist in
+      if dist >= len && len >= 32 then Bytes.blit dst src dst !w len
+      else
+        (* store proof: [w, w + len) lies in [dst_off, stop) by the two
+           checks above, and the reads [src, src + len) start at or
+           after dst_off (dist <= produced) and end before w + len. A
+           forward byte loop replicates an overlapping match. *)
+        for k = 0 to len - 1 do
+          Bytes.unsafe_set dst (!w + k) (Bytes.unsafe_get dst (src + k))
+        done;
+      w := !w + len
+    end
+  done;
+  if !w <> stop then raise (Codec.Corrupt "lz77: short token stream")
 
 let codec =
   Codec.make ~name:"gzip" ~encode:encode_payload ~decode_into:decode_payload_into

@@ -5,7 +5,18 @@
     using the real DEFLATE length and distance code tables with extra
     bits. The table header stores code lengths as nibbles rather than
     DEFLATE's run-length-coded header — a simplification that costs ~160
-    bytes per stream and changes nothing structural. *)
+    bytes per stream and changes nothing structural.
+
+    Decoding is one inflate loop: the bit window, input position and
+    write cursor live in local variables, the window is refilled once
+    per token (a token reads at most 50 bits), both Huffman tables are
+    indexed inline ({!Huffman.table}), and literals and copies are
+    written straight into the destination. It makes the checks of the
+    closure decoder built from {!Huffman.decode}, {!Bitio.Reader} and
+    {!Lz77.into_output}, in the same order and with the same messages;
+    that decoder is kept as the reference model in the tests
+    ([test/inflate_ref.ml]), and a qcheck property holds every
+    [decompress_into] outcome of the two equal. *)
 
 val codec : Codec.t
 

@@ -237,6 +237,9 @@ let decoder_of_lengths lens =
     d_symbols = symbols;
   }
 
+let table dec = dec.d_table
+let root_bits dec = dec.d_root_bits
+
 let corrupt () = raise (Codec.Corrupt "huffman: invalid code")
 
 let decode dec r =

@@ -41,7 +41,21 @@ val decode : decoder -> Bitio.Reader.t -> int
     {!Bitio.Reader.peek_bits}/[consume] pair for codes up to 9 bits, two
     for longer ones. Raises [Codec.Corrupt] on a prefix that matches no
     symbol and [Bitio.Reader.Truncated] when the stream ends inside a
-    code. *)
+    code. The bzip2 decoder reads its symbols through it, and so does
+    the closure gzip decoder kept as the reference model in the tests;
+    gzip's own inflate loop indexes {!table} inline instead. *)
+
+val table : decoder -> int array
+(** [table dec] is the packed lookup table itself, not a copy: the root
+    table in slots [\[0, 1 lsl root_bits dec)], subtables after it, each
+    entry [0] (no code), [(sym lsl 5) lor code_len] or
+    [-((sub_off lsl 5) lor sub_bits)] (DESIGN.md §4.7). For a decoder
+    that walks the table inline on its own bit window; it must not be
+    written. *)
+
+val root_bits : decoder -> int
+(** [root_bits dec] is the root table's index width, [min max_len 9]
+    (0 for a table with no codes, whose one slot is [0]). *)
 
 val decode_ref : decoder -> Bitio.Reader.t -> int
 (** [decode_ref dec r] is the original one-bit-at-a-time canonical walk,

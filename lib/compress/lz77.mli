@@ -58,9 +58,11 @@ val into_output :
     ever written, even on corrupt streams, which is what lets codecs
     decode straight into guest-destined buffers. Raises [Codec.Corrupt]
     on any overflow or bad distance; [Invalid_argument] only if the
-    window itself does not fit in [dst] (a caller bug, not input). The
-    hot decode path for gzip; LZ4/LZO reach it through
-    {!apply_tokens_into}. *)
+    window itself does not fit in [dst] (a caller bug, not input). LZO
+    reaches it through {!apply_tokens_into}, and the closure gzip
+    decoder kept as the reference model in the tests calls it directly;
+    gzip's own inflate loop makes the same checks inline and writes
+    [dst] itself. *)
 
 val apply_tokens_into :
   dst:bytes ->

@@ -53,9 +53,13 @@ let decode_kaslr t =
     malformed "Elf.Note.decode_kaslr: not a KASLR-constants note";
   if Bytes.length t.desc <> 32 then
     malformed "Elf.Note.decode_kaslr: bad descriptor size";
-  {
-    phys_start = Byteio.get_addr t.desc 0;
-    phys_align = Byteio.get_addr t.desc 8;
-    kmap_base = Byteio.get_addr t.desc 16;
-    image_size_max = Byteio.get_addr t.desc 24;
-  }
+  (* a field of 2^62 or more is damage, not a caller bug *)
+  let addr field off =
+    try Byteio.get_addr t.desc off
+    with Invalid_argument _ -> malformed (field ^ " does not fit in a native int")
+  in
+  let phys_start = addr "phys_start" 0 in
+  let phys_align = addr "phys_align" 8 in
+  let kmap_base = addr "kmap_base" 16 in
+  let image_size_max = addr "image_size_max" 24 in
+  { phys_start; phys_align; kmap_base; image_size_max }

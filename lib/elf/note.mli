@@ -34,7 +34,8 @@ type kaslr_constants = {
 
 val encode_kaslr : kaslr_constants -> t
 val decode_kaslr : t -> kaslr_constants
-(** Raises {!Types.Malformed} if the note is not a KASLR-constants note. *)
+(** Raises {!Types.Malformed} if the note is not a KASLR-constants note,
+    or if a field is 2^62 or more and so does not fit in a native int. *)
 
 val section_name : string
 (** [".note.kaslr"]. *)

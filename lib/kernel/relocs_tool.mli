@@ -13,7 +13,11 @@ exception Unsupported of string
 
 val extract : bytes -> Imk_elf.Relocation.table
 (** [extract vmlinux] regenerates the relocation table: text call sites,
-    the .rodata pointer table and the .kallsyms base. *)
+    the .rodata pointer table and the .kallsyms base. Raises
+    {!Unsupported}, with a message naming the record, on an image it
+    cannot read: not an ELF, a missing section, a bad function header, a
+    site record past its section or with a bad kind code, or a .rodata
+    header or count past its section. *)
 
 val walk_functions :
   Imk_elf.Types.t -> f:(section_va:int -> fn_off:int -> id:int -> size:int -> n_sites:int -> data:bytes -> unit) -> unit
@@ -21,4 +25,5 @@ val walk_functions :
     section's VA, its byte offset within that section's data, and its
     decoded header. Shared with the FGKASLR randomizer and the guest
     integrity checks. Raises {!Unsupported} on a malformed function
-    header (bad magic or a size that escapes the section). *)
+    header (a bad magic, one of 2^62 or more included, or a size that
+    escapes the section). *)

@@ -613,6 +613,163 @@ let test_huffman_table_deep_codes () =
   let r = Bitio.Reader.create data ~pos:0 in
   List.iter (fun s -> check int "reference" s (Huffman.decode_ref dec r)) syms
 
+(* --- fused inflate loop vs the closure reference (test/inflate_ref.ml) --- *)
+
+(* [n] bytes from a geometric distribution: byte [7k] with probability
+   2^-(k+1), so the rare bytes get literal codes longer than the 9-bit
+   root and decode through the subtable links *)
+let skewed_bytes seed n =
+  let rng = Imk_entropy.Prng.create ~seed in
+  Bytes.init n (fun _ ->
+      let v = Imk_entropy.Prng.next_int rng (1 lsl 20) in
+      let k = ref 0 in
+      while !k < 20 && v land (1 lsl !k) = 0 do
+        incr k
+      done;
+      Char.chr (7 * !k))
+
+(* a decode's whole observable outcome: the result or the exception with
+   its message, and every byte of the destination (the window and the
+   sentinels around it) *)
+let inflate_outcome codec frame ~dst_off ~dst_len =
+  let dst = Bytes.make dst_len '\xab' in
+  let result =
+    match codec.Codec.decompress_into frame ~dst ~dst_off with
+    | n -> Ok n
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (result, Bytes.to_string dst)
+
+let qcheck_inflate_equiv =
+  QCheck.Test.make ~name:"gzip: fused inflate ≡ closure reference" ~count:300
+    QCheck.(
+      quad
+        (pair arbitrary_input (pair bool small_nat))
+        (int_bound 2)
+        (list_of_size Gen.(1 -- 4) (pair (int_bound (1 lsl 20)) small_nat))
+        (pair (int_bound 63) (int_bound (1 lsl 20))))
+    (fun ((input, (skew, seed)), mode, mutations, (dst_off, cut)) ->
+      let input =
+        if skew then skewed_bytes (Int64.of_int seed) (Bytes.length input)
+        else input
+      in
+      let valid = Gzip.codec.Codec.compress input in
+      let n = Bytes.length valid in
+      let frame =
+        match mode with
+        | 0 -> valid
+        | 1 ->
+            let b = Bytes.copy valid in
+            List.iter
+              (fun (pos, delta) ->
+                let i = pos mod n in
+                Bytes.set b i
+                  (Char.chr (Char.code (Bytes.get b i) lxor (1 + (delta mod 255)))))
+              mutations;
+            b
+        | _ -> Bytes.sub valid 0 (cut mod n)
+      in
+      let dst_len = dst_off + Bytes.length input + 16 in
+      inflate_outcome Gzip.codec frame ~dst_off ~dst_len
+      = inflate_outcome Inflate_ref.codec frame ~dst_off ~dst_len)
+
+(* a gzip frame holding [tokens] under the given code lengths, which
+   need not be optimal for the tokens, and the bytes it decodes to *)
+let gzip_frame_of_tokens lit_lens dist_lens tokens =
+  let w = Bitio.Writer.create () in
+  Huffman.write_lengths w lit_lens;
+  Huffman.write_lengths w dist_lens;
+  let lit_enc = Huffman.encoder_of_lengths lit_lens in
+  let dist_enc = Huffman.encoder_of_lengths dist_lens in
+  let out = Buffer.create 4096 in
+  List.iter
+    (function
+      | Lz77.Literal c ->
+          Huffman.encode lit_enc w (Char.code c);
+          Buffer.add_char out c
+      | Lz77.Match { dist; len } ->
+          let ls, lbits, lv = Gzip.length_code len in
+          Huffman.encode lit_enc w ls;
+          Bitio.Writer.put_bits w lv lbits;
+          let ds, dbits, dv = Gzip.distance_code dist in
+          Huffman.encode dist_enc w ds;
+          Bitio.Writer.put_bits w dv dbits;
+          for _ = 1 to len do
+            Buffer.add_char out (Buffer.nth out (Buffer.length out - dist))
+          done)
+    tokens;
+  Huffman.encode lit_enc w 256;
+  let orig = Buffer.to_bytes out in
+  (Codec.frame ~name:"gzip" ~orig ~payload:(Bitio.Writer.contents w), orig)
+
+(* hand-built frames whose skewed code lengths put the tokens' literal,
+   length and distance codes past the 9-bit root, so both tables decode
+   through their subtable links; the tokens include overlapping matches
+   (dist < len), matches of 32 bytes or more, and one token of the full
+   50 bits (a 15-bit length code with 7 extra bits, a 15-bit distance
+   code with 13). Every prefix of the small frame must fail the same
+   way under both decoders. *)
+let test_inflate_deep_codes_and_copies () =
+  let rec fib n = if n < 2 then 1 else fib (n - 1) + fib (n - 2) in
+  let lit_freq = Array.make 285 0 in
+  for i = 0 to 39 do
+    lit_freq.(i) <- fib (min i 25)
+  done;
+  for ls = 256 to 283 do
+    lit_freq.(ls) <- 1000
+  done;
+  lit_freq.(284) <- 1;
+  let lit_lens = Huffman.lengths_of_freqs lit_freq in
+  let dist_lens =
+    Huffman.lengths_of_freqs
+      (Array.init 30 (fun ds -> if ds = 29 then 1 else fib (min ds 25)))
+  in
+  let code_len lens (sym, _, _) = lens.(sym) in
+  check int "literal 0's code" 15 lit_lens.(0);
+  check int "length 258's code" 15 (code_len lit_lens (Gzip.length_code 258));
+  check int "distance 1's code" 15 (code_len dist_lens (Gzip.distance_code 1));
+  check int "distance 30000's code" 15
+    (code_len dist_lens (Gzip.distance_code 30000));
+  let lits = List.init 40 (fun i -> Lz77.Literal (Char.chr i)) in
+  let matches =
+    List.map
+      (fun (dist, len) -> Lz77.Match { dist; len })
+      [ (1, 50); (2, 3); (3, 40); (60, 35); (7, 4); (90, 258) ]
+  in
+  let small, small_orig =
+    gzip_frame_of_tokens lit_lens dist_lens (lits @ matches @ lits @ matches)
+  in
+  check bytes_testable "fused inflate" small_orig
+    (Gzip.codec.Codec.decompress small);
+  check bytes_testable "closure reference" small_orig
+    (Inflate_ref.codec.Codec.decompress small);
+  let dst_len = Bytes.length small_orig + 8 in
+  for keep = 0 to Bytes.length small - 1 do
+    let frame = Bytes.sub small 0 keep in
+    check Alcotest.bool
+      (Printf.sprintf "%d-byte prefix fails alike" keep)
+      true
+      (inflate_outcome Gzip.codec frame ~dst_off:4 ~dst_len
+      = inflate_outcome Inflate_ref.codec frame ~dst_off:4 ~dst_len)
+  done;
+  (* a 50-bit far match and a 15-bit literal are 65 bits, so eight
+     pairs start the far match at every bit offset modulo 8: a window
+     refilled to fewer than 50 bits runs short at one of them *)
+  let filler = List.init 150 (fun _ -> Lz77.Match { dist = 1; len = 200 }) in
+  let far_pairs =
+    List.concat
+      (List.init 8 (fun _ ->
+           [ Lz77.Match { dist = 30000; len = 258 }; Lz77.Literal '\000' ]))
+  in
+  let far, far_orig =
+    gzip_frame_of_tokens lit_lens dist_lens
+      (lits @ matches @ filler @ far_pairs @ lits)
+  in
+  check bytes_testable "fused inflate, far match" far_orig
+    (Gzip.codec.Codec.decompress far);
+  check bytes_testable "closure reference, far match" far_orig
+    (Inflate_ref.codec.Codec.decompress far)
+
 let () =
   Alcotest.run "imk_compress"
     [
@@ -657,6 +814,12 @@ let () =
           Alcotest.test_case "lz4 long runs" `Quick test_lz4_long_runs;
           Alcotest.test_case "lz4 corrupt" `Quick test_lz4_corrupt_rejected;
           Alcotest.test_case "gzip code tables" `Quick test_gzip_code_tables;
+        ] );
+      ( "inflate",
+        [
+          Alcotest.test_case "deep codes, overlapping and long copies" `Quick
+            test_inflate_deep_codes_and_copies;
+          Testkit.to_alcotest qcheck_inflate_equiv;
         ] );
       ( "range coder",
         [

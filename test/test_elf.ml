@@ -249,6 +249,38 @@ let test_note_rejects_garbage () =
        false
      with Types.Malformed _ -> true)
 
+(* a KASLR-constants field of 2^62 or more is image damage: it fails
+   typed, as Malformed naming the field, and classifies as corrupt-image
+   rather than escaping as Invalid_argument *)
+let test_kaslr_note_rejects_wide_fields () =
+  let c =
+    {
+      Note.phys_start = Imk_memory.Addr.default_phys_load;
+      phys_align = Imk_memory.Addr.kernel_align;
+      kmap_base = Imk_memory.Addr.kmap_base;
+      image_size_max = Imk_memory.Addr.kaslr_max_offset;
+    }
+  in
+  List.iter
+    (fun (field, off) ->
+      List.iter
+        (fun v ->
+          let note = Note.encode_kaslr c in
+          Bytes.set_int64_le note.Note.desc off v;
+          match Note.decode_kaslr note with
+          | _ -> Alcotest.failf "%s = %Lx decoded" field v
+          | exception e ->
+              check Alcotest.string (field ^ " message")
+                (Printexc.to_string
+                   (Types.Malformed (field ^ " does not fit in a native int")))
+                (Printexc.to_string e);
+              check Alcotest.(option string) (field ^ " class")
+                (Some "corrupt-image")
+                (Option.map Imk_fault.Failure.kind_name
+                   (Imk_fault.Failure.classify e)))
+        [ Int64.shift_left 1L 62; -1L ])
+    [ ("phys_start", 0); ("phys_align", 8); ("kmap_base", 16); ("image_size_max", 24) ]
+
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"elf: parse ∘ write = id on random images" ~count:40
     QCheck.(triple (int_range 1 5) (int_range 0 8) int64)
@@ -409,6 +441,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_note_roundtrip;
           Alcotest.test_case "kaslr constants" `Quick test_kaslr_note_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_note_rejects_garbage;
+          Alcotest.test_case "kaslr fields of 2^62 or more fail typed" `Quick
+            test_kaslr_note_rejects_wide_fields;
           Testkit.to_alcotest qcheck_note_adversarial;
         ] );
       ( "relocations",

@@ -289,6 +289,77 @@ let test_foreign_relocs_rederived () =
       (List.mem_assoc "rederive-relocs" r.Boot_supervisor.recovery)
   done
 
+(* a corrupt relocation table sends the supervisor to re-derive one
+   from a kernel image that is damaged too: each unreadable record the
+   relocs tool meets must end the boot as bad-reloc with a message
+   naming the record, never escape as Invalid_argument *)
+let test_rederive_from_damaged_image_is_typed () =
+  let env, vm = supervise_env () in
+  let pristine = env.Testkit.built.Imk_kernel.Image.vmlinux in
+  let elf = Imk_elf.Parser.parse pristine in
+  (* file offsets of the first function, the first function with a
+     site, and the last function of its section *)
+  let first = ref None and with_site = ref None and last = ref None in
+  Imk_kernel.Relocs_tool.walk_functions elf
+    ~f:(fun ~section_va:_ ~fn_off ~id:_ ~size ~n_sites ~data ->
+      (* the walk hands over the section's own data *)
+      let s =
+        Array.to_list elf.Imk_elf.Types.sections
+        |> List.find (fun (s : Imk_elf.Types.section) -> s.data == data)
+      in
+      let at = s.Imk_elf.Types.offset + fn_off in
+      if !first = None then first := Some at;
+      if !with_site = None && n_sites > 0 then with_site := Some at;
+      if fn_off + size = Bytes.length data then last := Some at);
+  let rodata =
+    Option.get (Imk_elf.Types.section_by_name elf ".rodata")
+  in
+  let damage name phrase f =
+    let b = Bytes.copy pristine in
+    f b;
+    (name, phrase, b)
+  in
+  let cases =
+    [
+      damage "function magic of 2^62" "bad function magic in .text" (fun b ->
+          Bytes.set_int64_le b (Option.get !first) 0x4000_0000_0000_0000L);
+      damage "site kind code 7" "bad kind code 7 at site 0" (fun b ->
+          Bytes.set_uint8 b
+            (Option.get !with_site + Imk_kernel.Function_graph.fn_header_bytes)
+            7);
+      damage "sites past the section" "sites of function" (fun b ->
+          Bytes.set_int32_le b (Option.get !last + 12) 0x10000l);
+      damage ".rodata count past the section" ".rodata count" (fun b ->
+          let off = rodata.Imk_elf.Types.offset in
+          Bytes.set_int32_le b off
+            (Int32.add (Bytes.get_int32_le b off) 1l));
+    ]
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (name, phrase, damaged) ->
+      let ctx =
+        armed_ctx ~files:[ (Testkit.vmlinux_path env, damaged) ] env
+          Inject.Truncate_relocs ~seed:11
+      in
+      match (Boot_supervisor.supervise ~seed:5L ~ctx vm).Boot_supervisor.outcome with
+      | Error f ->
+          check string name "bad-reloc" (Failure.kind_name f);
+          check Alcotest.bool
+            (Printf.sprintf "%s: %S names the record" name (Failure.message f))
+            true
+            (contains (Failure.message f) phrase)
+      | Ok _ -> Alcotest.failf "%s booted green" name
+      | exception e ->
+          Alcotest.failf "%s escaped untyped: %s" name (Printexc.to_string e))
+    cases
+
 let test_failed_attempts_do_not_poison_arena () =
   let env, vm = supervise_env () in
   let arena = Imk_memory.Arena.create () in
@@ -930,6 +1001,8 @@ let () =
             test_bad_relocs_rederived;
           Alcotest.test_case "foreign relocs re-derived" `Quick
             test_foreign_relocs_rederived;
+          Alcotest.test_case "re-derivation from a damaged image fails typed"
+            `Quick test_rederive_from_damaged_image_is_typed;
           Alcotest.test_case "arena survives failed attempts" `Quick
             test_failed_attempts_do_not_poison_arena;
           Alcotest.test_case "snapshot falls back to cold boot" `Quick
