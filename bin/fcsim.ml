@@ -9,53 +9,24 @@
 
 open Cmdliner
 
-let parse_kernel s =
-  match String.split_on_char '-' s with
-  | [ p; v ] -> (
-      let preset =
-        match p with
-        | "lupine" -> Some Imk_kernel.Config.Lupine
-        | "aws" -> Some Imk_kernel.Config.Aws
-        | "ubuntu" -> Some Imk_kernel.Config.Ubuntu
-        | _ -> None
-      in
-      let variant =
-        match v with
-        | "nokaslr" -> Some Imk_kernel.Config.Nokaslr
-        | "kaslr" -> Some Imk_kernel.Config.Kaslr
-        | "fgkaslr" -> Some Imk_kernel.Config.Fgkaslr
-        | _ -> None
-      in
-      match (preset, variant) with
-      | Some p, Some v -> Ok (p, v)
-      | _ -> Error (`Msg ("unknown kernel " ^ s)))
-  | _ -> Error (`Msg "kernel must be <preset>-<variant>, e.g. aws-kaslr")
-
-let kernel_conv =
-  Arg.conv
-    ( parse_kernel,
-      fun ppf (p, v) ->
-        Format.fprintf ppf "%s-%s"
-          (Imk_kernel.Config.preset_name p)
-          (Imk_kernel.Config.variant_name v) )
-
+(* the kernel, rando and method enums are the vocabularies
+   Imk_check.Point.fcsim_commands prints from, so every printed reproducer
+   parses here (test_check pins it) *)
 let kernel =
   Arg.(
     required
-    & opt (some kernel_conv) None
+    & opt (some (enum Imk_kernel.Config.kernel_names)) None
     & info [ "kernel"; "k" ] ~docv:"PRESET-VARIANT"
         ~doc:"Guest kernel, e.g. aws-kaslr, lupine-fgkaslr, ubuntu-nokaslr.")
 
 let rando =
   Arg.(
     value
-    & opt (enum [ ("off", `Off); ("kaslr", `Kaslr); ("fgkaslr", `Fgkaslr) ]) `Off
+    & opt (enum Imk_monitor.Vm_config.rando_flags) Imk_monitor.Vm_config.Rando_off
     & info [ "rando" ] ~docv:"MODE"
         ~doc:"Randomization: off, kaslr or fgkaslr. In-monitor for direct \
               boots, self-randomization for bzImage methods.")
 
-(* the method names are the campaign points' codecs, so every printed
-   reproducer (Imk_check.Point.fcsim_commands) parses here *)
 let method_ =
   Arg.(
     value
@@ -145,29 +116,24 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
   let preset, variant = kernel in
   let ws = Imk_harness.Workspace.create ?functions_override:functions () in
   let kernel_config = Imk_harness.Workspace.config ws preset variant in
-  let rando_mode =
-    match rando with
-    | `Off -> Imk_monitor.Vm_config.Rando_off
-    | `Kaslr -> Imk_monitor.Vm_config.Rando_kaslr
-    | `Fgkaslr -> Imk_monitor.Vm_config.Rando_fgkaslr
-  in
-  let kernel_path, relocs_path, flavor =
-    match method_ with
-    | None ->
-        ( Imk_harness.Workspace.vmlinux_path ws preset variant,
-          (if rando_mode = Imk_monitor.Vm_config.Rando_off then None
-           else Some (Imk_harness.Workspace.relocs_path ws preset variant)),
-          None )
-    | Some m ->
-        let codec, bz = Imk_check.Point.bz_link m in
-        ( Imk_harness.Workspace.bzimage_path ws preset variant ~codec ~bz,
-          None,
-          Some Imk_monitor.Vm_config.In_monitor_fgkaslr )
-  in
   let profile =
     match vmm with
     | `Fc -> Imk_monitor.Profiles.firecracker
     | `Qemu -> Imk_monitor.Profiles.qemu
+  in
+  let kallsyms =
+    if deferred_kallsyms then Imk_monitor.Vm_config.Kallsyms_deferred
+    else Imk_monitor.Vm_config.Kallsyms_eager
+  in
+  let mem = mem_mib * 1024 * 1024 in
+  let vm =
+    match method_ with
+    | None ->
+        Imk_harness.Workspace.direct_vm ws preset variant ~rando ~kallsyms
+          ~profile ~mem ()
+    | Some meth ->
+        Imk_harness.Workspace.bz_vm ws preset variant ~meth ~rando
+          ~loader:Imk_monitor.Vm_config.Loader_default ~profile ~mem ()
   in
   let devices =
     if not with_devices then []
@@ -184,13 +150,7 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
     end
   in
   let vm =
-    Imk_monitor.Vm_config.make ?flavor ~profile ~rando:rando_mode
-      ~relocs_path ~boot_args:cmdline ~devices
-      ~kallsyms:
-        (if deferred_kallsyms then Imk_monitor.Vm_config.Kallsyms_deferred
-         else Imk_monitor.Vm_config.Kallsyms_eager)
-      ~mem_bytes:(mem_mib * 1024 * 1024)
-      ~kernel_path ~kernel_config ()
+    { vm with Imk_monitor.Vm_config.boot_args = cmdline; devices; kallsyms }
   in
   if not cold then Imk_harness.Workspace.warm_all ws;
   (* one verbose boot with the requested seed *)

@@ -9,35 +9,9 @@
 open Cmdliner
 
 let kernel =
-  let parse s =
-    match String.split_on_char '-' s with
-    | [ p; v ] -> (
-        let preset =
-          match p with
-          | "lupine" -> Some Imk_kernel.Config.Lupine
-          | "aws" -> Some Imk_kernel.Config.Aws
-          | "ubuntu" -> Some Imk_kernel.Config.Ubuntu
-          | _ -> None
-        and variant =
-          match v with
-          | "nokaslr" -> Some Imk_kernel.Config.Nokaslr
-          | "kaslr" -> Some Imk_kernel.Config.Kaslr
-          | "fgkaslr" -> Some Imk_kernel.Config.Fgkaslr
-          | _ -> None
-        in
-        match (preset, variant) with
-        | Some p, Some v -> Ok (p, v)
-        | _ -> Error (`Msg ("unknown kernel " ^ s)))
-    | _ -> Error (`Msg "expected <preset>-<variant>")
-  in
-  let print ppf (p, v) =
-    Format.fprintf ppf "%s-%s"
-      (Imk_kernel.Config.preset_name p)
-      (Imk_kernel.Config.variant_name v)
-  in
   Arg.(
     required
-    & opt (some (conv (parse, print))) None
+    & opt (some (enum Imk_kernel.Config.kernel_names)) None
     & info [ "kernel"; "k" ] ~docv:"PRESET-VARIANT" ~doc:"Kernel to build.")
 
 let out_dir =
@@ -89,8 +63,8 @@ let run kernel out_dir scale codecs =
             (Imk_kernel.Bzimage.encode bz))
     codecs;
   let bz_opt =
-    Imk_kernel.Bzimage.link built ~codec:"none"
-      ~variant:Imk_kernel.Bzimage.None_optimized
+    let codec, variant = Imk_kernel.Bzimage.of_method "none-opt" in
+    Imk_kernel.Bzimage.link built ~codec ~variant
   in
   write_file (base ^ ".bzimage-none-opt") (Imk_kernel.Bzimage.encode bz_opt);
   Printf.printf "modelled sizes: vmlinux %s, relocs %s, %d sections\n"

@@ -10,13 +10,6 @@
 
 open Imk_monitor
 
-let schemes =
-  [
-    ("nokaslr", Imk_kernel.Config.Nokaslr, Vm_config.Rando_off);
-    ("kaslr", Imk_kernel.Config.Kaslr, Vm_config.Rando_kaslr);
-    ("fgkaslr", Imk_kernel.Config.Fgkaslr, Vm_config.Rando_fgkaslr);
-  ]
-
 let () =
   let ws = Imk_harness.Workspace.create () in
   let preset = Imk_kernel.Config.Aws in
@@ -41,16 +34,12 @@ let () =
     f.Imk_security.Entropy_analysis.permutation_bits;
 
   List.iter
-    (fun (name, variant, rando) ->
+    (fun variant ->
+      let name = Imk_kernel.Config.variant_name variant in
       Imk_harness.Workspace.warm_all ws;
       let vm =
-        Vm_config.make ~rando
-          ~relocs_path:
-            (if rando = Vm_config.Rando_off then None
-             else Some (Imk_harness.Workspace.relocs_path ws preset variant))
-          ~kernel_path:(Imk_harness.Workspace.vmlinux_path ws preset variant)
-          ~kernel_config:(Imk_harness.Workspace.config ws preset variant)
-          ()
+        Imk_harness.Workspace.direct_vm ws preset variant
+          ~rando:(Vm_config.rando_of_variant variant) ()
       in
       let _, r =
         Imk_harness.Boot_runner.boot_once ~jitter:false ~seed:90125L
@@ -91,7 +80,7 @@ let () =
       | None ->
           Printf.printf
             "         blind probing failed within 20000 crash-risking probes\n"))
-    schemes;
+    Imk_kernel.Config.all_variants;
 
   Printf.printf
     "\ntakeaway (paper §3.1): coarse KASLR collapses under one leak — the \

@@ -32,9 +32,7 @@ let () =
   in
 
   (* 4. Boot, charging costs to a virtual clock. *)
-  let clock = Imk_vclock.Clock.create () in
-  let trace = Imk_vclock.Trace.create clock in
-  let charge = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
+  let trace, charge = Imk_vclock.Charge.fresh () in
   let result = Imk_monitor.Vmm.boot charge cache vm in
 
   (* 5. Inspect the randomized guest. *)

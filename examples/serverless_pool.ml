@@ -17,16 +17,11 @@ open Imk_monitor
 
 let pool_size = 12
 
-let boot_lambda ws ~variant ~rando ~seed =
-  let preset = Imk_kernel.Config.Aws in
+let boot_lambda ws ~variant ~seed =
   Imk_harness.Workspace.warm_all ws;
   let vm =
-    Vm_config.make ~rando
-      ~relocs_path:
-        (if rando = Vm_config.Rando_off then None
-         else Some (Imk_harness.Workspace.relocs_path ws preset variant))
-      ~kernel_path:(Imk_harness.Workspace.vmlinux_path ws preset variant)
-      ~kernel_config:(Imk_harness.Workspace.config ws preset variant)
+    Imk_harness.Workspace.direct_vm ws Imk_kernel.Config.Aws variant
+      ~rando:(Vm_config.rando_of_variant variant)
       ~kallsyms:Vm_config.Kallsyms_deferred (* lambdas never read kallsyms *)
       ()
   in
@@ -34,38 +29,22 @@ let boot_lambda ws ~variant ~rando ~seed =
     ~cache:(Imk_harness.Workspace.cache ws)
     vm
 
-(* content hashes of the nonzero pages holding the kernel image —
-   KSM-style merging is content-based, so location is irrelevant, and
-   all-zero pages merge trivially so they are excluded *)
-let kernel_pages result =
-  let mem = result.Vmm.mem in
-  let page = 4096 in
-  let zero_hash = Imk_util.Crc.crc32 (Bytes.make page '\000') 0 page in
-  let p = result.Vmm.params in
-  let lo = p.Imk_guest.Boot_params.phys_load in
-  let hi = min (Imk_memory.Guest_mem.size mem) (lo + (8 * 1024 * 1024)) in
-  let hashes = ref [] in
-  let off = ref lo in
-  while !off + page <= hi do
-    let h = Imk_memory.Guest_mem.crc32_range mem ~pa:!off ~len:page in
-    if h <> zero_hash then hashes := h :: !hashes;
-    off := !off + page
-  done;
-  !hashes
+(* §6's page-sharing measure over the first two boots of a pool: how many
+   of the first guest's kernel pages the host could merge with the
+   second's *)
+let sharable pool =
+  let window (_, r) = (r.Vmm.mem, r.Vmm.params.Imk_guest.Boot_params.phys_load) in
+  Imk_memory.Guest_mem.identical_kernel_pages
+    (window (List.nth pool 0))
+    (window (List.nth pool 1))
 
-let sharable a b =
-  let bset = Hashtbl.create 1024 in
-  List.iter (fun h -> Hashtbl.replace bset h ()) b;
-  let shared = List.length (List.filter (Hashtbl.mem bset) a) in
-  100. *. float_of_int shared /. float_of_int (max 1 (List.length a))
-
-let run_pool ws ~name ~variant ~rando ~shared_seed =
+let run_pool ws ~name ~variant ~shared_seed =
   let results =
     List.init pool_size (fun i ->
         let seed =
           if shared_seed then 7777L else Int64.of_int (1000 + (i * 37))
         in
-        boot_lambda ws ~variant ~rando ~seed)
+        boot_lambda ws ~variant ~seed)
   in
   let totals = List.map (fun (t, _) -> Imk_vclock.Trace.total t) results in
   let mean_ns =
@@ -91,15 +70,15 @@ let () =
     pool_size;
   let _ =
     run_pool ws ~name:"nokaslr (stock microVM)" ~variant:Imk_kernel.Config.Nokaslr
-      ~rando:Vm_config.Rando_off ~shared_seed:false
+      ~shared_seed:false
   in
   let kaslr =
     run_pool ws ~name:"in-monitor KASLR" ~variant:Imk_kernel.Config.Kaslr
-      ~rando:Vm_config.Rando_kaslr ~shared_seed:false
+      ~shared_seed:false
   in
   let fg =
     run_pool ws ~name:"in-monitor FGKASLR" ~variant:Imk_kernel.Config.Fgkaslr
-      ~rando:Vm_config.Rando_fgkaslr ~shared_seed:false
+      ~shared_seed:false
   in
   Printf.printf
     "\nevery randomized instance got its own layout — unlike zygote \
@@ -107,18 +86,14 @@ let () =
 
   (* §6: memory density. Can the host still merge pages across VMs? *)
   Printf.printf "\npage-sharing across two FGKASLR lambdas (§6 memory density):\n";
-  let a = kernel_pages (snd (List.nth fg 0)) in
-  let b = kernel_pages (snd (List.nth fg 1)) in
   Printf.printf "  distinct seeds : %5.1f%% of kernel pages identical\n"
-    (sharable a b);
+    (sharable fg);
   let grouped =
     run_pool ws ~name:"FGKASLR, host-grouped seed" ~variant:Imk_kernel.Config.Fgkaslr
-      ~rando:Vm_config.Rando_fgkaslr ~shared_seed:true
+      ~shared_seed:true
   in
-  let ga = kernel_pages (snd (List.nth grouped 0)) in
-  let gb = kernel_pages (snd (List.nth grouped 1)) in
   Printf.printf "  shared seed    : %5.1f%% of kernel pages identical\n"
-    (sharable ga gb);
+    (sharable grouped);
   Printf.printf
     "\nin-monitor randomization lets the host trade diversity for density \
      by seed grouping —\nimpossible when guests self-randomize.\n";

@@ -12,7 +12,7 @@ let build ?(scale = 4) (point : Point.t) =
       Imk_kernel.Config.functions = point.Point.functions }
   in
   let built = Imk_kernel.Image.build cfg in
-  let codec, bz_variant = Point.bz_link point.Point.codec in
+  let codec, bz_variant = Imk_kernel.Bzimage.of_method point.Point.codec in
   let bz = Imk_kernel.Bzimage.link built ~codec ~variant:bz_variant in
   let bz_name =
     Printf.sprintf "%s.bz-%s" cfg.Imk_kernel.Config.name point.Point.codec
@@ -48,12 +48,15 @@ let instantiate images =
     bz_path = images.bz_name;
   }
 
+let rando (point : Point.t) =
+  Imk_monitor.Vm_config.rando_of_variant point.Point.variant
+
 (* both configs use the top-rank flavor (it implements every capability)
    and identical policies, so any layout difference between the two boots
    is the code under test, not configuration skew *)
-let vm_config t (point : Point.t) ~kernel_path ~relocs_path =
+let vm_config t point ~kernel_path ~relocs_path =
   Imk_monitor.Vm_config.make ~flavor:Imk_monitor.Vm_config.In_monitor_fgkaslr
-    ~rando:(Point.rando point) ~relocs_path
+    ~rando:(rando point) ~relocs_path
     ~kallsyms:Imk_monitor.Vm_config.Kallsyms_eager
     ~orc:Imk_monitor.Vm_config.Orc_skip
     ~loader:Imk_monitor.Vm_config.Loader_default
@@ -62,7 +65,7 @@ let vm_config t (point : Point.t) ~kernel_path ~relocs_path =
 
 let direct_config t point =
   let relocs_path =
-    if Point.rando point = Imk_monitor.Vm_config.Rando_off then None
+    if rando point = Imk_monitor.Vm_config.Rando_off then None
     else Some t.relocs_path
   in
   vm_config t point ~kernel_path:t.vmlinux_path ~relocs_path

@@ -13,12 +13,8 @@ type t = {
   run : Env.images -> Point.t -> report;
 }
 
-let charge ?sched clock =
-  let trace = Imk_vclock.Trace.create clock in
-  (trace, Imk_vclock.Charge.create ?sched trace Imk_vclock.Cost_model.default)
-
 let boot ?plans ?choices ?mem cache vm =
-  let trace, ch = charge (Imk_vclock.Clock.create ()) in
+  let trace, ch = Imk_vclock.Charge.fresh () in
   (trace, Imk_monitor.Vmm.boot ?plans ?choices ?mem ch cache vm)
 
 (* invariants phrased as "telemetry is bit-identical" are checked at span
@@ -109,7 +105,10 @@ let cross_path =
     (fun images point ~note ->
       let env = Env.instantiate images in
       let choices =
-        if Point.rando point = Imk_monitor.Vm_config.Rando_off then None
+        if
+          Imk_monitor.Vm_config.rando_of_variant point.Point.variant
+          = Imk_monitor.Vm_config.Rando_off
+        then None
         else Some (Imk_randomize.Choices.of_seed point.Point.seed)
       in
       let ta, ra = boot ?choices env.Env.cache (Env.direct_config env point) in
@@ -144,7 +143,7 @@ let event_core_solo =
       let env_b = Env.instantiate images in
       let sched = Imk_vclock.Sched.create () in
       let tl = Imk_vclock.Sched.timeline sched in
-      let trace, ch = charge ~sched:tl (Imk_vclock.Sched.timeline_clock tl) in
+      let trace, ch = Imk_vclock.Charge.fresh ~sched:tl () in
       let result = ref None in
       Imk_vclock.Sched.spawn sched tl (fun () ->
           result :=
@@ -197,7 +196,7 @@ let snapshot_cold =
       let snap =
         Imk_monitor.Snapshot.load ~config:r.Imk_monitor.Vmm.config blob
       in
-      let trace, ch = charge (Imk_vclock.Clock.create ()) in
+      let trace, ch = Imk_vclock.Charge.fresh () in
       let restored =
         Imk_monitor.Snapshot.restore ch snap ~working_set_pages:32
       in

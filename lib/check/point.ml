@@ -6,27 +6,16 @@ type t = {
   seed : int64;
 }
 
-let rando t =
-  match t.variant with
-  | Imk_kernel.Config.Nokaslr -> Imk_monitor.Vm_config.Rando_off
-  | Imk_kernel.Config.Kaslr -> Imk_monitor.Vm_config.Rando_kaslr
-  | Imk_kernel.Config.Fgkaslr -> Imk_monitor.Vm_config.Rando_fgkaslr
+let kernel t = Imk_kernel.Config.kernel_name t.preset t.variant
 
 let name t =
-  Printf.sprintf "%s-%s/%s/f%d/s%Ld"
-    (Imk_kernel.Config.preset_name t.preset)
-    (Imk_kernel.Config.variant_name t.variant)
-    t.codec t.functions t.seed
+  Printf.sprintf "%s/%s/f%d/s%Ld" (kernel t) t.codec t.functions t.seed
 
 (* simplest first: the aligned uncompressed link skips both the
    copy-out-of-the-way and decompression, so a divergence that survives
    shrinking to "none-opt" has the smallest possible boot between the
    seed and the comparison *)
 let codecs = [ "none-opt"; "none"; "lz4"; "gzip" ]
-
-let bz_link = function
-  | "none-opt" -> ("none", Imk_kernel.Bzimage.None_optimized)
-  | c -> (c, Imk_kernel.Bzimage.Standard)
 
 let default_functions preset variant =
   (Imk_kernel.Config.make preset variant).Imk_kernel.Config.functions
@@ -52,18 +41,14 @@ let matrix ~seed ~functions =
     Imk_kernel.Config.all_presets
 
 let rando_flag t =
-  match rando t with
-  | Imk_monitor.Vm_config.Rando_off -> "off"
-  | Imk_monitor.Vm_config.Rando_kaslr -> "kaslr"
-  | Imk_monitor.Vm_config.Rando_fgkaslr -> "fgkaslr"
+  let mode = Imk_monitor.Vm_config.rando_of_variant t.variant in
+  fst (List.find (fun (_, m) -> m = mode) Imk_monitor.Vm_config.rando_flags)
 
 let fcsim_commands t =
   let base meth =
     Printf.sprintf
-      "dune exec bin/fcsim.exe -- --kernel %s-%s --rando %s --method %s \
+      "dune exec bin/fcsim.exe -- --kernel %s --rando %s --method %s \
        --seed %Ld --functions %d"
-      (Imk_kernel.Config.preset_name t.preset)
-      (Imk_kernel.Config.variant_name t.variant)
-      (rando_flag t) meth t.seed t.functions
+      (kernel t) (rando_flag t) meth t.seed t.functions
   in
   [ base "direct"; base t.codec ]

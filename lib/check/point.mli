@@ -18,21 +18,14 @@ type t = {
   seed : int64;  (** boot entropy seed; also pins the {!Imk_randomize.Choices} schedule *)
 }
 
-val rando : t -> Imk_monitor.Vm_config.rando_mode
-(** The randomization mode a point boots with — tied to the kernel
-    variant, as the full-matrix suites do: nokaslr kernels boot with
-    randomization off, kaslr with KASLR, fgkaslr with FGKASLR. *)
-
 val name : t -> string
 (** Short cell label, e.g. "aws-kaslr/lz4/f80/s42". *)
 
 val codecs : string list
 (** Valid [codec] values, simplest first ("none-opt", "none", "lz4",
-    "gzip") — the shrinker walks this order. *)
-
-val bz_link : string -> string * Imk_kernel.Bzimage.variant
-(** The codec and bzImage variant a {!codecs} name links ("none-opt" is
-    "none", [None_optimized]); {!Env.build} and [fcsim --method] share it. *)
+    "gzip") — the shrinker walks this order, and [fcsim --method]
+    accepts each besides "direct". {!Imk_kernel.Bzimage.of_method} links
+    them. *)
 
 val matrix : seed:int64 -> functions:int option -> t list
 (** The campaign catalogue for one seed: presets × variants × a
@@ -42,4 +35,8 @@ val matrix : seed:int64 -> functions:int option -> t list
 val fcsim_commands : t -> string list
 (** Ready-to-paste reproduction commands for the two boots a cross-path
     comparison runs: the direct (monitor) boot and the bzImage (loader)
-    boot of this point. *)
+    boot of this point. The point boots with
+    {!Imk_monitor.Vm_config.rando_of_variant} of its variant; every
+    [--kernel], [--rando] and [--method] value printed is one of
+    {!Imk_kernel.Config.kernel_names}, {!Imk_monitor.Vm_config.rando_flags}
+    and "direct" or {!codecs}, the vocabularies [fcsim] parses. *)

@@ -10,15 +10,8 @@ type phase_stats = {
 
 let ms s = Imk_util.Units.ns_float_to_ms s.Imk_util.Stats.mean
 
-let jitter_rng seed = Imk_entropy.Prng.create ~seed:(Int64.add seed 7919L)
-
-let fresh_charge ?jitter_seed () =
-  let trace = Trace.create (Clock.create ()) in
-  let jitter = Option.map jitter_rng jitter_seed in
-  (trace, Charge.create ?jitter trace Cost_model.default)
-
 let boot_once ?(jitter = true) ?tap ?mem ?plans ~seed ~cache vm =
-  let trace, ch = fresh_charge ?jitter_seed:(if jitter then Some seed else None) () in
+  let trace, ch = Charge.fresh ?jitter_seed:(if jitter then Some seed else None) () in
   let result =
     Imk_monitor.Vmm.boot ?mem ?plans ch cache
       { vm with Imk_monitor.Vm_config.seed }
@@ -96,12 +89,8 @@ let boot_contended ?(jobs = 1) ?tap ?plans ~capacities ~n ~runs ~cache vm =
     let traces =
       Array.init n (fun s ->
           let tl = Imk_vclock.Sched.timeline sched in
-          let trace = Trace.create (Imk_vclock.Sched.timeline_clock tl) in
           let seed = contend_seed ~run:r ~slot:s in
-          let ch =
-            Charge.create ~jitter:(jitter_rng seed) ~sched:tl trace
-              Cost_model.default
-          in
+          let trace, ch = Charge.fresh ~jitter_seed:seed ~sched:tl () in
           let vm = { vm with Imk_monitor.Vm_config.seed } in
           Imk_vclock.Sched.spawn sched tl (fun () ->
               ignore (Imk_monitor.Vmm.boot ?plans ch cache vm));
@@ -131,11 +120,7 @@ let spans_by_label trace =
   let acc = Hashtbl.create 16 in
   List.iter
     (fun (s : Trace.span) ->
-      let label =
-        if String.length s.label > 0 && s.label.[0] = '+' then
-          String.sub s.label 1 (String.length s.label - 1)
-        else s.label
-      in
+      let label = Trace.display_name s in
       let prev = Option.value ~default:0 (Hashtbl.find_opt acc label) in
       Hashtbl.replace acc label (prev + (s.stop_ns - s.start_ns)))
     (Trace.spans trace);

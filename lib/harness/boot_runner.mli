@@ -101,11 +101,6 @@ val boot_once :
     the caller keeps ownership either way. [tap] is offered the finished
     trace; it only observes. *)
 
-val fresh_charge :
-  ?jitter_seed:int64 -> unit -> Imk_vclock.Trace.t * Imk_vclock.Charge.t
-(** A fresh linear virtual clock with its trace and charge — jittered
-    from [jitter_seed] the way every seeded boot is, exact without it. *)
-
 val spans_by_label : Imk_vclock.Trace.t -> (string * int) list
 (** Aggregate span durations by label, for breakdowns finer than the
     four phases. *)

@@ -305,7 +305,7 @@ let admitted ~jitter ?tap ?fleet ~seed vm k =
     match fleet with Some f -> f.policy | None -> default_policy
   in
   let trace, ch =
-    Boot_runner.fresh_charge ?jitter_seed:(if jitter then Some seed else None) ()
+    Imk_vclock.Charge.fresh ?jitter_seed:(if jitter then Some seed else None) ()
   in
   let vm = { vm with Imk_monitor.Vm_config.seed } in
   match admit fleet with

@@ -17,6 +17,7 @@ let verdict name pass detail = { name; pass; detail }
 
 let presets = Config.all_presets
 let pname = Config.preset_name
+let vname = Config.variant_name
 let msf = Boot_runner.ms
 let msv f = Printf.sprintf "%.1f" f
 let msn ns = msv (Imk_util.Units.ns_float_to_ms ns)
@@ -94,39 +95,6 @@ let boot_once ?jitter ws ~seed vm =
   Boot_runner.boot_once ?jitter ?tap:(tap ws) ?plans:(Workspace.plans ws)
     ~seed ~cache:(Workspace.cache ws) vm
 
-(* VM templates (boots overwrite the seed); building one registers its
-   images on the workspace disk *)
-let direct_vm ws preset variant ~rando ?(kallsyms = Vm_config.Kallsyms_eager)
-    ?(profile = Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () =
-  let need_relocs = rando <> Vm_config.Rando_off in
-  Vm_config.make ~rando ~profile ~mem_bytes:mem ~kallsyms
-    ~relocs_path:
-      (if need_relocs then Some (Workspace.relocs_path ws preset variant)
-       else None)
-    ~kernel_path:(Workspace.vmlinux_path ws preset variant)
-    ~kernel_config:(Workspace.config ws preset variant)
-    ()
-
-let bz_vm ws preset variant ~codec ~bz ~rando ?(loader = Vm_config.Loader_stripped)
-    ?(profile = Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () =
-  let path = Workspace.bzimage_path ws preset variant ~codec ~bz in
-  Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr ~rando ~profile
-    ~mem_bytes:mem ~loader ~kernel_path:path
-    ~kernel_config:(Workspace.config ws preset variant)
-    ()
-
-let variant_of_rando = function
-  | Vm_config.Rando_off -> Config.Nokaslr
-  | Vm_config.Rando_kaslr -> Config.Kaslr
-  | Vm_config.Rando_fgkaslr -> Config.Fgkaslr
-
-let rando_name = function
-  | Vm_config.Rando_off -> "nokaslr"
-  | Vm_config.Rando_kaslr -> "kaslr"
-  | Vm_config.Rando_fgkaslr -> "fgkaslr"
-
-let all_randos = [ Vm_config.Rando_off; Vm_config.Rando_kaslr; Vm_config.Rando_fgkaslr ]
-
 let fg_kallsyms rando =
   if rando = Vm_config.Rando_fgkaslr then Vm_config.Kallsyms_deferred
   else Vm_config.Kallsyms_eager
@@ -177,13 +145,13 @@ let table1 ?runs:_ ws =
       List.iter
         (fun variant ->
           let b = Workspace.built ws preset variant in
-          let bz codec =
-            let path =
-              Workspace.bzimage_path ws preset variant ~codec
-                ~bz:Bzimage.Standard
+          (* the image a bzImage boot of [meth] reads *)
+          let bz meth =
+            let vm =
+              Workspace.bz_vm ws preset variant ~meth ~rando:Vm_config.Rando_off ()
             in
             Config.modeled_of_actual b.Image.config
-              (Imk_storage.Disk.size (Workspace.disk ws) path)
+              (Imk_storage.Disk.size (Workspace.disk ws) vm.Vm_config.kernel_path)
           in
           let bytes = Imk_util.Units.bytes_to_string in
           row sh ~key:[ b.Image.config.Config.name ]
@@ -217,7 +185,7 @@ let fig3 ?(runs = 20) ws =
       (List.map
          (fun codec ->
            boot_cell [ codec ]
-             (bz_vm ws Config.Aws Config.Nokaslr ~codec ~bz:Bzimage.Standard
+             (Workspace.bz_vm ws Config.Aws Config.Nokaslr ~meth:codec
                 ~rando:Vm_config.Rando_off ()))
          codecs)
   in
@@ -244,9 +212,9 @@ let fig4 ?(runs = 20) ws =
   let methods preset =
     [
       ( "bzImage-lz4",
-        bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+        Workspace.bz_vm ws preset Config.Nokaslr ~meth:"lz4"
           ~rando:Vm_config.Rando_off () );
-      ("direct", direct_vm ws preset Config.Nokaslr ~rando:Vm_config.Rando_off ());
+      ("direct", Workspace.direct_vm ws preset Config.Nokaslr ~rando:Vm_config.Rando_off ());
     ]
   in
   let stats =
@@ -287,7 +255,7 @@ let fig5 ?runs:_ ws =
       (fun preset ->
         Workspace.warm_all ws;
         let vm =
-          bz_vm ws preset Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+          Workspace.bz_vm ws preset Config.Nokaslr ~meth:"lz4"
             ~rando:Vm_config.Rando_off ()
         in
         let trace, _ = boot_once ~jitter:false ws ~seed:11L vm in
@@ -331,12 +299,12 @@ let fig6 ?(runs = 20) ws =
   let stats =
     grid ~runs ws
       [
-        boot_cell [ "uncompressed(direct)" ] (direct_vm ws p v ~rando:r ());
+        boot_cell [ "uncompressed(direct)" ] (Workspace.direct_vm ws p v ~rando:r ());
         boot_cell [ "none-optimized" ]
-          (bz_vm ws p v ~codec:"none" ~bz:Bzimage.None_optimized ~rando:r ());
-        boot_cell [ "lz4" ] (bz_vm ws p v ~codec:"lz4" ~bz:Bzimage.Standard ~rando:r ());
+          (Workspace.bz_vm ws p v ~meth:"none-opt" ~rando:r ());
+        boot_cell [ "lz4" ] (Workspace.bz_vm ws p v ~meth:"lz4" ~rando:r ());
         boot_cell [ "compression-none" ]
-          (bz_vm ws p v ~codec:"none" ~bz:Bzimage.Standard ~rando:r ());
+          (Workspace.bz_vm ws p v ~meth:"none" ~rando:r ());
       ]
   in
   add_all sh [ `In_monitor; `Bootstrap; `Decomp; `Total ] stats;
@@ -366,19 +334,19 @@ let fig9 ?(runs = 20) ws =
       (List.concat_map
          (fun preset ->
            List.concat_map
-             (fun rando ->
-               let variant = variant_of_rando rando in
-               let cell m = boot_cell [ pname preset; rando_name rando; m ] in
+             (fun variant ->
+               let rando = Vm_config.rando_of_variant variant in
+               let cell m = boot_cell [ pname preset; vname variant; m ] in
                [
                  cell "in-monitor/direct"
-                   (direct_vm ws preset variant ~rando ~kallsyms:(fg_kallsyms rando) ());
+                   (Workspace.direct_vm ws preset variant ~rando
+                      ~kallsyms:(fg_kallsyms rando) ());
                  cell "none-optimized"
-                   (bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized
-                      ~rando ());
+                   (Workspace.bz_vm ws preset variant ~meth:"none-opt" ~rando ());
                  cell "lz4"
-                   (bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando ());
+                   (Workspace.bz_vm ws preset variant ~meth:"lz4" ~rando ());
                ])
-             all_randos)
+             Config.all_variants)
          presets)
   in
   add_all sh cols stats;
@@ -397,7 +365,7 @@ let fig9 ?(runs = 20) ws =
     List.map
       (fun preset ->
         let vm =
-          bz_vm ws preset Config.Kaslr ~codec:"lz4" ~bz:Bzimage.Standard
+          Workspace.bz_vm ws preset Config.Kaslr ~meth:"lz4"
             ~rando:Vm_config.Rando_kaslr ()
         in
         Workspace.warm_all ws;
@@ -465,20 +433,23 @@ let fig10 ?(runs = 5) ws =
   (* the memory size is a numeric key cell: it must stay in the label or
      the four sweep points collapse onto one row and silently shadow each
      other *)
-  let key preset rando mem_mib =
-    [ pname preset; rando_name rando; Printf.sprintf "%dM" mem_mib ]
+  let key preset variant mem_mib =
+    [ pname preset; vname variant; Printf.sprintf "%dM" mem_mib ]
   in
   let sweeps =
-    List.concat_map (fun preset -> List.map (fun r -> (preset, r)) all_randos) presets
+    List.concat_map
+      (fun preset -> List.map (fun v -> (preset, v)) Config.all_variants)
+      presets
   in
   let stats =
     grid ~runs ws
       (List.concat_map
-         (fun (preset, rando) ->
+         (fun (preset, variant) ->
            List.map
              (fun mem_mib ->
-               boot_cell (key preset rando mem_mib)
-                 (direct_vm ws preset (variant_of_rando rando) ~rando
+               boot_cell (key preset variant mem_mib)
+                 (Workspace.direct_vm ws preset variant
+                    ~rando:(Vm_config.rando_of_variant variant)
                     ~mem:(mem_mib * 1024 * 1024) ()))
              mems)
          sweeps)
@@ -486,10 +457,10 @@ let fig10 ?(runs = 5) ws =
   add_all sh [ `In_monitor; `Linux; `Total ] stats;
   let notes =
     List.map
-      (fun (preset, rando) ->
+      (fun (preset, variant) ->
         let vals =
           List.map
-            (fun m -> msf (List.assoc (key preset rando m) stats).Boot_runner.in_monitor)
+            (fun m -> msf (List.assoc (key preset variant m) stats).Boot_runner.in_monitor)
             mems
         in
         let spread =
@@ -497,31 +468,34 @@ let fig10 ?(runs = 5) ws =
         in
         Printf.sprintf
           "%s/%s: in-monitor spread across memory sizes %.2f ms (paper: flat)"
-          (pname preset) (rando_name rando) spread)
+          (pname preset) (vname variant) spread)
       sweeps
   in
   report sh ~id:"fig10" ~title:"Figure 10: guest memory impact on boot time" notes
 
 (* ---------- Figure 11: LEBench ---------- *)
 
-let lebench_layout ws rando ~seed =
+let lebench_layout ws variant ~seed =
   Workspace.warm_all ws;
-  let vm = direct_vm ws Config.Aws (variant_of_rando rando) ~rando () in
+  let vm =
+    Workspace.direct_vm ws Config.Aws variant
+      ~rando:(Vm_config.rando_of_variant variant) ()
+  in
   let trace, result = boot_once ~jitter:false ws ~seed vm in
   let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
   Imk_lebench.Runner.layout_of_guest ch result.Vmm.mem result.Vmm.params
 
 let fig11 ?runs:_ ws =
-  let base_layout = lebench_layout ws Vm_config.Rando_off ~seed:31L in
+  let base_layout = lebench_layout ws Config.Nokaslr ~seed:31L in
   let baseline = Imk_lebench.Runner.run ~fn_va:base_layout () in
   let sh = sheet [ "test"; "kaslr (norm)"; "fgkaslr (norm)" ] in
-  let norm rando seed =
-    let layout = lebench_layout ws rando ~seed in
+  let norm variant seed =
+    let layout = lebench_layout ws variant ~seed in
     Imk_lebench.Runner.normalize ~baseline
       (Imk_lebench.Runner.run ~fn_va:layout ~noise_seed:seed ())
   in
-  let k = norm Vm_config.Rando_kaslr 32L in
-  let f = norm Vm_config.Rando_fgkaslr 33L in
+  let k = norm Config.Kaslr 32L in
+  let f = norm Config.Fgkaslr 33L in
   List.iter2
     (fun (name, kv) (_, fv) ->
       row sh ~key:[ name ] [ Printf.sprintf "%.3f" kv; Printf.sprintf "%.3f" fv ])
@@ -548,10 +522,10 @@ let qemu_check ?(runs = 10) ws =
            let cell m = boot_cell [ profile.Profiles.name; m ] in
            [
              cell "bzImage-lz4"
-               (bz_vm ws Config.Aws Config.Nokaslr ~codec:"lz4" ~bz:Bzimage.Standard
+               (Workspace.bz_vm ws Config.Aws Config.Nokaslr ~meth:"lz4"
                   ~rando:Vm_config.Rando_off ~profile ());
              cell "direct"
-               (direct_vm ws Config.Aws Config.Nokaslr ~rando:Vm_config.Rando_off
+               (Workspace.direct_vm ws Config.Aws Config.Nokaslr ~rando:Vm_config.Rando_off
                   ~profile ());
            ])
          profiles)
@@ -579,10 +553,11 @@ let throughput ?(runs = 30) ws =
   let cores = 4 in
   let window_ms = 10_000. in
   let sh = sheet [ "scheme"; "mean boot ms"; "VMs/s (4 cores)"; "vs nokaslr" ] in
-  let samples rando =
+  let samples variant =
     Workspace.warm_all ws;
+    let rando = Vm_config.rando_of_variant variant in
     let vm =
-      direct_vm ws Config.Aws (variant_of_rando rando) ~rando
+      Workspace.direct_vm ws Config.Aws variant ~rando
         ~kallsyms:(fg_kallsyms rando) ()
     in
     let boots = ref [] in
@@ -600,16 +575,16 @@ let throughput ?(runs = 30) ws =
      the last boot finished before the window closed. *)
   let rates =
     List.map
-      (fun rando ->
-        let s = samples rando in
-        (rando, s, Imk_fleet.Sim.instantiation_rate ~cores ~window_ms (Array.of_list s)))
-      all_randos
+      (fun variant ->
+        let s = samples variant in
+        (variant, s, Imk_fleet.Sim.instantiation_rate ~cores ~window_ms (Array.of_list s)))
+      Config.all_variants
   in
-  let rate r = List.assoc r (List.map (fun (r, _, x) -> (r, x)) rates) in
-  let base_rate = rate Vm_config.Rando_off in
+  let rate v = List.assoc v (List.map (fun (v, _, x) -> (v, x)) rates) in
+  let base_rate = rate Config.Nokaslr in
   List.iter
-    (fun (rando, s, r) ->
-      row sh ~key:[ rando_name rando ]
+    (fun (variant, s, r) ->
+      row sh ~key:[ vname variant ]
         ~total:(Imk_util.Stats.summarize (List.map (fun ms -> ms *. 1e6) s))
         [
           msv (Imk_util.Stats.mean s);
@@ -625,7 +600,7 @@ let throughput ?(runs = 30) ws =
         "in-monitor KASLR costs %.1f%% of instantiation rate (paper: \
          \"little effect\"); FGKASLR costs %.1f%% (paper: \"a larger \
          tradeoff ... a decrease in throughput\")"
-        (loss Vm_config.Rando_kaslr) (loss Vm_config.Rando_fgkaslr);
+        (loss Config.Kaslr) (loss Config.Fgkaslr);
     ]
 
 (* ---------- Security ---------- *)
@@ -640,10 +615,12 @@ let security ?runs:_ ws =
   let modeled_fns =
     Config.modeled_of_actual b.Image.config b.Image.config.Config.functions
   in
-  let attack rando seed =
+  let attack variant seed =
     Workspace.warm_all ws;
-    let variant = variant_of_rando rando in
-    let vm = direct_vm ws Config.Aws variant ~rando () in
+    let vm =
+      Workspace.direct_vm ws Config.Aws variant
+        ~rando:(Vm_config.rando_of_variant variant) ()
+    in
     let _, result = boot_once ~jitter:false ws ~seed vm in
     let built = Workspace.built ws Config.Aws variant in
     let rng = Imk_entropy.Prng.create ~seed in
@@ -653,7 +630,7 @@ let security ?runs:_ ws =
           let leaked_fn = Imk_entropy.Prng.next_int rng n in
           (Imk_security.Attack.leak_and_locate ~mem:result.Vmm.mem
              ~params:result.Vmm.params ~link_fn_va:built.Image.fn_va ~leaked_fn
-             ~scheme:(rando_name rando))
+             ~scheme:(vname variant))
             .Imk_security.Attack.gadgets_exposed_fraction)
     in
     Imk_util.Stats.mean fracs
@@ -661,8 +638,8 @@ let security ?runs:_ ws =
   let module E = Imk_security.Entropy_analysis in
   let exposed =
     List.map
-      (fun (r, rando, seed) ->
-        let frac = attack rando seed in
+      (fun (r, variant, seed) ->
+        let frac = attack variant seed in
         row sh ~key:[ r.E.scheme ]
           [
             string_of_int r.E.base_slots;
@@ -672,11 +649,9 @@ let security ?runs:_ ws =
           ];
         (r.E.scheme, frac))
       [
-        (E.nokaslr, Vm_config.Rando_off, 51L);
-        (E.kaslr ~image_memsz:memsz, Vm_config.Rando_kaslr, 52L);
-        ( E.fgkaslr ~image_memsz:memsz ~functions:modeled_fns,
-          Vm_config.Rando_fgkaslr,
-          53L );
+        (E.nokaslr, Config.Nokaslr, 51L);
+        (E.kaslr ~image_memsz:memsz, Config.Kaslr, 52L);
+        (E.fgkaslr ~image_memsz:memsz ~functions:modeled_fns, Config.Fgkaslr, 53L);
       ]
   in
   (* §4.3 entropy equivalence needs equiprobable slots: chi-square over
@@ -734,7 +709,7 @@ let ablation_kallsyms ?(runs = 20) ws =
     sheet [ "policy"; "boot ms"; "first-lookup ms"; "boot overhead vs deferred" ]
   in
   let vm kallsyms =
-    direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr
+    Workspace.direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr
       ~kallsyms ()
   in
   let stats =
@@ -805,34 +780,12 @@ let ablation_orc ?(runs = 20) ws =
 let ablation_page_sharing ?runs:_ ws =
   let boot seed =
     Workspace.warm_all ws;
-    let vm = direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr () in
+    let vm = Workspace.direct_vm ws Config.Aws Config.Fgkaslr ~rando:Vm_config.Rando_fgkaslr () in
     snd (boot_once ~jitter:false ws ~seed vm)
   in
-  (* KSM-style content-based sharing over the pages that hold each
-     guest's kernel image (location-independent, zero pages excluded by
-     construction since the span covers the loaded image) *)
-  let zero_hash = Imk_util.Crc.crc32 (Bytes.make 4096 '\000') 0 4096 in
-  let page_hash_list r =
-    let mem = r.Vmm.mem in
-    let page = 4096 in
-    let lo = r.Vmm.params.Imk_guest.Boot_params.phys_load in
-    let hi = min (Imk_memory.Guest_mem.size mem) (lo + (8 * 1024 * 1024)) in
-    let hashes = ref [] in
-    let off = ref lo in
-    while !off + page <= hi do
-      let h = Imk_memory.Guest_mem.crc32_range mem ~pa:!off ~len:page in
-      (* all-zero pages merge trivially and say nothing about layouts *)
-      if h <> zero_hash then hashes := h :: !hashes;
-      off := !off + page
-    done;
-    !hashes
-  in
   let identical_pages a b =
-    let ha = page_hash_list a in
-    let hb = Hashtbl.create 1024 in
-    List.iter (fun h -> Hashtbl.replace hb h ()) (page_hash_list b);
-    let shared = List.length (List.filter (Hashtbl.mem hb) ha) in
-    float_of_int shared /. float_of_int (max 1 (List.length ha)) *. 100.
+    let window r = (r.Vmm.mem, r.Vmm.params.Imk_guest.Boot_params.phys_load) in
+    Imk_memory.Guest_mem.identical_kernel_pages (window a) (window b)
   in
   let a = boot 71L and b = boot 71L and c = boot 72L in
   let sh = sheet [ "pairing"; "identical guest pages" ] in
@@ -857,10 +810,10 @@ let ablation_rerando ?(runs = 20) ws =
     sheet [ "policy"; "boot ms"; "invocations/s"; "layouts per 100 invocations" ]
   in
   let in_monitor =
-    direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr ()
+    Workspace.direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr ()
   in
   let self_rando =
-    bz_vm ws Config.Aws Config.Kaslr ~codec:"none" ~bz:Bzimage.None_optimized
+    Workspace.bz_vm ws Config.Aws Config.Kaslr ~meth:"none-opt"
       ~rando:Vm_config.Rando_kaslr ()
   in
   let persistent = ("persistent VM (SAND-style)", in_monitor, false)
@@ -901,13 +854,11 @@ let ablation_devices ?(runs = 20) ws =
   Imk_storage.Disk.add (Workspace.disk ws) ~name:"rootfs.img" rootfs;
   let sh = sheet [ "vmm"; "devices"; "in-monitor"; "linux"; "total ms" ] in
   let cell profile devices label =
-    boot_cell [ profile.Profiles.name; label ]
-      (Vm_config.make ~profile ~rando:Vm_config.Rando_kaslr
-         ~relocs_path:(Some (Workspace.relocs_path ws Config.Aws Config.Kaslr))
-         ~devices
-         ~kernel_path:(Workspace.vmlinux_path ws Config.Aws Config.Kaslr)
-         ~kernel_config:(Workspace.config ws Config.Aws Config.Kaslr)
-         ())
+    let vm =
+      Workspace.direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr
+        ~profile ()
+    in
+    boot_cell [ profile.Profiles.name; label ] { vm with Vm_config.devices }
   in
   let full =
     [
@@ -996,14 +947,11 @@ let ablation_unikernel ?(runs = 20) ws =
         (aslr_ms -. base_ms) base_ms;
     ]
 
-(* a fresh virtual clock, for one-off charges outside any boot *)
-let linear_charge () = snd (Boot_runner.fresh_charge ())
-
 (* the serialized snapshot of one boot of [vm] on the workspace cache *)
 let snapshot_blob ws vm =
   Snapshot.serialize
     (Snapshot.capture
-       (Vmm.boot ?plans:(Workspace.plans ws) (linear_charge ())
+       (Vmm.boot ?plans:(Workspace.plans ws) (snd (Imk_vclock.Charge.fresh ()))
           (Workspace.cache ws) { vm with Vm_config.seed = 404L }))
 
 let ablation_zygote ?runs:_ ws =
@@ -1016,7 +964,7 @@ let ablation_zygote ?runs:_ ws =
         [ "strategy"; "create ms"; "distinct layouts"; "resident memory" ]
   in
   let vm =
-    direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr
+    Workspace.direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr
       ~mem:(64 * 1024 * 1024) ()
   in
   let working_set_pages = 2048 (* 8 MiB touched before first request *) in
@@ -1027,12 +975,13 @@ let ablation_zygote ?runs:_ ws =
     [ "fresh boot (in-monitor KASLR)"; msv fresh_ms; "per-instance"; "0" ];
   (* single snapshot *)
   let base =
-    Vmm.boot ?plans:(Workspace.plans ws) (linear_charge ()) (Workspace.cache ws)
-      { vm with Vm_config.seed = 404L }
+    Vmm.boot ?plans:(Workspace.plans ws)
+      (snd (Imk_vclock.Charge.fresh ()))
+      (Workspace.cache ws) { vm with Vm_config.seed = 404L }
   in
   let snap = Snapshot.capture base in
   let elapsed_ms f =
-    let ch = linear_charge () in
+    let ch = snd (Imk_vclock.Charge.fresh ()) in
     let t0 = Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) in
     f ch;
     Imk_util.Units.ns_to_ms (Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) - t0)
@@ -1050,7 +999,7 @@ let ablation_zygote ?runs:_ ws =
   (* Morula pool *)
   let pool_size = 8 in
   let pool =
-    Zygote.build (linear_charge ()) (Workspace.cache ws)
+    Zygote.build (snd (Imk_vclock.Charge.fresh ())) (Workspace.cache ws)
       ~make_vm:(fun ~seed -> { vm with Vm_config.seed })
       ~size:pool_size
   in
@@ -1119,7 +1068,7 @@ let target_mem = 64 * 1024 * 1024
 
 let direct_target ws preset =
   let vm =
-    direct_vm ws preset Config.Kaslr ~rando:Vm_config.Rando_kaslr ~mem:target_mem ()
+    Workspace.direct_vm ws preset Config.Kaslr ~rando:Vm_config.Rando_kaslr ~mem:target_mem ()
   in
   {
     preset;
@@ -1138,7 +1087,7 @@ let direct_target ws preset =
 
 let bz_target ws preset =
   let vm =
-    bz_vm ws preset Config.Kaslr ~codec:"lz4" ~bz:Bzimage.Standard
+    Workspace.bz_vm ws preset Config.Kaslr ~meth:"lz4"
       ~rando:Vm_config.Rando_kaslr ~mem:target_mem ()
   in
   {

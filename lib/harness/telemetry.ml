@@ -17,22 +17,6 @@ type file = {
   rows : row list;
 }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Identify the headline millisecond column of a rendered table. Only a
    structural sanity check nowadays (the JSON is fed raw floats, never
    parsed out of cells): bench warns when an experiment renders a
@@ -93,7 +77,7 @@ let to_json ~experiment ~runs ~jobs ~scale ~functions ~wall_clock_s rows =
   Buffer.add_string buf
     (Printf.sprintf "  \"schema\": %d,\n" schema_version);
   Buffer.add_string buf
-    (Printf.sprintf "  \"experiment\": \"%s\",\n" (json_escape experiment));
+    (Printf.sprintf "  \"experiment\": \"%s\",\n" (Imk_util.Minjson.escape experiment));
   Buffer.add_string buf (Printf.sprintf "  \"runs\": %d,\n" runs);
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   Buffer.add_string buf (Printf.sprintf "  \"scale\": %d,\n" scale);
@@ -109,7 +93,7 @@ let to_json ~experiment ~runs ~jobs ~scale ~functions ~wall_clock_s rows =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "\n    { \"label\": \"%s\",\n      \"mean_ms\": %.6f,\n"
-           (json_escape r.label)
+           (Imk_util.Minjson.escape r.label)
            (Imk_util.Units.ns_float_to_ms r.total.Imk_util.Stats.mean));
       Buffer.add_string buf
         (Printf.sprintf "      \"total\": { %s },\n" (summary_json r.total));
@@ -119,7 +103,7 @@ let to_json ~experiment ~runs ~jobs ~scale ~functions ~wall_clock_s rows =
           if j > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
             (Printf.sprintf "\n        { \"phase\": \"%s\", %s }"
-               (json_escape p) (summary_json s)))
+               (Imk_util.Minjson.escape p) (summary_json s)))
         r.phases;
       if r.phases <> [] then Buffer.add_string buf "\n      ";
       Buffer.add_string buf "] }")

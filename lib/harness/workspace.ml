@@ -50,8 +50,7 @@ let config t preset variant =
   | None -> base
   | Some functions -> { base with Config.functions }
 
-let key preset variant =
-  Config.preset_name preset ^ "-" ^ Config.variant_name variant
+let key = Config.kernel_name
 
 let built t preset variant =
   let k = key preset variant in
@@ -86,6 +85,30 @@ let bzimage_path t preset variant ~codec ~bz =
     Hashtbl.add t.bzimages name ()
   end;
   name
+
+(* VM templates: boots overwrite the seed. A direct boot passes the
+   relocation file only when the monitor randomizes; a bzImage boot runs
+   on the top-rank flavor, which implements every capability *)
+let direct_vm t preset variant ~rando
+    ?(kallsyms = Imk_monitor.Vm_config.Kallsyms_eager)
+    ?(profile = Imk_monitor.Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () =
+  let need_relocs = rando <> Imk_monitor.Vm_config.Rando_off in
+  Imk_monitor.Vm_config.make ~rando ~profile ~mem_bytes:mem ~kallsyms
+    ~relocs_path:
+      (if need_relocs then Some (relocs_path t preset variant) else None)
+    ~kernel_path:(vmlinux_path t preset variant)
+    ~kernel_config:(config t preset variant)
+    ()
+
+let bz_vm t preset variant ~meth ~rando
+    ?(loader = Imk_monitor.Vm_config.Loader_stripped)
+    ?(profile = Imk_monitor.Profiles.firecracker) ?(mem = 256 * 1024 * 1024) () =
+  let codec, bz = Bzimage.of_method meth in
+  let path = bzimage_path t preset variant ~codec ~bz in
+  Imk_monitor.Vm_config.make ~flavor:Imk_monitor.Vm_config.In_monitor_fgkaslr
+    ~rando ~profile ~mem_bytes:mem ~loader ~kernel_path:path
+    ~kernel_config:(config t preset variant)
+    ()
 
 let warm_all t =
   List.iter

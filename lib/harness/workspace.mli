@@ -79,6 +79,48 @@ val bzimage_path :
   string
 (** Link (or fetch) the bzImage variant and return its disk name. *)
 
+(** {2 VM templates}
+
+    One template per boot method of the paper's matrix, built here
+    beside the paths it resolves (building one registers its images on
+    the disk). Boots overwrite the seed. The rest of the boot vocabulary
+    sits with the type it names: kernel names in
+    {!Imk_kernel.Config.kernel_names}, the variant's randomization in
+    {!Imk_monitor.Vm_config.rando_of_variant}, the [--rando] names in
+    {!Imk_monitor.Vm_config.rando_flags} and a bzImage method's link in
+    {!Imk_kernel.Bzimage.of_method}. *)
+
+val direct_vm :
+  t ->
+  Imk_kernel.Config.preset ->
+  Imk_kernel.Config.variant ->
+  rando:Imk_monitor.Vm_config.rando_mode ->
+  ?kallsyms:Imk_monitor.Vm_config.kallsyms_policy ->
+  ?profile:Imk_monitor.Profiles.t ->
+  ?mem:int ->
+  unit ->
+  Imk_monitor.Vm_config.t
+(** A direct boot of the uncompressed vmlinux with in-monitor
+    randomization [rando]. The relocation file (the Figure 8 extra
+    argument) is passed only when [rando] randomizes. Defaults: eager
+    kallsyms, the Firecracker profile, 256 MiB. *)
+
+val bz_vm :
+  t ->
+  Imk_kernel.Config.preset ->
+  Imk_kernel.Config.variant ->
+  meth:string ->
+  rando:Imk_monitor.Vm_config.rando_mode ->
+  ?loader:Imk_monitor.Vm_config.loader_policy ->
+  ?profile:Imk_monitor.Profiles.t ->
+  ?mem:int ->
+  unit ->
+  Imk_monitor.Vm_config.t
+(** A bzImage boot by method [meth] ("none-opt" or a codec name, see
+    {!Imk_kernel.Bzimage.of_method}) that self-randomizes per [rando],
+    on the top-rank flavor. Defaults: the stripped loader (the paper's
+    comparator, §4.3), the Firecracker profile, 256 MiB. *)
+
 val warm_all : t -> unit
 (** Mark every registered image cached: the state a priming boot (or
     §5.1's warm-up boots) leaves for the files it reads. *)

@@ -8,6 +8,10 @@ let variant_name = function
   | Standard -> "standard"
   | None_optimized -> "none-optimized"
 
+let of_method = function
+  | "none-opt" -> ("none", None_optimized)
+  | codec -> (codec, Standard)
+
 type t = {
   variant : variant;
   codec : string;

@@ -20,6 +20,12 @@ type variant = Standard | None_optimized
 
 val variant_name : variant -> string
 
+val of_method : string -> string * variant
+(** [of_method m] is the codec and link variant a bzImage boot method
+    names: "none-opt" is [("none", None_optimized)], the aligned
+    uncompressed link; any other method is a codec name, linked
+    {!Standard}. *)
+
 type t = {
   variant : variant;
   codec : string;

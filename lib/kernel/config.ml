@@ -11,6 +11,13 @@ let variant_name = function
 let all_presets = [ Lupine; Aws; Ubuntu ]
 let all_variants = [ Nokaslr; Kaslr; Fgkaslr ]
 
+let kernel_name preset variant = preset_name preset ^ "-" ^ variant_name variant
+
+let kernel_names =
+  List.concat_map
+    (fun p -> List.map (fun v -> (kernel_name p v, (p, v))) all_variants)
+    all_presets
+
 type t = {
   name : string;
   preset : preset;
@@ -55,7 +62,7 @@ let seed_of_name name =
   Int64.of_int (Imk_util.Crc.crc32_string name)
 
 let make ?(scale = 16) ?seed preset variant =
-  let name = preset_name preset ^ "-" ^ variant_name variant in
+  let name = kernel_name preset variant in
   let ( `Functions functions, `Body avg_fn_body, `Sites base_sites,
         `Ptrs rodata_ptrs, `Data data_bytes, `Bss bss_bytes,
         `Extab extab_entries, `BootMs linux_boot_ms ) =

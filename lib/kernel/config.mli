@@ -22,6 +22,16 @@ val variant_name : variant -> string
 val all_presets : preset list
 val all_variants : variant list
 
+val kernel_name : preset -> variant -> string
+(** [kernel_name preset variant] is the kernel's name, e.g. "aws-kaslr":
+    its [name] field, the stem of its workspace disk files and the value of
+    the CLIs' [--kernel]. *)
+
+val kernel_names : (string * (preset * variant)) list
+(** Every {!kernel_name} of the matrix with its preset and variant, in
+    {!all} order — the one parser of a kernel name ([fcsim] and
+    [mkkernel] build their [--kernel] enums from it). *)
+
 type t = {
   name : string;  (** e.g. "aws-kaslr" *)
   preset : preset;

@@ -375,3 +375,26 @@ let crc32_range t ~pa ~len =
         crc := Imk_util.Crc.crc32 ~init:!crc t.chunks.(i) off n);
     !crc
   end
+
+(* KSM-style content-based sharing: the CRC-32s of the pages in the
+   8 MiB above [pa] (where a kernel image is loaded), all-zero pages left
+   out because they merge trivially and say nothing about layouts *)
+let kernel_page_hashes t pa =
+  let page = 4096 in
+  let zero_hash = Imk_util.Crc.crc32 (Bytes.make page '\000') 0 page in
+  let hi = min (size t) (pa + (8 * 1024 * 1024)) in
+  let hashes = ref [] in
+  let off = ref pa in
+  while !off + page <= hi do
+    let h = crc32_range t ~pa:!off ~len:page in
+    if h <> zero_hash then hashes := h :: !hashes;
+    off := !off + page
+  done;
+  !hashes
+
+let identical_kernel_pages (a, pa) (b, pb) =
+  let ha = kernel_page_hashes a pa in
+  let hb = Hashtbl.create 1024 in
+  List.iter (fun h -> Hashtbl.replace hb h ()) (kernel_page_hashes b pb);
+  let shared = List.length (List.filter (Hashtbl.mem hb) ha) in
+  float_of_int shared /. float_of_int (max 1 (List.length ha)) *. 100.

@@ -118,3 +118,11 @@ val crc32_range : t -> pa:int -> len:int -> int
     computed on the chunks (chained across chunk edges) without copying
     and without touching the dirty tracker — the page-hashing / layout-probe primitive.
     Raises {!Fault} if the range is out of bounds. *)
+
+val identical_kernel_pages : t * int -> t * int -> float
+(** [identical_kernel_pages (a, pa) (b, pb)] is the page-sharing measure
+    of §6: the percentage of the nonzero 4 KiB pages in the 8 MiB of [a]
+    above [pa] (where the kernel image was loaded) whose content (by
+    CRC-32) also appears in the 8 MiB of [b] above [pb]. Content-based
+    sharing is location-independent; all-zero pages merge trivially and
+    are left out. Windows are clipped to each guest's size. *)

@@ -7,6 +7,15 @@ let flavor_name = function
   | In_monitor_fgkaslr -> "firecracker-fgkaslr"
 
 type rando_mode = Rando_off | Rando_kaslr | Rando_fgkaslr
+
+let rando_of_variant = function
+  | Imk_kernel.Config.Nokaslr -> Rando_off
+  | Imk_kernel.Config.Kaslr -> Rando_kaslr
+  | Imk_kernel.Config.Fgkaslr -> Rando_fgkaslr
+
+let rando_flags =
+  [ ("off", Rando_off); ("kaslr", Rando_kaslr); ("fgkaslr", Rando_fgkaslr) ]
+
 type kallsyms_policy = Kallsyms_eager | Kallsyms_deferred
 type orc_policy = Orc_update | Orc_skip
 type protocol = Linux64 | Pvh

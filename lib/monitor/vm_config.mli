@@ -13,6 +13,15 @@ val flavor_name : flavor -> string
 
 type rando_mode = Rando_off | Rando_kaslr | Rando_fgkaslr
 
+val rando_of_variant : Imk_kernel.Config.variant -> rando_mode
+(** The randomization a kernel variant boots with in the paper's matrix:
+    nokaslr kernels boot with randomization off, kaslr with KASLR,
+    fgkaslr with FGKASLR. *)
+
+val rando_flags : (string * rando_mode) list
+(** Each mode by its command-line name ("off", "kaslr", "fgkaslr"): the
+    values of [fcsim --rando], and what reproducer commands print. *)
+
 type kallsyms_policy = Kallsyms_eager | Kallsyms_deferred
 
 type orc_policy = Orc_update | Orc_skip

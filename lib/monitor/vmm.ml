@@ -97,7 +97,7 @@ let setup_boot_info ch cache (config : Vm_config.t) mem =
   (* physical randomization must stay below the initrd *)
   match initrd with Some (pa, _) -> pa | None -> Guest_mem.size mem
 
-(* The Â§4.3 alternative to hardcoding kernel constants: read them from
+(* The §4.3 alternative to hardcoding kernel constants: read them from
    the image's ELF note and check the kernel was built for the address
    space this monitor provides. Kernels without the note fall back to
    the hardcoded constants, like the paper's prototype. *)

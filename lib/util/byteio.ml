@@ -23,7 +23,6 @@ let set_addr b off v =
 let get_u32_signed b off = Int32.to_int (Bytes.get_int32_le b off)
 
 let blit_string s dst off = Bytes.blit_string s 0 dst off (String.length s)
-let sub_string = Bytes.sub_string
 let fill_zero b off len = Bytes.fill b off len '\000'
 
 let hex_dump ?(max_bytes = 64) b =

@@ -47,10 +47,6 @@ val get_u32_signed : bytes -> int -> int
 val blit_string : string -> bytes -> int -> unit
 (** [blit_string s dst off] copies all of [s] into [dst] at [off]. *)
 
-val sub_string : bytes -> int -> int -> string
-(** [sub_string b off len] is [Bytes.sub_string], re-exported for
-    qualified-use symmetry. *)
-
 val fill_zero : bytes -> int -> int -> unit
 (** [fill_zero b off len] zeroes [len] bytes starting at [off]. *)
 

@@ -1,7 +1,8 @@
 (** Minimal JSON reader for the repo's own machine-written artifacts.
 
     [Imk_harness.Telemetry] writes [BENCH_<exp>.json] by hand (no JSON
-    dependency); this is the matching reader, used by the bench
+    dependency) with {!escape}, the string escaper it shares with
+    [Imk_vclock.Trace_export]; this is the matching reader, used by the bench
     [--baseline] regression gate and the round-trip tests. It is strict
     about what the telemetry writer emits — numbers must be finite,
     [\u] escapes must stay in the Latin-1 range — and is not a
@@ -19,6 +20,14 @@ exception Malformed of string
 (** Raised by {!parse} and the accessors on anything this reader cannot
     represent faithfully. Never caught blind: a malformed bench artifact
     must fail the run that tried to read it. *)
+
+val escape : string -> string
+(** [escape s] is [s] as the body of a JSON string literal, the one
+    escaper of the repo's writers ([Imk_harness.Telemetry],
+    [Imk_vclock.Trace_export]): quote, backslash, newline, carriage
+    return and tab get their short escapes, other control bytes [\u00XX],
+    and every other byte (0x20 and up, 0x80-0xff included) passes through
+    raw. {!parse} reads any escaped string back to [s]. *)
 
 val parse : string -> t
 (** [parse s] parses one JSON value spanning all of [s] (trailing

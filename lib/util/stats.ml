@@ -90,9 +90,6 @@ let mean xs =
   | [] -> invalid_arg "Stats.mean: no samples"
   | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let ratio a b =
-  if b = 0. then invalid_arg "Stats.ratio: division by zero" else a /. b
-
 let pct_change base v =
   if base = 0. then invalid_arg "Stats.pct_change: zero base"
   else (v -. base) /. base *. 100.

@@ -51,9 +51,6 @@ val percentile : float array -> float -> float
 (** [percentile sorted p] reads percentile [p] (in [0,100]) from an array
     that is already sorted ascending, using linear interpolation. *)
 
-val ratio : float -> float -> float
-(** [ratio a b] is [a /. b]; raises [Invalid_argument] if [b = 0.]. *)
-
 val pct_change : float -> float -> float
 (** [pct_change base v] is the percentage change of [v] relative to [base],
     e.g. [pct_change 100. 104. = 4.]. *)

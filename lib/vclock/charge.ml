@@ -13,6 +13,18 @@ let create ?jitter ?sched trace cm =
   | _ -> ());
   { trace; cm; jitter; sched; deadline = None }
 
+let fresh ?jitter_seed ?sched () =
+  let clock =
+    match sched with Some tl -> Sched.timeline_clock tl | None -> Clock.create ()
+  in
+  let trace = Trace.create clock in
+  let jitter =
+    Option.map
+      (fun seed -> Imk_entropy.Prng.create ~seed:(Int64.add seed 7919L))
+      jitter_seed
+  in
+  (trace, create ?jitter ?sched trace Cost_model.default)
+
 let trace t = t.trace
 let model t = t.cm
 let clock t = Trace.clock t.trace

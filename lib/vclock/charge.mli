@@ -24,6 +24,14 @@ val create :
     [Sched.timeline_clock tl] (checked, [Invalid_argument]) so spans and
     deadlines observe the scheduled time. *)
 
+val fresh : ?jitter_seed:int64 -> ?sched:Sched.timeline -> unit -> Trace.t * t
+(** [fresh ()] is a fresh boot clock: a new trace recording against a new
+    linear {!Clock.t}, charged on {!Cost_model.default}. With [~sched:tl]
+    the trace records against [Sched.timeline_clock tl] and the context is
+    scheduled. With [~jitter_seed:s] payments are jittered from a
+    generator seeded from [s], the same stream for the same seed; without
+    it the clock is exact. *)
+
 val trace : t -> Trace.t
 val model : t -> Cost_model.t
 val clock : t -> Clock.t

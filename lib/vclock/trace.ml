@@ -56,6 +56,10 @@ let spans t = List.rev t.recorded
 
 let is_top_level s = String.length s.label = 0 || s.label.[0] <> '+'
 
+let display_name s =
+  if is_top_level s then s.label
+  else String.sub s.label 1 (String.length s.label - 1)
+
 let phase_total t p =
   List.fold_left
     (fun acc s ->

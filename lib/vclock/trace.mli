@@ -21,6 +21,12 @@ val all_phases : phase list
 
 type span = { label : string; phase : phase; start_ns : int; stop_ns : int }
 
+val display_name : span -> string
+(** [display_name s] is the label [s] was opened with. A span nested
+    inside a span of the same phase is stored with a leading ["+"] (so
+    {!phase_total} counts only top-level spans); readers that show or
+    group spans by name use this instead of [s.label]. *)
+
 type t
 
 val create : Clock.t -> t

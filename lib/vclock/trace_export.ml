@@ -1,17 +1,3 @@
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json ?(process_name = "microvm-boot") trace =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
@@ -25,14 +11,10 @@ let to_chrome_json ?(process_name = "microvm-boot") trace =
     (Printf.sprintf
        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
         \"args\":{\"name\":\"%s\"}}"
-       (escape process_name));
+       (Imk_util.Minjson.escape process_name));
   List.iter
     (fun (s : Trace.span) ->
-      let label =
-        if String.length s.label > 0 && s.label.[0] = '+' then
-          String.sub s.label 1 (String.length s.label - 1)
-        else s.label
-      in
+      let label = Trace.display_name s in
       let ts_us = float_of_int s.start_ns /. 1000. in
       let dur_us = float_of_int (s.stop_ns - s.start_ns) /. 1000. in
       if s.stop_ns = s.start_ns then
@@ -40,15 +22,15 @@ let to_chrome_json ?(process_name = "microvm-boot") trace =
           (Printf.sprintf
              "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\
               \"s\":\"t\",\"cat\":\"%s\"}"
-             (escape label) ts_us
-             (escape (Trace.phase_name s.phase)))
+             (Imk_util.Minjson.escape label) ts_us
+             (Imk_util.Minjson.escape (Trace.phase_name s.phase)))
       else
         emit
           (Printf.sprintf
              "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
               \"pid\":1,\"tid\":1,\"cat\":\"%s\"}"
-             (escape label) ts_us dur_us
-             (escape (Trace.phase_name s.phase))))
+             (Imk_util.Minjson.escape label) ts_us dur_us
+             (Imk_util.Minjson.escape (Trace.phase_name s.phase))))
     (Trace.spans trace);
   Buffer.add_string buf "]\n";
   Buffer.contents buf

@@ -129,7 +129,7 @@ let test_boot_with_initrd () =
       ~mem_bytes:(64 * 1024 * 1024)
       ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg ()
   in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let r = Vmm.boot ch env.Testkit.cache vm in
   (* guest saw and validated the ramdisk *)
   let info =
@@ -148,7 +148,7 @@ let test_boot_with_corrupt_initrd_panics () =
       ~mem_bytes:(64 * 1024 * 1024)
       ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg ()
   in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   check Alcotest.bool "panics" true
     (try
        ignore (Vmm.boot ch env.Testkit.cache vm);
@@ -165,7 +165,7 @@ let bz_boot env ~boot_args ~rando =
       ~mem_bytes:(64 * 1024 * 1024) ~kernel_path:path
       ~kernel_config:env.Testkit.cfg ~seed:77L ()
   in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   Vmm.boot ch env.Testkit.cache vm
 
 let test_cmdline_nokaslr_vetoes_loader_rando () =
@@ -188,7 +188,7 @@ let test_cmdline_nofgkaslr_downgrades () =
   check Alcotest.bool "still kaslr" true
     (Imk_guest.Boot_params.delta r.Vmm.params <> 0);
   (* ...but no shuffle: functions remain in link order *)
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let fn_va =
     Imk_lebench.Runner.layout_of_guest ch r.Vmm.mem r.Vmm.params
   in
@@ -206,7 +206,7 @@ let test_cmdline_flags_ignored_by_direct_boot () =
       ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg
       ~seed:5L ()
   in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let r = Vmm.boot ch env.Testkit.cache vm in
   check Alcotest.bool "still randomized" true
     (Imk_guest.Boot_params.delta r.Vmm.params <> 0)

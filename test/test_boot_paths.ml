@@ -289,10 +289,10 @@ let test_cold_cache_slower_than_warm () =
       ~mem_bytes:(64 * 1024 * 1024) ~seed ()
   in
   Imk_storage.Page_cache.drop_caches env.Testkit.cache;
-  let trace, ch = Testkit.charge () in
+  let trace, ch = Imk_vclock.Charge.fresh () in
   ignore (Vmm.boot ch env.Testkit.cache (vm 1L));
   let cold = Imk_vclock.Trace.total trace in
-  let trace2, ch2 = Testkit.charge () in
+  let trace2, ch2 = Imk_vclock.Charge.fresh () in
   ignore (Vmm.boot ch2 env.Testkit.cache (vm 1L));
   let warm = Imk_vclock.Trace.total trace2 in
   ignore trace2;
@@ -315,7 +315,7 @@ let test_qemu_profile_slower_in_monitor () =
         ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg
         ~mem_bytes:(64 * 1024 * 1024) ~seed:1L ()
     in
-    let trace, ch = Testkit.charge () in
+    let trace, ch = Imk_vclock.Charge.fresh () in
     ignore (Vmm.boot ch env.Testkit.cache vm);
     Imk_vclock.Trace.phase_total trace Imk_vclock.Trace.In_monitor
   in

@@ -58,7 +58,7 @@ let deferred_kallsyms_cross_path preset () =
         Imk_monitor.Vm_config.kallsyms =
           Imk_monitor.Vm_config.Kallsyms_deferred }
     in
-    let _, ch = Testkit.charge () in
+    let _, ch = Imk_vclock.Charge.fresh () in
     Imk_monitor.Vmm.boot ~choices ch env.Env.cache vm
   in
   let a = boot (Env.direct_config env p) and b = boot (Env.bz_config env p) in
@@ -221,6 +221,32 @@ let qcheck_cross_path_random_points =
       | Oracle.Pass -> true
       | Oracle.Divergence _ -> false)
 
+(* --- every printed reproducer parses: the --kernel, --rando and
+   --method values fcsim_commands prints come from the vocabularies
+   fcsim's enums are built from, and name the point's own kernel and
+   randomization --- *)
+
+let qcheck_reproducers_parse =
+  QCheck.Test.make ~count:200
+    ~name:"check: fcsim reproducers use fcsim's vocabularies" Testkit.arb_point
+    (fun p ->
+      let parses cmd =
+        let rec value flag = function
+          | f :: v :: _ when f = flag -> v
+          | _ :: rest -> value flag rest
+          | [] -> QCheck.Test.fail_reportf "no %s in %S" flag cmd
+        in
+        let words = String.split_on_char ' ' cmd in
+        let meth = value "--method" words in
+        List.assoc_opt (value "--kernel" words) Imk_kernel.Config.kernel_names
+        = Some (p.Point.preset, p.Point.variant)
+        && List.assoc_opt (value "--rando" words)
+             Imk_monitor.Vm_config.rando_flags
+           = Some (Imk_monitor.Vm_config.rando_of_variant p.Point.variant)
+        && (meth = "direct" || List.mem meth Point.codecs)
+      in
+      List.for_all parses (Point.fcsim_commands p))
+
 (* --- campaign rows must be bit-identical for any jobs fan-out, like
    every other experiment --- *)
 
@@ -284,6 +310,7 @@ let () =
       ( "campaign",
         [
           Testkit.to_alcotest qcheck_cross_path_random_points;
+          Testkit.to_alcotest qcheck_reproducers_parse;
           Alcotest.test_case "diffcheck rows jobs-invariant" `Quick
             diffcheck_jobs_invariant;
           Alcotest.test_case "diffcheck --mutate plants caught" `Quick

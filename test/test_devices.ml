@@ -42,13 +42,13 @@ let test_blk_read_lazy_costing () =
   Imk_storage.Disk.add env.Testkit.disk ~name:"disk.img"
     (Imk_kernel.Rootfs.make ~size:(1024 * 1024) ~seed:2L);
   Imk_storage.Page_cache.drop_caches env.Testkit.cache;
-  let trace, ch = Testkit.charge () in
+  let trace, ch = Imk_vclock.Charge.fresh () in
   let clock = Imk_vclock.Trace.clock trace in
   let _ = Devices.blk_read ch env.Testkit.cache ~image:"disk.img" ~off:0 ~len:4096 in
   let cold_small = Imk_vclock.Clock.now clock in
   (* cold 4K read must cost far less than a cold 1M read would *)
   Imk_storage.Page_cache.drop_caches env.Testkit.cache;
-  let trace2, ch2 = Testkit.charge () in
+  let trace2, ch2 = Imk_vclock.Charge.fresh () in
   let clock2 = Imk_vclock.Trace.clock trace2 in
   let _ =
     Devices.blk_read ch2 env.Testkit.cache ~image:"disk.img" ~off:0
@@ -60,7 +60,7 @@ let test_blk_read_lazy_costing () =
 let test_blk_read_bounds () =
   let env = Testkit.make_env () in
   Imk_storage.Disk.add env.Testkit.disk ~name:"disk.img" (Bytes.create 4096);
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   Alcotest.check_raises "range" (Invalid_argument "Devices.blk_read: out of range")
     (fun () ->
       ignore
@@ -74,7 +74,7 @@ let boot_with ?(devices = []) env =
       ~devices ~mem_bytes:(64 * 1024 * 1024)
       ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg ()
   in
-  let trace, ch = Testkit.charge () in
+  let trace, ch = Imk_vclock.Charge.fresh () in
   let r = Vmm.boot ch env.Testkit.cache vm in
   (trace, r)
 

@@ -327,7 +327,7 @@ let test_fn_at_probe () =
 let test_kallsyms_lookup_eager () =
   let env = Testkit.make_env ~functions:30 () in
   let _, r = Testkit.boot env in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let state = Imk_guest.Kallsyms.create () in
   let p = r.Vmm.params in
   check int "entry resolves to fn0" 0
@@ -339,7 +339,7 @@ let test_kallsyms_lookup_eager () =
 let test_kallsyms_lookup_missing () =
   let env = Testkit.make_env ~functions:30 () in
   let _, r = Testkit.boot env in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let state = Imk_guest.Kallsyms.create () in
   check Alcotest.bool "fails" true
     (try
@@ -362,7 +362,7 @@ let test_kallsyms_deferred_fixup () =
     p.Imk_guest.Boot_params.kallsyms_fixed;
   check Alcotest.bool "setup data present" true
     (p.Imk_guest.Boot_params.setup_data_pa <> None);
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let state = Imk_guest.Kallsyms.create () in
   let before = Imk_vclock.Clock.now (Imk_vclock.Charge.clock ch) in
   let id =
@@ -397,7 +397,7 @@ let test_kallsyms_stale_without_setup_data () =
   let p =
     { r.Vmm.params with Imk_guest.Boot_params.setup_data_pa = None }
   in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let state = Imk_guest.Kallsyms.create () in
   check Alcotest.bool "unrepairable" true
     (try
@@ -410,7 +410,7 @@ let test_kallsyms_stale_without_setup_data () =
 let test_kptr_restrict () =
   let env = Testkit.make_env ~functions:30 () in
   let _, r = Testkit.boot env in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let state = Imk_guest.Kallsyms.create () in
   let addr_priv, _ =
     Imk_guest.Kallsyms.read_for_user state ch r.Vmm.mem r.Vmm.params

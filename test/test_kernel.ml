@@ -20,6 +20,23 @@ let test_config_matrix () =
         (c.Config.fg_sections = (c.Config.variant = Config.Fgkaslr)))
     all
 
+(* the CLIs' --kernel vocabulary names exactly the matrix *)
+let test_config_kernel_names () =
+  check
+    Alcotest.(list string)
+    "one name per kernel, in matrix order"
+    (List.map (fun (c : Config.t) -> c.Config.name) (Config.all ()))
+    (List.map fst Config.kernel_names);
+  List.iter
+    (fun (name, (p, v)) ->
+      check Alcotest.string name name (Config.kernel_name p v);
+      check Alcotest.string (name ^ " config") name (Config.make p v).Config.name)
+    Config.kernel_names;
+  check Alcotest.bool "none-opt is the aligned none link" true
+    (Bzimage.of_method "none-opt" = ("none", Bzimage.None_optimized));
+  check Alcotest.bool "a codec is a standard link" true
+    (Bzimage.of_method "lz4" = ("lz4", Bzimage.Standard))
+
 let test_config_fg_more_relocs () =
   let k = Config.make Config.Aws Config.Kaslr in
   let f = Config.make Config.Aws Config.Fgkaslr in
@@ -265,6 +282,7 @@ let () =
       ( "config",
         [
           Alcotest.test_case "matrix" `Quick test_config_matrix;
+          Alcotest.test_case "kernel names" `Quick test_config_kernel_names;
           Alcotest.test_case "fg relocs" `Quick test_config_fg_more_relocs;
           Alcotest.test_case "deterministic" `Quick
             test_config_deterministic_seed;

@@ -109,7 +109,7 @@ let test_normalize_mismatch () =
 let test_layout_from_guest () =
   let env = Testkit.make_env ~functions:60 () in
   let _, r = Testkit.boot env in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let fn_va = Imk_lebench.Runner.layout_of_guest ch r.Vmm.mem r.Vmm.params in
   check int "one va per fn" 60 (Array.length fn_va);
   (* addresses must point at the right functions *)
@@ -123,7 +123,7 @@ let test_fgkaslr_guest_slowdown_exceeds_kaslr () =
   let boot variant rando =
     let env = Testkit.make_env ~functions:400 ~variant () in
     let _, r = Testkit.boot env ~rando in
-    let _, ch = Testkit.charge () in
+    let _, ch = Imk_vclock.Charge.fresh () in
     Imk_lebench.Runner.layout_of_guest ch r.Vmm.mem r.Vmm.params
   in
   let nok = boot Imk_kernel.Config.Nokaslr Vm_config.Rando_off in

@@ -185,6 +185,29 @@ let qcheck_guest_mem_rw =
 
 let chunk = Guest_mem.chunk_size
 
+(* §6's page-sharing measure: content-based, location-independent, and
+   blind to all-zero pages *)
+let test_identical_kernel_pages () =
+  let mib = 1024 * 1024 in
+  let page = 4096 in
+  let guest pages ~at =
+    let m = Guest_mem.create ~size:(16 * mib) in
+    List.iteri
+      (fun i c -> Guest_mem.write_bytes m ~pa:(at + (i * page)) (Bytes.make page c))
+      pages;
+    m
+  in
+  let pct a b = Guest_mem.identical_kernel_pages a b in
+  let a = guest [ 'a'; 'b'; 'c'; 'd' ] ~at:mib in
+  let moved = guest [ 'd'; 'c'; 'b'; 'a' ] ~at:(3 * mib) in
+  let half = guest [ 'a'; 'b'; 'x'; 'y' ] ~at:0 in
+  let zero = Guest_mem.create ~size:(16 * mib) in
+  check (Alcotest.float 0.) "same content elsewhere" 100. (pct (a, mib) (moved, 3 * mib));
+  check (Alcotest.float 0.) "half shared" 50. (pct (a, mib) (half, 0));
+  check (Alcotest.float 0.) "zero pages never count" 0. (pct (zero, 0) (zero, 0));
+  (* the window is the 8 MiB above the load address *)
+  check (Alcotest.float 0.) "outside the window" 0. (pct (a, mib) (moved, 12 * mib))
+
 let test_sparse_chunks () =
   let allocated f =
     let a = Gc.allocated_bytes () in
@@ -699,6 +722,8 @@ let () =
           Alcotest.test_case "get_i64 raw" `Quick test_get_i64_raw;
           Testkit.to_alcotest qcheck_guest_mem_rw;
           Alcotest.test_case "sparse chunks" `Quick test_sparse_chunks;
+          Alcotest.test_case "identical kernel pages" `Quick
+            test_identical_kernel_pages;
           Testkit.to_alcotest qcheck_chunked_matches_flat_model;
         ] );
       ( "arena",

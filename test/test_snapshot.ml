@@ -15,7 +15,7 @@ let booted ?(seed = 21L) () =
 let test_capture_restore_verifies () =
   let _, _, r = booted () in
   let snap = Snapshot.capture r in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let restored = Snapshot.restore ch snap ~working_set_pages:64 in
   check int "all functions verified" 50
     restored.Vmm.stats.Imk_guest.Runtime.functions_visited;
@@ -69,7 +69,7 @@ let test_capture_leaves_tracker_untouched () =
 let test_restore_cheaper_than_boot () =
   let _, boot_trace, r = booted () in
   let snap = Snapshot.capture r in
-  let trace, ch = Testkit.charge () in
+  let trace, ch = Imk_vclock.Charge.fresh () in
   let _ = Snapshot.restore ch snap ~working_set_pages:256 in
   check Alcotest.bool "restore ≪ boot" true
     (Imk_vclock.Trace.total trace * 5 < Imk_vclock.Trace.total boot_trace)
@@ -78,12 +78,12 @@ let test_restore_charges_working_set () =
   let _, _, r = booted () in
   let snap = Snapshot.capture r in
   let small =
-    let trace, ch = Testkit.charge () in
+    let trace, ch = Imk_vclock.Charge.fresh () in
     ignore (Snapshot.restore ch snap ~working_set_pages:16);
     Imk_vclock.Trace.total trace
   in
   let large =
-    let trace, ch = Testkit.charge () in
+    let trace, ch = Imk_vclock.Charge.fresh () in
     ignore (Snapshot.restore ch snap ~working_set_pages:4096);
     Imk_vclock.Trace.total trace
   in
@@ -96,7 +96,7 @@ let test_serialize_roundtrip () =
   let reloaded = Snapshot.load ~config:r.Vmm.config blob in
   check int "layout seed survives" (Snapshot.layout_seed_of snap)
     (Snapshot.layout_seed_of reloaded);
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let restored = Snapshot.restore ch reloaded ~working_set_pages:64 in
   check int "reloaded clone verifies" 50
     restored.Vmm.stats.Imk_guest.Runtime.functions_visited;
@@ -163,7 +163,7 @@ let make_pool_env () =
 
 let test_zygote_pool_diversity () =
   let env, make_vm = make_pool_env () in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let pool = Zygote.build ch env.Testkit.cache ~make_vm ~size:6 in
   check int "size" 6 (Zygote.size pool);
   check int "all layouts distinct" 6 (Zygote.distinct_layouts pool);
@@ -178,7 +178,7 @@ let test_zygote_pool_diversity () =
 
 let test_zygote_draw_verifies () =
   let env, make_vm = make_pool_env () in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let pool = Zygote.build ch env.Testkit.cache ~make_vm ~size:3 in
   let rng = Imk_entropy.Prng.create ~seed:9L in
   for _ = 1 to 5 do
@@ -188,14 +188,14 @@ let test_zygote_draw_verifies () =
 
 let test_zygote_empty_rejected () =
   let env, make_vm = make_pool_env () in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   Alcotest.check_raises "empty pool" (Invalid_argument "Zygote.build: empty pool")
     (fun () -> ignore (Zygote.build ch env.Testkit.cache ~make_vm ~size:0))
 
 let test_zygote_draws_repeat_layouts () =
   (* the residual weakness: a pool cycles a finite set of layouts *)
   let env, make_vm = make_pool_env () in
-  let _, ch = Testkit.charge () in
+  let _, ch = Imk_vclock.Charge.fresh () in
   let pool = Zygote.build ch env.Testkit.cache ~make_vm ~size:2 in
   let rng = Imk_entropy.Prng.create ~seed:13L in
   let bases = Hashtbl.create 4 in

@@ -176,6 +176,25 @@ let test_minjson_rejects () =
     | _ -> false
     | exception Minjson.Malformed _ -> true)
 
+(* the one escaper of the JSON writers: whatever bytes a label holds,
+   the reader gets them back *)
+let roundtrips s =
+  Minjson.to_string (Minjson.parse ("\"" ^ Minjson.escape s ^ "\"")) = s
+
+let test_minjson_escape_every_byte () =
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    check Alcotest.bool (Printf.sprintf "byte %d" c) true (roundtrips s)
+  done;
+  check Alcotest.string "short escapes" "a\\\"\\n\\r\\t\\u0001"
+    (Minjson.escape "a\"\n\r\t\001")
+
+let qcheck_minjson_escape_roundtrip =
+  QCheck.Test.make ~name:"minjson: escape of any bytes 0-255 parses back"
+    ~count:500
+    QCheck.(string_gen Gen.char)
+    roundtrips
+
 let test_table_render () =
   let t = Table.create ~headers:[ "kernel"; "ms" ] in
   Table.add_row t [ "lupine"; "16.0" ];
@@ -353,6 +372,9 @@ let () =
         [
           Alcotest.test_case "values" `Quick test_minjson_values;
           Alcotest.test_case "rejects" `Quick test_minjson_rejects;
+          Alcotest.test_case "escape every byte" `Quick
+            test_minjson_escape_every_byte;
+          Testkit.to_alcotest qcheck_minjson_escape_roundtrip;
         ] );
       ( "units+table",
         [

@@ -44,6 +44,38 @@ let test_trace_nested_same_phase () =
   (* nested same-phase spans must not double count *)
   check int "no double count" 35 (Trace.phase_total t Trace.In_monitor)
 
+let test_trace_display_name () =
+  let c = Clock.create () in
+  let t = Trace.create c in
+  Trace.with_span t Trace.In_monitor "outer" (fun () ->
+      Trace.with_span t Trace.In_monitor "inner" (fun () -> Clock.advance c 1));
+  check
+    Alcotest.(list (pair string string))
+    "stored label, display name"
+    [ ("+inner", "inner"); ("outer", "outer") ]
+    (List.sort compare
+       (List.map (fun s -> (s.Trace.label, Trace.display_name s)) (Trace.spans t)))
+
+let test_charge_fresh () =
+  let total ?jitter_seed () =
+    let trace, ch = Charge.fresh ?jitter_seed () in
+    Charge.pay_span ch Trace.In_monitor "work" 1_000_000;
+    Trace.total trace
+  in
+  check int "exact without a jitter seed" 1_000_000 (total ());
+  check int "same seed, same jitter" (total ~jitter_seed:5L ())
+    (total ~jitter_seed:5L ());
+  check Alcotest.bool "jittered with a seed" true
+    (total ~jitter_seed:5L () <> 1_000_000);
+  let sched = Sched.create () in
+  let tl = Sched.timeline sched in
+  let trace, ch = Charge.fresh ~sched:tl () in
+  check Alcotest.bool "records against the timeline" true
+    (Trace.clock trace == Sched.timeline_clock tl);
+  Sched.spawn sched tl (fun () -> Charge.pay_span ch Trace.In_monitor "w" 7);
+  Sched.run sched;
+  check int "scheduled charge" 7 (Trace.total trace)
+
 let test_trace_exception_still_records () =
   let c = Clock.create () in
   let t = Trace.create c in
@@ -249,6 +281,8 @@ let () =
           Alcotest.test_case "breakdown" `Quick test_trace_breakdown;
           Alcotest.test_case "nested same phase" `Quick
             test_trace_nested_same_phase;
+          Alcotest.test_case "display name" `Quick test_trace_display_name;
+          Alcotest.test_case "fresh boot clock" `Quick test_charge_fresh;
           Alcotest.test_case "exception safety" `Quick
             test_trace_exception_still_records;
           Alcotest.test_case "reset" `Quick test_trace_reset;

@@ -38,11 +38,6 @@ let add_bzimage env ~codec ~variant =
   Imk_storage.Disk.add env.disk ~name (Imk_kernel.Bzimage.encode bz);
   name
 
-let charge () =
-  let clock = Imk_vclock.Clock.create () in
-  let trace = Imk_vclock.Trace.create clock in
-  (trace, Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default)
-
 let boot ?(rando = Vm_config.Rando_kaslr) ?flavor ?kallsyms ?orc ?loader
     ?plans ?(seed = 42L) ?(mem_bytes = 64 * 1024 * 1024) ?kernel_path ?relocs
     env =
@@ -57,7 +52,7 @@ let boot ?(rando = Vm_config.Rando_kaslr) ?flavor ?kallsyms ?orc ?loader
     Vm_config.make ?flavor ?kallsyms ?orc ?loader ~rando ~relocs_path
       ~mem_bytes ~kernel_path ~kernel_config:env.cfg ~seed ()
   in
-  let trace, ch = charge () in
+  let trace, ch = Imk_vclock.Charge.fresh () in
   let result = Vmm.boot ?plans ch env.cache vm in
   (trace, result)
 
