@@ -13,9 +13,10 @@
     indexed inline ({!Huffman.table}), and literals and copies are
     written straight into the destination. It makes the checks of the
     closure decoder built from {!Huffman.decode}, {!Bitio.Reader} and
-    {!Lz77.into_output}, in the same order and with the same messages;
-    that decoder is kept as the reference model in the tests
-    ([test/inflate_ref.ml]), and a qcheck property holds every
+    an LZ77 token sink with one literal and one copy callback, in the
+    same order and with the same messages; that decoder and the sink are
+    kept as reference models in the tests ([test/inflate_ref.ml],
+    [test/lz77_ref.ml]), and a qcheck property holds every
     [decompress_into] outcome of the two equal. *)
 
 val codec : Codec.t

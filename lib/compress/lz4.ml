@@ -41,56 +41,86 @@ let encode_payload input =
   flush_sequence buf literals ~m:None;
   Buffer.to_bytes buf
 
+(* The decode loop: input position and write cursor live in locals,
+   the 255-run extension bytes are read inline, literal runs and
+   non-overlapping matches are blitted and overlapping ones replicated
+   forward. The checks and messages are those of the closure decoder
+   kept as the reference model in test/lz4_ref.ml, in the same order,
+   so every [Codec.decompress_into] outcome matches it. *)
 let decode_payload_into b ~src_off ~dst ~dst_off ~orig_len =
+  (* write confinement (DESIGN.md §4.7): this check, made before any
+     byte moves, plus the per-token checks below, proves every store
+     stays in [dst_off, dst_off + orig_len). Codec.make checks the
+     window first, so only a direct caller can see it. *)
+  if dst_off < 0 || orig_len < 0 || dst_off > Bytes.length dst - orig_len then
+    invalid_arg "Lz4.decode_payload_into: destination range";
+  if src_off < 0 then invalid_arg "Lz4.decode_payload_into: src_off";
   let n = Bytes.length b in
   let pos = ref src_off in
-  let byte () =
+  let w = ref dst_off and stop = dst_off + orig_len in
+  let more = ref (orig_len > 0 || n > src_off) in
+  while !more do
     if !pos >= n then raise (Codec.Corrupt "lz4: truncated");
-    let c = Char.code (Bytes.get b !pos) in
+    (* input proof: pos only grows from src_off >= 0, and the check
+       above gives pos < n *)
+    let token = Char.code (Bytes.unsafe_get b !pos) in
     incr pos;
-    c
-  in
-  let ext base =
-    if base < 15 then base
-    else begin
-      let total = ref base in
-      let rec go () =
-        let c = byte () in
-        total := !total + c;
-        if c = 255 then go ()
-      in
-      go ();
-      !total
-    end
-  in
-  (* write confinement: every store below is at dst_off + w + k with
-     w + k < w + len <= orig_len (checked per token), every load from
-     dst is at dst_off + w + k - dist >= dst_off since dist <= w *)
-  let w = ref 0 in
-  let rec sequence () =
-    let token = byte () in
-    let lit_len = ext (token lsr 4) in
-    if !w + lit_len > orig_len || !pos + lit_len > n then
+    let lit_len = ref (token lsr 4) in
+    if !lit_len = 15 then begin
+      let c = ref 255 in
+      while !c = 255 do
+        if !pos >= n then raise (Codec.Corrupt "lz4: truncated");
+        (* input proof: 0 <= pos < n, as for the token *)
+        c := Char.code (Bytes.unsafe_get b !pos);
+        incr pos;
+        lit_len := !lit_len + !c
+      done
+    end;
+    let lit_len = !lit_len in
+    if !w + lit_len > stop || !pos + lit_len > n then
       raise (Codec.Corrupt "lz4: literal run overflow");
-    Bytes.blit b !pos dst (dst_off + !w) lit_len;
+    Bytes.blit b !pos dst !w lit_len;
     pos := !pos + lit_len;
     w := !w + lit_len;
     if !pos < n then begin
-      let lo = byte () in
-      let hi = byte () in
-      let dist = lo lor (hi lsl 8) in
-      let len = ext (token land 0xf) + min_match in
-      if dist = 0 || dist > !w then raise (Codec.Corrupt "lz4: bad distance");
-      if !w + len > orig_len then raise (Codec.Corrupt "lz4: match overflow");
-      for k = 0 to len - 1 do
-        Bytes.set dst (dst_off + !w + k) (Bytes.get dst (dst_off + !w + k - dist))
-      done;
-      w := !w + len;
-      sequence ()
+      if !pos + 2 > n then raise (Codec.Corrupt "lz4: truncated");
+      (* input proof: 0 <= pos and pos + 1 < n by the check above *)
+      let dist =
+        Char.code (Bytes.unsafe_get b !pos)
+        lor (Char.code (Bytes.unsafe_get b (!pos + 1)) lsl 8)
+      in
+      pos := !pos + 2;
+      let len = ref (token land 0xf) in
+      if !len = 15 then begin
+        let c = ref 255 in
+        while !c = 255 do
+          if !pos >= n then raise (Codec.Corrupt "lz4: truncated");
+          (* input proof: 0 <= pos < n, as for the token *)
+          c := Char.code (Bytes.unsafe_get b !pos);
+          incr pos;
+          len := !len + !c
+        done
+      end;
+      let len = !len + min_match in
+      if dist = 0 || dist > !w - dst_off then
+        raise (Codec.Corrupt "lz4: bad distance");
+      if !w + len > stop then raise (Codec.Corrupt "lz4: match overflow");
+      let src = !w - dist in
+      if dist >= len then Bytes.blit dst src dst !w len
+      else
+        (* store proof: [w, w + len) lies in [dst_off, stop) by the
+           checks above, and the reads [src, src + len) start at or
+           after dst_off (dist <= w - dst_off) and end before w + len.
+           The match overlaps its own output, so a forward byte loop
+           replicates it. *)
+        for k = 0 to len - 1 do
+          Bytes.unsafe_set dst (!w + k) (Bytes.unsafe_get dst (src + k))
+        done;
+      w := !w + len
     end
-  in
-  if orig_len > 0 || n > src_off then sequence ();
-  if !w <> orig_len then raise (Codec.Corrupt "lz4: short stream")
+    else more := false
+  done;
+  if !w <> stop then raise (Codec.Corrupt "lz4: short stream")
 
 let codec =
   Codec.make ~name:"lz4" ~encode:encode_payload ~decode_into:decode_payload_into

@@ -17,4 +17,9 @@ val decode_payload_into :
 (** [decode_payload_into b ~src_off ~dst ~dst_off ~orig_len] inverts
     {!encode_payload}: it decodes the block at [src_off] into
     [\[dst_off, dst_off + orig_len)] of [dst], writing nothing outside
-    that window. Raises [Codec.Corrupt] on malformed input. *)
+    that window. The window is checked once, before any byte moves: a
+    window that does not fit in [dst], or a negative [src_off], raises
+    [Invalid_argument] with [dst] untouched. Decoding is one loop over
+    local variables, with the checks and messages of the closure
+    decoder kept as the reference model in [test/lz4_ref.ml]. Raises
+    [Codec.Corrupt] on malformed input. *)

@@ -39,38 +39,3 @@ val parse : config -> bytes -> f:(token -> unit) -> unit
 (** [parse cfg input ~f] scans [input] left to right, calling [f] for each
     token. Concatenating the tokens (literals verbatim, matches resolved
     against already-produced output) reconstructs [input] exactly. *)
-
-val into_output :
-  dst:bytes ->
-  dst_off:int ->
-  orig_len:int ->
-  (lit:(char -> unit) -> cpy:(dist:int -> len:int -> unit) -> unit) ->
-  unit
-(** [into_output ~dst ~dst_off ~orig_len produce] replays a token stream
-    into the caller-owned window [\[dst_off, dst_off + orig_len)] of
-    [dst] without materializing tokens: [produce] receives a literal
-    sink and a match-copy sink and calls them in stream order. Each copy
-    validates its whole range once (distance within produced output, end
-    within [orig_len]) and then moves bytes with [Bytes.blit], or with
-    an unsafe forward byte-replication loop when the match overlaps its
-    own output — the audited unsafe-after-validation pattern
-    (DESIGN.md §4.7). Write confinement: no byte outside the window is
-    ever written, even on corrupt streams, which is what lets codecs
-    decode straight into guest-destined buffers. Raises [Codec.Corrupt]
-    on any overflow or bad distance; [Invalid_argument] only if the
-    window itself does not fit in [dst] (a caller bug, not input). LZO
-    reaches it through {!apply_tokens_into}, and the closure gzip
-    decoder kept as the reference model in the tests calls it directly;
-    gzip's own inflate loop makes the same checks inline and writes
-    [dst] itself. *)
-
-val apply_tokens_into :
-  dst:bytes ->
-  dst_off:int ->
-  orig_len:int ->
-  ((token -> unit) -> unit) ->
-  unit
-(** [apply_tokens_into ~dst ~dst_off ~orig_len produce] is
-    {!into_output} for a producer that emits {!token} values. Raises
-    [Codec.Corrupt] if tokens overflow the window or a match reaches
-    before the start. *)

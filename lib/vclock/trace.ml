@@ -12,7 +12,7 @@ type span = { label : string; phase : phase; start_ns : int; stop_ns : int }
 
 type t = {
   clk : Clock.t;
-  mutable recorded : span list; (* reverse chronological by open time *)
+  mutable recorded : span list; (* newest first, by closing time *)
   mutable depth_by_phase : (phase * int ref) list;
 }
 

@@ -49,7 +49,9 @@ val tracepoint : t -> phase -> string -> unit
     paper's port-IO write tracepoints. *)
 
 val spans : t -> span list
-(** [spans t] lists recorded spans in chronological order of opening. *)
+(** [spans t] lists recorded spans in the order they were recorded: a
+    span when it closes, a tracepoint when it is placed. A nested span
+    therefore comes before the span that encloses it. *)
 
 val phase_total : t -> phase -> int
 (** [phase_total t p] sums the duration of top-level spans of phase [p].

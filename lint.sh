@@ -111,7 +111,9 @@ unsafe_allowlist='
 lib/compress/bitio.ml
 lib/compress/gzip.ml
 lib/compress/huffman.ml
+lib/compress/lz4.ml
 lib/compress/lz77.ml
+lib/compress/lzo.ml
 lib/util/crc.ml
 '
 

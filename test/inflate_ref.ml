@@ -2,7 +2,8 @@
    version that reads each symbol through [Huffman.decode] (one
    [Bitio.Reader] peek/consume pair per table level, refilling a byte at
    a time) and hands every literal and copy to the [lit]/[cpy] sinks of
-   [Lz77.into_output], which keep the write cursor in a ref. The
+   [Lz77_ref.into_output] (lz77_ref.ml), which keep the write cursor in
+   a ref. The
    production decoder runs the same steps in one loop over local
    variables; test_compress's differential property pins its outcomes
    (bytes, exception and message) to this one, like Crc.crc32 to
@@ -37,7 +38,7 @@ let decode_payload_into b ~src_off ~dst ~dst_off ~orig_len =
   let dist_lens = Huffman.read_lengths r n_dist in
   let lit_dec = Huffman.decoder_of_lengths lit_lens in
   let dist_dec = Huffman.decoder_of_lengths dist_lens in
-  Lz77.into_output ~dst ~dst_off ~orig_len (fun ~lit ~cpy ->
+  Lz77_ref.into_output ~dst ~dst_off ~orig_len (fun ~lit ~cpy ->
       let rec go () =
         let sym = Huffman.decode lit_dec r in
         if sym < 256 then begin

@@ -628,10 +628,16 @@ let skewed_bytes seed n =
       done;
       Char.chr (7 * !k))
 
+(* [n] bytes repeating a pattern of [1 + seed mod 4] bytes ("aaaa…",
+   "abab…", …): long runs of overlapping matches at distances 1 to 4 *)
+let periodic_bytes seed n =
+  let period = 1 + (seed mod 4) in
+  Bytes.init n (fun i -> Char.chr (Char.code 'a' + (i mod period)))
+
 (* a decode's whole observable outcome: the result or the exception with
    its message, and every byte of the destination (the window and the
    sentinels around it) *)
-let inflate_outcome codec frame ~dst_off ~dst_len =
+let decode_outcome codec frame ~dst_off ~dst_len =
   let dst = Bytes.make dst_len '\xab' in
   let result =
     match codec.Codec.decompress_into frame ~dst ~dst_off with
@@ -640,21 +646,31 @@ let inflate_outcome codec frame ~dst_off ~dst_len =
   in
   (result, Bytes.to_string dst)
 
-let qcheck_inflate_equiv =
-  QCheck.Test.make ~name:"gzip: fused inflate ≡ closure reference" ~count:300
+(* [fused] and its closure [reference] agree on every outcome: on valid
+   frames, on frames with 1-4 bytes flipped, on truncated frames, and
+   on frames cut by 0-3 bytes whose header claims 0-3 bytes less output
+   (which makes a final literal run run out of input and of output at
+   the same byte), over plain, geometric-skewed, periodic and all-zero
+   inputs, at any destination offset *)
+let qcheck_fused_equiv ~name fused reference =
+  QCheck.Test.make ~name ~count:300
     QCheck.(
       quad
-        (pair arbitrary_input (pair bool small_nat))
-        (int_bound 2)
+        (pair arbitrary_input (pair (int_bound 3) small_nat))
+        (int_bound 3)
         (list_of_size Gen.(1 -- 4) (pair (int_bound (1 lsl 20)) small_nat))
         (pair (int_bound 63) (int_bound (1 lsl 20))))
-    (fun ((input, (skew, seed)), mode, mutations, (dst_off, cut)) ->
+    (fun ((input, (shape, seed)), mode, mutations, (dst_off, cut)) ->
+      let n = Bytes.length input in
       let input =
-        if skew then skewed_bytes (Int64.of_int seed) (Bytes.length input)
-        else input
+        match shape with
+        | 0 -> input
+        | 1 -> skewed_bytes (Int64.of_int seed) n
+        | 2 -> periodic_bytes seed n
+        | _ -> Bytes.make n '\000'
       in
-      let valid = Gzip.codec.Codec.compress input in
-      let n = Bytes.length valid in
+      let valid = fused.Codec.compress input in
+      let len = Bytes.length valid in
       let frame =
         match mode with
         | 0 -> valid
@@ -662,16 +678,48 @@ let qcheck_inflate_equiv =
             let b = Bytes.copy valid in
             List.iter
               (fun (pos, delta) ->
-                let i = pos mod n in
+                let i = pos mod len in
                 Bytes.set b i
                   (Char.chr (Char.code (Bytes.get b i) lxor (1 + (delta mod 255)))))
               mutations;
             b
-        | _ -> Bytes.sub valid 0 (cut mod n)
+        | 2 -> Bytes.sub valid 0 (cut mod len)
+        | _ ->
+            (* a frame is a 20-byte header and the payload, so the
+               length field at 8 survives the cut *)
+            let b = Bytes.sub valid 0 (len - (cut mod 4)) in
+            Imk_util.Byteio.set_addr b 8 (max 0 (n - ((cut / 4) mod 4)));
+            b
       in
-      let dst_len = dst_off + Bytes.length input + 16 in
-      inflate_outcome Gzip.codec frame ~dst_off ~dst_len
-      = inflate_outcome Inflate_ref.codec frame ~dst_off ~dst_len)
+      let dst_len = dst_off + n + 16 in
+      decode_outcome fused frame ~dst_off ~dst_len
+      = decode_outcome reference frame ~dst_off ~dst_len)
+
+let qcheck_inflate_equiv =
+  qcheck_fused_equiv ~name:"gzip: fused inflate ≡ closure reference"
+    Gzip.codec Inflate_ref.codec
+
+let qcheck_lz4_equiv =
+  qcheck_fused_equiv ~name:"lz4: fused decode ≡ closure reference" Lz4.codec
+    Lz4_ref.codec
+
+let qcheck_lzo_equiv =
+  qcheck_fused_equiv ~name:"lzo: fused decode ≡ closure reference" Lzo.codec
+    Lzo_ref.codec
+
+(* the output of [tokens]: literals verbatim, each match replicated
+   forward a byte at a time from [dist] bytes back *)
+let lz_output tokens =
+  let out = Buffer.create 4096 in
+  List.iter
+    (function
+      | Lz77.Literal c -> Buffer.add_char out c
+      | Lz77.Match { dist; len } ->
+          for _ = 1 to len do
+            Buffer.add_char out (Buffer.nth out (Buffer.length out - dist))
+          done)
+    tokens;
+  Buffer.to_bytes out
 
 (* a gzip frame holding [tokens] under the given code lengths, which
    need not be optimal for the tokens, and the bytes it decodes to *)
@@ -681,25 +729,19 @@ let gzip_frame_of_tokens lit_lens dist_lens tokens =
   Huffman.write_lengths w dist_lens;
   let lit_enc = Huffman.encoder_of_lengths lit_lens in
   let dist_enc = Huffman.encoder_of_lengths dist_lens in
-  let out = Buffer.create 4096 in
   List.iter
     (function
-      | Lz77.Literal c ->
-          Huffman.encode lit_enc w (Char.code c);
-          Buffer.add_char out c
+      | Lz77.Literal c -> Huffman.encode lit_enc w (Char.code c)
       | Lz77.Match { dist; len } ->
           let ls, lbits, lv = Gzip.length_code len in
           Huffman.encode lit_enc w ls;
           Bitio.Writer.put_bits w lv lbits;
           let ds, dbits, dv = Gzip.distance_code dist in
           Huffman.encode dist_enc w ds;
-          Bitio.Writer.put_bits w dv dbits;
-          for _ = 1 to len do
-            Buffer.add_char out (Buffer.nth out (Buffer.length out - dist))
-          done)
+          Bitio.Writer.put_bits w dv dbits)
     tokens;
   Huffman.encode lit_enc w 256;
-  let orig = Buffer.to_bytes out in
+  let orig = lz_output tokens in
   (Codec.frame ~name:"gzip" ~orig ~payload:(Bitio.Writer.contents w), orig)
 
 (* hand-built frames whose skewed code lengths put the tokens' literal,
@@ -749,8 +791,8 @@ let test_inflate_deep_codes_and_copies () =
     check Alcotest.bool
       (Printf.sprintf "%d-byte prefix fails alike" keep)
       true
-      (inflate_outcome Gzip.codec frame ~dst_off:4 ~dst_len
-      = inflate_outcome Inflate_ref.codec frame ~dst_off:4 ~dst_len)
+      (decode_outcome Gzip.codec frame ~dst_off:4 ~dst_len
+      = decode_outcome Inflate_ref.codec frame ~dst_off:4 ~dst_len)
   done;
   (* a 50-bit far match and a 15-bit literal are 65 bits, so eight
      pairs start the far match at every bit offset modulo 8: a window
@@ -769,6 +811,205 @@ let test_inflate_deep_codes_and_copies () =
     (Gzip.codec.Codec.decompress far);
   check bytes_testable "closure reference, far match" far_orig
     (Inflate_ref.codec.Codec.decompress far)
+
+(* --- one-pass LZ decoders vs the closure references
+   (test/lz4_ref.ml, test/lzo_ref.ml) --- *)
+
+(* [k] distinct-looking literal bytes *)
+let lits k = String.init k (fun i -> Char.chr ((i * 37 + 11) land 0xff))
+
+let lit_tokens s = List.init (String.length s) (fun i -> Lz77.Literal s.[i])
+
+(* an lz4 payload of [seqs], each a literal string and an optional
+   [(dist, len)] match, written as given, legal or not; a field of 15
+   or more takes the 255-run extension bytes *)
+let lz4_payload seqs =
+  let buf = Buffer.create 4096 in
+  let ext v =
+    if v >= 15 then begin
+      let r = ref (v - 15) in
+      while !r >= 255 do
+        Buffer.add_char buf '\255';
+        r := !r - 255
+      done;
+      Buffer.add_char buf (Char.chr !r)
+    end
+  in
+  List.iter
+    (fun (l, m) ->
+      let ml = match m with None -> 0 | Some (_, len) -> len - 4 in
+      Buffer.add_char buf
+        (Char.chr ((min (String.length l) 15 lsl 4) lor min ml 15));
+      ext (String.length l);
+      Buffer.add_string buf l;
+      match m with
+      | None -> ()
+      | Some (dist, _) ->
+          Buffer.add_char buf (Char.chr (dist land 0xff));
+          Buffer.add_char buf (Char.chr (dist lsr 8));
+          ext ml)
+    seqs;
+  Buffer.to_bytes buf
+
+let lz4_tokens seqs =
+  List.concat_map
+    (fun (l, m) ->
+      lit_tokens l
+      @ match m with None -> [] | Some (dist, len) -> [ Lz77.Match { dist; len } ])
+    seqs
+
+(* both decoders give the same outcome on [frame], decoding at 4 into
+   8 spare bytes around a window sized for [orig_len] *)
+let fused_agrees fused reference frame ~orig_len =
+  let dst_len = orig_len + 8 in
+  decode_outcome fused frame ~dst_off:4 ~dst_len
+  = decode_outcome reference frame ~dst_off:4 ~dst_len
+
+let corrupt_message codec frame =
+  match codec.Codec.decompress frame with
+  | _ -> "decoded"
+  | exception Codec.Corrupt m -> m
+
+(* a hand-built lz4 frame: literal-run and match-length fields whose
+   extension chains sum to exactly 15, 270 and 525; overlapping matches
+   at distances 1-3 of 32 bytes or more; a 64-byte match that does not
+   overlap; and a match reaching back to the first byte (dist = w). One
+   byte further (dist = w + 1) is a bad distance, and every prefix of
+   the frame fails alike under both decoders. *)
+let test_lz4_hand_built_frame () =
+  let head =
+    [
+      (lits 15, Some (1, 19 + 32));
+      (lits 270, Some (2, 274));
+      (lits 525, Some (3, 529));
+      (lits 3, Some (100, 64));
+      (lits 1, Some (1, 19));
+    ]
+  in
+  let w = Bytes.length (lz_output (lz4_tokens head)) in
+  let seqs dist = head @ [ (lits 2, Some (dist, 4)); (lits 5, None) ] in
+  let orig = lz_output (lz4_tokens (seqs (w + 2))) in
+  let frame dist = Codec.frame ~name:"lz4" ~orig ~payload:(lz4_payload (seqs dist)) in
+  let good = frame (w + 2) in
+  check bytes_testable "fused decode" orig (Lz4.codec.Codec.decompress good);
+  check bytes_testable "closure reference" orig
+    (Lz4_ref.codec.Codec.decompress good);
+  check Alcotest.string "dist = w + 1" "lz4: bad distance"
+    (corrupt_message Lz4.codec (frame (w + 3)));
+  check Alcotest.bool "dist = w + 1 fails alike" true
+    (fused_agrees Lz4.codec Lz4_ref.codec (frame (w + 3))
+       ~orig_len:(Bytes.length orig));
+  for keep = 0 to Bytes.length good - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "%d-byte prefix fails alike" keep)
+      true
+      (fused_agrees Lz4.codec Lz4_ref.codec (Bytes.sub good 0 keep)
+         ~orig_len:(Bytes.length orig))
+  done
+
+(* an lzo payload of [tokens]: literal runs of 1-128 bytes and matches
+   of 3-66 bytes, written as given, legal or not *)
+let lzo_payload tokens =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (function
+      | `Lits l ->
+          Buffer.add_char buf (Char.chr (String.length l - 1));
+          Buffer.add_string buf l
+      | `Match (dist, len) ->
+          Buffer.add_char buf (Char.chr (0x80 lor (len - 3)));
+          Buffer.add_char buf (Char.chr (dist land 0xff));
+          Buffer.add_char buf (Char.chr (dist lsr 8)))
+    tokens;
+  Buffer.to_bytes buf
+
+let lzo_tokens tokens =
+  List.concat_map
+    (function
+      | `Lits l -> lit_tokens l
+      | `Match (dist, len) -> [ Lz77.Match { dist; len } ])
+    tokens
+
+(* a hand-built lzo frame: overlapping matches at distances 1-3 of 32
+   bytes or more, a 64-byte match that does not overlap, a match
+   reaching back to the first byte (dist = w) and, one byte further, a
+   bad distance; every prefix fails alike under both decoders. A
+   literal run that runs out of input and of output at the same byte
+   fails as truncated input, as the reference's per-byte loop checks
+   the input first. *)
+let test_lzo_hand_built_frame () =
+  let head =
+    [
+      `Lits (lits 40); `Match (1, 66); `Lits (lits 128); `Match (2, 40);
+      `Match (3, 33); `Lits (lits 10); `Match (100, 64);
+    ]
+  in
+  let w = Bytes.length (lz_output (lzo_tokens head)) in
+  let tokens dist = head @ [ `Match (dist, 3); `Lits (lits 7) ] in
+  let orig = lz_output (lzo_tokens (tokens w)) in
+  let frame dist = Codec.frame ~name:"lzo" ~orig ~payload:(lzo_payload (tokens dist)) in
+  let good = frame w in
+  check bytes_testable "fused decode" orig (Lzo.codec.Codec.decompress good);
+  check bytes_testable "closure reference" orig
+    (Lzo_ref.codec.Codec.decompress good);
+  check Alcotest.string "dist = w + 1" "lz77: bad distance"
+    (corrupt_message Lzo.codec (frame (w + 1)));
+  check Alcotest.bool "dist = w + 1 fails alike" true
+    (fused_agrees Lzo.codec Lzo_ref.codec (frame (w + 1))
+       ~orig_len:(Bytes.length orig));
+  for keep = 0 to Bytes.length good - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "%d-byte prefix fails alike" keep)
+      true
+      (fused_agrees Lzo.codec Lzo_ref.codec (Bytes.sub good 0 keep)
+         ~orig_len:(Bytes.length orig))
+  done;
+  (* a 20-byte run cut to 12 bytes of input, in a window with room for
+     11, 12 or 13 more bytes *)
+  let payload = lzo_payload (head @ [ `Lits (lits 20) ]) in
+  let payload = Bytes.sub payload 0 (Bytes.length payload - 8) in
+  List.iter
+    (fun (room, expect) ->
+      let frame =
+        Codec.frame ~name:"lzo" ~orig:(Bytes.make (w + room) 'x') ~payload
+      in
+      check Alcotest.string
+        (Printf.sprintf "run short of input, room for %d" room)
+        expect
+        (corrupt_message Lzo.codec frame);
+      check Alcotest.bool
+        (Printf.sprintf "room for %d fails alike" room)
+        true
+        (fused_agrees Lzo.codec Lzo_ref.codec frame ~orig_len:(w + room)))
+    [
+      (11, "lz77: literal overflow");
+      (12, "lzo: truncated literal run");
+      (13, "lzo: truncated literal run");
+    ]
+
+(* a direct call with a destination window that does not fit raises
+   Invalid_argument before a single byte of [dst] is written *)
+let test_lz4_direct_call_confined () =
+  let input = Bytes.of_string (lits 40 ^ String.make 100 'q' ^ lits 40) in
+  let payload = Lz4.encode_payload input in
+  let orig_len = Bytes.length input in
+  List.iter
+    (fun (what, dst_len, dst_off) ->
+      let dst = Bytes.make dst_len '\xab' in
+      check Alcotest.bool what true
+        (match
+           Lz4.decode_payload_into payload ~src_off:0 ~dst ~dst_off ~orig_len
+         with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      check Alcotest.string
+        (what ^ ": dst untouched")
+        (String.make dst_len '\xab') (Bytes.to_string dst))
+    [
+      ("dst one byte short", orig_len - 1, 0);
+      ("window past the end", orig_len + 8, 9);
+      ("negative dst_off", orig_len + 8, -1);
+    ]
 
 let () =
   Alcotest.run "imk_compress"
@@ -820,6 +1061,17 @@ let () =
           Alcotest.test_case "deep codes, overlapping and long copies" `Quick
             test_inflate_deep_codes_and_copies;
           Testkit.to_alcotest qcheck_inflate_equiv;
+        ] );
+      ( "lz decode",
+        [
+          Alcotest.test_case "lz4 extension chains and copies" `Quick
+            test_lz4_hand_built_frame;
+          Alcotest.test_case "lzo copies and literal-run failures" `Quick
+            test_lzo_hand_built_frame;
+          Alcotest.test_case "lz4 direct call confined" `Quick
+            test_lz4_direct_call_confined;
+          Testkit.to_alcotest qcheck_lz4_equiv;
+          Testkit.to_alcotest qcheck_lzo_equiv;
         ] );
       ( "range coder",
         [

@@ -56,6 +56,23 @@ let test_trace_display_name () =
     (List.sort compare
        (List.map (fun s -> (s.Trace.label, Trace.display_name s)) (Trace.spans t)))
 
+(* spans are listed as they close, so a nested span comes before the
+   one that encloses it; a tracepoint lands where it is placed *)
+let test_trace_closing_order () =
+  let c = Clock.create () in
+  let t = Trace.create c in
+  Trace.with_span t Trace.In_monitor "outer" (fun () ->
+      Trace.with_span t Trace.In_monitor "inner" (fun () -> Clock.advance c 1));
+  Trace.tracepoint t Trace.Linux_boot "port_io";
+  Trace.with_span t Trace.Linux_boot "init" (fun () -> Clock.advance c 2);
+  check
+    Alcotest.(list (pair string (pair int int)))
+    "closing order"
+    [ ("+inner", (0, 1)); ("outer", (0, 1)); ("port_io", (1, 1)); ("init", (1, 3)) ]
+    (List.map
+       (fun s -> (s.Trace.label, (s.Trace.start_ns, s.Trace.stop_ns)))
+       (Trace.spans t))
+
 let test_charge_fresh () =
   let total ?jitter_seed () =
     let trace, ch = Charge.fresh ?jitter_seed () in
@@ -282,6 +299,7 @@ let () =
           Alcotest.test_case "nested same phase" `Quick
             test_trace_nested_same_phase;
           Alcotest.test_case "display name" `Quick test_trace_display_name;
+          Alcotest.test_case "closing order" `Quick test_trace_closing_order;
           Alcotest.test_case "fresh boot clock" `Quick test_charge_fresh;
           Alcotest.test_case "exception safety" `Quick
             test_trace_exception_still_records;
