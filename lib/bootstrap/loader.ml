@@ -181,21 +181,18 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
       if bzimage.Bzimage.variant = Bzimage.Standard then
         Charge.pay ch
           (Cost_model.memcpy_cost cm ~in_guest:true (modeled config payload_len)));
-  (* 2. decompression (the data transformation is always real). The
-     decompressor writes its output directly at the kernel's run
+  (* 2. decompression. The data transformation is real once per image
+     content: [Bzimage.unpack] decodes and CRC-checks the payload on the
+     record's first boot and every later boot of the same record (a
+     boot-plan cache shares one per image content) reads that verified
+     memo. The charges below are paid on every boot, decoded or not.
+     The decompressor writes its output directly at the kernel's run
      location, so no separate segment-copy cost follows — matching the
-     real loader, where parse_elf only shifts segment boundaries. The
-     decode is zero-copy: one exact-size buffer receives vmlinux and the
-     relocation table straight from the framed payload, with no
-     intermediate full-image allocation or blit. [Bytes.create] is safe
-     uninitialized here: [unpack_payload_into] either fills all of it
-     (CRC-verified) or raises, and the buffer does not escape on
-     failure. *)
-  let image, relocs_bytes =
+     real loader, where parse_elf only shifts segment boundaries. *)
+  let { Bzimage.image; relocs = relocs_bytes } =
     Charge.span ch Trace.Decompression ("decompress-" ^ bzimage.Bzimage.codec)
       (fun () ->
-        let img = Bytes.create uncompressed_len in
-        Bzimage.unpack_payload_into bzimage ~dst:img ~dst_off:0;
+        let unpacked = Bzimage.unpack bzimage in
         (match (bzimage.Bzimage.variant, bzimage.Bzimage.codec) with
         | Bzimage.Standard, "none" ->
             (* unoptimized compression-none: "decompression" is a copy of
@@ -207,12 +204,7 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
               (Cost_model.decompress_cost cm ~codec
                  ~out_bytes:(modeled config uncompressed_len))
         | Bzimage.None_optimized, _ -> ());
-        let relocs =
-          if bzimage.Bzimage.relocs_len = 0 then Bytes.empty
-          else
-            Bytes.sub img bzimage.Bzimage.vmlinux_len bzimage.Bzimage.relocs_len
-        in
-        (img, relocs))
+        unpacked)
   in
   (* 3..6: parse, randomize, load, relocate — all Bootstrap Setup. The
      ELF parser reads [image] (vmlinux with the relocation table still

@@ -120,6 +120,9 @@ val run :
     executes the loader against guest memory where the monitor staged the
     image at [staging_pa], charging Bootstrap Setup and Decompression
     spans, and returns the boot parameters for the jump to the kernel.
+    The payload comes from {!Imk_kernel.Bzimage.unpack}: decoded on the
+    record's first boot, read from its verified memo on every later one,
+    with the decompression charges paid on every boot alike.
     Raises {!Loader_error} for impossible requests (FGKASLR on a kernel
     without function sections, randomization without relocation info) and
     [Imk_randomize.Kaslr.Reloc_error] / [Imk_compress.Codec.Corrupt] on

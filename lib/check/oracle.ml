@@ -59,22 +59,29 @@ let of_run f =
 (* a side of a comparison, what an oracle reads of a finished boot *)
 let side trace r = (Imk_vclock.Trace.spans trace, Layout.of_result r)
 
-(* the comparison every catalogue oracle makes: [sides] boots the two
+(* the comparison every catalogue oracle makes: [sides] boots the
    configurations and returns a vacuity finding (if the comparison proved
-   nothing) and both sides. Vacuity is reported first, then the spans
-   (when the invariant covers them), then the layout. The planted
-   comparison repeats the check with [plant] applied to side b — the
-   same boots, read differently *)
+   nothing) and the labelled pairs of sides to compare, in order.
+   Vacuity is reported first, then per pair the spans (when the
+   invariant covers them) and the layout; the first divergent pair is
+   the finding, prefixed with its label. The planted comparison repeats
+   the check with [plant] applied to every pair's side b — the same
+   boots, read differently *)
 let comparison ~id ~doc ?plant ?(spans = false) ?(compare_phys = false) sides
     =
-  let compare vacuous (spans_a, la) (spans_b, lb) =
-    match (vacuous, if spans then span_list_diff spans_a spans_b else None) with
-    | Some v, _ -> Divergence ("vacuous: " ^ v)
-    | None, Some d -> Divergence ("trace " ^ d)
-    | None, None ->
+  let compare_pair (label, (spans_a, la), (spans_b, lb)) =
+    (match if spans then span_list_diff spans_a spans_b else None with
+    | Some d -> Some ("trace " ^ d)
+    | None -> Layout.diff ~compare_phys la lb)
+    |> Option.map (fun d -> label ^ ": " ^ d)
+  in
+  let compare vacuous pairs =
+    match vacuous with
+    | Some v -> Divergence ("vacuous: " ^ v)
+    | None ->
         Option.fold ~none:Pass
           ~some:(fun d -> Divergence d)
-          (Layout.diff ~compare_phys la lb)
+          (List.find_map compare_pair pairs)
   in
   {
     id;
@@ -82,9 +89,13 @@ let comparison ~id ~doc ?plant ?(spans = false) ?(compare_phys = false) sides
     plant = Option.map fst plant;
     run =
       guard ~planted:(plant <> None) (fun images point ~note ->
-          let vacuous, a, b = sides images point ~note in
-          ( compare vacuous a b,
-            Option.map (fun (_, f) -> compare vacuous a (f b)) plant ));
+          let vacuous, pairs = sides images point ~note in
+          ( compare vacuous pairs,
+            Option.map
+              (fun (_, f) ->
+                compare vacuous
+                  (List.map (fun (label, a, b) -> (label, a, f b)) pairs))
+              plant ));
   }
 
 (* --- monitor ≡ bootstrap loader --- *)
@@ -116,7 +127,7 @@ let cross_path =
       let direct = side ta ra in
       let tb, rb = boot ?choices env.Env.cache (Env.bz_config env point) in
       note "bz" tb;
-      (None, direct, side tb rb))
+      (None, [ ("direct/bz", direct, side tb rb) ]))
 
 (* --- linear clock ≡ solo boot on the event scheduler --- *)
 
@@ -154,7 +165,7 @@ let event_core_solo =
       note "event-core" trace;
       match !result with
       | None -> failwith "event-core boot completed without a result"
-      | Some rb -> (None, side ta ra, side trace rb))
+      | Some rb -> (None, [ ("linear/event-core", side ta ra, side trace rb) ]))
 
 (* --- plan cache on ≡ off --- *)
 
@@ -162,23 +173,46 @@ let plan_cache =
   comparison ~id:"plan-cache"
     ~doc:"a plan-cache hit changes no span and no layout byte" ~spans:true
     ~compare_phys:true (fun images point ~note ->
-      let second_boot label plans =
-        (* a private env per side: both sides' compared boot is the
-           second one, so page-cache warmth matches too *)
+      (* a private env per side: both sides' compared boot is the second
+         one, so page-cache warmth matches too. [warm] runs between the
+         two boots *)
+      let second_boot ?plans ?(warm = fun () -> true) vm_of =
         let env = Env.instantiate images in
-        let vm = Env.direct_config env point in
+        let vm = vm_of env point in
         let _ = boot ?plans env.Env.cache vm in
+        let warm = warm () in
         let trace, r = boot ?plans env.Env.cache vm in
+        (warm, trace, side trace r)
+      in
+      let noted label (_, trace, side) =
         note label trace;
-        side trace r
+        side
       in
       let plans = Imk_monitor.Plan_cache.create () in
-      let cached = second_boot "cached" (Some plans) in
-      let cold = second_boot "uncached" None in
+      let cached = noted "cached" (second_boot ~plans Env.direct_config) in
+      let cold = noted "uncached" (second_boot Env.direct_config) in
       let hits, _ = Imk_monitor.Plan_cache.stats plans in
-      ( (if hits = 0 then Some "the plan cache was never hit" else None),
-        cached,
-        cold ))
+      (* the bzImage pair, on a plan cache of its own, is compared but not
+         noted (the row's telemetry stays the vmlinux boots). Its warm
+         boot must find the payload the first boot decoded already in the
+         plan — the one a content lookup of the image returns *)
+      let bz_plans = Imk_monitor.Plan_cache.create () in
+      let memo_filled () =
+        let plan =
+          Imk_monitor.Plan_cache.bz_plan bz_plans ~path:images.Env.bz_name
+            images.Env.bz_bytes
+        in
+        Option.is_some (Imk_kernel.Bzimage.unpacked plan.Imk_monitor.Plan_cache.bz)
+      in
+      let bz_warm, _, bz_cached =
+        second_boot ~plans:bz_plans ~warm:memo_filled Env.bz_config
+      in
+      let _, _, bz_cold = second_boot Env.bz_config in
+      ( (if hits = 0 then Some "the plan cache was never hit"
+         else if not bz_warm then
+           Some "no warm bzImage boot found its payload decoded"
+         else None),
+        [ ("vmlinux", cached, cold); ("bzImage", bz_cached, bz_cold) ] ))
 
 (* --- snapshot restore ≡ the boot it captured --- *)
 
@@ -201,7 +235,7 @@ let snapshot_cold =
         Imk_monitor.Snapshot.restore ch snap ~working_set_pages:32
       in
       note "restore" trace;
-      (None, cold, side trace restored))
+      (None, [ ("cold/restore", cold, side trace restored) ]))
 
 (* --- arena-recycled ≡ fresh guest memory --- *)
 
@@ -230,8 +264,7 @@ let arena_fresh =
       note "fresh" t_fresh;
       let hits, _ = Imk_memory.Arena.stats arena in
       ( (if hits = 0 then Some "the arena never recycled a buffer" else None),
-        recycled,
-        side t_fresh r_fresh ))
+        [ ("recycled/fresh", recycled, side t_fresh r_fresh) ] ))
 
 let catalogue =
   [ cross_path; event_core_solo; plan_cache; snapshot_cold; arena_fresh ]

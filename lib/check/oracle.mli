@@ -60,8 +60,12 @@ val event_core_solo : t
 val plan_cache : t
 (** Cache-on ≡ cache-off: the second boot of an image through a shared
     {!Imk_monitor.Plan_cache} must produce exactly the trace spans and
-    layout of an uncached second boot. Also divergent if the cache was
-    never actually hit — a vacuous pass is no evidence. *)
+    layout of an uncached second boot — for the point's vmlinux (direct
+    boot) and for its bzImage (loader boot), whose cached warm boot reads
+    the payload the plan decoded once instead of decoding it. Also
+    divergent if the cache was never actually hit, or if the bzImage's
+    warm boot did not find its payload decoded — a vacuous pass is no
+    evidence. Only the vmlinux boots are noted in [boot_ns]. *)
 
 val snapshot_cold : t
 (** Snapshot ≡ cold boot: capture, serialize, reload and restore a

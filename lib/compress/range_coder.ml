@@ -87,8 +87,15 @@ module Decoder = struct
     mutable range : int;
   }
 
+  (* A valid stream is never read past its end: the encoder's five
+     flush bytes cover the decoder's five priming reads, and every later
+     normalization reads the byte the encoder's mirror-image shift wrote.
+     So running out of input is damage — typically a frame whose length
+     field claims more output than its payload holds — and fails here,
+     not after decoding the claimed length from an endless zero tail. *)
   let next_byte d =
-    if d.pos >= Bytes.length d.data then 0
+    if d.pos >= Bytes.length d.data then
+      raise (Codec.Corrupt "range: truncated stream")
     else begin
       let c = Char.code (Bytes.get d.data d.pos) in
       d.pos <- d.pos + 1;

@@ -12,6 +12,9 @@ let of_method = function
   | "none-opt" -> ("none", None_optimized)
   | codec -> (codec, Standard)
 
+type unpacked = { image : bytes; relocs : bytes }
+type memo = unpacked option Atomic.t
+
 type t = {
   variant : variant;
   codec : string;
@@ -21,6 +24,7 @@ type t = {
   payload : bytes;
   vmlinux_len : int;
   relocs_len : int;
+  memo : memo;
 }
 
 let stub_bytes = 64 * 1024
@@ -56,6 +60,7 @@ let link (built : Image.built) ~codec ~variant =
     payload;
     vmlinux_len = Bytes.length built.vmlinux;
     relocs_len = Bytes.length built.relocs_bytes;
+    memo = Atomic.make None;
   }
 
 let variant_code = function Standard -> 0 | None_optimized -> 1
@@ -135,6 +140,7 @@ let decode b =
     payload = Bytes.sub b payload_off payload_len;
     vmlinux_len;
     relocs_len;
+    memo = Atomic.make None;
   }
 
 let unpack_payload_into t ~dst ~dst_off =
@@ -144,3 +150,24 @@ let unpack_payload_into t ~dst ~dst_off =
   in
   if written <> t.vmlinux_len + t.relocs_len then
     raise (Malformed "payload length does not match header")
+
+let unpacked t = Atomic.get t.memo
+
+(* Write-once: only a decode that returned normally (full length,
+   CRC-verified) reaches the compare-and-set, and racing first decodes of
+   one record agree byte for byte, so the loser adopts the winner's
+   memo. [Bytes.create] is safe uninitialized: [unpack_payload_into]
+   fills all of it or raises, and a failed buffer never escapes. *)
+let unpack t =
+  match Atomic.get t.memo with
+  | Some u -> u
+  | None ->
+      let image = Bytes.create (t.vmlinux_len + t.relocs_len) in
+      unpack_payload_into t ~dst:image ~dst_off:0;
+      let relocs =
+        if t.relocs_len = 0 then Bytes.empty
+        else Bytes.sub image t.vmlinux_len t.relocs_len
+      in
+      let u = { image; relocs } in
+      if Atomic.compare_and_set t.memo None (Some u) then u
+      else Option.get (Atomic.get t.memo)

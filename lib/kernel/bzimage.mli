@@ -26,6 +26,21 @@ val of_method : string -> string * variant
     uncompressed link; any other method is a codec name, linked
     {!Standard}. *)
 
+type unpacked = {
+  image : bytes;
+      (** [vmlinux ‖ relocs], exactly [vmlinux_len + relocs_len] bytes,
+          CRC-verified against the codec frame *)
+  relocs : bytes;
+      (** the relocation table alone (a copy of [image]'s tail), or
+          [Bytes.empty] when [relocs_len = 0] *)
+}
+(** A payload decoded once per record (see {!unpack}). Every boot of the
+    record reads these bytes; none may write them. *)
+
+type memo
+(** A record's write-once slot for its {!unpacked} payload. Only
+    {!unpack} fills it; {!unpacked} reads it. *)
+
 type t = {
   variant : variant;
   codec : string;
@@ -35,6 +50,9 @@ type t = {
   payload : bytes;  (** framed codec output of [vmlinux ‖ relocs] *)
   vmlinux_len : int;  (** uncompressed kernel ELF length *)
   relocs_len : int;  (** uncompressed relocation table length *)
+  memo : memo;
+      (** empty until the first {!unpack} of this record returns
+          normally, then fixed for the record's lifetime *)
 }
 
 val stub_bytes : int
@@ -69,3 +87,19 @@ val unpack_payload_into : t -> dst:bytes -> dst_off:int -> unit
     {!Malformed} if the decoded length contradicts the image header.
     On failure [dst] may hold a partial decode inside the window and
     nothing outside it. *)
+
+val unpack : t -> unpacked
+(** [unpack t] is [t]'s payload decoded and split — the record's memo
+    when it holds one, otherwise a fresh {!unpack_payload_into} whose
+    result the memo then keeps. The memo is write-once and race-free
+    (one [Atomic.compare_and_set]; a decode that loses the race returns
+    the winner's bytes, which are identical), and only a decode that
+    returned normally is stored: a damaged payload raises exactly as
+    {!unpack_payload_into} does, on every call, and leaves the memo
+    empty. {!decode} builds a fresh record per call, so a boot path that
+    decodes the image per boot decodes the payload per boot too, and
+    one that shares a record across boots (the monitor's boot-plan
+    cache) decodes it once. *)
+
+val unpacked : t -> unpacked option
+(** [unpacked t] is [t]'s memo, if a decode has filled it. *)

@@ -179,13 +179,13 @@ let loader_hooks t_opt (p : bz_plan) =
   | None -> Imk_bootstrap.Loader.default_hooks
   | Some t ->
       (* The loader hands [parse_vmlinux] the whole decompressed payload
-         (vmlinux with the relocation table concatenated after it — the
-         zero-copy decode buffer) and [decode_relocs] the relocs part;
-         for the cached (pristine) image the codec output is
-         deterministic and CRC-verified, so memoizing by part length
-         inside this content-addressed plan is sound — a corrupted image
-         lands in a different plan (or fails decompression) and never
-         sees these memos. *)
+         (vmlinux with the relocation table concatenated after it) and
+         [decode_relocs] the relocs part — both from this plan's
+         [Bzimage.unpack] memo, decoded once and CRC-verified. The
+         content is fixed per plan, so memoizing by part length inside
+         this content-addressed plan is sound — a corrupted image lands
+         in a different plan (or fails decompression) and never sees
+         these memos. *)
       {
         Imk_bootstrap.Loader.parse_vmlinux =
           (fun v ->

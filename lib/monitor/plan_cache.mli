@@ -3,7 +3,8 @@
     The monitor sees a kernel image before any guest runs, so everything
     derivable from the image bytes alone — the parsed ELF, the decoded
     relocation table, the alloc/function section arrays, image sizes, the
-    bzImage header — is a pure function of the image content and can be
+    bzImage header and its decoded payload — is a pure function of the
+    image content and can be
     computed once and shared by every subsequent boot of that image
     (the same hoisting asymmetry the paper exploits for randomization
     itself, §4.2, and the snapshot/zygote amortization its §7 points at).
@@ -27,7 +28,10 @@
     across worker domains. Every memo field follows one protocol: it is
     read under the lock, a miss is built outside it (a failed build
     stores nothing), and the result is stored under the lock; racing
-    builders store interchangeable values, and the last store wins. *)
+    builders store interchangeable values, and the last store wins. The
+    decoded bzImage payload is the one memo outside the lock: it lives on
+    the plan's {!Imk_kernel.Bzimage.t}, so every caller of the loader
+    shares it, and is write-once by compare-and-set. *)
 
 type elf_plan = {
   elf : Imk_elf.Types.t;
@@ -56,11 +60,14 @@ type bz_plan = {
       option;
 }
 (** A decoded bzImage header plus memos for the bootstrap loader's own
-    parse of the decompressed payload. Decompression of the identical
-    [bz.payload] object is deterministic and CRC-verified by the codec,
-    so the loader-side parse/decode results are content-addressed by
-    construction (the [int] keys re-check the payload part lengths).
-    The memo fields are owned by the cache lock — use {!loader_hooks}. *)
+    work on it. [bz] carries the decoded payload itself
+    ({!Imk_kernel.Bzimage.unpack}'s write-once memo, filled by the plan's
+    first successful loader run), so a warm boot skips decompression on
+    the host; the [l_*] fields memoize the loader's parse/decode of that
+    payload. The payload is CRC-verified by the codec and fixed per plan,
+    so the loader-side results are content-addressed by construction
+    (the [int] keys re-check the payload part lengths). The [l_*] fields
+    are owned by the cache lock — use {!loader_hooks}. *)
 
 val build_elf_plan : bytes -> elf_plan
 (** Pure plan construction, no cache. Raises [Imk_elf.Types.Malformed]

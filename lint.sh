@@ -13,7 +13,6 @@ set -eu
 cd "$(dirname "$0")"
 
 allowlist='
-lib/bootstrap/loader.ml
 lib/compress/bwt.ml
 lib/compress/codec.ml
 lib/compress/mtf.ml
@@ -22,6 +21,7 @@ lib/elf/note.ml
 lib/elf/parser.ml
 lib/elf/relocation.ml
 lib/guest/boot_params.ml
+lib/kernel/bzimage.ml
 lib/kernel/image.ml
 lib/kernel/initrd.ml
 lib/kernel/rootfs.ml

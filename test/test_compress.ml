@@ -294,6 +294,24 @@ let test_range_coder_skewed_compresses () =
   let data = Range_coder.Encoder.finish e in
   check Alcotest.bool "well under 1250 bytes" true (Bytes.length data < 400)
 
+(* a frame whose length field claims far more output than its payload
+   holds: the range decoder runs out of input long before the claimed
+   length and must fail there, not decode 4 MiB from a zero tail and
+   fail only at the CRC *)
+let test_range_coder_overlong_claim () =
+  let input = Bytes.init 300 (fun i -> Char.chr ((i * 37) land 0x3f)) in
+  List.iter
+    (fun codec ->
+      let framed = codec.Codec.compress input in
+      let claim = 4 * 1024 * 1024 in
+      Imk_util.Byteio.set_addr framed 8 claim;
+      Alcotest.check_raises (codec.Codec.name ^ " overlong claim")
+        (Codec.Corrupt "range: truncated stream") (fun () ->
+          ignore
+            (codec.Codec.decompress_into framed ~dst:(Bytes.make claim '\000')
+               ~dst_off:0)))
+    [ Lzma.codec; Xz.codec ]
+
 (* --- qcheck round-trip properties for all codecs --- *)
 
 let arbitrary_input =
@@ -1080,6 +1098,8 @@ let () =
             test_range_coder_direct_and_tree;
           Alcotest.test_case "skewed compresses" `Quick
             test_range_coder_skewed_compresses;
+          Alcotest.test_case "overlong claim fails at the end" `Quick
+            test_range_coder_overlong_claim;
         ] );
       ( "frames",
         [

@@ -251,6 +251,79 @@ let test_supervised_campaign_with_shared_plans () =
       [ I.Flip_image_magic; I.Truncate_image; I.Flip_relocs_magic ]
   done
 
+(* the decoded bzImage payload lives in the plan: warm it with pristine
+   boots, then corrupt the image. A corrupted image is new content, so
+   it gets a plan of its own (or none) and must fail typed on every
+   boot — a failed decode stores nothing to serve the next one. The
+   pristine image's memo must come back intact: restoring the image
+   hits a decoded payload again, and the memo's bytes still match the
+   frame's CRC after many boots read them *)
+let test_payload_memo_content_addressed () =
+  let module I = Imk_fault.Inject in
+  let module Bz = Imk_kernel.Bzimage in
+  let env = Testkit.make_env () in
+  let t = PC.create () in
+  let disk = env.Testkit.disk in
+  List.iter
+    (fun codec ->
+      let path = Testkit.add_bzimage env ~codec ~variant:Bz.Standard in
+      let pristine = Imk_storage.Disk.find disk path in
+      warm env;
+      let boot seed =
+        Testkit.boot ~plans:t ~flavor:Vm_config.In_monitor_fgkaslr
+          ~loader:Vm_config.Loader_stripped ~kernel_path:path ~relocs:None
+          ~seed env
+      in
+      let stats seed = (snd (boot seed)).Vmm.stats in
+      let plan () = PC.bz_plan t ~path (Imk_storage.Disk.find disk path) in
+      let memo () = Bz.unpacked (plan ()).PC.bz in
+      let expected = stats 5L in
+      List.iter
+        (fun kind ->
+          let label = codec ^ "/" ^ I.name kind in
+          let before = plan () in
+          let u_before = memo () in
+          check bool (label ^ " warm memo") true (u_before <> None);
+          ignore (I.arm kind ~seed:1 ~disk ~kernel_path:path ());
+          for _ = 1 to 2 do
+            match boot 5L with
+            | _ -> Alcotest.failf "%s: booted a corrupt image" label
+            | exception e ->
+                check bool (label ^ " fails typed") true
+                  (Imk_fault.Failure.classify e <> None)
+          done;
+          (* the corrupted content's own plan, when its header decodes,
+             holds no payload *)
+          (match memo () with
+          | m -> check bool (label ^ " nothing stored") true (m = None)
+          | exception Bz.Malformed _ -> ());
+          Imk_storage.Disk.add disk ~name:path (Bytes.copy pristine);
+          (* a truncated header never got a plan, so the pristine plan
+             and its very memo answer the restored image; a CRC flip
+             replaced the plan, and the restored image decodes afresh *)
+          if kind = I.Truncate_bzimage then
+            check bool (label ^ " pristine memo survives") true
+              (plan () == before && memo () == u_before);
+          check bool (label ^ " restored boot matches") true
+            (stats 5L = expected);
+          check bool (label ^ " restored memo") true (memo () <> None);
+          check bool (label ^ " memo hit matches") true (stats 5L = expected))
+        [ I.Flip_bz_payload_crc; I.Truncate_bzimage ];
+      for seed = 1 to 6 do
+        ignore (boot (Int64.of_int seed))
+      done;
+      let bz = (plan ()).PC.bz in
+      match Bz.unpacked bz with
+      | None -> Alcotest.failf "%s: no decoded payload after warm boots" codec
+      | Some u ->
+          check int (codec ^ " memo CRC equals the frame's")
+            (Imk_util.Byteio.get_u32 bz.Bz.payload 16)
+            (Imk_util.Crc.crc32 u.Bz.image 0 (Bytes.length u.Bz.image));
+          check bool (codec ^ " relocs are the image's tail") true
+            (Bytes.equal u.Bz.relocs
+               (Bytes.sub u.Bz.image bz.Bz.vmlinux_len bz.Bz.relocs_len)))
+    [ "gzip"; "lz4" ]
+
 (* ---------- immutability and disk integrity ---------- *)
 
 let crc b = Imk_util.Crc.crc32 b 0 (Bytes.length b)
@@ -320,6 +393,8 @@ let () =
             test_corruption_never_sees_stale_plan;
           Alcotest.test_case "supervised campaign, shared plans" `Quick
             test_supervised_campaign_with_shared_plans;
+          Alcotest.test_case "decoded payload content-addressed" `Quick
+            test_payload_memo_content_addressed;
         ] );
       ( "integrity",
         [
