@@ -182,15 +182,16 @@ let plan_cache =
         let _ = boot ?plans env.Env.cache vm in
         let warm = warm () in
         let trace, r = boot ?plans env.Env.cache vm in
-        (warm, trace, side trace r)
+        (warm, trace, side trace r, r)
       in
-      let noted label (_, trace, side) =
+      let noted label (_, trace, side, _) =
         note label trace;
         side
       in
       let plans = Imk_monitor.Plan_cache.create () in
       let cached = noted "cached" (second_boot ~plans Env.direct_config) in
-      let cold = noted "uncached" (second_boot Env.direct_config) in
+      let ((_, _, _, booted) as uncached) = second_boot Env.direct_config in
+      let cold = noted "uncached" uncached in
       let hits, _ = Imk_monitor.Plan_cache.stats plans in
       (* the bzImage pair, on a plan cache of its own, is compared but not
          noted (the row's telemetry stays the vmlinux boots). Its warm
@@ -204,15 +205,45 @@ let plan_cache =
         in
         Option.is_some (Imk_kernel.Bzimage.unpacked plan.Imk_monitor.Plan_cache.bz)
       in
-      let bz_warm, _, bz_cached =
+      let bz_warm, _, bz_cached, _ =
         second_boot ~plans:bz_plans ~warm:memo_filled Env.bz_config
       in
-      let _, _, bz_cold = second_boot Env.bz_config in
+      let _, _, bz_cold, _ = second_boot Env.bz_config in
+      (* the restore pair, likewise on a cache of its own and not noted:
+         the second restore of the vmlinux boot's snapshot, through the
+         cache (which must serve it decoded, its chunk image built by the
+         first) and without it *)
+      let blob = Imk_monitor.Snapshot.(serialize (capture booted)) in
+      let config = booted.Imk_monitor.Vmm.config in
+      let second_restore plans =
+        let restore () =
+          let snap =
+            Imk_monitor.Snapshot.load_cached plans ~path:"oracle.snapshot"
+              ~config blob
+          in
+          let warm = Imk_monitor.Snapshot.image_built snap in
+          let trace, ch = Imk_vclock.Charge.fresh () in
+          let r = Imk_monitor.Snapshot.restore ch snap ~working_set_pages:32 in
+          (warm, side trace r)
+        in
+        ignore (restore ());
+        restore ()
+      in
+      let restore_warm, restore_cached =
+        second_restore (Some (Imk_monitor.Plan_cache.create ()))
+      in
+      let _, restore_cold = second_restore None in
       ( (if hits = 0 then Some "the plan cache was never hit"
          else if not bz_warm then
            Some "no warm bzImage boot found its payload decoded"
+         else if not restore_warm then
+           Some "no warm restore found its snapshot decoded"
          else None),
-        [ ("vmlinux", cached, cold); ("bzImage", bz_cached, bz_cold) ] ))
+        [
+          ("vmlinux", cached, cold);
+          ("bzImage", bz_cached, bz_cold);
+          ("restore", restore_cached, restore_cold);
+        ] ))
 
 (* --- snapshot restore ≡ the boot it captured --- *)
 

@@ -62,10 +62,15 @@ val plan_cache : t
     {!Imk_monitor.Plan_cache} must produce exactly the trace spans and
     layout of an uncached second boot — for the point's vmlinux (direct
     boot) and for its bzImage (loader boot), whose cached warm boot reads
-    the payload the plan decoded once instead of decoding it. Also
-    divergent if the cache was never actually hit, or if the bzImage's
-    warm boot did not find its payload decoded — a vacuous pass is no
-    evidence. Only the vmlinux boots are noted in [boot_ns]. *)
+    the payload the plan decoded once instead of decoding it. Likewise
+    the second restore of the vmlinux boot's snapshot, loaded through
+    the cache ({!Imk_monitor.Snapshot.load_cached}, a clone of the chunk
+    image the first restore built) or not, must charge the same spans
+    and restore the same layout and physical bytes. Also divergent if
+    the cache was never actually hit, or if the bzImage's warm boot did
+    not find its payload decoded, or the warm restore its snapshot — a
+    vacuous pass is no evidence. Only the vmlinux boots are noted in
+    [boot_ns]. *)
 
 val snapshot_cold : t
 (** Snapshot ≡ cold boot: capture, serialize, reload and restore a

@@ -349,7 +349,8 @@ let supervise_snapshot ?(jitter = true) ?tap ?arena ?fleet ~seed ~ctx
                   Charge.pay_using ch Sched.Disk
                     (Cost_model.read_cost (Charge.model ch) ~cached
                        (modeled vm (Bytes.length blob)));
-                  Imk_monitor.Snapshot.load ~config:vm blob)
+                  Imk_monitor.Snapshot.load_cached ctx.plans
+                    ~path:snapshot_path ~config:vm blob)
             in
             Imk_monitor.Snapshot.restore ch snap ~working_set_pages)
       with

@@ -42,9 +42,10 @@ type ctx = {
   inject : (string -> unit) option;
       (** armed transient hook ({!Imk_fault.Inject.armed}), if any *)
   plans : Imk_monitor.Plan_cache.t option;
-      (** shared boot-plan cache; safe across runs and corruptions —
-          plans are content-addressed, so a corrupted image can never
-          resolve to a pristine image's plan (or vice versa) *)
+      (** shared boot-plan cache (decoded snapshots included); safe
+          across runs and corruptions — plans are content-addressed, so a
+          corrupted image or snapshot can never resolve to a pristine
+          one's plan (or vice versa) *)
 }
 
 val plain_ctx : ?plans:Imk_monitor.Plan_cache.t -> Imk_storage.Page_cache.t -> ctx
@@ -140,7 +141,10 @@ val supervise_snapshot :
   Imk_monitor.Vm_config.t ->
   report
 (** [supervise_snapshot ~seed ~ctx ~snapshot_path ~working_set_pages vm]
-    restores from a serialized snapshot on the run's disk. A typed
+    restores from a serialized snapshot on the run's disk, loaded through
+    [ctx.plans] ({!Imk_monitor.Snapshot.load_cached}): a warm restore of
+    the same snapshot content clones its cached chunk image instead of
+    decoding the blob again. A typed
     restore failure (CRC mismatch, truncation — or, with a fleet
     policy budget, a deadline overrun on a cold snapshot read) is
     recorded as a [Fell_back_to_cold_boot] event and the supervisor

@@ -3,11 +3,15 @@
    writes a few MiB of a 256 MiB guest, so allocating and zeroing the
    whole guest up front costs ~100x the data the boot moves.
 
-   An absent chunk is [zero_chunk], one shared all-zero chunk that no
-   write path ever hands out: every mutator goes through [writable],
-   which materializes a private chunk first. Reads therefore never branch
-   on presence. Only the last chunk may be short (sub-chunk test guests);
-   an absent short chunk is still [zero_chunk], read only up to [size]. *)
+   A chunk is either owned by the guest or shared: read-only and owned
+   by someone else. An absent chunk is [zero_chunk], the one all-zero
+   chunk every guest shares; a copy-on-write clone ({!of_image}) starts
+   out sharing every chunk of a frozen image. No write path ever hands
+   out a shared chunk: every mutator goes through [writable], which
+   first takes a private copy, so a shared chunk is never written and
+   reads never branch on ownership. Only the last chunk may be short
+   (sub-chunk test guests); an absent short chunk is still [zero_chunk],
+   read only up to [size]. *)
 let chunk_bits = 21
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
@@ -24,6 +28,7 @@ let max_ranges = 8
 type t = {
   size : int;
   chunks : bytes array;  (* [zero_chunk], physically, where absent *)
+  owned : bool array;  (* false: [chunks.(i)] is shared, never written *)
   mutable spare : bytes list;  (* all-zero full chunks released by [scrub] *)
   range_lo : int array;  (* [max_ranges] slots; first [nranges] are live *)
   range_hi : int array;  (* one past the highest byte of each range *)
@@ -34,11 +39,14 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
+let nchunks size = (size + chunk_mask) lsr chunk_bits
+
 let create ~size =
   if size <= 0 then invalid_arg "Guest_mem.create: non-positive size";
   {
     size;
-    chunks = Array.make ((size + chunk_mask) lsr chunk_bits) zero_chunk;
+    chunks = Array.make (nchunks size) zero_chunk;
+    owned = Array.make (nchunks size) false;
     spare = [];
     range_lo = Array.make max_ranges 0;
     range_hi = Array.make max_ranges 0;
@@ -52,20 +60,24 @@ let check t pa len what =
     fault "%s at %#x+%d outside guest memory of %d bytes" what pa len t.size
 
 (* chunk [i]'s private store, materialized on the first write: a spare
-   chunk (zeroed by [scrub]) if one is there, else a fresh zeroed one *)
+   chunk (zeroed by [scrub]) if one is there, else a fresh one, holding a
+   copy of the shared chunk it replaces *)
 let writable t i =
-  let c = t.chunks.(i) in
-  if c != zero_chunk then c
+  if t.owned.(i) then t.chunks.(i)
   else begin
+    let shared = t.chunks.(i) in
     let len = Int.min chunk_size (t.size - (i lsl chunk_bits)) in
     let c =
       match t.spare with
       | c :: rest when len = chunk_size ->
           t.spare <- rest;
+          if shared != zero_chunk then Bytes.blit shared 0 c 0 len;
           c
-      | _ -> Bytes.make len '\000'
+      | _ when shared == zero_chunk -> Bytes.make len '\000'
+      | _ -> Bytes.copy shared
     in
     t.chunks.(i) <- c;
+    t.owned.(i) <- true;
     c
   end
 
@@ -159,10 +171,11 @@ let dirty_extent t =
     Some (!lo, !hi)
   end
 
-(* zeroing an absent chunk is a no-op: it is all zero already *)
+(* zeroing an absent chunk is a no-op: it is all zero already. Any
+   other shared chunk is copied first, never filled in place *)
 let fill_chunk t i off n =
-  let c = t.chunks.(i) in
-  if c != zero_chunk then Bytes.fill c off n '\000'
+  if t.owned.(i) then Bytes.fill t.chunks.(i) off n '\000'
+  else if t.chunks.(i) != zero_chunk then Bytes.fill (writable t i) off n '\000'
 
 let fill_zero t pa len =
   if one_chunk pa len then
@@ -170,6 +183,11 @@ let fill_zero t pa len =
   else pieces pa len (fun i off _ n -> fill_chunk t i off n)
 
 let scrub t =
+  (* a shared chunk is not ours to fill or to recycle: drop it first, so
+     the fill below zeroes owned chunks only *)
+  Array.iteri
+    (fun i _ -> if not t.owned.(i) then t.chunks.(i) <- zero_chunk)
+    t.chunks;
   for j = 0 to t.nranges - 1 do
     fill_zero t t.range_lo.(j) (t.range_hi.(j) - t.range_lo.(j))
   done;
@@ -179,9 +197,10 @@ let scrub t =
      short last chunk stays put; no other chunk has its length. *)
   Array.iteri
     (fun i c ->
-      if c != zero_chunk && Bytes.length c = chunk_size then begin
+      if t.owned.(i) && Bytes.length c = chunk_size then begin
         t.spare <- c :: t.spare;
-        t.chunks.(i) <- zero_chunk
+        t.chunks.(i) <- zero_chunk;
+        t.owned.(i) <- false
       end)
     t.chunks
 
@@ -196,6 +215,29 @@ let write_sub t ~pa ~src ~src_off ~len =
     invalid_arg "Guest_mem.write_sub: source range";
   touch t pa len;
   blit_in t pa src src_off len
+
+(* an image is a guest frozen right after its frames were written: its
+   chunks are shared by every clone and never written again, and its
+   tracker holds exactly the ranges those writes dirtied *)
+type image = t
+
+let image ~size frames =
+  let t = create ~size in
+  List.iter
+    (fun (pa, src, src_off, len) -> write_sub t ~pa ~src ~src_off ~len)
+    frames;
+  t
+
+let of_image (img : image) =
+  {
+    size = img.size;
+    chunks = Array.copy img.chunks;
+    owned = Array.make (Array.length img.chunks) false;
+    spare = [];
+    range_lo = Array.copy img.range_lo;
+    range_hi = Array.copy img.range_hi;
+    nranges = img.nranges;
+  }
 
 let read_bytes t ~pa ~len =
   check t pa len "read";

@@ -13,6 +13,14 @@
     the next boot's writes land. Only the last chunk may be short, so
     guests smaller than a chunk work too.
 
+    A chunk is either owned by the guest or {e shared}: read-only and
+    owned by someone else — the all-zero chunk, or a chunk of a frozen
+    {!image} that copy-on-write clones ({!of_image}) share. The
+    invariant: a shared chunk is never written. The first write to one
+    copies it into a private chunk (a spare, or a fresh one); {!scrub}
+    drops a shared chunk back to all-zero without filling it and never
+    parks it on the spare list.
+
     All accesses are bounds-checked: an out-of-range access is a guest
     triple-fault in real life and a typed error here. The module is pure
     data movement; boot paths charge virtual-clock costs separately
@@ -45,10 +53,33 @@ val scrub : t -> unit
 (** [scrub t] zeroes every dirty range and resets the tracker, restoring
     the all-zero state of a fresh [create] while touching only the bytes
     a previous user actually wrote — the cheap half of recycling guest
-    memory through {!Arena}. It then moves every materialized full chunk
-    to the spare list, so the next writes reuse them instead of
-    allocating. Real work only; virtual-clock zeroing charges are the
-    boot path's business, exactly as for [create]. *)
+    memory through {!Arena}. It then moves every owned full chunk to the
+    spare list, so the next writes reuse them instead of allocating, and
+    turns every shared chunk back into the all-zero chunk (neither
+    filled nor parked: it is not the guest's to write). Real work only;
+    virtual-clock zeroing charges are the boot path's business, exactly
+    as for [create]. *)
+
+type image
+(** A frozen guest-memory image: chunks that any number of clones share
+    read-only, across domains too. Nothing writes an image once built. *)
+
+val image : size:int -> (int * bytes * int * int) list -> image
+(** [image ~size frames] is the image of a [size]-byte guest that is
+    all zero except for [frames], each [(pa, src, src_off, len)] holding
+    [src]'s bytes [\[src_off, src_off+len)] at [pa], written in list
+    order — the guest {!write_sub} of each frame into a fresh {!create}
+    leaves, chunks allocated only under frames. Raises like {!create}
+    and {!write_sub}. *)
+
+val of_image : image -> t
+(** [of_image img] is a copy-on-write clone of [img]: it reads as the
+    image, shares every chunk with it until the clone's first write to
+    that chunk, and costs O(chunks) to make. Its dirty ranges are those
+    the image's frames dirtied, so {!fold_dirty_ranges}, {!scrub} and a
+    snapshot capture see exactly what writing the frames into a fresh
+    guest would have left. Writes, {!zero} and {!scrub} on a clone never
+    reach the image or another clone. *)
 
 val write_bytes : t -> pa:int -> bytes -> unit
 (** [write_bytes t ~pa b] copies all of [b] to physical address [pa]. *)

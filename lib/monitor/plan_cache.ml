@@ -37,7 +37,9 @@ let build_bz_plan bytes =
     l_kinfo = None;
   }
 
-type payload =
+type payload = ..
+
+type payload +=
   | Pelf of elf_plan
   | Pbz of bz_plan
   | Prelocs of Imk_elf.Relocation.table

@@ -29,9 +29,14 @@
     read under the lock, a miss is built outside it (a failed build
     stores nothing), and the result is stored under the lock; racing
     builders store interchangeable values, and the last store wins. The
-    decoded bzImage payload is the one memo outside the lock: it lives on
-    the plan's {!Imk_kernel.Bzimage.t}, so every caller of the loader
-    shares it, and is write-once by compare-and-set. *)
+    decoded bzImage payload is one of two memos outside the lock: it
+    lives on the plan's {!Imk_kernel.Bzimage.t}, so every caller of the
+    loader shares it, and is write-once by compare-and-set. The other is
+    a decoded snapshot's chunk image: {!Snapshot.load_cached} keeps the
+    config-free decoded snapshot as an entry of its own (through
+    {!cached} and an extension of {!payload}), and the snapshot's first
+    restore stores its image, also by compare-and-set, for every later
+    restore to clone. *)
 
 type elf_plan = {
   elf : Imk_elf.Types.t;
@@ -81,6 +86,27 @@ val build_bz_plan : bytes -> bz_plan
 type t
 
 val create : unit -> t
+
+type payload = ..
+(** What an entry holds. Extensible so a module the cache cannot name
+    (a decoded {!Snapshot}, which depends on this one through {!Vmm})
+    adds its own constructor and caches through {!cached}. *)
+
+val cached :
+  t ->
+  path:string ->
+  bytes ->
+  select:(payload -> 'a option) ->
+  wrap:('a -> payload) ->
+  build:(bytes -> 'a) ->
+  'a
+(** [cached t ~path bytes ~select ~wrap ~build] is the entry protocol
+    behind {!elf_plan}, {!bz_plan} and {!relocs}: the value [select]
+    finds in the entry under [path] when [bytes] is that entry's content
+    (physical identity first, a CRC32 + length check when the object is
+    new), else [build bytes], stored as [wrap v] only after [build]
+    returns. [build] runs outside the lock; an exception from it
+    propagates and stores nothing. *)
 
 val elf_plan : t -> path:string -> bytes -> elf_plan
 (** [elf_plan t ~path bytes] returns the cached plan when [bytes] is

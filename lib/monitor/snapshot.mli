@@ -11,7 +11,15 @@
     quantify it: serialize a booted guest, restore clones of it, and
     model restore cost as the copy-on-write mapping setup plus the
     first-touch faults of the working set — far cheaper than a boot, and
-    exactly as randomized as the one snapshot it came from. *)
+    exactly as randomized as the one snapshot it came from.
+
+    A restore is a real copy-on-write clone on the host too. The first
+    restore of a snapshot builds its chunk image
+    ({!Imk_memory.Guest_mem.image}) from the frames and keeps it in the
+    snapshot, a write-once memo set by compare-and-set; every restore
+    then clones it with {!Imk_memory.Guest_mem.of_image}, sharing its
+    chunks until the clone writes one. The image stays resident as long
+    as the snapshot does. *)
 
 type t
 
@@ -52,19 +60,40 @@ val load : config:Vm_config.t -> bytes -> t
     rehydrating against the supplied VM config (configs are host-side
     objects, not serialized state). Raises {!Corrupt} on bad magic or
     version, truncation, length inconsistencies, frames that are
-    unsorted, overlapping or outside the guest, or a CRC32 mismatch —
-    a single flipped bit anywhere in [b] is caught. Frame lengths are
-    validated against the remaining blob before any allocation. *)
+    unsorted, overlapping or outside the guest, a CRC32 mismatch — a
+    single flipped bit anywhere in [b] is caught — or a guest size that
+    differs from the header's boot-parameter memory size or from
+    [config]'s [mem_bytes]: a snapshot restores only into a guest of the
+    size it was captured from. Frame lengths are validated against the
+    remaining blob before any allocation. The decoded frames are views
+    into [b], which must not be mutated afterwards. *)
+
+val load_cached :
+  Plan_cache.t option -> path:string -> config:Vm_config.t -> bytes -> t
+(** [load_cached plans ~path ~config b] is [load ~config b] with the
+    config-free decoded snapshot — its frames and its chunk image once a
+    restore built it — kept in [plans] under [path] and content-addressed
+    like a boot plan ({!Plan_cache.cached}): the same blob object hits
+    without a CRC, a content-equal one hits after one, and any other
+    content decodes afresh, its failure stored nowhere. The config check
+    runs on every call. [None] is [load]. *)
+
+val image_built : t -> bool
+(** Whether this snapshot's chunk image is built, so that a restore only
+    clones it — test and oracle observability. *)
 
 val restore :
   Imk_vclock.Charge.t -> t -> working_set_pages:int -> Vmm.boot_result
 (** [restore charge t ~working_set_pages] clones the snapshot into a
-    fresh guest. Charged work: re-establishing the copy-on-write mapping
-    (per-page bookkeeping over the kernel image) and faulting in
+    copy-on-write guest. Charged work: re-establishing the copy-on-write
+    mapping (per-page bookkeeping over the kernel image) and faulting in
     [working_set_pages] pages — the restore path's real costs, orders of
-    magnitude below a boot. The restored guest passes the same integrity
-    verification as a booted one (the clone is exact — including its
-    randomization). *)
+    magnitude below a boot. On the host, the first restore of [t] builds
+    its chunk image and every restore shares it: the clone reads, dirties
+    and captures exactly like a fresh guest the frames were written
+    into, and its writes never reach the image. The restored guest
+    passes the same integrity verification as a booted one (the clone is
+    exact — including its randomization). *)
 
 val verify_restored : Vmm.boot_result -> Imk_guest.Runtime.verify_stats
 (** Run the guest's integrity walk on a restored clone. *)

@@ -277,6 +277,7 @@ type mem_op =
   | Set_addr of int * int
   | Zero of int * int
   | Copy of int * int * int  (** src, dst, len *)
+  | Validated of int * int * int  (** pa, len, pattern: one validated run *)
 
 let model_size = (3 * chunk) + 12_345
 
@@ -287,6 +288,7 @@ let show_op = function
   | Set_addr (pa, v) -> Printf.sprintf "set_addr %#x %#x" pa v
   | Zero (pa, len) -> Printf.sprintf "zero %#x+%d" pa len
   | Copy (src, dst, len) -> Printf.sprintf "copy %#x -> %#x +%d" src dst len
+  | Validated (pa, len, p) -> Printf.sprintf "validated %#x+%d /%d" pa len p
 
 let gen_op =
   let open QCheck.Gen in
@@ -307,6 +309,7 @@ let gen_op =
       (2, map2 (fun a v -> Set_addr (a, v)) pa (int_bound (1 lsl 60)));
       (1, map2 (fun a l -> Zero (a, l)) pa len);
       (2, map3 (fun s d l -> Copy (s, d, l)) pa pa len);
+      (1, map3 (fun a l p -> Validated (a, l, p)) pa len (int_range 1 255));
     ]
 
 let sub_src = Bytes.init (chunk + 8192) (fun i -> Char.chr (((i * 131) + 7) land 255))
@@ -398,6 +401,20 @@ let step m model slots op =
         Bytes.blit model src model dst len;
         touched dst len
       end
+  | Validated (pa, len, p) ->
+      (* a run must stay inside one chunk; one that would cross is skipped *)
+      let len = clip pa len in
+      if not (fits pa len && Guest_mem.valid m ~pa ~len) then slots
+      else begin
+        Guest_mem.with_validated_range m ~pa ~len (fun store base ->
+            for i = 0 to len - 1 do
+              Bytes.set store (pa - base + i) (Char.chr ((p + (i * 11)) land 255))
+            done);
+        for i = 0 to len - 1 do
+          Bytes.set model (pa + i) (Char.chr ((p + (i * 11)) land 255))
+        done;
+        touched pa len
+      end
 
 (* every read accessor at every probe, the whole guest, its CRC and the
    dirty ranges must equal the model's *)
@@ -469,6 +486,90 @@ let qcheck_chunked_matches_flat_model =
            Bytes.fill model 0 model_size '\000';
            agrees m model []
          end)
+
+(* copy-on-write clones of one image: an image frozen from a random
+   guest, two clones of it driven by interleaved random ops and scrubs.
+   Each clone must match its own flat model throughout, a scrubbed clone
+   must read all-zero with no dirty range, and a fresh clone taken at the
+   end must still read as the image and carry its dirty ranges: no write,
+   zero, copy, validated run or scrub on one clone may reach the image or
+   its sibling. *)
+type clone_op = On of int * mem_op | Scrub of int
+
+let show_clone_op = function
+  | On (c, op) -> Printf.sprintf "%c: %s" "ab".[c] (show_op op)
+  | Scrub c -> Printf.sprintf "%c: scrub" "ab".[c]
+
+let gen_clone_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (8, map2 (fun c op -> On (c, op)) (int_bound 1) gen_op);
+      (1, map (fun c -> Scrub c) (int_bound 1));
+    ]
+
+let qcheck_clones_isolated =
+  QCheck.Test.make ~count:40
+    ~name:"guest_mem: copy-on-write clones = own flat models, image unchanged"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list show_op) (list show_clone_op))
+       QCheck.Gen.(pair (list_size (1 -- 12) gen_op) (list_size (1 -- 24) gen_clone_op)))
+    (fun (base, ops) ->
+      let g = Guest_mem.create ~size:model_size in
+      let image_model = Bytes.make model_size '\000' in
+      ignore (List.fold_left (fun slots op -> step g image_model slots op) [] base);
+      let frames =
+        List.rev
+          (Guest_mem.fold_dirty_ranges g ~init:[] ~f:(fun acc ~lo ~hi ->
+               (lo, Guest_mem.read_bytes g ~pa:lo ~len:(hi - lo), 0, hi - lo) :: acc))
+      in
+      let img = Guest_mem.image ~size:model_size frames in
+      (* the frames are disjoint merged ranges, each one tracker slot *)
+      let image_slots = List.map (fun (lo, _, _, len) -> (lo, lo + len)) frames in
+      let clones =
+        Array.init 2 (fun _ -> (Guest_mem.of_image img, Bytes.copy image_model))
+      in
+      let slots = Array.make 2 image_slots in
+      (* the cheap half of [agrees], for the checks between ops *)
+      let reads_as m model slots =
+        Bytes.equal (Guest_mem.read_bytes m ~pa:0 ~len:model_size) model
+        && List.rev
+             (Guest_mem.fold_dirty_ranges m ~init:[] ~f:(fun acc ~lo ~hi ->
+                  (lo, hi) :: acc))
+           = merged slots
+      in
+      let image_intact () =
+        reads_as (Guest_mem.of_image img) image_model image_slots
+      in
+      let scrub c =
+        let m, model = clones.(c) in
+        Guest_mem.scrub m;
+        Bytes.fill model 0 model_size '\000';
+        slots.(c) <- [];
+        Guest_mem.dirty_extent m = None && reads_as m model []
+      in
+      let ok =
+        List.for_all
+          (function
+            | On (c, op) ->
+                let m, model = clones.(c) in
+                slots.(c) <- step m model slots.(c) op;
+                true
+            | Scrub c -> scrub c)
+          ops
+      in
+      let agree c =
+        let m, model = clones.(c) in
+        agrees m model slots.(c)
+      in
+      ok && agree 0 && agree 1 && image_intact () && scrub 0 && scrub 1
+      && begin
+           (* writes after a scrub land in private chunks too *)
+           let m, model = clones.(0) in
+           slots.(0) <- List.fold_left (fun sl op -> step m model sl op) [] base;
+           agree 0
+         end
+      && image_intact ())
 
 (* --- arena: recycled guest memory must be indistinguishable from a
    fresh create --- *)
@@ -725,6 +826,7 @@ let () =
           Alcotest.test_case "identical kernel pages" `Quick
             test_identical_kernel_pages;
           Testkit.to_alcotest qcheck_chunked_matches_flat_model;
+          Testkit.to_alcotest qcheck_clones_isolated;
         ] );
       ( "arena",
         [

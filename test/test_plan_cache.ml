@@ -324,6 +324,75 @@ let test_payload_memo_content_addressed () =
                (Bytes.sub u.Bz.image bz.Bz.vmlinux_len bz.Bz.relocs_len)))
     [ "gzip"; "lz4" ]
 
+(* a decoded snapshot lives in the plan cache like a boot plan: warm
+   restores of one blob hit it and clone its chunk image. A bit-flipped
+   or truncated blob is new content: it fails typed on every restore
+   (the supervisor falls back to a cold boot) and stores nothing, so the
+   pristine blob, back on disk as a fresh copy, hits the same decoded
+   snapshot again *)
+let test_snapshot_memo_content_addressed () =
+  let module S = Imk_harness.Boot_supervisor in
+  let env = Testkit.make_env () in
+  let t = PC.create () in
+  let path = "base.snapshot" in
+  let vm =
+    Vm_config.make ~rando:Vm_config.Rando_kaslr
+      ~relocs_path:(Some (Testkit.relocs_path env))
+      ~kernel_path:(Testkit.vmlinux_path env) ~kernel_config:env.Testkit.cfg
+      ~mem_bytes:(64 * 1024 * 1024) ~seed:0L ()
+  in
+  let pristine = Snapshot.serialize (Snapshot.capture (snd (Testkit.boot env ~seed:404L))) in
+  let disk = Testkit.pristine_disk env in
+  let restore blob ~seed =
+    Imk_storage.Disk.add disk ~name:path blob;
+    let ctx = S.plain_ctx ~plans:t (Imk_storage.Page_cache.create disk) in
+    S.supervise_snapshot ~seed ~ctx ~snapshot_path:path ~working_set_pages:64 vm
+  in
+  let imaged blob =
+    Snapshot.image_built (Snapshot.load_cached (Some t) ~path ~config:vm blob)
+  in
+  let clean label (r : S.report) =
+    check bool (label ^ ": restored, no events") true
+      (Result.is_ok r.S.outcome && r.S.events = [] && r.S.attempts = 1)
+  in
+  (* the kernel's own plans are built by a cold boot first, so the
+     build count below moves only with snapshots *)
+  ignore (S.supervise ~seed:1L ~ctx:(S.plain_ctx ~plans:t (Imk_storage.Page_cache.create disk)) vm);
+  clean "first restore" (restore pristine ~seed:1L);
+  check bool "the cached snapshot holds its image" true (imaged pristine);
+  let hits0, builds0 = PC.stats t in
+  let expected = restore pristine ~seed:2L in
+  clean "warm restore" expected;
+  let hits1, builds1 = PC.stats t in
+  check int "warm restore hits" (hits0 + 1) hits1;
+  check int "warm restore builds nothing" builds0 builds1;
+  List.iter
+    (fun (label, corrupt) ->
+      let _, builds = PC.stats t in
+      for seed = 3 to 4 do
+        let r = restore corrupt ~seed:(Int64.of_int seed) in
+        (match r.S.events with
+        | Imk_fault.Failure.Fell_back_to_cold_boot
+            (Imk_fault.Failure.Decode_error _)
+          :: _ ->
+            ()
+        | _ -> Alcotest.failf "%s: restored without a typed failure" label);
+        match Snapshot.load_cached (Some t) ~path ~config:vm corrupt with
+        | _ -> Alcotest.failf "%s: a corrupt blob loaded" label
+        | exception Snapshot.Corrupt _ -> ()
+      done;
+      check int (label ^ ": nothing stored") builds (snd (PC.stats t));
+      let copy = Bytes.copy pristine in
+      let r = restore copy ~seed:2L in
+      clean (label ^ ": pristine again") r;
+      check bool (label ^ ": pristine hits the image") true (imaged copy);
+      check int (label ^ ": pristine builds nothing") builds (snd (PC.stats t));
+      check bool (label ^ ": same report") true (r = expected))
+    [
+      ("bit flip", Imk_fault.Inject.flip_one_bit ~seed:17 (Bytes.copy pristine));
+      ("truncation", Testkit.truncated pristine);
+    ]
+
 (* ---------- immutability and disk integrity ---------- *)
 
 let crc b = Imk_util.Crc.crc32 b 0 (Bytes.length b)
@@ -395,6 +464,8 @@ let () =
             test_supervised_campaign_with_shared_plans;
           Alcotest.test_case "decoded payload content-addressed" `Quick
             test_payload_memo_content_addressed;
+          Alcotest.test_case "decoded snapshot content-addressed" `Quick
+            test_snapshot_memo_content_addressed;
         ] );
       ( "integrity",
         [

@@ -66,6 +66,35 @@ let test_capture_leaves_tracker_untouched () =
   check Alcotest.bool "scrub stays below a whole-guest re-zero" true
     (dirty_bytes < Imk_memory.Guest_mem.size r.Vmm.mem)
 
+let test_restore_is_cow_clone () =
+  let _, _, r = booted () in
+  let snap = Snapshot.capture r in
+  let blob = Snapshot.serialize snap in
+  let restore () =
+    let _, ch = Imk_vclock.Charge.fresh () in
+    Snapshot.restore ch snap ~working_set_pages:64
+  in
+  check Alcotest.bool "no image before a restore" false
+    (Snapshot.image_built snap);
+  let a = restore () in
+  check Alcotest.bool "the first restore builds the image" true
+    (Snapshot.image_built snap);
+  (* the clone is dirty exactly where the captured boot was *)
+  check Alcotest.bool "clone dirty ranges = the boot's" true
+    (dirty_ranges a.Vmm.mem = dirty_ranges r.Vmm.mem);
+  (* wreck one clone: neither the image nor a later clone sees it *)
+  let phys_load = r.Vmm.params.Imk_guest.Boot_params.phys_load in
+  Imk_memory.Guest_mem.zero a.Vmm.mem ~pa:phys_load ~len:(64 * 1024);
+  Imk_memory.Guest_mem.scrub a.Vmm.mem;
+  let b = restore () in
+  check int "a later clone verifies" 50
+    b.Vmm.stats.Imk_guest.Runtime.functions_visited;
+  check Alcotest.bool "a later clone re-captures byte-identically" true
+    (Bytes.equal blob (Snapshot.serialize (Snapshot.capture b)));
+  check Alcotest.bool "the wrecked clone scrubbed to zero" true
+    (Imk_memory.Guest_mem.dirty_extent a.Vmm.mem = None
+    && Imk_memory.Guest_mem.get_i64 a.Vmm.mem ~pa:phys_load = 0L)
+
 let test_restore_cheaper_than_boot () =
   let _, boot_trace, r = booted () in
   let snap = Snapshot.capture r in
@@ -142,6 +171,45 @@ let test_load_rejects_bad_magic () =
   Bytes.set blob 0 'X';
   expect_corrupt "bad magic" (fun () -> Snapshot.load ~config blob)
 
+(* a CRC-valid blob whose header claims another guest size: [fields]
+   are the header offsets rewritten (32: the boot parameters' memory
+   size, 100: the guest size the frames reconstruct) *)
+let claiming blob ~fields size =
+  let b = Bytes.copy blob in
+  List.iter (fun off -> Imk_util.Byteio.set_addr b off size) fields;
+  let n = Bytes.length b in
+  Imk_util.Byteio.set_u32 b (n - 4) (Imk_util.Crc.crc32 b 0 (n - 4));
+  b
+
+let test_load_rejects_size_claims () =
+  let blob, config = Lazy.force snapshot_fixture in
+  let size = config.Vm_config.mem_bytes in
+  let restore config b =
+    let _, ch = Imk_vclock.Charge.fresh () in
+    Snapshot.restore ch (Snapshot.load ~config b) ~working_set_pages:64
+  in
+  let rejected name f =
+    match f () with
+    | (_ : Vmm.boot_result) -> Alcotest.failf "%s: restored" name
+    | exception (Snapshot.Corrupt _ as e) ->
+        check Alcotest.bool (name ^ ": classified") true
+          (Imk_fault.Failure.classify e <> None)
+  in
+  List.iter
+    (fun claim ->
+      rejected
+        (Printf.sprintf "claims %d bytes" claim)
+        (fun () -> restore config (claiming blob ~fields:[ 32; 100 ] claim)))
+    [ 1 lsl 61; max_int; 1 lsl 40; 2 * size ];
+  rejected "header sizes disagree" (fun () ->
+      restore
+        { config with Vm_config.mem_bytes = 2 * size }
+        (claiming blob ~fields:[ 100 ] (2 * size)));
+  rejected "config of another size" (fun () ->
+      restore { config with Vm_config.mem_bytes = size / 2 } blob);
+  check int "the pristine blob still restores" 50
+    (restore config blob).Vmm.stats.Imk_guest.Runtime.functions_visited
+
 let test_layout_seed_distinguishes () =
   let env = Testkit.make_env ~functions:50 () in
   let _, a = Testkit.boot env ~seed:1L in
@@ -215,6 +283,8 @@ let () =
           Alcotest.test_case "capture is deep" `Quick test_capture_is_deep;
           Alcotest.test_case "capture leaves tracker untouched" `Quick
             test_capture_leaves_tracker_untouched;
+          Alcotest.test_case "restore is a copy-on-write clone" `Quick
+            test_restore_is_cow_clone;
           Alcotest.test_case "restore cheaper than boot" `Quick
             test_restore_cheaper_than_boot;
           Alcotest.test_case "working-set cost" `Quick
@@ -230,6 +300,8 @@ let () =
             test_load_rejects_truncation;
           Alcotest.test_case "bad magic rejected" `Quick
             test_load_rejects_bad_magic;
+          Alcotest.test_case "guest size claims rejected" `Quick
+            test_load_rejects_size_claims;
           Testkit.to_alcotest qcheck_load_rejects_bit_flips;
         ] );
       ( "zygote",
