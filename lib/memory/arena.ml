@@ -1,14 +1,14 @@
 (* Guest-memory arena: recycle Guest_mem buffers across boots.
 
    Guest memory is sparse, so a fresh guest is cheap; a recycled one also
-   brings the 2 MiB chunks its last scrub parked on its spare list, so a
-   boot into it allocates no guest memory (the virtual clock charges for
-   zeroing stay with the boot path — this pool only removes *real*
-   allocation work, per the "virtual time, real work" rule). Buffers are
-   scrubbed on release, so a borrowed buffer is indistinguishable from a
-   fresh [Guest_mem.create]: all-zero, empty dirty extent, no bytes from
-   the previous tenant. Firecracker wins the same way by recycling microVM
-   resources across instantiations.
+   brings the 64 KiB storage chunks its last scrub parked on its spare
+   list, so a boot into it allocates no guest memory (the virtual clock
+   charges for zeroing stay with the boot path — this pool only removes
+   *real* allocation work, per the "virtual time, real work" rule).
+   Buffers are scrubbed on release, so a borrowed buffer is
+   indistinguishable from a fresh [Guest_mem.create]: all-zero, empty
+   dirty extent, no bytes from the previous tenant. Firecracker wins the
+   same way by recycling microVM resources across instantiations.
 
    The pool is shared between domains (the harness fans boots out over a
    domain pool), so the free lists live behind a mutex. Scrubbing happens

@@ -5,9 +5,9 @@
     borrow their guest memory here; the plain repeated-boot runners give
     each boot a fresh guest instead. Guest memory is sparse, so a fresh
     [Guest_mem.create] is cheap; what a recycled guest still saves is its
-    chunks and its tracker. A boot
-    allocates a 2 MiB chunk on each first write; a recycled guest takes
-    those from the spare list its last {!Guest_mem.scrub} filled, so
+    chunks and its tracker. A boot allocates a 64 KiB storage chunk on
+    each first write; a recycled guest takes those from the spare list
+    its last {!Guest_mem.scrub} filled, so
     after warm-up a boot allocates no guest memory at all. The arena
     scrubs only the released guest's dirty ranges (the bytes the previous
     boot wrote), so a recycled buffer is observably identical to a fresh

@@ -1,21 +1,29 @@
-(* Guest memory is a table of fixed 2 MiB chunks (Linux's
-   CONFIG_PHYSICAL_ALIGN), each allocated on its first write. A boot
-   writes a few MiB of a 256 MiB guest, so allocating and zeroing the
-   whole guest up front costs ~100x the data the boot moves.
+(* Guest memory is a table of 64 KiB storage chunks, each allocated on
+   its first write. A boot writes a few MiB of a 256 MiB guest, so
+   allocating and zeroing the whole guest up front costs ~100x the data
+   the boot moves; a 64 KiB chunk keeps what a guest allocates and zeroes
+   close to the bytes it writes (a 112-byte zero page costs one chunk).
+   The storage chunk is not the relocation run: [Kaslr.apply] still ends
+   its runs at 2 MiB (CONFIG_PHYSICAL_ALIGN) edges, and a run's storage
+   edges only split its store lookups.
 
    A chunk is either owned by the guest or shared: read-only and owned
    by someone else. An absent chunk is [zero_chunk], the one all-zero
    chunk every guest shares; a copy-on-write clone ({!of_image}) starts
-   out sharing every chunk of a frozen image. No write path ever hands
+   out sharing every chunk of a frozen image, and the image's table as
+   well, which it copies on its first write. No write path ever hands
    out a shared chunk: every mutator goes through [writable], which
    first takes a private copy, so a shared chunk is never written and
    reads never branch on ownership. Only the last chunk may be short
    (sub-chunk test guests); an absent short chunk is still [zero_chunk],
    read only up to [size]. *)
-let chunk_bits = 21
+let chunk_bits = 16
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 let zero_chunk = Bytes.make chunk_size '\000'
+
+(* the [base] of a guest that shares no image chunk *)
+let no_base : bytes array = [||]
 
 (* Dirty bytes are tracked as a small bounded set of disjoint-ish ranges
    rather than one envelope: a KASLR boot writes bootinfo pages low in the
@@ -27,9 +35,17 @@ let max_ranges = 8
 
 type t = {
   size : int;
-  chunks : bytes array;  (* [zero_chunk], physically, where absent *)
-  owned : bool array;  (* false: [chunks.(i)] is shared, never written *)
-  mutable spare : bytes list;  (* all-zero full chunks released by [scrub] *)
+  mutable chunks : bytes array;
+      (* [zero_chunk], physically, where absent; a clone's is its image's
+         table, physically, until the clone's first write *)
+  mutable base : bytes array;
+      (* the image table a clone was made from, or [no_base]: chunk [i] is
+         owned iff it is neither [zero_chunk] nor [base.(i)] *)
+  mutable spare : bytes array;
+      (* a stack of all-zero full chunks released by [scrub]: the first
+         [nspare] slots; an array, so parking a chunk allocates nothing
+         once the stack has grown *)
+  mutable nspare : int;
   range_lo : int array;  (* [max_ranges] slots; first [nranges] are live *)
   range_hi : int array;  (* one past the highest byte of each range *)
   mutable nranges : int;
@@ -46,8 +62,9 @@ let create ~size =
   {
     size;
     chunks = Array.make (nchunks size) zero_chunk;
-    owned = Array.make (nchunks size) false;
-    spare = [];
+    base = no_base;
+    spare = [||];
+    nspare = 0;
     range_lo = Array.make max_ranges 0;
     range_hi = Array.make max_ranges 0;
     nranges = 0;
@@ -59,26 +76,30 @@ let check t pa len what =
   if pa < 0 || len < 0 || pa + len > t.size then
     fault "%s at %#x+%d outside guest memory of %d bytes" what pa len t.size
 
+let owned t i c = c != zero_chunk && (t.base == no_base || c != t.base.(i))
+
 (* chunk [i]'s private store, materialized on the first write: a spare
    chunk (zeroed by [scrub]) if one is there, else a fresh one, holding a
-   copy of the shared chunk it replaces *)
+   copy of the shared chunk it replaces. A clone's first write copies the
+   image's table before it stores into it. *)
 let writable t i =
-  if t.owned.(i) then t.chunks.(i)
+  let c = t.chunks.(i) in
+  if owned t i c then c
   else begin
-    let shared = t.chunks.(i) in
+    if t.chunks == t.base then t.chunks <- Array.copy t.base;
     let len = Int.min chunk_size (t.size - (i lsl chunk_bits)) in
-    let c =
-      match t.spare with
-      | c :: rest when len = chunk_size ->
-          t.spare <- rest;
-          if shared != zero_chunk then Bytes.blit shared 0 c 0 len;
-          c
-      | _ when shared == zero_chunk -> Bytes.make len '\000'
-      | _ -> Bytes.copy shared
+    let p =
+      if t.nspare > 0 && len = chunk_size then begin
+        t.nspare <- t.nspare - 1;
+        let s = t.spare.(t.nspare) in
+        if c != zero_chunk then Bytes.blit c 0 s 0 len;
+        s
+      end
+      else if c == zero_chunk then Bytes.make len '\000'
+      else Bytes.copy c
     in
-    t.chunks.(i) <- c;
-    t.owned.(i) <- true;
-    c
+    t.chunks.(i) <- p;
+    p
   end
 
 (* [pieces pa len f] calls [f chunk off pos n] for each chunk-local piece
@@ -115,49 +136,50 @@ let blit_out t pa dst dst_off len =
         Bytes.blit t.chunks.(i) off dst (dst_off + pos) n)
 
 (* every mutation lands in some dirty range; scrubbing only has to erase
-   the bytes a boot actually touched, not the whole guest *)
+   the bytes a boot actually touched, not the whole guest. A plain loop,
+   not a local recursive function: without flambda that would allocate a
+   closure on every write. *)
 let touch t pa len =
   if len > 0 then begin
     let lo = pa and hi = pa + len in
     let n = t.nranges in
-    let rec grow j =
-      if j >= n then false
-      else if lo <= t.range_hi.(j) && hi >= t.range_lo.(j) then begin
-        (* overlaps or abuts range [j]: widen it in place. The widened
-           range may now overlap a sibling; scrub just fills a few bytes
-           twice, which costs less than re-normalizing on every write. *)
-        if lo < t.range_lo.(j) then t.range_lo.(j) <- lo;
-        if hi > t.range_hi.(j) then t.range_hi.(j) <- hi;
-        true
-      end
-      else grow (j + 1)
-    in
-    if not (grow 0) then
-      if n < max_ranges then begin
-        t.range_lo.(n) <- lo;
-        t.range_hi.(n) <- hi;
-        t.nranges <- n + 1
-      end
-      else begin
-        (* out of slots: fold into the nearest range, over-approximating
-           the dirty set (never under — recycled buffers must come back
-           all-zero) while bounding tracker size *)
-        let best = ref 0 and best_gap = ref max_int in
-        for j = 0 to n - 1 do
-          let gap =
-            if lo > t.range_hi.(j) then lo - t.range_hi.(j)
-            else if hi < t.range_lo.(j) then t.range_lo.(j) - hi
-            else 0
-          in
-          if gap < !best_gap then begin
-            best_gap := gap;
-            best := j
-          end
-        done;
-        let j = !best in
-        if lo < t.range_lo.(j) then t.range_lo.(j) <- lo;
-        if hi > t.range_hi.(j) then t.range_hi.(j) <- hi
-      end
+    let j = ref 0 in
+    while !j < n && not (lo <= t.range_hi.(!j) && hi >= t.range_lo.(!j)) do
+      incr j
+    done;
+    if !j < n then begin
+      (* overlaps or abuts range [j]: widen it in place. The widened range
+         may now overlap a sibling; scrub just fills a few bytes twice,
+         which costs less than re-normalizing on every write. *)
+      let j = !j in
+      if lo < t.range_lo.(j) then t.range_lo.(j) <- lo;
+      if hi > t.range_hi.(j) then t.range_hi.(j) <- hi
+    end
+    else if n < max_ranges then begin
+      t.range_lo.(n) <- lo;
+      t.range_hi.(n) <- hi;
+      t.nranges <- n + 1
+    end
+    else begin
+      (* out of slots: fold into the nearest range, over-approximating
+         the dirty set (never under — recycled buffers must come back
+         all-zero) while bounding tracker size *)
+      let best = ref 0 and best_gap = ref max_int in
+      for j = 0 to n - 1 do
+        let gap =
+          if lo > t.range_hi.(j) then lo - t.range_hi.(j)
+          else if hi < t.range_lo.(j) then t.range_lo.(j) - hi
+          else 0
+        in
+        if gap < !best_gap then begin
+          best_gap := gap;
+          best := j
+        end
+      done;
+      let j = !best in
+      if lo < t.range_lo.(j) then t.range_lo.(j) <- lo;
+      if hi > t.range_hi.(j) then t.range_hi.(j) <- hi
+    end
   end
 
 let dirty_extent t =
@@ -174,35 +196,59 @@ let dirty_extent t =
 (* zeroing an absent chunk is a no-op: it is all zero already. Any
    other shared chunk is copied first, never filled in place *)
 let fill_chunk t i off n =
-  if t.owned.(i) then Bytes.fill t.chunks.(i) off n '\000'
-  else if t.chunks.(i) != zero_chunk then Bytes.fill (writable t i) off n '\000'
+  if t.chunks.(i) != zero_chunk then Bytes.fill (writable t i) off n '\000'
 
 let fill_zero t pa len =
   if one_chunk pa len then
     fill_chunk t (pa lsr chunk_bits) (pa land chunk_mask) len
   else pieces pa len (fun i off _ n -> fill_chunk t i off n)
 
+(* the chunks of dirty range [j]: every owned chunk lies in one, since
+   only a tracked write materializes a chunk and a clone's shared chunks
+   hold only its image's frames, which its tracker covers too *)
+let first_chunk t j = t.range_lo.(j) lsr chunk_bits
+let last_chunk t j = (t.range_hi.(j) - 1) lsr chunk_bits
+
+let push_spare t c =
+  if t.nspare = Array.length t.spare then begin
+    let grown = Array.make (Int.max 8 (2 * t.nspare)) zero_chunk in
+    Array.blit t.spare 0 grown 0 t.nspare;
+    t.spare <- grown
+  end;
+  t.spare.(t.nspare) <- c;
+  t.nspare <- t.nspare + 1
+
 let scrub t =
   (* a shared chunk is not ours to fill or to recycle: drop it first, so
-     the fill below zeroes owned chunks only *)
-  Array.iteri
-    (fun i _ -> if not t.owned.(i) then t.chunks.(i) <- zero_chunk)
-    t.chunks;
+     the fill below zeroes owned chunks only. A clone that never wrote
+     still holds its image's table, which it may not write either. *)
+  if t.base != no_base then begin
+    if t.chunks == t.base then
+      t.chunks <- Array.make (Array.length t.base) zero_chunk
+    else
+      for j = 0 to t.nranges - 1 do
+        for i = first_chunk t j to last_chunk t j do
+          if t.chunks.(i) == t.base.(i) then t.chunks.(i) <- zero_chunk
+        done
+      done;
+    t.base <- no_base
+  end;
   for j = 0 to t.nranges - 1 do
     fill_zero t t.range_lo.(j) (t.range_hi.(j) - t.range_lo.(j))
   done;
-  t.nranges <- 0;
   (* every written byte was in a dirty range, so every chunk is zero
      again: park the full ones for the next writes, wherever they land. A
      short last chunk stays put; no other chunk has its length. *)
-  Array.iteri
-    (fun i c ->
-      if t.owned.(i) && Bytes.length c = chunk_size then begin
-        t.spare <- c :: t.spare;
-        t.chunks.(i) <- zero_chunk;
-        t.owned.(i) <- false
-      end)
-    t.chunks
+  for j = 0 to t.nranges - 1 do
+    for i = first_chunk t j to last_chunk t j do
+      let c = t.chunks.(i) in
+      if c != zero_chunk && Bytes.length c = chunk_size then begin
+        push_spare t c;
+        t.chunks.(i) <- zero_chunk
+      end
+    done
+  done;
+  t.nranges <- 0
 
 let write_bytes t ~pa b =
   check t pa (Bytes.length b) "write";
@@ -228,12 +274,16 @@ let image ~size frames =
     frames;
   t
 
+(* the clone shares the image's table and records it as its [base]:
+   O(1) to make whatever the guest's size, and every chunk starts out
+   shared *)
 let of_image (img : image) =
   {
     size = img.size;
-    chunks = Array.copy img.chunks;
-    owned = Array.make (Array.length img.chunks) false;
-    spare = [];
+    chunks = img.chunks;
+    base = img.chunks;
+    spare = [||];
+    nspare = 0;
     range_lo = Array.copy img.range_lo;
     range_hi = Array.copy img.range_hi;
     nranges = img.nranges;
@@ -300,21 +350,17 @@ let zero t ~pa ~len =
   touch t pa len;
   fill_zero t pa len
 
-let crosses_chunk pa len =
-  len > 0 && pa lsr chunk_bits <> (pa + len - 1) lsr chunk_bits
+let valid t ~pa ~len = pa >= 0 && len >= 0 && pa + len <= t.size
 
-let valid t ~pa ~len =
-  pa >= 0 && len >= 0 && pa + len <= t.size && not (crosses_chunk pa len)
-
+(* one bounds check and one tracker update for the whole range, then one
+   store lookup per chunk it overlaps *)
 let with_validated_range t ~pa ~len f =
   check t pa len "validated run";
-  if crosses_chunk pa len then
-    fault "validated run at %#x+%d crosses a %d-byte chunk edge" pa len
-      chunk_size;
   touch t pa len;
-  (* an empty run at the very end of the guest names the last chunk *)
-  let i = Int.min (pa lsr chunk_bits) (Array.length t.chunks - 1) in
-  f (writable t i) (i lsl chunk_bits)
+  if len > 0 then
+    for i = pa lsr chunk_bits to (pa + len - 1) lsr chunk_bits do
+      f (writable t i) (i lsl chunk_bits)
+    done
 
 (* --- scalar accessors: one chunk lookup when the value lies inside one
    chunk (always, for aligned values); a value straddling a chunk edge

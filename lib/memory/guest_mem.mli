@@ -2,9 +2,13 @@
 
     The memory a VMM allocates for a microVM, addressed by guest-physical
     address starting at 0. It is stored as a table of fixed
-    {!chunk_size} (2 MiB, Linux's CONFIG_PHYSICAL_ALIGN) chunks, each
-    allocated on its first write: a boot writes a few MiB of a 256 MiB
-    guest, so {!create} allocates only the table. An absent chunk is one
+    {!chunk_size} (64 KiB) storage chunks, each allocated on its first
+    write: a boot writes a few MiB of a 256 MiB guest, so {!create}
+    allocates only the table, and a guest allocates and zeroes only the
+    64 KiB neighbourhoods of the bytes it writes. The storage chunk is
+    not the relocation run: batch writers choose their own runs (a 2 MiB
+    relocation run in [Kaslr.apply]), and {!with_validated_range} splits
+    a run's store lookups at storage-chunk edges. An absent chunk is one
     shared, read-only, all-zero chunk, so reads never ask whether a chunk
     is there; only writes materialize one (and {!zero} on an absent chunk
     allocates nothing). {!scrub} moves every materialized chunk to the
@@ -19,7 +23,8 @@
     invariant: a shared chunk is never written. The first write to one
     copies it into a private chunk (a spare, or a fresh one); {!scrub}
     drops a shared chunk back to all-zero without filling it and never
-    parks it on the spare list.
+    parks it on the spare list. A clone shares its image's chunk table
+    too, until its first write copies it.
 
     All accesses are bounds-checked: an out-of-range access is a guest
     triple-fault in real life and a typed error here. The module is pure
@@ -29,8 +34,8 @@
 type t
 
 val chunk_size : int
-(** 2 MiB: the unit of allocation, and the span no {!with_validated_range}
-    run may cross. *)
+(** 64 KiB: the storage chunk, the unit of allocation. A
+    {!with_validated_range} run may span several. *)
 
 exception Fault of string
 (** Raised on out-of-bounds access, with a description of the access. *)
@@ -75,7 +80,9 @@ val image : size:int -> (int * bytes * int * int) list -> image
 val of_image : image -> t
 (** [of_image img] is a copy-on-write clone of [img]: it reads as the
     image, shares every chunk with it until the clone's first write to
-    that chunk, and costs O(chunks) to make. Its dirty ranges are those
+    that chunk. It shares the image's chunk table too, until its first
+    write of any chunk copies the table, so making one costs the same
+    whatever the guest's size. Its dirty ranges are those
     the image's frames dirtied, so {!fold_dirty_ranges}, {!scrub} and a
     snapshot capture see exactly what writing the frames into a fresh
     guest would have left. Writes, {!zero} and {!scrub} on a clone never
@@ -97,25 +104,27 @@ val zero : t -> pa:int -> len:int -> unit
 
 val valid : t -> pa:int -> len:int -> bool
 (** [valid t ~pa ~len] is true when [\[pa, pa+len)] lies inside guest
-    memory and inside one chunk — the test a batch caller runs before
-    committing to {!with_validated_range}, falling back to per-site
-    checked accessors (and their per-site error messages) when it
-    fails. *)
+    memory — the test a batch caller runs before committing to
+    {!with_validated_range}, falling back to per-site checked accessors
+    (and their per-site error messages) when it fails. *)
 
 val with_validated_range :
-  t -> pa:int -> len:int -> (bytes -> int -> 'a) -> 'a
+  t -> pa:int -> len:int -> (bytes -> int -> unit) -> unit
 (** [with_validated_range t ~pa ~len f] bounds-checks and dirties
-    [\[pa, pa+len)] once, then calls [f store base] with the store of the
-    one chunk holding the range and that chunk's guest-physical base
-    address, for direct [Imk_util.Byteio] access at [pa - base] — one
-    check + one dirty-tracker update for a whole run of nearby sites
-    instead of one per access. The contract is the audited
-    unsafe-after-validation pattern (DESIGN.md §4): [f] must confine
-    every write to the validated range, or the dirty-extent tracker goes
-    dishonest and scrubbed chunks come back with stale bytes. Raises
-    {!Fault} if the range is out of bounds or crosses a chunk edge.
-    Reads outside the range are harmless to the tracker but get no
-    bounds protection beyond the chunk's own. *)
+    [\[pa, pa+len)] once, then calls [f store base] once per storage
+    chunk the range overlaps, in address order, with that chunk's store
+    and guest-physical base address, for direct [Imk_util.Byteio] access
+    at [pa - base] — one check + one dirty-tracker update for a whole run
+    of nearby sites instead of one per access; storage-chunk edges only
+    split the store lookups. An empty range calls [f] never. The contract
+    is the audited unsafe-after-validation pattern (DESIGN.md §4): [f]
+    must confine every write to the validated range, or the dirty-extent
+    tracker goes dishonest and scrubbed chunks come back with stale
+    bytes. A value straddling a storage-chunk edge is in neither store
+    whole; [f] may write it through the checked accessors. Raises
+    {!Fault} if the range is out of bounds. Reads outside the range are
+    harmless to the tracker but get no bounds protection beyond the
+    chunk's own. *)
 
 val get_u8 : t -> pa:int -> int
 val get_u32 : t -> pa:int -> int

@@ -35,22 +35,27 @@ let delta_new_va ~delta va =
 (* Relocation application is batched: the site arrays arrive sorted by
    link VA, and [site_pa] is piecewise-affine (constant offset for
    KASLR, per-section offsets under FGKASLR), so consecutive sites map
-   to monotone stretches of guest-physical addresses. Each stretch pays
-   one Guest_mem bounds check + dirty-tracker update via
-   [with_validated_range] and then patches through Imk_util.Byteio on
-   the store of the one guest-memory chunk holding it — instead of a
-   checked read, a checked write and a tracker walk per site, so a
-   stretch also ends at a 2 MiB chunk edge. A stretch that fails
-   validation (a site outside the loaded image — the corrupt-relocs
-   case, or one straddling a chunk edge) is replayed
+   to monotone stretches of guest-physical addresses. Each stretch — a
+   relocation run — pays one Guest_mem bounds check + dirty-tracker
+   update via [with_validated_range] and then patches through
+   Imk_util.Byteio on the stores of the 64 KiB storage chunks holding it
+   — instead of a checked read, a checked write and a tracker walk per
+   site. A run ends at a 2 MiB edge ([Addr.kernel_align]) or at
+   [run_span_max], whichever is first; storage-chunk edges inside a run
+   only split its store lookups, and a site straddling one is patched
+   through the checked accessors. The run rule, not the storage chunk,
+   decides what a run dirties. A run that fails validation (a site
+   outside the loaded image — the corrupt-relocs case) is replayed
    site-by-site through the checked accessors so the per-site error
    messages are exactly those of the unbatched path. *)
 
 let run_span_max = 1 lsl 20
-(* caps the validated span (and so the per-run dirty over-approximation)
-   when sorted sites straddle a sparse region; sites of a healthy image
-   lie inside its already-dirty placed extent, so the tracker outcome is
-   unchanged either way *)
+(* caps the validated span, and with it the per-run dirty
+   over-approximation, when sorted sites straddle a sparse region. A run
+   dirties every byte between its first and last site, so it can dirty an
+   unwritten gap inside the placed image (the loader leaves holes between
+   segments): the run rule is part of the dirty set, and so of snapshot
+   frames and scrub cost *)
 
 let apply ~mem ~relocs ~site_pa ~new_va_of =
   let open Imk_elf.Relocation in
@@ -128,23 +133,30 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
     let n = Array.length sites in
     if n > 0 then begin
       let pas = Array.map site_pa sites in
-      (* the current run is sites [!first, !last]; one closure patches
-         every run, so a run allocates nothing *)
-      let first = ref 0 and last = ref 0 in
-      let patch_run data base =
-        for k = !first to !last do
-          patch_in kind data (pas.(k) - base) sites.(k)
-        done
+      (* the current run is sites [!first, !last], and [!k] the next one
+         to patch; one closure patches every storage chunk of every run,
+         so a run allocates nothing *)
+      let first = ref 0 and last = ref 0 and k = ref 0 in
+      let patch_chunk data base =
+        let edge = base + Guest_mem.chunk_size and last = !last in
+        let j = ref !k in
+        while !j <= last && pas.(!j) < edge do
+          let pa = pas.(!j) in
+          if pa + width <= edge then patch_in kind data (pa - base) sites.(!j)
+          else patch kind sites.(!j);
+          incr j
+        done;
+        k := !j
       in
       while !first < n do
         let lo = pas.(!first) in
         let limit =
-          Int.min (lo + run_span_max) ((lo lor (Guest_mem.chunk_size - 1)) + 1)
+          Int.min (lo + run_span_max) ((lo lor (Addr.kernel_align - 1)) + 1)
         in
         last := !first;
         (* extend while the physical addresses stay strictly forward and
            non-overlapping and the run stays within the span cap and
-           inside [lo]'s chunk *)
+           inside [lo]'s 2 MiB block *)
         while
           !last + 1 < n
           && pas.(!last + 1) >= pas.(!last) + width
@@ -153,8 +165,10 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
           incr last
         done;
         let len = pas.(!last) + width - lo in
-        if Guest_mem.valid mem ~pa:lo ~len then
-          Guest_mem.with_validated_range mem ~pa:lo ~len patch_run
+        if Guest_mem.valid mem ~pa:lo ~len then begin
+          k := !first;
+          Guest_mem.with_validated_range mem ~pa:lo ~len patch_chunk
+        end
         else
           for k = !first to !last do
             try patch kind sites.(k)

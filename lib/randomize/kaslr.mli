@@ -47,9 +47,10 @@ val apply :
     32-bit add with range check, 32-bit inverse subtract.
 
     Sites are patched in table order, batched into monotone physical
-    runs (each inside one 2 MiB guest-memory chunk) that pay one
-    {!Imk_memory.Guest_mem.with_validated_range} bounds check +
-    dirty-tracker update each instead of one per site;
+    runs (each inside one 2 MiB block and at most 1 MiB long) that pay
+    one {!Imk_memory.Guest_mem.with_validated_range} bounds check +
+    dirty-tracker update each instead of one per site, whatever 64 KiB
+    storage chunks they span; a run dirties the gaps between its sites;
     values written, patch order, raised errors and their messages are
     identical to the per-site path (runs that fail validation are
     replayed site-by-site through the checked accessors). *)

@@ -100,7 +100,8 @@ let test_valid_and_validated_range () =
   check Alcotest.bool "oob run faults" true
     (try
        Guest_mem.with_validated_range m ~pa:250 ~len:10 (fun _ ->
-           Alcotest.fail "callback ran on invalid range")
+           Alcotest.fail "callback ran on invalid range");
+       false
      with Guest_mem.Fault _ -> true);
   check Alcotest.bool "nothing dirtied by a faulted run" true
     (Guest_mem.dirty_extent m = None);
@@ -244,16 +245,16 @@ let test_sparse_chunks () =
     (Guest_mem.get_u32 m ~pa:((90 * chunk) + 4));
   check int "a scrubbed chunk reads zero" 0
     (Guest_mem.get_u32 m ~pa:(10 * chunk));
-  (* validated runs are chunk-local *)
+  (* a validated run may span storage chunks: one store per chunk *)
   check Alcotest.bool "run inside a chunk" true
     (Guest_mem.valid m ~pa:(chunk - 8) ~len:8);
-  check Alcotest.bool "run across a chunk edge" false
+  check Alcotest.bool "run across a chunk edge" true
     (Guest_mem.valid m ~pa:(chunk - 4) ~len:8);
-  check Alcotest.bool "crossing run faults" true
-    (try
-       Guest_mem.with_validated_range m ~pa:(chunk - 4) ~len:8 (fun _ _ ->
-           Alcotest.fail "callback ran across a chunk edge")
-     with Guest_mem.Fault _ -> true);
+  let bases = ref [] in
+  Guest_mem.with_validated_range m ~pa:(chunk - 4) ~len:(chunk + 8)
+    (fun _ base -> bases := base :: !bases);
+  check (Alcotest.list int) "crossing run visits each chunk in order"
+    [ 0; chunk; 2 * chunk ] (List.rev !bases);
   Guest_mem.with_validated_range m ~pa:((2 * chunk) + 16) ~len:8
     (fun data base ->
       check int "run hands its chunk's base" (2 * chunk) base;
@@ -402,13 +403,13 @@ let step m model slots op =
         touched dst len
       end
   | Validated (pa, len, p) ->
-      (* a run must stay inside one chunk; one that would cross is skipped *)
+      (* each chunk's store takes the part of the run inside it *)
       let len = clip pa len in
       if not (fits pa len && Guest_mem.valid m ~pa ~len) then slots
       else begin
         Guest_mem.with_validated_range m ~pa ~len (fun store base ->
-            for i = 0 to len - 1 do
-              Bytes.set store (pa - base + i) (Char.chr ((p + (i * 11)) land 255))
+            for a = Int.max pa base to Int.min (pa + len) (base + chunk) - 1 do
+              Bytes.set store (a - base) (Char.chr ((p + ((a - pa) * 11)) land 255))
             done);
         for i = 0 to len - 1 do
           Bytes.set model (pa + i) (Char.chr ((p + (i * 11)) land 255))
@@ -488,24 +489,29 @@ let qcheck_chunked_matches_flat_model =
          end)
 
 (* copy-on-write clones of one image: an image frozen from a random
-   guest, two clones of it driven by interleaved random ops and scrubs.
-   Each clone must match its own flat model throughout, a scrubbed clone
-   must read all-zero with no dirty range, and a fresh clone taken at the
-   end must still read as the image and carry its dirty ranges: no write,
+   guest, three clones of it sharing its chunks and its chunk table. One
+   clone is scrubbed before any write (it must drop the shared table, not
+   clear it); another's first write, straddling a chunk edge, copies the
+   table; then interleaved random ops and scrubs drive all three. Each
+   clone must match its own flat model throughout, a scrubbed clone must
+   read all-zero with no dirty range, and a fresh clone taken at the end
+   must still read as the image and carry its dirty ranges: no write,
    zero, copy, validated run or scrub on one clone may reach the image or
-   its sibling. *)
+   a sibling. *)
 type clone_op = On of int * mem_op | Scrub of int
 
+let nclones = 3
+
 let show_clone_op = function
-  | On (c, op) -> Printf.sprintf "%c: %s" "ab".[c] (show_op op)
-  | Scrub c -> Printf.sprintf "%c: scrub" "ab".[c]
+  | On (c, op) -> Printf.sprintf "%c: %s" "abc".[c] (show_op op)
+  | Scrub c -> Printf.sprintf "%c: scrub" "abc".[c]
 
 let gen_clone_op =
   let open QCheck.Gen in
   frequency
     [
-      (8, map2 (fun c op -> On (c, op)) (int_bound 1) gen_op);
-      (1, map (fun c -> Scrub c) (int_bound 1));
+      (8, map2 (fun c op -> On (c, op)) (int_bound (nclones - 1)) gen_op);
+      (1, map (fun c -> Scrub c) (int_bound (nclones - 1)));
     ]
 
 let qcheck_clones_isolated =
@@ -527,9 +533,9 @@ let qcheck_clones_isolated =
       (* the frames are disjoint merged ranges, each one tracker slot *)
       let image_slots = List.map (fun (lo, _, _, len) -> (lo, lo + len)) frames in
       let clones =
-        Array.init 2 (fun _ -> (Guest_mem.of_image img, Bytes.copy image_model))
+        Array.init nclones (fun _ -> (Guest_mem.of_image img, Bytes.copy image_model))
       in
-      let slots = Array.make 2 image_slots in
+      let slots = Array.make nclones image_slots in
       (* the cheap half of [agrees], for the checks between ops *)
       let reads_as m model slots =
         Bytes.equal (Guest_mem.read_bytes m ~pa:0 ~len:model_size) model
@@ -541,6 +547,14 @@ let qcheck_clones_isolated =
       let image_intact () =
         reads_as (Guest_mem.of_image img) image_model image_slots
       in
+      let clone_reads c =
+        let m, model = clones.(c) in
+        reads_as m model slots.(c)
+      in
+      let on c op =
+        let m, model = clones.(c) in
+        slots.(c) <- step m model slots.(c) op
+      in
       let scrub c =
         let m, model = clones.(c) in
         Guest_mem.scrub m;
@@ -548,21 +562,27 @@ let qcheck_clones_isolated =
         slots.(c) <- [];
         Guest_mem.dirty_extent m = None && reads_as m model []
       in
-      let ok =
-        List.for_all
-          (function
-            | On (c, op) ->
-                let m, model = clones.(c) in
-                slots.(c) <- step m model slots.(c) op;
-                true
-            | Scrub c -> scrub c)
-          ops
-      in
       let agree c =
         let m, model = clones.(c) in
         agrees m model slots.(c)
       in
-      ok && agree 0 && agree 1 && image_intact () && scrub 0 && scrub 1
+      let all f = List.for_all f (List.init nclones Fun.id) in
+      (* a scrub before any write, then a first write that copies the
+         table, each leaving the image and the untouched clone as they
+         were *)
+      scrub 2 && image_intact () && clone_reads 1
+      && begin
+           on 0 (Set_addr (chunk - 4, 0x0102030405060708));
+           clone_reads 0 && clone_reads 1 && clone_reads 2 && image_intact ()
+         end
+      && List.for_all
+           (function
+             | On (c, op) ->
+                 on c op;
+                 true
+             | Scrub c -> scrub c)
+           ops
+      && all agree && image_intact () && all scrub
       && begin
            (* writes after a scrub land in private chunks too *)
            let m, model = clones.(0) in
@@ -570,6 +590,46 @@ let qcheck_clones_isolated =
            agree 0
          end
       && image_intact ())
+
+(* making a clone costs the same whatever the guest's size: it shares
+   the image's chunk table instead of copying it *)
+let test_of_image_allocation () =
+  Testkit.skip_unless_native ();
+  let words size =
+    let img =
+      Guest_mem.image ~size [ (4096, Bytes.make 100 'x', 0, 100) ]
+    in
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Guest_mem.of_image img));
+    Gc.allocated_bytes () -. before
+  in
+  let mib = 1024 * 1024 in
+  check (Alcotest.float 0.) "256 MiB image = 32 MiB image" (words (32 * mib))
+    (words (256 * mib))
+
+(* the dirty tracker's write path allocates nothing, on all three of its
+   branches: widening a slot, taking a free one, folding into the nearest *)
+let test_touch_allocation () =
+  Testkit.skip_unless_native ();
+  let m = Guest_mem.create ~size:(32 * chunk) in
+  let writes () =
+    for r = 0 to 9 do
+      for i = 0 to 15 do
+        (* ten passes over 16 spots two chunks apart: past eight slots
+           the tracker folds, and repeats widen *)
+        Guest_mem.set_u32 m ~pa:((2 * i * chunk) + (r * 8)) (i + r)
+      done
+    done
+  in
+  (* warm up: materialize the chunks, then park them and grow the spare
+     stack; the measured pass starts from an empty tracker and takes
+     every chunk from the spares *)
+  writes ();
+  Guest_mem.scrub m;
+  writes ();
+  Guest_mem.scrub m;
+  check (Alcotest.float 0.) "160 tracked writes, 0 minor words" 0.
+    (Testkit.minor_words writes)
 
 (* --- arena: recycled guest memory must be indistinguishable from a
    fresh create --- *)
@@ -827,6 +887,8 @@ let () =
             test_identical_kernel_pages;
           Testkit.to_alcotest qcheck_chunked_matches_flat_model;
           Testkit.to_alcotest qcheck_clones_isolated;
+          Alcotest.test_case "clone allocation" `Quick test_of_image_allocation;
+          Alcotest.test_case "tracker allocation" `Quick test_touch_allocation;
         ] );
       ( "arena",
         [

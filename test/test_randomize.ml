@@ -285,15 +285,13 @@ let test_batched_fallback_matches_reference () =
     | None -> false);
   check Alcotest.bool "same bytes" true (String.equal bytes_b bytes_r)
 
-let test_chunk_edge_matches_reference () =
-  (* runs must end at a 2 MiB chunk edge: each kind has sites on both
-     sides of its own edge and one site straddling it (its run fails
-     validation and takes the per-site path); all patch byte-identically
-     to the reference, and the abs64 sites left of their edge still
-     patch as one validated run *)
-  let chunk = Guest_mem.chunk_size in
-  let size = (3 * chunk) + 65536 in
-  let around e = List.map (fun d -> (e * chunk) + d) in
+(* each reloc kind has sites on both sides of its own edge ([unit], then
+   [2 * unit], [3 * unit]) and one site straddling it; everything must
+   patch byte-identically to the reference. Returns a test on the batched
+   guest: whether [\[lo, hi)] lies inside one of its dirty ranges. *)
+let edge_case unit =
+  let size = (3 * unit) + 65536 in
+  let around e = List.map (fun d -> (e * unit) + d) in
   let o64 = around 1 [ -40; -16; -4; 8; 16 ] in
   let o32 = around 2 [ -12; -8; -2; 4; 8 ] in
   let oi32 = around 3 [ -12; -8; -1; 4; 32 ] in
@@ -327,11 +325,60 @@ let test_chunk_edge_matches_reference () =
     (Bytes.equal (whole batched) (whole (mk ())));
   check Alcotest.bool "same bytes" true
     (Bytes.equal (whole batched) (whole (run reference_apply)));
+  let dirty lo hi =
+    Guest_mem.fold_dirty_ranges batched ~init:false ~f:(fun acc ~lo:l ~hi:h ->
+        acc || (l <= lo && h >= hi))
+  in
+  dirty
+
+let test_chunk_edge_matches_reference () =
+  (* runs must end at a 2 MiB relocation-run edge: the site straddling
+     it starts a run of its own, which its storage chunks split *)
+  let e = Addr.kernel_align in
+  let dirty = edge_case e in
   (* a validated run dirties the gap between its sites; per-site
-     patching would leave [chunk-32, chunk-16) clean *)
-  check Alcotest.bool "left run batched" true
-    (Guest_mem.fold_dirty_ranges batched ~init:false ~f:(fun acc ~lo ~hi ->
-         acc || (lo <= chunk - 40 && hi >= chunk - 8)))
+     patching would leave [e-32, e-16) clean *)
+  check Alcotest.bool "left run batched" true (dirty (e - 40) (e - 8));
+  check Alcotest.bool "run ends at the 2 MiB edge" false (dirty (e - 16) (e - 4))
+
+let test_storage_edge_matches_reference () =
+  (* a 64 KiB storage-chunk edge inside a 2 MiB block does not end a
+     run: the run spans it, and the site straddling it is patched through
+     the checked accessors inside the run *)
+  let e = Guest_mem.chunk_size in
+  check Alcotest.bool "storage edges are not run edges" true
+    (3 * e < Addr.kernel_align);
+  let dirty = edge_case e in
+  check Alcotest.bool "one run across the storage edge" true
+    (dirty (e - 40) (e + 24))
+
+(* the run rule decides the dirty set: a run dirties the unwritten gap
+   between its sites, here [0xb03f370, 0xb040000) inside the placed
+   image, which a run ending at a 64 KiB storage edge would leave clean.
+   Snapshot frames and scrub cost follow from these ranges. *)
+let test_boot_dirty_set_pinned () =
+  let ws = Imk_harness.Workspace.create ~functions_override:400 () in
+  let vm =
+    Imk_harness.Workspace.direct_vm ws Imk_kernel.Config.Aws
+      Imk_kernel.Config.Kaslr ~rando:Imk_monitor.Vm_config.Rando_kaslr ()
+  in
+  let _, r =
+    Imk_harness.Boot_runner.boot_once ~jitter:false ~seed:404L
+      ~cache:(Imk_harness.Workspace.cache ws) vm
+  in
+  check
+    Alcotest.(list (pair int int))
+    "aws-kaslr direct boot, seed 404"
+    [
+      (0x7000, 0x7070);
+      (0x20000, 0x20027);
+      (0xb000000, 0xb044510);
+      (0xb044540, 0xb045178);
+      (0xb046000, 0xb10c000);
+    ]
+    (List.rev
+       (Guest_mem.fold_dirty_ranges r.Imk_monitor.Vmm.mem ~init:[]
+          ~f:(fun acc ~lo ~hi -> (lo, hi) :: acc)))
 
 (* --- FGKASLR plans --- *)
 
@@ -544,6 +591,10 @@ let () =
             test_batched_fallback_matches_reference;
           Alcotest.test_case "chunk edge = reference" `Quick
             test_chunk_edge_matches_reference;
+          Alcotest.test_case "storage edge = reference" `Quick
+            test_storage_edge_matches_reference;
+          Alcotest.test_case "boot dirty set pinned" `Quick
+            test_boot_dirty_set_pinned;
           Testkit.to_alcotest qcheck_apply_then_verify_consistency;
           Testkit.to_alcotest qcheck_batched_apply_matches_reference;
         ] );
