@@ -449,6 +449,106 @@ let test_recovery_accounting () =
   | [ (_, d) ] -> check Alcotest.bool "backoff interval charged" true (d > 0)
   | _ -> Alcotest.fail "expected exactly one retry-backoff interval"
 
+(* --- snapshot supervision pinned: the complete report of each restore
+   outcome class — a warm clean restore, a bit-flipped blob, a truncated
+   blob, and an attempt budget that forces the deadline fallback —
+   rendered field by field and compared to the values recorded when
+   [supervise_snapshot] still had its own recovery path. Any change that
+   moves an attempt, an event, a recovery interval or a nanosecond of
+   these reports shows here. --- *)
+
+let render_report (r : Boot_supervisor.report) =
+  let f = Failure.describe in
+  let event = function
+    | Failure.Retried { attempt; failure; backoff_ns } ->
+        Printf.sprintf "retried(%d, %s, %d)" attempt (f failure) backoff_ns
+    | Failure.Fell_back_to_cold_boot x -> Printf.sprintf "cold-boot-fallback(%s)" (f x)
+    | Failure.Rederived_relocs x -> Printf.sprintf "rederived-relocs(%s)" (f x)
+    | Failure.Deadline_aborted { failure; fresh_budget_ns } ->
+        Printf.sprintf "deadline-aborted(%s, %d)" (f failure) fresh_budget_ns
+    | Failure.Retry_budget_exhausted x -> Printf.sprintf "retry-budget-exhausted(%s)" (f x)
+    | Failure.Breaker_opened { failure; consecutive } ->
+        Printf.sprintf "breaker-opened(%s, %d)" (f failure) consecutive
+    | Failure.Breaker_short_circuit { failure } ->
+        Printf.sprintf "breaker-short-circuit(%s)" (f failure)
+    | Failure.Breaker_probe { succeeded } -> Printf.sprintf "breaker-probe(%b)" succeeded
+  in
+  let outcome =
+    match r.Boot_supervisor.outcome with
+    | Ok s ->
+        Imk_guest.Runtime.(
+          Printf.sprintf "ok %d/%d/%d/%d/%d/%d" s.functions_visited s.sites_verified
+            s.rodata_verified s.extab_verified s.kallsyms_verified s.orc_verified)
+    | Error x -> "error " ^ f x
+  in
+  Printf.sprintf "%s | attempts %d | events [%s] | recovery [%s] | total %d" outcome
+    r.Boot_supervisor.attempts
+    (String.concat "; " (List.map event r.Boot_supervisor.events))
+    (String.concat "; "
+       (List.map (fun (l, d) -> Printf.sprintf "%s %d" l d) r.Boot_supervisor.recovery))
+    r.Boot_supervisor.total_ns
+
+(* a private disk holding [blob] as "base.snapshot", and a supervised
+   restore of it on a fresh (cold) page cache *)
+let snapshot_supervision ?fleet ?plans env vm blob =
+  let disk = make_disk env in
+  Imk_storage.Disk.add disk ~name:"base.snapshot" blob;
+  let ctx = Boot_supervisor.plain_ctx ?plans (Imk_storage.Page_cache.create disk) in
+  fun ~seed ->
+    Boot_supervisor.supervise_snapshot ?fleet ~seed ~ctx
+      ~snapshot_path:"base.snapshot" ~working_set_pages:64 vm
+
+let test_snapshot_supervision_pinned () =
+  let env, vm = supervise_env () in
+  let blob = Snapshot.serialize (Snapshot.capture (snd (Testkit.boot env ~seed:404L))) in
+  let warm = snapshot_supervision ~plans:(Plan_cache.create ()) env vm blob in
+  ignore (warm ~seed:4L);
+  let deadline =
+    (* 5 ms: the cold snapshot read overruns it, and so do both
+       cold-boot attempts of the fallback *)
+    let policy =
+      { Boot_supervisor.default_policy with Boot_supervisor.attempt_budget_ns = Some 5_000_000 }
+    in
+    snapshot_supervision ~fleet:(Boot_supervisor.fleet ~policy ()) env vm blob ~seed:5L
+  in
+  List.iter
+    (fun (label, r, expected) -> check string label expected (render_report r))
+    [
+      ( "warm clean restore",
+        warm ~seed:5L,
+        "ok 50/165/900/130/50/0 | attempts 1 | events [] | recovery [] | total 1115746" );
+      ( "bit-flipped blob",
+        snapshot_supervision env vm (Inject.flip_one_bit ~seed:17 (Bytes.copy blob)) ~seed:5L,
+        "ok 50/165/900/130/50/0 | attempts 2 | events [cold-boot-fallback(decode-error: \
+         Snapshot.load: bad magic)] | recovery [failed-restore 6913642] | total 62041614" );
+      ( "truncated blob",
+        snapshot_supervision env vm (Testkit.truncated blob) ~seed:5L,
+        "ok 50/165/900/130/50/0 | attempts 2 | events [cold-boot-fallback(decode-error: \
+         Snapshot.load: CRC mismatch)] | recovery [failed-restore 6913602] | total 62041574" );
+      ( "deadline fallback",
+        deadline,
+        "error deadline-exceeded: boot-attempt: budget 5000000 ns overrun by 1205026 ns | \
+         attempts 3 | events [cold-boot-fallback(deadline-exceeded: snapshot-restore: budget \
+         5000000 ns overrun by 1913642 ns); deadline-aborted(deadline-exceeded: boot-attempt: \
+         budget 5000000 ns overrun by 3803698 ns, 5000000)] | recovery [failed-restore \
+         6913642; failed-attempt 8803698; failed-attempt 6205026] | total 21922366" );
+    ];
+  (* a warm clean restore is the zygote-restore op: its supervision
+     allocates no more than it did with a private recovery path
+     (510-514 words per restore on seeds 6-13, verify walk included) *)
+  Testkit.skip_unless_native ();
+  let worst = ref 0. in
+  for i = 6 to 13 do
+    let words =
+      Testkit.minor_words (fun () ->
+          ignore (Sys.opaque_identity (warm ~seed:(Int64.of_int i))))
+    in
+    if words > !worst then worst := words
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "warm restore allocates <= 514 words (worst %.0f)" !worst)
+    true (!worst <= 514.)
+
 (* --- weather: seed-deterministic correlated fault processes --- *)
 
 module Weather = Imk_fault.Weather
@@ -1009,6 +1109,8 @@ let () =
             test_snapshot_falls_back_to_cold_boot;
           Alcotest.test_case "recovery accounting" `Quick
             test_recovery_accounting;
+          Alcotest.test_case "snapshot supervision pinned" `Quick
+            test_snapshot_supervision_pinned;
         ] );
       ( "fleet",
         [
