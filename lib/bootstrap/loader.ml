@@ -72,7 +72,7 @@ let charge_setup ch ~modeled_heap_bytes =
 (* everything after offset selection, for both principals (§4.2–4.3):
    the monitor runs it before VM entry, this loader inside the guest *)
 let relocate ch mem (elf : Imk_elf.Types.t) ~config ~in_guest ~relocs
-    ~phys_load ~delta ~plan ~policy ~kernel =
+    ~phys_load ~delta ~plan ~policy ~orc ~kernel =
   let cm = Charge.model ch in
   let per_entry ns n =
     Charge.pay ch (int_of_float (ns *. float_of_int (modeled config n)))
@@ -121,7 +121,7 @@ let relocate ch mem (elf : Imk_elf.Types.t) ~config ~in_guest ~relocs
         Guest_mem.write_bytes mem ~pa:setup_data_pa
           (Imk_guest.Boot_params.setup_data_encode
              (Imk_randomize.Fgkaslr.displacement_pairs p));
-      if policy.orc_fixup then
+      if orc then
         match Imk_elf.Types.section_by_name elf ".orc_unwind" with
         | None -> ()
         | Some s ->
@@ -137,13 +137,15 @@ let relocate ch mem (elf : Imk_elf.Types.t) ~config ~in_guest ~relocs
     mem_bytes = Guest_mem.size mem;
     kernel;
     kallsyms_fixed = (not moved) || policy.kallsyms_fixup;
-    orc_fixed = (not moved) || policy.orc_fixup;
+    orc_fixed = (not moved) || orc;
     setup_data_pa =
       (if moved && policy.write_setup_data then Some setup_data_pa else None);
   }
 
 let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
     ~rando ~policy ~rng =
+  (* the payload comes from the plan's [Bzimage.unpack] memo, not from
+     the bytes the monitor staged at [staging_pa] *)
   ignore staging_pa;
   (* a pinned entropy schedule (differential oracles) replaces only where
      the random decisions come from; every cost charge and every byte of
@@ -272,7 +274,8 @@ let run ?(hooks = default_hooks) ?choices ch mem ~bzimage ~staging_pa ~config
       Imk_randomize.Loadelf.place mem elf ~phys_load ~plan;
       let params =
         relocate ch mem elf ~config ~in_guest:true ~relocs ~phys_load ~delta
-          ~plan ~policy ~kernel:(fun () -> hooks.kernel_info elf config)
+          ~plan ~policy ~orc:false
+          ~kernel:(fun () -> hooks.kernel_info elf config)
       in
       (* the jump to startup_64 *)
       Trace.tracepoint (Charge.trace ch) Trace.Bootstrap_setup "jump-to-kernel";

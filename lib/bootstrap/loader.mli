@@ -38,20 +38,22 @@ type policy = {
       (** eager kallsyms rewrite (stock Linux loader) vs skipping it (the
           paper's stripped loader used for fair comparison, §4.3) *)
   orc_fixup : bool;
-      (** update the ORC unwind table too. Both presets leave it off, as
-          Linux's loader does; the monitor's direct boot sets it from
-          [Vm_config.orc] (§4.3 ablation) *)
+      (** unread: {!relocate} takes [~orc]. Both presets set it [false];
+          it stays while perf/ builds a policy as [{ p with kallsyms_fixup;
+          write_setup_data }], which a two-field record rejects as a
+          useless [with]. *)
   write_setup_data : bool;
       (** stash the displacement blob for deferred fixups *)
 }
-(** What {!relocate} does after relocating an FGKASLR kernel — one
-    record for both principals. *)
+(** What {!relocate} does to kallsyms after relocating an FGKASLR
+    kernel — one record for both principals. The ORC unwind table is
+    {!relocate}'s [~orc] argument. *)
 
 val default_policy : policy
-(** Eager kallsyms, no ORC, no setup data — the stock loader. *)
+(** Eager kallsyms, no setup data — the stock loader. *)
 
 val stripped_policy : policy
-(** No kallsyms or ORC fixup — the apples-to-apples comparator. *)
+(** No kallsyms fixup — the apples-to-apples comparator. *)
 
 val setup_data_pa : int
 (** Fixed guest-physical address of the setup-data blob (the real-mode
@@ -68,6 +70,7 @@ val relocate :
   delta:int ->
   plan:Imk_randomize.Fgkaslr.plan option ->
   policy:policy ->
+  orc:bool ->
   kernel:(unit -> Imk_guest.Boot_params.kernel_info) ->
   Imk_guest.Boot_params.t
 (** Everything after offset selection, for both principals: the monitor's
@@ -78,9 +81,13 @@ val relocate :
     [Cost_model.reloc_cost] or [fg_reloc_cost] at the rate [in_guest]
     picks. With a [plan] it then fixes up the extab and symbol table,
     applies [policy] to kallsyms (fix up now, or write the setup-data
-    blob at {!setup_data_pa} for a deferred fix-up) and to ORC. It
-    returns the boot parameters the kernel is entered with, carrying
-    [kernel ()], which is derived last, after the fixups.
+    blob at {!setup_data_pa} for a deferred fix-up), and fixes up the
+    ORC unwind table when [orc] holds. {!run} passes [~orc:false], as
+    Linux's loader leaves ORC alone; the monitor's direct boot passes
+    its [Vm_config.orc] choice (§4.3 ablation). It returns the boot
+    parameters the kernel is entered with, carrying [kernel ()], which
+    is derived last, after the fixups; their [orc_fixed] is false only
+    for a shuffled kernel whose ORC table [orc] left stale.
 
     Raises {!Loader_error} for a kernel missing a table section and
     [Imk_randomize.Kaslr.Reloc_error] for a relocation or table that does
@@ -117,12 +124,13 @@ val run :
   rng:Imk_entropy.Prng.t ->
   Imk_guest.Boot_params.t
 (** [run charge mem ~bzimage ~staging_pa ~config ~rando ~policy ~rng]
-    executes the loader against guest memory where the monitor staged the
-    image at [staging_pa], charging Bootstrap Setup and Decompression
-    spans, and returns the boot parameters for the jump to the kernel.
+    executes the loader for an image the monitor staged in guest memory
+    at [staging_pa], charging Bootstrap Setup and Decompression spans,
+    and returns the boot parameters for the jump to the kernel.
     The payload comes from {!Imk_kernel.Bzimage.unpack}: decoded on the
     record's first boot, read from its verified memo on every later one,
-    with the decompression charges paid on every boot alike.
+    with the decompression charges paid on every boot alike. The loader
+    never reads the staged guest bytes, so [staging_pa] is ignored.
     Raises {!Loader_error} for impossible requests (FGKASLR on a kernel
     without function sections, randomization without relocation info) and
     [Imk_randomize.Kaslr.Reloc_error] / [Imk_compress.Codec.Corrupt] on

@@ -27,10 +27,6 @@ let check_ident b =
   if Byteio.get_u8 b 4 <> Types.elfclass64 then fail "not ELFCLASS64";
   if Byteio.get_u8 b 5 <> Types.elfdata2lsb then fail "not little-endian"
 
-let entry_point b =
-  check_ident b;
-  wrap_byteio "ELF header" (fun () -> Byteio.get_addr b 24)
-
 let read_cstr b off =
   let n = Bytes.length b in
   if off < 0 || off >= n then fail "string table offset out of range";

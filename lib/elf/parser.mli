@@ -16,9 +16,5 @@ exception Malformed of string
 val parse : bytes -> Types.t
 (** [parse b] parses a full ELF image. *)
 
-val entry_point : bytes -> int
-(** [entry_point b] reads just [e_entry] — what a boot protocol needs
-    before committing to a full parse. *)
-
 val is_elf : bytes -> bool
 (** [is_elf b] checks the magic without raising. *)

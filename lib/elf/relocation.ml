@@ -19,13 +19,6 @@ let iter t ~f =
   Array.iter (f Abs32) t.abs32;
   Array.iter (f Inv32) t.inv32
 
-let map_sites t ~f =
-  {
-    abs64 = Array.map f t.abs64;
-    abs32 = Array.map f t.abs32;
-    inv32 = Array.map f t.inv32;
-  }
-
 let strictly_increasing a =
   let ok = ref true in
   for i = 1 to Array.length a - 1 do

@@ -39,10 +39,6 @@ val entry_count : table -> int
 val iter : table -> f:(kind -> int -> unit) -> unit
 (** [iter t ~f] visits every entry (all abs64, then abs32, then inv32). *)
 
-val map_sites : table -> f:(int -> int) -> table
-(** [map_sites t ~f] rewrites every site address — used when function
-    sections move under FGKASLR and the sites themselves relocate. *)
-
 val sorted_dedup_invariant : table -> bool
 (** [sorted_dedup_invariant t] checks each kind's sites are strictly
     increasing — the form the kernel build emits and property tests

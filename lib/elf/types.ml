@@ -5,7 +5,6 @@ let elfclass64 = 2
 let elfdata2lsb = 1
 let et_exec = 2
 let em_x86_64 = 62
-let sht_null = 0
 let sht_progbits = 1
 let sht_symtab = 2
 let sht_strtab = 3
@@ -15,7 +14,6 @@ let shf_write = 1
 let shf_alloc = 2
 let shf_execinstr = 4
 let pt_load = 1
-let pt_note = 4
 let pf_x = 1
 let pf_w = 2
 let pf_r = 4

@@ -25,7 +25,6 @@ val elfdata2lsb : int
 val et_exec : int
 val em_x86_64 : int
 
-val sht_null : int
 val sht_progbits : int
 val sht_symtab : int
 val sht_strtab : int
@@ -37,7 +36,6 @@ val shf_alloc : int
 val shf_execinstr : int
 
 val pt_load : int
-val pt_note : int
 
 val pf_x : int
 val pf_w : int

@@ -175,11 +175,6 @@ let finish ?tap trace ~outcome ~attempts ~events ~recovery_rev ~success_ns =
          (accounted - success_ns) success_ns total_ns);
   { outcome; attempts; events; total_ns; recovery }
 
-let attempt_budget fleet =
-  match fleet with
-  | Some { policy = { attempt_budget_ns = Some b; _ }; _ } -> Some b
-  | _ -> None
-
 let reject_report ?tap ch trace failure =
   let clk = Charge.clock ch in
   let mark = Clock.now clk in
@@ -189,121 +184,152 @@ let reject_report ?tap ch trace failure =
     ~recovery_rev:[ ("breaker-short-circuit", Clock.elapsed_since clk mark) ]
     ~success_ns:0
 
-let supervise_on ch ?arena ?fleet ~max_retries ~ctx
-    (vm : Imk_monitor.Vm_config.t) =
-  let clk = Charge.clock ch in
-  let events = ref [] in
-  let recovery = ref [] (* reverse occurrence order *) in
-  let push e = events := e :: !events in
-  let add_recovery label mark =
-    recovery := (label, Clock.elapsed_since clk mark) :: !recovery
-  in
-  let attempts = ref 0 in
-  let budget = attempt_budget fleet in
-  let deadline =
-    Option.map (fun b -> Deadline.arm clk ~label:"boot-attempt" ~budget_ns:b)
-      budget
-  in
-  let boot_attempt () =
-    incr attempts;
-    (match deadline with
-    | Some d ->
-        (* every attempt gets a fresh budget; recovery work between
-           attempts runs with the deadline detached *)
-        Deadline.rearm d ~budget_ns:(Option.get budget);
-        Charge.set_deadline ch (Some d)
-    | None -> ());
-    Fun.protect
-      ~finally:(fun () -> Charge.set_deadline ch None)
-      (fun () ->
-        match arena with
-        | None ->
-            (Imk_monitor.Vmm.boot ?inject:ctx.inject ?plans:ctx.plans ch
-               ctx.cache vm)
-              .Imk_monitor.Vmm.stats
-        | Some a ->
-            Imk_memory.Arena.with_buffer a
-              ~size:vm.Imk_monitor.Vm_config.mem_bytes (fun mem ->
-                (Imk_monitor.Vmm.boot ?inject:ctx.inject ?plans:ctx.plans ~mem
-                   ch ctx.cache vm)
-                  .Imk_monitor.Vmm.stats))
-  in
-  let campaign_can_retry () =
-    match fleet with None -> true | Some f -> f.retries_left > 0
-  in
-  let consume_campaign_retry () =
-    match fleet with None -> () | Some f -> f.retries_left <- f.retries_left - 1
-  in
-  let rederived = ref false in
-  let deadline_fallback_used = ref false in
-  let success_ns = ref 0 in
-  let rec go retries_left =
-    let mark = Clock.now clk in
-    match boot_attempt () with
-    | stats ->
-        success_ns := Clock.elapsed_since clk mark;
-        Ok stats
-    | exception e -> (
-        match Failure.classify e with
-        | None -> raise e (* programming error, not a boot failure *)
-        | Some f ->
-            add_recovery "failed-attempt" mark;
-            recover f retries_left)
-  and recover f retries_left =
-    match f with
-    | Failure.Transient _ when retries_left > 0 && campaign_can_retry () ->
-        consume_campaign_retry ();
-        let backoff = backoff_base_ns * (1 lsl (max_retries - retries_left)) in
-        let mark = Clock.now clk in
-        Charge.pay_span ch Trace.In_monitor "retry-backoff" backoff;
-        add_recovery "retry-backoff" mark;
-        push (Failure.Retried { attempt = !attempts; failure = f; backoff_ns = backoff });
-        go (retries_left - 1)
-    | Failure.Transient _ when retries_left > 0 ->
-        (* per-boot retries remain, but the campaign budget is dry:
-           fail fast instead of spinning through a storm *)
-        push (Failure.Retry_budget_exhausted f);
-        Error f
-    | Failure.Deadline_exceeded _
-      when (not !deadline_fallback_used) && Option.is_some deadline ->
-        (* the attempt aborted at a phase boundary past its budget; one
-           fallback attempt runs with a fresh budget *)
-        deadline_fallback_used := true;
-        push
-          (Failure.Deadline_aborted
-             { failure = f; fresh_budget_ns = Option.get budget });
-        go retries_left
-    | Failure.Bad_reloc _
-      when (not !rederived) && vm.Imk_monitor.Vm_config.relocs_path <> None -> (
-        rederived := true;
-        let mark = Clock.now clk in
-        match
-          rederive_relocs ch ctx vm
-            (Option.get vm.Imk_monitor.Vm_config.relocs_path)
-        with
-        | () ->
-            add_recovery "rederive-relocs" mark;
-            push (Failure.Rederived_relocs f);
-            go retries_left
-        | exception e2 -> (
-            (* the kernel image is corrupt too: report that, typed *)
-            match Failure.classify e2 with
-            | Some f2 ->
-                add_recovery "rederive-relocs" mark;
-                Error f2
-            | None -> raise e2))
-    | _ -> Error f
-  in
-  let outcome = go max_retries in
-  (outcome, !attempts, List.rev !events, !recovery, !success_ns)
+(* --- the state machine both entry points run --- *)
 
-(* what both entry points share: a fresh clock for [seed], then the
-   breaker's verdict — a rejection is reported, an admission runs [k]
-   with the retries the policy allows (none for a half-open probe) *)
-let admitted ~jitter ?tap ?fleet ~seed vm k =
-  let { max_retries; _ } =
-    match fleet with Some f -> f.policy | None -> default_policy
+(* what an attempt does: boot cold, or restore a snapshot. A restore is
+   only ever the first attempt; its typed failure falls back to cold
+   boots on the same clock. *)
+type attempt = Cold_boot | Restore of { path : string; working_set_pages : int }
+
+(* one supervised boot in flight. The bookkeeping is one record, not
+   refs and closures, so a clean attempt adds no allocation of its own
+   (a warm restore is the zygote-restore benchmark's whole op). *)
+type run = {
+  ch : Charge.t;
+  ctx : ctx;
+  vm : Imk_monitor.Vm_config.t;
+  arena : Imk_memory.Arena.t option;
+  fleet : fleet option;
+  budget : int option;  (** per-attempt deadline, from the fleet policy *)
+  max_retries : int;
+  mutable attempts : int;
+  mutable events : Failure.event list;  (** reverse occurrence order *)
+  mutable recovery : (string * int) list;  (** reverse occurrence order *)
+  mutable rederived : bool;
+  mutable deadline_fallback_used : bool;
+  mutable success_ns : int;
+}
+
+let push r e = r.events <- e :: r.events
+
+let add_recovery r label mark =
+  r.recovery <- (label, Clock.elapsed_since (Charge.clock r.ch) mark) :: r.recovery
+
+let boot r =
+  let boot ?mem () =
+    (Imk_monitor.Vmm.boot ?inject:r.ctx.inject ?plans:r.ctx.plans ?mem r.ch
+       r.ctx.cache r.vm)
+      .Imk_monitor.Vmm.stats
   in
+  match r.arena with
+  | None -> boot ()
+  | Some a ->
+      Imk_memory.Arena.with_buffer a ~size:r.vm.Imk_monitor.Vm_config.mem_bytes
+        (fun mem -> boot ~mem ())
+
+(* a restore loads through [ctx.plans]: a warm restore of the same
+   snapshot content clones its cached chunk image *)
+let restore r ~path ~working_set_pages =
+  let ch = r.ch and ctx = r.ctx in
+  let snap =
+    Charge.span ch Trace.In_monitor "snapshot-load" (fun () ->
+        let blob, cached = Imk_storage.Page_cache.read ctx.cache path in
+        Charge.pay_using ch Sched.Disk
+          (Cost_model.read_cost (Charge.model ch) ~cached
+             (modeled r.vm (Bytes.length blob)));
+        Imk_monitor.Snapshot.load_cached ctx.plans ~path ~config:r.vm blob)
+  in
+  (Imk_monitor.Snapshot.restore ch snap ~working_set_pages).Imk_monitor.Vmm.stats
+
+(* one attempt, under a fresh deadline when the policy sets a budget
+   (recovery work between attempts runs with the deadline detached), then
+   on a typed failure the recovery it calls for *)
+let rec go r kind retries_left =
+  let clk = Charge.clock r.ch in
+  let mark = Clock.now clk in
+  r.attempts <- r.attempts + 1;
+  (match r.budget with
+  | Some budget_ns ->
+      let label =
+        match kind with Cold_boot -> "boot-attempt" | Restore _ -> "snapshot-restore"
+      in
+      Charge.set_deadline r.ch (Some (Deadline.arm clk ~label ~budget_ns))
+  | None -> ());
+  match
+    match kind with
+    | Cold_boot -> boot r
+    | Restore { path; working_set_pages } -> restore r ~path ~working_set_pages
+  with
+  | stats ->
+      Charge.set_deadline r.ch None;
+      r.success_ns <- Clock.elapsed_since clk mark;
+      Ok stats
+  | exception e -> (
+      Charge.set_deadline r.ch None;
+      match (Failure.classify e, kind) with
+      | None, _ -> raise e (* programming error, not a boot failure *)
+      | Some f, Restore _ ->
+          (* a typed corruption, or a deadline overrun on a cold snapshot
+             read: degrade to cold boots on the same clock, so the
+             fallback's full cost lands in one report *)
+          add_recovery r "failed-restore" mark;
+          push r (Failure.Fell_back_to_cold_boot f);
+          go r Cold_boot retries_left
+      | Some f, Cold_boot ->
+          add_recovery r "failed-attempt" mark;
+          recover r f retries_left)
+
+and recover r f retries_left =
+  let clk = Charge.clock r.ch in
+  match (f, r.fleet) with
+  | Failure.Transient _, Some fl when retries_left > 0 && fl.retries_left <= 0 ->
+      (* per-boot retries remain, but the campaign budget is dry: fail
+         fast instead of spinning through a storm *)
+      push r (Failure.Retry_budget_exhausted f);
+      Error f
+  | Failure.Transient _, fleet when retries_left > 0 ->
+      Option.iter (fun fl -> fl.retries_left <- fl.retries_left - 1) fleet;
+      let backoff = backoff_base_ns * (1 lsl (r.max_retries - retries_left)) in
+      let mark = Clock.now clk in
+      Charge.pay_span r.ch Trace.In_monitor "retry-backoff" backoff;
+      add_recovery r "retry-backoff" mark;
+      push r (Failure.Retried { attempt = r.attempts; failure = f; backoff_ns = backoff });
+      go r Cold_boot (retries_left - 1)
+  | Failure.Deadline_exceeded _, _
+    when (not r.deadline_fallback_used) && Option.is_some r.budget ->
+      (* the attempt aborted at a phase boundary past its budget; one
+         fallback attempt runs with a fresh budget *)
+      r.deadline_fallback_used <- true;
+      push r
+        (Failure.Deadline_aborted { failure = f; fresh_budget_ns = Option.get r.budget });
+      go r Cold_boot retries_left
+  | Failure.Bad_reloc _, _
+    when (not r.rederived) && r.vm.Imk_monitor.Vm_config.relocs_path <> None -> (
+      r.rederived <- true;
+      let mark = Clock.now clk in
+      match
+        rederive_relocs r.ch r.ctx r.vm
+          (Option.get r.vm.Imk_monitor.Vm_config.relocs_path)
+      with
+      | () ->
+          add_recovery r "rederive-relocs" mark;
+          push r (Failure.Rederived_relocs f);
+          go r Cold_boot retries_left
+      | exception e2 -> (
+          (* the kernel image is corrupt too: report that, typed *)
+          match Failure.classify e2 with
+          | Some f2 ->
+              add_recovery r "rederive-relocs" mark;
+              Error f2
+          | None -> raise e2))
+  | _ -> Error f
+
+(* what both entry points are: a fresh clock for [seed], then the
+   breaker's verdict — a rejection is reported, an admission runs the
+   state machine from [first] with the retries the policy allows (none
+   for a half-open probe) *)
+let supervise_from ~first ~jitter ?tap ?arena ?fleet ~seed ~ctx vm =
+  let policy = match fleet with Some f -> f.policy | None -> default_policy in
   let trace, ch =
     Imk_vclock.Charge.fresh ?jitter_seed:(if jitter then Some seed else None) ()
   in
@@ -312,65 +338,22 @@ let admitted ~jitter ?tap ?fleet ~seed vm k =
   | Reject failure -> reject_report ?tap ch trace failure
   | (Admit | Probe) as adm ->
       let probing = adm = Probe in
-      k ch vm ~max_retries:(if probing then 0 else max_retries)
-        ~finish:(fun ~outcome ~attempts ~events ->
-          finish ?tap trace ~outcome ~attempts
-            ~events:(events @ breaker_note fleet ~probing outcome))
+      let max_retries = if probing then 0 else policy.max_retries in
+      let r =
+        { ch; ctx; vm; arena; fleet; budget = policy.attempt_budget_ns; max_retries;
+          attempts = 0; events = []; recovery = []; rederived = false;
+          deadline_fallback_used = false; success_ns = 0 }
+      in
+      let outcome = go r first max_retries in
+      finish ?tap trace ~outcome ~attempts:r.attempts
+        ~events:(List.rev_append r.events (breaker_note fleet ~probing outcome))
+        ~recovery_rev:r.recovery ~success_ns:r.success_ns
 
 let supervise ?(jitter = true) ?tap ?arena ?fleet ~seed ~ctx vm =
-  admitted ~jitter ?tap ?fleet ~seed vm
-    (fun ch vm ~max_retries ~finish ->
-      let outcome, attempts, events, recovery_rev, success_ns =
-        supervise_on ch ?arena ?fleet ~max_retries ~ctx vm
-      in
-      finish ~outcome ~attempts ~events ~recovery_rev ~success_ns)
+  supervise_from ~first:Cold_boot ~jitter ?tap ?arena ?fleet ~seed ~ctx vm
 
 let supervise_snapshot ?(jitter = true) ?tap ?arena ?fleet ~seed ~ctx
     ~snapshot_path ~working_set_pages vm =
-  admitted ~jitter ?tap ?fleet ~seed vm
-    (fun ch vm ~max_retries ~finish ->
-      let clk = Charge.clock ch in
-      let restore_deadline =
-        Option.map
-          (fun b -> Deadline.arm clk ~label:"snapshot-restore" ~budget_ns:b)
-          (attempt_budget fleet)
-      in
-      let restore_mark = Clock.now clk in
-      match
-        Charge.set_deadline ch restore_deadline;
-        Fun.protect
-          ~finally:(fun () -> Charge.set_deadline ch None)
-          (fun () ->
-            let snap =
-              Charge.span ch Trace.In_monitor "snapshot-load" (fun () ->
-                  let blob, cached =
-                    Imk_storage.Page_cache.read ctx.cache snapshot_path
-                  in
-                  Charge.pay_using ch Sched.Disk
-                    (Cost_model.read_cost (Charge.model ch) ~cached
-                       (modeled vm (Bytes.length blob)));
-                  Imk_monitor.Snapshot.load_cached ctx.plans
-                    ~path:snapshot_path ~config:vm blob)
-            in
-            Imk_monitor.Snapshot.restore ch snap ~working_set_pages)
-      with
-      | r ->
-          finish ~outcome:(Ok r.Imk_monitor.Vmm.stats) ~attempts:1 ~events:[]
-            ~recovery_rev:[]
-            ~success_ns:(Clock.elapsed_since clk restore_mark)
-      | exception e -> (
-          match Failure.classify e with
-          | None -> raise e
-          | Some f ->
-              (* restore failure (a typed corruption, or a deadline
-                 overrun on a cold snapshot read): degrade to a
-                 supervised cold boot on the same virtual clock, so the
-                 fallback's full cost lands in one report *)
-              let restore_ns = Clock.elapsed_since clk restore_mark in
-              let outcome, attempts, events, recovery_rev, success_ns =
-                supervise_on ch ?arena ?fleet ~max_retries ~ctx vm
-              in
-              finish ~outcome ~attempts:(attempts + 1)
-                ~events:(Failure.Fell_back_to_cold_boot f :: events)
-                ~recovery_rev:(recovery_rev @ [ ("failed-restore", restore_ns) ])
-                ~success_ns))
+  supervise_from
+    ~first:(Restore { path = snapshot_path; working_set_pages })
+    ~jitter ?tap ?arena ?fleet ~seed ~ctx vm

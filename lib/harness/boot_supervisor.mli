@@ -141,12 +141,17 @@ val supervise_snapshot :
   Imk_monitor.Vm_config.t ->
   report
 (** [supervise_snapshot ~seed ~ctx ~snapshot_path ~working_set_pages vm]
-    restores from a serialized snapshot on the run's disk, loaded through
-    [ctx.plans] ({!Imk_monitor.Snapshot.load_cached}): a warm restore of
-    the same snapshot content clones its cached chunk image instead of
-    decoding the blob again. A typed
-    restore failure (CRC mismatch, truncation — or, with a fleet
-    policy budget, a deadline overrun on a cold snapshot read) is
-    recorded as a [Fell_back_to_cold_boot] event and the supervisor
-    boots [vm] cold on the same clock — the report's [total_ns] is the
-    price of the failed restore plus the fallback. *)
+    is {!supervise} whose first attempt is a restore from a serialized
+    snapshot on the run's disk, loaded through [ctx.plans]
+    ({!Imk_monitor.Snapshot.load_cached}): a warm restore of the same
+    snapshot content clones its cached chunk image instead of decoding
+    the blob again. The restore is one attempt of the same state
+    machine, with the same breaker admission, per-attempt deadline
+    (labelled ["snapshot-restore"]) and report. A typed restore failure
+    (CRC mismatch, truncation — or, with a fleet policy budget, a
+    deadline overrun on a cold snapshot read) is recorded as a
+    [Fell_back_to_cold_boot] event and a ["failed-restore"] interval,
+    and the following attempts boot [vm] cold on the same clock, with
+    the retries, re-derivation and deadline fallback of {!supervise} —
+    the report's [total_ns] is the price of the failed restore plus the
+    fallback. *)

@@ -36,14 +36,6 @@ let stats_phases (s : Boot_runner.phase_stats) =
       ("linux-boot", s.Boot_runner.linux_boot);
     ]
 
-(* a boot_many campaign's telemetry row under an explicit label *)
-let stats_row label (s : Boot_runner.phase_stats) =
-  { Telemetry.label; total = s.Boot_runner.total; phases = stats_phases s }
-
-(* a single measured quantity (already in ns) as a one-sample row *)
-let scalar_row label ns =
-  { Telemetry.label; total = Imk_util.Stats.summarize [ ns ]; phases = [] }
-
 (* rendered columns of a boot_many summary. The "min"/"max" cells take
    the summary's raw float nanoseconds straight through [ns_float_to_ms]:
    an int_of_float round-trip would truncate toward zero *)
@@ -769,12 +761,10 @@ let ablation_orc ?(runs = 20) ws =
   in
   let skip = List.assoc [ "skip" ] stats and update = List.assoc [ "update" ] stats in
   let s = msf skip.Boot_runner.total and u = msf update.Boot_runner.total in
-  let table = Imk_util.Table.create ~headers:[ "orc policy"; "boot ms" ] in
-  Imk_util.Table.add_row table [ "skip (paper's choice)"; msv s ];
-  Imk_util.Table.add_row table [ "update"; msv u ];
-  report
-    { table; rows = [ stats_row "orc-update" update; stats_row "orc-skip" skip ] }
-    ~id:"ablation-orc" ~title:"Ablation: ORC unwind table update cost (§4.3)"
+  let sh = sheet [ "orc policy"; "boot ms" ] in
+  add sh ~key:[ "skip (paper's choice)" ] [ `Total ] skip;
+  add sh ~key:[ "update" ] [ `Total ] update;
+  report sh ~id:"ablation-orc" ~title:"Ablation: ORC unwind table update cost (§4.3)"
     [ Printf.sprintf "updating ORC would add %.1f ms (+%.1f%%)" (u -. s) (pct u s) ]
 
 let ablation_page_sharing ?runs:_ ws =
@@ -958,11 +948,7 @@ let ablation_zygote ?runs:_ ws =
   (* instance-creation strategies for a serverless host (§7):
      fresh boot with in-monitor KASLR vs single-snapshot restore vs a
      Morula-style pool of pre-randomized zygotes *)
-  let table =
-    Imk_util.Table.create
-      ~headers:
-        [ "strategy"; "create ms"; "distinct layouts"; "resident memory" ]
-  in
+  let sh = sheet [ "strategy"; "create ms"; "distinct layouts"; "resident memory" ] in
   let vm =
     Workspace.direct_vm ws Config.Aws Config.Kaslr ~rando:Vm_config.Rando_kaslr
       ~mem:(64 * 1024 * 1024) ()
@@ -971,8 +957,8 @@ let ablation_zygote ?runs:_ ws =
   (* fresh boots *)
   let fresh = List.assoc [ "fresh" ] (grid ~runs:10 ws [ boot_cell [ "fresh" ] vm ]) in
   let fresh_ms = msf fresh.Boot_runner.total in
-  Imk_util.Table.add_row table
-    [ "fresh boot (in-monitor KASLR)"; msv fresh_ms; "per-instance"; "0" ];
+  add sh ~key:[ "fresh boot (in-monitor KASLR)" ] [ `Total ] ~extra:[ "per-instance"; "0" ]
+    fresh;
   (* single snapshot *)
   let base =
     Vmm.boot ?plans:(Workspace.plans ws)
@@ -989,13 +975,12 @@ let ablation_zygote ?runs:_ ws =
   let restore_ms =
     elapsed_ms (fun ch -> ignore (Snapshot.restore ch snap ~working_set_pages))
   in
-  Imk_util.Table.add_row table
-    [
-      "single snapshot restore";
-      msv restore_ms;
-      "1 (cloned)";
-      Imk_util.Units.bytes_to_string (Snapshot.encoded_bytes snap);
-    ];
+  (* a single measured creation, as a one-sample ns row *)
+  let once key ms cells =
+    row sh ~key ~total:(Imk_util.Stats.summarize [ ms *. 1e6 ]) (msv ms :: cells)
+  in
+  once [ "single snapshot restore" ] restore_ms
+    [ "1 (cloned)"; Imk_util.Units.bytes_to_string (Snapshot.encoded_bytes snap) ];
   (* Morula pool *)
   let pool_size = 8 in
   let pool =
@@ -1008,24 +993,14 @@ let ablation_zygote ?runs:_ ws =
     elapsed_ms (fun ch ->
         ignore (Zygote.draw ch pool ~rng ~working_set_pages).Vmm.stats)
   in
-  Imk_util.Table.add_row table
+  once
+    [ Printf.sprintf "Morula pool of %d zygotes" pool_size ]
+    draw_ms
     [
-      Printf.sprintf "Morula pool of %d zygotes" pool_size;
-      msv draw_ms;
       string_of_int (Zygote.distinct_layouts pool);
       Imk_util.Units.bytes_to_string (Zygote.memory_bytes pool);
     ];
-  report
-    {
-      table;
-      rows =
-        [
-          scalar_row "zygote-draw" (draw_ms *. 1e6);
-          scalar_row "snapshot-restore" (restore_ms *. 1e6);
-          stats_row "fresh-boot" fresh;
-        ];
-    }
-    ~id:"ablation-zygote"
+  report sh ~id:"ablation-zygote"
     ~title:"Ablation: snapshots and zygote pools vs randomized boots (§7)"
     [
       Printf.sprintf
@@ -1589,7 +1564,11 @@ let diffcheck ?(runs = 20) ws =
             Boot_runner.boot_many ~jobs ?tap:(tap ws) ~runs:5
               ~cache:env.Imk_check.Env.cache vm
           in
-          let rows jobs = [ stats_row "boot_many" (stats_at jobs) ] in
+          let rows jobs =
+            let s = stats_at jobs in
+            [ { Telemetry.label = "boot_many"; total = s.Boot_runner.total;
+                phases = stats_phases s } ]
+          in
           match Telemetry.diff_rows ~baseline:(rows 1) ~current:(rows fan) with
           | [] -> O.Pass
           | d :: _ -> O.Divergence d)

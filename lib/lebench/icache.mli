@@ -20,11 +20,6 @@ val pages_spanned : fn_va:int array -> hot:int array -> int
 (** [pages_spanned ~fn_va ~hot] counts distinct 4 KiB pages hit by the
     hot functions' entry points. *)
 
-val packed_pages : hot:int array -> int
-(** [packed_pages ~hot] is the page count of a perfectly co-located set
-    of the same functions (average-size bodies packed contiguously) — the
-    denominator of the locality penalty. *)
-
 val slowdown : Workloads.t -> fn_va:int array -> float
 (** [slowdown w ~fn_va] is the multiplicative latency factor (≥ 1.0) of
     running [w] against the layout [fn_va] (function id → VA). Calibrated

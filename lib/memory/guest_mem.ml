@@ -299,52 +299,6 @@ let read_bytes t ~pa ~len =
     b
   end
 
-(* moves [\[src+pos, src+pos+n)] to [dst+pos], both inside one chunk; the
-   destination is materialized before the source is fetched, so a chunk
-   that is both is one store and [Bytes.blit] is overlap-safe in it *)
-let copy_piece t ~src ~dst pos n =
-  let d = writable t ((dst + pos) lsr chunk_bits) in
-  Bytes.blit
-    t.chunks.((src + pos) lsr chunk_bits)
-    ((src + pos) land chunk_mask)
-    d
-    ((dst + pos) land chunk_mask)
-    n
-
-let copy_within t ~src ~dst ~len =
-  check t src len "copy source";
-  check t dst len "copy destination";
-  touch t dst len;
-  if one_chunk src len && one_chunk dst len then copy_piece t ~src ~dst 0 len
-  else if dst <= src then begin
-    (* pieces inside one source and one destination chunk each, walking
-       away from the overlap as memmove does *)
-    let pos = ref 0 in
-    while !pos < len do
-      let n =
-        Int.min (len - !pos)
-          (Int.min
-             (chunk_size - ((src + !pos) land chunk_mask))
-             (chunk_size - ((dst + !pos) land chunk_mask)))
-      in
-      copy_piece t ~src ~dst !pos n;
-      pos := !pos + n
-    done
-  end
-  else begin
-    let fin = ref len in
-    while !fin > 0 do
-      let n =
-        Int.min !fin
-          (Int.min
-             (((src + !fin - 1) land chunk_mask) + 1)
-             (((dst + !fin - 1) land chunk_mask) + 1))
-      in
-      copy_piece t ~src ~dst (!fin - n) n;
-      fin := !fin - n
-    done
-  end
-
 let zero t ~pa ~len =
   check t pa len "zero";
   touch t pa len;

@@ -26,6 +26,11 @@
     parks it on the spare list. A clone shares its image's chunk table
     too, until its first write copies it.
 
+    The mutators are {!write_bytes}, {!write_sub}, {!set_u32},
+    {!set_addr}, {!zero} and {!with_validated_range} runs; each one
+    materializes (or copies) its chunks first and widens the dirty
+    extent by the bytes it writes.
+
     All accesses are bounds-checked: an out-of-range access is a guest
     triple-fault in real life and a typed error here. The module is pure
     data movement; boot paths charge virtual-clock costs separately
@@ -94,11 +99,6 @@ val write_bytes : t -> pa:int -> bytes -> unit
 val write_sub : t -> pa:int -> src:bytes -> src_off:int -> len:int -> unit
 
 val read_bytes : t -> pa:int -> len:int -> bytes
-
-val copy_within : t -> src:int -> dst:int -> len:int -> unit
-(** [copy_within t ~src ~dst ~len] moves a region inside guest memory —
-    what the bootstrap loader does when copying the compressed kernel out
-    of the way or copying text during FGKASLR. Overlap-safe. *)
 
 val zero : t -> pa:int -> len:int -> unit
 

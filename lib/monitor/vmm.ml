@@ -119,6 +119,23 @@ let check_kaslr_note (elf : Imk_elf.Types.t) =
               c.Imk_elf.Note.phys_start c.Imk_elf.Note.phys_align
               c.Imk_elf.Note.kmap_base)
 
+(* what the loader's relocate does after an FGKASLR shuffle, for either
+   principal: the loader preset, with kallsyms fixed up eagerly only when
+   the config asks for eager kallsyms *)
+let loader_policy (config : Vm_config.t) =
+  let base =
+    match config.loader with
+    | Vm_config.Loader_default -> Imk_bootstrap.Loader.default_policy
+    | Vm_config.Loader_stripped -> Imk_bootstrap.Loader.stripped_policy
+  in
+  {
+    base with
+    Imk_bootstrap.Loader.kallsyms_fixup =
+      base.Imk_bootstrap.Loader.kallsyms_fixup
+      && config.kallsyms = Vm_config.Kallsyms_eager;
+    write_setup_data = config.kallsyms = Vm_config.Kallsyms_deferred;
+  }
+
 (* --- direct (uncompressed vmlinux) boot --- *)
 
 let direct_boot ?plans ?choices ch cache (config : Vm_config.t) kernel_bytes mem
@@ -214,17 +231,11 @@ let direct_boot ?plans ?choices ch cache (config : Vm_config.t) kernel_bytes mem
   Imk_randomize.Loadelf.place_list mem bplan.Plan_cache.alloc ~phys_load ~plan;
   (* everything after offset selection is the bootstrap loader's own
      routine, charged at host rates *)
-  let policy =
-    {
-      Imk_bootstrap.Loader.kallsyms_fixup =
-        config.kallsyms = Vm_config.Kallsyms_eager;
-      write_setup_data = config.kallsyms = Vm_config.Kallsyms_deferred;
-      orc_fixup = config.orc = Vm_config.Orc_update;
-    }
-  in
   let params =
     Imk_bootstrap.Loader.relocate ch mem elf ~config:config.kernel_config
-      ~in_guest:false ~relocs ~phys_load ~delta ~plan ~policy
+      ~in_guest:false ~relocs ~phys_load ~delta ~plan
+      ~policy:(loader_policy config)
+      ~orc:(config.orc = Vm_config.Orc_update)
       ~kernel:(fun () ->
         Plan_cache.kernel_info plans bplan config.kernel_config)
   in
@@ -262,25 +273,12 @@ let run_loader ?plans ?choices ch (config : Vm_config.t) bplan mem =
     | Vm_config.Rando_kaslr -> Imk_bootstrap.Loader.Loader_kaslr
     | Vm_config.Rando_fgkaslr -> Imk_bootstrap.Loader.Loader_fgkaslr
   in
-  let policy =
-    let base =
-      match config.loader with
-      | Vm_config.Loader_default -> Imk_bootstrap.Loader.default_policy
-      | Vm_config.Loader_stripped -> Imk_bootstrap.Loader.stripped_policy
-    in
-    { base with
-      Imk_bootstrap.Loader.write_setup_data =
-        config.kallsyms = Vm_config.Kallsyms_deferred;
-      kallsyms_fixup =
-        base.Imk_bootstrap.Loader.kallsyms_fixup
-        && config.kallsyms = Vm_config.Kallsyms_eager;
-    }
-  in
   let guest_rng = Imk_entropy.Prng.create ~seed:(Int64.add config.seed 101L) in
   let hooks = Plan_cache.loader_hooks plans bplan in
   try
     Imk_bootstrap.Loader.run ~hooks ?choices ch mem ~bzimage:bplan.Plan_cache.bz
-      ~staging_pa ~config:config.kernel_config ~rando ~policy ~rng:guest_rng
+      ~staging_pa ~config:config.kernel_config ~rando
+      ~policy:(loader_policy config) ~rng:guest_rng
   with Imk_bootstrap.Loader.Loader_error m -> fail "bootstrap loader: %s" m
 
 let boot_on ?(inject = fun (_ : string) -> ()) ?plans ?choices ch cache

@@ -13,11 +13,15 @@
       {!Imk_bootstrap.Loader.relocate}, the routine the bootstrap loader
       runs too, charged at host rates; all before VM entry (§4.2).
       The kernel needs no modification; relocation info arrives as the
-      extra [relocs_path] argument (Figure 8).
+      extra [relocs_path] argument (Figure 8). Only this path fixes up
+      the ORC unwind table, when [Vm_config.orc] is [Orc_update].
     - {b bzImage boot} (with the bzImage-support patch): the monitor
       stages the image in guest memory and hands control to the
       {!Imk_bootstrap.Loader}, which self-bootstraps exactly as on bare
       metal.
+
+    Both principals take their {!Imk_bootstrap.Loader.policy} from one
+    mapping of the config's [loader] preset and [kallsyms] choice.
 
     Both paths end by running {!Imk_guest.Linux_boot}, which verifies the
     loaded kernel's integrity — a boot after a botched randomization

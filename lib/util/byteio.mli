@@ -27,9 +27,6 @@ val set_u32 : bytes -> int -> int -> unit
 val get_i64 : bytes -> int -> int64
 (** [get_i64 b off] reads a little-endian 64-bit integer. *)
 
-val set_i64 : bytes -> int -> int64 -> unit
-(** [set_i64 b off v] writes [v] little-endian. *)
-
 val get_addr : bytes -> int -> int
 (** [get_addr b off] reads a 64-bit little-endian value as a native [int].
     Raises [Invalid_argument] if the value does not fit in 62 bits; guest
@@ -49,7 +46,3 @@ val blit_string : string -> bytes -> int -> unit
 
 val fill_zero : bytes -> int -> int -> unit
 (** [fill_zero b off len] zeroes [len] bytes starting at [off]. *)
-
-val hex_dump : ?max_bytes:int -> bytes -> string
-(** [hex_dump b] renders the first [max_bytes] (default 64) bytes of [b] as
-    a conventional offset/hex/ASCII dump for debugging. *)

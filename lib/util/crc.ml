@@ -87,12 +87,3 @@ let crc32 ?(init = 0) b off len =
 let crc32_string s =
   let b = Bytes.unsafe_of_string s in
   crc32 b 0 (Bytes.length b)
-
-let adler32 ?(init = 1) b off len =
-  let base = 65521 in
-  let a = ref (init land 0xffff) and bsum = ref ((init lsr 16) land 0xffff) in
-  for i = off to off + len - 1 do
-    a := (!a + Char.code (Bytes.get b i)) mod base;
-    bsum := (!bsum + !a) mod base
-  done;
-  (!bsum lsl 16) lor !a

@@ -22,7 +22,3 @@ val crc32_ref : ?init:int -> bytes -> int -> int -> int
 
 val crc32_string : string -> int
 (** [crc32_string s] is the CRC-32 of all of [s]. *)
-
-val adler32 : ?init:int -> bytes -> int -> int -> int
-(** [adler32 ?init b off len] computes Adler-32 over the given range.
-    [init] defaults to 1 as specified by zlib. *)

@@ -12,12 +12,9 @@ val mib : int -> int
 val gib : int -> int
 (** [gib n] is [n * 1024 * 1024 * 1024]. *)
 
-val pp_bytes : Format.formatter -> int -> unit
-(** [pp_bytes ppf n] prints [n] as e.g. ["4.2M"], ["94K"], ["512"] using
-    binary units, in the compact style of the paper's Table 1. *)
-
 val bytes_to_string : int -> string
-(** [bytes_to_string n] is [Format.asprintf "%a" pp_bytes n]. *)
+(** [bytes_to_string n] renders [n] as e.g. ["4.2M"], ["94K"], ["512"]
+    using binary units, in the compact style of the paper's Table 1. *)
 
 val ns_to_ms : int -> float
 (** [ns_to_ms ns] converts nanoseconds to milliseconds. *)
@@ -29,9 +26,6 @@ val ns_float_to_ms : float -> float
 val ms_to_ns : float -> int
 (** [ms_to_ns ms] converts milliseconds to nanoseconds (rounded). *)
 
-val pp_ms : Format.formatter -> int -> unit
-(** [pp_ms ppf ns] prints a nanosecond duration as milliseconds with two
-    decimals, e.g. ["28.10 ms"]. *)
-
 val ms_string : int -> string
-(** [ms_string ns] is [Format.asprintf "%a" pp_ms ns]. *)
+(** [ms_string ns] renders a nanosecond duration as milliseconds with
+    two decimals, e.g. ["28.10 ms"]. *)

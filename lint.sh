@@ -97,6 +97,17 @@ for f in $(find lib/harness -name '*.ml' 2>/dev/null | sort); do
   fi
 done
 
+# Every table row and its telemetry row come from one primitive: the
+# rows of an Experiments.sheet (CLAUDE.md). A Table.create anywhere else
+# in lib/ is a hand-built table whose rendered rows and BENCH_<exp>.json
+# rows can drift apart, so the one call allowed is the one that builds a
+# sheet.
+if grep -rn 'Table\.create' lib --include='*.ml' \
+  | grep -v '^lib/harness/experiments\.ml:[0-9]*:let sheet headers = '; then
+  echo "lint: Table.create outside Experiments.sheet; add rows to a sheet with row/add" >&2
+  status=1
+fi
+
 # Unchecked memory access is allowed only under the audited
 # unsafe-after-validation pattern (DESIGN.md §4): a bounds proof
 # established up front — Kraft-validated decode tables whose every entry

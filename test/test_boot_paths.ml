@@ -360,6 +360,40 @@ let qcheck_generated_cell_boots =
       in
       r.Vmm.stats.Imk_guest.Runtime.functions_visited = 30)
 
+(* --- ORC policy: only the monitor's direct boot fixes up the ORC
+   unwind table, and only when the config asks for it (§4.3 ablation);
+   the bootstrap loader leaves it stale, as Linux's does --- *)
+
+let test_orc_policy () =
+  let env =
+    Testkit.make_env ~variant:Imk_kernel.Config.Fgkaslr ~functions:50
+      ~unwinder_orc:true ()
+  in
+  let orc_of ?flavor ?kernel_path ?relocs orc =
+    let _, r =
+      Testkit.boot env ~rando:Vm_config.Rando_fgkaslr ~orc ?flavor ?kernel_path ?relocs
+    in
+    ( r.Vmm.params.Imk_guest.Boot_params.orc_fixed,
+      r.Vmm.stats.Imk_guest.Runtime.orc_verified )
+  in
+  let fixed, verified = orc_of Vm_config.Orc_update in
+  check Alcotest.bool "direct, update: fixed" true fixed;
+  check Alcotest.bool "direct, update: entries verified" true (verified > 0);
+  let fixed, verified = orc_of Vm_config.Orc_skip in
+  check Alcotest.bool "direct, skip: stale" false fixed;
+  check int "direct, skip: nothing verified" 0 verified;
+  let path =
+    Testkit.add_bzimage env ~codec:"lz4" ~variant:Imk_kernel.Bzimage.Standard
+  in
+  List.iter
+    (fun (label, orc) ->
+      let fixed, verified =
+        orc_of ~flavor:Vm_config.In_monitor_fgkaslr ~kernel_path:path ~relocs:None orc
+      in
+      check Alcotest.bool (label ^ ": stale") false fixed;
+      check int (label ^ ": nothing verified") 0 verified)
+    [ ("bzImage, update", Vm_config.Orc_update); ("bzImage, skip", Vm_config.Orc_skip) ]
+
 let () =
   Alcotest.run "boot_paths"
     [
@@ -385,6 +419,7 @@ let () =
           Alcotest.test_case "kernel constants note" `Quick
             test_kernel_note_read_and_enforced;
         ] );
+      ("orc", [ Alcotest.test_case "orc policy" `Quick test_orc_policy ]);
       ( "cost shape",
         [
           Alcotest.test_case "C1: direct beats bzImage warm" `Quick

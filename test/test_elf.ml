@@ -56,11 +56,6 @@ let test_roundtrip () =
       check int "sym type" s.sym_type p.Types.sym_type)
     t.Types.symbols
 
-let test_entry_point_fast_path () =
-  let t = sample_image () in
-  let written = Writer.write t in
-  check int "entry_point" t.Types.entry (Parser.entry_point written)
-
 let test_is_elf () =
   let t = sample_image () in
   check Alcotest.bool "valid" true (Parser.is_elf (Writer.write t));
@@ -206,12 +201,6 @@ let test_reloc_invariant () =
   check Alcotest.bool "dup rejected" false
     (Relocation.sorted_dedup_invariant
        { Relocation.abs64 = [| 1; 1 |]; abs32 = [||]; inv32 = [||] })
-
-let test_reloc_map_sites () =
-  let t = { Relocation.abs64 = [| 1 |]; abs32 = [| 2 |]; inv32 = [| 3 |] } in
-  let t' = Relocation.map_sites t ~f:(fun v -> v * 10) in
-  Alcotest.(check (array int)) "mapped" [| 10 |] t'.Relocation.abs64;
-  Alcotest.(check (array int)) "mapped32" [| 20 |] t'.Relocation.abs32
 
 (* --- notes --- *)
 
@@ -402,7 +391,6 @@ let () =
       ( "writer+parser",
         [
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-          Alcotest.test_case "entry point" `Quick test_entry_point_fast_path;
           Alcotest.test_case "is_elf" `Quick test_is_elf;
           expect_malformed "truncated header" (fun () ->
               Parser.parse (Bytes.create 10));
@@ -452,7 +440,6 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_reloc_bad_magic;
           Alcotest.test_case "truncated" `Quick test_reloc_truncated;
           Alcotest.test_case "sorted invariant" `Quick test_reloc_invariant;
-          Alcotest.test_case "map_sites" `Quick test_reloc_map_sites;
           Testkit.to_alcotest qcheck_reloc_roundtrip;
           Testkit.to_alcotest qcheck_reloc_adversarial;
         ] );

@@ -79,15 +79,7 @@ let test_guest_mem_faults () =
   faults (fun () -> ignore (Guest_mem.read_bytes m ~pa:250 ~len:10));
   faults (fun () -> ignore (Guest_mem.get_addr m ~pa:(-1)));
   faults (fun () -> Guest_mem.write_bytes m ~pa:255 (Bytes.of_string "xy"));
-  faults (fun () -> Guest_mem.zero m ~pa:0 ~len:1000);
-  faults (fun () -> Guest_mem.copy_within m ~src:0 ~dst:250 ~len:10)
-
-let test_copy_within_overlap () =
-  let m = Guest_mem.create ~size:64 in
-  Guest_mem.write_bytes m ~pa:0 (Bytes.of_string "abcdef");
-  Guest_mem.copy_within m ~src:0 ~dst:2 ~len:6;
-  check Alcotest.string "blit semantics" "ababcdef"
-    (Bytes.to_string (Guest_mem.read_bytes m ~pa:0 ~len:8))
+  faults (fun () -> Guest_mem.zero m ~pa:0 ~len:1000)
 
 let test_valid_and_validated_range () =
   let m = Guest_mem.create ~size:256 in
@@ -277,7 +269,6 @@ type mem_op =
   | Set_u32 of int * int
   | Set_addr of int * int
   | Zero of int * int
-  | Copy of int * int * int  (** src, dst, len *)
   | Validated of int * int * int  (** pa, len, pattern: one validated run *)
 
 let model_size = (3 * chunk) + 12_345
@@ -288,7 +279,6 @@ let show_op = function
   | Set_u32 (pa, v) -> Printf.sprintf "set_u32 %#x %#x" pa v
   | Set_addr (pa, v) -> Printf.sprintf "set_addr %#x %#x" pa v
   | Zero (pa, len) -> Printf.sprintf "zero %#x+%d" pa len
-  | Copy (src, dst, len) -> Printf.sprintf "copy %#x -> %#x +%d" src dst len
   | Validated (pa, len, p) -> Printf.sprintf "validated %#x+%d /%d" pa len p
 
 let gen_op =
@@ -309,7 +299,6 @@ let gen_op =
       (2, map2 (fun a v -> Set_u32 (a, v)) pa (int_bound 0xffffffff));
       (2, map2 (fun a v -> Set_addr (a, v)) pa (int_bound (1 lsl 60)));
       (1, map2 (fun a l -> Zero (a, l)) pa len);
-      (2, map3 (fun s d l -> Copy (s, d, l)) pa pa len);
       (1, map3 (fun a l p -> Validated (a, l, p)) pa len (int_range 1 255));
     ]
 
@@ -393,14 +382,6 @@ let step m model slots op =
         Guest_mem.zero m ~pa ~len;
         Bytes.fill model pa len '\000';
         touched pa len
-      end
-  | Copy (src, dst, len) ->
-      let len = Int.min (clip src len) (clip dst len) in
-      if not (fits src len && fits dst len) then slots
-      else begin
-        Guest_mem.copy_within m ~src ~dst ~len;
-        Bytes.blit model src model dst len;
-        touched dst len
       end
   | Validated (pa, len, p) ->
       (* each chunk's store takes the part of the run inside it *)
@@ -742,8 +723,7 @@ let qcheck_arena_recycled_like_fresh =
           | 1 -> if off + 4 <= size then Guest_mem.set_u32 m ~pa:off v
           | _ ->
               let len = min 33 (size - off) in
-              if len > 0 && off + len + len <= size then
-                Guest_mem.copy_within m ~src:off ~dst:(off + len) ~len)
+              if len > 0 then Guest_mem.zero m ~pa:off ~len)
         writes;
       Arena.release a m;
       let r = Arena.borrow a ~size in
@@ -877,7 +857,6 @@ let () =
           Alcotest.test_case "read/write" `Quick test_guest_mem_rw;
           Alcotest.test_case "zeroed" `Quick test_guest_mem_zeroed_at_creation;
           Alcotest.test_case "faults" `Quick test_guest_mem_faults;
-          Alcotest.test_case "copy_within" `Quick test_copy_within_overlap;
           Alcotest.test_case "valid + validated range" `Quick
             test_valid_and_validated_range;
           Alcotest.test_case "get_i64 raw" `Quick test_get_i64_raw;

@@ -4,9 +4,9 @@
 open Imk_monitor
 
 let small_config ?(preset = Imk_kernel.Config.Aws) ?(functions = 80)
-    ?(variant = Imk_kernel.Config.Kaslr) ?(seed = 9L) () =
+    ?(variant = Imk_kernel.Config.Kaslr) ?(unwinder_orc = false) ?(seed = 9L) () =
   { (Imk_kernel.Config.make ~scale:4 ~seed preset variant) with
-    Imk_kernel.Config.functions }
+    Imk_kernel.Config.functions; unwinder_orc }
 
 type env = {
   disk : Imk_storage.Disk.t;
@@ -15,8 +15,8 @@ type env = {
   cfg : Imk_kernel.Config.t;
 }
 
-let make_env ?preset ?functions ?variant ?seed () =
-  let cfg = small_config ?preset ?functions ?variant ?seed () in
+let make_env ?preset ?functions ?variant ?unwinder_orc ?seed () =
+  let cfg = small_config ?preset ?functions ?variant ?unwinder_orc ?seed () in
   let built = Imk_kernel.Image.build cfg in
   let disk = Imk_storage.Disk.create () in
   let cache = Imk_storage.Page_cache.create disk in
