@@ -83,9 +83,23 @@ let relocate ch mem (elf : Imk_elf.Types.t) ~config ~in_guest ~relocs
   (match relocs with
   | None -> ()
   | Some relocs ->
-      let site_pa va = displace va - Addr.link_base + phys_load in
-      let new_va_of va =
-        Imk_randomize.Kaslr.delta_new_va ~delta (displace va)
+      (* [apply] asks for each kind's sites in ascending order: a cursor
+         maps them, and the index serves the targets *)
+      let site_pa =
+        match plan with
+        | None -> fun va -> va - Addr.link_base + phys_load
+        | Some p ->
+            let m = Imk_randomize.Fgkaslr.mapper p in
+            fun va ->
+              Imk_randomize.Fgkaslr.map m va - Addr.link_base + phys_load
+      in
+      let new_va_of =
+        match plan with
+        | None -> Imk_randomize.Kaslr.delta_new_va ~delta
+        | Some p ->
+            fun va ->
+              Imk_randomize.Kaslr.delta_new_va ~delta
+                (Imk_randomize.Fgkaslr.displace p va)
       in
       Imk_randomize.Kaslr.apply ~mem ~relocs ~site_pa ~new_va_of;
       let entries = modeled config (Imk_elf.Relocation.entry_count relocs) in
@@ -119,8 +133,7 @@ let relocate ch mem (elf : Imk_elf.Types.t) ~config ~in_guest ~relocs
       end;
       if policy.write_setup_data then
         Guest_mem.write_bytes mem ~pa:setup_data_pa
-          (Imk_guest.Boot_params.setup_data_encode
-             (Imk_randomize.Fgkaslr.displacement_pairs p));
+          (Imk_guest.Boot_params.setup_data_of_plan p);
       if orc then
         match Imk_elf.Types.section_by_name elf ".orc_unwind" with
         | None -> ()

@@ -73,20 +73,38 @@ let va_to_pa t va = va - t.virt_base + t.phys_load
 let default_setup_data_pa = 0x90000
 let setup_magic = 0x53455455 (* "SETU" *)
 
-let setup_data_encode pairs =
-  let n = Array.length pairs in
+(* the one encoder: [n] entries, entry [k] read through the three
+   accessors, so neither caller builds a tuple per entry *)
+let encode n ~old_va ~new_va ~size =
   let out = Bytes.create (8 + (n * 24)) in
   Byteio.set_u32 out 0 setup_magic;
   Byteio.set_u32 out 4 n;
-  Array.iteri
-    (fun k (old_va, new_va, size) ->
-      let off = 8 + (k * 24) in
-      Byteio.set_addr out off old_va;
-      Byteio.set_addr out (off + 8) new_va;
-      Byteio.set_u32 out (off + 16) size;
-      Byteio.set_u32 out (off + 20) 0)
-    pairs;
+  for k = 0 to n - 1 do
+    let off = 8 + (k * 24) in
+    Byteio.set_addr out off (old_va k);
+    Byteio.set_addr out (off + 8) (new_va k);
+    Byteio.set_u32 out (off + 16) (size k);
+    Byteio.set_u32 out (off + 20) 0
+  done;
   out
+
+let setup_data_encode pairs =
+  encode (Array.length pairs)
+    ~old_va:(fun k ->
+      let o, _, _ = pairs.(k) in
+      o)
+    ~new_va:(fun k ->
+      let _, nv, _ = pairs.(k) in
+      nv)
+    ~size:(fun k ->
+      let _, _, s = pairs.(k) in
+      s)
+
+let setup_data_of_plan (p : Imk_randomize.Fgkaslr.plan) =
+  encode p.count
+    ~old_va:(fun k -> p.old_va.(p.order.(k)))
+    ~new_va:(fun k -> p.new_va.(p.order.(k)))
+    ~size:(fun k -> p.size.(p.order.(k)))
 
 let setup_data_decode b =
   if Bytes.length b < 8 || Byteio.get_u32 b 0 <> setup_magic then

@@ -62,6 +62,13 @@ val setup_data_encode : (int * int * int) array -> bytes
 (** [(old_va, new_va, size)] triples, as produced by
     [Fgkaslr.displacement_pairs]. *)
 
+val setup_data_of_plan : Imk_randomize.Fgkaslr.plan -> bytes
+(** [setup_data_of_plan p] is
+    [setup_data_encode (Fgkaslr.displacement_pairs p)], byte for byte,
+    encoded straight from the plan's arrays by the same encoder: the
+    blob a boot writes for the deferred kallsyms fixup, with no tuple
+    per section. *)
+
 val setup_data_decode : bytes -> (int * int * int) array
 (** Raises [Invalid_argument] on a malformed blob. *)
 

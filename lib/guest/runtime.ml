@@ -27,9 +27,36 @@ type verify_stats = {
    bounds-checked once against the guest's size ([fits]) and their
    64-bit magic is compared without boxing; a header that fails the
    check goes to [read_fn_header], whose fault comes from its 64-bit
-   read first. test_guest pins this walk to test/verify_ref.ml. *)
+   read first. A call-site record or function header inside one 64 KiB
+   storage chunk is read through a [Guest_mem.view]: one bounds check
+   and one chunk lookup for the whole record, then byte reads at the
+   chunk offset. A record straddling a chunk edge or the guest's end
+   gets no view and takes the per-field path, so its fault, and its
+   panic message, are those of the field that leaves the guest. A
+   header is read once per VA the walk reaches its function at: guest
+   memory does not change while the boot verifies, so a pointer to a
+   reached function's VA matches it without a second read (most of a
+   kernel's call sites point at a function some earlier site reached).
+   test_guest pins this walk to test/verify_ref.ml. *)
 
 let fits mem pa len = pa >= 0 && pa <= Guest_mem.size mem - len
+
+(* where [pa] lies in the store a [Guest_mem.view] of it returns *)
+let chunk_off pa = pa land (Guest_mem.chunk_size - 1)
+
+(* A view's fields are read with the stdlib's byte primitives, which
+   compile inline, as [Byteio]'s readers would do if a dev build
+   (-opaque) inlined across modules: [u32] is [Byteio.get_u32], and a
+   site-kind byte the three codes miss goes to [Image.site_kind_of_code]
+   for its error *)
+let u32 v o = Int32.to_int (Bytes.get_int32_le v o) land 0xffffffff
+
+let site_kind v o =
+  match Bytes.get_uint8 v o with
+  | 0 -> Imk_elf.Relocation.Abs64
+  | 1 -> Imk_elf.Relocation.Abs32
+  | 2 -> Imk_elf.Relocation.Inv32
+  | c -> Image.site_kind_of_code c
 
 (* Some records are wider than the fields read from them; touching the
    last byte keeps the old whole-record bounds semantics of read_bytes. *)
@@ -63,7 +90,16 @@ let magic_at mem ~pa id =
    magic; panics exactly as [read_fn_header] does *)
 let header_id mem params ~va =
   let pa = Boot_params.va_to_pa params va in
-  if fits mem pa Function_graph.fn_header_bytes then begin
+  let v = Guest_mem.view mem ~pa ~len:Function_graph.fn_header_bytes in
+  if Bytes.length v > 0 then begin
+    let o = chunk_off pa in
+    let id = u32 v (o + 8) in
+    let m = Function_graph.fn_magic id in
+    if not (u32 v o = m land 0xffffffff && u32 v (o + 4) = m lsr 32) then
+      panic "bad function magic at va %#x (claims id %d)" va id;
+    id
+  end
+  else if fits mem pa Function_graph.fn_header_bytes then begin
     let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
     if not (magic_at mem ~pa id) then
       panic "bad function magic at va %#x (claims id %d)" va id;
@@ -81,10 +117,20 @@ let fn_at mem params ~va =
   end
   else None
 
-let check_fn mem params ~va ~expect_id ~what =
-  let id = header_id mem params ~va in
-  if id <> expect_id then
-    panic "%s: va %#x holds function %d, expected %d" what va id expect_id
+(* [fn_va] is a finished walk's layout: every function's header was read
+   at its VA and matched its id. Guest memory does not change while the
+   boot verifies, so a pointer to [expect_id]'s own VA needs no second
+   read; any other pointer is checked as the walk checks one *)
+let check_fn mem params fn_va ~va ~expect_id ~what =
+  if
+    not
+      (expect_id >= 0 && expect_id < Array.length fn_va
+      && fn_va.(expect_id) = va)
+  then begin
+    let id = header_id mem params ~va in
+    if id <> expect_id then
+      panic "%s: va %#x holds function %d, expected %d" what va id expect_id
+  end
 
 let target_va_of_site kind value =
   match kind with
@@ -112,17 +158,24 @@ let reach w ~id ~va =
   w.queue.(w.tail) <- id;
   w.tail <- w.tail + 1
 
+(* a site pointing at a function the walk already reached, at the VA
+   where the walk read and matched its header, is checked: the header
+   cannot have changed since. Every other site's target is read *)
 let follow_site mem params w ~from ~kind ~target_id ~value =
   let target_va = target_va_of_site kind value in
-  let id = header_id mem params ~va:target_va in
-  if id <> target_id then
-    panic "call from fn %d via %s: va %#x holds function %d, expected %d" from
-      (Imk_elf.Relocation.kind_name kind)
-      target_va id target_id;
+  let in_range = target_id >= 0 && target_id < Array.length w.visited in
+  if not (in_range && w.visited.(target_id) && w.fn_va.(target_id) = target_va)
+  then begin
+    let id = header_id mem params ~va:target_va in
+    if id <> target_id then
+      panic "call from fn %d via %s: va %#x holds function %d, expected %d"
+        from
+        (Imk_elf.Relocation.kind_name kind)
+        target_va id target_id
+  end;
   w.sites <- w.sites + 1;
-  if target_id >= 0 && target_id < Array.length w.visited
-     && not w.visited.(target_id)
-  then reach w ~id:target_id ~va:target_va
+  if in_range && not w.visited.(target_id) then
+    reach w ~id:target_id ~va:target_va
 
 (* [follow_site] raises neither [Fault] nor [Invalid_argument]:
    [header_id] reads only after [fits] or through [read_fn_header],
@@ -130,18 +183,34 @@ let follow_site mem params w ~from ~kind ~target_id ~value =
    bad abs32 value into one *)
 let walk_site mem params w ~from ~site_va =
   let site_pa = Boot_params.va_to_pa params site_va in
-  try
-    let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
-    let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
-    let value =
-      match kind with
-      | Imk_elf.Relocation.Abs64 -> Guest_mem.get_addr mem ~pa:(site_pa + 8)
-      | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
-          Guest_mem.get_u32 mem ~pa:(site_pa + 8)
-    in
-    follow_site mem params w ~from ~kind ~target_id ~value
-  with Guest_mem.Fault m | Invalid_argument m ->
-    panic "call site at va %#x: %s" site_va m
+  let v = Guest_mem.view mem ~pa:site_pa ~len:Function_graph.site_bytes in
+  if Bytes.length v > 0 then begin
+    (* the whole record is in [v]: only its bytes can fail to decode *)
+    let o = chunk_off site_pa in
+    try
+      let kind = site_kind v o in
+      let target_id = u32 v (o + 4) in
+      let value =
+        match kind with
+        | Imk_elf.Relocation.Abs64 -> Imk_util.Byteio.get_addr v (o + 8)
+        | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 -> u32 v (o + 8)
+      in
+      follow_site mem params w ~from ~kind ~target_id ~value
+    with Invalid_argument m -> panic "call site at va %#x: %s" site_va m
+  end
+  else
+    try
+      let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
+      let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
+      let value =
+        match kind with
+        | Imk_elf.Relocation.Abs64 -> Guest_mem.get_addr mem ~pa:(site_pa + 8)
+        | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
+            Guest_mem.get_u32 mem ~pa:(site_pa + 8)
+      in
+      follow_site mem params w ~from ~kind ~target_id ~value
+    with Guest_mem.Fault m | Invalid_argument m ->
+      panic "call site at va %#x: %s" site_va m
 
 let walk_functions mem params =
   let n = params.Boot_params.kernel.Boot_params.n_functions in
@@ -185,7 +254,7 @@ let table_count mem params ~va ~header ~what =
     Guest_mem.get_u32 mem ~pa
   with Guest_mem.Fault m -> panic "%s at va %#x: %s" what va m
 
-let verify_rodata mem params =
+let verify_rodata mem params fn_va =
   let info = params.Boot_params.kernel in
   let va = info.Boot_params.link_rodata_va + Boot_params.delta params in
   let count =
@@ -198,13 +267,13 @@ let verify_rodata mem params =
       probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
       let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
       let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-      check_fn mem params ~va:ptr ~expect_id:id ~what:"rodata pointer"
+      check_fn mem params fn_va ~va:ptr ~expect_id:id ~what:"rodata pointer"
     with Guest_mem.Fault m | Invalid_argument m ->
       panic "rodata entry at va %#x: %s" entry_va m
   done;
   count
 
-let verify_kallsyms mem params =
+let verify_kallsyms mem params fn_va =
   let info = params.Boot_params.kernel in
   let delta = Boot_params.delta params in
   let va = info.Boot_params.link_kallsyms_va + delta in
@@ -230,12 +299,13 @@ let verify_kallsyms mem params =
       let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
       if off <= !prev then panic "kallsyms not sorted at entry %d" k;
       prev := off;
-      check_fn mem params ~va:(base + off) ~expect_id:id ~what:"kallsyms symbol"
+      check_fn mem params fn_va ~va:(base + off) ~expect_id:id
+        ~what:"kallsyms symbol"
     with Guest_mem.Fault m -> panic "kallsyms entry at va %#x: %s" entry_va m
   done;
   count
 
-let verify_extab mem params =
+let verify_extab mem params fn_va =
   let info = params.Boot_params.kernel in
   let va = info.Boot_params.link_extab_va + Boot_params.delta params in
   let count =
@@ -257,9 +327,9 @@ let verify_extab mem params =
       (* non-strict: distinct entries may share a fault address *)
       if fault_va < !prev then panic "extab not sorted at entry %d" k;
       prev := fault_va;
-      check_fn mem params ~va:(fault_va - fault_off) ~expect_id:fault_fn
+      check_fn mem params fn_va ~va:(fault_va - fault_off) ~expect_id:fault_fn
         ~what:"extab fault site";
-      check_fn mem params ~va:handler_va ~expect_id:handler_fn
+      check_fn mem params fn_va ~va:handler_va ~expect_id:handler_fn
         ~what:"extab handler"
     with Guest_mem.Fault m -> panic "extab entry at va %#x: %s" entry_va m
   done;
@@ -297,11 +367,12 @@ let fn_layout mem params =
   fn_va
 
 let verify_boot mem params =
-  let functions_visited, sites_verified, _fn_va = walk_functions mem params in
-  let rodata_verified = verify_rodata mem params in
-  let extab_verified = verify_extab mem params in
+  let functions_visited, sites_verified, fn_va = walk_functions mem params in
+  let rodata_verified = verify_rodata mem params fn_va in
+  let extab_verified = verify_extab mem params fn_va in
   let kallsyms_verified =
-    if params.Boot_params.kallsyms_fixed then verify_kallsyms mem params else 0
+    if params.Boot_params.kallsyms_fixed then verify_kallsyms mem params fn_va
+    else 0
   in
   let orc_verified = verify_orc mem params in
   {

@@ -316,6 +316,15 @@ let with_validated_range t ~pa ~len f =
       f (writable t i) (i lsl chunk_bits)
     done
 
+(* one comparison chain, no allocation: the chunk's own store, which a
+   write may replace (copy-on-write) or fill, so the caller reads it
+   before its next write *)
+let view t ~pa ~len =
+  if pa >= 0 && len > 0 && pa <= t.size - len
+     && (pa land chunk_mask) + len <= chunk_size
+  then t.chunks.(pa lsr chunk_bits)
+  else Bytes.empty
+
 (* --- scalar accessors: one chunk lookup when the value lies inside one
    chunk (always, for aligned values); a value straddling a chunk edge
    goes through a small bounce buffer --- *)

@@ -126,6 +126,22 @@ val with_validated_range :
     harmless to the tracker but get no bounds protection beyond the
     chunk's own. *)
 
+val view : t -> pa:int -> len:int -> bytes
+(** [view t ~pa ~len] is the store of the storage chunk holding
+    [\[pa, pa+len)], to be read at offset [pa land (chunk_size - 1)],
+    when that range is non-empty, inside guest memory and inside one
+    storage chunk; otherwise it is [Bytes.empty], and the caller falls
+    back to the checked accessors (whose faults name the access). One
+    bounds check and one chunk lookup for a whole record, and no
+    allocation — the read side of {!with_validated_range}.
+
+    The view is read-only: nothing may write through it. It may be the
+    shared zero chunk or a chunk of a frozen {!image}, and a write
+    there would reach every guest sharing it and bypass the dirty
+    tracker. It stays valid until the next write to [t]: a write may
+    copy the chunk ({!of_image} clones, the zero chunk), so a view
+    taken before it can read stale bytes after it. *)
+
 val get_u8 : t -> pa:int -> int
 val get_u32 : t -> pa:int -> int
 val set_u32 : t -> pa:int -> int -> unit

@@ -2,6 +2,7 @@ type elf_plan = {
   elf : Imk_elf.Types.t;
   alloc : Imk_elf.Types.section list;
   fn_sections : (int * int) array;
+  fn_table : Imk_randomize.Fgkaslr.table;
   image_memsz : int;
   mutable kinfo :
     (Imk_kernel.Config.t * Imk_guest.Boot_params.kernel_info) option;
@@ -20,10 +21,12 @@ type bz_plan = {
 
 let build_elf_plan bytes =
   let elf = Imk_elf.Parser.parse bytes in
+  let fn_sections = Imk_randomize.Loadelf.fn_sections elf in
   {
     elf;
     alloc = Imk_randomize.Loadelf.alloc_sections elf;
-    fn_sections = Imk_randomize.Loadelf.fn_sections elf;
+    fn_sections;
+    fn_table = Imk_randomize.Fgkaslr.table ~sections:fn_sections;
     image_memsz = Imk_randomize.Loadelf.image_memsz elf;
     kinfo = None;
   }

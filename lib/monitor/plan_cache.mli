@@ -44,6 +44,13 @@ type elf_plan = {
       (** SHF_ALLOC sections in file order — the placement work list *)
   fn_sections : (int * int) array;
       (** function sections as (addr, size), sorted — FGKASLR input *)
+  fn_table : Imk_randomize.Fgkaslr.table;
+      (** [fn_sections]' FGKASLR section table: built (and validated)
+          once per image, so an FGKASLR boot only draws its shuffle
+          ({!Imk_randomize.Fgkaslr.draw}). A table that failed
+          validation is stored too, and [draw] raises on it at the
+          point where the boot used to build its plan; a KASLR boot of
+          the same image never reads it. *)
   image_memsz : int;
   mutable kinfo :
     (Imk_kernel.Config.t * Imk_guest.Boot_params.kernel_info) option;

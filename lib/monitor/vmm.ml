@@ -221,9 +221,9 @@ let direct_boot ?plans ?choices ch cache (config : Vm_config.t) kernel_bytes mem
              (cm.Cost_model.section_shuffle_ns
              *. float_of_int (modeled config (Array.length sections))));
         Some
-          (Imk_randomize.Fgkaslr.make_plan
+          (Imk_randomize.Fgkaslr.draw
              (rng_for Imk_randomize.Choices.shuffle_rng)
-             ~sections ~text_base:Addr.link_base)
+             bplan.Plan_cache.fn_table ~text_base:Addr.link_base)
     | _ -> None
   in
   (* one-pass placement: segments land at their final (displaced)

@@ -8,11 +8,16 @@
     exception table, optionally the ORC unwind table) are rewritten and
     re-sorted. Linux finds the section by a binary search per entry, and
     the virtual clock still charges that search
-    ({!Imk_vclock.Cost_model.fg_reloc_cost}); on the host the lookup is
-    a bucket index over the sections' link addresses, O(1) per entry.
-    The {!plan} is the shared data structure; the monitor and the
-    bootstrap loader differ only in how they move the bytes and what
-    they charge for it. *)
+    ({!Imk_vclock.Cost_model.fg_reloc_cost}); on the host a lookup in
+    random order reads a bucket index over the sections' link
+    addresses, O(1) per entry, and a walk in ascending order (relocation
+    sites, section placement) reads a {!mapper}, a cursor that steps
+    through the sections in link order. The {!plan} is the shared data
+    structure; the monitor and the bootstrap loader differ only in how
+    they move the bytes and what they charge for it. A plan has an image
+    half, the link-ordered {!table} a monitor builds once per kernel
+    image, and a boot half, the shuffled [order] and the [new_va]s it
+    lays out, drawn per boot by {!draw}. *)
 
 type index
 (** The lookup structure {!displace} reads: at most 2 x [count] buckets
@@ -32,12 +37,32 @@ type plan = {
   index : index;
 }
 
+type table
+(** The image half of a plan: the sections' link VAs and sizes in link
+    order, their bucket index, and whether they passed validation.
+    Immutable, so one table serves every boot of its image, across
+    domains too; every plan {!draw} makes from it shares its link VAs,
+    sizes and index. *)
+
+val table : sections:(int * int) array -> table
+(** [table ~sections] is the table of the [(old_va, size)] sections, as
+    {!Loadelf.fn_sections} lists them. It never raises: sections that
+    overlap or are unsorted make a table that {!draw} rejects, so a
+    kernel whose function sections are corrupt still boots without
+    FGKASLR. *)
+
+val draw : Imk_entropy.Prng.t -> table -> text_base:int -> plan
+(** [draw rng t ~text_base] shuffles [t]'s sections and assigns new VAs
+    contiguously (16-aligned) from [text_base]: the per-boot half of a
+    plan, allocating only [order] and [new_va]. Raises
+    [Invalid_argument] before drawing anything if [t]'s sections overlap
+    or are unsorted — symptoms of a corrupt section table. *)
+
 val make_plan :
   Imk_entropy.Prng.t -> sections:(int * int) array -> text_base:int -> plan
-(** [make_plan rng ~sections ~text_base] shuffles the [(old_va, size)]
-    sections and assigns new VAs contiguously (16-aligned) from
-    [text_base]. Raises [Invalid_argument] if sections overlap or are
-    unsorted — symptoms of a corrupt section table. *)
+(** [make_plan rng ~sections ~text_base] is
+    [draw rng (table ~sections) ~text_base]: the same draws from [rng],
+    the same plan and the same [Invalid_argument]. *)
 
 val displace : plan -> int -> int
 (** [displace plan va] maps a link-time VA to its post-shuffle VA: VAs
@@ -51,10 +76,30 @@ val displace : plan -> int -> int
     global KASLR delta is {e not} included — compose with
     {!Kaslr.delta_new_va}. *)
 
+type mapper
+(** A cursor over a plan's link-ordered sections: the rank of the
+    section its last query resolved to. *)
+
+val mapper : plan -> mapper
+(** [mapper plan] is a fresh cursor at the first section. It is mutable
+    state: one per walk, never shared across domains. *)
+
+val map : mapper -> int -> int
+(** [map m va] is [displace plan va], for every [va] in any order. A
+    query in the cursor's section or the next one moves the cursor
+    there; a query below the cursor, or further ahead, reads the bucket
+    index instead. So an ascending sequence of queries (a kind's
+    relocation sites, the sections in file order) mostly stays on the
+    cursor, costs O(1) per query whatever the order, and allocates
+    nothing. *)
+
 val displacement_pairs : plan -> (int * int * int) array
 (** [displacement_pairs plan] lists [(old_va, new_va, size)] per section
-    in placement order — the "setup data" blob a monitor can expose to the
-    guest for deferred kallsyms fixup (§4.3 ablation). *)
+    in placement order — the contents of the "setup data" blob a monitor
+    can expose to the guest for deferred kallsyms fixup (§4.3 ablation).
+    A boot encodes that blob straight from the plan's arrays
+    ([Imk_guest.Boot_params.setup_data_of_plan]), without this array of
+    tuples. *)
 
 val plan_of_pairs : (int * int * int) array -> plan
 (** [plan_of_pairs pairs] reconstructs a plan from
@@ -72,7 +117,16 @@ val identity_plan : sections:(int * int) array -> text_base:int -> plan
 
 (** {1 Table fixups} — operate on the loaded tables in guest memory.
     [pa] is the guest-physical address of the section; entries use the
-    encodings documented in {!Imk_kernel.Image}. *)
+    encodings documented in {!Imk_kernel.Image}. Each fixup reads its
+    entries into one flat int array, a row per entry, and sorts the rows
+    in place with {!sort_rows}; no entry is boxed. *)
+
+val sort_rows : int array -> width:int -> int -> unit
+(** [sort_rows rows ~width n] sorts the first [n] rows of [width] ints
+    each, laid out one after another in [rows], in lexicographic order
+    of their fields — in place, allocating nothing. The sort is not
+    stable, so rows that compare equal must be interchangeable: the
+    fixups make every field of an entry a key. *)
 
 val fixup_kallsyms : Imk_memory.Guest_mem.t -> pa:int -> plan -> unit
 (** Rewrite each symbol's base-relative offset by its function's

@@ -35,7 +35,11 @@ let delta_new_va ~delta va =
 (* Relocation application is batched: the site arrays arrive sorted by
    link VA, and [site_pa] is piecewise-affine (constant offset for
    KASLR, per-section offsets under FGKASLR), so consecutive sites map
-   to monotone stretches of guest-physical addresses. Each stretch — a
+   to monotone stretches of guest-physical addresses. [site_pa] is
+   queried once per site, kind by kind in table order, and every later
+   use of a site's address reads that answer, so a caller may pass a
+   stateful mapper that is cheap on ascending queries
+   ([Fgkaslr.map]). Each stretch — a
    relocation run — pays one Guest_mem bounds check + dirty-tracker
    update via [with_validated_range] and then patches through
    Imk_util.Byteio on the stores of the 64 KiB storage chunks holding it
@@ -61,8 +65,7 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
   let open Imk_elf.Relocation in
   (* per-site checked path: the reference semantics, and the fallback
      that keeps error reporting identical when a run fails validation *)
-  let patch kind site_va =
-      let pa = site_pa site_va in
+  let patch kind pa site_va =
       match kind with
       | Abs64 ->
           let old_va =
@@ -97,7 +100,14 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
           Guest_mem.set_u32 mem ~pa stored'
   in
   (* same transformation and same failure messages as [patch], but on a
-     run [with_validated_range] already bounds-checked and dirtied *)
+     run [with_validated_range] already bounds-checked and dirtied. The
+     32-bit fields go through the stdlib's byte primitives, which compile
+     inline where a dev build (-opaque) would call [Byteio]'s *)
+  let get_u32 data pa =
+    Int32.to_int (Bytes.get_int32_le data pa) land 0xffffffff
+  in
+  (* stores [v]'s low 32 bits: [Int32.of_int] truncates *)
+  let set_u32 data pa v = Bytes.set_int32_le data pa (Int32.of_int v) in
   let patch_in kind data pa site_va =
     match kind with
     | Abs64 ->
@@ -108,7 +118,7 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
         in
         Imk_util.Byteio.set_addr data pa (new_va_of old_va)
     | Abs32 ->
-        let low = Imk_util.Byteio.get_u32 data pa in
+        let low = get_u32 data pa in
         let old_va =
           try Addr.va_of_low32 low
           with Invalid_argument _ ->
@@ -117,9 +127,9 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
         let nva = new_va_of old_va in
         if not (Addr.is_kernel_va nva) then
           fail "abs32 relocation at %#x overflows 32 bits" site_va;
-        Imk_util.Byteio.set_u32 data pa (Addr.low32 nva)
+        set_u32 data pa nva
     | Inv32 ->
-        let stored = Imk_util.Byteio.get_u32 data pa in
+        let stored = get_u32 data pa in
         let old_va = Addr.inverse_base - stored in
         if not (Addr.is_kernel_va old_va) then
           fail "inv32 site %#x holds non-kernel value %#x" site_va stored;
@@ -127,11 +137,12 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
         let stored' = Addr.inverse_base - nva in
         if stored' < 0 || stored' > 0xffffffff then
           fail "inv32 relocation at %#x underflows" site_va;
-        Imk_util.Byteio.set_u32 data pa stored'
+        set_u32 data pa stored'
   in
   let apply_kind kind width sites =
     let n = Array.length sites in
     if n > 0 then begin
+      (* the one query of [site_pa] per site, in table order *)
       let pas = Array.map site_pa sites in
       (* the current run is sites [!first, !last], and [!k] the next one
          to patch; one closure patches every storage chunk of every run,
@@ -143,7 +154,7 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
         while !j <= last && pas.(!j) < edge do
           let pa = pas.(!j) in
           if pa + width <= edge then patch_in kind data (pa - base) sites.(!j)
-          else patch kind sites.(!j);
+          else patch kind pa sites.(!j);
           incr j
         done;
         k := !j
@@ -171,7 +182,7 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
         end
         else
           for k = !first to !last do
-            try patch kind sites.(k)
+            try patch kind pas.(k) sites.(k)
             with Guest_mem.Fault m ->
               fail "relocation site %#x outside the loaded image: %s" sites.(k)
                 m

@@ -46,6 +46,14 @@ val apply :
     to its randomized VA. Handles the three kinds of §3.2: 64-bit add,
     32-bit add with range check, 32-bit inverse subtract.
 
+    [site_pa] is called exactly once per site, kind by kind (64-bit,
+    32-bit, inverse), each kind's sites in table order — ascending link
+    VA in a decoded table — and nothing else calls it. So it may be
+    stateful: the FGKASLR boot passes an {!Fgkaslr.map} cursor, which
+    is O(1) per query on ascending sites and steps back through the
+    index where one kind's walk ends and the next begins. [new_va_of]
+    is queried in the targets' order, which is arbitrary.
+
     Sites are patched in table order, batched into monotone physical
     runs (each inside one 2 MiB block and at most 1 MiB long) that pay
     one {!Imk_memory.Guest_mem.with_validated_range} bounds check +

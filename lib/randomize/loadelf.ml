@@ -33,12 +33,12 @@ let text_bytes elf =
     0 (alloc_sections elf)
 
 let place_list mem sections ~phys_load ~plan =
-  let displaced va =
-    match plan with None -> va | Some p -> Fgkaslr.displace p va
-  in
+  (* the function sections come in file order, which is link order, so
+     one cursor maps them all in O(1) each *)
+  let m = Option.map Fgkaslr.mapper plan in
   List.iter
     (fun (s : Imk_elf.Types.section) ->
-      let va' = displaced s.addr in
+      let va' = match m with None -> s.addr | Some m -> Fgkaslr.map m s.addr in
       let pa = phys_load + (va' - Addr.link_base) in
       if pa < 0 || pa + s.size > Guest_mem.size mem then
         fail "section %s does not fit at pa %#x" s.name pa;

@@ -431,6 +431,63 @@ let test_disk_unchanged_by_cached_boots () =
   ignore (fig9_cell ws ~jobs:2);
   check bool "disk contents unchanged" true (before = manifest ())
 
+(* ---------- the per-image FGKASLR section table ---------- *)
+
+(* a copy of [env]'s kernel with one more function section: 8 bytes of
+   the first function's header, linked 8 bytes into it. Placed without a
+   shuffle, it writes the bytes already there *)
+let overlapping_vmlinux env =
+  let open Imk_elf.Types in
+  let elf = Imk_elf.Parser.parse env.Testkit.built.Imk_kernel.Image.vmlinux in
+  let s =
+    List.find is_function_section (Array.to_list elf.sections)
+  in
+  let dup =
+    { s with
+      name = ".text.overlap";
+      addr = s.addr + 8;
+      size = 8;
+      data = Bytes.sub s.data 8 8;
+      offset = Imk_elf.Layout.align_up (Imk_elf.Layout.file_end elf.sections) 16 }
+  in
+  Imk_elf.Writer.write { elf with sections = Array.append elf.sections [| dup |] }
+
+(* a boot of the overlapping kernel: its result, or the exception it
+   raised, and the virtual time charged until then *)
+let overlap_boot ?plans rando =
+  let env = Testkit.make_env ~functions:40 ~variant:Imk_kernel.Config.Fgkaslr () in
+  Imk_storage.Disk.add env.Testkit.disk ~name:"overlap.vmlinux"
+    (overlapping_vmlinux env);
+  let vm =
+    Vm_config.make ~rando ~relocs_path:(Some (Testkit.relocs_path env))
+      ~mem_bytes:(64 * 1024 * 1024) ~kernel_path:"overlap.vmlinux"
+      ~kernel_config:env.Testkit.cfg ~seed:42L ()
+  in
+  let trace, ch = Imk_vclock.Charge.fresh () in
+  let outcome =
+    match Vmm.boot ?plans ch env.Testkit.cache vm with
+    | r -> Ok r.Vmm.stats.Imk_guest.Runtime.functions_visited
+    | exception Invalid_argument m -> Error m
+  in
+  (outcome, Imk_vclock.Trace.total trace)
+
+(* The plan validates the function sections once per image and keeps
+   the verdict: an FGKASLR boot of a kernel whose sections overlap
+   fails where it failed when each boot built its own plan — the same
+   exception after the same virtual time, cached or not — and a KASLR
+   boot of it, which never shuffles, boots. The figures are the ones
+   the boot path gave before the table moved into the plan. *)
+let test_overlapping_sections () =
+  List.iter
+    (fun plans ->
+      check bool "fgkaslr fails at the same point" true
+        (overlap_boot ?plans Vm_config.Rando_fgkaslr
+        = ( Error "Fgkaslr.make_plan: overlapping or unsorted sections",
+            7_998_728 ));
+      check bool "kaslr boots" true
+        (overlap_boot ?plans Vm_config.Rando_kaslr = (Ok 40, 54_306_109)))
+    [ Some (PC.create ()); None ]
+
 let () =
   Alcotest.run "imk_plan_cache"
     [
@@ -445,6 +502,8 @@ let () =
             test_failed_build_not_cached;
           Alcotest.test_case "bz + relocs keying" `Quick
             test_bz_and_relocs_keying;
+          Alcotest.test_case "overlapping sections" `Quick
+            test_overlapping_sections;
         ] );
       ( "invisibility",
         [

@@ -545,6 +545,282 @@ let test_displace_allocation () =
   check (Alcotest.float 0.) "10,000 lookups, 0 minor words" 0.
     (Testkit.minor_words lookups)
 
+(* --- the cursor against displace --- *)
+
+(* a plan over [secs] of one of the three shapes the reference property
+   draws: shuffled, identity, or rebuilt from its own shuffled pairs *)
+let plan_of_shape r secs shape =
+  let shuffled = Fgkaslr.make_plan r ~sections:secs ~text_base:Addr.link_base in
+  match shape with
+  | 0 -> shuffled
+  | 1 -> Fgkaslr.identity_plan ~sections:secs ~text_base:Addr.link_base
+  | _ ->
+      let pairs = Fgkaslr.displacement_pairs shuffled in
+      Imk_entropy.Shuffle.shuffle_in_place r pairs;
+      Fgkaslr.plan_of_pairs pairs
+
+(* queries a relocation walk and worse would make: ascending runs over
+   the probes, the same VA twice, descending runs, jumps back to the
+   start of a run, and single random probes — min_int and max_int and
+   VAs below the first section and above the last among them *)
+let query_sequence r secs =
+  let probes = Array.of_list (if Array.length secs = 0 then [ min_int; 0; max_int ] else probes secs) in
+  let m = Array.length probes in
+  let pick () = probes.(Imk_entropy.Prng.next_int r m) in
+  let run () =
+    let len = 1 + Imk_entropy.Prng.next_int r m in
+    List.sort Int.compare (List.init len (fun _ -> pick ()))
+  in
+  List.concat
+    (List.init 12 (fun _ ->
+         match Imk_entropy.Prng.next_int r 4 with
+         | 0 -> run ()
+         | 1 -> List.concat_map (fun va -> [ va; va ]) (run ())
+         | 2 -> List.rev (run ())
+         | _ -> List.init 5 (fun _ -> pick ())))
+
+let qcheck_cursor_matches_displace =
+  QCheck.Test.make ~name:"fgkaslr: cursor = displace" ~count:150
+    QCheck.(triple int64 (int_range 0 3000) (int_bound 2))
+    (fun (seed, n, shape) ->
+      let r = Imk_entropy.Prng.create ~seed in
+      let secs = random_sections r n in
+      let plan = plan_of_shape r secs shape in
+      let m = Fgkaslr.mapper plan in
+      List.for_all
+        (fun va -> Fgkaslr.map m va = Fgkaslr.displace plan va)
+        (query_sequence r secs))
+
+let test_map_allocation () =
+  Testkit.skip_unless_native ();
+  let secs = random_sections (rng ()) 5600 in
+  let plan = Fgkaslr.make_plan (rng ()) ~sections:secs ~text_base:Addr.link_base in
+  let span = fst secs.(5599) - Addr.link_base in
+  let m = Fgkaslr.mapper plan in
+  (* an ascending walk, then a pass that jumps about *)
+  let lookups () =
+    let acc = ref 0 in
+    for i = 0 to 9_999 do
+      acc := !acc lxor Fgkaslr.map m (Addr.link_base + (i * (span / 10_000)))
+    done;
+    for i = 0 to 9_999 do
+      acc := !acc lxor Fgkaslr.map m (Addr.link_base + (i * 7919 mod span))
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  check (Alcotest.float 0.) "20,000 queries, 0 minor words" 0.
+    (Testkit.minor_words lookups)
+
+(* --- the section table --- *)
+
+(* one table, many draws: each draw is the plan make_plan builds from the
+   same sections and the same generator state *)
+let test_table_draw_is_make_plan () =
+  let secs = random_sections (rng ()) 300 in
+  let t = Fgkaslr.table ~sections:secs in
+  let r1 = Imk_entropy.Prng.create ~seed:11L in
+  let r2 = Imk_entropy.Prng.create ~seed:11L in
+  for _ = 1 to 3 do
+    let a = Fgkaslr.draw r1 t ~text_base:Addr.link_base in
+    let b = Fgkaslr.make_plan r2 ~sections:secs ~text_base:Addr.link_base in
+    check Alcotest.bool "same plan" true
+      (Fgkaslr.displacement_pairs a = Fgkaslr.displacement_pairs b
+      && a.Fgkaslr.order = b.Fgkaslr.order)
+  done
+
+(* an overlapping table builds, and draw rejects it as make_plan does,
+   before it draws anything *)
+let test_table_rejects_overlap_on_draw () =
+  let bad = [| (Addr.link_base, 64); (Addr.link_base + 32, 64) |] in
+  let t = Fgkaslr.table ~sections:bad in
+  let r = rng () in
+  let raised f =
+    match f () with
+    | _ -> "no exception"
+    | exception Invalid_argument m -> m
+  in
+  let expect =
+    raised (fun () -> Fgkaslr.make_plan (rng ()) ~sections:bad ~text_base:Addr.link_base)
+  in
+  check Alcotest.string "same exception" expect
+    (raised (fun () -> Fgkaslr.draw r t ~text_base:Addr.link_base));
+  check int "nothing drawn" (Imk_entropy.Prng.next_int (rng ()) 1000)
+    (Imk_entropy.Prng.next_int r 1000)
+
+(* --- table fixups against the tuple-sorting reference --- *)
+
+(* A guest holding one table of [count] entries at a random address:
+   sometimes across the 64 KiB storage edge, sometimes running off the
+   guest's end. Entry fields come from small pools so that entries tie
+   on every field: VAs from a handful of section starts, interiors and
+   ends (some never displaced), ids and offsets from 0..2. [fields k]
+   writes entry [k] at [pa] (its VA is [va]). *)
+let guest_size = 2 * Guest_mem.chunk_size
+
+let table_guest r ~header ~entry ~count ~write_count ~fields =
+  let mem = Guest_mem.create ~size:guest_size in
+  let pa =
+    match Imk_entropy.Prng.next_int r 4 with
+    | 0 -> Guest_mem.chunk_size - 1 - Imk_entropy.Prng.next_int r 4000
+    | 1 -> guest_size - 16 - Imk_entropy.Prng.next_int r 64
+    | _ -> Imk_entropy.Prng.next_int r (guest_size - 16)
+  in
+  write_count mem ~pa;
+  let fit = Int.max 0 ((guest_size - pa - header) / entry) in
+  for k = 0 to Int.min count fit - 1 do
+    fields mem ~k ~pa:(pa + header + (k * entry))
+  done;
+  (mem, pa)
+
+let va_pool r secs =
+  let n = Array.length secs in
+  Array.init 6 (fun _ ->
+      if n = 0 then Addr.link_base
+      else
+        let va, size = secs.(Imk_entropy.Prng.next_int r n) in
+        match Imk_entropy.Prng.next_int r 4 with
+        | 0 -> va
+        | 1 -> va + (size / 2)
+        | 2 -> va + size
+        | _ -> va - 1)
+
+type fixup_outcome = Written of string | Raised of string
+
+let fixup_outcome mem f =
+  match f mem with
+  | () ->
+      Written
+        (Bytes.to_string (Guest_mem.read_bytes mem ~pa:0 ~len:guest_size))
+  | exception e -> Raised (Printexc.to_string e)
+
+(* the table's entry count: mostly what the entries fill, else zero,
+   one, more than the guest holds, or implausible *)
+let draw_count r =
+  match Imk_entropy.Prng.next_int r 8 with
+  | 0 -> 0
+  | 1 -> 1
+  | 2 -> 50_000
+  | 3 -> 10_000_001
+  | _ -> 2 + Imk_entropy.Prng.next_int r 300
+
+let qcheck_fixups_match_reference =
+  QCheck.Test.make ~name:"fgkaslr: fixups = tuple-sorting reference" ~count:300
+    QCheck.(triple int64 (int_range 0 400) (int_bound 2))
+    (fun (seed, n, shape) ->
+      let r = Imk_entropy.Prng.create ~seed in
+      let secs = random_sections r n in
+      let plan = plan_of_shape r secs shape in
+      let pool = va_pool r secs in
+      let pick a = a.(Imk_entropy.Prng.next_int r (Array.length a)) in
+      let small () = Imk_entropy.Prng.next_int r 3 in
+      let count = draw_count r in
+      let entries = Int.min count 400 in
+      (* each table's fields, drawn once and written into two guests *)
+      let same name ~header ~entry ~count_at ~fields ~fixup ~reference =
+        let values = Array.init entries (fun _ -> fields ()) in
+        let seed' = Imk_entropy.Prng.next_int r 1_000_000 in
+        let build () =
+          let r = Imk_entropy.Prng.create ~seed:(Int64.of_int seed') in
+          table_guest r ~header ~entry ~count
+            ~write_count:(fun mem ~pa ->
+              Guest_mem.set_u32 mem ~pa:(pa + count_at) count)
+            ~fields:(fun mem ~k ~pa ->
+              if k < entries then values.(k) mem ~pa)
+        in
+        let m1, pa = build () and m2, _ = build () in
+        let got = fixup_outcome m1 (fun mem -> fixup mem ~pa)
+        and want = fixup_outcome m2 (fun mem -> reference mem ~pa) in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s differs (count %d, pa %#x)" name count pa;
+        true
+      in
+      let table_va = Addr.link_base - 4096 in
+      same "kallsyms" ~header:Imk_kernel.Image.kallsyms_header_bytes
+        ~entry:Imk_kernel.Image.kallsyms_entry_bytes ~count_at:8
+        ~fields:(fun () ->
+          let off = pick pool - Addr.kmap_base and id = small () in
+          fun mem ~pa ->
+            Guest_mem.set_u32 mem ~pa off;
+            Guest_mem.set_u32 mem ~pa:(pa + 4) id)
+        ~fixup:(fun mem ~pa -> Fgkaslr.fixup_kallsyms mem ~pa plan)
+        ~reference:(fun mem ~pa -> Fixup_ref.fixup_kallsyms mem ~pa plan)
+      && same "extab" ~header:Imk_kernel.Image.extab_header_bytes
+           ~entry:Imk_kernel.Image.extab_entry_bytes ~count_at:0
+           ~fields:(fun () ->
+             let fault = pick pool and handler = pick pool in
+             let fault_fn = small () and handler_fn = small () in
+             let fault_off = small () in
+             fun mem ~pa ->
+               (* entry VAs are relative to the table's VA, [pa] here *)
+               let entry_va = table_va + pa in
+               Guest_mem.set_u32 mem ~pa ((fault - entry_va) land 0xffffffff);
+               Guest_mem.set_u32 mem ~pa:(pa + 4)
+                 ((handler - (entry_va + 4)) land 0xffffffff);
+               Guest_mem.set_u32 mem ~pa:(pa + 8) fault_fn;
+               Guest_mem.set_u32 mem ~pa:(pa + 12) handler_fn;
+               Guest_mem.set_u32 mem ~pa:(pa + 16) fault_off)
+           ~fixup:(fun mem ~pa ->
+             Fgkaslr.fixup_extab mem ~pa ~extab_va:(table_va + pa) plan)
+           ~reference:(fun mem ~pa ->
+             Fixup_ref.fixup_extab mem ~pa ~extab_va:(table_va + pa) plan)
+      && same "orc" ~header:Imk_kernel.Image.orc_header_bytes
+           ~entry:Imk_kernel.Image.orc_entry_bytes ~count_at:0
+           ~fields:(fun () ->
+             let ip = pick pool and id = small () in
+             fun mem ~pa ->
+               let entry_va = table_va + pa in
+               Guest_mem.set_u32 mem ~pa ((ip - entry_va) land 0xffffffff);
+               Guest_mem.set_u32 mem ~pa:(pa + 4) id)
+           ~fixup:(fun mem ~pa ->
+             Fgkaslr.fixup_orc mem ~pa ~orc_va:(table_va + pa) plan)
+           ~reference:(fun mem ~pa ->
+             Fixup_ref.fixup_orc mem ~pa ~orc_va:(table_va + pa) plan))
+
+(* the sort the fixups share allocates nothing, and sorts *)
+let test_sort_rows_allocation () =
+  Testkit.skip_unless_native ();
+  let n = 3000 and width = 5 in
+  let rows = Array.init (n * width) (fun i -> i * 7919 mod 97 mod 4) in
+  check (Alcotest.float 0.) "0 minor words" 0.
+    (Testkit.minor_words (fun () -> Fgkaslr.sort_rows rows ~width n));
+  let row k = Array.sub rows (k * width) width in
+  for k = 1 to n - 1 do
+    check Alcotest.bool "ascending" true (compare (row (k - 1)) (row k) <= 0)
+  done
+
+(* --- the setup-data blob --- *)
+
+(* the encoder as it was before it read the plan's arrays: one
+   [(old_va, new_va, size)] triple per entry. The reference for
+   [setup_data_of_plan] and today's [setup_data_encode] *)
+let setup_data_encode_ref pairs =
+  let n = Array.length pairs in
+  let out = Bytes.make (8 + (n * 24)) '\000' in
+  Imk_util.Byteio.set_u32 out 0 0x53455455;
+  Imk_util.Byteio.set_u32 out 4 n;
+  Array.iteri
+    (fun k (old_va, new_va, size) ->
+      let off = 8 + (k * 24) in
+      Imk_util.Byteio.set_addr out off old_va;
+      Imk_util.Byteio.set_addr out (off + 8) new_va;
+      Imk_util.Byteio.set_u32 out (off + 16) size;
+      Imk_util.Byteio.set_u32 out (off + 20) 0)
+    pairs;
+  out
+
+let qcheck_plan_blob_matches_pairs_blob =
+  QCheck.Test.make ~name:"boot_params: plan blob = pairs blob" ~count:100
+    QCheck.(triple int64 (int_range 0 2000) (int_bound 2))
+    (fun (seed, n, shape) ->
+      let r = Imk_entropy.Prng.create ~seed in
+      let p = plan_of_shape r (random_sections r n) shape in
+      let want = setup_data_encode_ref (Fgkaslr.displacement_pairs p) in
+      Bytes.equal (Imk_guest.Boot_params.setup_data_of_plan p) want
+      && Bytes.equal
+           (Imk_guest.Boot_params.setup_data_encode
+              (Fgkaslr.displacement_pairs p))
+           want)
+
 let qcheck_apply_then_verify_consistency =
   (* applying with delta then with -delta returns the original bytes *)
   QCheck.Test.make ~name:"kaslr: apply delta then -delta = id" ~count:50
@@ -611,5 +887,17 @@ let () =
           Testkit.to_alcotest qcheck_displace_matches_reference;
           Alcotest.test_case "displace allocation" `Quick
             test_displace_allocation;
+          Testkit.to_alcotest qcheck_cursor_matches_displace;
+          Alcotest.test_case "cursor allocation" `Quick test_map_allocation;
+          Alcotest.test_case "table draws = make_plan" `Quick
+            test_table_draw_is_make_plan;
+          Alcotest.test_case "table rejects overlap on draw" `Quick
+            test_table_rejects_overlap_on_draw;
         ] );
+      ( "fgkaslr fixups",
+        [
+          Testkit.to_alcotest qcheck_fixups_match_reference;
+          Alcotest.test_case "sort allocation" `Quick test_sort_rows_allocation;
+        ] );
+      ("setup data", [ Testkit.to_alcotest qcheck_plan_blob_matches_pairs_blob ]);
     ]
