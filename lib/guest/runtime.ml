@@ -15,41 +15,33 @@ type verify_stats = {
 }
 
 (* The walk reads tens of thousands of small records per boot and is
-   not on the virtual clock, so its host cost is pure overhead. Each
-   site or table record is read and checked inside one [try], so the
-   walk allocates nothing per record, and its fields are read in the
-   order test/verify_ref.ml reads them, so a record off the guest
-   faults at the same field with the same message. Guest bytes that do
-   not decode, a site-kind byte naming no kind or a 64-bit pointer of
-   2^62 or more, raise [Invalid_argument] from the decoder; they are
-   guest damage like a read off the guest, so the record's handler turns
-   both into its [Panic]. Function headers are
-   bounds-checked once against the guest's size ([fits]) and their
-   64-bit magic is compared without boxing; a header that fails the
-   check goes to [read_fn_header], whose fault comes from its 64-bit
-   read first. A call-site record or function header inside one 64 KiB
-   storage chunk is read through a [Guest_mem.view]: one bounds check
-   and one chunk lookup for the whole record, then byte reads at the
-   chunk offset. A record straddling a chunk edge or the guest's end
-   gets no view and takes the per-field path, so its fault, and its
-   panic message, are those of the field that leaves the guest. A
-   header is read once per VA the walk reaches its function at: guest
-   memory does not change while the boot verifies, so a pointer to a
-   reached function's VA matches it without a second read (most of a
-   kernel's call sites point at a function some earlier site reached).
+   not on the virtual clock, so its host cost is pure overhead. Every
+   record (function header, call site, table header or table entry) is
+   read one way: one [Guest_mem.view] bounds-checks it whole and returns
+   the bytes that hold it, and its one decoder reads the fields at
+   [chunk_off pa] inside one [try], allocating nothing. A record that
+   leaves the guest panics naming the record, with the fault for its
+   whole range. Guest bytes that do not decode, a site-kind byte naming
+   no kind or a 64-bit pointer of 2^62 or more, raise [Invalid_argument];
+   they are guest damage like a read off the guest, so the record's
+   handler turns both into its [Panic]. A record is decoded before the
+   next view is taken, which may reuse the bounce buffer. A header is
+   read once per VA the walk reaches its function at: guest memory does
+   not change while the boot verifies, so a pointer to a reached
+   function's VA matches it without a second read (most of a kernel's
+   call sites point at a function some earlier site reached).
    test_guest pins this walk to test/verify_ref.ml. *)
-
-let fits mem pa len = pa >= 0 && pa <= Guest_mem.size mem - len
 
 (* where [pa] lies in the store a [Guest_mem.view] of it returns *)
 let chunk_off pa = pa land (Guest_mem.chunk_size - 1)
 
 (* A view's fields are read with the stdlib's byte primitives, which
    compile inline, as [Byteio]'s readers would do if a dev build
-   (-opaque) inlined across modules: [u32] is [Byteio.get_u32], and a
-   site-kind byte the three codes miss goes to [Image.site_kind_of_code]
-   for its error *)
+   (-opaque) inlined across modules: [u32] is [Byteio.get_u32], [s32]
+   [Byteio.get_u32_signed], and a site-kind byte the three codes miss
+   goes to [Image.site_kind_of_code] for its error *)
 let u32 v o = Int32.to_int (Bytes.get_int32_le v o) land 0xffffffff
+let s32 v o = Int32.to_int (Bytes.get_int32_le v o)
 
 let site_kind v o =
   match Bytes.get_uint8 v o with
@@ -58,62 +50,34 @@ let site_kind v o =
   | 2 -> Imk_elf.Relocation.Inv32
   | c -> Image.site_kind_of_code c
 
-(* Some records are wider than the fields read from them; touching the
-   last byte keeps the old whole-record bounds semantics of read_bytes. *)
-let probe_end mem ~pa ~len = ignore (Guest_mem.get_u8 mem ~pa:(pa + len - 1))
-
-let read_fn_header mem params ~va =
-  let pa = Boot_params.va_to_pa params va in
-  let magic, id, n_sites, size =
-    try
-      probe_end mem ~pa ~len:Function_graph.fn_header_bytes;
-      (* raw 64-bit read: a bad pointer may land on arbitrary bytes *)
-      let magic = Guest_mem.get_i64 mem ~pa in
-      let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-      let n_sites = Guest_mem.get_u32 mem ~pa:(pa + 12) in
-      let size = Guest_mem.get_u32 mem ~pa:(pa + 16) in
-      (magic, id, n_sites, size)
-    with Guest_mem.Fault m -> panic "function header at va %#x: %s" va m
-  in
-  if magic <> Int64.of_int (Function_graph.fn_magic id) then
-    panic "bad function magic at va %#x (claims id %d)" va id;
-  (id, n_sites, size)
-
-(* [fn_magic id] is below 2^62, so the stored 64-bit magic equals it iff
+(* whether the function header in [v] at [o] carries [id]'s magic.
+   [fn_magic id] is below 2^62, so the stored 64-bit magic equals it iff
    its two 32-bit halves do: compared as ints, nothing is boxed *)
-let magic_at mem ~pa id =
+let magic_ok v o id =
   let m = Function_graph.fn_magic id in
-  Guest_mem.get_u32 mem ~pa = m land 0xffffffff
-  && Guest_mem.get_u32 mem ~pa:(pa + 4) = m lsr 32
+  u32 v o = m land 0xffffffff && u32 v (o + 4) = m lsr 32
 
 (* the id of the function whose header is at [va], checked against its
-   magic; panics exactly as [read_fn_header] does *)
+   magic *)
 let header_id mem params ~va =
   let pa = Boot_params.va_to_pa params va in
-  let v = Guest_mem.view mem ~pa ~len:Function_graph.fn_header_bytes in
-  if Bytes.length v > 0 then begin
-    let o = chunk_off pa in
-    let id = u32 v (o + 8) in
-    let m = Function_graph.fn_magic id in
-    if not (u32 v o = m land 0xffffffff && u32 v (o + 4) = m lsr 32) then
-      panic "bad function magic at va %#x (claims id %d)" va id;
-    id
-  end
-  else if fits mem pa Function_graph.fn_header_bytes then begin
-    let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-    if not (magic_at mem ~pa id) then
-      panic "bad function magic at va %#x (claims id %d)" va id;
-    id
-  end
-  else
-    let id, _, _ = read_fn_header mem params ~va in
-    id
+  let v =
+    try Guest_mem.view mem ~pa ~len:Function_graph.fn_header_bytes
+    with Guest_mem.Fault m -> panic "function header at va %#x: %s" va m
+  in
+  let o = chunk_off pa in
+  let id = u32 v (o + 8) in
+  if not (magic_ok v o id) then
+    panic "bad function magic at va %#x (claims id %d)" va id;
+  id
 
 let fn_at mem params ~va =
   let pa = Boot_params.va_to_pa params va in
-  if fits mem pa Function_graph.fn_header_bytes then begin
-    let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-    if magic_at mem ~pa id then Some id else None
+  let len = Function_graph.fn_header_bytes in
+  if Guest_mem.valid mem ~pa ~len then begin
+    let v = Guest_mem.view mem ~pa ~len and o = chunk_off pa in
+    let id = u32 v (o + 8) in
+    if magic_ok v o id then Some id else None
   end
   else None
 
@@ -178,39 +142,23 @@ let follow_site mem params w ~from ~kind ~target_id ~value =
     reach w ~id:target_id ~va:target_va
 
 (* [follow_site] raises neither [Fault] nor [Invalid_argument]:
-   [header_id] reads only after [fits] or through [read_fn_header],
-   which turns a fault into a [Panic], and [target_va_of_site] turns a
-   bad abs32 value into one *)
+   [header_id] turns a fault into a [Panic], and [target_va_of_site]
+   turns a bad abs32 value into one *)
 let walk_site mem params w ~from ~site_va =
-  let site_pa = Boot_params.va_to_pa params site_va in
-  let v = Guest_mem.view mem ~pa:site_pa ~len:Function_graph.site_bytes in
-  if Bytes.length v > 0 then begin
-    (* the whole record is in [v]: only its bytes can fail to decode *)
-    let o = chunk_off site_pa in
-    try
-      let kind = site_kind v o in
-      let target_id = u32 v (o + 4) in
-      let value =
-        match kind with
-        | Imk_elf.Relocation.Abs64 -> Imk_util.Byteio.get_addr v (o + 8)
-        | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 -> u32 v (o + 8)
-      in
-      follow_site mem params w ~from ~kind ~target_id ~value
-    with Invalid_argument m -> panic "call site at va %#x: %s" site_va m
-  end
-  else
-    try
-      let kind = Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa) in
-      let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
-      let value =
-        match kind with
-        | Imk_elf.Relocation.Abs64 -> Guest_mem.get_addr mem ~pa:(site_pa + 8)
-        | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
-            Guest_mem.get_u32 mem ~pa:(site_pa + 8)
-      in
-      follow_site mem params w ~from ~kind ~target_id ~value
-    with Guest_mem.Fault m | Invalid_argument m ->
-      panic "call site at va %#x: %s" site_va m
+  let pa = Boot_params.va_to_pa params site_va in
+  try
+    let v = Guest_mem.view mem ~pa ~len:Function_graph.site_bytes in
+    let o = chunk_off pa in
+    let kind = site_kind v o in
+    let target_id = u32 v (o + 4) in
+    let value =
+      match kind with
+      | Imk_elf.Relocation.Abs64 -> Imk_util.Byteio.get_addr v (o + 8)
+      | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 -> u32 v (o + 8)
+    in
+    follow_site mem params w ~from ~kind ~target_id ~value
+  with Guest_mem.Fault m | Invalid_argument m ->
+    panic "call site at va %#x: %s" site_va m
 
 let walk_functions mem params =
   let n = params.Boot_params.kernel.Boot_params.n_functions in
@@ -232,9 +180,12 @@ let walk_functions mem params =
     let id = w.queue.(w.head) in
     w.head <- w.head + 1;
     let va = w.fn_va.(id) in
-    (* the header was read in full when [id] was reached *)
+    (* the header was checked whole when [id] was reached *)
+    let pa = Boot_params.va_to_pa params va in
     let n_sites =
-      Guest_mem.get_u32 mem ~pa:(Boot_params.va_to_pa params va + 12)
+      u32
+        (Guest_mem.view mem ~pa ~len:Function_graph.fn_header_bytes)
+        (chunk_off pa + 12)
     in
     for k = 0 to n_sites - 1 do
       walk_site mem params w ~from:id
@@ -246,12 +197,10 @@ let walk_functions mem params =
     panic "only %d of %d functions reachable after boot" w.tail n;
   (w.tail, w.sites, w.fn_va)
 
-(* a table's element count, from the header at [va] *)
+(* a table's element count, from the [header]-byte header at [va] *)
 let table_count mem params ~va ~header ~what =
   let pa = Boot_params.va_to_pa params va in
-  try
-    probe_end mem ~pa ~len:header;
-    Guest_mem.get_u32 mem ~pa
+  try u32 (Guest_mem.view mem ~pa ~len:header) (chunk_off pa)
   with Guest_mem.Fault m -> panic "%s at va %#x: %s" what va m
 
 let verify_rodata mem params fn_va =
@@ -262,11 +211,12 @@ let verify_rodata mem params fn_va =
   in
   for k = 0 to count - 1 do
     let entry_va = va + Image.rodata_header_bytes + (k * Image.rodata_entry_bytes) in
-    let entry_pa = Boot_params.va_to_pa params entry_va in
+    let pa = Boot_params.va_to_pa params entry_va in
     try
-      probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
-      let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
-      let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
+      let v = Guest_mem.view mem ~pa ~len:Image.rodata_entry_bytes in
+      let o = chunk_off pa in
+      let ptr = Imk_util.Byteio.get_addr v o in
+      let id = u32 v (o + 8) in
       check_fn mem params fn_va ~va:ptr ~expect_id:id ~what:"rodata pointer"
     with Guest_mem.Fault m | Invalid_argument m ->
       panic "rodata entry at va %#x: %s" entry_va m
@@ -280,10 +230,9 @@ let verify_kallsyms mem params fn_va =
   let pa = Boot_params.va_to_pa params va in
   let base, count =
     try
-      probe_end mem ~pa ~len:Image.kallsyms_header_bytes;
-      let base = Guest_mem.get_addr mem ~pa in
-      let count = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-      (base, count)
+      let v = Guest_mem.view mem ~pa ~len:Image.kallsyms_header_bytes in
+      let o = chunk_off pa in
+      (Imk_util.Byteio.get_addr v o, u32 v (o + 8))
     with Guest_mem.Fault m | Invalid_argument m ->
       panic "kallsyms at va %#x: %s" va m
   in
@@ -293,10 +242,12 @@ let verify_kallsyms mem params fn_va =
   let prev = ref (-1) in
   for k = 0 to count - 1 do
     let entry_va = va + Image.kallsyms_header_bytes + (k * Image.kallsyms_entry_bytes) in
-    let entry_pa = Boot_params.va_to_pa params entry_va in
+    let pa = Boot_params.va_to_pa params entry_va in
     try
-      let off = Guest_mem.get_u32 mem ~pa:entry_pa in
-      let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
+      let v = Guest_mem.view mem ~pa ~len:Image.kallsyms_entry_bytes in
+      let o = chunk_off pa in
+      let off = u32 v o in
+      let id = u32 v (o + 4) in
       if off <= !prev then panic "kallsyms not sorted at entry %d" k;
       prev := off;
       check_fn mem params fn_va ~va:(base + off) ~expect_id:id
@@ -314,16 +265,15 @@ let verify_extab mem params fn_va =
   let prev = ref min_int in
   for k = 0 to count - 1 do
     let entry_va = va + Image.extab_header_bytes + (k * Image.extab_entry_bytes) in
-    let entry_pa = Boot_params.va_to_pa params entry_va in
+    let pa = Boot_params.va_to_pa params entry_va in
     try
-      probe_end mem ~pa:entry_pa ~len:Image.extab_entry_bytes;
-      let fault_disp = Guest_mem.get_u32_signed mem ~pa:entry_pa in
-      let handler_disp = Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4) in
-      let fault_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-      let handler_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 12) in
-      let fault_off = Guest_mem.get_u32 mem ~pa:(entry_pa + 16) in
-      let fault_va = entry_va + fault_disp in
-      let handler_va = entry_va + 4 + handler_disp in
+      let v = Guest_mem.view mem ~pa ~len:Image.extab_entry_bytes in
+      let o = chunk_off pa in
+      let fault_va = entry_va + s32 v o in
+      let handler_va = entry_va + 4 + s32 v (o + 4) in
+      let fault_fn = u32 v (o + 8) in
+      let handler_fn = u32 v (o + 12) in
+      let fault_off = u32 v (o + 16) in
       (* non-strict: distinct entries may share a fault address *)
       if fault_va < !prev then panic "extab not sorted at entry %d" k;
       prev := fault_va;
@@ -348,11 +298,9 @@ let verify_orc mem params =
         let prev = ref min_int in
         for k = 0 to count - 1 do
           let entry_va = va + Image.orc_header_bytes + (k * Image.orc_entry_bytes) in
-          let entry_pa = Boot_params.va_to_pa params entry_va in
+          let pa = Boot_params.va_to_pa params entry_va in
           let ip_disp =
-            try
-              probe_end mem ~pa:entry_pa ~len:Image.orc_entry_bytes;
-              Guest_mem.get_u32_signed mem ~pa:entry_pa
+            try s32 (Guest_mem.view mem ~pa ~len:Image.orc_entry_bytes) (chunk_off pa)
             with Guest_mem.Fault m -> panic "orc entry at va %#x: %s" entry_va m
           in
           let ip_va = entry_va + ip_disp in

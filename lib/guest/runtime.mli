@@ -38,11 +38,6 @@ val verify_boot : Imk_memory.Guest_mem.t -> Boot_params.t -> verify_stats
     virtual clock: it stands for execution whose time is already modelled
     by {!Linux_boot}. *)
 
-val read_fn_header : Imk_memory.Guest_mem.t -> Boot_params.t -> va:int -> int * int * int
-(** [read_fn_header mem params ~va] returns [(id, n_sites, size)] after
-    checking the magic at [va]; raises {!Panic} on a mismatch. Exposed
-    for the attack simulator, which probes addresses the same way. *)
-
 val fn_at : Imk_memory.Guest_mem.t -> Boot_params.t -> va:int -> int option
 (** [fn_at mem params ~va] is the id of the function whose header starts
     exactly at [va], if the magic matches — a non-raising probe. *)

@@ -72,8 +72,10 @@ let create ~size =
 
 let size t = t.size
 
+(* [pa > t.size - len], not [pa + len > t.size]: a wild [pa] near
+   [max_int] must not wrap into range *)
 let check t pa len what =
-  if pa < 0 || len < 0 || pa + len > t.size then
+  if pa < 0 || len < 0 || pa > t.size - len then
     fault "%s at %#x+%d outside guest memory of %d bytes" what pa len t.size
 
 let owned t i c = c != zero_chunk && (t.base == no_base || c != t.base.(i))
@@ -304,7 +306,7 @@ let zero t ~pa ~len =
   touch t pa len;
   fill_zero t pa len
 
-let valid t ~pa ~len = pa >= 0 && len >= 0 && pa + len <= t.size
+let valid t ~pa ~len = pa >= 0 && len >= 0 && pa <= t.size - len
 
 (* one bounds check and one tracker update for the whole range, then one
    store lookup per chunk it overlaps *)
@@ -316,30 +318,47 @@ let with_validated_range t ~pa ~len f =
       f (writable t i) (i lsl chunk_bits)
     done
 
-(* one comparison chain, no allocation: the chunk's own store, which a
-   write may replace (copy-on-write) or fill, so the caller reads it
-   before its next write *)
-let view t ~pa ~len =
-  if pa >= 0 && len > 0 && pa <= t.size - len
-     && (pa land chunk_mask) + len <= chunk_size
-  then t.chunks.(pa lsr chunk_bits)
-  else Bytes.empty
+(* the store a record that straddles a chunk edge is copied into, at the
+   offset it has in its first chunk: a record is at most [view_max]
+   bytes, so it ends at most [view_max] bytes past [chunk_size]. One per
+   domain, so views taken on different domains never share it *)
+let view_max = 32
+let bounce =
+  Domain.DLS.new_key (fun () -> Bytes.make (chunk_size + view_max) '\000')
 
-(* --- scalar accessors: one chunk lookup when the value lies inside one
-   chunk (always, for aligned values); a value straddling a chunk edge
-   goes through a small bounce buffer --- *)
+(* one bounds check, then the chunk's own store, which a write may
+   replace (copy-on-write) or fill, so the caller reads it before its
+   next write; a record straddling a chunk edge is in exactly two. The
+   scalar readers below are views of their width, [what] naming the
+   access in the fault *)
+let record t pa len what =
+  check t pa len what;
+  let off = pa land chunk_mask and i = pa lsr chunk_bits in
+  if off + len <= chunk_size then t.chunks.(i)
+  else begin
+    let b = Domain.DLS.get bounce in
+    let n = chunk_size - off in
+    Bytes.blit t.chunks.(i) off b off n;
+    Bytes.blit t.chunks.(i + 1) 0 b chunk_size (len - n);
+    b
+  end
+
+let view t ~pa ~len =
+  if len < 1 || len > view_max then invalid_arg "Guest_mem.view: length";
+  record t pa len "read"
+
+(* --- scalar accessors: a reader reads its value from a view of it; a
+   writer writes one chunk when the value lies inside one (always, for
+   aligned values), and a value straddling a chunk edge through a small
+   bounce buffer --- *)
 
 let inside pa width = pa land chunk_mask <= chunk_size - width
 
 let get_u8 t ~pa =
-  check t pa 1 "read u8";
-  Imk_util.Byteio.get_u8 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
+  Imk_util.Byteio.get_u8 (record t pa 1 "read u8") (pa land chunk_mask)
 
 let get_u32 t ~pa =
-  check t pa 4 "read u32";
-  if inside pa 4 then
-    Imk_util.Byteio.get_u32 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
-  else Imk_util.Byteio.get_u32 (read_bytes t ~pa ~len:4) 0
+  Imk_util.Byteio.get_u32 (record t pa 4 "read u32") (pa land chunk_mask)
 
 let set_u32 t ~pa v =
   check t pa 4 "write u32";
@@ -353,16 +372,10 @@ let set_u32 t ~pa v =
   end
 
 let get_u32_signed t ~pa =
-  check t pa 4 "read u32";
-  if inside pa 4 then
-    Imk_util.Byteio.get_u32_signed t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
-  else Imk_util.Byteio.get_u32_signed (read_bytes t ~pa ~len:4) 0
+  Imk_util.Byteio.get_u32_signed (record t pa 4 "read u32") (pa land chunk_mask)
 
 let get_addr t ~pa =
-  check t pa 8 "read u64";
-  if inside pa 8 then
-    Imk_util.Byteio.get_addr t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
-  else Imk_util.Byteio.get_addr (read_bytes t ~pa ~len:8) 0
+  Imk_util.Byteio.get_addr (record t pa 8 "read u64") (pa land chunk_mask)
 
 let set_addr t ~pa v =
   check t pa 8 "write u64";
@@ -376,10 +389,7 @@ let set_addr t ~pa v =
   end
 
 let get_i64 t ~pa =
-  check t pa 8 "read i64";
-  if inside pa 8 then
-    Imk_util.Byteio.get_i64 t.chunks.(pa lsr chunk_bits) (pa land chunk_mask)
-  else Imk_util.Byteio.get_i64 (read_bytes t ~pa ~len:8) 0
+  Imk_util.Byteio.get_i64 (record t pa 8 "read i64") (pa land chunk_mask)
 
 (* --- read-only bulk accessors: none of these touch the dirty tracker,
    which is the point — snapshot capture and page hashing must observe a

@@ -105,8 +105,10 @@ val zero : t -> pa:int -> len:int -> unit
 val valid : t -> pa:int -> len:int -> bool
 (** [valid t ~pa ~len] is true when [\[pa, pa+len)] lies inside guest
     memory — the test a batch caller runs before committing to
-    {!with_validated_range}, falling back to per-site checked accessors
-    (and their per-site error messages) when it fails. *)
+    {!with_validated_range}. When it fails, the caller takes the run a
+    site at a time: an in-guest site through a copy ({!blit_to_bytes},
+    then {!write_sub}), and a site outside the guest through the checked
+    accessor of its width, whose fault names the site. *)
 
 val with_validated_range :
   t -> pa:int -> len:int -> (bytes -> int -> unit) -> unit
@@ -121,26 +123,31 @@ val with_validated_range :
     must confine every write to the validated range, or the dirty-extent
     tracker goes dishonest and scrubbed chunks come back with stale
     bytes. A value straddling a storage-chunk edge is in neither store
-    whole; [f] may write it through the checked accessors. Raises
+    whole; [f] may patch it on a copy ({!blit_to_bytes}, then
+    {!write_sub}, which dirties only the value's bytes). Raises
     {!Fault} if the range is out of bounds. Reads outside the range are
     harmless to the tracker but get no bounds protection beyond the
     chunk's own. *)
 
 val view : t -> pa:int -> len:int -> bytes
-(** [view t ~pa ~len] is the store of the storage chunk holding
-    [\[pa, pa+len)], to be read at offset [pa land (chunk_size - 1)],
-    when that range is non-empty, inside guest memory and inside one
-    storage chunk; otherwise it is [Bytes.empty], and the caller falls
-    back to the checked accessors (whose faults name the access). One
-    bounds check and one chunk lookup for a whole record, and no
-    allocation — the read side of {!with_validated_range}.
+(** [view t ~pa ~len] is a store holding the [len]-byte record
+    [\[pa, pa+len)], to be read at offset [pa land (chunk_size - 1)]:
+    the store of the storage chunk holding the record, or, for a record
+    that straddles a chunk edge, a per-domain bounce buffer of
+    [chunk_size + 32] bytes that the record is copied into at that
+    offset. One bounds check for the whole record and no allocation —
+    the read side of {!with_validated_range}. Raises {!Fault} if the
+    record leaves guest memory, with {!read_bytes}'s message for the
+    same range, and [Invalid_argument] unless [1 <= len <= 32].
 
     The view is read-only: nothing may write through it. It may be the
     shared zero chunk or a chunk of a frozen {!image}, and a write
     there would reach every guest sharing it and bypass the dirty
-    tracker. It stays valid until the next write to [t]: a write may
-    copy the chunk ({!of_image} clones, the zero chunk), so a view
-    taken before it can read stale bytes after it. *)
+    tracker. It stays valid until the next write to [t] — a write may
+    copy the chunk ({!of_image} clones, the zero chunk), so a view taken
+    before it can read stale bytes after it — and, for a straddling
+    record, until the next [view] on the same domain, which may reuse
+    the bounce buffer. Decode a record before taking the next one. *)
 
 val get_u8 : t -> pa:int -> int
 val get_u32 : t -> pa:int -> int

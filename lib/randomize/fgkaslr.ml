@@ -248,14 +248,21 @@ let table_count mem ~pa ~what =
    outside it, as reading it entry by entry does; this finds that field
    before any row is allocated, so a corrupt count allocates rows only
    for entries inside the guest. Every field is 4 bytes wide and read
-   in address order. *)
+   in address order. Every entry before the one holding the guest's end
+   lies inside the guest, so the probe starts there and faults within
+   two entries' fields, whatever the count. *)
 let probe_fields mem ~pa ~count ~entry ~fields =
-  if not (Guest_mem.valid mem ~pa ~len:(count * entry)) then
-    for k = 0 to count - 1 do
+  if not (Guest_mem.valid mem ~pa ~len:(count * entry)) then begin
+    let first =
+      if pa < 0 then 0
+      else Int.max 0 (Int.min count ((Guest_mem.size mem - pa) / entry))
+    in
+    for k = first to count - 1 do
       for f = 0 to fields - 1 do
         ignore (Guest_mem.get_u32 mem ~pa:(pa + (k * entry) + (4 * f)))
       done
     done
+  end
 
 let fixup_kallsyms mem ~pa plan =
   let header = Imk_kernel.Image.kallsyms_header_bytes in

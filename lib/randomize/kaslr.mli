@@ -58,10 +58,16 @@ val apply :
     runs (each inside one 2 MiB block and at most 1 MiB long) that pay
     one {!Imk_memory.Guest_mem.with_validated_range} bounds check +
     dirty-tracker update each instead of one per site, whatever 64 KiB
-    storage chunks they span; a run dirties the gaps between its sites;
-    values written, patch order, raised errors and their messages are
-    identical to the per-site path (runs that fail validation are
-    replayed site-by-site through the checked accessors). *)
+    storage chunks they span; a run dirties the gaps between its sites.
+    Every site goes through one transformation of its bytes: in place in
+    a run's store, or on a copy written back with
+    {!Imk_memory.Guest_mem.write_sub} for a site straddling a storage
+    edge or in a run that fails validation. Values written, patch order,
+    raised errors and their messages are those of patching site by site
+    through the checked accessors: a site outside the guest fails with
+    the fault of a checked read of its width. The site addresses go to
+    one per-domain buffer, so a warm call allocates only a constant few
+    words. *)
 
 val delta_new_va : delta:int -> int -> int
 (** [delta_new_va ~delta va] is the plain-KASLR [new_va_of]: adds the

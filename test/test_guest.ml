@@ -101,8 +101,8 @@ let write_header r ~pa ~id ~n_sites =
 
 let test_detects_corrupted_site () =
   check_panic
-    "function header at va 0x3fffffff81777000: read u8 at \
-     0x7ffffffff6377017+1 outside guest memory of 67108864 bytes"
+    "function header at va 0x3fffffff81777000: read at \
+     0x7ffffffff6377000+24 outside guest memory of 67108864 bytes"
     (in_place (fun r ->
          (* smash the first call-site value of the entry function *)
          Imk_memory.Guest_mem.set_addr r.Vmm.mem ~pa:(first_site_pa r + 8)
@@ -135,18 +135,20 @@ let test_detects_unsorted_kallsyms () =
          Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + h + e) o1))
 
 let test_detects_header_at_end () =
-  (* the entry's 24-byte header would run 8 bytes past the guest *)
+  (* the entry's 24-byte header would run 8 bytes past the guest: the
+     panic names the whole header *)
   check_panic
-    "function header at va 0x3fffffff8f3ffff0: read u8 at 0x4000007+1 \
+    "function header at va 0x3fffffff8f3ffff0: read at 0x3fffff0+24 \
      outside guest memory of 67108864 bytes"
     (entry_near_end ~back:16)
 
 let test_detects_site_straddling_end () =
   (* a valid header whose one abs64 site starts 8 bytes before the end:
-     its kind and target id fit, its value does not *)
+     its kind and target id fit, its value does not, and the panic names
+     the whole 16-byte record *)
   let back = Imk_kernel.Function_graph.fn_header_bytes + 8 in
   check_panic
-    "call site at va 0x3fffffff8f3ffff8: read u64 at 0x4000000+8 outside \
+    "call site at va 0x3fffffff8f3ffff8: read at 0x3fffff8+16 outside \
      guest memory of 67108864 bytes"
     (fun r ->
       let pa = Imk_memory.Guest_mem.size r.Vmm.mem - back in
@@ -154,6 +156,47 @@ let test_detects_site_straddling_end () =
       Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + 24) 0;
       Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa:(pa + 28) 1;
       entry_near_end ~back r)
+
+let test_detects_abs32_tail_past_end () =
+  (* an abs32 site 12 bytes before the end, calling the function it
+     sits in: its kind, target id and value fit, and the walk never
+     reads its last 4 bytes, but the record is 16 bytes and is checked
+     whole *)
+  let back = Imk_kernel.Function_graph.fn_header_bytes + 12 in
+  check_panic
+    "call site at va 0x3fffffff8f3ffff4: read at 0x3fffff4+16 outside \
+     guest memory of 67108864 bytes"
+    (fun r ->
+      let mem = r.Vmm.mem and params = entry_near_end ~back r in
+      let pa = Imk_memory.Guest_mem.size mem - back in
+      write_header r ~pa ~id:0 ~n_sites:1;
+      Imk_memory.Guest_mem.write_bytes mem ~pa:(pa + 24)
+        (Bytes.make 1 '\001' (* abs32 *));
+      Imk_memory.Guest_mem.set_u32 mem ~pa:(pa + 28) 0;
+      Imk_memory.Guest_mem.set_u32 mem ~pa:(pa + 32)
+        (Imk_memory.Addr.low32 params.Imk_guest.Boot_params.entry_va);
+      params)
+
+let test_detects_extab_tail_past_end () =
+  (* a one-entry extab moved to the guest's end: the 20 bytes of its
+     entry the walk reads fit, the entry's last 4 do not *)
+  check_panic
+    "extab entry at va 0x3fffffff8f3fffec: read at 0x3ffffec+24 outside \
+     guest memory of 67108864 bytes"
+    (fun r ->
+      let p = r.Vmm.params in
+      let pa =
+        Imk_memory.Guest_mem.size r.Vmm.mem - 20
+        - Imk_kernel.Image.extab_header_bytes
+      in
+      Imk_memory.Guest_mem.set_u32 r.Vmm.mem ~pa 1;
+      let info = p.Imk_guest.Boot_params.kernel in
+      { p with
+        Imk_guest.Boot_params.kernel =
+          { info with
+            Imk_guest.Boot_params.link_extab_va =
+              pa - p.Imk_guest.Boot_params.phys_load + Imk_memory.Addr.link_base
+          } })
 
 let test_detects_target_id_mismatch () =
   check_panic
@@ -174,9 +217,9 @@ let set_2_62 r ~pa =
   Bytes.set_int64_le b 0 0x4000_0000_0000_0000L;
   Imk_memory.Guest_mem.write_bytes r.Vmm.mem ~pa b
 
-(* --- records across a 64 KiB storage edge or the guest's end: the
-   walk reads them field by field, and faults and panics as it did
-   before it read whole records through a view --- *)
+(* --- records across a 64 KiB storage edge or the guest's end: a
+   record across a storage edge is read whole from a bounce copy, and
+   one across the guest's end panics naming the whole record --- *)
 
 (* a 64 KiB edge below every kernel load address: free in a booted
    guest *)
@@ -268,9 +311,8 @@ let test_detects_id_out_of_range () =
   check_panic "function id 40 out of range at 0x3fffffff8de00000"
     (in_place (fun r -> write_header r ~pa:(entry_pa r) ~id:40 ~n_sites:0))
 
-(* the production walk against Verify_ref, the tuple-per-record walk it
-   replaced:
-   the same stats and layout, or the same panic with the same message,
+(* the production walk against Verify_ref, a tuple-per-record walk that
+   copies each record out with [read_bytes]: the same stats and layout, or the same panic with the same message,
    after one random byte of the placed kernel is damaged. The
    damage lands in a function's header or sites, at the start of a
    verified table, anywhere the boot wrote, or in a header or site
@@ -333,7 +375,7 @@ let corrupt_pa r ~region ~pick =
       (params, Int.min (size - 1) (pa + (pick / 7 mod len)))
 
 let qcheck_walk_matches_reference =
-  QCheck.Test.make ~name:"runtime: verify walk = per-field reference"
+  QCheck.Test.make ~name:"runtime: verify walk = reference"
     ~count:150
     QCheck.(
       quad (int_bound 1_000_000) (int_bound 4) (int_bound 1_000_000)
@@ -561,6 +603,10 @@ let () =
             test_detects_header_at_end;
           Alcotest.test_case "detects site straddling guest end" `Quick
             test_detects_site_straddling_end;
+          Alcotest.test_case "detects abs32 tail past guest end" `Quick
+            test_detects_abs32_tail_past_end;
+          Alcotest.test_case "detects extab tail past guest end" `Quick
+            test_detects_extab_tail_past_end;
           Alcotest.test_case "site across a storage edge" `Quick
             test_detects_site_across_storage_edge;
           Alcotest.test_case "detects target id mismatch" `Quick

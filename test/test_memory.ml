@@ -612,6 +612,72 @@ let test_touch_allocation () =
   check (Alcotest.float 0.) "160 tracked writes, 0 minor words" 0.
     (Testkit.minor_words writes)
 
+(* --- views: one record, bounds-checked whole --- *)
+
+(* a guest with a short last chunk, holding bytes on both sides of each
+   chunk edge and up to its end (a view may also meet an absent chunk on
+   one side of an edge when [fill] is false) *)
+let view_guest ~fill =
+  let size = (2 * chunk) + 100 in
+  let m = Guest_mem.create ~size in
+  let pattern pa len =
+    Guest_mem.write_bytes m ~pa
+      (Bytes.init len (fun i -> Char.chr ((((pa + i) * 151) + 29) land 255)))
+  in
+  pattern (chunk - 64) (if fill then 128 else 64);
+  pattern ((2 * chunk) - 64) 64;
+  if fill then pattern (size - 128) 128;
+  m
+
+type view_outcome = Bytes_read of string | Faulted of string
+
+let view_outcome f =
+  match f () with
+  | s -> Bytes_read s
+  | exception Guest_mem.Fault m -> Faulted m
+
+let qcheck_view_matches_read_bytes =
+  QCheck.Test.make ~name:"guest_mem: view = read_bytes" ~count:500
+    QCheck.(quad (int_bound 3) (int_bound 80) (int_range 1 32) bool)
+    (fun (where, d, len, fill) ->
+      let m = view_guest ~fill in
+      let size = Guest_mem.size m in
+      (* across or near a chunk edge, the short last chunk's edge, the
+         guest's end, below 0, or far past the end *)
+      let pa =
+        match where with
+        | 0 -> chunk - 40 + d
+        | 1 -> (2 * chunk) - 40 + d
+        | 2 -> size - 40 + d
+        | _ -> if d mod 2 = 0 then -1 - d else max_int - d
+      in
+      let viewed =
+        view_outcome (fun () ->
+            let v = Guest_mem.view m ~pa ~len in
+            Bytes.sub_string v (pa land (chunk - 1)) len)
+      in
+      viewed
+      = view_outcome (fun () ->
+            Bytes.to_string (Guest_mem.read_bytes m ~pa ~len)))
+
+(* a view allocates nothing, also when it copies a straddling record
+   into the bounce buffer *)
+let test_view_allocation () =
+  Testkit.skip_unless_native ();
+  let m = view_guest ~fill:true in
+  let views () =
+    let acc = ref 0 in
+    for i = 0 to 9_999 do
+      let pa = chunk - 1 - (i mod 31) in
+      let v = Guest_mem.view m ~pa ~len:32 in
+      acc := !acc + Bytes.get_uint8 v (pa land (chunk - 1))
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  views ();
+  check (Alcotest.float 0.) "10,000 straddling views, 0 minor words" 0.
+    (Testkit.minor_words views)
+
 (* --- arena: recycled guest memory must be indistinguishable from a
    fresh create --- *)
 
@@ -868,6 +934,8 @@ let () =
           Testkit.to_alcotest qcheck_clones_isolated;
           Alcotest.test_case "clone allocation" `Quick test_of_image_allocation;
           Alcotest.test_case "tracker allocation" `Quick test_touch_allocation;
+          Testkit.to_alcotest qcheck_view_matches_read_bytes;
+          Alcotest.test_case "view allocation" `Quick test_view_allocation;
         ] );
       ( "arena",
         [

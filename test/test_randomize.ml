@@ -352,6 +352,49 @@ let test_storage_edge_matches_reference () =
   check Alcotest.bool "one run across the storage edge" true
     (dirty (e - 40) (e + 24))
 
+(* [Kaslr.apply]'s allocation does not grow with the site count: the
+   site addresses go to one per-domain buffer, grown on a first call,
+   not to an array per kind (arrays of at most 256 words come from the
+   minor heap, so a per-kind array would show here) *)
+let test_apply_allocation () =
+  Testkit.skip_unless_native ();
+  let words per_kind =
+    let sites base =
+      Array.init per_kind (fun i -> Addr.link_base + base + (i * 8))
+    in
+    let relocs =
+      { Imk_elf.Relocation.abs64 = sites 0; abs32 = sites 0x4000;
+        inv32 = sites 0x8000 }
+    in
+    let target i = Addr.link_base + 0x10000 + (i * 64) in
+    let mk () =
+      let mem = Guest_mem.create ~size:0x10000 in
+      Array.iteri
+        (fun i va -> Guest_mem.set_addr mem ~pa:(va - Addr.link_base) (target i))
+        relocs.abs64;
+      Array.iteri
+        (fun i va ->
+          Guest_mem.set_u32 mem ~pa:(va - Addr.link_base) (Addr.low32 (target i)))
+        relocs.abs32;
+      Array.iteri
+        (fun i va ->
+          Guest_mem.set_u32 mem ~pa:(va - Addr.link_base)
+            (Addr.low32 (Addr.inverse_base - target i)))
+        relocs.inv32;
+      mem
+    in
+    let site_pa va = va - Addr.link_base in
+    let new_va_of = Kaslr.delta_new_va ~delta:Addr.kernel_align in
+    let apply mem () = Kaslr.apply ~mem ~relocs ~site_pa ~new_va_of in
+    apply (mk ()) ();
+    let mem = mk () in
+    Testkit.minor_words (apply mem)
+  in
+  let small = words 50 and large = words 250 in
+  check (Alcotest.float 0.) "150 and 750 sites, same minor words" small large;
+  check Alcotest.bool (Printf.sprintf "%.0f minor words <= 80" large) true
+    (large <= 80.)
+
 (* the run rule decides the dirty set: a run dirties the unwritten gap
    between its sites, here [0xb03f370, 0xb040000) inside the placed
    image, which a run ending at a 64 KiB storage edge would leave clean.
@@ -776,6 +819,35 @@ let qcheck_fixups_match_reference =
            ~reference:(fun mem ~pa ->
              Fixup_ref.fixup_orc mem ~pa ~orc_va:(table_va + pa) plan))
 
+(* a damaged count near the start of a big guest: 9,999,999 extab
+   entries (229 MiB) from 32 MiB into a 256 MiB guest run off its end.
+   The probe starts at the entry that holds the end, so the fixup fails
+   at once, with the fault reading the table entry by entry meets. The
+   reference is run on the same table moved up by whole entries to start
+   at that entry: the guest's end falls 2 bytes into its first field, so
+   it faults at the same field before it allocates anything *)
+let test_fixup_probe_bound () =
+  let size = 256 * 1024 * 1024 in
+  let header = Imk_kernel.Image.extab_header_bytes in
+  let entry = Imk_kernel.Image.extab_entry_bytes in
+  let count = 9_999_999 in
+  let pa = (32 * 1024 * 1024) + 22 in
+  check Alcotest.bool "runs off the guest" true (pa + header + (count * entry) > size);
+  let plan = Fgkaslr.identity_plan ~sections:[||] ~text_base:Addr.link_base in
+  let outcome pa fixup =
+    let mem = Guest_mem.create ~size in
+    Guest_mem.set_u32 mem ~pa count;
+    fixup_outcome mem (fun mem -> fixup mem ~pa ~extab_va:(Addr.link_base + pa) plan)
+  in
+  let holding_end = pa + ((size - pa - header) / entry * entry) in
+  check Alcotest.int "2 bytes of its first field in the guest" 2
+    (size - (holding_end + header));
+  let got = outcome pa Fgkaslr.fixup_extab in
+  check Alcotest.bool "faults" true
+    (match got with Raised m -> String.length m > 0 | Written _ -> false);
+  check Alcotest.bool "= the reference's exception" true
+    (got = outcome holding_end Fixup_ref.fixup_extab)
+
 (* the sort the fixups share allocates nothing, and sorts *)
 let test_sort_rows_allocation () =
   Testkit.skip_unless_native ();
@@ -869,6 +941,7 @@ let () =
             test_chunk_edge_matches_reference;
           Alcotest.test_case "storage edge = reference" `Quick
             test_storage_edge_matches_reference;
+          Alcotest.test_case "apply allocation" `Quick test_apply_allocation;
           Alcotest.test_case "boot dirty set pinned" `Quick
             test_boot_dirty_set_pinned;
           Testkit.to_alcotest qcheck_apply_then_verify_consistency;
@@ -898,6 +971,8 @@ let () =
         [
           Testkit.to_alcotest qcheck_fixups_match_reference;
           Alcotest.test_case "sort allocation" `Quick test_sort_rows_allocation;
+          Alcotest.test_case "probe from the guest's end" `Quick
+            test_fixup_probe_bound;
         ] );
       ("setup data", [ Testkit.to_alcotest qcheck_plan_blob_matches_pairs_blob ]);
     ]

@@ -1,37 +1,39 @@
 (* Reference model of Imk_guest.Runtime's verification walk: the
-   straightforward version that reads every field of a record through its
-   own bounds-checked accessor inside a [try], returns tuples, builds a
-   [what] closure per check and queues function VAs in a [Queue.t],
-   skipping duplicates when they are popped. The production walk reads
-   each record and runs its check inside one [try], so it builds no
-   tuple, compares function magics without boxing and marks a function
-   when it is queued; test_guest's differential property pins
-   its stats, layouts, exceptions and panic messages to this one, like
-   Crc.crc32 to crc32_ref. A record whose read faults, or whose bytes do
-   not decode ([Invalid_argument]), panics with a message naming it. *)
+   straightforward version that copies every record out of guest memory
+   with [Guest_mem.read_bytes] inside a [try] and decodes its fields from
+   the copy, returns tuples, builds a [what] closure per check and queues
+   function VAs in a [Queue.t], skipping duplicates when they are popped.
+   The production walk reads each record through a [Guest_mem.view] and
+   runs its check inside one [try], so it builds no tuple, compares
+   function magics without boxing and marks a function when it is
+   queued; test_guest's differential property pins its stats, layouts,
+   exceptions and panic messages to this one, like Crc.crc32 to
+   crc32_ref. A record is read whole: one that leaves the guest panics
+   naming the record, with [read_bytes]'s fault for its whole range, and
+   one whose bytes do not decode ([Invalid_argument]) panics naming it
+   too. *)
 
 open Imk_memory
 open Imk_kernel
 module Boot_params = Imk_guest.Boot_params
+module Byteio = Imk_util.Byteio
 
 let panic fmt =
   Printf.ksprintf (fun s -> raise (Imk_guest.Runtime.Panic s)) fmt
 
-(* Some records are wider than the fields read from them; touching the
-   last byte keeps the old whole-record bounds semantics of read_bytes. *)
-let probe_end mem ~pa ~len = ignore (Guest_mem.get_u8 mem ~pa:(pa + len - 1))
+(* a copy of the [len]-byte record at [pa] *)
+let record mem ~pa ~len = Guest_mem.read_bytes mem ~pa ~len
 
 let read_fn_header mem params ~va =
   let pa = Boot_params.va_to_pa params va in
   let magic, id, n_sites, size =
     try
-      probe_end mem ~pa ~len:Function_graph.fn_header_bytes;
+      let b = record mem ~pa ~len:Function_graph.fn_header_bytes in
       (* raw 64-bit read: a bad pointer may land on arbitrary bytes *)
-      let magic = Guest_mem.get_i64 mem ~pa in
-      let id = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-      let n_sites = Guest_mem.get_u32 mem ~pa:(pa + 12) in
-      let size = Guest_mem.get_u32 mem ~pa:(pa + 16) in
-      (magic, id, n_sites, size)
+      ( Byteio.get_i64 b 0,
+        Byteio.get_u32 b 8,
+        Byteio.get_u32 b 12,
+        Byteio.get_u32 b 16 )
     with Guest_mem.Fault m -> panic "function header at va %#x: %s" va m
   in
   if magic <> Int64.of_int (Function_graph.fn_magic id) then
@@ -74,16 +76,14 @@ let walk_functions mem params =
         let site_pa = Boot_params.va_to_pa params site_va in
         let kind, target_id, value =
           try
-            let kind =
-              Image.site_kind_of_code (Guest_mem.get_u8 mem ~pa:site_pa)
-            in
-            let target_id = Guest_mem.get_u32 mem ~pa:(site_pa + 4) in
+            let b = record mem ~pa:site_pa ~len:Function_graph.site_bytes in
+            let kind = Image.site_kind_of_code (Byteio.get_u8 b 0) in
+            let target_id = Byteio.get_u32 b 4 in
             let value =
               match kind with
-              | Imk_elf.Relocation.Abs64 ->
-                  Guest_mem.get_addr mem ~pa:(site_pa + 8)
+              | Imk_elf.Relocation.Abs64 -> Byteio.get_addr b 8
               | Imk_elf.Relocation.Abs32 | Imk_elf.Relocation.Inv32 ->
-                  Guest_mem.get_u32 mem ~pa:(site_pa + 8)
+                  Byteio.get_u32 b 8
             in
             (kind, target_id, value)
           with Guest_mem.Fault m | Invalid_argument m ->
@@ -111,9 +111,7 @@ let verify_rodata mem params =
   let va = info.Boot_params.link_rodata_va + delta in
   let pa = Boot_params.va_to_pa params va in
   let count =
-    try
-      probe_end mem ~pa ~len:Image.rodata_header_bytes;
-      Guest_mem.get_u32 mem ~pa
+    try Byteio.get_u32 (record mem ~pa ~len:Image.rodata_header_bytes) 0
     with Guest_mem.Fault m -> panic "rodata at va %#x: %s" va m
   in
   for k = 0 to count - 1 do
@@ -121,10 +119,8 @@ let verify_rodata mem params =
     let entry_pa = Boot_params.va_to_pa params entry_va in
     let ptr, id =
       try
-        probe_end mem ~pa:entry_pa ~len:Image.rodata_entry_bytes;
-        let ptr = Guest_mem.get_addr mem ~pa:entry_pa in
-        let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-        (ptr, id)
+        let b = record mem ~pa:entry_pa ~len:Image.rodata_entry_bytes in
+        (Byteio.get_addr b 0, Byteio.get_u32 b 8)
       with Guest_mem.Fault m | Invalid_argument m ->
         panic "rodata entry at va %#x: %s" entry_va m
     in
@@ -139,10 +135,8 @@ let verify_kallsyms mem params =
   let pa = Boot_params.va_to_pa params va in
   let base, count =
     try
-      probe_end mem ~pa ~len:Image.kallsyms_header_bytes;
-      let base = Guest_mem.get_addr mem ~pa in
-      let count = Guest_mem.get_u32 mem ~pa:(pa + 8) in
-      (base, count)
+      let b = record mem ~pa ~len:Image.kallsyms_header_bytes in
+      (Byteio.get_addr b 0, Byteio.get_u32 b 8)
     with Guest_mem.Fault m | Invalid_argument m ->
       panic "kallsyms at va %#x: %s" va m
   in
@@ -155,9 +149,8 @@ let verify_kallsyms mem params =
     let entry_pa = Boot_params.va_to_pa params entry_va in
     let off, id =
       try
-        let off = Guest_mem.get_u32 mem ~pa:entry_pa in
-        let id = Guest_mem.get_u32 mem ~pa:(entry_pa + 4) in
-        (off, id)
+        let b = record mem ~pa:entry_pa ~len:Image.kallsyms_entry_bytes in
+        (Byteio.get_u32 b 0, Byteio.get_u32 b 4)
       with Guest_mem.Fault m -> panic "kallsyms entry at va %#x: %s" entry_va m
     in
     if off <= !prev then panic "kallsyms not sorted at entry %d" k;
@@ -173,9 +166,7 @@ let verify_extab mem params =
   let va = info.Boot_params.link_extab_va + delta in
   let pa = Boot_params.va_to_pa params va in
   let count =
-    try
-      probe_end mem ~pa ~len:Image.extab_header_bytes;
-      Guest_mem.get_u32 mem ~pa
+    try Byteio.get_u32 (record mem ~pa ~len:Image.extab_header_bytes) 0
     with Guest_mem.Fault m -> panic "extab at va %#x: %s" va m
   in
   let prev = ref min_int in
@@ -184,13 +175,12 @@ let verify_extab mem params =
     let entry_pa = Boot_params.va_to_pa params entry_va in
     let fault_disp, handler_disp, fault_fn, handler_fn, fault_off =
       try
-        probe_end mem ~pa:entry_pa ~len:Image.extab_entry_bytes;
-        let fault_disp = Guest_mem.get_u32_signed mem ~pa:entry_pa in
-        let handler_disp = Guest_mem.get_u32_signed mem ~pa:(entry_pa + 4) in
-        let fault_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 8) in
-        let handler_fn = Guest_mem.get_u32 mem ~pa:(entry_pa + 12) in
-        let fault_off = Guest_mem.get_u32 mem ~pa:(entry_pa + 16) in
-        (fault_disp, handler_disp, fault_fn, handler_fn, fault_off)
+        let b = record mem ~pa:entry_pa ~len:Image.extab_entry_bytes in
+        ( Byteio.get_u32_signed b 0,
+          Byteio.get_u32_signed b 4,
+          Byteio.get_u32 b 8,
+          Byteio.get_u32 b 12,
+          Byteio.get_u32 b 16 )
       with Guest_mem.Fault m -> panic "extab entry at va %#x: %s" entry_va m
     in
     let fault_va = entry_va + fault_disp in
@@ -215,9 +205,7 @@ let verify_orc mem params =
         let va = link_va + delta in
         let pa = Boot_params.va_to_pa params va in
         let count =
-          try
-            probe_end mem ~pa ~len:Image.orc_header_bytes;
-            Guest_mem.get_u32 mem ~pa
+          try Byteio.get_u32 (record mem ~pa ~len:Image.orc_header_bytes) 0
           with Guest_mem.Fault m -> panic "orc at va %#x: %s" va m
         in
         let prev = ref min_int in
@@ -226,8 +214,9 @@ let verify_orc mem params =
           let entry_pa = Boot_params.va_to_pa params entry_va in
           let ip_disp =
             try
-              probe_end mem ~pa:entry_pa ~len:Image.orc_entry_bytes;
-              Guest_mem.get_u32_signed mem ~pa:entry_pa
+              Byteio.get_u32_signed
+                (record mem ~pa:entry_pa ~len:Image.orc_entry_bytes)
+                0
             with Guest_mem.Fault m -> panic "orc entry at va %#x: %s" entry_va m
           in
           let ip_va = entry_va + ip_disp in
